@@ -20,7 +20,7 @@
 //! (spec-fingerprint, shard-index and coverage mismatches are hard
 //! errors), and `render --figure8` regenerates the Figure-8 hardening
 //! heatmaps from a *saved* matrix with zero re-simulation. `serve` runs
-//! the cube on the resumable work-stealing scheduler — kill it mid-run
+//! the cube on the resumable checkpointing scheduler — kill it mid-run
 //! and the next invocation resumes from the `--checkpoint` directory
 //! without re-simulating a single completed cell. `query` answers point
 //! lookups (`ATTACK | STACK | KNOBS` lines) from saved artifacts through
@@ -39,14 +39,16 @@ use crate::heatmap::Figure8View;
 use specgraph::attacks::{self, Attack, AttackError};
 use specgraph::campaign::{
     CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, IncrementalReport,
-    Knob, KnobValue, MatrixDiff, MergeError, PredictorFlavor, TaskEvent,
+    Knob, KnobValue, MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{
     self, Corpus, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry,
 };
 use specgraph::fault::{self, PanickingAttack};
-use specgraph::serve::{AnswerSource, ChunkEvent, Scheduler, ServeError, VerdictStore};
+use specgraph::serve::{
+    AnswerSource, ChunkEvent, ChunkObserver, Scheduler, ServeError, VerdictStore,
+};
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -108,13 +110,13 @@ SPEC (must be identical for every shard of one campaign):
   saved matrices: verdict flips, baseline cycle deltas, added/removed
   cells.
 
-  `campaign serve` runs the cube on a resumable work-stealing scheduler:
-  the cube splits into --chunk T-task chunks pulled by --workers threads
-  (idle workers steal straggler chunks; results are deterministic, so
-  duplicated work is harmless). With --checkpoint DIR every finished
-  chunk is written to disk, and a killed run's next invocation resumes
-  from DIR, re-simulating zero completed cells — the final matrix is
-  bit-identical to `campaign run` either way.
+  `campaign serve` runs the cube on a resumable scheduler: the cube
+  splits into --chunk T-task chunks that --workers threads claim from
+  one shared cursor, so every chunk runs exactly once. With
+  --checkpoint DIR every finished chunk is written to disk, and a
+  killed run's next invocation resumes from DIR, re-simulating zero
+  completed cells — the final matrix is bit-identical to `campaign run`
+  either way.
 
   `campaign query` ingests saved matrices/parts/checkpoints into a
   memoized verdict store and answers one query per line from --queries
@@ -198,7 +200,7 @@ pub enum Outcome {
         /// Whether the matrices are identical.
         identical: bool,
     },
-    /// `serve`: the cube ran on the resumable work-stealing scheduler.
+    /// `serve`: the cube ran on the resumable checkpointing scheduler.
     Served {
         /// Chunks the cube was decomposed into.
         chunks: usize,
@@ -206,8 +208,6 @@ pub enum Outcome {
         resumed: usize,
         /// Chunks simulated by this invocation's workers.
         executed: usize,
-        /// Straggler chunks speculatively duplicated by idle workers.
-        stolen: usize,
     },
     /// `query`: a batch of point queries was answered.
     Queried {
@@ -765,7 +765,7 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
         let part = spec
             .shards(of)
             .swap_remove(index)
-            .run_observed(observer.as_ref().map(|f| f as &(dyn Fn(TaskEvent) + Sync)))?;
+            .run(observer.as_ref().map(|f| f as ProgressObserver))?;
         emit(out.as_deref(), &part.to_json())?;
         eprintln!(
             "campaign: shard {index}/{of} evaluated {} of {} task(s) \
@@ -788,10 +788,10 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
             .then(|| spec.attacks.len() + spec.attacks.len() * spec.defenses.len());
         let printer = progress.then(|| ProgressPrinter::new(&spec, per_slice));
         let observer = printer.as_ref().map(ProgressPrinter::observer);
-        let (matrix, report) = CampaignMatrix::run_incremental_observed(
+        let (matrix, report) = CampaignMatrix::run_incremental(
             &spec,
             previous.as_ref(),
-            observer.as_ref().map(|f| f as &(dyn Fn(TaskEvent) + Sync)),
+            observer.as_ref().map(|f| f as ProgressObserver),
         )?;
         emit(out.as_deref(), &matrix.to_json())?;
         if let Some(path) = &csv {
@@ -1125,7 +1125,7 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
         );
     };
     let (matrix, report) =
-        scheduler.run_observed(None, progress.then_some(&observer as ChunkObserverRef))?;
+        scheduler.run_observed(None, progress.then_some(&observer as ChunkObserver))?;
     emit(out.as_deref(), &matrix.to_json())?;
     if let Some(path) = &csv {
         write_file(path, &matrix.to_csv())?;
@@ -1140,25 +1140,20 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     }
     eprintln!(
         "campaign: served {} task(s) in {} chunk(s) — resumed {} chunk(s) \
-         ({} task(s), 0 re-simulated), executed {}, stole {}",
+         ({} task(s), 0 re-simulated), executed {}",
         spec.total_tasks(),
         report.chunks,
         report.resumed,
         report.resumed_tasks,
         report.executed,
-        report.stolen,
     );
     describe_degraded(&matrix);
     Ok(Outcome::Served {
         chunks: report.chunks,
         resumed: report.resumed,
         executed: report.executed,
-        stolen: report.stolen,
     })
 }
-
-/// The observer coercion target for [`Scheduler::run_observed`].
-type ChunkObserverRef<'a> = &'a (dyn Fn(ChunkEvent) + Sync);
 
 fn cmd_query(args: &[String]) -> Result<Outcome, CliError> {
     let mut artifacts: Vec<PathBuf> = Vec::new();
@@ -1744,7 +1739,7 @@ fn fault_quarantine(retries: u32) -> Result<Outcome, CliError> {
         spec.total_tasks(),
     );
     panicking.disarm();
-    let (healed, report) = CampaignMatrix::run_incremental_observed(&spec, Some(&matrix), None)?;
+    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None)?;
     if healed.quarantined() != 0 {
         return Err(CliError::Fault(format!(
             "{} cell(s) still quarantined after the fault was removed",

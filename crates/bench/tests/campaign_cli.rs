@@ -523,7 +523,6 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
         chunks,
         resumed: 0,
         executed,
-        ..
     } = outcome
     else {
         panic!("unexpected outcome {outcome:?}");
@@ -536,8 +535,6 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
     fs::remove_file(ckpt.join("chunk-00001.json")).expect("checkpoint file exists");
     let resumed_out = dir.join("resumed.json");
     let outcome = serve_to(&resumed_out);
-    // `stolen` is scheduling-dependent (an idle worker may legally
-    // duplicate the one remaining chunk) — everything else is pinned.
     assert!(
         matches!(
             outcome,
@@ -545,7 +542,6 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
                 chunks: c,
                 resumed: r,
                 executed: 1,
-                ..
             } if c == chunks && r == chunks - 1
         ),
         "unexpected outcome {outcome:?}"
@@ -561,7 +557,6 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
             chunks,
             resumed: chunks,
             executed: 0,
-            stolen: 0
         }
     );
     assert_eq!(fs::read_to_string(&third).unwrap(), expected);

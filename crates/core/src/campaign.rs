@@ -42,8 +42,8 @@
 //! # }
 //! ```
 //!
-//! Work is distributed over `std::thread::scope` workers round-robin, and
-//! results are reassembled by cell index, so the output is byte-identical
+//! Worker threads claim tasks from one shared cursor, and results are
+//! reassembled by cell index, so the output is byte-identical
 //! regardless of thread count or scheduling. That index-addressed,
 //! deterministic cell order is also what makes the cube **shardable**
 //! ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]: merging is
@@ -83,7 +83,7 @@
 //!     .shards(2)
 //!     .iter()
 //!     .map(|shard| {
-//!         let part = shard.run()?;
+//!         let part = shard.run(None)?;
 //!         Ok(CampaignPart::from_json(&part.to_json())?) // disk round trip
 //!     })
 //!     .collect::<Result<_, Box<dyn std::error::Error>>>()?;
@@ -119,10 +119,9 @@ use uarch::UarchConfig;
 /// plus a reason/budget field) instead of aborting the producing run.
 /// Fault-free rows are byte-identical to version 5 apart from the
 /// version number, so version-5 documents still load, as do version-4
-/// stack matrices, version-3 single-defense documents and headerless
-/// version-2 matrices. Any other version is a typed
-/// [`CampaignIoError::Version`]. (Version 6 is skipped: the fuzz corpus
-/// namespace owns it.)
+/// stack matrices and version-3 single-defense documents. Any other
+/// version is a typed [`CampaignIoError::Version`]. (Version 6 is
+/// skipped: the fuzz corpus namespace owns it.)
 pub const SCHEMA_VERSION: u64 = 7;
 
 /// The pre-outcome schema (no degraded rows, `campaign-checkpoint` kind
@@ -137,10 +136,6 @@ const STACK_MATRIX_VERSION: u64 = 4;
 /// Accepted on load (a single defense name parses as a singleton stack),
 /// never written.
 const SINGLE_DEFENSE_VERSION: u64 = 3;
-
-/// The pre-part matrix schema (no `kind` header); accepted on load for
-/// backward compatibility, never written.
-const LEGACY_MATRIX_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Typed configuration knobs
@@ -1179,14 +1174,6 @@ fn run_task_resilient(
     }
 }
 
-fn effective_threads(requested: usize, tasks: usize) -> usize {
-    match requested {
-        0 => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        t => t,
-    }
-    .min(tasks.max(1))
-}
-
 /// One completed evaluation task, as reported to a [`ProgressObserver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskEvent {
@@ -1229,79 +1216,42 @@ fn task_pair(spec: &CampaignSpec, task: usize) -> usize {
     (j / (d * c)) * d + (j / c) % d
 }
 
-/// Runs the given task ids (need not be contiguous, must be sorted for the
-/// error-order guarantee) on scoped workers, round-robin by list position;
-/// results come back in list order. The first error by task order wins.
+/// Evaluates the given task ids (need not be contiguous, must be sorted
+/// for the error-order guarantee): config digests, then the hoisted graph
+/// verdicts (see [`graph_verdicts_for`] for `races_for_all`), then the
+/// simulations on [`crate::exec::map_indexed`] workers, each owning one
+/// warm [`BatchRunner`] that every task resets instead of rebuilding.
+/// Results come back in list order; the first error by task order wins.
 /// `progress`, if given, observes every completed task as it finishes.
-fn execute(
+fn evaluate_tasks(
     spec: &CampaignSpec,
-    graph: &GraphVerdicts,
-    digests: &[u64],
     ids: &[usize],
+    races_for_all: bool,
     progress: Option<ProgressObserver<'_>>,
-) -> Result<Vec<TaskOut>, AttackError> {
+) -> Result<(Vec<TaskOut>, GraphVerdicts), AttackError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let threads = effective_threads(spec.threads, ids.len());
+    let digests = config_digests(spec);
+    let graph = graph_verdicts_for(spec, ids, races_for_all)?;
     let done = AtomicUsize::new(0);
-    let observe = |task: usize| {
+    let outs = crate::exec::map_indexed(ids.len(), spec.threads, BatchRunner::new, |runner, k| {
+        let out = run_task_resilient(spec, &graph, &digests, ids[k], runner);
         if let Some(f) = progress {
             f(TaskEvent {
                 completed: done.fetch_add(1, Ordering::Relaxed) + 1,
                 total: ids.len(),
-                config: task_config(spec, task),
+                config: task_config(spec, ids[k]),
             });
         }
-    };
-    let mut slots: Vec<Option<Result<TaskOut, AttackError>>> = Vec::new();
-    slots.resize_with(ids.len(), || None);
-    if threads <= 1 {
-        let mut runner = BatchRunner::new();
-        for (k, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_task_resilient(
-                spec,
-                graph,
-                digests,
-                ids[k],
-                &mut runner,
-            ));
-            observe(ids[k]);
-        }
-    } else {
-        let observe = &observe;
-        // Each worker owns one warm machine for its whole task stripe:
-        // every task resets it instead of rebuilding.
-        let worker = move |start: usize| {
-            let mut runner = BatchRunner::new();
-            let mut out = Vec::new();
-            let mut k = start;
-            while k < ids.len() {
-                out.push((
-                    k,
-                    run_task_resilient(spec, graph, digests, ids[k], &mut runner),
-                ));
-                observe(ids[k]);
-                k += threads;
-            }
-            out
-        };
-        let batches = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|start| scope.spawn(move || worker(start)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for batch in batches {
-            for (k, result) in batch {
-                slots[k] = Some(result);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every task ran"))
+        out
+    })?;
+    Ok((outs, graph))
+}
+
+/// [`config_digest`] of every config slice, in axis order.
+fn config_digests(spec: &CampaignSpec) -> Vec<u64> {
+    spec.configs
+        .iter()
+        .map(|nc| config_digest(&nc.config))
         .collect()
 }
 
@@ -1360,39 +1310,20 @@ impl CampaignShard {
 
     /// Evaluates this shard's task range (in parallel, like
     /// [`CampaignMatrix::run`]) and returns the partial result for
-    /// [`CampaignMatrix::merge`].
+    /// [`CampaignMatrix::merge`]. `progress`, if given, is a live
+    /// [`ProgressObserver`] reporting each completed task.
     ///
     /// # Errors
     ///
     /// The first [`AttackError`] any simulation produced (by task order).
-    pub fn run(&self) -> Result<CampaignPart, AttackError> {
-        self.run_observed(None)
-    }
-
-    /// [`CampaignShard::run`] with a live [`ProgressObserver`] reporting
-    /// each completed task.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AttackError`] any simulation produced (by task order).
-    pub fn run_observed(
-        &self,
-        progress: Option<ProgressObserver<'_>>,
-    ) -> Result<CampaignPart, AttackError> {
-        let digests: Vec<u64> = self
-            .spec
-            .configs
-            .iter()
-            .map(|nc| config_digest(&nc.config))
-            .collect();
+    pub fn run(&self, progress: Option<ProgressObserver<'_>>) -> Result<CampaignPart, AttackError> {
         let ids: Vec<usize> = (self.start..self.end).collect();
         // Graph verdicts only for this shard's attacks and (attack, stack)
         // pairs — a shard whose range misses an attack builds no graph
         // for it; pairs are computed once and shared across the shard's
         // config slices.
-        let graph = graph_verdicts_for(&self.spec, &ids, false)?;
-        let (baselines, cells) =
-            split_outputs(execute(&self.spec, &graph, &digests, &ids, progress)?);
+        let (outs, _) = evaluate_tasks(&self.spec, &ids, false, progress)?;
+        let (baselines, cells) = split_outputs(outs);
         Ok(CampaignPart {
             spec_fingerprint: self.spec.fingerprint(),
             index: self.index,
@@ -1621,7 +1552,7 @@ impl CampaignPart {
 
     fn from_json_kind(text: &str, kind: &'static str) -> Result<Self, CampaignIoError> {
         let doc = jsonio::parse(text)?;
-        check_version_and_kind(&doc, kind, false)?;
+        check_version_and_kind(&doc, kind)?;
         let spec_fingerprint = header_fingerprint(&doc)?;
         let shard = doc
             .get("shard")
@@ -1835,9 +1766,9 @@ impl CampaignMatrix {
 
     /// Evaluates the full cube described by `spec`.
     ///
-    /// Tasks (one per baseline run, one per matrix cell) are dealt to
-    /// scoped worker threads round-robin and reassembled by index, so the
-    /// result — including cell order — is independent of scheduling.
+    /// Tasks (one per baseline run, one per matrix cell) are claimed by
+    /// worker threads from a shared cursor and reassembled by index, so
+    /// the result — including cell order — is independent of scheduling.
     ///
     /// # Errors
     ///
@@ -1848,7 +1779,7 @@ impl CampaignMatrix {
     /// Panics if a worker thread itself panics (i.e. a bug, not a
     /// simulation failure).
     pub fn run(spec: &CampaignSpec) -> Result<Self, AttackError> {
-        Ok(Self::run_incremental(spec, None)?.0)
+        Ok(Self::run_incremental(spec, None, None)?.0)
     }
 
     /// Evaluates the cube, reusing every cell of `prev` whose content
@@ -1857,6 +1788,9 @@ impl CampaignMatrix {
     /// re-simulated. With an unchanged spec this evaluates **zero** cells;
     /// changing one knob value re-evaluates exactly the affected config
     /// slices. `prev` typically comes from [`CampaignMatrix::load_json`].
+    /// `progress`, if given, is a live [`ProgressObserver`] that sees
+    /// every *evaluated* task as it completes (reused tasks are silent —
+    /// they cost nothing).
     ///
     /// Fingerprints cover the *spec*, not the simulator implementation:
     /// discard saved matrices when the simulator or an attack PoC changes.
@@ -1872,34 +1806,11 @@ impl CampaignMatrix {
     pub fn run_incremental(
         spec: &CampaignSpec,
         prev: Option<&CampaignMatrix>,
-    ) -> Result<(Self, IncrementalReport), AttackError> {
-        Self::run_incremental_observed(spec, prev, None)
-    }
-
-    /// [`CampaignMatrix::run_incremental`] with a live
-    /// [`ProgressObserver`]: the observer sees every *evaluated* task as
-    /// it completes (reused tasks are silent — they cost nothing).
-    ///
-    /// # Errors
-    ///
-    /// The first [`AttackError`] any re-simulation produced (by task
-    /// order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panics.
-    pub fn run_incremental_observed(
-        spec: &CampaignSpec,
-        prev: Option<&CampaignMatrix>,
         progress: Option<ProgressObserver<'_>>,
     ) -> Result<(Self, IncrementalReport), AttackError> {
         let (a, d, c) = (spec.attacks.len(), spec.defenses.len(), spec.configs.len());
         let total = a * c + a * d * c;
-        let digests: Vec<u64> = spec
-            .configs
-            .iter()
-            .map(|nc| config_digest(&nc.config))
-            .collect();
+        let digests = config_digests(spec);
 
         let mut prev_bases: HashMap<u64, &BaselineCell> = HashMap::new();
         let mut prev_cells: HashMap<u64, &MatrixCell> = HashMap::new();
@@ -1959,14 +1870,12 @@ impl CampaignMatrix {
         // *every* attack — races are recomputed live (cheap) and stamped
         // onto reused baselines below, so a changed graph() never serves
         // a stale verdict even when the simulation itself is reused.
-        let graph = graph_verdicts_for(spec, &stale, true)?;
+        let (fresh, graph) = evaluate_tasks(spec, &stale, true, progress)?;
         for (task, slot) in slots.iter_mut().enumerate() {
             if let Some(TaskOut::Base(b)) = slot {
                 b.graph_race = graph.races[task / c];
             }
         }
-
-        let fresh = execute(spec, &graph, &digests, &stale, progress)?;
         for (&task, out) in stale.iter().zip(fresh) {
             slots[task] = Some(out);
         }
@@ -1991,26 +1900,6 @@ impl CampaignMatrix {
             ),
             report,
         ))
-    }
-
-    /// Runs the cube as `n` shards (sequentially, each internally
-    /// parallel) and merges — a self-test of the shard path and a
-    /// convenience for memory-bounded hosts.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AttackError`] any simulation produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if self-produced shards fail to merge (a bug).
-    pub fn run_sharded(spec: &CampaignSpec, n: usize) -> Result<Self, AttackError> {
-        let parts = spec
-            .shards(n)
-            .iter()
-            .map(CampaignShard::run)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::merge(parts).expect("self-produced shards always merge"))
     }
 
     /// Reassembles a full matrix from every shard's [`CampaignPart`].
@@ -2253,9 +2142,7 @@ impl CampaignMatrix {
     ///
     /// Attack and defense names are resolved against the live registries
     /// (the matrix stores `&'static` metadata); axis order and cell counts
-    /// are validated against the attack-major layout. Version-2 documents
-    /// (written before [`SCHEMA_VERSION`] introduced the `kind` header)
-    /// load unchanged.
+    /// are validated against the attack-major layout.
     ///
     /// # Errors
     ///
@@ -2265,7 +2152,7 @@ impl CampaignMatrix {
     /// axes.
     pub fn from_json(text: &str) -> Result<Self, CampaignIoError> {
         let doc = jsonio::parse(text)?;
-        check_version_and_kind(&doc, "campaign-matrix", true)?;
+        check_version_and_kind(&doc, "campaign-matrix")?;
         let (attacks, defenses, configs) = parse_axes(&doc)?;
         let (a, d, c) = (attacks.len(), defenses.len(), configs.len());
         let total = a * c + a * d * c;
@@ -2583,23 +2470,13 @@ impl CampaignMatrix {
 }
 
 /// Checks the `version`/`kind` headers of a campaign document.
-/// `allow_legacy` accepts the pre-part version-2 matrix schema (which has
-/// no `kind` field). Version-3 documents (single-defense columns, with
-/// `kind` headers) always load: their defense names parse as singleton
-/// stacks.
-fn check_version_and_kind(
-    doc: &Json,
-    kind: &'static str,
-    allow_legacy: bool,
-) -> Result<(), CampaignIoError> {
-    let version = doc.get("version").and_then(Json::as_u64);
-    match version {
+/// Version-3 documents (single-defense columns) load too: their defense
+/// names parse as singleton stacks.
+fn check_version_and_kind(doc: &Json, kind: &'static str) -> Result<(), CampaignIoError> {
+    match doc.get("version").and_then(Json::as_u64) {
         Some(
             SCHEMA_VERSION | PRE_OUTCOME_VERSION | STACK_MATRIX_VERSION | SINGLE_DEFENSE_VERSION,
         ) => {}
-        Some(LEGACY_MATRIX_VERSION) if allow_legacy && doc.get("kind").is_none() => {
-            return Ok(());
-        }
         found => return Err(CampaignIoError::Version { found }),
     }
     match doc.get("kind").and_then(Json::as_str) {
@@ -2973,9 +2850,8 @@ impl fmt::Display for CampaignIoError {
             CampaignIoError::Version { found: Some(v) } => write!(
                 f,
                 "unsupported schema version {v} (this build reads versions \
-                 {LEGACY_MATRIX_VERSION}, {SINGLE_DEFENSE_VERSION}, \
-                 {STACK_MATRIX_VERSION}, {PRE_OUTCOME_VERSION} and \
-                 {SCHEMA_VERSION})"
+                 {SINGLE_DEFENSE_VERSION}, {STACK_MATRIX_VERSION}, \
+                 {PRE_OUTCOME_VERSION} and {SCHEMA_VERSION})"
             ),
             CampaignIoError::Version { found: None } => {
                 f.write_str("missing schema version header")
@@ -3323,7 +3199,7 @@ mod tests {
                 shards.iter().map(CampaignShard::len).sum::<usize>(),
                 spec.total_tasks()
             );
-            let parts: Vec<CampaignPart> = shards.iter().map(|s| s.run().unwrap()).collect();
+            let parts: Vec<CampaignPart> = shards.iter().map(|s| s.run(None).unwrap()).collect();
             let merged = CampaignMatrix::merge(parts).unwrap();
             assert_eq!(merged.to_csv(), whole.to_csv());
             assert_eq!(merged.to_json(), whole.to_json());
@@ -3333,7 +3209,11 @@ mod tests {
     #[test]
     fn merge_rejects_bad_part_sets() {
         let spec = small_spec(1);
-        let parts: Vec<CampaignPart> = spec.shards(3).iter().map(|s| s.run().unwrap()).collect();
+        let parts: Vec<CampaignPart> = spec
+            .shards(3)
+            .iter()
+            .map(|s| s.run(None).unwrap())
+            .collect();
         assert!(matches!(
             CampaignMatrix::merge(Vec::new()),
             Err(MergeError::Empty)
@@ -3354,7 +3234,7 @@ mod tests {
         // A shard of a different spec cannot sneak in: the fingerprint
         // check catches it before any axis comparison.
         let mut mixed = parts.clone();
-        let mut foreign = tiny_grid(1).shards(3)[1].run().unwrap();
+        let mut foreign = tiny_grid(1).shards(3)[1].run(None).unwrap();
         foreign.index = 1;
         mixed[1] = foreign;
         assert!(matches!(
@@ -3368,7 +3248,7 @@ mod tests {
             nc.config.rob_capacity = 7;
         }
         let mut sneaky = parts.clone();
-        let mut foreign = sneaky_spec.shards(3)[1].run().unwrap();
+        let mut foreign = sneaky_spec.shards(3)[1].run(None).unwrap();
         foreign.index = 1;
         sneaky[1] = foreign;
         assert!(matches!(
@@ -3400,7 +3280,7 @@ mod tests {
             .shards(3)
             .iter()
             .map(|s| {
-                let part = s.run().unwrap();
+                let part = s.run(None).unwrap();
                 let reloaded = CampaignPart::from_json(&part.to_json()).unwrap();
                 assert_eq!(reloaded.to_json(), part.to_json());
                 assert_eq!(reloaded.spec_fingerprint(), spec.fingerprint());
@@ -3416,7 +3296,7 @@ mod tests {
     #[test]
     fn part_reader_rejects_inconsistent_headers() {
         let spec = small_spec(1);
-        let part = spec.shards(2)[0].run().unwrap();
+        let part = spec.shards(2)[0].run(None).unwrap();
         let doc = part.to_json();
         // Tampered shard slot: index out of the declared count.
         let bad = doc.replacen("\"index\": 0, \"of\": 2", "\"index\": 5, \"of\": 2", 1);
@@ -3453,16 +3333,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version2_matrices_still_load() {
+    fn version2_matrices_are_a_typed_version_error() {
         let m = CampaignMatrix::run(&small_spec(0)).unwrap();
         let legacy = m.to_json().replacen(
             "\"version\": 7,\n  \"kind\": \"campaign-matrix\",",
             "\"version\": 2,",
             1,
         );
-        let loaded = CampaignMatrix::from_json(&legacy).unwrap();
-        // Loading upgrades: the re-serialized document is version 7.
-        assert_eq!(loaded.to_json(), m.to_json());
+        let err = CampaignMatrix::from_json(&legacy).unwrap_err();
+        assert!(
+            matches!(err, CampaignIoError::Version { found: Some(2) }),
+            "{err}"
+        );
+        assert!(
+            err.to_string().ends_with("reads versions 3, 4, 5 and 7)"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -3475,7 +3361,7 @@ mod tests {
         let loaded = CampaignMatrix::from_json(&v3).unwrap();
         assert_eq!(loaded.to_json(), m.to_json());
         // The same holds for shard parts.
-        let part = small_spec(0).shards(2)[0].run().unwrap();
+        let part = small_spec(0).shards(2)[0].run(None).unwrap();
         let v3 = part
             .to_json()
             .replacen("\"version\": 7", "\"version\": 3", 1);
@@ -3484,7 +3370,8 @@ mod tests {
         // And a v3 matrix feeds incremental reuse without re-simulation.
         let v3 = m.to_json().replacen("\"version\": 7", "\"version\": 3", 1);
         let prev = CampaignMatrix::from_json(&v3).unwrap();
-        let (_, report) = CampaignMatrix::run_incremental(&small_spec(0), Some(&prev)).unwrap();
+        let (_, report) =
+            CampaignMatrix::run_incremental(&small_spec(0), Some(&prev), None).unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3498,7 +3385,7 @@ mod tests {
         let v4 = m.to_json().replacen("\"version\": 7", "\"version\": 4", 1);
         let loaded = CampaignMatrix::from_json(&v4).unwrap();
         assert_eq!(loaded.to_json(), m.to_json());
-        let part = small_spec(0).shards(2)[1].run().unwrap();
+        let part = small_spec(0).shards(2)[1].run(None).unwrap();
         let v4 = part
             .to_json()
             .replacen("\"version\": 7", "\"version\": 4", 1);
@@ -3508,7 +3395,7 @@ mod tests {
 
     #[test]
     fn checkpoint_documents_round_trip_but_do_not_interchange() {
-        let part = small_spec(0).shards(3)[1].run().unwrap();
+        let part = small_spec(0).shards(3)[1].run(None).unwrap();
         let doc = part.to_checkpoint_json();
         assert!(doc.contains("\"kind\": \"campaign-checkpoint\""));
         let loaded = CampaignPart::from_checkpoint_json(&doc).unwrap();
@@ -3559,10 +3446,10 @@ mod tests {
     #[test]
     fn incremental_rerun_of_unchanged_spec_evaluates_nothing() {
         let spec = small_spec(0);
-        let (first, initial) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+        let (first, initial) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
         assert_eq!(initial.evaluated, spec.total_tasks());
         assert_eq!(initial.reused, 0);
-        let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&first)).unwrap();
+        let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&first), None).unwrap();
         assert_eq!(report.evaluated, 0);
         assert_eq!(report.reused, spec.total_tasks());
         assert_eq!(again.to_json(), first.to_json());
@@ -3577,9 +3464,10 @@ mod tests {
                 .axis(Knob::RobDepth, [16usize, rob2])
                 .build()
         };
-        let (first, _) = CampaignMatrix::run_incremental(&grid(64), None).unwrap();
+        let (first, _) = CampaignMatrix::run_incremental(&grid(64), None, None).unwrap();
         let changed = grid(48);
-        let (second, report) = CampaignMatrix::run_incremental(&changed, Some(&first)).unwrap();
+        let (second, report) =
+            CampaignMatrix::run_incremental(&changed, Some(&first), None).unwrap();
         // Only the rob=48 slice is stale: 3 baselines + 3×2 cells.
         let (a, d, _) = second.shape();
         assert_eq!(report.evaluated, a + a * d);
@@ -3597,7 +3485,7 @@ mod tests {
         assert_eq!(loaded.to_csv(), m.to_csv());
         // A loaded matrix feeds run_incremental exactly like a live one.
         let spec = small_spec(0);
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded)).unwrap();
+        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None).unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3690,7 +3578,8 @@ mod tests {
         assert_eq!(loaded.to_json(), m.to_json());
         assert_eq!(loaded.to_csv(), m.to_csv());
         // …and feeds incremental reuse.
-        let (_, report) = CampaignMatrix::run_incremental(&stack_spec(), Some(&loaded)).unwrap();
+        let (_, report) =
+            CampaignMatrix::run_incremental(&stack_spec(), Some(&loaded), None).unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3747,8 +3636,7 @@ mod tests {
         let spec = small_spec(2);
         let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| events.lock().unwrap().push(e);
-        let (m, report) =
-            CampaignMatrix::run_incremental_observed(&spec, None, Some(&observer)).unwrap();
+        let (m, report) = CampaignMatrix::run_incremental(&spec, None, Some(&observer)).unwrap();
         let seen = events.into_inner().unwrap();
         assert_eq!(seen.len(), spec.total_tasks());
         assert_eq!(report.evaluated, spec.total_tasks());
@@ -3762,7 +3650,7 @@ mod tests {
         // A no-op incremental rerun reports nothing: nothing is evaluated.
         let again: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| again.lock().unwrap().push(e);
-        CampaignMatrix::run_incremental_observed(&spec, Some(&m), Some(&observer)).unwrap();
+        CampaignMatrix::run_incremental(&spec, Some(&m), Some(&observer)).unwrap();
         assert!(again.into_inner().unwrap().is_empty());
     }
 

@@ -372,81 +372,25 @@ fn classify_batch(
 }
 
 /// Classifies candidates `[start, end)` and returns them in index order.
-/// Parallel across `config.threads` workers (strided assignment, merged
-/// by index), each owning a warm [`DualOracle`].
+/// Parallel across `config.threads` workers of the shared executor, each
+/// owning a warm [`DualOracle`].
 #[allow(clippy::type_complexity)]
 fn classify_range(
     config: &FuzzConfig,
     start: u64,
     end: u64,
 ) -> Result<Vec<(u64, Scenario, Verdicts)>, FuzzError> {
-    let n = (end - start) as usize;
-    let workers = match config.threads {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        t => t,
-    }
-    .min(n.max(1));
-    let seed = config.seed;
-    if workers <= 1 {
-        let mut oracle = DualOracle::new();
-        return (start..end)
-            .map(|i| {
-                let s = Scenario::generate(seed, i);
-                let v = oracle.classify(&s)?;
-                Ok((i, s, v))
-            })
-            .collect();
-    }
-    let mut slots: Vec<Option<(u64, Scenario, Verdicts)>> = Vec::new();
-    slots.resize_with(n, || None);
-    let mut result: Result<(), FuzzError> = Ok(());
-    {
-        let chunks = partition_mut(&mut slots, workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    scope.spawn(move || -> Result<(), FuzzError> {
-                        let mut oracle = DualOracle::new();
-                        for (k, slot) in chunk.iter_mut().enumerate() {
-                            let i = start + (offset + k) as u64;
-                            let s = Scenario::generate(seed, i);
-                            let v = oracle.classify(&s)?;
-                            *slot = Some((i, s, v));
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(e) = h.join().expect("fuzz worker panicked") {
-                    result = Err(e);
-                }
-            }
-        });
-    }
-    result?;
-    Ok(slots.into_iter().flatten().collect())
-}
-
-/// Splits `slots` into up to `workers` contiguous chunks, each tagged
-/// with its starting offset.
-fn partition_mut<T>(slots: &mut [T], workers: usize) -> Vec<(usize, &mut [T])> {
-    let n = slots.len();
-    let per = n.div_ceil(workers);
-    let mut out = Vec::new();
-    let mut rest = slots;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = per.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        out.push((offset, head));
-        offset += take;
-        rest = tail;
-    }
-    out
+    crate::exec::map_indexed(
+        (end - start) as usize,
+        config.threads,
+        DualOracle::new,
+        |oracle, k| {
+            let i = start + k as u64;
+            let s = Scenario::generate(config.seed, i);
+            let v = oracle.classify(&s)?;
+            Ok((i, s, v))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -503,18 +447,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, FuzzError::Resume(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn partition_covers_everything_in_order() {
-        let mut v: Vec<usize> = (0..10).collect();
-        let parts = partition_mut(&mut v, 3);
-        assert_eq!(parts.len(), 3);
-        let mut flat = Vec::new();
-        for (offset, chunk) in parts {
-            assert_eq!(chunk[0], offset);
-            flat.extend_from_slice(chunk);
-        }
-        assert_eq!(flat, (0..10).collect::<Vec<_>>());
     }
 }

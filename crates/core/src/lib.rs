@@ -42,6 +42,7 @@
 
 pub mod campaign;
 pub mod discovery;
+mod exec;
 pub mod fault;
 pub mod insufficiency;
 pub mod jsonio;

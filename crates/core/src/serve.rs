@@ -14,7 +14,7 @@
 //!   misses for one cell run exactly one simulation and all callers
 //!   observe the identical verdict.
 //! - [`Scheduler`] decomposes a [`CampaignSpec`] into fine-grained chunk
-//!   ranges served to work-stealing workers, streams each completed
+//!   ranges that workers claim from a shared cursor, streams each completed
 //!   chunk into a store, **checkpoints** every chunk to disk as a
 //!   `campaign-checkpoint` document, and resumes a killed run without
 //!   redoing completed cells — the merged result stays bit-identical to
@@ -37,7 +37,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread;
 use uarch::UarchConfig;
 
 // ---------------------------------------------------------------------------
@@ -515,12 +514,12 @@ impl VerdictStore {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing scheduler
+// Checkpointing scheduler
 // ---------------------------------------------------------------------------
 
 /// How many tasks a scheduler chunk carries by default: fine enough that
-/// a killed run loses little and stragglers are worth stealing, coarse
-/// enough that the per-chunk graph-verdict precompute amortizes.
+/// a killed run loses little and the workers finish close together,
+/// coarse enough that the per-chunk graph-verdict precompute amortizes.
 pub const DEFAULT_CHUNK_TASKS: usize = 16;
 
 /// One completed chunk, as reported to a [`ChunkObserver`].
@@ -562,9 +561,8 @@ pub struct ScheduleReport {
     pub resumed: usize,
     /// Chunks simulated by this run's workers.
     pub executed: usize,
-    /// Straggler chunks speculatively re-claimed by an idle worker while
-    /// the original claimant was still running (duplicated, deterministic
-    /// work — first writer wins).
+    /// Always 0: every chunk runs exactly once. Kept so that existing
+    /// readers of this report, such as the benchmark, keep compiling.
     pub stolen: usize,
     /// Tasks (baselines + cells) restored from checkpoints.
     pub resumed_tasks: usize,
@@ -585,31 +583,16 @@ enum ChunkLoad {
     Loaded(CampaignPart),
 }
 
-/// Per-chunk claim state on the shared board.
-enum ChunkState {
-    Pending,
-    Running { claims: usize },
-    Done(CampaignPart),
-}
-
-struct Board {
-    states: Vec<ChunkState>,
-    completed: usize,
-    stolen: usize,
-    failed: Option<ServeError>,
-}
-
-/// A resumable, work-stealing campaign scheduler.
+/// A resumable, checkpointing campaign scheduler.
 ///
 /// The cube is split into fine-grained contiguous chunks
 /// ([`CampaignSpec::shards`] with one task-thread per chunk, so chunk
 /// results are bit-identical to the corresponding slice of a single-shot
-/// run). Workers pull chunks from a shared board; an idle worker with
-/// nothing pending **steals** a running straggler chunk (speculative
-/// duplicate execution — results are deterministic, the first finisher
-/// publishes). With a checkpoint directory every finished chunk is
-/// written as a `campaign-checkpoint` document, and the next run resumes:
-/// completed chunks load from disk (zero re-simulation), half-written or
+/// run). Workers claim pending chunks from one shared cursor, so a fast
+/// worker keeps claiming while a slow one finishes its chunk. With a
+/// checkpoint directory every finished chunk is written as a
+/// `campaign-checkpoint` document, and the next run resumes: completed
+/// chunks load from disk (zero re-simulation), half-written or
 /// zero-length ones surface as typed
 /// [`Truncated`](crate::jsonio::JsonErrorKind) errors, are re-run, and
 /// are reported in [`ScheduleReport::repaired`], and chunks from a
@@ -671,25 +654,14 @@ impl Scheduler {
         self.run_observed(None, None)
     }
 
-    /// [`Scheduler::run`], streaming every completed chunk into `store`
-    /// as it lands (resumed chunks are ingested up front).
+    /// [`Scheduler::run`] with optional streaming ingest into `store`
+    /// (resumed chunks are ingested up front, executed ones as they land)
+    /// and per-chunk progress observation.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Scheduler::run`].
-    pub fn run_into(
-        &self,
-        store: &VerdictStore,
-    ) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
-        self.run_observed(Some(store), None)
-    }
-
-    /// [`Scheduler::run`] with optional streaming ingest and per-chunk
-    /// progress observation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scheduler::run`].
+    /// Same conditions as [`Scheduler::run`]. When several chunks fail,
+    /// the error of the lowest-index one is returned.
     pub fn run_observed(
         &self,
         store: Option<&VerdictStore>,
@@ -710,7 +682,8 @@ impl Scheduler {
 
         // Resume: adopt every completed chunk on disk before starting.
         let total = spec.total_tasks();
-        let mut states: Vec<ChunkState> = Vec::with_capacity(chunks);
+        let mut parts: Vec<Option<CampaignPart>> = Vec::with_capacity(chunks);
+        let mut pending: Vec<usize> = Vec::new();
         for index in 0..chunks {
             let range = (index * total / chunks, (index + 1) * total / chunks);
             match self.load_chunk(index, chunks, range, fingerprint)? {
@@ -720,159 +693,62 @@ impl Scheduler {
                     if let Some(store) = store {
                         store.ingest_part(&part);
                     }
-                    states.push(ChunkState::Done(part));
+                    parts.push(Some(part));
+                    continue;
                 }
-                ChunkLoad::Damaged { path, reason } => {
-                    report.repaired.push(ChunkRepair {
-                        index,
-                        path,
-                        reason,
-                    });
-                    states.push(ChunkState::Pending);
-                }
-                ChunkLoad::Missing => states.push(ChunkState::Pending),
+                ChunkLoad::Damaged { path, reason } => report.repaired.push(ChunkRepair {
+                    index,
+                    path,
+                    reason,
+                }),
+                ChunkLoad::Missing => {}
+            }
+            pending.push(index);
+            parts.push(None);
+        }
+
+        if let Some(f) = progress {
+            let resumed = parts.iter().enumerate().filter(|(_, p)| p.is_some());
+            for (seen, (index, _)) in resumed.enumerate() {
+                f(ChunkEvent {
+                    index,
+                    of: chunks,
+                    completed: seen + 1,
+                });
             }
         }
-        let completed = report.resumed;
-        if let Some(f) = progress {
-            let mut seen = 0;
-            for (index, s) in states.iter().enumerate() {
-                if matches!(s, ChunkState::Done(_)) {
-                    seen += 1;
+
+        let completed = AtomicUsize::new(report.resumed);
+        let executed = crate::exec::map_indexed(
+            pending.len(),
+            self.workers,
+            || (),
+            |(), k| -> Result<CampaignPart, ServeError> {
+                let index = pending[k];
+                let part = shards[index].run(None)?;
+                self.save_chunk(index, &part)?;
+                if let Some(store) = store {
+                    store.ingest_part(&part);
+                }
+                if let Some(f) = progress {
                     f(ChunkEvent {
                         index,
                         of: chunks,
-                        completed: seen,
+                        completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
                     });
                 }
-            }
+                Ok(part)
+            },
+        )?;
+        report.executed = executed.len();
+        for (index, part) in pending.into_iter().zip(executed) {
+            parts[index] = Some(part);
         }
-
-        let board = Mutex::new(Board {
-            states,
-            completed,
-            stolen: 0,
-            failed: None,
-        });
-        let executed = AtomicUsize::new(0);
-        let workers = match self.workers {
-            0 => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            w => w,
-        }
-        .min((chunks - report.resumed).max(1));
-
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.worker(&board, &shards, &executed, store, progress));
-            }
-        });
-
-        let board = board.into_inner().expect("scheduler board poisoned");
-        if let Some(err) = board.failed {
-            return Err(err);
-        }
-        report.executed = executed.load(Ordering::Relaxed);
-        report.stolen = board.stolen;
-        let parts: Vec<CampaignPart> = board
-            .states
+        let parts = parts
             .into_iter()
-            .map(|s| match s {
-                ChunkState::Done(p) => p,
-                _ => unreachable!("scheduler finished with unfinished chunks"),
-            })
+            .map(|p| p.expect("every chunk resumed or executed"))
             .collect();
-        let matrix = CampaignMatrix::merge(parts)?;
-        Ok((matrix, report))
-    }
-
-    /// One worker: claim pending chunks, then steal running stragglers,
-    /// until the board is drained or a chunk fails.
-    fn worker(
-        &self,
-        board: &Mutex<Board>,
-        shards: &[crate::campaign::CampaignShard],
-        executed: &AtomicUsize,
-        store: Option<&VerdictStore>,
-        progress: Option<ChunkObserver<'_>>,
-    ) {
-        loop {
-            let claim = {
-                let mut board = board.lock().expect("scheduler board poisoned");
-                if board.failed.is_some() {
-                    return;
-                }
-                let pending = board
-                    .states
-                    .iter()
-                    .position(|s| matches!(s, ChunkState::Pending));
-                match pending {
-                    Some(i) => {
-                        board.states[i] = ChunkState::Running { claims: 1 };
-                        Some(i)
-                    }
-                    None => {
-                        // Nothing pending: steal the least-claimed
-                        // straggler (one backup copy per chunk, so idle
-                        // workers cannot stampede the last chunk).
-                        let steal = board
-                            .states
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, s)| match s {
-                                ChunkState::Running { claims: 1 } => Some(i),
-                                _ => None,
-                            })
-                            .next();
-                        if let Some(i) = steal {
-                            board.states[i] = ChunkState::Running { claims: 2 };
-                            board.stolen += 1;
-                            Some(i)
-                        } else {
-                            None
-                        }
-                    }
-                }
-            };
-            let Some(index) = claim else { return };
-            match shards[index].run() {
-                Ok(part) => {
-                    let (first, completed) = {
-                        let mut board = board.lock().expect("scheduler board poisoned");
-                        if matches!(board.states[index], ChunkState::Done(_)) {
-                            (false, board.completed)
-                        } else {
-                            board.states[index] = ChunkState::Done(part.clone());
-                            board.completed += 1;
-                            (true, board.completed)
-                        }
-                    };
-                    if !first {
-                        continue;
-                    }
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = self.save_chunk(index, &part) {
-                        let mut board = board.lock().expect("scheduler board poisoned");
-                        board.failed.get_or_insert(e);
-                        return;
-                    }
-                    if let Some(store) = store {
-                        store.ingest_part(&part);
-                    }
-                    if let Some(f) = progress {
-                        f(ChunkEvent {
-                            index,
-                            of: shards.len(),
-                            completed,
-                        });
-                    }
-                }
-                Err(e) => {
-                    let mut board = board.lock().expect("scheduler board poisoned");
-                    board.failed.get_or_insert(e.into());
-                    return;
-                }
-            }
-        }
+        Ok((CampaignMatrix::merge(parts)?, report))
     }
 
     /// The chunk count for this run: adopted from an existing checkpoint

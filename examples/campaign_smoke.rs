@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "campaign-smoke-part{i}-{}.json",
                     std::process::id()
                 ));
-                shard.run()?.save_json(&path)?;
+                shard.run(None)?.save_json(&path)?;
                 let part = CampaignPart::load_json(&path)?;
                 std::fs::remove_file(&path).ok();
                 assert_eq!(part.spec_fingerprint(), spec.fingerprint());
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("save/load: JSON round trip is bit-identical");
 
     // Incremental re-run against the loaded matrix: nothing to do.
-    let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded))?;
+    let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None)?;
     assert_eq!(report.evaluated, 0, "unchanged spec must reuse every cell");
     assert_eq!(report.reused, spec.total_tasks());
     assert_eq!(again.to_json(), matrix.to_json());

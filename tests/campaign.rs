@@ -4,12 +4,22 @@
 //! parallelism.
 
 use specgraph::prelude::*;
+use std::sync::OnceLock;
 use uarch::UarchConfig;
+
+/// The registry × catalog matrix on the default config, run once and
+/// shared by the tests that only read it.
+fn default_matrix() -> &'static CampaignMatrix {
+    static MATRIX: OnceLock<CampaignMatrix> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        CampaignMatrix::run(&CampaignSpec::builder(UarchConfig::default()).build()).unwrap()
+    })
+}
 
 #[test]
 fn one_campaign_call_reproduces_the_per_pair_evaluation_path() {
     let base = UarchConfig::default();
-    let matrix = CampaignMatrix::run(&CampaignSpec::builder(base.clone()).build()).unwrap();
+    let matrix = default_matrix();
     let (a, d, c) = matrix.shape();
     assert_eq!(a, attacks::registry().len());
     assert_eq!(d, defenses::registry().len());
@@ -31,25 +41,41 @@ fn one_campaign_call_reproduces_the_per_pair_evaluation_path() {
         }
     }
     assert!(cells.next().is_none(), "campaign produced extra cells");
+
+    // The paper's warning is not hypothetical (KPTI vs Spectre v1, …), and
+    // the extraction agrees with the per-cell flag.
+    let false_senses = matrix.false_senses();
+    assert!(!false_senses.is_empty());
+    assert_eq!(
+        false_senses.len(),
+        matrix
+            .cells()
+            .iter()
+            .filter(|cell| cell.false_sense_of_security())
+            .count()
+    );
 }
 
 #[test]
 fn evaluate_all_is_a_thin_campaign_consumer_with_the_seed_shape() {
-    let base = UarchConfig::default();
-    let (evals, false_sense) = scenario::evaluate_all(&base).unwrap();
+    // The flattened matrix is the seed's `(evaluations, false_sense)`
+    // shape: one evaluation per pair, attack-major like its nested loop.
+    let evals: Vec<&Evaluation> = default_matrix()
+        .cells()
+        .iter()
+        .map(|cell| &cell.evaluation)
+        .collect();
     assert_eq!(
         evals.len(),
         attacks::registry().len() * defenses::registry().len()
     );
-    // The paper's warning is not hypothetical (KPTI vs Spectre v1, …).
-    assert!(false_sense > 0);
-    assert_eq!(
-        false_sense,
-        evals.iter().filter(|e| e.false_sense_of_security()).count()
-    );
-    // Same order as the seed's attack-major nested loop.
     assert_eq!(evals[0].attack, attacks::names::SPECTRE_V1);
     assert_eq!(evals[0].defense(), defenses::names::LFENCE);
+    assert_eq!(evals[1].attack, attacks::names::SPECTRE_V1);
+    assert_eq!(
+        evals[defenses::registry().len()].defense(),
+        defenses::names::LFENCE
+    );
 }
 
 #[test]
@@ -209,7 +235,7 @@ mod defense_stacks {
         let v3 = a.to_json().replacen("\"version\": 7", "\"version\": 3", 1);
         let loaded = CampaignMatrix::from_json(&v3).expect("v3 loads");
         assert_eq!(loaded.to_json(), a.to_json());
-        let (_, report) = CampaignMatrix::run_incremental(&legacy, Some(&loaded)).unwrap();
+        let (_, report) = CampaignMatrix::run_incremental(&legacy, Some(&loaded), None).unwrap();
         assert_eq!(report.evaluated, 0);
     }
 }
@@ -242,7 +268,7 @@ mod sharding_and_incremental {
             let parts = spec
                 .shards(n)
                 .iter()
-                .map(|s| s.run().expect("shard runs"))
+                .map(|s| s.run(None).expect("shard runs"))
                 .collect::<Vec<_>>();
             let merged = CampaignMatrix::merge(parts).expect("shards merge");
             assert_eq!(merged.to_csv(), whole.to_csv(), "CSV differs for n={n}");
@@ -267,7 +293,7 @@ mod sharding_and_incremental {
             );
             let parts = shards
                 .iter()
-                .map(|s| s.run().expect("shard runs"))
+                .map(|s| s.run(None).expect("shard runs"))
                 .collect::<Vec<_>>();
             let merged = CampaignMatrix::merge(parts).expect("shards merge");
             prop_assert_eq!(merged.to_json(), whole.to_json());
@@ -281,11 +307,11 @@ mod sharding_and_incremental {
             let parts = spec
                 .shards(n)
                 .iter()
-                .map(|s| s.run().expect("shard runs"))
+                .map(|s| s.run(None).expect("shard runs"))
                 .collect::<Vec<_>>();
             let merged = CampaignMatrix::merge(parts).expect("shards merge");
             let (again, report) =
-                CampaignMatrix::run_incremental(&spec, Some(&merged)).unwrap();
+                CampaignMatrix::run_incremental(&spec, Some(&merged), None).unwrap();
             prop_assert_eq!(report.evaluated, 0);
             prop_assert_eq!(report.reused, spec.total_tasks());
             prop_assert_eq!(again.to_json(), merged.to_json());
@@ -307,7 +333,7 @@ mod sharding_and_incremental {
         let (a, d, c) = (spec.attacks.len(), spec.defenses.len(), spec.configs.len());
         assert_eq!((a, d, c), (4, 3, 4), "grid expands to 4 config slices");
 
-        let (matrix, report) = CampaignMatrix::run_incremental(&spec, None).unwrap();
+        let (matrix, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
         assert_eq!(report.evaluated, spec.total_tasks());
         assert_eq!(
             report.graph_verdicts,
@@ -339,7 +365,7 @@ mod sharding_and_incremental {
 
         // An unchanged incremental rerun reuses everything and computes
         // zero strategy verdicts.
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix)).unwrap();
+        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
         assert_eq!(report.evaluated, 0);
         assert_eq!(report.graph_verdicts, 0);
     }
@@ -356,7 +382,7 @@ mod sharding_and_incremental {
         assert_eq!(loaded.to_json(), first.to_json());
 
         // Unchanged spec against the *file-loaded* matrix: zero evaluations.
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded)).unwrap();
+        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None).unwrap();
         assert_eq!(report.evaluated, 0);
 
         // One knob value changes: exactly the new config slice is
@@ -366,7 +392,8 @@ mod sharding_and_incremental {
             .defenses(defenses::registry().iter().copied().take(2))
             .axis(Knob::CacheSets, [64usize, 16]) // 32 -> 16
             .build();
-        let (matrix, report) = CampaignMatrix::run_incremental(&changed, Some(&loaded)).unwrap();
+        let (matrix, report) =
+            CampaignMatrix::run_incremental(&changed, Some(&loaded), None).unwrap();
         let (a, d, _) = matrix.shape();
         assert_eq!(
             report.evaluated,

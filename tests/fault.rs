@@ -98,8 +98,7 @@ fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
     // Remove the fault and re-run incrementally: exactly the quarantined
     // rows re-simulate, and the healed matrix equals the fault-free one.
     double.disarm();
-    let (healed, report) =
-        CampaignMatrix::run_incremental_observed(&spec, Some(&matrix), None).unwrap();
+    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
     assert_eq!(report.evaluated, 4, "only quarantined rows re-run");
     assert_eq!(report.reused, 4);
     assert_eq!(healed.quarantined(), 0);

@@ -1,6 +1,6 @@
 //! Integration tests for the serving layer (`specgraph::serve`): the
 //! memoized verdict store with single-flight simulate-on-miss, and the
-//! resumable work-stealing scheduler.
+//! resumable checkpointing scheduler.
 
 use specgraph::prelude::*;
 use std::fs;
@@ -198,7 +198,7 @@ fn distinct_cells_do_not_coalesce() {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing scheduler
+// Checkpointing scheduler
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -226,7 +226,7 @@ fn scheduler_streams_chunks_into_the_store() {
     let (matrix, _) = Scheduler::new(&spec)
         .workers(2)
         .chunk_tasks(4)
-        .run_into(&store)
+        .run_observed(Some(&store), None)
         .unwrap();
     assert_eq!(store.len(), matrix.baselines().len() + matrix.cells().len());
     // Every cell the scheduler computed is now a hit.
