@@ -52,6 +52,7 @@ use specgraph::serve::{
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Mutex;
 use uarch::UarchConfig;
 
@@ -394,74 +395,35 @@ struct SpecArgs {
 
 impl SpecArgs {
     /// Consumes a spec flag if `flag` is one; returns whether it was.
-    fn take(
-        &mut self,
-        flag: &str,
-        value: &mut dyn FnMut() -> Result<String, CliError>,
-    ) -> Result<bool, CliError> {
-        // A repeated flag silently overriding (or surprising a user who
-        // expected accumulation) would produce a shard of a different
-        // spec than intended — reject repeats outright, like a repeated
-        // axis knob.
-        let once = |taken: bool| -> Result<(), CliError> {
-            if taken {
-                Err(CliError::Usage(format!("flag '{flag}' given twice")))
-            } else {
-                Ok(())
-            }
-        };
+    /// Repeats are rejected (by [`Flags::value`]), like a repeated axis
+    /// knob: a silently overridden flag would produce a shard of a
+    /// different spec than intended.
+    fn take<'a>(&mut self, flag: &'a str, flags: &mut Flags<'a>) -> Result<bool, CliError> {
         match flag {
-            "--attacks" => {
-                once(self.attacks.is_some())?;
-                self.attacks = Some(split_list(&value()?));
-            }
-            "--synthesized" => {
-                once(self.synthesized.is_some())?;
-                self.synthesized = Some(PathBuf::from(value()?));
-            }
+            "--attacks" => self.attacks = Some(split_list(flags.value(flag)?)),
+            "--synthesized" => self.synthesized = Some(flags.path(flag)?),
             "--defenses" => {
-                once(self.defenses.is_some())?;
-                let v = value()?;
+                let v = flags.value(flag)?;
                 self.defenses = Some(if v == "none" {
                     Vec::new()
                 } else {
-                    split_list(&v)
+                    split_list(v)
                 });
             }
             "--axis" => {
-                let v = value()?;
-                let (knob, values) = parse_axis(&v)?;
+                let (knob, values) = parse_axis(flags.repeated_value(flag)?)?;
                 if self.axes.iter().any(|(k, _)| *k == knob) {
                     return Err(CliError::Usage(format!(
                         "axis '{}' given twice",
-                        knob_token(knob)
+                        knob.token()
                     )));
                 }
                 self.axes.push((knob, values));
             }
-            "--threads" => {
-                once(self.threads != 0)?;
-                let v = value()?;
-                self.threads = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--threads needs a number, got '{v}'")))?;
-            }
-            "--retries" => {
-                once(self.retries.is_some())?;
-                let v = value()?;
-                self.retries = Some(v.parse().map_err(|_| {
-                    CliError::Usage(format!("--retries needs a number, got '{v}'"))
-                })?);
-            }
+            "--threads" => self.threads = flags.number(flag)?,
+            "--retries" => self.retries = Some(flags.number(flag)?),
             "--max-cell-cycles" => {
-                once(self.max_cell_cycles.is_some())?;
-                let v = value()?;
-                self.max_cell_cycles =
-                    Some(v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--max-cell-cycles needs a positive cycle count, got '{v}'"
-                        ))
-                    })?);
+                self.max_cell_cycles = Some(flags.positive(flag, "cycle count")?);
             }
             _ => return Ok(false),
         }
@@ -576,97 +538,55 @@ fn resolve_stack(expr: &str) -> Result<DefenseStack, CliError> {
     })
 }
 
-fn knob_token(knob: Knob) -> &'static str {
-    match knob {
-        Knob::RobDepth => "rob",
-        Knob::FetchWidth => "fetch",
-        Knob::IssueWidth => "issue",
-        Knob::CacheSets => "sets",
-        Knob::CacheWays => "ways",
-        Knob::LfbEntries => "lfb",
-        Knob::StoreBufferEntries => "stbuf",
-        Knob::RsbDepth => "rsb",
-        Knob::CacheHitLatency => "hitlat",
-        Knob::CacheMissLatency => "misslat",
-        Knob::PermissionCheckLatency => "permlat",
-        Knob::Predictor => "pred",
-        Knob::Hardening => "hardening",
-        _ => "?",
-    }
-}
-
 fn parse_axis(arg: &str) -> Result<(Knob, Vec<KnobValue>), CliError> {
     let (token, list) = arg
         .split_once('=')
         .ok_or_else(|| CliError::Usage(format!("--axis needs KNOB=V1,V2,…, got '{arg}'")))?;
-    let numeric = |knob: Knob| -> Result<(Knob, Vec<KnobValue>), CliError> {
-        let values = split_list(list)
+    let knob = Knob::from_token(token).ok_or_else(|| {
+        CliError::Usage(format!("unknown axis knob '{token}' (see campaign --help)"))
+    })?;
+    let values = match knob {
+        Knob::Predictor if list == "all" => {
+            PredictorFlavor::all().map(KnobValue::Predictor).to_vec()
+        }
+        Knob::Predictor => split_list(list)
+            .iter()
+            .map(|v| {
+                PredictorFlavor::from_token(v)
+                    .map(KnobValue::Predictor)
+                    .ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "unknown predictor flavor '{v}' (shared, flush, \
+                             no-indirect, stuffed-rsb, all)"
+                        ))
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?,
+        Knob::Hardening => match list {
+            "figure8" => Hardening::figure8().map(KnobValue::Hardening).to_vec(),
+            "all" => Hardening::all().map(KnobValue::Hardening).to_vec(),
+            _ => split_list(list)
+                .iter()
+                .map(|v| {
+                    Hardening::from_token(v)
+                        .map(KnobValue::Hardening)
+                        .ok_or_else(|| {
+                            CliError::Usage(format!(
+                                "unknown hardening '{v}' (try one of: {}, figure8, all)",
+                                Hardening::all().map(Hardening::token).join(", ")
+                            ))
+                        })
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        },
+        _ => split_list(list)
             .iter()
             .map(|v| {
                 v.parse::<u64>().map(KnobValue::Num).map_err(|_| {
                     CliError::Usage(format!("axis '{token}' needs numbers, got '{v}'"))
                 })
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((knob, values))
-    };
-    let (knob, values) = match token {
-        "rob" => numeric(Knob::RobDepth)?,
-        "fetch" => numeric(Knob::FetchWidth)?,
-        "issue" => numeric(Knob::IssueWidth)?,
-        "sets" => numeric(Knob::CacheSets)?,
-        "ways" => numeric(Knob::CacheWays)?,
-        "lfb" => numeric(Knob::LfbEntries)?,
-        "stbuf" => numeric(Knob::StoreBufferEntries)?,
-        "rsb" => numeric(Knob::RsbDepth)?,
-        "hitlat" => numeric(Knob::CacheHitLatency)?,
-        "misslat" => numeric(Knob::CacheMissLatency)?,
-        "permlat" => numeric(Knob::PermissionCheckLatency)?,
-        "pred" => {
-            let values = if list == "all" {
-                PredictorFlavor::all().map(KnobValue::Predictor).to_vec()
-            } else {
-                split_list(list)
-                    .iter()
-                    .map(|v| {
-                        PredictorFlavor::from_token(v)
-                            .map(KnobValue::Predictor)
-                            .ok_or_else(|| {
-                                CliError::Usage(format!(
-                                    "unknown predictor flavor '{v}' (shared, flush, \
-                                     no-indirect, stuffed-rsb, all)"
-                                ))
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            (Knob::Predictor, values)
-        }
-        "hardening" => {
-            let values = match list {
-                "figure8" => Hardening::figure8().map(KnobValue::Hardening).to_vec(),
-                "all" => Hardening::all().map(KnobValue::Hardening).to_vec(),
-                _ => split_list(list)
-                    .iter()
-                    .map(|v| {
-                        Hardening::from_token(v)
-                            .map(KnobValue::Hardening)
-                            .ok_or_else(|| {
-                                CliError::Usage(format!(
-                                    "unknown hardening '{v}' (try one of: {}, figure8, all)",
-                                    Hardening::all().map(Hardening::token).join(", ")
-                                ))
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            (Knob::Hardening, values)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown axis knob '{other}' (see campaign --help)"
-            )))
-        }
+            .collect::<Result<Vec<_>, _>>()?,
     };
     if values.is_empty() {
         return Err(CliError::Usage(format!("axis '{token}' has no values")));
@@ -693,51 +613,23 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
     let mut incremental = false;
     let mut progress = false;
     let mut prev: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("flag '{flag}' needs a value")))
-        };
-        let once = |taken: bool| -> Result<(), CliError> {
-            if taken {
-                Err(CliError::Usage(format!("flag '{flag}' given twice")))
-            } else {
-                Ok(())
-            }
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
         match flag {
-            "--shard" => {
-                once(shard.is_some())?;
-                let v = value()?;
-                shard = Some(parse_shard(&v)?);
-            }
-            "--out" => {
-                once(out.is_some())?;
-                out = Some(PathBuf::from(value()?));
-            }
-            "--csv" => {
-                once(csv.is_some())?;
-                csv = Some(PathBuf::from(value()?));
-            }
+            "--shard" => shard = Some(parse_shard(flags.value(flag)?)?),
+            "--out" => out = Some(flags.path(flag)?),
+            "--csv" => csv = Some(flags.path(flag)?),
             "--incremental" => incremental = true,
             "--progress" => progress = true,
-            "--prev" => {
-                once(prev.is_some())?;
-                prev = Some(PathBuf::from(value()?));
-            }
+            "--prev" => prev = Some(flags.path(flag)?),
             other => {
-                if !spec_args.take(other, &mut value)? {
+                if !spec_args.take(other, &mut flags)? {
                     return Err(CliError::Usage(format!(
                         "unknown flag '{other}' for 'campaign run'"
                     )));
                 }
             }
         }
-        i += 1;
     }
     if incremental != prev.is_some() {
         return Err(CliError::Usage(
@@ -784,8 +676,11 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
         // A fresh full run evaluates every slice completely, so the
         // per-slice quota is known; an incremental run's stale counts are
         // fingerprint-dependent, so fall back to milestone lines.
-        let per_slice = (previous.is_none())
-            .then(|| spec.attacks.len() + spec.attacks.len() * spec.defenses.len());
+        let per_slice = if previous.is_none() {
+            spec.total_tasks().checked_div(spec.configs.len())
+        } else {
+            None
+        };
         let printer = progress.then(|| ProgressPrinter::new(&spec, per_slice));
         let observer = printer.as_ref().map(ProgressPrinter::observer);
         let (matrix, report) = CampaignMatrix::run_incremental(
@@ -931,21 +826,11 @@ fn cmd_merge(args: &[String]) -> Result<Outcome, CliError> {
     let mut part_paths: Vec<PathBuf> = Vec::new();
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::Usage("flag '--out' needs a value".to_owned())
-                })?));
-            }
-            "--csv" => {
-                i += 1;
-                csv = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::Usage("flag '--csv' needs a value".to_owned())
-                })?));
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--out" => out = Some(flags.path(arg)?),
+            "--csv" => csv = Some(flags.path(arg)?),
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!(
                     "unknown flag '{flag}' for 'campaign merge'"
@@ -953,7 +838,6 @@ fn cmd_merge(args: &[String]) -> Result<Outcome, CliError> {
             }
             path => part_paths.push(PathBuf::from(path)),
         }
-        i += 1;
     }
     if part_paths.is_empty() {
         return Err(CliError::Usage(
@@ -976,7 +860,7 @@ fn cmd_merge(args: &[String]) -> Result<Outcome, CliError> {
     if let Some(path) = &csv {
         write_file(path, &matrix.to_csv())?;
     }
-    let tasks = a * c + a * d * c;
+    let tasks = matrix.baselines().len() + matrix.cells().len();
     eprintln!("campaign: merged {n} part(s) into a {a}×{d}×{c} matrix ({tasks} task(s))");
     Ok(Outcome::Merged { parts: n, tasks })
 }
@@ -986,22 +870,12 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
     let mut matrix_path: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
     let mut svg: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--figure8" => figure8 = true,
-            "--csv" => {
-                i += 1;
-                csv = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::Usage("flag '--csv' needs a value".to_owned())
-                })?));
-            }
-            "--svg" => {
-                i += 1;
-                svg = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::Usage("flag '--svg' needs a value".to_owned())
-                })?));
-            }
+            "--csv" => csv = Some(flags.path(arg)?),
+            "--svg" => svg = Some(flags.path(arg)?),
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!(
                     "unknown flag '{flag}' for 'campaign render'"
@@ -1014,7 +888,6 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
                 )))
             }
         }
-        i += 1;
     }
     if !figure8 {
         return Err(CliError::Usage(
@@ -1053,59 +926,23 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
     let mut progress = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("flag '{flag}' needs a value")))
-        };
-        let once = |taken: bool| -> Result<(), CliError> {
-            if taken {
-                Err(CliError::Usage(format!("flag '{flag}' given twice")))
-            } else {
-                Ok(())
-            }
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
         match flag {
-            "--workers" => {
-                once(workers != 0)?;
-                let v = value()?;
-                workers = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--workers needs a positive number, got '{v}'"))
-                })?;
-            }
-            "--chunk" => {
-                once(chunk.is_some())?;
-                let v = value()?;
-                chunk = Some(v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--chunk needs a positive task count, got '{v}'"))
-                })?);
-            }
-            "--checkpoint" => {
-                once(checkpoint.is_some())?;
-                checkpoint = Some(PathBuf::from(value()?));
-            }
-            "--out" => {
-                once(out.is_some())?;
-                out = Some(PathBuf::from(value()?));
-            }
-            "--csv" => {
-                once(csv.is_some())?;
-                csv = Some(PathBuf::from(value()?));
-            }
+            "--workers" => workers = flags.positive(flag, "number")?,
+            "--chunk" => chunk = Some(flags.positive(flag, "task count")?),
+            "--checkpoint" => checkpoint = Some(flags.path(flag)?),
+            "--out" => out = Some(flags.path(flag)?),
+            "--csv" => csv = Some(flags.path(flag)?),
             "--progress" => progress = true,
             other => {
-                if !spec_args.take(other, &mut value)? {
+                if !spec_args.take(other, &mut flags)? {
                     return Err(CliError::Usage(format!(
                         "unknown flag '{other}' for 'campaign serve'"
                     )));
                 }
             }
         }
-        i += 1;
     }
     let spec = spec_args.build()?;
     let mut scheduler = Scheduler::new(&spec);
@@ -1159,15 +996,10 @@ fn cmd_query(args: &[String]) -> Result<Outcome, CliError> {
     let mut artifacts: Vec<PathBuf> = Vec::new();
     let mut queries: Option<PathBuf> = None;
     let mut simulate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queries" => {
-                i += 1;
-                queries = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::Usage("flag '--queries' needs a value".to_owned())
-                })?));
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--queries" => queries = Some(flags.path(arg)?),
             "--simulate" => simulate = true,
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!(
@@ -1176,7 +1008,6 @@ fn cmd_query(args: &[String]) -> Result<Outcome, CliError> {
             }
             path => artifacts.push(PathBuf::from(path)),
         }
-        i += 1;
     }
     let store = VerdictStore::new();
     for path in &artifacts {
@@ -1309,7 +1140,7 @@ fn config_from_tokens(tokens: &str) -> Result<UarchConfig, String> {
             return Err(format!("token '{token}' must pin exactly one value"));
         };
         if seen.contains(&knob) {
-            return Err(format!("knob '{}' given twice", knob_token(knob)));
+            return Err(format!("knob '{}' given twice", knob.token()));
         }
         seen.push(knob);
         builder = builder.axis(knob, [*value]);
@@ -1343,80 +1174,27 @@ fn ingest_artifact(store: &VerdictStore, path: &Path) -> Result<usize, CliError>
 
 fn cmd_fuzz(args: &[String]) -> Result<Outcome, CliError> {
     let mut cfg = FuzzConfig::default();
-    let mut seed_set = false;
-    let mut budget_set = false;
-    let mut minimize_set = false;
     let mut corpus_dir: Option<PathBuf> = None;
     let mut registry_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("flag '{flag}' needs a value")))
-        };
-        let once = |taken: bool| -> Result<(), CliError> {
-            if taken {
-                Err(CliError::Usage(format!("flag '{flag}' given twice")))
-            } else {
-                Ok(())
-            }
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
         match flag {
-            "--seed" => {
-                once(seed_set)?;
-                seed_set = true;
-                let v = value()?;
-                cfg.seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--seed needs a number, got '{v}'")))?;
-            }
-            "--budget" => {
-                once(budget_set)?;
-                budget_set = true;
-                let v = value()?;
-                cfg.budget = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--budget needs a positive count, got '{v}'"))
-                })?;
-            }
-            "--threads" => {
-                once(cfg.threads != 0)?;
-                let v = value()?;
-                cfg.threads = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--threads needs a positive number, got '{v}'"))
-                })?;
-            }
-            "--checkpoint-every" => {
-                once(cfg.checkpoint_every != 0)?;
-                let v = value()?;
-                cfg.checkpoint_every = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "--checkpoint-every needs a positive count, got '{v}'"
-                    ))
-                })?;
-            }
+            "--seed" => cfg.seed = flags.number(flag)?,
+            "--budget" => cfg.budget = flags.positive(flag, "count")?,
+            "--threads" => cfg.threads = flags.positive(flag, "number")?,
+            "--checkpoint-every" => cfg.checkpoint_every = flags.positive(flag, "count")?,
             "--minimize" | "--no-minimize" => {
-                once(minimize_set)?;
-                minimize_set = true;
+                flags.once("--minimize/--no-minimize")?;
                 cfg.minimize = flag == "--minimize";
             }
-            "--corpus" => {
-                once(corpus_dir.is_some())?;
-                corpus_dir = Some(PathBuf::from(value()?));
-            }
-            "--registry-out" => {
-                once(registry_out.is_some())?;
-                registry_out = Some(PathBuf::from(value()?));
-            }
+            "--corpus" => corpus_dir = Some(flags.path(flag)?),
+            "--registry-out" => registry_out = Some(flags.path(flag)?),
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown flag '{other}' for 'campaign fuzz'"
                 )))
             }
         }
-        i += 1;
     }
     let report = fuzz::fuzz(&cfg, corpus_dir.as_deref())?;
     let corpus = &report.corpus;
@@ -1488,34 +1266,15 @@ fn cmd_fault(args: &[String]) -> Result<Outcome, CliError> {
     let mut seed: u64 = 0xFA17;
     let mut dir: Option<PathBuf> = None;
     let mut retries: u32 = 2;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = || -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("flag '{flag}' needs a value")))
-        };
-        match flag {
-            "--seed" => {
-                let v = value()?;
-                seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--seed needs a number, got '{v}'")))?;
-            }
-            "--dir" => {
-                dir = Some(PathBuf::from(value()?));
-            }
-            "--retries" => {
-                let v = value()?;
-                retries = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--retries needs a number, got '{v}'")))?;
-            }
-            other if other.starts_with("--") => {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--seed" => seed = flags.number(arg)?,
+            "--dir" => dir = Some(flags.path(arg)?),
+            "--retries" => retries = flags.number(arg)?,
+            flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!(
-                    "unknown flag '{other}' for 'campaign fault'"
+                    "unknown flag '{flag}' for 'campaign fault'"
                 )));
             }
             positional => {
@@ -1527,7 +1286,6 @@ fn cmd_fault(args: &[String]) -> Result<Outcome, CliError> {
                 mode = Some(positional.to_owned());
             }
         }
-        i += 1;
     }
     let mode = mode.ok_or_else(|| {
         CliError::Usage("campaign fault needs a mode: sweep, sweep-fuzz or quarantine".to_owned())
@@ -1767,6 +1525,76 @@ fn fault_quarantine(retries: u32) -> Result<Outcome, CliError> {
 // ---------------------------------------------------------------------------
 // Small helpers
 // ---------------------------------------------------------------------------
+
+/// A cursor over one subcommand's arguments. Every subcommand reads its
+/// flags through it, so a missing value and a repeated value flag are the
+/// same usage error everywhere.
+struct Flags<'a> {
+    args: &'a [String],
+    pos: usize,
+    seen: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args,
+            pos: 0,
+            seen: Vec::new(),
+        }
+    }
+
+    /// The next argument: a flag or a positional.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.args.get(self.pos)?;
+        self.pos += 1;
+        Some(arg)
+    }
+
+    /// Records `flag`, rejecting a second occurrence.
+    fn once(&mut self, flag: &'a str) -> Result<(), CliError> {
+        if self.seen.contains(&flag) {
+            return Err(CliError::Usage(format!("flag '{flag}' given twice")));
+        }
+        self.seen.push(flag);
+        Ok(())
+    }
+
+    /// The value of a flag that may be given only once.
+    fn value(&mut self, flag: &'a str) -> Result<&'a str, CliError> {
+        self.once(flag)?;
+        self.repeated_value(flag)
+    }
+
+    /// The value of a flag that may repeat (`--axis`).
+    fn repeated_value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| CliError::Usage(format!("flag '{flag}' needs a value")))
+    }
+
+    fn path(&mut self, flag: &'a str) -> Result<PathBuf, CliError> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    fn number<T: FromStr>(&mut self, flag: &'a str) -> Result<T, CliError> {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|_| CliError::Usage(format!("{flag} needs a number, got '{v}'")))
+    }
+
+    /// A number that must be above zero; `what` names it in the error.
+    fn positive<T: FromStr + Default + PartialOrd>(
+        &mut self,
+        flag: &'a str,
+        what: &str,
+    ) -> Result<T, CliError> {
+        let v = self.value(flag)?;
+        v.parse()
+            .ok()
+            .filter(|n| *n > T::default())
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs a positive {what}, got '{v}'")))
+    }
+}
 
 fn parse_shard(v: &str) -> Result<(usize, usize), CliError> {
     let bad = || CliError::Usage(format!("--shard needs I/N with I < N, got '{v}'"));

@@ -315,6 +315,25 @@ fn usage_errors_are_actionable() {
             "given twice",
         ),
         (
+            vec!["run", "--out", "a.json", "--out", "b.json"],
+            "given twice",
+        ),
+        (
+            vec!["merge", "p.json", "--out", "a.json", "--out", "b.json"],
+            "given twice",
+        ),
+        (
+            vec!["render", "--figure8", "m.json", "--svg", "a", "--svg", "b"],
+            "given twice",
+        ),
+        (vec!["merge", "p.json", "--out"], "needs a value"),
+        (
+            vec!["fault", "sweep", "--seed", "1", "--seed", "2"],
+            "given twice",
+        ),
+        (vec!["fault", "sweep", "--dir"], "needs a value"),
+        (vec!["fuzz", "--seed", "1", "--seed", "2"], "given twice"),
+        (
             vec!["run", "--shard", "0/2", "--incremental", "--prev", "x.json"],
             "merge the parts",
         ),
@@ -671,6 +690,18 @@ fn serve_and_query_usage_errors_are_actionable() {
         (vec!["serve", "--nope"], "unknown flag"),
         (vec!["query", "m.json", "--nope"], "unknown flag"),
         (vec!["query", "--queries"], "needs a value"),
+        (
+            vec!["query", "--queries", "a", "--queries", "b"],
+            "given twice",
+        ),
+        (
+            vec!["serve", "--workers", "2", "--workers", "3"],
+            "given twice",
+        ),
+        (
+            vec!["serve", "--axis", "rob=16", "--axis", "rob=32"],
+            "given twice",
+        ),
     ] {
         match run(&args) {
             Err(CliError::Usage(msg)) => {

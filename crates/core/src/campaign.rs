@@ -101,11 +101,12 @@
 use crate::jsonio::{self, Json, JsonError};
 use crate::scenario::Evaluation;
 use attacks::{Attack, AttackError, AttackInfo, BatchRunner};
-use defenses::{Defense, DefenseStack, Strategy, Verdict};
+use defenses::{Defense, DefenseStack, Verdict};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 use std::thread;
 use uarch::UarchConfig;
@@ -179,6 +180,49 @@ pub enum Knob {
 }
 
 impl Knob {
+    const ALL: [Knob; 13] = [
+        Knob::RobDepth,
+        Knob::FetchWidth,
+        Knob::IssueWidth,
+        Knob::CacheSets,
+        Knob::CacheWays,
+        Knob::LfbEntries,
+        Knob::StoreBufferEntries,
+        Knob::RsbDepth,
+        Knob::CacheHitLatency,
+        Knob::CacheMissLatency,
+        Knob::PermissionCheckLatency,
+        Knob::Predictor,
+        Knob::Hardening,
+    ];
+
+    /// Stable axis token: how the `campaign` CLI spells `--axis KNOB=…`,
+    /// and the prefix of auto-generated config names (`"rob=16"`).
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Knob::RobDepth => "rob",
+            Knob::FetchWidth => "fetch",
+            Knob::IssueWidth => "issue",
+            Knob::CacheSets => "sets",
+            Knob::CacheWays => "ways",
+            Knob::LfbEntries => "lfb",
+            Knob::StoreBufferEntries => "stbuf",
+            Knob::RsbDepth => "rsb",
+            Knob::CacheHitLatency => "hitlat",
+            Knob::CacheMissLatency => "misslat",
+            Knob::PermissionCheckLatency => "permlat",
+            Knob::Predictor => "pred",
+            Knob::Hardening => "hardening",
+        }
+    }
+
+    /// The knob for a [`Knob::token`] string.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<Knob> {
+        Self::ALL.into_iter().find(|k| k.token() == token)
+    }
+
     /// Applies `value` to `cfg`.
     ///
     /// # Panics
@@ -209,25 +253,15 @@ impl Knob {
         }
     }
 
-    /// The axis token this knob contributes to auto-generated config names.
+    /// The part this knob contributes to auto-generated config names.
+    /// Called after [`Knob::apply`] accepted the value.
     fn label(self, value: KnobValue) -> String {
-        match (self, value) {
-            (Knob::RobDepth, KnobValue::Num(n)) => format!("rob={n}"),
-            (Knob::FetchWidth, KnobValue::Num(n)) => format!("fetch={n}"),
-            (Knob::IssueWidth, KnobValue::Num(n)) => format!("issue={n}"),
-            (Knob::CacheSets, KnobValue::Num(n)) => format!("sets={n}"),
-            (Knob::CacheWays, KnobValue::Num(n)) => format!("ways={n}"),
-            (Knob::LfbEntries, KnobValue::Num(n)) => format!("lfb={n}"),
-            (Knob::StoreBufferEntries, KnobValue::Num(n)) => format!("stbuf={n}"),
-            (Knob::RsbDepth, KnobValue::Num(n)) => format!("rsb={n}"),
-            (Knob::CacheHitLatency, KnobValue::Num(n)) => format!("hitlat={n}"),
-            (Knob::CacheMissLatency, KnobValue::Num(n)) => format!("misslat={n}"),
-            (Knob::PermissionCheckLatency, KnobValue::Num(n)) => format!("permlat={n}"),
-            (Knob::Predictor, KnobValue::Predictor(p)) => format!("pred={}", p.token()),
+        match value {
+            KnobValue::Num(n) => format!("{}={n}", self.token()),
+            KnobValue::Predictor(p) => format!("{}={}", self.token(), p.token()),
             // Hardening labels stand alone so single-axis Figure-8 sweeps
             // keep the paper's slice names ("baseline", "② NDA", …).
-            (Knob::Hardening, KnobValue::Hardening(h)) => h.label().to_owned(),
-            (knob, value) => panic!("knob {knob:?} cannot take value {value:?}"),
+            KnobValue::Hardening(h) => h.label().to_owned(),
         }
     }
 }
@@ -544,6 +578,15 @@ impl CellOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, CellOutcome::Ok)
     }
+
+    /// The degraded-outcome token rows carry; `None` for `Ok`.
+    fn token(&self) -> Option<&'static str> {
+        match self {
+            CellOutcome::Ok => None,
+            CellOutcome::TimedOut { .. } => Some("timed_out"),
+            CellOutcome::Quarantined { .. } => Some("quarantined"),
+        }
+    }
 }
 
 impl Default for CampaignSpec {
@@ -573,8 +616,7 @@ impl CampaignSpec {
     /// Total number of evaluation tasks (baseline runs + matrix cells).
     #[must_use]
     pub fn total_tasks(&self) -> usize {
-        let (a, d, c) = (self.attacks.len(), self.defenses.len(), self.configs.len());
-        a * c + a * d * c
+        Layout::of(self).total()
     }
 
     /// A stable 64-bit digest of the spec's *contents*: attack names,
@@ -617,13 +659,17 @@ impl CampaignSpec {
     #[must_use]
     pub fn shards(&self, n: usize) -> Vec<CampaignShard> {
         let n = n.max(1);
-        let total = self.total_tasks();
+        let (total, spec_fingerprint) = (self.total_tasks(), self.fingerprint());
         (0..n)
             .map(|i| CampaignShard {
-                index: i,
-                of: n,
-                start: i * total / n,
-                end: (i + 1) * total / n,
+                shard: ShardHeader {
+                    spec_fingerprint,
+                    index: i,
+                    of: n,
+                    start: i * total / n,
+                    end: (i + 1) * total / n,
+                    total,
+                },
                 spec: self.clone(),
             })
             .collect()
@@ -832,6 +878,102 @@ pub(crate) fn cell_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
+// Task order
+// ---------------------------------------------------------------------------
+
+/// The cube's task order, and the only code that knows it. Task ids
+/// `0..A·C` are the baselines, attack-major (`a·C + c`); the `A·D·C`
+/// cells follow in `((a·D)+d)·C + c` order. Runs, shard ranges, the rows
+/// of every document, merges and O(1) lookups all decode through here,
+/// which is what keeps sharded, resumed and single-shot artifacts
+/// byte-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    attacks: usize,
+    defenses: usize,
+    configs: usize,
+}
+
+/// One decoded task id: axis positions of an attack on a config slice,
+/// undefended (`defense: None`, a baseline) or behind one defense stack
+/// (a cell).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Task {
+    attack: usize,
+    defense: Option<usize>,
+    config: usize,
+}
+
+impl Layout {
+    fn new(attacks: usize, defenses: usize, configs: usize) -> Self {
+        Layout {
+            attacks,
+            defenses,
+            configs,
+        }
+    }
+
+    fn of(spec: &CampaignSpec) -> Self {
+        Layout::new(spec.attacks.len(), spec.defenses.len(), spec.configs.len())
+    }
+
+    /// Baseline tasks, which come first.
+    fn baselines(self) -> usize {
+        self.attacks * self.configs
+    }
+
+    /// (attack, stack) pairs — the unit graph verdicts are computed for.
+    fn pairs(self) -> usize {
+        self.attacks * self.defenses
+    }
+
+    /// Baselines plus cells.
+    fn total(self) -> usize {
+        self.baselines() + self.pairs() * self.configs
+    }
+
+    /// Decodes task id `i < total()`.
+    fn task(self, i: usize) -> Task {
+        let c = self.configs;
+        match i.checked_sub(self.baselines()) {
+            None => Task {
+                attack: i / c,
+                defense: None,
+                config: i % c,
+            },
+            Some(j) => Task {
+                attack: j / (self.defenses * c),
+                defense: Some((j / c) % self.defenses),
+                config: j % c,
+            },
+        }
+    }
+
+    /// The pair index `a·D + d`.
+    fn pair(self, attack: usize, defense: usize) -> usize {
+        attack * self.defenses + defense
+    }
+
+    /// A baseline's position among the baselines (and its task id).
+    fn baseline_index(self, attack: usize, config: usize) -> usize {
+        attack * self.configs + config
+    }
+
+    /// A cell's position among the cells (its task id minus
+    /// [`Layout::baselines`]).
+    fn cell_index(self, attack: usize, defense: usize, config: usize) -> usize {
+        self.pair(attack, defense) * self.configs + config
+    }
+
+    /// How many baseline and cell rows the task range holds.
+    fn rows_in(self, range: &Range<usize>) -> (usize, usize) {
+        let b = self.baselines();
+        let baselines = range.end.min(b).saturating_sub(range.start.min(b));
+        (baselines, range.len() - baselines)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Cells
 // ---------------------------------------------------------------------------
 
@@ -895,11 +1037,9 @@ impl MatrixCell {
     /// degraded ones.
     #[must_use]
     pub fn mechanism_token(&self) -> &'static str {
-        match self.outcome {
-            CellOutcome::Ok => verdict_token(self.evaluation.mechanism),
-            CellOutcome::TimedOut { .. } => "timed_out",
-            CellOutcome::Quarantined { .. } => "quarantined",
-        }
+        self.outcome
+            .token()
+            .unwrap_or_else(|| verdict_token(self.evaluation.mechanism))
     }
 }
 
@@ -925,9 +1065,8 @@ struct GraphVerdicts {
     /// Per attack: does an authorization race with a secret access?
     /// Positions never requested stay `false`.
     races: Vec<bool>,
-    /// Per `(attack, stack)` pair (`attack_index * defenses + defense_index`):
-    /// the hoisted `strategy_sufficient` verdict. `None` for pairs no
-    /// requested task needs.
+    /// Per [`Layout::pair`]: the hoisted `strategy_sufficient` verdict.
+    /// `None` for pairs no requested task needs.
     pairs: Vec<Option<Option<bool>>>,
     /// How many (attack, stack) strategy verdicts were actually computed
     /// — exactly the number of needed pairs, surfaced as
@@ -936,35 +1075,33 @@ struct GraphVerdicts {
     evaluated: usize,
 }
 
-/// Computes the graph verdicts the task list `ids` needs: baseline races
-/// for attacks with baseline tasks (or all attacks when `races_for_all` —
-/// the matrix path stamps races onto *reused* baselines too), and one
+/// Computes the graph verdicts `tasks` need: baseline races for attacks
+/// with baseline tasks (or all attacks when `races_for_all` — the matrix
+/// path stamps races onto *reused* baselines too), and one
 /// strategy-sufficiency verdict per (attack, stack) pair with at least
 /// one cell task. One [`defenses::PatchSession`] per attack serves all of
 /// its stacks: the graph is built and indexed once, and every stack's
 /// strategy edges are applied and rolled back incrementally.
 fn graph_verdicts_for(
     spec: &CampaignSpec,
-    ids: &[usize],
+    tasks: &[KeyedTask],
     races_for_all: bool,
 ) -> Result<GraphVerdicts, AttackError> {
-    let (a, d, c) = (spec.attacks.len(), spec.defenses.len(), spec.configs.len());
-    let base_tasks = a * c;
-    let mut race_needed = vec![races_for_all; a];
-    let mut pair_needed = vec![false; a * d];
-    for &task in ids {
-        if task < base_tasks {
-            race_needed[task / c] = true;
-        } else {
-            pair_needed[task_pair(spec, task)] = true;
+    let layout = Layout::of(spec);
+    let mut race_needed = vec![races_for_all; spec.attacks.len()];
+    let mut pair_needed = vec![false; layout.pairs()];
+    for &(task, _) in tasks {
+        match task.defense {
+            None => race_needed[task.attack] = true,
+            Some(d) => pair_needed[layout.pair(task.attack, d)] = true,
         }
     }
-    let mut races = vec![false; a];
-    let mut pairs: Vec<Option<Option<bool>>> = vec![None; a * d];
+    let mut races = vec![false; spec.attacks.len()];
+    let mut pairs: Vec<Option<Option<bool>>> = vec![None; layout.pairs()];
     let mut evaluated = 0usize;
     for (ai, attack) in spec.attacks.iter().enumerate() {
-        let wants_pairs = pair_needed[ai * d..(ai + 1) * d].iter().any(|&n| n);
-        if !race_needed[ai] && !wants_pairs {
+        let wanted = |di: usize| pair_needed[layout.pair(ai, di)];
+        if !race_needed[ai] && !(0..spec.defenses.len()).any(wanted) {
             continue;
         }
         let mut session = defenses::PatchSession::new(*attack);
@@ -972,8 +1109,8 @@ fn graph_verdicts_for(
             races[ai] = session.graph_race();
         }
         for (di, defense) in spec.defenses.iter().enumerate() {
-            if pair_needed[ai * d + di] {
-                pairs[ai * d + di] = Some(session.graph_sufficient(defense)?);
+            if wanted(di) {
+                pairs[layout.pair(ai, di)] = Some(session.graph_sufficient(defense)?);
                 evaluated += 1;
             }
         }
@@ -985,123 +1122,105 @@ fn graph_verdicts_for(
     })
 }
 
-fn run_task(
-    spec: &CampaignSpec,
-    graph: &GraphVerdicts,
-    digests: &[u64],
-    task: usize,
-    runner: &mut BatchRunner,
-) -> Result<TaskOut, AttackError> {
-    let c = spec.configs.len();
-    let d = spec.defenses.len();
-    let base_tasks = spec.attacks.len() * c;
-    if task < base_tasks {
-        let attack = spec.attacks[task / c];
-        let config = task % c;
-        let out = runner.run(attack, &spec.configs[config].config)?;
-        let info = attack.info();
-        Ok(TaskOut::Base(BaselineCell {
-            config,
-            leaked: out.leaked,
-            recovered: out.recovered,
-            cycles: out.cycles,
-            graph_race: graph.races[task / c],
-            fingerprint: baseline_fingerprint(info.name, digests[config]),
-            info,
-            outcome: CellOutcome::Ok,
-        }))
-    } else {
-        let j = task - base_tasks;
-        let attack = spec.attacks[j / (d * c)];
-        let defense = &spec.defenses[(j / c) % d];
-        let config = j % c;
-        // The graph verdict was hoisted out of the config loop (it is
-        // config-invariant); only the machine runs per slice.
-        let strategy_sufficient =
-            graph.pairs[task_pair(spec, task)].expect("pair verdict precomputed");
-        let mechanism =
-            defenses::verify_stack_warm(defense, attack, &spec.configs[config].config, runner)?;
-        let evaluation = Evaluation {
-            attack: attack.info().name,
-            stack: defense.clone(),
-            strategy_sufficient,
-            mechanism,
+/// A decoded task with its content fingerprint, computed once: the
+/// incremental reuse lookup and the row builder share it.
+type KeyedTask = (Task, u64);
+
+/// Every task of `range`, in task order, decoded and fingerprinted.
+fn keyed_tasks(spec: &CampaignSpec, range: Range<usize>) -> impl Iterator<Item = KeyedTask> + '_ {
+    let layout = Layout::of(spec);
+    let digests: Vec<u64> = spec
+        .configs
+        .iter()
+        .map(|nc| config_digest(&nc.config))
+        .collect();
+    range.map(move |i| {
+        let task = layout.task(i);
+        let (name, digest) = (spec.attacks[task.attack].info().name, digests[task.config]);
+        let fingerprint = match task.defense {
+            None => baseline_fingerprint(name, digest),
+            Some(d) => {
+                let stack = &spec.defenses[d];
+                cell_fingerprint(name, stack.name(), &stack.strategy_token(), digest)
+            }
         };
-        let fingerprint = cell_fingerprint(
-            evaluation.attack,
-            defense.name(),
-            &defense.strategy_token(),
-            digests[config],
-        );
-        Ok(TaskOut::Cell(MatrixCell {
-            attack: evaluation.attack,
-            defense: defense.name().to_owned(),
-            config,
-            evaluation,
-            fingerprint,
-            outcome: CellOutcome::Ok,
-        }))
-    }
+        (task, fingerprint)
+    })
 }
 
-/// Builds the degraded row for a task whose simulation could not complete:
-/// machine fields are zeroed, the mechanism is [`Verdict::GraphOnly`], and
-/// the hoisted graph verdicts (`graph_race`, `strategy_sufficient`) are
-/// kept — they never needed the machine. Fingerprints are computed as
-/// usual so an incremental re-run recognises (and, because degraded rows
-/// are never reused, re-evaluates) the cell.
-fn degraded_task(
+/// What the machine reported for one task — or why it could not.
+enum Measured {
+    /// A baseline run completed.
+    Run(attacks::AttackOutcome),
+    /// A cell's defended run completed with this mechanism verdict.
+    Verdict(Verdict),
+    /// The simulation was quarantined or timed out.
+    Degraded(CellOutcome),
+}
+
+/// Simulates one task on the worker's warm machine.
+fn simulate(
+    spec: &CampaignSpec,
+    task: Task,
+    runner: &mut BatchRunner,
+) -> Result<Measured, AttackError> {
+    let (attack, config) = (spec.attacks[task.attack], &spec.configs[task.config].config);
+    Ok(match task.defense {
+        None => Measured::Run(runner.run(attack, config)?),
+        Some(d) => {
+            let stack = &spec.defenses[d];
+            Measured::Verdict(defenses::verify_stack_warm(stack, attack, config, runner)?)
+        }
+    })
+}
+
+/// Builds a task's row from what its simulation measured. A degraded
+/// task gets zeroed machine fields and a [`Verdict::GraphOnly`]
+/// mechanism; every row keeps the hoisted graph verdicts (`graph_race`,
+/// `strategy_sufficient` — they never needed the machine) and the
+/// fingerprint the reuse lookup used, so an incremental re-run
+/// recognises (and, because degraded rows are never reused,
+/// re-evaluates) the cell.
+fn build_row(
     spec: &CampaignSpec,
     graph: &GraphVerdicts,
-    digests: &[u64],
-    task: usize,
-    outcome: CellOutcome,
+    (task, fingerprint): KeyedTask,
+    measured: Measured,
 ) -> TaskOut {
-    let c = spec.configs.len();
-    let d = spec.defenses.len();
-    let base_tasks = spec.attacks.len() * c;
-    if task < base_tasks {
-        let attack = spec.attacks[task / c];
-        let config = task % c;
-        let info = attack.info();
-        TaskOut::Base(BaselineCell {
-            fingerprint: baseline_fingerprint(info.name, digests[config]),
-            info,
+    let (run, mechanism, outcome) = match measured {
+        Measured::Run(run) => (Some(run), Verdict::GraphOnly, CellOutcome::Ok),
+        Measured::Verdict(v) => (None, v, CellOutcome::Ok),
+        Measured::Degraded(outcome) => (None, Verdict::GraphOnly, outcome),
+    };
+    let Task { attack, config, .. } = task;
+    let Some(defense) = task.defense else {
+        return TaskOut::Base(BaselineCell {
+            info: spec.attacks[attack].info(),
             config,
-            leaked: false,
-            recovered: None,
-            cycles: 0,
-            graph_race: graph.races[task / c],
-            outcome,
-        })
-    } else {
-        let j = task - base_tasks;
-        let attack = spec.attacks[j / (d * c)];
-        let defense = &spec.defenses[(j / c) % d];
-        let config = j % c;
-        let strategy_sufficient =
-            graph.pairs[task_pair(spec, task)].expect("pair verdict precomputed");
-        let evaluation = Evaluation {
-            attack: attack.info().name,
-            stack: defense.clone(),
-            strategy_sufficient,
-            mechanism: Verdict::GraphOnly,
-        };
-        let fingerprint = cell_fingerprint(
-            evaluation.attack,
-            defense.name(),
-            &defense.strategy_token(),
-            digests[config],
-        );
-        TaskOut::Cell(MatrixCell {
-            attack: evaluation.attack,
-            defense: defense.name().to_owned(),
-            config,
-            evaluation,
+            leaked: run.as_ref().is_some_and(|r| r.leaked),
+            recovered: run.as_ref().and_then(|r| r.recovered),
+            cycles: run.map_or(0, |r| r.cycles),
+            graph_race: graph.races[attack],
             fingerprint,
             outcome,
-        })
-    }
+        });
+    };
+    let stack = &spec.defenses[defense];
+    let evaluation = Evaluation {
+        attack: spec.attacks[attack].info().name,
+        stack: stack.clone(),
+        strategy_sufficient: graph.pairs[Layout::of(spec).pair(attack, defense)]
+            .expect("pair verdict precomputed"),
+        mechanism,
+    };
+    TaskOut::Cell(MatrixCell {
+        attack: evaluation.attack,
+        defense: stack.name().to_owned(),
+        config,
+        evaluation,
+        fingerprint,
+        outcome,
+    })
 }
 
 /// Renders a panic payload into a quarantine reason, truncated so a
@@ -1112,58 +1231,40 @@ fn panic_reason(payload: &dyn std::any::Any) -> String {
         .map(String::as_str)
         .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("worker panicked (non-string payload)");
-    const MAX: usize = 200;
-    let mut reason = String::with_capacity(msg.len().min(MAX));
-    reason.extend(msg.chars().take(MAX));
-    reason
+    msg.chars().take(200).collect()
 }
 
-/// [`run_task`] hardened by the spec's [`Resilience`] policy: panics are
-/// caught and retried with backoff on a fresh machine (the old one may be
-/// poisoned mid-simulation), then quarantined; cycle-budget exhaustion
-/// degrades to [`CellOutcome::TimedOut`] when the watchdog is enabled.
-/// Non-timeout simulator errors keep their existing fail-the-run
-/// semantics — they indicate a broken spec, not a flaky worker.
+/// Runs one task under the spec's [`Resilience`] policy and builds its
+/// row: panics are caught and retried with backoff on a fresh machine
+/// (the old one may be poisoned mid-simulation), then quarantined;
+/// cycle-budget exhaustion degrades to [`CellOutcome::TimedOut`] when the
+/// watchdog is enabled. Non-timeout simulator errors keep their existing
+/// fail-the-run semantics — they indicate a broken spec, not a flaky
+/// worker.
 fn run_task_resilient(
     spec: &CampaignSpec,
     graph: &GraphVerdicts,
-    digests: &[u64],
-    task: usize,
+    keyed: KeyedTask,
     runner: &mut BatchRunner,
 ) -> Result<TaskOut, AttackError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let policy = &spec.resilience;
     let mut attempt = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| {
-            run_task(spec, graph, digests, task, runner)
-        })) {
-            Ok(Ok(out)) => return Ok(out),
-            Ok(Err(AttackError::Uarch(e))) if e.is_cycle_limit() && policy.degrade_timeouts => {
-                let uarch::UarchError::CycleLimitExceeded { limit } = e else {
-                    unreachable!("is_cycle_limit");
-                };
-                return Ok(degraded_task(
-                    spec,
-                    graph,
-                    digests,
-                    task,
-                    CellOutcome::TimedOut { limit },
-                ));
+    let measured = loop {
+        match catch_unwind(AssertUnwindSafe(|| simulate(spec, keyed.0, runner))) {
+            Ok(Ok(measured)) => break measured,
+            Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
+                if policy.degrade_timeouts =>
+            {
+                break Measured::Degraded(CellOutcome::TimedOut { limit });
             }
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 *runner = BatchRunner::new();
                 if attempt >= policy.retries {
-                    return Ok(degraded_task(
-                        spec,
-                        graph,
-                        digests,
-                        task,
-                        CellOutcome::Quarantined {
-                            reason: panic_reason(payload.as_ref()),
-                        },
-                    ));
+                    break Measured::Degraded(CellOutcome::Quarantined {
+                        reason: panic_reason(payload.as_ref()),
+                    });
                 }
                 attempt += 1;
                 if !policy.backoff.is_zero() {
@@ -1171,7 +1272,8 @@ fn run_task_resilient(
                 }
             }
         }
-    }
+    };
+    Ok(build_row(spec, graph, keyed, measured))
 }
 
 /// One completed evaluation task, as reported to a [`ProgressObserver`].
@@ -1193,78 +1295,73 @@ pub struct TaskEvent {
 /// (fingerprint-matched) tasks are never reported — they cost nothing.
 pub type ProgressObserver<'a> = &'a (dyn Fn(TaskEvent) + Sync);
 
-/// The config-slice index of a task id (baseline or cell region).
-fn task_config(spec: &CampaignSpec, task: usize) -> usize {
-    let c = spec.configs.len();
-    let base_tasks = spec.attacks.len() * c;
-    if task < base_tasks {
-        task % c
-    } else {
-        (task - base_tasks) % c
-    }
-}
-
-/// The `(attack, stack)` pair index (`attack_index * defenses +
-/// defense_index`) of a *cell-region* task id — the key into
-/// [`GraphVerdicts::pairs`], shared by the precompute and the workers so
-/// the two decodes cannot drift.
-///
-/// Callers guarantee `task` lies in the cell region (`task >= A×C`).
-fn task_pair(spec: &CampaignSpec, task: usize) -> usize {
-    let (d, c) = (spec.defenses.len(), spec.configs.len());
-    let j = task - spec.attacks.len() * c;
-    (j / (d * c)) * d + (j / c) % d
-}
-
-/// Evaluates the given task ids (need not be contiguous, must be sorted
-/// for the error-order guarantee): config digests, then the hoisted graph
-/// verdicts (see [`graph_verdicts_for`] for `races_for_all`), then the
-/// simulations on [`crate::exec::map_indexed`] workers, each owning one
-/// warm [`BatchRunner`] that every task resets instead of rebuilding.
-/// Results come back in list order; the first error by task order wins.
+/// Evaluates `tasks` (need not be contiguous, must be in task order for
+/// the error-order guarantee): the hoisted graph verdicts (see
+/// [`graph_verdicts_for`] for `races_for_all`), then the simulations on
+/// [`crate::exec::map_indexed`] workers, each owning one warm
+/// [`BatchRunner`] that every task resets instead of rebuilding. Results
+/// come back in list order; the first error by task order wins.
 /// `progress`, if given, observes every completed task as it finishes.
 fn evaluate_tasks(
     spec: &CampaignSpec,
-    ids: &[usize],
+    tasks: &[KeyedTask],
     races_for_all: bool,
     progress: Option<ProgressObserver<'_>>,
 ) -> Result<(Vec<TaskOut>, GraphVerdicts), AttackError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let digests = config_digests(spec);
-    let graph = graph_verdicts_for(spec, ids, races_for_all)?;
+    let graph = graph_verdicts_for(spec, tasks, races_for_all)?;
     let done = AtomicUsize::new(0);
-    let outs = crate::exec::map_indexed(ids.len(), spec.threads, BatchRunner::new, |runner, k| {
-        let out = run_task_resilient(spec, &graph, &digests, ids[k], runner);
-        if let Some(f) = progress {
-            f(TaskEvent {
-                completed: done.fetch_add(1, Ordering::Relaxed) + 1,
-                total: ids.len(),
-                config: task_config(spec, ids[k]),
-            });
-        }
-        out
-    })?;
+    let outs =
+        crate::exec::map_indexed(tasks.len(), spec.threads, BatchRunner::new, |runner, k| {
+            let out = run_task_resilient(spec, &graph, tasks[k], runner);
+            if let Some(f) = progress {
+                f(TaskEvent {
+                    completed: done.fetch_add(1, Ordering::Relaxed) + 1,
+                    total: tasks.len(),
+                    config: tasks[k].0.config,
+                });
+            }
+            out
+        })?;
     Ok((outs, graph))
 }
 
-/// [`config_digest`] of every config slice, in axis order.
-fn config_digests(spec: &CampaignSpec) -> Vec<u64> {
-    spec.configs
-        .iter()
-        .map(|nc| config_digest(&nc.config))
-        .collect()
+/// The axes and rows of an evaluated cube, or of one shard's slice of it.
+#[derive(Debug, Clone)]
+struct Cube {
+    attacks: Vec<AttackInfo>,
+    defenses: Vec<DefenseStack>,
+    configs: Vec<String>,
+    baselines: Vec<BaselineCell>,
+    cells: Vec<MatrixCell>,
 }
 
-fn split_outputs(outs: Vec<TaskOut>) -> (Vec<BaselineCell>, Vec<MatrixCell>) {
-    let mut baselines = Vec::new();
-    let mut cells = Vec::new();
-    for out in outs {
-        match out {
-            TaskOut::Base(b) => baselines.push(b),
-            TaskOut::Cell(cell) => cells.push(cell),
+impl Cube {
+    /// The spec's axes with the rows of `outs`, in task order.
+    fn new(spec: &CampaignSpec, outs: Vec<TaskOut>) -> Self {
+        let bases = outs
+            .iter()
+            .filter(|o| matches!(o, TaskOut::Base(_)))
+            .count();
+        let mut cube = Cube {
+            attacks: spec.attacks.iter().map(|at| at.info()).collect(),
+            defenses: spec.defenses.clone(),
+            configs: spec.configs.iter().map(|nc| nc.name.clone()).collect(),
+            baselines: Vec::with_capacity(bases),
+            cells: Vec::with_capacity(outs.len() - bases),
+        };
+        for out in outs {
+            match out {
+                TaskOut::Base(b) => cube.baselines.push(b),
+                TaskOut::Cell(cell) => cube.cells.push(cell),
+            }
         }
+        cube
     }
-    (baselines, cells)
+
+    fn layout(&self) -> Layout {
+        Layout::new(self.attacks.len(), self.defenses.len(), self.configs.len())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1276,10 +1373,7 @@ fn split_outputs(outs: Vec<TaskOut>) -> (Vec<BaselineCell>, Vec<MatrixCell>) {
 /// [`CampaignSpec::shards`].
 #[derive(Debug, Clone)]
 pub struct CampaignShard {
-    index: usize,
-    of: usize,
-    start: usize,
-    end: usize,
+    shard: ShardHeader,
     spec: CampaignSpec,
 }
 
@@ -1287,25 +1381,25 @@ impl CampaignShard {
     /// This shard's position in `0..of`.
     #[must_use]
     pub fn index(&self) -> usize {
-        self.index
+        self.shard.index
     }
 
     /// How many shards the cube was split into.
     #[must_use]
     pub fn of(&self) -> usize {
-        self.of
+        self.shard.of
     }
 
     /// Number of tasks this shard evaluates.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.shard.end - self.shard.start
     }
 
     /// Whether the shard has no tasks (more shards than tasks).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.shard.start == self.shard.end
     }
 
     /// Evaluates this shard's task range (in parallel, like
@@ -1317,25 +1411,16 @@ impl CampaignShard {
     ///
     /// The first [`AttackError`] any simulation produced (by task order).
     pub fn run(&self, progress: Option<ProgressObserver<'_>>) -> Result<CampaignPart, AttackError> {
-        let ids: Vec<usize> = (self.start..self.end).collect();
+        let tasks: Vec<KeyedTask> =
+            keyed_tasks(&self.spec, self.shard.start..self.shard.end).collect();
         // Graph verdicts only for this shard's attacks and (attack, stack)
         // pairs — a shard whose range misses an attack builds no graph
         // for it; pairs are computed once and shared across the shard's
         // config slices.
-        let (outs, _) = evaluate_tasks(&self.spec, &ids, false, progress)?;
-        let (baselines, cells) = split_outputs(outs);
+        let (outs, _) = evaluate_tasks(&self.spec, &tasks, false, progress)?;
         Ok(CampaignPart {
-            spec_fingerprint: self.spec.fingerprint(),
-            index: self.index,
-            of: self.of,
-            start: self.start,
-            end: self.end,
-            total: self.spec.total_tasks(),
-            attacks: self.spec.attacks.iter().map(|at| at.info()).collect(),
-            defenses: self.spec.defenses.clone(),
-            configs: self.spec.configs.iter().map(|nc| nc.name.clone()).collect(),
-            baselines,
-            cells,
+            shard: self.shard,
+            body: Cube::new(&self.spec, outs),
         })
     }
 }
@@ -1352,73 +1437,77 @@ impl CampaignShard {
 /// [`CampaignMatrix::merge`] them bit-identically to a single-shot run.
 #[derive(Debug, Clone)]
 pub struct CampaignPart {
+    shard: ShardHeader,
+    body: Cube,
+}
+
+/// Where a part sits in its campaign: the producing spec's fingerprint
+/// and the part's slot in the task range. Written ahead of the axes in
+/// part and checkpoint documents.
+#[derive(Debug, Clone, Copy)]
+struct ShardHeader {
     spec_fingerprint: u64,
     index: usize,
     of: usize,
     start: usize,
     end: usize,
     total: usize,
-    attacks: Vec<AttackInfo>,
-    defenses: Vec<DefenseStack>,
-    configs: Vec<String>,
-    baselines: Vec<BaselineCell>,
-    cells: Vec<MatrixCell>,
 }
 
 impl CampaignPart {
     /// This part's shard position.
     #[must_use]
     pub fn index(&self) -> usize {
-        self.index
+        self.shard.index
     }
 
     /// How many shards the cube was split into.
     #[must_use]
     pub fn of(&self) -> usize {
-        self.of
+        self.shard.of
     }
 
     /// The [`CampaignSpec::fingerprint`] of the spec that produced this
     /// part. [`CampaignMatrix::merge`] only combines parts that agree.
     #[must_use]
     pub fn spec_fingerprint(&self) -> u64 {
-        self.spec_fingerprint
+        self.shard.spec_fingerprint
     }
 
     /// First task index (inclusive) of this part's range.
     #[must_use]
     pub fn start(&self) -> usize {
-        self.start
+        self.shard.start
     }
 
     /// One past the last task index of this part's range.
     #[must_use]
     pub fn end(&self) -> usize {
-        self.end
+        self.shard.end
     }
 
     /// Number of tasks (baselines + cells) this part evaluated.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.shard.end - self.shard.start
     }
 
     /// Whether this part's task range is empty (more shards than tasks).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.shard.start == self.shard.end
     }
 
     /// The baseline rows this part evaluated.
     #[must_use]
     pub fn baselines(&self) -> &[BaselineCell] {
-        &self.baselines
+        &self.body.baselines
     }
 
     /// The matrix cells this part evaluated.
     #[must_use]
     pub fn cells(&self) -> &[MatrixCell] {
-        &self.cells
+        &self.body.cells
     }
 
     /// The part as a JSON document: shard header first, then axes and
@@ -1441,40 +1530,9 @@ impl CampaignPart {
     }
 
     fn to_json_kind(&self, kind: &str) -> String {
-        let mut out = String::from("{\n  \"version\": ");
-        let _ = write!(out, "{SCHEMA_VERSION},\n  \"kind\": \"{kind}\",");
-        let _ = write!(
-            out,
-            "\n  \"spec_fingerprint\": \"{:#018x}\",",
-            self.spec_fingerprint
-        );
-        let _ = write!(
-            out,
-            "\n  \"shard\": {{\"index\": {}, \"of\": {}, \"start\": {}, \"end\": {}, \"total\": {}}},",
-            self.index, self.of, self.start, self.end, self.total
-        );
-        out.push_str("\n  \"configs\": [");
-        push_json_list(&mut out, self.configs.iter().map(String::as_str));
-        out.push_str("],\n  \"attacks\": [");
-        push_json_list(&mut out, self.attacks.iter().map(|i| i.name));
-        out.push_str("],\n  \"defenses\": [");
-        push_json_list(&mut out, self.defenses.iter().map(DefenseStack::name));
-        out.push_str("],\n  \"baselines\": [");
-        for (i, b) in self.baselines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_baseline_row(&mut out, b, &self.configs);
-        }
-        out.push_str("\n  ],\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_cell_row(&mut out, cell, &self.configs);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let b = &self.body;
+        let axes = (&b.attacks[..], &b.defenses[..], &b.configs[..]);
+        write_document(kind, Some(&self.shard), axes, &b.baselines, &b.cells)
     }
 
     /// Writes [`CampaignPart::to_json`] to `path`.
@@ -1551,60 +1609,10 @@ impl CampaignPart {
     }
 
     fn from_json_kind(text: &str, kind: &'static str) -> Result<Self, CampaignIoError> {
-        let doc = jsonio::parse(text)?;
-        check_version_and_kind(&doc, kind)?;
-        let spec_fingerprint = header_fingerprint(&doc)?;
-        let shard = doc
-            .get("shard")
-            .ok_or_else(|| CampaignIoError::Parse("missing 'shard' header".to_owned()))?;
-        let shard_field = |key: &str| -> Result<usize, CampaignIoError> {
-            let n = shard
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CampaignIoError::Parse(format!("missing shard field '{key}'")))?;
-            usize::try_from(n)
-                .map_err(|_| CampaignIoError::Parse(format!("shard field '{key}' out of range")))
-        };
-        let (index, of) = (shard_field("index")?, shard_field("of")?);
-        let (start, end, total) = (
-            shard_field("start")?,
-            shard_field("end")?,
-            shard_field("total")?,
-        );
-        if of == 0 || index >= of || start > end || end > total {
-            return Err(CampaignIoError::Shape(format!(
-                "inconsistent shard header: index {index} of {of}, tasks {start}..{end} of {total}"
-            )));
-        }
-        let (attacks, defenses, configs) = parse_axes(&doc)?;
-        let (a, d, c) = (attacks.len(), defenses.len(), configs.len());
-        if total != a * c + a * d * c {
-            return Err(CampaignIoError::Shape(format!(
-                "shard header declares {total} total tasks, axes imply {}",
-                a * c + a * d * c
-            )));
-        }
-        let (baselines, cells) = parse_rows(
-            &attacks,
-            &defenses,
-            &configs,
-            start,
-            end,
-            entries(&doc, "baselines")?,
-            entries(&doc, "cells")?,
-        )?;
+        let (shard, body) = read_document(text, kind)?;
         Ok(CampaignPart {
-            spec_fingerprint,
-            index,
-            of,
-            start,
-            end,
-            total,
-            attacks,
-            defenses,
-            configs,
-            baselines,
-            cells,
+            shard: shard.expect("part documents carry a shard header"),
+            body,
         })
     }
 }
@@ -1734,15 +1742,17 @@ pub struct IncrementalReport {
 }
 
 impl CampaignMatrix {
-    fn assemble(
-        attacks: Vec<AttackInfo>,
-        defenses: Vec<DefenseStack>,
-        configs: Vec<String>,
-        baselines: Vec<BaselineCell>,
-        cells: Vec<MatrixCell>,
-    ) -> Self {
-        debug_assert_eq!(baselines.len(), attacks.len() * configs.len());
-        debug_assert_eq!(cells.len(), attacks.len() * defenses.len() * configs.len());
+    fn assemble(cube: Cube) -> Self {
+        let layout = cube.layout();
+        debug_assert_eq!(cube.baselines.len(), layout.baselines());
+        debug_assert_eq!(cube.baselines.len() + cube.cells.len(), layout.total());
+        let Cube {
+            attacks,
+            defenses,
+            configs,
+            baselines,
+            cells,
+        } = cube;
         let attack_index = attacks
             .iter()
             .enumerate()
@@ -1808,10 +1818,6 @@ impl CampaignMatrix {
         prev: Option<&CampaignMatrix>,
         progress: Option<ProgressObserver<'_>>,
     ) -> Result<(Self, IncrementalReport), AttackError> {
-        let (a, d, c) = (spec.attacks.len(), spec.defenses.len(), spec.configs.len());
-        let total = a * c + a * d * c;
-        let digests = config_digests(spec);
-
         let mut prev_bases: HashMap<u64, &BaselineCell> = HashMap::new();
         let mut prev_cells: HashMap<u64, &MatrixCell> = HashMap::new();
         if let Some(p) = prev {
@@ -1826,80 +1832,55 @@ impl CampaignMatrix {
             }
         }
 
-        let mut slots: Vec<Option<TaskOut>> = Vec::with_capacity(total);
-        let mut stale: Vec<usize> = Vec::new();
-        for task in 0..total {
-            let reused = if task < a * c {
-                let name = spec.attacks[task / c].info().name;
-                let config = task % c;
-                prev_bases
-                    .get(&baseline_fingerprint(name, digests[config]))
-                    .map(|b| {
+        let layout = Layout::of(spec);
+        let mut stale: Vec<KeyedTask> = Vec::new();
+        let mut rows: Vec<Option<TaskOut>> = keyed_tasks(spec, 0..layout.total())
+            .map(|(task, fingerprint)| {
+                let config = task.config;
+                let out = match task.defense {
+                    None => prev_bases.get(&fingerprint).map(|b| {
                         TaskOut::Base(BaselineCell {
                             config,
                             ..(*b).clone()
                         })
-                    })
-            } else {
-                let j = task - a * c;
-                let name = spec.attacks[j / (d * c)].info().name;
-                let defense = &spec.defenses[(j / c) % d];
-                let config = j % c;
-                prev_cells
-                    .get(&cell_fingerprint(
-                        name,
-                        defense.name(),
-                        &defense.strategy_token(),
-                        digests[config],
-                    ))
-                    .map(|cell| {
+                    }),
+                    Some(_) => prev_cells.get(&fingerprint).map(|cell| {
                         TaskOut::Cell(MatrixCell {
                             config,
                             ..(*cell).clone()
                         })
-                    })
-            };
-            if reused.is_none() {
-                stale.push(task);
-            }
-            slots.push(reused);
-        }
+                    }),
+                };
+                if out.is_none() {
+                    stale.push((task, fingerprint));
+                }
+                out
+            })
+            .collect();
 
         // Graph verdicts, hoisted: strategy sufficiency only for the
         // (attack, stack) pairs with stale cells, Theorem-1 races for
         // *every* attack — races are recomputed live (cheap) and stamped
-        // onto reused baselines below, so a changed graph() never serves
-        // a stale verdict even when the simulation itself is reused.
+        // onto every baseline below, so a changed graph() never serves a
+        // stale verdict even when the simulation itself is reused.
         let (fresh, graph) = evaluate_tasks(spec, &stale, true, progress)?;
-        for (task, slot) in slots.iter_mut().enumerate() {
-            if let Some(TaskOut::Base(b)) = slot {
-                b.graph_race = graph.races[task / c];
+        let mut fresh = fresh.into_iter();
+        for (i, slot) in rows.iter_mut().enumerate() {
+            let out = slot.get_or_insert_with(|| fresh.next().expect("one row per stale task"));
+            if let TaskOut::Base(b) = out {
+                b.graph_race = graph.races[layout.task(i).attack];
             }
         }
-        for (&task, out) in stale.iter().zip(fresh) {
-            slots[task] = Some(out);
-        }
-        let (baselines, cells) = split_outputs(
-            slots
-                .into_iter()
-                .map(|s| s.expect("every task filled"))
-                .collect(),
-        );
+        // Every fresh row has moved into `rows`: free the buffer before the
+        // cube is built, keeping peak memory at two row sets.
+        drop(fresh);
         let report = IncrementalReport {
             evaluated: stale.len(),
-            reused: total - stale.len(),
+            reused: rows.len() - stale.len(),
             graph_verdicts: graph.evaluated,
         };
-        Ok((
-            Self::assemble(
-                spec.attacks.iter().map(|at| at.info()).collect(),
-                spec.defenses.clone(),
-                spec.configs.iter().map(|nc| nc.name.clone()).collect(),
-                baselines,
-                cells,
-            ),
-            report,
-        ))
+        let outs = rows.into_iter().map(|out| out.expect("every task filled"));
+        Ok((Self::assemble(Cube::new(spec, outs.collect())), report))
     }
 
     /// Reassembles a full matrix from every shard's [`CampaignPart`].
@@ -1918,63 +1899,61 @@ impl CampaignMatrix {
         if parts.is_empty() {
             return Err(MergeError::Empty);
         }
-        parts.sort_by_key(|p| p.index);
-        let of = parts[0].of;
-        if parts.len() != of {
+        parts.sort_by_key(|p| p.shard.index);
+        let first = parts[0].shard;
+        if parts.len() != first.of {
             return Err(MergeError::WrongCount {
-                expected: of,
+                expected: first.of,
                 got: parts.len(),
             });
         }
         for (i, p) in parts.iter().enumerate() {
-            if p.index != i || p.of != of {
+            let h = p.shard;
+            if h.index != i || h.of != first.of {
                 return Err(MergeError::ShardIndex {
                     expected: i,
-                    got: p.index,
+                    got: h.index,
                 });
             }
-            let first = &parts[0];
-            if p.spec_fingerprint != first.spec_fingerprint {
+            if h.spec_fingerprint != first.spec_fingerprint {
                 return Err(MergeError::SpecMismatch {
-                    index: p.index,
+                    index: h.index,
                     expected: first.spec_fingerprint,
-                    got: p.spec_fingerprint,
+                    got: h.spec_fingerprint,
                 });
             }
-            let same_axes = p.attacks == first.attacks
-                && p.configs == first.configs
-                && p.total == first.total
-                && p.defenses == first.defenses;
+            let (a, b) = (&p.body, &parts[0].body);
+            let same_axes = a.attacks == b.attacks
+                && a.configs == b.configs
+                && h.total == first.total
+                && a.defenses == b.defenses;
             if !same_axes {
-                return Err(MergeError::AxisMismatch { index: p.index });
+                return Err(MergeError::AxisMismatch { index: h.index });
             }
         }
         let mut next = 0;
         for p in &parts {
-            if p.start != next {
+            if p.shard.start != next {
                 return Err(MergeError::Coverage {
                     expected: next,
-                    got: p.start,
+                    got: p.shard.start,
                 });
             }
-            next = p.end;
+            next = p.shard.end;
         }
-        if next != parts[0].total {
+        if next != first.total {
             return Err(MergeError::Coverage {
-                expected: parts[0].total,
+                expected: first.total,
                 got: next,
             });
         }
-        let attacks = parts[0].attacks.clone();
-        let defenses = parts[0].defenses.clone();
-        let configs = parts[0].configs.clone();
-        let mut baselines = Vec::new();
-        let mut cells = Vec::new();
+        let mut parts = parts.into_iter().map(|p| p.body);
+        let mut cube = parts.next().expect("checked non-empty");
         for p in parts {
-            baselines.extend(p.baselines);
-            cells.extend(p.cells);
+            cube.baselines.extend(p.baselines);
+            cube.cells.extend(p.cells);
         }
-        Ok(Self::assemble(attacks, defenses, configs, baselines, cells))
+        Ok(Self::assemble(cube))
     }
 
     /// `(attacks, defenses, configs)` axis lengths.
@@ -2005,8 +1984,7 @@ impl CampaignMatrix {
         if config >= self.configs.len() {
             return None;
         }
-        self.cells
-            .get((a * self.defenses.len() + d) * self.configs.len() + config)
+        self.cells.get(self.layout().cell_index(a, d, config))
     }
 
     /// The undefended run of `attack` under configuration index `config`
@@ -2017,7 +1995,12 @@ impl CampaignMatrix {
         if config >= self.configs.len() {
             return None;
         }
-        self.baselines.get(a * self.configs.len() + config)
+        self.baselines.get(self.layout().baseline_index(a, config))
+    }
+
+    fn layout(&self) -> Layout {
+        let (a, d, c) = self.shape();
+        Layout::new(a, d, c)
     }
 
     /// The cells matching a predicate (e.g. one strategy, one verdict).
@@ -2062,30 +2045,8 @@ impl CampaignMatrix {
     /// Round-trips through [`CampaignMatrix::from_json`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": ");
-        let _ = write!(out, "{SCHEMA_VERSION},\n  \"kind\": \"campaign-matrix\",");
-        out.push_str("\n  \"configs\": [");
-        push_json_list(&mut out, self.configs.iter().map(String::as_str));
-        out.push_str("],\n  \"attacks\": [");
-        push_json_list(&mut out, self.attacks.iter().map(|i| i.name));
-        out.push_str("],\n  \"defenses\": [");
-        push_json_list(&mut out, self.defenses.iter().map(DefenseStack::name));
-        out.push_str("],\n  \"baselines\": [");
-        for (i, b) in self.baselines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_baseline_row(&mut out, b, &self.configs);
-        }
-        out.push_str("\n  ],\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_cell_row(&mut out, cell, &self.configs);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let axes = (&self.attacks[..], &self.defenses[..], &self.configs[..]);
+        write_document("campaign-matrix", None, axes, &self.baselines, &self.cells)
     }
 
     /// Writes [`CampaignMatrix::to_json`] to `path`, atomically (tmp +
@@ -2102,30 +2063,20 @@ impl CampaignMatrix {
     /// panic retries.
     #[must_use]
     pub fn quarantined(&self) -> usize {
-        self.baselines
-            .iter()
-            .filter(|b| matches!(b.outcome, CellOutcome::Quarantined { .. }))
-            .count()
-            + self
-                .cells
-                .iter()
-                .filter(|cell| matches!(cell.outcome, CellOutcome::Quarantined { .. }))
-                .count()
+        self.count_outcomes(|o| matches!(o, CellOutcome::Quarantined { .. }))
     }
 
     /// How many rows (baselines + cells) were degraded by the runaway-cell
     /// watchdog.
     #[must_use]
     pub fn timed_out(&self) -> usize {
-        self.baselines
-            .iter()
-            .filter(|b| matches!(b.outcome, CellOutcome::TimedOut { .. }))
-            .count()
-            + self
-                .cells
-                .iter()
-                .filter(|cell| matches!(cell.outcome, CellOutcome::TimedOut { .. }))
-                .count()
+        self.count_outcomes(|o| matches!(o, CellOutcome::TimedOut { .. }))
+    }
+
+    fn count_outcomes(&self, pred: impl Fn(&CellOutcome) -> bool) -> usize {
+        let baselines = self.baselines.iter().map(|b| &b.outcome);
+        let cells = self.cells.iter().map(|cell| &cell.outcome);
+        baselines.chain(cells).filter(|o| pred(o)).count()
     }
 
     /// Reads a matrix saved with [`CampaignMatrix::save_json`].
@@ -2151,21 +2102,7 @@ impl CampaignMatrix {
     /// names/tokens, or a cell count that does not match the declared
     /// axes.
     pub fn from_json(text: &str) -> Result<Self, CampaignIoError> {
-        let doc = jsonio::parse(text)?;
-        check_version_and_kind(&doc, "campaign-matrix")?;
-        let (attacks, defenses, configs) = parse_axes(&doc)?;
-        let (a, d, c) = (attacks.len(), defenses.len(), configs.len());
-        let total = a * c + a * d * c;
-        let (baselines, cells) = parse_rows(
-            &attacks,
-            &defenses,
-            &configs,
-            0,
-            total,
-            entries(&doc, "baselines")?,
-            entries(&doc, "cells")?,
-        )?;
-        Ok(Self::assemble(attacks, defenses, configs, baselines, cells))
+        Ok(Self::assemble(read_document(text, "campaign-matrix")?.1))
     }
 }
 
@@ -2358,447 +2295,417 @@ impl CampaignMatrix {
     /// See [`MatrixDiff`].
     #[must_use]
     pub fn diff(&self, newer: &CampaignMatrix) -> MatrixDiff {
-        type CellKey<'a> = (&'a str, &'a str, &'a str);
-        let cell_key = |cell: &MatrixCell, configs: &[String]| -> String {
-            format!(
-                "{} vs {} @ {}",
-                cell.defense, cell.attack, configs[cell.config]
-            )
-        };
         let mut diff = MatrixDiff::default();
-
-        let old_cells: HashMap<CellKey<'_>, &MatrixCell> = self
-            .cells
-            .iter()
-            .map(|cell| {
-                (
-                    (
-                        cell.attack,
-                        cell.defense.as_str(),
-                        self.configs[cell.config].as_str(),
-                    ),
-                    cell,
-                )
-            })
-            .collect();
-        let mut seen_cells: std::collections::HashSet<CellKey<'_>> =
-            std::collections::HashSet::new();
-        for cell in &newer.cells {
-            let key = (
-                cell.attack,
-                cell.defense.as_str(),
-                newer.configs[cell.config].as_str(),
-            );
-            match old_cells.get(&key) {
-                None => diff.added.push(cell_key(cell, &newer.configs)),
-                Some(old) => {
-                    seen_cells.insert(key);
-                    let (oe, ne) = (&old.evaluation, &cell.evaluation);
-                    if oe.mechanism != ne.mechanism
-                        || oe.strategy_sufficient != ne.strategy_sufficient
-                    {
-                        diff.flips.push(VerdictFlip {
-                            attack: cell.attack.to_owned(),
-                            defense: cell.defense.clone(),
-                            config: newer.configs[cell.config].clone(),
-                            from: oe.mechanism,
-                            to: ne.mechanism,
-                            sufficient_from: oe.strategy_sufficient,
-                            sufficient_to: ne.strategy_sufficient,
-                            false_sense_from: old.false_sense_of_security(),
-                            false_sense_to: cell.false_sense_of_security(),
-                        });
-                    } else {
-                        diff.unchanged += 1;
-                    }
+        let cell_key = |m: &'_ CampaignMatrix, c: &MatrixCell| {
+            format!("{} vs {} @ {}", c.defense, c.attack, m.configs[c.config])
+        };
+        let (added, removed) = match_rows(
+            (self, &self.cells),
+            (newer, &newer.cells),
+            cell_key,
+            |old, cell| {
+                let (oe, ne) = (&old.evaluation, &cell.evaluation);
+                if oe.mechanism == ne.mechanism && oe.strategy_sufficient == ne.strategy_sufficient
+                {
+                    diff.unchanged += 1;
+                    return;
                 }
-            }
-        }
-        for cell in &self.cells {
-            let key = (
-                cell.attack,
-                cell.defense.as_str(),
-                self.configs[cell.config].as_str(),
-            );
-            if !seen_cells.contains(&key) {
-                diff.removed.push(cell_key(cell, &self.configs));
-            }
-        }
-
-        let old_bases: HashMap<(&str, &str), &BaselineCell> = self
-            .baselines
-            .iter()
-            .map(|b| ((b.info.name, self.configs[b.config].as_str()), b))
-            .collect();
-        let mut seen_bases: std::collections::HashSet<(&str, &str)> =
-            std::collections::HashSet::new();
-        for b in &newer.baselines {
-            let key = (b.info.name, newer.configs[b.config].as_str());
-            match old_bases.get(&key) {
-                None => diff.added.push(format!("{} @ {} (baseline)", key.0, key.1)),
-                Some(old) => {
-                    seen_bases.insert(key);
-                    if old.leaked != b.leaked {
-                        diff.baseline_flips.push(BaselineFlip {
-                            attack: b.info.name.to_owned(),
-                            config: key.1.to_owned(),
-                            from_leaked: old.leaked,
-                            to_leaked: b.leaked,
-                        });
-                    } else if old.cycles != b.cycles {
-                        diff.cycle_deltas.push(CycleDelta {
-                            attack: b.info.name.to_owned(),
-                            config: key.1.to_owned(),
-                            from: old.cycles,
-                            to: b.cycles,
-                        });
-                    } else {
-                        diff.unchanged += 1;
-                    }
+                diff.flips.push(VerdictFlip {
+                    attack: cell.attack.to_owned(),
+                    defense: cell.defense.clone(),
+                    config: newer.configs[cell.config].clone(),
+                    from: oe.mechanism,
+                    to: ne.mechanism,
+                    sufficient_from: oe.strategy_sufficient,
+                    sufficient_to: ne.strategy_sufficient,
+                    false_sense_from: old.false_sense_of_security(),
+                    false_sense_to: cell.false_sense_of_security(),
+                });
+            },
+        );
+        let base_key = |m: &'_ CampaignMatrix, b: &BaselineCell| {
+            format!("{} @ {} (baseline)", b.info.name, m.configs[b.config])
+        };
+        let (added_bases, removed_bases) = match_rows(
+            (self, &self.baselines),
+            (newer, &newer.baselines),
+            base_key,
+            |old, b| {
+                let (attack, config) = (b.info.name.to_owned(), newer.configs[b.config].clone());
+                if old.leaked != b.leaked {
+                    diff.baseline_flips.push(BaselineFlip {
+                        attack,
+                        config,
+                        from_leaked: old.leaked,
+                        to_leaked: b.leaked,
+                    });
+                } else if old.cycles != b.cycles {
+                    diff.cycle_deltas.push(CycleDelta {
+                        attack,
+                        config,
+                        from: old.cycles,
+                        to: b.cycles,
+                    });
+                } else {
+                    diff.unchanged += 1;
                 }
-            }
-        }
-        for b in &self.baselines {
-            let key = (b.info.name, self.configs[b.config].as_str());
-            if !seen_bases.contains(&key) {
-                diff.removed
-                    .push(format!("{} @ {} (baseline)", key.0, key.1));
-            }
-        }
+            },
+        );
+        diff.added = [added, added_bases].concat();
+        diff.removed = [removed, removed_bases].concat();
         diff
     }
 }
 
-/// Checks the `version`/`kind` headers of a campaign document.
-/// Version-3 documents (single-defense columns) load too: their defense
-/// names parse as singleton stacks.
-fn check_version_and_kind(doc: &Json, kind: &'static str) -> Result<(), CampaignIoError> {
+/// Matches the rows of two matrices by content `key`: `shared(old, new)`
+/// for every key both have, in `new` order; returns the keys only `new`
+/// has (in `new` order) and those only `old` has (in `old` order).
+fn match_rows<'a, T>(
+    (old_m, old): (&'a CampaignMatrix, &'a [T]),
+    (new_m, new): (&'a CampaignMatrix, &'a [T]),
+    key: impl Fn(&'a CampaignMatrix, &'a T) -> String,
+    mut shared: impl FnMut(&'a T, &'a T),
+) -> (Vec<String>, Vec<String>) {
+    let old_rows: HashMap<String, &T> = old.iter().map(|r| (key(old_m, r), r)).collect();
+    let mut new_keys = std::collections::HashSet::new();
+    let mut added = Vec::new();
+    for row in new {
+        let k = key(new_m, row);
+        match old_rows.get(&k) {
+            Some(old_row) => shared(old_row, row),
+            None => added.push(k.clone()),
+        }
+        new_keys.insert(k);
+    }
+    let removed = old
+        .iter()
+        .map(|r| key(old_m, r))
+        .filter(|k| !new_keys.contains(k))
+        .collect();
+    (added, removed)
+}
+
+/// Reads a campaign document of `kind`: the one reader behind
+/// [`CampaignMatrix::from_json`] and the [`CampaignPart`] readers. Defense
+/// entries are stack expressions (`"NDA"`, `"KAISER/KPTI+Retpoline"`), so
+/// version-3 single-defense documents load as singleton stacks. A shard
+/// header must be consistent in itself and with the axes, and every row
+/// must name exactly the attack, stack, strategy and config its task
+/// position implies.
+fn read_document(
+    text: &str,
+    kind: &'static str,
+) -> Result<(Option<ShardHeader>, Cube), CampaignIoError> {
+    let doc = jsonio::parse(text)?;
     match doc.get("version").and_then(Json::as_u64) {
         Some(
             SCHEMA_VERSION | PRE_OUTCOME_VERSION | STACK_MATRIX_VERSION | SINGLE_DEFENSE_VERSION,
         ) => {}
         found => return Err(CampaignIoError::Version { found }),
     }
-    match doc.get("kind").and_then(Json::as_str) {
-        Some(k) if k == kind => Ok(()),
-        Some(other) => Err(CampaignIoError::Kind {
+    let found = field(&doc, "kind", Json::as_str)?;
+    if found != kind {
+        return Err(CampaignIoError::Kind {
             expected: kind,
-            found: other.to_owned(),
-        }),
-        None => Err(CampaignIoError::Parse("missing 'kind' header".to_owned())),
+            found: found.to_owned(),
+        });
     }
-}
-
-/// Reads the `spec_fingerprint` header of a part document.
-fn header_fingerprint(doc: &Json) -> Result<u64, CampaignIoError> {
-    let s = doc
-        .get("spec_fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CampaignIoError::Parse("missing 'spec_fingerprint' header".to_owned()))?;
-    parse_hex_u64(s).ok_or_else(|| CampaignIoError::Parse(format!("bad spec fingerprint '{s}'")))
-}
-
-/// The resolved `(attacks, defenses, configs)` axis lists of a campaign
-/// document.
-type ParsedAxes = (Vec<AttackInfo>, Vec<DefenseStack>, Vec<String>);
-
-/// Resolves the `attacks`/`defenses`/`configs` axis lists of a campaign
-/// document against the live registries. Defense entries are stack
-/// expressions (`"NDA"`, `"KAISER/KPTI+Retpoline"`), so version-3
-/// single-defense documents resolve to singleton stacks.
-fn parse_axes(doc: &Json) -> Result<ParsedAxes, CampaignIoError> {
-    let str_list = |key: &str| -> Result<Vec<String>, CampaignIoError> {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| CampaignIoError::Parse(format!("missing '{key}' list")))?
+    let shard = (kind != "campaign-matrix")
+        .then(|| read_shard_header(&doc))
+        .transpose()?;
+    let names = |key: &str| -> Result<Vec<&str>, CampaignIoError> {
+        field(&doc, key, Json::as_arr)?
             .iter()
             .map(|v| {
                 v.as_str()
-                    .map(str::to_owned)
                     .ok_or_else(|| CampaignIoError::Parse(format!("non-string in '{key}'")))
             })
             .collect()
     };
-    let configs = str_list("configs")?;
-    let attacks: Vec<AttackInfo> = str_list("attacks")?
-        .into_iter()
-        .map(|name| {
-            attacks::find(&name)
-                .map(|a| a.info())
-                .ok_or(CampaignIoError::UnknownAttack(name))
-        })
-        .collect::<Result<_, _>>()?;
-    let defenses: Vec<DefenseStack> = str_list("defenses")?
-        .into_iter()
-        .map(|name| DefenseStack::parse(&name).map_err(|_| CampaignIoError::UnknownDefense(name)))
-        .collect::<Result<_, _>>()?;
-    Ok((attacks, defenses, configs))
+    let mut cube = Cube {
+        attacks: names("attacks")?
+            .into_iter()
+            .map(|name| {
+                attacks::find(name)
+                    .map(|a| a.info())
+                    .ok_or_else(|| CampaignIoError::UnknownAttack(name.to_owned()))
+            })
+            .collect::<Result<_, _>>()?,
+        defenses: names("defenses")?
+            .into_iter()
+            .map(|name| {
+                DefenseStack::parse(name)
+                    .map_err(|_| CampaignIoError::UnknownDefense(name.to_owned()))
+            })
+            .collect::<Result<_, _>>()?,
+        configs: names("configs")?.into_iter().map(str::to_owned).collect(),
+        baselines: Vec::new(),
+        cells: Vec::new(),
+    };
+    let layout = cube.layout();
+    let range = match shard {
+        None => 0..layout.total(),
+        Some(h) if h.total == layout.total() => h.start..h.end,
+        Some(h) => {
+            return Err(CampaignIoError::Shape(format!(
+                "shard header declares {} total tasks, axes imply {}",
+                h.total,
+                layout.total()
+            )))
+        }
+    };
+    read_rows(&doc, &mut cube, range)?;
+    Ok((shard, cube))
 }
 
-/// The array under `key`, as parsed rows.
-fn entries<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], CampaignIoError> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| CampaignIoError::Parse(format!("missing '{key}' list")))
+/// Reads and checks the `spec_fingerprint` and `shard` headers of a part
+/// or checkpoint document.
+fn read_shard_header(doc: &Json) -> Result<ShardHeader, CampaignIoError> {
+    let shard = doc
+        .get("shard")
+        .ok_or_else(|| CampaignIoError::Parse("missing 'shard' header".to_owned()))?;
+    let number = |key: &str| -> Result<usize, CampaignIoError> {
+        usize::try_from(field(shard, key, Json::as_u64)?)
+            .map_err(|_| CampaignIoError::Parse(format!("shard field '{key}' out of range")))
+    };
+    let h = ShardHeader {
+        spec_fingerprint: field_hex(doc, "spec_fingerprint")?,
+        index: number("index")?,
+        of: number("of")?,
+        start: number("start")?,
+        end: number("end")?,
+        total: number("total")?,
+    };
+    if h.of == 0 || h.index >= h.of || h.start > h.end || h.end > h.total {
+        return Err(CampaignIoError::Shape(format!(
+            "inconsistent shard header: index {} of {}, tasks {}..{} of {}",
+            h.index, h.of, h.start, h.end, h.total
+        )));
+    }
+    Ok(h)
 }
 
-/// Parses the baseline/cell rows covering tasks `start..end` of the cube
-/// described by the axes, validating that every row names exactly the
-/// attack/defense/config its task position implies (attack-major order).
-/// For a full matrix `start..end` is the whole task range; for a part it
-/// is the shard's slice.
-fn parse_rows(
-    attacks: &[AttackInfo],
-    defenses: &[DefenseStack],
-    configs: &[String],
-    start: usize,
-    end: usize,
-    baseline_rows: &[Json],
-    cell_rows: &[Json],
-) -> Result<(Vec<BaselineCell>, Vec<MatrixCell>), CampaignIoError> {
-    let (d, c) = (defenses.len(), configs.len());
-    let base_tasks = attacks.len() * c;
-    let expected_baselines = end.min(base_tasks).saturating_sub(start.min(base_tasks));
-    let expected_cells = (end - start) - expected_baselines;
-    if baseline_rows.len() != expected_baselines {
-        return Err(CampaignIoError::Shape(format!(
-            "expected {expected_baselines} baselines, found {}",
-            baseline_rows.len()
-        )));
-    }
-    if cell_rows.len() != expected_cells {
-        return Err(CampaignIoError::Shape(format!(
-            "expected {expected_cells} cells, found {}",
-            cell_rows.len()
-        )));
-    }
-    let mut baselines = Vec::with_capacity(expected_baselines);
-    let mut cells = Vec::with_capacity(expected_cells);
-    for task in start..end {
-        if task < base_tasks {
-            let row = &baseline_rows[task - start];
-            let info = attacks[task / c];
-            let config = task % c;
-            let name = field_str(row, "attack")?;
-            if name != info.name {
-                return Err(CampaignIoError::Shape(format!(
-                    "baseline for task {task} names '{name}', expected '{}' \
-                     (attack-major order)",
-                    info.name
-                )));
+/// Reads the baseline/cell rows covering task `range`, checking each row
+/// against the task [`Layout`] decodes at its position.
+fn read_rows(doc: &Json, cube: &mut Cube, range: Range<usize>) -> Result<(), CampaignIoError> {
+    let layout = cube.layout();
+    let (want_baselines, want_cells) = layout.rows_in(&range);
+    let rows = |key: &str, want: usize| {
+        let Some(Json::Arr(rows)) = doc.get(key) else {
+            return Err(CampaignIoError::Parse(format!("missing '{key}' list")));
+        };
+        if rows.len() != want {
+            return Err(CampaignIoError::Shape(format!(
+                "expected {want} {key}, found {}",
+                rows.len()
+            )));
+        }
+        Ok(rows.iter())
+    };
+    let mut baseline_rows = rows("baselines", want_baselines)?;
+    let mut cell_rows = rows("cells", want_cells)?;
+    cube.baselines.reserve(want_baselines);
+    cube.cells.reserve(want_cells);
+    for i in range {
+        let task = layout.task(i);
+        let (row, stack) = match task.defense {
+            None => (baseline_rows.next(), None),
+            Some(d) => (cell_rows.next(), Some(&cube.defenses[d])),
+        };
+        let row = row.expect("row counts checked");
+        let expect = |key: &str, want: &str| -> Result<(), CampaignIoError> {
+            let got = field(row, key, Json::as_str)?;
+            if got == want {
+                return Ok(());
             }
-            let cfg_name = field_str(row, "config")?;
-            if cfg_name != configs[config] {
-                return Err(CampaignIoError::Shape(format!(
-                    "baseline for task {task} names config '{cfg_name}', expected '{}' \
-                     (attack-major order)",
-                    configs[config]
-                )));
-            }
-            baselines.push(BaselineCell {
+            Err(CampaignIoError::Shape(format!(
+                "row for task {i} has {key} '{got}', expected '{want}' (attack-major order)"
+            )))
+        };
+        let (info, config) = (cube.attacks[task.attack], task.config);
+        expect("attack", info.name)?;
+        expect("config", &cube.configs[config])?;
+        let fingerprint = field_hex(row, "fingerprint")?;
+        let Some(stack) = stack else {
+            cube.baselines.push(BaselineCell {
                 info,
                 config,
-                leaked: field_bool(row, "leaked")?,
-                recovered: match row.get("recovered") {
-                    Some(Json::Null) | None => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        CampaignIoError::Parse("non-integer 'recovered'".to_owned())
-                    })?),
-                },
-                cycles: field_u64(row, "cycles")?,
-                graph_race: field_bool(row, "graph_race")?,
-                fingerprint: field_fingerprint(row)?,
-                outcome: baseline_outcome(row)?,
-            });
-        } else {
-            let j = task - base_tasks;
-            let row = &cell_rows[task - base_tasks.max(start)];
-            let info = attacks[j / (d * c)];
-            let defense = &defenses[(j / c) % d];
-            let config = j % c;
-            let (aname, dname) = (field_str(row, "attack")?, field_str(row, "defense")?);
-            if aname != info.name || dname != defense.name() {
-                return Err(CampaignIoError::Shape(format!(
-                    "cell for task {task} names ('{aname}', '{dname}'), \
-                     expected ('{}', '{}')",
-                    info.name,
-                    defense.name()
-                )));
-            }
-            let cfg_name = field_str(row, "config")?;
-            if cfg_name != configs[config] {
-                return Err(CampaignIoError::Shape(format!(
-                    "cell for task {task} names config '{cfg_name}', expected '{}' \
-                     (attack-major order)",
-                    configs[config]
-                )));
-            }
-            // The declared strategy must be the stack's own joined token —
-            // a mismatch means the row was written for a different stack.
-            let strategy = field_str(row, "strategy")?;
-            if strategy != defense.strategy_token() {
-                return Err(CampaignIoError::Shape(format!(
-                    "cell for task {task} declares strategy '{strategy}', \
-                     stack '{}' implements '{}'",
-                    defense.name(),
-                    defense.strategy_token()
-                )));
-            }
-            // Degraded outcome tokens ride in the mechanism column; a
-            // degraded cell has no machine verdict, only the graph one.
-            let mech_token = field_str(row, "mechanism")?;
-            let (mechanism, outcome) = match mech_token {
-                "timed_out" => (
-                    Verdict::GraphOnly,
-                    CellOutcome::TimedOut {
-                        limit: field_u64(row, "budget")?,
-                    },
-                ),
-                "quarantined" => (
-                    Verdict::GraphOnly,
-                    CellOutcome::Quarantined {
-                        reason: field_str(row, "quarantine_reason")?.to_owned(),
-                    },
-                ),
-                token => (
-                    verdict_from_token(token)
+                leaked: field(row, "leaked", Json::as_bool)?,
+                recovered: field_opt(row, "recovered", Json::as_u64)?,
+                cycles: field(row, "cycles", Json::as_u64)?,
+                graph_race: field(row, "graph_race", Json::as_bool)?,
+                fingerprint,
+                outcome: match field_opt(row, "outcome", Json::as_str)? {
+                    None => CellOutcome::Ok,
+                    Some(token) => degraded_outcome(row, token)?
                         .ok_or_else(|| CampaignIoError::UnknownToken(token.to_owned()))?,
-                    CellOutcome::Ok,
-                ),
-            };
-            let strategy_sufficient = match row.get("strategy_sufficient") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(v.as_bool().ok_or_else(|| {
-                    CampaignIoError::Parse("non-boolean 'strategy_sufficient'".to_owned())
-                })?),
-            };
-            cells.push(MatrixCell {
-                attack: info.name,
-                defense: defense.name().to_owned(),
-                config,
-                evaluation: Evaluation {
-                    attack: info.name,
-                    stack: defense.clone(),
-                    strategy_sufficient,
-                    mechanism,
                 },
-                fingerprint: field_fingerprint(row)?,
-                outcome,
             });
-        }
+            continue;
+        };
+        expect("defense", stack.name())?;
+        // A strategy other than the stack's own joined token means the row
+        // was written for a different stack.
+        expect("strategy", &stack.strategy_token())?;
+        // Degraded outcome tokens ride in the mechanism column; a degraded
+        // cell has no machine verdict, only the graph one.
+        let token = field(row, "mechanism", Json::as_str)?;
+        let (mechanism, outcome) = match degraded_outcome(row, token)? {
+            Some(outcome) => (Verdict::GraphOnly, outcome),
+            None => (
+                verdict_from_token(token)
+                    .ok_or_else(|| CampaignIoError::UnknownToken(token.to_owned()))?,
+                CellOutcome::Ok,
+            ),
+        };
+        cube.cells.push(MatrixCell {
+            attack: info.name,
+            defense: stack.name().to_owned(),
+            config,
+            evaluation: Evaluation {
+                attack: info.name,
+                stack: stack.clone(),
+                strategy_sufficient: field_opt(row, "strategy_sufficient", Json::as_bool)?,
+                mechanism,
+            },
+            fingerprint,
+            outcome,
+        });
     }
-    Ok((baselines, cells))
+    Ok(())
 }
 
-/// Writes one baseline row in the shared matrix/part JSON row format.
-/// Fault-free rows are byte-identical to the version-5 format; degraded
-/// rows append an `"outcome"` token plus its reason/budget field.
-fn write_baseline_row(out: &mut String, b: &BaselineCell, configs: &[String]) {
-    let _ = write!(
-        out,
-        "\n    {{\"attack\": {}, \"config\": {}, \"leaked\": {}, \"recovered\": {}, \"cycles\": {}, \"graph_race\": {}, \"fingerprint\": \"{:#018x}\"",
-        json_str(b.info.name),
-        json_str(&configs[b.config]),
-        b.leaked,
-        b.recovered
-            .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-        b.cycles,
-        b.graph_race,
-        b.fingerprint,
-    );
-    match &b.outcome {
-        CellOutcome::Ok => {}
-        CellOutcome::TimedOut { limit } => {
-            let _ = write!(out, ", \"outcome\": \"timed_out\", \"budget\": {limit}");
+/// The degraded outcome `token` names (`"timed_out"`/`"quarantined"`,
+/// with the budget/reason field it implies), or `None` for any other
+/// token.
+fn degraded_outcome(row: &Json, token: &str) -> Result<Option<CellOutcome>, CampaignIoError> {
+    Ok(Some(match token {
+        "timed_out" => CellOutcome::TimedOut {
+            limit: field(row, "budget", Json::as_u64)?,
+        },
+        "quarantined" => CellOutcome::Quarantined {
+            reason: field(row, "quarantine_reason", Json::as_str)?.to_owned(),
+        },
+        _ => return Ok(None),
+    }))
+}
+
+/// Writes a campaign document: the version and `kind` headers, the shard
+/// header (parts and checkpoints only), then axes and rows. Matrices,
+/// parts and checkpoints all go through here, so their row format cannot
+/// drift apart. Fault-free rows are byte-identical to the version-5
+/// format; a degraded row carries its outcome token (baselines in an
+/// `"outcome"` field, cells in the mechanism column) plus its
+/// budget/reason field.
+fn write_document(
+    kind: &str,
+    shard: Option<&ShardHeader>,
+    (attacks, defenses, configs): (&[AttackInfo], &[DefenseStack], &[String]),
+    baselines: &[BaselineCell],
+    cells: &[MatrixCell],
+) -> String {
+    let mut out = String::from("{\n  \"version\": ");
+    let _ = write!(out, "{SCHEMA_VERSION},\n  \"kind\": \"{kind}\",");
+    if let Some(h) = shard {
+        let _ = write!(
+            out,
+            "\n  \"spec_fingerprint\": \"{:#018x}\",\
+             \n  \"shard\": {{\"index\": {}, \"of\": {}, \"start\": {}, \"end\": {}, \"total\": {}}},",
+            h.spec_fingerprint, h.index, h.of, h.start, h.end, h.total
+        );
+    }
+    out.push_str("\n  \"configs\": [");
+    push_json_list(&mut out, configs.iter().map(String::as_str));
+    out.push_str("],\n  \"attacks\": [");
+    push_json_list(&mut out, attacks.iter().map(|i| i.name));
+    out.push_str("],\n  \"defenses\": [");
+    push_json_list(&mut out, defenses.iter().map(DefenseStack::name));
+    out.push_str("],\n  \"baselines\": [");
+    for (i, b) in baselines.iter().enumerate() {
+        let _ = write!(
+            out,
+            "{}\n    {{\"attack\": {}, \"config\": {}, \"leaked\": {}, \"recovered\": {}, \"cycles\": {}, \"graph_race\": {}, \"fingerprint\": \"{:#018x}\"",
+            if i > 0 { "," } else { "" },
+            json_str(b.info.name),
+            json_str(&configs[b.config]),
+            b.leaked,
+            b.recovered
+                .map_or_else(|| "null".to_owned(), |v| v.to_string()),
+            b.cycles,
+            b.graph_race,
+            b.fingerprint,
+        );
+        if let Some(token) = b.outcome.token() {
+            let _ = write!(out, ", \"outcome\": \"{token}\"");
         }
+        close_row(&mut out, &b.outcome);
+    }
+    out.push_str("\n  ],\n  \"cells\": [");
+    for (i, cell) in cells.iter().enumerate() {
+        let e = &cell.evaluation;
+        let _ = write!(
+            out,
+            "{}\n    {{\"attack\": {}, \"defense\": {}, \"config\": {}, \"strategy\": {}, \"strategy_sufficient\": {}, \"mechanism\": {}, \"false_sense\": {}, \"fingerprint\": \"{:#018x}\"",
+            if i > 0 { "," } else { "" },
+            json_str(cell.attack),
+            json_str(&cell.defense),
+            json_str(&configs[cell.config]),
+            json_str(&e.stack.strategy_token()),
+            e.strategy_sufficient
+                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
+            json_str(cell.mechanism_token()),
+            cell.false_sense_of_security(),
+            cell.fingerprint,
+        );
+        close_row(&mut out, &cell.outcome);
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// Closes a row: a degraded outcome's budget/reason field, then `}`.
+fn close_row(out: &mut String, outcome: &CellOutcome) {
+    let _ = match outcome {
+        CellOutcome::Ok => Ok(()),
+        CellOutcome::TimedOut { limit } => write!(out, ", \"budget\": {limit}"),
         CellOutcome::Quarantined { reason } => {
-            let _ = write!(
-                out,
-                ", \"outcome\": \"quarantined\", \"quarantine_reason\": {}",
-                json_str(reason)
-            );
+            write!(out, ", \"quarantine_reason\": {}", json_str(reason))
         }
-    }
-    out.push('}');
-}
-
-/// Writes one matrix-cell row in the shared matrix/part JSON row format.
-/// A degraded cell's outcome token rides in the mechanism column
-/// (`"quarantined"`/`"timed_out"`), followed by its reason/budget field;
-/// fault-free rows are byte-identical to the version-5 format.
-fn write_cell_row(out: &mut String, cell: &MatrixCell, configs: &[String]) {
-    let e = &cell.evaluation;
-    let _ = write!(
-        out,
-        "\n    {{\"attack\": {}, \"defense\": {}, \"config\": {}, \"strategy\": {}, \"strategy_sufficient\": {}, \"mechanism\": {}, \"false_sense\": {}, \"fingerprint\": \"{:#018x}\"",
-        json_str(cell.attack),
-        json_str(&cell.defense),
-        json_str(&configs[cell.config]),
-        json_str(&e.stack.strategy_token()),
-        e.strategy_sufficient
-            .map_or_else(|| "null".to_owned(), |b| b.to_string()),
-        json_str(cell.mechanism_token()),
-        cell.false_sense_of_security(),
-        cell.fingerprint,
-    );
-    match &cell.outcome {
-        CellOutcome::Ok => {}
-        CellOutcome::TimedOut { limit } => {
-            let _ = write!(out, ", \"budget\": {limit}");
-        }
-        CellOutcome::Quarantined { reason } => {
-            let _ = write!(out, ", \"quarantine_reason\": {}", json_str(reason));
-        }
-    }
-    out.push('}');
-}
-
-/// Parses a baseline row's optional `"outcome"` token (absent in
-/// version ≤ 5 documents and in fault-free version-7 rows).
-fn baseline_outcome(row: &Json) -> Result<CellOutcome, CampaignIoError> {
-    let Some(value) = row.get("outcome") else {
-        return Ok(CellOutcome::Ok);
     };
-    match value.as_str() {
-        Some("timed_out") => Ok(CellOutcome::TimedOut {
-            limit: field_u64(row, "budget")?,
-        }),
-        Some("quarantined") => Ok(CellOutcome::Quarantined {
-            reason: field_str(row, "quarantine_reason")?.to_owned(),
-        }),
-        Some(other) => Err(CampaignIoError::UnknownToken(other.to_owned())),
-        None => Err(CampaignIoError::Parse(
-            "non-string 'outcome' field".to_owned(),
-        )),
+    out.push('}');
+}
+
+/// A required field of the type `get` extracts.
+fn field<'a, T>(
+    row: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, CampaignIoError> {
+    row.get(key)
+        .and_then(get)
+        .ok_or_else(|| CampaignIoError::Parse(format!("missing or mistyped field '{key}'")))
+}
+
+/// An optional field: absent or `null` reads as `None`.
+fn field_opt<'a, T>(
+    row: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, CampaignIoError> {
+    match row.get(key) {
+        Some(Json::Null) | None => Ok(None),
+        Some(v) => get(v)
+            .map(Some)
+            .ok_or_else(|| CampaignIoError::Parse(format!("mistyped field '{key}'"))),
     }
 }
 
-fn field_str<'a>(row: &'a Json, key: &str) -> Result<&'a str, CampaignIoError> {
-    row.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| CampaignIoError::Parse(format!("missing string field '{key}'")))
-}
-
-fn field_bool(row: &Json, key: &str) -> Result<bool, CampaignIoError> {
-    row.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| CampaignIoError::Parse(format!("missing boolean field '{key}'")))
-}
-
-fn field_u64(row: &Json, key: &str) -> Result<u64, CampaignIoError> {
-    row.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CampaignIoError::Parse(format!("missing integer field '{key}'")))
-}
-
-fn parse_hex_u64(s: &str) -> Option<u64> {
+/// A `0x`-prefixed hex fingerprint field.
+fn field_hex(row: &Json, key: &str) -> Result<u64, CampaignIoError> {
+    let s = field(row, key, Json::as_str)?;
     s.strip_prefix("0x")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
-}
-
-fn field_fingerprint(row: &Json) -> Result<u64, CampaignIoError> {
-    let s = field_str(row, "fingerprint")?;
-    parse_hex_u64(s).ok_or_else(|| CampaignIoError::Parse(format!("bad fingerprint '{s}'")))
+        .ok_or_else(|| CampaignIoError::Parse(format!("bad {key} '{s}'")))
 }
 
 /// Errors from campaign persistence ([`CampaignMatrix::save_json`] /
@@ -2894,20 +2801,6 @@ impl From<JsonError> for CampaignIoError {
     fn from(e: JsonError) -> Self {
         CampaignIoError::Json(e)
     }
-}
-
-/// Stable machine-readable token for a strategy (delegates to
-/// [`Strategy::token`]; a stack's `strategy` column joins its distinct
-/// members' tokens with `+`).
-#[must_use]
-pub fn strategy_token(s: Strategy) -> &'static str {
-    s.token()
-}
-
-/// The [`Strategy`] for a [`strategy_token`] string.
-#[must_use]
-pub fn strategy_from_token(token: &str) -> Option<Strategy> {
-    Strategy::from_token(token)
 }
 
 /// Stable machine-readable token for a verdict.
@@ -3011,6 +2904,47 @@ mod tests {
     }
 
     #[test]
+    fn layout_orders_baselines_then_cells_and_inverts() {
+        let sizes = [0, 1, 2, 5];
+        for (a, d, c) in sizes
+            .iter()
+            .flat_map(|&a| sizes.iter().flat_map(move |&d| sizes.map(|c| (a, d, c))))
+        {
+            let layout = Layout::new(a, d, c);
+            let mut expected = Vec::new();
+            for attack in 0..a {
+                for config in 0..c {
+                    expected.push(Task {
+                        attack,
+                        defense: None,
+                        config,
+                    });
+                }
+            }
+            for attack in 0..a {
+                for defense in 0..d {
+                    for config in 0..c {
+                        expected.push(Task {
+                            attack,
+                            defense: Some(defense),
+                            config,
+                        });
+                    }
+                }
+            }
+            let decoded: Vec<Task> = (0..layout.total()).map(|i| layout.task(i)).collect();
+            assert_eq!(decoded, expected, "{a}×{d}×{c}");
+            for (i, task) in decoded.into_iter().enumerate() {
+                let index = match task.defense {
+                    None => layout.baseline_index(task.attack, task.config),
+                    Some(d) => layout.baselines() + layout.cell_index(task.attack, d, task.config),
+                };
+                assert_eq!(index, i, "{a}×{d}×{c} task {i}");
+            }
+        }
+    }
+
+    #[test]
     fn thread_count_does_not_change_results() {
         let serial = CampaignMatrix::run(&small_spec(1)).unwrap();
         let parallel = CampaignMatrix::run(&small_spec(4)).unwrap();
@@ -3038,10 +2972,11 @@ mod tests {
             assert_eq!(b.recovered, cold.recovered, "{} recovery", b.info.name);
             assert_eq!(b.cycles, cold.cycles, "{} cycle count", b.info.name);
         }
-        let (d, c) = (spec.defenses.len(), spec.configs.len());
+        let layout = Layout::of(&spec);
         for (k, cell) in m.cells().iter().enumerate() {
-            let attack = spec.attacks[k / (d * c)];
-            let stack = &spec.defenses[(k / c) % d];
+            let task = layout.task(layout.baselines() + k);
+            let defense = task.defense.expect("cells come after the baselines");
+            let (attack, stack) = (spec.attacks[task.attack], &spec.defenses[defense]);
             let cold =
                 defenses::verify_stack(stack, attack, &spec.configs[cell.config].config).unwrap();
             assert_eq!(
@@ -3235,7 +3170,7 @@ mod tests {
         // check catches it before any axis comparison.
         let mut mixed = parts.clone();
         let mut foreign = tiny_grid(1).shards(3)[1].run(None).unwrap();
-        foreign.index = 1;
+        foreign.shard.index = 1;
         mixed[1] = foreign;
         assert!(matches!(
             CampaignMatrix::merge(mixed),
@@ -3249,7 +3184,7 @@ mod tests {
         }
         let mut sneaky = parts.clone();
         let mut foreign = sneaky_spec.shards(3)[1].run(None).unwrap();
-        foreign.index = 1;
+        foreign.shard.index = 1;
         sneaky[1] = foreign;
         assert!(matches!(
             CampaignMatrix::merge(sneaky),
@@ -3515,6 +3450,17 @@ mod tests {
     }
 
     #[test]
+    fn full_catalog_matrix_round_trips() {
+        // The default defense axis includes names ending in '+'
+        // (SpecShieldERP+); its matrix must reload byte-identically.
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks([attacks::find(attacks::names::MELTDOWN).unwrap()])
+            .build();
+        let json = CampaignMatrix::run(&spec).unwrap().to_json();
+        assert_eq!(CampaignMatrix::from_json(&json).unwrap().to_json(), json);
+    }
+
+    #[test]
     fn exports_are_well_formed() {
         let m = CampaignMatrix::run(&small_spec(0)).unwrap();
         let csv = m.to_csv();
@@ -3533,13 +3479,9 @@ mod tests {
 
     #[test]
     fn token_round_trips() {
-        for s in Strategy::all() {
-            assert_eq!(strategy_from_token(strategy_token(s)), Some(s));
-        }
         for v in [Verdict::Blocked, Verdict::Leaked, Verdict::GraphOnly] {
             assert_eq!(verdict_from_token(verdict_token(v)), Some(v));
         }
-        assert!(strategy_from_token("nope").is_none());
         assert!(verdict_from_token("nope").is_none());
     }
 

@@ -187,20 +187,29 @@ impl DefenseStack {
 
     /// Parses a `+`-joined stack expression. Each member resolves by its
     /// short catalog token (`kpti`, case-insensitive) or its full name
-    /// (`KAISER/KPTI`) — see [`crate::resolve`].
+    /// (`KAISER/KPTI`) — see [`crate::resolve`]. An empty segment gives
+    /// its `+` back to the member before it, so names that end in `+`
+    /// (`SpecShieldERP+`) parse alone and inside stacks
+    /// (`SpecShieldERP++NDA`, `NDA+SpecShieldERP+`).
     ///
     /// # Errors
     ///
     /// [`StackError::UnknownDefense`] for an unresolvable member, plus
     /// everything [`DefenseStack::new`] rejects.
     pub fn parse(expr: &str) -> Result<Self, StackError> {
-        let members = expr
-            .split('+')
-            .map(str::trim)
+        let mut parts: Vec<String> = Vec::new();
+        for segment in expr.split('+').map(str::trim) {
+            match parts.last_mut() {
+                Some(prev) if segment.is_empty() => prev.push('+'),
+                _ => parts.push(segment.to_owned()),
+            }
+        }
+        let members = parts
+            .into_iter()
             .map(|part| {
-                crate::resolve(part)
+                crate::resolve(&part)
                     .copied()
-                    .ok_or_else(|| StackError::UnknownDefense(part.to_owned()))
+                    .ok_or(StackError::UnknownDefense(part))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Self::new(members)
@@ -480,6 +489,25 @@ mod tests {
             other => panic!("expected UnknownDefense, got {other:?}"),
         }
         assert!(DefenseStack::parse("").is_err());
+    }
+
+    #[test]
+    fn every_catalog_name_parses_alone_and_in_pairs() {
+        // Names ending in '+' (SpecShieldERP+) must survive the '+'
+        // grammar, or saved full-catalog matrices cannot be reloaded.
+        for d in crate::registry() {
+            assert_eq!(
+                DefenseStack::parse(d.name).unwrap(),
+                DefenseStack::single(*d),
+                "{}",
+                d.name
+            );
+            for e in crate::registry() {
+                if let Ok(pair) = DefenseStack::new(vec![*d, *e]) {
+                    assert_eq!(DefenseStack::parse(pair.name()).unwrap(), pair);
+                }
+            }
+        }
     }
 
     #[test]
