@@ -16,11 +16,11 @@
 //!    and illegal-access node names — the rows of Tables I and III.
 //!
 //! ```
-//! use attacks::{catalog, Attack};
+//! use attacks::registry;
 //! use uarch::UarchConfig;
 //!
 //! # fn main() -> Result<(), attacks::AttackError> {
-//! for attack in catalog() {
+//! for attack in registry() {
 //!     let out = attack.run(&UarchConfig::default())?;
 //!     assert!(out.leaked, "{} must leak on the vulnerable baseline", attack.info().name);
 //! }
@@ -274,61 +274,40 @@ pub trait Attack: fmt::Debug + Send + Sync {
     }
 }
 
-/// The one list of Table-III variants, in the paper's order. Every
-/// consumer view ([`registry`], [`catalog`]) is generated from this macro,
-/// so adding a variant here updates every table, figure, and campaign.
-macro_rules! with_attack_list {
-    ($apply:ident) => {
-        $apply!(
-            spectre_v1::SpectreV1,
-            spectre_v1::SpectreV1_1,
-            spectre_v1::SpectreV1_2,
-            spectre_v2::SpectreV2,
-            meltdown::Meltdown,
-            meltdown::SpectreV3a,
-            spectre_v4::SpectreV4,
-            spectre_rsb::SpectreRsb,
-            foreshadow::Foreshadow::sgx(),
-            foreshadow::Foreshadow::os(),
-            foreshadow::Foreshadow::vmm(),
-            lazy_fp::LazyFp,
-            mds::Ridl,
-            mds::ZombieLoad,
-            mds::Fallout,
-            lvi::Lvi,
-            tsx::Taa,
-            tsx::CacheOut,
-            retbleed::Retbleed,
-            bhi::Bhi,
-            zenbleed::ZenBleed,
-            inception::Inception,
-        )
-    };
-}
-
-macro_rules! as_static_registry {
-    ($($attack:expr),+ $(,)?) => {
-        &[$(&$attack),+]
-    };
-}
-
-macro_rules! as_boxed_catalog {
-    ($($attack:expr),+ $(,)?) => {
-        vec![$(Box::new($attack)),+]
-    };
-}
-
 /// All 17 attack variants of Table III (18 rows: Foreshadow-NG contributes
 /// OS and VMM flavors) in the paper's order, plus post-paper registry
 /// growth (Retbleed, BHI, Zenbleed, Inception) appended at the end, as a
 /// `'static` registry.
 ///
-/// This is the canonical iteration surface: the campaign engine, the bench
+/// This is the one list of attacks: the campaign engine, the bench
 /// binaries and the examples all consume this slice, so a new variant
-/// added to the internal list shows up in every table and matrix at once.
+/// added here shows up in every table and matrix at once.
 #[must_use]
 pub fn registry() -> &'static [&'static dyn Attack] {
-    static REGISTRY: &[&'static dyn Attack] = with_attack_list!(as_static_registry);
+    static REGISTRY: &[&'static dyn Attack] = &[
+        &spectre_v1::SpectreV1,
+        &spectre_v1::SpectreV1_1,
+        &spectre_v1::SpectreV1_2,
+        &spectre_v2::SpectreV2,
+        &meltdown::Meltdown,
+        &meltdown::SpectreV3a,
+        &spectre_v4::SpectreV4,
+        &spectre_rsb::SpectreRsb,
+        &foreshadow::Foreshadow::sgx(),
+        &foreshadow::Foreshadow::os(),
+        &foreshadow::Foreshadow::vmm(),
+        &lazy_fp::LazyFp,
+        &mds::Ridl,
+        &mds::ZombieLoad,
+        &mds::Fallout,
+        &lvi::Lvi,
+        &tsx::Taa,
+        &tsx::CacheOut,
+        &retbleed::Retbleed,
+        &bhi::Bhi,
+        &zenbleed::ZenBleed,
+        &inception::Inception,
+    ];
     REGISTRY
 }
 
@@ -338,20 +317,13 @@ pub fn find(name: &str) -> Option<&'static dyn Attack> {
     registry().iter().copied().find(|a| a.info().name == name)
 }
 
-/// The Table-III variants as owned trait objects (same list and order as
-/// [`registry`]), for callers that want to extend or reorder the set.
-#[must_use]
-pub fn catalog() -> Vec<Box<dyn Attack>> {
-    with_attack_list!(as_boxed_catalog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn catalog_covers_table_iii() {
-        let c = catalog();
+        let c = registry();
         // 17 Table-III rows (Foreshadow-NG contributes OS+VMM) + Retbleed,
         // BHI, Zenbleed and Inception from post-paper registry growth.
         assert_eq!(c.len(), 22);
@@ -386,7 +358,7 @@ mod tests {
 
     #[test]
     fn every_attack_has_consistent_metadata() {
-        for a in catalog() {
+        for a in registry() {
             let info = a.info();
             assert!(!info.name.is_empty());
             assert!(!info.impact.is_empty());
@@ -399,7 +371,7 @@ mod tests {
     fn every_graph_has_a_missing_security_dependency() {
         // The vulnerable baseline graph of every variant must exhibit at
         // least one authorization/access race (the paper's root cause).
-        for a in catalog() {
+        for a in registry() {
             let g = a.graph();
             let vulns = g.vulnerabilities().unwrap();
             assert!(
@@ -407,16 +379,6 @@ mod tests {
                 "{} graph shows no missing security dependency",
                 a.info().name
             );
-        }
-    }
-
-    #[test]
-    fn registry_and_catalog_are_the_same_list() {
-        let reg = registry();
-        let cat = catalog();
-        assert_eq!(reg.len(), cat.len());
-        for (r, c) in reg.iter().zip(&cat) {
-            assert_eq!(r.info(), c.info());
         }
     }
 

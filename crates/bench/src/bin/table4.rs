@@ -13,7 +13,7 @@
 //! 3. the practical industry set on its own turf (the attacks it *can*
 //!    block): the provably smallest real-world bundle.
 //!
-//! Plus the preset-bundle audit ([`defenses::cover::audit_stack`]) with
+//! Plus the preset-bundle audit ([`defenses::cover::audit_stacks`]) with
 //! the stack-level "false sense of security" rows called out.
 //!
 //! Usage: `cargo run --release -p bench --bin table4`

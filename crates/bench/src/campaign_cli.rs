@@ -42,9 +42,7 @@ use specgraph::campaign::{
     Knob, KnobValue, MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
-use specgraph::discovery::fuzz::{
-    self, Corpus, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry,
-};
+use specgraph::discovery::fuzz::{self, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry};
 use specgraph::fault::{self, PanickingAttack};
 use specgraph::serve::{
     AnswerSource, ChunkEvent, ChunkObserver, Scheduler, ServeError, VerdictStore,
@@ -582,9 +580,21 @@ fn parse_axis(arg: &str) -> Result<(Knob, Vec<KnobValue>), CliError> {
         _ => split_list(list)
             .iter()
             .map(|v| {
-                v.parse::<u64>().map(KnobValue::Num).map_err(|_| {
+                let n = v.parse::<u64>().map_err(|_| {
                     CliError::Usage(format!("axis '{token}' needs numbers, got '{v}'"))
-                })
+                })?;
+                // Latencies may be 0; a structure of size 0 (ROB, widths,
+                // cache geometry, buffers, RSB) cannot simulate at all.
+                let latency = matches!(
+                    knob,
+                    Knob::CacheHitLatency | Knob::CacheMissLatency | Knob::PermissionCheckLatency
+                );
+                if n == 0 && !latency {
+                    return Err(CliError::Usage(format!(
+                        "axis '{token}' is a structure size and must be at least 1, got 0"
+                    )));
+                }
+                Ok(KnobValue::Num(n))
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
@@ -1324,83 +1334,8 @@ fn sweep_spec() -> CampaignSpec {
         .build()
 }
 
-/// Wipes and recreates a sweep workspace directory.
-fn wipe_dir(dir: &Path) -> Result<(), CliError> {
-    let io = |source| CliError::Io {
-        path: dir.to_path_buf(),
-        source,
-    };
-    if dir.exists() {
-        std::fs::remove_dir_all(dir).map_err(io)?;
-    }
-    std::fs::create_dir_all(dir).map_err(io)
-}
-
-/// Counts checkpoint files in `ckpt` that still load as valid chunks —
-/// the resume report must reuse exactly these, never fewer.
-fn intact_chunks(ckpt: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(ckpt) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.starts_with("chunk-")
-                && name.ends_with(".json")
-                && CampaignPart::load_checkpoint_json(e.path()).is_ok()
-        })
-        .count()
-}
-
 fn fault_sweep_scheduler(seed: u64, dir: &Path) -> Result<Outcome, CliError> {
-    let spec = sweep_spec();
-    let ckpt = dir.join("ckpt");
-    let out = dir.join("matrix.json");
-    let run = |spec: &CampaignSpec| {
-        Scheduler::new(spec)
-            .workers(1)
-            .chunk_tasks(2)
-            .checkpoint(&ckpt)
-            .run()
-    };
-    let read_out = || {
-        std::fs::read(&out).map_err(|source| CliError::Io {
-            path: out.clone(),
-            source,
-        })
-    };
-    let report = fault::crash_sweep(
-        seed,
-        || wipe_dir(dir),
-        || {
-            let (matrix, _) = run(&spec)?;
-            write_file(&out, &matrix.to_json())?;
-            read_out()
-        },
-        |k| {
-            let intact = intact_chunks(&ckpt);
-            let (matrix, rep) = run(&spec)?;
-            if rep.resumed < intact {
-                return Err(CliError::Fault(format!(
-                    "resume after write #{k} reused {} chunk(s) but {intact} \
-                     checkpoint(s) were intact — completed cells were re-simulated",
-                    rep.resumed,
-                )));
-            }
-            if rep.resumed + rep.executed != rep.chunks {
-                return Err(CliError::Fault(format!(
-                    "resume after write #{k} covered {} of {} chunk(s)",
-                    rep.resumed + rep.executed,
-                    rep.chunks,
-                )));
-            }
-            write_file(&out, &matrix.to_json())?;
-            read_out()
-        },
-    )
-    .map_err(CliError::Fault)?;
+    let report = fault::sweep_scheduler(&sweep_spec(), dir, seed).map_err(CliError::Fault)?;
     eprintln!(
         "campaign: fault sweep (scheduler) passed — {} write point(s), {} \
          fault(s) fired, every resume bit-identical with 0 completed cell(s) \
@@ -1421,43 +1356,7 @@ fn fault_sweep_fuzz(seed: u64, dir: &Path) -> Result<Outcome, CliError> {
         threads: 1,
         ..FuzzConfig::default()
     };
-    let read_out = || {
-        let path = Corpus::path_in(dir);
-        std::fs::read(&path).map_err(|source| CliError::Io { path, source })
-    };
-    let report = fault::crash_sweep(
-        seed,
-        || wipe_dir(dir),
-        || {
-            fuzz::fuzz(&cfg, Some(dir))?;
-            read_out()
-        },
-        |k| {
-            // How far the surviving corpus actually got: a torn or missing
-            // file recovers from zero, an intact checkpoint from its budget.
-            let on_disk = match Corpus::load(dir) {
-                Ok(Some(corpus)) => corpus.classified,
-                Ok(None) => 0,
-                Err(e) if e.is_recoverable() => 0,
-                Err(e) => {
-                    return Err(CliError::Fault(format!(
-                        "corpus after write #{k} is unrecoverable: {e}"
-                    )))
-                }
-            };
-            let resumed = fuzz::fuzz(&cfg, Some(dir))?;
-            if resumed.newly_classified != cfg.budget - on_disk {
-                return Err(CliError::Fault(format!(
-                    "resume after write #{k} re-classified {} candidate(s), \
-                     expected {} (the corpus on disk already had {on_disk})",
-                    resumed.newly_classified,
-                    cfg.budget - on_disk,
-                )));
-            }
-            read_out()
-        },
-    )
-    .map_err(CliError::Fault)?;
+    let report = fault::sweep_fuzz(&cfg, dir, seed).map_err(CliError::Fault)?;
     eprintln!(
         "campaign: fault sweep (fuzz corpus) passed — {} write point(s), {} \
          fault(s) fired, every resume bit-identical with 0 completed \

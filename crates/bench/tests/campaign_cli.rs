@@ -296,6 +296,17 @@ fn usage_errors_are_actionable() {
         (vec!["run", "--axis", "rob"], "KNOB=V1,V2"),
         (vec!["run", "--axis", "warp=9"], "unknown axis knob"),
         (vec!["run", "--axis", "rob=16,16"], "twice"),
+        // A zero-sized structure cannot be simulated: each size knob
+        // rejects 0 by name instead of panicking, quarantining every cell
+        // or running into the cycle limit.
+        (vec!["run", "--axis", "rob=0"], "axis 'rob'"),
+        (vec!["run", "--axis", "fetch=0"], "axis 'fetch'"),
+        (vec!["run", "--axis", "issue=0"], "axis 'issue'"),
+        (vec!["run", "--axis", "sets=0"], "axis 'sets'"),
+        (vec!["run", "--axis", "ways=0"], "axis 'ways'"),
+        (vec!["run", "--axis", "lfb=0"], "axis 'lfb'"),
+        (vec!["run", "--axis", "stbuf=16,0"], "axis 'stbuf'"),
+        (vec!["serve", "--axis", "rsb=0"], "axis 'rsb'"),
         (
             vec!["run", "--axis", "pred=quantum"],
             "unknown predictor flavor",
@@ -678,6 +689,42 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
         }
         other => panic!("expected a usage error, got {other:?}"),
     }
+    // A zero-sized structure in a query line is a usage error too, even
+    // with --simulate (it would otherwise reach the simulator).
+    fs::write(&bad, "Meltdown | NDA | lfb=0\n").unwrap();
+    match run(&[
+        "query",
+        matrix.to_str().unwrap(),
+        "--queries",
+        bad.to_str().unwrap(),
+        "--simulate",
+    ]) {
+        Err(CliError::Usage(msg)) => {
+            assert!(msg.contains("query line 1"), "{msg}");
+            assert!(msg.contains("axis 'lfb'"), "{msg}");
+        }
+        other => panic!("expected a usage error, got {other:?}"),
+    }
+    // Latencies may be 0: a zero hit latency simulates normally.
+    let zero_latency = dir.join("zero-latency.txt");
+    fs::write(&zero_latency, "Meltdown | NDA | hitlat=0\n").unwrap();
+    let outcome = run(&[
+        "query",
+        matrix.to_str().unwrap(),
+        "--queries",
+        zero_latency.to_str().unwrap(),
+        "--simulate",
+    ])
+    .expect("a zero latency simulates");
+    assert_eq!(
+        outcome,
+        Outcome::Queried {
+            answered: 1,
+            hits: 0,
+            simulated: 1,
+            misses: 0
+        }
+    );
     fs::remove_dir_all(&dir).ok();
 }
 

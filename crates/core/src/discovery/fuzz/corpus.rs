@@ -251,26 +251,7 @@ impl Corpus {
         out.push_str("],\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"index\": {}, \"combo\": {}, \"mutations\": [",
-                f.index,
-                json_str(&f.combo)
-            );
-            push_json_list(&mut out, f.mutations.iter().map(|m| m.tag()));
-            let _ = write!(
-                out,
-                "], \"raw_fingerprint\": {}, \"minimized_fingerprint\": {}, \
-                 \"program\": {}, \"access_pc\": {}, \"gadget_pc\": {}, \
-                 \"benign_pc\": {}, \"removed\": {}}}",
-                f.raw_fingerprint,
-                f.minimized_fingerprint,
-                json_str(&f.program),
-                f.access_pc,
-                f.gadget_pc,
-                f.benign_pc,
-                f.removed
-            );
+            write_finding(&mut out, f);
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -315,20 +296,10 @@ impl Corpus {
                 })?,
             );
         }
-        for f in req_arr(&doc, "findings")? {
-            corpus.findings.push(Finding {
-                index: req_u64(f, "index")?,
-                combo: req_str(f, "combo")?,
-                mutations: mutations_of(f)?,
-                raw_fingerprint: req_u64(f, "raw_fingerprint")?,
-                minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
-                program: req_str(f, "program")?,
-                access_pc: req_u64(f, "access_pc")?,
-                gadget_pc: req_u64(f, "gadget_pc")?,
-                benign_pc: req_u64(f, "benign_pc")?,
-                removed: req_u64(f, "removed")?,
-            });
-        }
+        corpus.findings = req_arr(&doc, "findings")?
+            .iter()
+            .map(read_finding)
+            .collect::<Result<_, _>>()?;
         Ok(corpus)
     }
 
@@ -394,26 +365,7 @@ impl SynthesizedRegistry {
         );
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"index\": {}, \"combo\": {}, \"mutations\": [",
-                f.index,
-                json_str(&f.combo)
-            );
-            push_json_list(&mut out, f.mutations.iter().map(|m| m.tag()));
-            let _ = write!(
-                out,
-                "], \"raw_fingerprint\": {}, \"minimized_fingerprint\": {}, \
-                 \"program\": {}, \"access_pc\": {}, \"gadget_pc\": {}, \
-                 \"benign_pc\": {}, \"removed\": {}}}",
-                f.raw_fingerprint,
-                f.minimized_fingerprint,
-                json_str(&f.program),
-                f.access_pc,
-                f.gadget_pc,
-                f.benign_pc,
-                f.removed
-            );
+            write_finding(&mut out, f);
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -427,22 +379,12 @@ impl SynthesizedRegistry {
     pub fn from_json(text: &str) -> Result<Self, CorpusError> {
         let doc = jsonio::parse(text)?;
         expect_header(&doc, "synthesized-registry")?;
-        let mut reg = SynthesizedRegistry::default();
-        for f in req_arr(&doc, "findings")? {
-            reg.findings.push(Finding {
-                index: req_u64(f, "index")?,
-                combo: req_str(f, "combo")?,
-                mutations: mutations_of(f)?,
-                raw_fingerprint: req_u64(f, "raw_fingerprint")?,
-                minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
-                program: req_str(f, "program")?,
-                access_pc: req_u64(f, "access_pc")?,
-                gadget_pc: req_u64(f, "gadget_pc")?,
-                benign_pc: req_u64(f, "benign_pc")?,
-                removed: req_u64(f, "removed")?,
-            });
-        }
-        Ok(reg)
+        Ok(SynthesizedRegistry {
+            findings: req_arr(&doc, "findings")?
+                .iter()
+                .map(read_finding)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Materializes the findings as `'static` [`Attack`]s for a campaign
@@ -490,6 +432,48 @@ impl Attack for NamedScenario {
     fn run_in(&self, m: &mut Machine) -> Result<AttackOutcome, attacks::AttackError> {
         self.scenario.run_in(m)
     }
+}
+
+/// Writes one [`Finding`] as a one-line JSON object — the element codec
+/// shared by the corpus and the synthesized registry.
+fn write_finding(out: &mut String, f: &Finding) {
+    use std::fmt::Write;
+    let _ = write!(
+        out,
+        "    {{\"index\": {}, \"combo\": {}, \"mutations\": [",
+        f.index,
+        json_str(&f.combo)
+    );
+    push_json_list(out, f.mutations.iter().map(|m| m.tag()));
+    let _ = write!(
+        out,
+        "], \"raw_fingerprint\": {}, \"minimized_fingerprint\": {}, \
+         \"program\": {}, \"access_pc\": {}, \"gadget_pc\": {}, \
+         \"benign_pc\": {}, \"removed\": {}}}",
+        f.raw_fingerprint,
+        f.minimized_fingerprint,
+        json_str(&f.program),
+        f.access_pc,
+        f.gadget_pc,
+        f.benign_pc,
+        f.removed
+    );
+}
+
+/// Reads one [`Finding`] written by [`write_finding`].
+fn read_finding(f: &Json) -> Result<Finding, CorpusError> {
+    Ok(Finding {
+        index: req_u64(f, "index")?,
+        combo: req_str(f, "combo")?,
+        mutations: mutations_of(f)?,
+        raw_fingerprint: req_u64(f, "raw_fingerprint")?,
+        minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
+        program: req_str(f, "program")?,
+        access_pc: req_u64(f, "access_pc")?,
+        gadget_pc: req_u64(f, "gadget_pc")?,
+        benign_pc: req_u64(f, "benign_pc")?,
+        removed: req_u64(f, "removed")?,
+    })
 }
 
 fn expect_header(doc: &Json, kind: &str) -> Result<(), CorpusError> {

@@ -173,7 +173,7 @@ impl KnownCatalog {
             known_shapes.insert(v.raw_fingerprint);
             rediscovery.insert(v.raw_fingerprint, name);
             if minimize {
-                known_shapes.insert(minimized_fingerprint(&mut oracle, &template)?);
+                known_shapes.insert(minimize_and_fingerprint(&mut oracle, &template)?.0);
             }
         }
         Ok(KnownCatalog {
@@ -183,12 +183,18 @@ impl KnownCatalog {
     }
 }
 
-/// Minimizes `s` and fingerprints the minimized lifted shape.
-fn minimized_fingerprint(oracle: &mut DualOracle, s: &Scenario) -> Result<u64, FuzzError> {
-    let (min, _) = shrink::minimize(oracle, s);
-    Ok(analyzer::lift(&min.program, &min.lift_config())?
+/// Minimizes `s` and fingerprints the minimized lifted shape. Returns the
+/// fingerprint, the minimized scenario and how many instructions the
+/// shrinker removed.
+fn minimize_and_fingerprint(
+    oracle: &mut DualOracle,
+    s: &Scenario,
+) -> Result<(u64, Scenario, usize), FuzzError> {
+    let (min, stats) = shrink::minimize(oracle, s);
+    let fp = analyzer::lift(&min.program, &min.lift_config())?
         .graph()
-        .shape_fingerprint())
+        .shape_fingerprint();
+    Ok((fp, min, stats.removed))
 }
 
 /// Runs the discovery loop: classify candidates `corpus.classified..budget`,
@@ -340,11 +346,7 @@ fn classify_batch(
             }
             // A novel leaking shape: minimize and register.
             let (minimized_fingerprint, min, removed) = if config.minimize {
-                let (min, stats) = shrink::minimize(oracle, &scenario);
-                let fp = analyzer::lift(&min.program, &min.lift_config())?
-                    .graph()
-                    .shape_fingerprint();
-                (fp, min, stats.removed)
+                minimize_and_fingerprint(oracle, &scenario)?
             } else {
                 (verdicts.raw_fingerprint, scenario.clone(), 0)
             };

@@ -18,7 +18,10 @@
 //! 2. [`crash_sweep`] — the harness: run a workload once fault-free to learn
 //!    its write count `W` and oracle output, then re-run it `W` times, each
 //!    time crashing at a different write index `k`, resuming, and asserting
-//!    the recovered output is bit-identical to the oracle.
+//!    the recovered output is bit-identical to the oracle. Two workloads
+//!    are built in: [`sweep_scheduler`] (a checkpointed scheduler run) and
+//!    [`sweep_fuzz`] (the fuzz-corpus checkpoint cadence), shared by
+//!    `campaign fault sweep`/`sweep-fuzz` and the integration tests.
 //! 3. [`PanickingAttack`] — a registry-wrapping test double whose simulation
 //!    panics while armed, for driving the campaign quarantine path
 //!    ([`crate::campaign::CellOutcome::Quarantined`]) end to end.
@@ -36,6 +39,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use crate::campaign::{CampaignMatrix, CampaignPart, CampaignSpec};
+use crate::discovery::fuzz::{self, Corpus, FuzzConfig};
+use crate::serve::Scheduler;
 use attacks::{Attack, AttackError, AttackInfo, AttackOutcome};
 use tsg::SecurityAnalysis;
 use uarch::Machine;
@@ -448,6 +454,127 @@ pub fn crash_sweep<E: fmt::Display>(
         }
     }
     Ok(SweepReport { writes, fired })
+}
+
+/// Wipes and recreates a sweep workspace directory.
+fn wipe(dir: &Path) -> io::Result<()> {
+    if dir.exists() {
+        fs::remove_dir_all(dir)?;
+    }
+    fs::create_dir_all(dir)
+}
+
+/// Counts the checkpoint files in `ckpt` that still load as valid chunks —
+/// a resume must reuse at least these.
+fn intact_chunks(ckpt: &Path) -> usize {
+    let Ok(entries) = fs::read_dir(ckpt) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .filter(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("chunk-")
+                && name.ends_with(".json")
+                && CampaignPart::load_checkpoint_json(e.path()).is_ok()
+        })
+        .count()
+}
+
+/// [`crash_sweep`] over a checkpointed [`Scheduler`] run of `spec` (one
+/// worker, 2-task chunks, checkpoints in `dir/ckpt`, final matrix written
+/// to `dir/matrix.json`). `dir` is a scratch workspace the sweep wipes.
+///
+/// Every resume must reuse at least every checkpoint that survived the
+/// fault intact (zero completed cells re-simulated) and cover the whole
+/// cube: `resumed + executed == chunks`.
+///
+/// # Errors
+///
+/// The [`crash_sweep`] message of the first failing write index.
+pub fn sweep_scheduler(spec: &CampaignSpec, dir: &Path, seed: u64) -> Result<SweepReport, String> {
+    let ckpt = dir.join("ckpt");
+    let out = dir.join("matrix.json");
+    let run = || {
+        Scheduler::new(spec)
+            .workers(1)
+            .chunk_tasks(2)
+            .checkpoint(&ckpt)
+            .run()
+            .map_err(|e| e.to_string())
+    };
+    let save = |matrix: &CampaignMatrix| {
+        write_atomic(&out, &matrix.to_json()).map_err(|e| e.to_string())?;
+        fs::read(&out).map_err(|e| e.to_string())
+    };
+    crash_sweep(
+        seed,
+        || wipe(dir).map_err(|e| e.to_string()),
+        || save(&run()?.0),
+        |k| {
+            let intact = intact_chunks(&ckpt);
+            let (matrix, rep) = run()?;
+            if rep.resumed < intact {
+                return Err(format!(
+                    "resume after write #{k} reused {} chunk(s) but {intact} \
+                     checkpoint(s) were intact — completed cells were re-simulated",
+                    rep.resumed,
+                ));
+            }
+            if rep.resumed + rep.executed != rep.chunks {
+                return Err(format!(
+                    "resume after write #{k} covered {} of {} chunk(s)",
+                    rep.resumed + rep.executed,
+                    rep.chunks,
+                ));
+            }
+            save(&matrix)
+        },
+    )
+}
+
+/// [`crash_sweep`] over a fuzz run of `cfg` whose corpus lives in `dir`, a
+/// scratch workspace the sweep wipes.
+///
+/// Every resume must re-classify exactly the candidates the surviving
+/// corpus does not cover: `budget − on_disk`, where a torn or missing
+/// corpus counts as 0.
+///
+/// # Errors
+///
+/// The [`crash_sweep`] message of the first failing write index.
+pub fn sweep_fuzz(cfg: &FuzzConfig, dir: &Path, seed: u64) -> Result<SweepReport, String> {
+    let run = || {
+        let report = fuzz::fuzz(cfg, Some(dir)).map_err(|e| e.to_string())?;
+        let bytes = fs::read(Corpus::path_in(dir)).map_err(|e| e.to_string())?;
+        Ok::<_, String>((report, bytes))
+    };
+    crash_sweep(
+        seed,
+        || wipe(dir).map_err(|e| e.to_string()),
+        || Ok(run()?.1),
+        |k| {
+            // How far the surviving corpus actually got: a torn or missing
+            // file recovers from zero, an intact checkpoint from its budget.
+            let on_disk = match Corpus::load(dir) {
+                Ok(Some(corpus)) => corpus.classified,
+                Ok(None) => 0,
+                Err(e) if e.is_recoverable() => 0,
+                Err(e) => return Err(format!("corpus after write #{k} is unrecoverable: {e}")),
+            };
+            let (resumed, bytes) = run()?;
+            if resumed.newly_classified != cfg.budget - on_disk {
+                return Err(format!(
+                    "resume after write #{k} re-classified {} candidate(s), \
+                     expected {} (the corpus on disk already had {on_disk})",
+                    resumed.newly_classified,
+                    cfg.budget - on_disk,
+                ));
+            }
+            Ok(bytes)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------

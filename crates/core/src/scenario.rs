@@ -4,14 +4,14 @@
 //!
 //! The unit of evaluation is a [`DefenseStack`] — an ordered bundle of
 //! catalog defenses. A single defense is just a singleton stack
-//! ([`evaluate`] wraps one for you), and a singleton evaluation is
+//! ([`DefenseStack::single`]), and a singleton evaluation is
 //! byte-identical to the historical single-defense output; a real bundle
 //! (`"KAISER/KPTI+Retpoline+IBPB"`) is patched into the graph with *all*
 //! its member strategies and deployed onto the machine as one folded,
 //! conflict-checked configuration.
 
 use attacks::{Attack, AttackError};
-use defenses::{Defense, DefenseStack, Strategy, Verdict};
+use defenses::{DefenseStack, Strategy, Verdict};
 use std::fmt;
 use uarch::UarchConfig;
 
@@ -116,36 +116,20 @@ pub fn evaluate_stack(
     })
 }
 
-/// Evaluates one (attack, single defense) pair: a singleton-stack
-/// [`evaluate_stack`], bit-identical to the historical per-defense path.
-///
-/// # Errors
-///
-/// Propagates [`AttackError`] from the simulation.
-pub fn evaluate(
-    attack: &dyn Attack,
-    defense: &Defense,
-    base: &UarchConfig,
-) -> Result<Evaluation, AttackError> {
-    evaluate_stack(attack, &DefenseStack::single(*defense), base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn defense(name: &str) -> Defense {
-        defenses::catalog()
-            .into_iter()
-            .find(|d| d.name == name)
-            .expect("defense exists")
+    /// The singleton stack of one registry defense.
+    fn single(name: &str) -> DefenseStack {
+        DefenseStack::single(*defenses::find(name).expect("defense exists"))
     }
 
     #[test]
     fn nda_vs_spectre_v1_agrees_at_both_levels() {
-        let e = evaluate(
+        let e = evaluate_stack(
             &attacks::spectre_v1::SpectreV1,
-            &defense("NDA"),
+            &single("NDA"),
             &UarchConfig::default(),
         )
         .unwrap();
@@ -159,9 +143,9 @@ mod tests {
 
     #[test]
     fn eager_check_vs_meltdown_graph_predicts_machine() {
-        let e = evaluate(
+        let e = evaluate_stack(
             &attacks::meltdown::Meltdown,
-            &defense("Eager permission check"),
+            &single("Eager permission check"),
             &UarchConfig::default(),
         )
         .unwrap();
@@ -173,9 +157,9 @@ mod tests {
     fn kpti_vs_spectre_v1_is_the_canonical_false_sense() {
         // Strategy ① *would* secure Spectre v1's graph; KPTI's mechanism
         // inserts that ordering only for kernel pages — useless here.
-        let e = evaluate(
+        let e = evaluate_stack(
             &attacks::spectre_v1::SpectreV1,
-            &defense("KAISER/KPTI"),
+            &single("KAISER/KPTI"),
             &UarchConfig::default(),
         )
         .unwrap();
@@ -185,17 +169,25 @@ mod tests {
 
     #[test]
     fn singleton_stack_evaluation_is_identical_to_single_defense() {
+        // A singleton stack is the single defense: its name, its strategy,
+        // and the verdict of the attack run under exactly its overlay.
         let base = UarchConfig::default();
+        let attack = &attacks::spectre_v2::SpectreV2;
         for d in defenses::registry().iter().take(6) {
-            let single = evaluate(&attacks::spectre_v2::SpectreV2, d, &base).unwrap();
-            let stacked = evaluate_stack(
-                &attacks::spectre_v2::SpectreV2,
-                &DefenseStack::single(*d),
-                &base,
-            )
-            .unwrap();
-            assert_eq!(single, stacked, "{}", d.name);
-            assert_eq!(single.defense(), d.name);
+            let e = evaluate_stack(attack, &DefenseStack::single(*d), &base).unwrap();
+            assert_eq!(e.defense(), d.name);
+            assert_eq!(e.strategies(), vec![d.strategy]);
+            let direct = d.overlay().map(|overlay| {
+                let mut cfg = base.clone();
+                overlay.apply(&mut cfg);
+                attack.run(&cfg).unwrap().leaked
+            });
+            let expected = match direct {
+                None => Verdict::GraphOnly,
+                Some(true) => Verdict::Leaked,
+                Some(false) => Verdict::Blocked,
+            };
+            assert_eq!(e.mechanism, expected, "{}", d.name);
         }
     }
 
@@ -223,12 +215,13 @@ mod tests {
         let mut evals = Vec::new();
         for attack in attacks::registry() {
             for defense in defenses::registry() {
-                evals.push(evaluate(*attack, defense, &base).unwrap());
+                let stack = DefenseStack::single(*defense);
+                evals.push(evaluate_stack(*attack, &stack, &base).unwrap());
             }
         }
         assert_eq!(
             evals.len(),
-            attacks::catalog().len() * defenses::catalog().len()
+            attacks::registry().len() * defenses::registry().len()
         );
         // The paper's warning is not hypothetical: many (attack, defense)
         // pairs share a strategy but not a missing edge.

@@ -5,7 +5,6 @@
 use crate::overlay::{KnobWrite, Overlay, OverlayKnob};
 use crate::Strategy;
 use std::fmt;
-use uarch::UarchConfig;
 
 /// Where a defense was proposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,17 +58,6 @@ impl Defense {
     #[must_use]
     pub fn overlay(&self) -> Option<Overlay> {
         self.overlay
-    }
-
-    /// Produces the machine configuration with this defense enabled on top
-    /// of `base`. Returns `None` for software-only defenses.
-    #[must_use]
-    pub fn configure(&self, base: &UarchConfig) -> Option<UarchConfig> {
-        self.overlay.map(|overlay| {
-            let mut cfg = base.clone();
-            overlay.apply(&mut cfg);
-            cfg
-        })
     }
 }
 
@@ -449,13 +437,6 @@ pub fn resolve(name_or_token: &str) -> Option<&'static Defense> {
         .find(|d| d.name == name_or_token || d.token.eq_ignore_ascii_case(name_or_token))
 }
 
-/// The defense catalog as an owned `Vec` (same list and order as
-/// [`registry`]), for callers that want to extend or reorder the set.
-#[must_use]
-pub fn catalog() -> Vec<Defense> {
-    registry().to_vec()
-}
-
 /// One row of Table II: an attack family, the vendor strategy name, and the
 /// defenses implementing it.
 #[derive(Debug, Clone)]
@@ -517,10 +498,12 @@ pub fn industry_rows() -> Vec<IndustryRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DefenseStack;
+    use uarch::UarchConfig;
 
     #[test]
     fn catalog_covers_paper_lists() {
-        let c = catalog();
+        let c = registry();
         let names: Vec<&str> = c.iter().map(|d| d.name).collect();
         // Every Table II defense name appears in the catalog.
         for row in industry_rows() {
@@ -553,24 +536,12 @@ mod tests {
         // The paper's claim: *all* current defenses fall under one of the
         // four strategies. The enum makes this total by construction; this
         // test documents the distribution is non-degenerate.
-        let c = catalog();
+        let c = registry();
         for s in Strategy::all() {
             assert!(
                 c.iter().any(|d| d.strategy == s),
                 "no defense under strategy {s}"
             );
-        }
-    }
-
-    #[test]
-    fn registry_and_catalog_are_the_same_list() {
-        let reg = registry();
-        let cat = catalog();
-        assert_eq!(reg.len(), cat.len());
-        for (r, c) in reg.iter().zip(&cat) {
-            assert_eq!(r.name, c.name);
-            assert_eq!(r.strategy, c.strategy);
-            assert_eq!(r.origin, c.origin);
         }
     }
 
@@ -614,18 +585,12 @@ mod tests {
     #[test]
     fn configure_produces_modified_config() {
         let base = UarchConfig::default();
-        let kpti = catalog()
-            .into_iter()
-            .find(|d| d.name == "KAISER/KPTI")
-            .unwrap();
-        let cfg = kpti.configure(&base).unwrap();
+        let kpti = DefenseStack::single(*find(names::KPTI).unwrap());
+        let cfg = kpti.apply(&base).unwrap();
         assert!(cfg.kpti);
         assert!(!base.kpti);
-        let masking = catalog()
-            .into_iter()
-            .find(|d| d.name == "Address masking (coarse)")
-            .unwrap();
-        assert!(masking.configure(&base).is_none());
+        let masking = find(names::ADDRESS_MASKING_COARSE).unwrap();
+        assert!(DefenseStack::single(*masking).apply(&base).is_none());
         assert!(!masking.is_modeled());
         assert!(masking.overlay().is_none());
     }
@@ -636,9 +601,10 @@ mod tests {
         for d in registry() {
             let Some(overlay) = d.overlay() else { continue };
             assert!(!overlay.writes().is_empty(), "{} records nothing", d.name);
-            // configure() and the recorded writes agree by construction —
-            // this pins that the overlay actually changes the baseline.
-            let cfg = d.configure(&base).unwrap();
+            // The deployed singleton and the recorded writes agree by
+            // construction — this pins that the overlay actually changes
+            // the baseline.
+            let cfg = DefenseStack::single(*d).apply(&base).unwrap();
             assert_ne!(cfg, base, "{} overlay is a no-op on the baseline", d.name);
             assert_eq!(
                 overlay.diff(&base).len(),
@@ -652,7 +618,7 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        let d = catalog().into_iter().next().unwrap();
+        let d = registry()[0];
         let s = d.to_string();
         assert!(s.contains(d.name));
         assert!(Origin::Academia.to_string() == "academia");

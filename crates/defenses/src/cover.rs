@@ -16,12 +16,12 @@
 //! the industry subset of the catalog that set is non-empty, which is
 //! exactly the paper's point.
 //!
-//! All graph-level work — the false-sense checks of [`audit_stack`] /
-//! [`audit_stacks`] and the per-candidate strategy check inside the
-//! exhaustive search — runs over shared per-attack
-//! [`PatchSession`]s: each attack's graph is built and
-//! indexed once, and every candidate stack is applied and rolled back
-//! incrementally against it.
+//! All graph-level work — the false-sense checks of [`audit_stacks`] and
+//! the per-candidate strategy check inside the exhaustive search — runs
+//! over shared per-attack [`PatchSession`]s: each attack's graph is built
+//! and indexed once, and every candidate stack is applied and rolled back
+//! incrementally against it. Likewise every simulation of a search or
+//! audit runs on one warm [`BatchRunner`] machine, reset per run.
 //!
 //! ```no_run
 //! use defenses::cover;
@@ -36,8 +36,8 @@
 //! println!("Table IV: {} ({} member(s))", minimal, minimal.members().len());
 //! ```
 
-use crate::{verify_stack, Defense, DefenseStack, PatchSession, Verdict};
-use attacks::{Attack, AttackError};
+use crate::{verify_stack_warm, Defense, DefenseStack, PatchSession, Verdict};
+use attacks::{Attack, AttackError, BatchRunner};
 use std::fmt;
 use uarch::UarchConfig;
 
@@ -193,31 +193,12 @@ impl fmt::Display for StackAudit {
     }
 }
 
-/// Audits one stack against every attack: machine verdict per attack plus
-/// the graph-level sufficiency check for the leaking ones. Auditing
-/// several stacks against one attack set? [`audit_stacks`] shares the
-/// per-attack graph sessions across all of them.
-///
-/// # Errors
-///
-/// Propagates [`AttackError`] from any simulation.
-pub fn audit_stack(
-    stack: &DefenseStack,
-    attacks_list: &[&'static dyn Attack],
-    base: &UarchConfig,
-) -> Result<StackAudit, AttackError> {
-    audit_with(
-        stack,
-        attacks_list,
-        &mut SessionPool::new(attacks_list),
-        base,
-    )
-}
-
-/// Audits every stack against every attack — [`audit_stack`] in bulk,
-/// over one shared [`PatchSession`] pool: each attack's graph is built
-/// and indexed once, and every (stack, leaking attack) sufficiency check
-/// is an incremental patch/rollback against it.
+/// Audits every stack against every attack: machine verdict per attack
+/// plus the graph-level sufficiency check for the leaking ones. One shared
+/// [`PatchSession`] pool builds and indexes each attack's graph once, so
+/// every (stack, leaking attack) sufficiency check is an incremental
+/// patch/rollback against it; one warm [`BatchRunner`] runs every
+/// simulation. Audit a single stack with a one-element slice.
 ///
 /// # Errors
 ///
@@ -228,9 +209,10 @@ pub fn audit_stacks(
     base: &UarchConfig,
 ) -> Result<Vec<StackAudit>, AttackError> {
     let mut sessions = SessionPool::new(attacks_list);
+    let mut runner = BatchRunner::new();
     stacks
         .iter()
-        .map(|stack| audit_with(stack, attacks_list, &mut sessions, base))
+        .map(|stack| audit_with(stack, attacks_list, &mut sessions, &mut runner, base))
         .collect()
 }
 
@@ -238,6 +220,7 @@ fn audit_with(
     stack: &DefenseStack,
     attacks_list: &[&'static dyn Attack],
     sessions: &mut SessionPool<'_>,
+    runner: &mut BatchRunner,
     base: &UarchConfig,
 ) -> Result<StackAudit, AttackError> {
     let mut blocked = Vec::new();
@@ -245,7 +228,7 @@ fn audit_with(
     let mut false_sense = Vec::new();
     for (i, attack) in attacks_list.iter().enumerate() {
         let name = attack.info().name;
-        match verify_stack(stack, *attack, base)? {
+        match verify_stack_warm(stack, *attack, base, runner)? {
             Verdict::Blocked => blocked.push(name),
             Verdict::GraphOnly => {}
             Verdict::Leaked => {
@@ -327,6 +310,7 @@ pub fn minimal_cover(
         .filter(|d| d.is_modeled())
         .copied()
         .collect();
+    let mut runner = BatchRunner::new();
     let mut singleton_masks: Vec<AttackMask> = Vec::with_capacity(modeled.len());
     let mut singletons: Vec<SingletonCover> = Vec::with_capacity(modeled.len());
     for d in &modeled {
@@ -334,7 +318,7 @@ pub fn minimal_cover(
         let mut mask: AttackMask = 0;
         let mut blocks = Vec::new();
         for (i, attack) in attacks_list.iter().enumerate() {
-            if verify_stack(&stack, *attack, base)? == Verdict::Blocked {
+            if verify_stack_warm(&stack, *attack, base, &mut runner)? == Verdict::Blocked {
                 mask |= 1 << i;
                 blocks.push(attack_names[i]);
             }
@@ -429,7 +413,7 @@ pub fn minimal_cover(
             };
             stacks_verified += 1;
             for attack in attacks_list {
-                if verify_stack(&stack, *attack, base)? != Verdict::Blocked {
+                if verify_stack_warm(&stack, *attack, base, &mut runner)? != Verdict::Blocked {
                     // Union arithmetic lied for this combination; keep
                     // searching — but if the bundle's strategies close
                     // every leak path on paper, record the §V-B false
@@ -488,6 +472,17 @@ mod tests {
     use super::*;
     use crate::presets;
 
+    /// One stack's audit: a one-element [`audit_stacks`] call.
+    fn audit_one(stack: &DefenseStack, attacks_list: &[&'static dyn Attack]) -> StackAudit {
+        audit_stacks(
+            std::slice::from_ref(stack),
+            attacks_list,
+            &UarchConfig::default(),
+        )
+        .unwrap()
+        .remove(0)
+    }
+
     #[test]
     fn full_catalog_has_a_singleton_cover() {
         // Ubiquitous serialization (and NDA-style forwarding blocks) each
@@ -506,7 +501,7 @@ mod tests {
         assert!(greedy.members().len() >= minimal.members().len());
         assert!(report.stacks_verified >= 1);
         // The report is self-consistent: the minimal stack's audit is clean.
-        let audit = audit_stack(&minimal, attacks::registry(), &UarchConfig::default()).unwrap();
+        let audit = audit_one(&minimal, attacks::registry());
         assert!(audit.is_sufficient(), "{audit}");
     }
 
@@ -571,7 +566,7 @@ mod tests {
                 .any(|d| d.name == crate::names::RETPOLINE),
             "expected retpoline in {minimal}"
         );
-        let audit = audit_stack(&minimal, &coverable, &UarchConfig::default()).unwrap();
+        let audit = audit_one(&minimal, &coverable);
         assert!(audit.is_sufficient(), "{audit}");
     }
 
@@ -580,12 +575,7 @@ mod tests {
         // linux_default blocks the injection/Meltdown families but leaks
         // Spectre v1 — and strategy ① *would* close v1's graph, so the
         // bundle is a stack-level false sense of security for it.
-        let audit = audit_stack(
-            &presets::linux_default(),
-            attacks::registry(),
-            &UarchConfig::default(),
-        )
-        .unwrap();
+        let audit = audit_one(&presets::linux_default(), attacks::registry());
         assert!(!audit.is_sufficient());
         assert!(audit.blocked.contains(&attacks::names::MELTDOWN));
         assert!(audit.blocked.contains(&attacks::names::SPECTRE_V2));
@@ -611,7 +601,7 @@ mod tests {
         let bulk = audit_stacks(&stacks, attacks::registry(), &base).unwrap();
         assert_eq!(bulk.len(), stacks.len());
         for (stack, audit) in stacks.iter().zip(&bulk) {
-            let single = audit_stack(stack, attacks::registry(), &base).unwrap();
+            let single = audit_one(stack, attacks::registry());
             assert_eq!(audit.blocked, single.blocked, "{stack}");
             assert_eq!(audit.leaked, single.leaked, "{stack}");
             assert_eq!(audit.false_sense, single.false_sense, "{stack}");
@@ -633,7 +623,7 @@ mod tests {
         .unwrap();
         for name in &report.false_sense_stacks {
             let stack = DefenseStack::parse(name).unwrap();
-            let audit = audit_stack(&stack, attacks::registry(), &UarchConfig::default()).unwrap();
+            let audit = audit_one(&stack, attacks::registry());
             assert!(!audit.is_sufficient(), "{name} was recorded as leaking");
             for attack in attacks::registry() {
                 assert_eq!(

@@ -11,13 +11,13 @@
 //! * graph-level application ([`patch_strategy`]): inserting the
 //!   missing security-dependency edge the strategy corresponds to, so
 //!   Theorem 1 can *prove* the race is gone;
-//! * machine-level application ([`Defense::configure`]): the corresponding
+//! * machine-level application ([`DefenseStack::apply`]): the corresponding
 //!   [`uarch`] configuration knob, so the very same defense can be *tested*
 //!   against the executable attacks of the [`attacks`] crate.
 //!
 //! ```
-//! use defenses::{catalog, Strategy};
-//! let lfence = catalog().into_iter().find(|d| d.name == "LFENCE").unwrap();
+//! use defenses::{registry, Strategy};
+//! let lfence = registry().iter().find(|d| d.name == "LFENCE").unwrap();
 //! assert_eq!(lfence.strategy, Strategy::PreventAccess);
 //! ```
 
@@ -34,13 +34,11 @@ mod stack;
 mod verify;
 
 pub use apply::{patch_strategy, PatchError};
-pub use catalog::{
-    catalog, find, industry_rows, names, registry, resolve, Defense, IndustryRow, Origin,
-};
+pub use catalog::{find, industry_rows, names, registry, resolve, Defense, IndustryRow, Origin};
 pub use overlay::{KnobWrite, Overlay, OverlayKnob};
 pub use session::PatchSession;
 pub use stack::{presets, DefenseStack, StackError};
-pub use verify::{verify, verify_matrix, verify_stack, verify_stack_warm, Verdict};
+pub use verify::{verify_stack, verify_stack_warm, Verdict};
 
 use std::fmt;
 

@@ -1,15 +1,16 @@
-//! Executable verification: does defense D stop attack A on the simulator?
+//! Executable verification: does defense stack S stop attack A on the
+//! simulator?
 //!
 //! This is the crate's answer to the paper's question ③ ("are the recently
 //! proposed defenses effective?"): instead of asserting effectiveness, we
 //! *run* every attack under every modeled defense and report the verdict.
 
-use crate::Defense;
+use crate::DefenseStack;
 use attacks::{Attack, AttackError, BatchRunner};
 use std::fmt;
 use uarch::UarchConfig;
 
-/// Outcome of running one attack under one defense.
+/// Outcome of running one attack under one defense stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The attack failed to recover the secret.
@@ -33,50 +34,19 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Runs `attack` on a machine configured with `defense` applied over
-/// `base`, and reports the verdict.
-///
-/// # Errors
-///
-/// Propagates [`AttackError`] if the simulation itself fails.
-pub fn verify(
-    defense: &Defense,
-    attack: &dyn Attack,
-    base: &UarchConfig,
-) -> Result<Verdict, AttackError> {
-    let Some(cfg) = defense.configure(base) else {
-        return Ok(Verdict::GraphOnly);
-    };
-    let out = attack.run(&cfg)?;
-    Ok(if out.leaked {
-        Verdict::Leaked
-    } else {
-        Verdict::Blocked
-    })
-}
-
-/// Runs `attack` on a machine with the whole `stack` deployed over
-/// `base`, and reports the verdict — the stack-level analogue of
-/// [`verify`]. For a singleton stack this is byte-for-byte the single
-/// defense verdict.
+/// Runs `attack` on a fresh machine with the whole `stack` deployed over
+/// `base`, and reports the verdict. A single defense is evaluated as
+/// [`DefenseStack::single`].
 ///
 /// # Errors
 ///
 /// Propagates [`AttackError`] if the simulation itself fails.
 pub fn verify_stack(
-    stack: &crate::DefenseStack,
+    stack: &DefenseStack,
     attack: &dyn Attack,
     base: &UarchConfig,
 ) -> Result<Verdict, AttackError> {
-    let Some(cfg) = stack.apply(base) else {
-        return Ok(Verdict::GraphOnly);
-    };
-    let out = attack.run(&cfg)?;
-    Ok(if out.leaked {
-        Verdict::Leaked
-    } else {
-        Verdict::Blocked
-    })
+    verify_stack_warm(stack, attack, base, &mut BatchRunner::new())
 }
 
 /// [`verify_stack`] on a warm machine: identical verdicts, but the
@@ -88,7 +58,7 @@ pub fn verify_stack(
 ///
 /// Propagates [`AttackError`] if the simulation itself fails.
 pub fn verify_stack_warm(
-    stack: &crate::DefenseStack,
+    stack: &DefenseStack,
     attack: &dyn Attack,
     base: &UarchConfig,
     runner: &mut BatchRunner,
@@ -104,63 +74,26 @@ pub fn verify_stack_warm(
     })
 }
 
-/// One row of the defense-effectiveness matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixRow {
-    /// The attack name.
-    pub attack: &'static str,
-    /// Per-defense verdicts, in catalog order.
-    pub verdicts: Vec<Verdict>,
-}
-
-/// Runs every attack under every defense; rows are attacks, columns are
-/// defenses (in the given orders).
-///
-/// # Errors
-///
-/// Propagates [`AttackError`] from any simulation.
-pub fn verify_matrix(
-    defenses: &[Defense],
-    attacks_list: &[Box<dyn Attack>],
-    base: &UarchConfig,
-) -> Result<Vec<MatrixRow>, AttackError> {
-    let mut rows = Vec::with_capacity(attacks_list.len());
-    for a in attacks_list {
-        let mut verdicts = Vec::with_capacity(defenses.len());
-        for d in defenses {
-            verdicts.push(verify(d, a.as_ref(), base)?);
-        }
-        rows.push(MatrixRow {
-            attack: a.info().name,
-            verdicts,
-        });
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog;
 
-    fn defense(name: &str) -> Defense {
-        catalog()
-            .into_iter()
-            .find(|d| d.name == name)
-            .unwrap_or_else(|| panic!("defense {name} missing"))
+    /// The singleton stack of one registry defense.
+    fn single(name: &str) -> DefenseStack {
+        DefenseStack::single(*crate::find(name).unwrap_or_else(|| panic!("defense {name} missing")))
     }
 
     #[test]
     fn kpti_blocks_meltdown_but_not_spectre_v1() {
         let base = UarchConfig::default();
-        let kpti = defense("KAISER/KPTI");
+        let kpti = single("KAISER/KPTI");
         assert_eq!(
-            verify(&kpti, &attacks::meltdown::Meltdown, &base).unwrap(),
+            verify_stack(&kpti, &attacks::meltdown::Meltdown, &base).unwrap(),
             Verdict::Blocked
         );
         // The paper's point: the defense must match the missing dependency.
         assert_eq!(
-            verify(&kpti, &attacks::spectre_v1::SpectreV1, &base).unwrap(),
+            verify_stack(&kpti, &attacks::spectre_v1::SpectreV1, &base).unwrap(),
             Verdict::Leaked
         );
     }
@@ -168,8 +101,8 @@ mod tests {
     #[test]
     fn lfence_blocks_spectre_v1() {
         assert_eq!(
-            verify(
-                &defense("LFENCE"),
+            verify_stack(
+                &single("LFENCE"),
                 &attacks::spectre_v1::SpectreV1,
                 &UarchConfig::default()
             )
@@ -181,17 +114,17 @@ mod tests {
     #[test]
     fn ibpb_blocks_v2_and_rsb_but_not_meltdown() {
         let base = UarchConfig::default();
-        let ibpb = defense("IBPB");
+        let ibpb = single("IBPB");
         assert_eq!(
-            verify(&ibpb, &attacks::spectre_v2::SpectreV2, &base).unwrap(),
+            verify_stack(&ibpb, &attacks::spectre_v2::SpectreV2, &base).unwrap(),
             Verdict::Blocked
         );
         assert_eq!(
-            verify(&ibpb, &attacks::spectre_rsb::SpectreRsb, &base).unwrap(),
+            verify_stack(&ibpb, &attacks::spectre_rsb::SpectreRsb, &base).unwrap(),
             Verdict::Blocked
         );
         assert_eq!(
-            verify(&ibpb, &attacks::meltdown::Meltdown, &base).unwrap(),
+            verify_stack(&ibpb, &attacks::meltdown::Meltdown, &base).unwrap(),
             Verdict::Leaked
         );
     }
@@ -201,10 +134,10 @@ mod tests {
         // Strategy ② at the data-use chokepoint blocks all variants: every
         // attack must *use* the secret to send it.
         let base = UarchConfig::default();
-        let nda = defense("NDA");
-        for a in attacks::catalog() {
+        let nda = single("NDA");
+        for a in attacks::registry() {
             assert_eq!(
-                verify(&nda, a.as_ref(), &base).unwrap(),
+                verify_stack(&nda, *a, &base).unwrap(),
                 Verdict::Blocked,
                 "NDA must block {}",
                 a.info().name
@@ -215,17 +148,17 @@ mod tests {
     #[test]
     fn dawg_blocks_cross_domain_attacks_only() {
         let base = UarchConfig::default();
-        let dawg = defense("DAWG");
+        let dawg = single("DAWG");
         // Cross-context: the receiver cannot observe the victim-domain fill.
         assert_eq!(
-            verify(&dawg, &attacks::spectre_v2::SpectreV2, &base).unwrap(),
+            verify_stack(&dawg, &attacks::spectre_v2::SpectreV2, &base).unwrap(),
             Verdict::Blocked
         );
         // Same-context Spectre v1 is *not* affected by cache partitioning —
         // sender and receiver share the domain (paper: DAWG protects
         // cross-domain cache timing only).
         assert_eq!(
-            verify(&dawg, &attacks::spectre_v1::SpectreV1, &base).unwrap(),
+            verify_stack(&dawg, &attacks::spectre_v1::SpectreV1, &base).unwrap(),
             Verdict::Leaked
         );
     }
@@ -233,8 +166,8 @@ mod tests {
     #[test]
     fn software_defense_reports_graph_only() {
         assert_eq!(
-            verify(
-                &defense("Address masking (coarse)"),
+            verify_stack(
+                &single("Address masking (coarse)"),
                 &attacks::spectre_v1::SpectreV1,
                 &UarchConfig::default()
             )
@@ -244,38 +177,22 @@ mod tests {
     }
 
     #[test]
-    fn matrix_has_expected_shape() {
-        // A small matrix (2 defenses × 3 attacks) to keep test time down.
-        let defenses = vec![
-            defense("KAISER/KPTI"),
-            defense("In-silicon fix (Cascade Lake)"),
-        ];
-        let atks: Vec<Box<dyn Attack>> = vec![
-            Box::new(attacks::meltdown::Meltdown),
-            Box::new(attacks::foreshadow::Foreshadow::sgx()),
-            Box::new(attacks::mds::Fallout),
-        ];
-        let m = verify_matrix(&defenses, &atks, &UarchConfig::default()).unwrap();
-        assert_eq!(m.len(), 3);
-        assert_eq!(m[0].verdicts.len(), 2);
-        // The silicon fix blocks all three Meltdown-family attacks.
-        for row in &m {
-            assert_eq!(row.verdicts[1], Verdict::Blocked, "{}", row.attack);
-        }
-    }
-
-    #[test]
     fn stack_verify_matches_singleton_and_evaluates_bundles() {
         let base = UarchConfig::default();
-        // Singleton stack ≡ single defense, verdict for verdict.
-        let kpti_stack = crate::DefenseStack::single(defense("KAISER/KPTI"));
+        // A singleton stack deploys exactly its defense's recorded overlay:
+        // verdict for verdict, it is the attack run on that configuration.
+        let kpti = crate::find("KAISER/KPTI").unwrap();
+        let kpti_stack = DefenseStack::single(*kpti);
+        let mut kpti_cfg = base.clone();
+        kpti.overlay().unwrap().apply(&mut kpti_cfg);
         for attack in [
             &attacks::meltdown::Meltdown as &dyn Attack,
             &attacks::spectre_v1::SpectreV1,
         ] {
+            let leaked = attack.run(&kpti_cfg).unwrap().leaked;
             assert_eq!(
-                verify_stack(&kpti_stack, attack, &base).unwrap(),
-                verify(&defense("KAISER/KPTI"), attack, &base).unwrap()
+                verify_stack(&kpti_stack, attack, &base).unwrap() == Verdict::Leaked,
+                leaked
             );
         }
         // The Linux bundle blocks what its members block…
@@ -295,7 +212,7 @@ mod tests {
             Verdict::Leaked
         );
         // All-software stacks are graph-only, like software-only defenses.
-        let software = crate::DefenseStack::parse("mask-coarse").unwrap();
+        let software = DefenseStack::parse("mask-coarse").unwrap();
         assert_eq!(
             verify_stack(&software, &attacks::spectre_v1::SpectreV1, &base).unwrap(),
             Verdict::GraphOnly
@@ -305,28 +222,26 @@ mod tests {
     #[test]
     fn warm_verify_matches_cold_across_stacks_and_attacks() {
         // One shared runner across heterogeneous (stack, attack) pairs —
-        // the campaign worker shape — must reproduce the cold verdicts,
-        // including the GraphOnly short-circuit (which must not dirty or
-        // depend on the pooled machine).
+        // the campaign worker and cover-search shape — must reproduce the
+        // cold verdicts (`verify_stack` builds a fresh machine per call)
+        // for every registry attack under every preset bundle, including
+        // the GraphOnly short-circuit (which must not dirty or depend on
+        // the pooled machine).
         let base = UarchConfig::default();
-        let stacks = [
-            crate::DefenseStack::single(defense("KAISER/KPTI")),
-            crate::presets::linux_default(),
-            crate::DefenseStack::parse("mask-coarse").unwrap(),
-            crate::DefenseStack::single(defense("NDA")),
-        ];
-        let atks: [&dyn Attack; 3] = [
-            &attacks::meltdown::Meltdown,
-            &attacks::spectre_v1::SpectreV1,
-            &attacks::zenbleed::ZenBleed,
-        ];
+        let mut stacks: Vec<DefenseStack> =
+            crate::presets::all().into_iter().map(|(_, s)| s).collect();
+        stacks.extend([
+            single("KAISER/KPTI"),
+            DefenseStack::parse("mask-coarse").unwrap(),
+            single("NDA"),
+        ]);
         let mut runner = BatchRunner::new();
         for stack in &stacks {
-            for attack in atks {
+            for &attack in attacks::registry() {
                 assert_eq!(
                     verify_stack_warm(stack, attack, &base, &mut runner).unwrap(),
                     verify_stack(stack, attack, &base).unwrap(),
-                    "warm verdict diverged for {}",
+                    "warm verdict diverged for {} under {stack}",
                     attack.info().name
                 );
             }

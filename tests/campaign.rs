@@ -1,7 +1,7 @@
 //! Campaign-engine acceptance: one `core::campaign` run must reproduce
-//! the Table-III × defense-catalog verdicts of the seed's per-pair
-//! `scenario::evaluate` path, cell for cell, and stay deterministic under
-//! parallelism.
+//! the Table-III × defense-catalog verdicts of the per-pair
+//! `scenario::evaluate_stack` path, cell for cell, and stay deterministic
+//! under parallelism.
 
 use specgraph::prelude::*;
 use std::sync::OnceLock;
@@ -29,7 +29,8 @@ fn one_campaign_call_reproduces_the_per_pair_evaluation_path() {
     let mut cells = matrix.cells().iter();
     for attack in attacks::registry() {
         for defense in defenses::registry() {
-            let expected = scenario::evaluate(*attack, defense, &base).unwrap();
+            let stack = DefenseStack::single(*defense);
+            let expected = scenario::evaluate_stack(*attack, &stack, &base).unwrap();
             let cell = cells.next().expect("campaign covers the full matrix");
             assert_eq!(
                 cell.evaluation,

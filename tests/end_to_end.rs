@@ -6,7 +6,7 @@ use specgraph::prelude::*;
 #[test]
 fn every_variant_leaks_on_the_vulnerable_baseline() {
     let cfg = UarchConfig::default();
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let out = attack.run(&cfg).expect("simulation runs");
         assert!(
             out.leaked,
@@ -20,7 +20,7 @@ fn every_variant_leaks_on_the_vulnerable_baseline() {
 #[test]
 fn no_variant_leaks_on_hardened_silicon() {
     let cfg = UarchConfig::hardened();
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let out = attack.run(&cfg).expect("simulation runs");
         assert!(
             !out.leaked,
@@ -36,7 +36,7 @@ fn every_variant_squashes_its_transient_path() {
     // attack run must observe at least one squash or transaction abort —
     // the leak happens *despite* correct architectural behavior.
     let cfg = UarchConfig::default();
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let out = attack.run(&cfg).expect("simulation runs");
         assert!(
             out.squashes > 0,
@@ -49,7 +49,7 @@ fn every_variant_squashes_its_transient_path() {
 #[test]
 fn spectre_type_attacks_mispredict_meltdown_type_fault() {
     // Insight 6: the two families differ in where the authorization lives.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let info = attack.info();
         match info.class {
             AttackClass::Spectre => {

@@ -28,11 +28,6 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn wipe(dir: &PathBuf) -> Result<(), String> {
-    let _ = fs::remove_dir_all(dir);
-    fs::create_dir_all(dir).map_err(|e| e.to_string())
-}
-
 /// 2 attacks × 1 defense × 2 ROB depths = 8 tasks; the first attack is
 /// the given one (a `PanickingAttack` double in the quarantine tests).
 fn spec_with(first: &'static dyn Attack) -> CampaignSpec {
@@ -179,48 +174,10 @@ fn fault_free_matrices_still_load_as_schema_v5() {
 #[test]
 fn scheduler_run_is_crash_consistent_at_every_write_prefix() {
     let _io = io_lock();
-    let spec = spec_with(meltdown());
     let dir = tempdir("sweep-serve");
-    let ckpt = dir.join("ckpt");
-    let out = dir.join("matrix.json");
-
-    let run = || {
-        Scheduler::new(&spec)
-            .workers(1)
-            .chunk_tasks(2)
-            .checkpoint(&ckpt)
-            .run()
-            .map_err(|e| e.to_string())
-    };
-    let report = fault::crash_sweep(
-        0xC0FFEE,
-        || wipe(&dir),
-        || {
-            let (matrix, _) = run()?;
-            fault::write_atomic(&out, &matrix.to_json()).map_err(|e| e.to_string())?;
-            fs::read(&out).map_err(|e| e.to_string())
-        },
-        |k| {
-            // Zero re-simulation of completed cells: every checkpoint
-            // that still loads must be resumed, not re-run.
-            let intact = (0..4)
-                .filter(|i| {
-                    CampaignPart::load_checkpoint_json(ckpt.join(format!("chunk-{i:05}.json")))
-                        .is_ok()
-                })
-                .count();
-            let (matrix, rep) = run()?;
-            if rep.resumed < intact {
-                return Err(format!(
-                    "write #{k}: resumed {} of {intact} intact checkpoint(s)",
-                    rep.resumed
-                ));
-            }
-            fault::write_atomic(&out, &matrix.to_json()).map_err(|e| e.to_string())?;
-            fs::read(&out).map_err(|e| e.to_string())
-        },
-    )
-    .expect("sweep passes");
+    // Every resume reuses each intact checkpoint and covers every chunk.
+    let report =
+        fault::sweep_scheduler(&spec_with(meltdown()), &dir, 0xC0FFEE).expect("sweep passes");
     // 4 chunk checkpoints + 1 final matrix.
     assert_eq!(report.writes, 5);
     assert_eq!(report.fired, 5);
@@ -238,35 +195,9 @@ fn fuzz_corpus_run_is_crash_consistent_at_every_checkpoint_cadence() {
         ..FuzzConfig::default()
     };
     let dir = tempdir("sweep-fuzz");
-
-    let report = fault::crash_sweep(
-        0xFA17,
-        || wipe(&dir),
-        || {
-            fuzz::fuzz(&cfg, Some(&dir)).map_err(|e| e.to_string())?;
-            fs::read(Corpus::path_in(&dir)).map_err(|e| e.to_string())
-        },
-        |k| {
-            let on_disk = match Corpus::load(&dir) {
-                Ok(Some(corpus)) => corpus.classified,
-                Ok(None) => 0,
-                Err(e) if e.is_recoverable() => 0,
-                Err(e) => return Err(format!("write #{k}: unrecoverable corpus: {e}")),
-            };
-            let resumed = fuzz::fuzz(&cfg, Some(&dir)).map_err(|e| e.to_string())?;
-            // Zero re-classification of candidates the surviving corpus
-            // already covers.
-            if resumed.newly_classified != cfg.budget - on_disk {
-                return Err(format!(
-                    "write #{k}: re-classified {} candidate(s), expected {}",
-                    resumed.newly_classified,
-                    cfg.budget - on_disk
-                ));
-            }
-            fs::read(Corpus::path_in(&dir)).map_err(|e| e.to_string())
-        },
-    )
-    .expect("sweep passes");
+    // Every resume re-classifies exactly the candidates the surviving
+    // corpus does not cover.
+    let report = fault::sweep_fuzz(&cfg, &dir, 0xFA17).expect("sweep passes");
     // Checkpoints after candidates 8 and 16, plus the final save at 24.
     assert_eq!(report.writes, 3);
     let _ = fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@ use specgraph::prelude::*;
 fn every_attack_graph_races_between_authorization_and_access() {
     // Insight 1: the root cause is a missing edge between the authorization
     // operation and the secret access operation.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let sa = attack.graph();
         let g = sa.graph();
         let auths = g.nodes_of_kind(NodeKind::is_authorization);
@@ -35,7 +35,7 @@ fn every_attack_graph_races_between_authorization_and_access() {
 fn patching_the_access_edge_secures_every_catalog_graph() {
     // Insight 2/3: inserting the missing security dependency (strategy ①)
     // removes the race, for every variant.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let mut sa = attack.graph();
         defenses::patch_strategy(&mut sa, defenses::Strategy::PreventAccess).unwrap();
         assert!(
@@ -49,7 +49,7 @@ fn patching_the_access_edge_secures_every_catalog_graph() {
 #[test]
 fn strategies_2_and_3_leave_the_access_race_but_close_the_leak_path() {
     // Insight 5: relaxed strategies allow the access but stop use/send.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let mut sa = attack.graph();
         defenses::patch_strategy(&mut sa, defenses::Strategy::PreventSend).unwrap();
         let vulns = sa.vulnerabilities().unwrap();
@@ -68,7 +68,7 @@ fn meltdown_type_graphs_decompose_one_instruction() {
     // Insight 6: Meltdown-type graphs contain the intra-instruction pair —
     // both the check and the read hang off the same load/register-access
     // instruction node.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         if attack.info().class != AttackClass::Meltdown {
             continue;
         }
@@ -101,7 +101,7 @@ fn meltdown_type_graphs_decompose_one_instruction() {
 fn text_serialization_roundtrips_every_catalog_graph() {
     // The tool-interchange format preserves every figure's structure,
     // kinds, and declared requirements.
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let sa = attack.graph();
         let text = tsg::text::to_text(&sa);
         let sa2 = tsg::text::from_text(&text).unwrap_or_else(|e| {
@@ -125,7 +125,7 @@ fn text_serialization_roundtrips_every_catalog_graph() {
 
 #[test]
 fn dot_export_of_all_figures_is_renderable() {
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let dot = attack.graph().into_graph().to_dot(attack.info().name);
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("->"));
@@ -152,8 +152,8 @@ proptest! {
     /// always converges to a secure graph (no oscillation).
     #[test]
     fn patch_all_converges(idx in 0usize..18) {
-        let catalog = attacks::catalog();
-        let mut sa = catalog[idx % catalog.len()].graph();
+        let registry = attacks::registry();
+        let mut sa = registry[idx % registry.len()].graph();
         let n = sa.patch_all().unwrap();
         prop_assert!(n >= 1);
         prop_assert!(sa.is_secure().unwrap());

@@ -9,7 +9,7 @@ use uarch::UarchConfig;
 /// and the secret access operation."
 #[test]
 fn insight1_missing_edge_is_the_root_cause() {
-    for attack in attacks::catalog() {
+    for attack in attacks::registry() {
         let sa = attack.graph();
         let g = sa.graph();
         let auths = g.nodes_of_kind(NodeKind::is_authorization);
@@ -42,11 +42,11 @@ fn insight2_security_dependency_is_the_missing_edge() {
 /// every cataloged defense falls under one of the four.
 #[test]
 fn insight3_every_defense_has_a_strategy() {
-    let catalog = defenses::catalog();
-    assert!(catalog.len() >= 25, "the catalog covers Table II + §V-B");
+    let registry = defenses::registry();
+    assert!(registry.len() >= 25, "the catalog covers Table II + §V-B");
     for s in Strategy::all() {
         assert!(
-            catalog.iter().any(|d| d.strategy == s),
+            registry.iter().any(|d| d.strategy == s),
             "strategy {s} unrepresented"
         );
     }
@@ -118,11 +118,11 @@ fn insight5_relaxation_trades_performance() {
 #[test]
 fn insight6_modeling_level_split() {
     use analyzer::{AnalysisConfig, Analyzer, GadgetClass};
-    let spectre_count = attacks::catalog()
+    let spectre_count = attacks::registry()
         .iter()
         .filter(|a| a.info().class == AttackClass::Spectre)
         .count();
-    let meltdown_count = attacks::catalog()
+    let meltdown_count = attacks::registry()
         .iter()
         .filter(|a| a.info().class == AttackClass::Meltdown)
         .count();
