@@ -124,8 +124,8 @@ impl Attack for Bhi {
             m.run(&binary)?;
         }
 
-        // The receiver re-establishes the channel after training.
-        probe_channel().prepare(m)?;
+        // The receiver re-arms the channel after training.
+        probe_channel().rearm(m)?;
 
         // --- Victim invocation (still the same context): the legitimate
         // target is restored but resolves slowly (flushed chain); the

@@ -138,9 +138,9 @@ impl Attack for Inception {
         let victim_ctx = m.add_context(Privilege::User, ExceptionBehavior::Halt);
 
         // --- Attacker floods the RSB past capacity with gadget entries,
-        // establishes the channel, and yields.
+        // re-arms the channel, and yields.
         m.run(&attacker_binary()?)?;
-        probe_channel().prepare(m)?;
+        probe_channel().rearm(m)?;
         let attacker = m.current_context();
 
         // --- Context switch to the victim (RSB stuffing and strategy-④

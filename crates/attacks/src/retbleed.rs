@@ -112,11 +112,11 @@ impl Attack for Retbleed {
         let victim_ctx = m.add_context(Privilege::User, ExceptionBehavior::Halt);
 
         // --- Attacker trains the BTB at the victim return's pc (no calls,
-        // so the RSB stays empty), establishes the channel, and yields.
+        // so the RSB stays empty), re-arms the channel, and yields.
         for _ in 0..3 {
             m.run(&attacker_binary()?)?;
         }
-        probe_channel().prepare(m)?;
+        probe_channel().rearm(m)?;
         let attacker = m.current_context();
 
         // --- Context switch to the victim (strategy-④ flushing and RSB

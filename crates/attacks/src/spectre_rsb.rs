@@ -89,9 +89,9 @@ impl Attack for SpectreRsb {
         m.write_u64(VICTIM_SECRET, SECRET)?;
         let victim_ctx = m.add_context(Privilege::User, ExceptionBehavior::Halt);
 
-        // --- Attacker pollutes the RSB, establishes the channel, yields.
+        // --- Attacker pollutes the RSB, re-arms the channel, yields.
         m.run(&attacker_binary()?)?;
-        probe_channel().prepare(m)?;
+        probe_channel().rearm(m)?;
         let attacker = m.current_context();
 
         // --- Context switch to the victim (strategy-④ defenses and RSB

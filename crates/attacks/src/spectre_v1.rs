@@ -81,7 +81,7 @@ fn attack_run(m: &mut Machine, program: &Program) -> Result<(), AttackError> {
     // the out-of-bounds index, run.
     m.flush_line(BOUND_PTR)?;
     m.flush_line(BOUND_CELL)?;
-    probe_channel().prepare(m)?;
+    probe_channel().rearm(m)?;
     m.clear_events();
     m.set_reg(Reg::R0, OOB_INDEX);
     m.set_reg(Reg::R1, VICTIM_ARRAY);

@@ -108,8 +108,8 @@ impl Attack for SpectreV2 {
             m.run(&binary)?;
         }
 
-        // The receiver (attacker) establishes the channel before yielding.
-        probe_channel().prepare(m)?;
+        // The receiver (attacker) re-arms the channel before yielding.
+        probe_channel().rearm(m)?;
         let attacker = m.current_context();
 
         // --- Victim run: the OS switches to the victim (strategy-④

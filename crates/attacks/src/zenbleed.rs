@@ -114,7 +114,7 @@ impl Attack for ZenBleed {
         // and is sent before the squash.
         m.flush_line(BOUND_PTR)?;
         m.flush_line(BOUND_CELL)?;
-        probe_channel().prepare(m)?;
+        probe_channel().rearm(m)?;
         m.clear_events();
         m.set_reg(Reg::R0, TRIGGER);
         m.set_reg(Reg::R2, BOUND_PTR);

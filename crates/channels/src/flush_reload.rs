@@ -83,6 +83,20 @@ impl FlushReload {
         Ok(())
     }
 
+    /// Re-arms a [`prepare`](FlushReload::prepare)d channel between runs:
+    /// flushes every slot and leaves the mappings as they are.
+    ///
+    /// # Errors
+    ///
+    /// [`UarchError::Unmapped`] if a slot's page was never mapped (the
+    /// channel was not prepared on `m`).
+    pub fn rearm(&self, m: &mut Machine) -> Result<(), UarchError> {
+        for i in 0..self.slots {
+            m.flush_line(self.slot_address(i))?;
+        }
+        Ok(())
+    }
+
     /// Step 5 (receive): reloads every slot with timed reads and classifies.
     ///
     /// # Errors
@@ -163,5 +177,27 @@ mod tests {
         ch.prepare(&mut m).unwrap();
         let r = ch.receive(&mut m).unwrap();
         assert_eq!(r.recovered, None);
+    }
+
+    #[test]
+    fn rearm_clears_previous_send() {
+        let mut m = Machine::new(UarchConfig::default());
+        let ch = FlushReload::new(0x10_0000, 8);
+        ch.prepare(&mut m).unwrap();
+        m.touch(ch.slot_address(3)).unwrap();
+        ch.rearm(&mut m).unwrap();
+        assert!(ch.resident_slots(&m).unwrap().is_empty());
+        let r = ch.receive(&mut m).unwrap();
+        assert_eq!(r.recovered, None);
+    }
+
+    #[test]
+    fn rearm_on_an_unprepared_machine_is_unmapped() {
+        let mut m = Machine::new(UarchConfig::default());
+        let ch = FlushReload::new(0x10_0000, 8);
+        assert!(matches!(
+            ch.rearm(&mut m),
+            Err(UarchError::Unmapped { vaddr: 0x10_0000 })
+        ));
     }
 }

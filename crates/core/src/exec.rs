@@ -28,7 +28,8 @@ use std::thread;
 /// below a failed one has already been claimed and run: the error
 /// returned is the one a sequential run of every task would hit first.
 ///
-/// A panicking task propagates its panic to the caller.
+/// A panicking task propagates its panic to the caller. Workers write
+/// artifacts in the caller's armed fault scope (see [`crate::fault`]).
 pub(crate) fn map_indexed<S, T, E>(
     n: usize,
     threads: usize,
@@ -56,7 +57,9 @@ where
     // unique, and a late-seen `failed` only costs one more claim.
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
+    let in_fault_scope = crate::fault::in_scope();
     let worker = || {
+        crate::fault::set_in_scope(in_fault_scope);
         let mut state = init();
         let mut done = Vec::new();
         while !failed.load(Ordering::Relaxed) {

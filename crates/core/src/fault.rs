@@ -29,8 +29,12 @@
 //! Fault state is process-global (the write layer is called from deep inside
 //! the campaign engine), so [`arm`]/[`observe`] also serialize armers: the
 //! returned [`ArmedFault`] guard holds a global gate for its lifetime,
-//! keeping concurrent tests from trampling each other's plans.
+//! keeping concurrent tests from trampling each other's plans. A guard sees
+//! only the writes of the thread that armed it and of the executor workers
+//! that thread starts; writers on other threads (an unarmed test running
+//! alongside) are neither counted nor faulted.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -178,6 +182,24 @@ static ARMED: Mutex<Option<ArmedState>> = Mutex::new(None);
 /// concurrent tests cannot observe each other's write counts or plans.
 static GATE: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Whether this thread's writes belong to the armed guard: set on the
+    /// thread that arms (only one guard exists at a time, see [`GATE`]) and
+    /// carried into executor workers by [`set_in_scope`].
+    static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread writes in the armed guard's scope, for
+/// handing to the worker threads it starts.
+pub(crate) fn in_scope() -> bool {
+    IN_SCOPE.with(Cell::get)
+}
+
+/// Puts the calling (worker) thread in or out of the armed guard's scope.
+pub(crate) fn set_in_scope(in_scope: bool) {
+    IN_SCOPE.with(|s| s.set(in_scope));
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panic while armed (e.g. an assertion failure in a sweep closure)
     // poisons the mutex; the state itself is still coherent, so recover it.
@@ -193,7 +215,8 @@ pub struct ArmedFault {
 }
 
 impl ArmedFault {
-    /// Number of writes [`write_atomic`] has seen since arming.
+    /// Number of writes [`write_atomic`] has seen in this guard's scope
+    /// (see the [module docs](self)) since arming.
     #[must_use]
     pub fn writes(&self) -> usize {
         lock(&ARMED).as_ref().map_or(0, |s| s.writes)
@@ -209,6 +232,7 @@ impl ArmedFault {
 impl Drop for ArmedFault {
     fn drop(&mut self) {
         *lock(&ARMED) = None;
+        set_in_scope(false);
     }
 }
 
@@ -230,6 +254,7 @@ pub fn observe() -> ArmedFault {
 
 fn arm_state(plan: Option<FaultPlan>) -> ArmedFault {
     let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    set_in_scope(true);
     *lock(&ARMED) = Some(ArmedState {
         plan,
         writes: 0,
@@ -297,6 +322,9 @@ enum WriteAction {
 }
 
 fn next_action() -> WriteAction {
+    if !in_scope() {
+        return WriteAction::Plain;
+    }
     let mut guard = lock(&ARMED);
     let Some(state) = guard.as_mut() else {
         return WriteAction::Plain;
@@ -742,6 +770,33 @@ mod tests {
         assert!(!g.fired());
         drop(g);
         let _ = fs::remove_file(p);
+    }
+
+    #[test]
+    fn armed_scope_spans_executor_workers_but_not_other_threads() {
+        let d = dir().join("scope");
+        fs::create_dir_all(&d).unwrap();
+        let g = arm(FaultPlan::enospc(4));
+        // A thread the arming thread did not start through the executor
+        // writes outside the plan: not counted, not faulted.
+        let outsider = d.join("outsider.json");
+        std::thread::scope(|s| {
+            s.spawn(|| write_atomic(&outsider, "x").unwrap());
+        });
+        assert_eq!(g.writes(), 0);
+        // Executor workers write inside it.
+        crate::exec::map_indexed(
+            4,
+            2,
+            || (),
+            |(), i| write_atomic(d.join(format!("w{i}.json")), "y"),
+        )
+        .unwrap();
+        assert_eq!(g.writes(), 4);
+        assert!(write_atomic(d.join("w4.json"), "y").is_err());
+        assert!(g.fired());
+        drop(g);
+        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]

@@ -289,15 +289,6 @@ impl Cache {
     }
 }
 
-/// Builds a line's worth of data from a word-reader callback.
-pub fn line_data(base: u64, mut read: impl FnMut(u64) -> u64) -> [u64; WORDS_PER_LINE] {
-    let mut data = [0u64; WORDS_PER_LINE];
-    for (i, w) in data.iter_mut().enumerate() {
-        *w = read(base + (i as u64) * 8);
-    }
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,13 +383,6 @@ mod tests {
         c.fill(0x80, [0; WORDS_PER_LINE]);
         assert!(!c.contains(0x00));
         assert!(c.contains(0x80));
-    }
-
-    #[test]
-    fn line_data_reader() {
-        let d = line_data(0x40, |a| a);
-        assert_eq!(d[0], 0x40);
-        assert_eq!(d[7], 0x78);
     }
 
     #[test]

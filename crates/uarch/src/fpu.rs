@@ -1,5 +1,6 @@
 //! FPU state with lazy context switching (the Lazy FP attack surface).
 
+use crate::fxmap::FxMap;
 use crate::machine::ContextId;
 
 /// Number of FP registers (matches [`isa::FReg::COUNT`]).
@@ -19,7 +20,7 @@ pub struct FpuState {
     /// The context whose values are physically loaded.
     owner: ContextId,
     /// Saved register files per context (filled on eager switch / on demand).
-    saved: std::collections::HashMap<ContextId, [u64; FP_REG_COUNT]>,
+    saved: FxMap<ContextId, [u64; FP_REG_COUNT]>,
 }
 
 impl FpuState {
@@ -29,7 +30,7 @@ impl FpuState {
         FpuState {
             regs: [0; FP_REG_COUNT],
             owner,
-            saved: std::collections::HashMap::new(),
+            saved: FxMap::default(),
         }
     }
 

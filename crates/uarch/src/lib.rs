@@ -61,6 +61,7 @@ mod config;
 mod error;
 mod event;
 mod fpu;
+mod fxmap;
 mod machine;
 mod mem;
 pub mod mmu;

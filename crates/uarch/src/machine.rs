@@ -8,7 +8,7 @@
 //! models.
 
 use crate::buffers::{LineFillBuffer, LoadPorts, StoreBuffer};
-use crate::cache::{line_data, Cache, LINE_SIZE, WORDS_PER_LINE};
+use crate::cache::{Cache, LINE_SIZE, WORDS_PER_LINE};
 use crate::config::UarchConfig;
 use crate::error::UarchError;
 use crate::event::{SquashCause, TraceEvent, TransientSource};
@@ -600,8 +600,7 @@ impl Machine {
 
     fn fill_line(&mut self, paddr: u64) -> u64 {
         let base = paddr & !(LINE_SIZE - 1);
-        let mem = &self.memory;
-        let data = line_data(base, |a| mem.read_u64(a));
+        let data = self.memory.read_line(base);
         self.lfb.record(base, data);
         self.cache.fill(base, data);
         base
@@ -1508,8 +1507,7 @@ impl Machine {
             } else {
                 let line = paddr & !(LINE_SIZE - 1);
                 let was_present = self.cache.contains(line);
-                let mem = &self.memory;
-                let data = line_data(line, |a| mem.read_u64(a));
+                let data = self.memory.read_line(line);
                 self.lfb.record(line, data);
                 let evicted = self.cache.fill(line, data);
                 if speculative {

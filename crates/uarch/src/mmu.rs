@@ -11,8 +11,8 @@
 //! * **writable bit** — write faults (Spectre v1.2 writes read-only memory
 //!   transiently).
 
+use crate::fxmap::FxMap;
 use crate::result::Fault;
-use std::collections::HashMap;
 
 /// Page size: 4 KiB.
 pub const PAGE_SIZE: u64 = 4096;
@@ -84,7 +84,7 @@ pub enum PrivilegeLevel {
 /// A single-level page table over 4 KiB pages.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, PageEntry>,
+    entries: FxMap<u64, PageEntry>,
 }
 
 impl PageTable {

@@ -10,7 +10,7 @@
 //! * [`DisambiguationPredictor`] — store-load alias predictor; the
 //!   optimistic "no alias" default is the Spectre v4 authorization bypass.
 
-use std::collections::HashMap;
+use crate::fxmap::FxMap;
 
 /// Saturating 2-bit counter states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -43,7 +43,7 @@ impl Counter2 {
 /// Per-pc 2-bit-counter conditional branch direction predictor.
 #[derive(Debug, Clone, Default)]
 pub struct PatternHistoryTable {
-    counters: HashMap<usize, Counter2>,
+    counters: FxMap<usize, Counter2>,
 }
 
 impl PatternHistoryTable {
@@ -90,7 +90,7 @@ impl PatternHistoryTable {
 /// Indirect-branch target predictor shared across contexts (no ASID tag).
 #[derive(Debug, Clone, Default)]
 pub struct BranchTargetBuffer {
-    targets: HashMap<usize, usize>,
+    targets: FxMap<usize, usize>,
 }
 
 impl BranchTargetBuffer {
@@ -213,7 +213,7 @@ impl ReturnStackBuffer {
 #[derive(Debug, Clone, Default)]
 pub struct DisambiguationPredictor {
     /// pcs that have mispredicted and must not bypass.
-    conservative: HashMap<usize, bool>,
+    conservative: FxMap<usize, bool>,
 }
 
 impl DisambiguationPredictor {
