@@ -42,12 +42,15 @@
 //! # }
 //! ```
 //!
-//! Worker threads claim tasks from one shared cursor, and results are
-//! reassembled by cell index, so the output is byte-identical
-//! regardless of thread count or scheduling. That index-addressed,
-//! deterministic cell order is also what makes the cube **shardable**
-//! ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]: merging is
-//! validated concatenation) and **incrementally re-evaluable**
+//! Tasks that run the same attack on the same effective machine — a
+//! baseline on a hardened slice and the cells whose defenses set the same
+//! knob, or two aliasing defenses such as NDA and SpecShield — share one
+//! simulation. Worker threads claim those runs from one shared cursor,
+//! and rows are reassembled by cell index, so the output is
+//! byte-identical regardless of thread count or scheduling. That
+//! index-addressed, deterministic cell order is also what makes the cube
+//! **shardable** ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]:
+//! merging is validated concatenation) and **incrementally re-evaluable**
 //! ([`CampaignMatrix::run_incremental`]: every cell carries a content
 //! fingerprint — attack name, defense name + strategy, config contents —
 //! and cells whose fingerprint appears in a previous matrix, e.g. one
@@ -842,6 +845,17 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
+/// FNV-1a over everything formatted into it, so a rendering is hashed
+/// as it streams out and never built as a `String`.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(s.as_bytes(), self.0);
+        Ok(())
+    }
+}
+
 /// A stable 64-bit digest of a machine configuration's *contents* (every
 /// field, in declaration order).
 ///
@@ -851,7 +865,9 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 /// fingerprint (the conservative direction for incremental re-evaluation).
 #[must_use]
 pub fn config_digest(cfg: &UarchConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes(), FNV_OFFSET)
+    let mut h = FnvWriter(FNV_OFFSET);
+    write!(h, "{cfg:?}").expect("hashing into FNV cannot fail");
+    h.0
 }
 
 pub(crate) fn baseline_fingerprint(attack: &str, digest: u64) -> u64 {
@@ -1148,57 +1164,89 @@ fn keyed_tasks(spec: &CampaignSpec, range: Range<usize>) -> impl Iterator<Item =
     })
 }
 
-/// What the machine reported for one task — or why it could not.
+/// What one distinct machine run reported — or why it could not.
 enum Measured {
-    /// A baseline run completed.
-    Run(attacks::AttackOutcome),
-    /// A cell's defended run completed with this mechanism verdict.
-    Verdict(Verdict),
-    /// The simulation was quarantined or timed out.
+    /// The run completed.
+    Ran(attacks::AttackOutcome),
+    /// The run was quarantined or timed out.
     Degraded(CellOutcome),
 }
 
-/// Simulates one task on the worker's warm machine.
-fn simulate(
-    spec: &CampaignSpec,
-    task: Task,
-    runner: &mut BatchRunner,
-) -> Result<Measured, AttackError> {
-    let (attack, config) = (spec.attacks[task.attack], &spec.configs[task.config].config);
-    Ok(match task.defense {
-        None => Measured::Run(runner.run(attack, config)?),
-        Some(d) => {
-            let stack = &spec.defenses[d];
-            Measured::Verdict(defenses::verify_stack_warm(stack, attack, config, runner)?)
-        }
-    })
+/// One distinct simulation of a task list: an attack on an effective
+/// machine config, and the tasks (list positions) whose rows it fills.
+struct Run {
+    attack: usize,
+    config: UarchConfig,
+    tasks: Vec<usize>,
 }
 
-/// Builds a task's row from what its simulation measured. A degraded
-/// task gets zeroed machine fields and a [`Verdict::GraphOnly`]
-/// mechanism; every row keeps the hoisted graph verdicts (`graph_race`,
-/// `strategy_sufficient` — they never needed the machine) and the
-/// fingerprint the reuse lookup used, so an incremental re-run
-/// recognises (and, because degraded rows are never reused,
+/// The machine config a task simulates on: its slice's config for a
+/// baseline, the stack deployed over it for a cell, and `None` for a
+/// graph-only cell, which never simulates.
+fn effective_config(spec: &CampaignSpec, task: Task) -> Option<UarchConfig> {
+    let base = &spec.configs[task.config].config;
+    match task.defense {
+        None => Some(base.clone()),
+        Some(d) => spec.defenses[d].apply(base),
+    }
+}
+
+/// Groups `tasks` into their distinct simulations, keyed by the exact
+/// `(attack, effective config)` — never a digest, so two machines are
+/// merged only when every knob agrees. Runs are ordered by their first
+/// task. The second list maps each task to its run (`None` for a
+/// graph-only cell).
+fn distinct_runs(spec: &CampaignSpec, tasks: &[KeyedTask]) -> (Vec<Run>, Vec<Option<usize>>) {
+    let mut index: HashMap<(usize, UarchConfig), usize> = HashMap::new();
+    let mut runs: Vec<Run> = Vec::new();
+    let run_of = tasks
+        .iter()
+        .enumerate()
+        .map(|(k, &(task, _))| {
+            let config = effective_config(spec, task)?;
+            let r = *index
+                .entry((task.attack, config))
+                .or_insert_with_key(|(attack, config)| {
+                    runs.push(Run {
+                        attack: *attack,
+                        config: config.clone(),
+                        tasks: Vec::new(),
+                    });
+                    runs.len() - 1
+                });
+            runs[r].tasks.push(k);
+            Some(r)
+        })
+        .collect();
+    (runs, run_of)
+}
+
+/// Builds a task's row from what its run measured (`None` for a
+/// graph-only cell). A baseline takes the run's outcome, a cell its
+/// [`Verdict::of_run`]. A degraded task gets zeroed machine fields and a
+/// [`Verdict::GraphOnly`] mechanism; every row keeps the hoisted graph
+/// verdicts (`graph_race`, `strategy_sufficient` — they never needed the
+/// machine) and the fingerprint the reuse lookup used, so an incremental
+/// re-run recognises (and, because degraded rows are never reused,
 /// re-evaluates) the cell.
 fn build_row(
     spec: &CampaignSpec,
     graph: &GraphVerdicts,
     (task, fingerprint): KeyedTask,
-    measured: Measured,
+    measured: Option<&Measured>,
 ) -> TaskOut {
-    let (run, mechanism, outcome) = match measured {
-        Measured::Run(run) => (Some(run), Verdict::GraphOnly, CellOutcome::Ok),
-        Measured::Verdict(v) => (None, v, CellOutcome::Ok),
-        Measured::Degraded(outcome) => (None, Verdict::GraphOnly, outcome),
+    let (run, outcome) = match measured {
+        Some(Measured::Ran(run)) => (Some(run), CellOutcome::Ok),
+        Some(Measured::Degraded(outcome)) => (None, outcome.clone()),
+        None => (None, CellOutcome::Ok),
     };
     let Task { attack, config, .. } = task;
     let Some(defense) = task.defense else {
         return TaskOut::Base(BaselineCell {
             info: spec.attacks[attack].info(),
             config,
-            leaked: run.as_ref().is_some_and(|r| r.leaked),
-            recovered: run.as_ref().and_then(|r| r.recovered),
+            leaked: run.is_some_and(|r| r.leaked),
+            recovered: run.and_then(|r| r.recovered),
             cycles: run.map_or(0, |r| r.cycles),
             graph_race: graph.races[attack],
             fingerprint,
@@ -1211,7 +1259,7 @@ fn build_row(
         stack: stack.clone(),
         strategy_sufficient: graph.pairs[Layout::of(spec).pair(attack, defense)]
             .expect("pair verdict precomputed"),
-        mechanism,
+        mechanism: run.map_or(Verdict::GraphOnly, Verdict::of_run),
     };
     TaskOut::Cell(MatrixCell {
         attack: evaluation.attack,
@@ -1234,37 +1282,37 @@ fn panic_reason(payload: &dyn std::any::Any) -> String {
     msg.chars().take(200).collect()
 }
 
-/// Runs one task under the spec's [`Resilience`] policy and builds its
-/// row: panics are caught and retried with backoff on a fresh machine
-/// (the old one may be poisoned mid-simulation), then quarantined;
-/// cycle-budget exhaustion degrades to [`CellOutcome::TimedOut`] when the
-/// watchdog is enabled. Non-timeout simulator errors keep their existing
-/// fail-the-run semantics — they indicate a broken spec, not a flaky
-/// worker.
-fn run_task_resilient(
+/// Simulates one distinct run on the worker's warm machine under the
+/// spec's [`Resilience`] policy: panics are caught and retried with
+/// backoff on a fresh machine (the old one may be poisoned
+/// mid-simulation), then quarantined; cycle-budget exhaustion degrades to
+/// [`CellOutcome::TimedOut`] when the watchdog is enabled. Non-timeout
+/// simulator errors keep their existing fail-the-run semantics — they
+/// indicate a broken spec, not a flaky worker.
+fn simulate(
     spec: &CampaignSpec,
-    graph: &GraphVerdicts,
-    keyed: KeyedTask,
+    run: &Run,
     runner: &mut BatchRunner,
-) -> Result<TaskOut, AttackError> {
+) -> Result<Measured, AttackError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let policy = &spec.resilience;
+    let attack = spec.attacks[run.attack];
     let mut attempt = 0u32;
-    let measured = loop {
-        match catch_unwind(AssertUnwindSafe(|| simulate(spec, keyed.0, runner))) {
-            Ok(Ok(measured)) => break measured,
+    loop {
+        match catch_unwind(AssertUnwindSafe(|| runner.run(attack, &run.config))) {
+            Ok(Ok(outcome)) => return Ok(Measured::Ran(outcome)),
             Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
                 if policy.degrade_timeouts =>
             {
-                break Measured::Degraded(CellOutcome::TimedOut { limit });
+                return Ok(Measured::Degraded(CellOutcome::TimedOut { limit }));
             }
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 *runner = BatchRunner::new();
                 if attempt >= policy.retries {
-                    break Measured::Degraded(CellOutcome::Quarantined {
+                    return Ok(Measured::Degraded(CellOutcome::Quarantined {
                         reason: panic_reason(payload.as_ref()),
-                    });
+                    }));
                 }
                 attempt += 1;
                 if !policy.backoff.is_zero() {
@@ -1272,8 +1320,7 @@ fn run_task_resilient(
                 }
             }
         }
-    };
-    Ok(build_row(spec, graph, keyed, measured))
+    }
 }
 
 /// One completed evaluation task, as reported to a [`ProgressObserver`].
@@ -1295,35 +1342,65 @@ pub struct TaskEvent {
 /// (fingerprint-matched) tasks are never reported — they cost nothing.
 pub type ProgressObserver<'a> = &'a (dyn Fn(TaskEvent) + Sync);
 
+/// What [`evaluate_tasks`] produced.
+struct Evaluated {
+    /// One row per task, in list order.
+    rows: Vec<TaskOut>,
+    graph: GraphVerdicts,
+    /// Distinct machine runs simulated for those rows.
+    simulations: usize,
+}
+
 /// Evaluates `tasks` (need not be contiguous, must be in task order for
 /// the error-order guarantee): the hoisted graph verdicts (see
-/// [`graph_verdicts_for`] for `races_for_all`), then the simulations on
+/// [`graph_verdicts_for`] for `races_for_all`), then one simulation per
+/// distinct `(attack, effective config)` (see [`distinct_runs`]) on
 /// [`crate::exec::map_indexed`] workers, each owning one warm
-/// [`BatchRunner`] that every task resets instead of rebuilding. Results
-/// come back in list order; the first error by task order wins.
-/// `progress`, if given, observes every completed task as it finishes.
+/// [`BatchRunner`] that every run resets instead of rebuilding. A run's
+/// result fans out to every task that shares it, a degraded run degrading
+/// them all. Rows come back in list order; runs are ordered by their
+/// first task, so the first error by task order wins. Deduplication is
+/// scoped to this one call. `progress`, if given, observes every task
+/// once: graph-only cells as soon as the graph verdicts exist, the others
+/// as their run finishes.
 fn evaluate_tasks(
     spec: &CampaignSpec,
     tasks: &[KeyedTask],
     races_for_all: bool,
     progress: Option<ProgressObserver<'_>>,
-) -> Result<(Vec<TaskOut>, GraphVerdicts), AttackError> {
+) -> Result<Evaluated, AttackError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let graph = graph_verdicts_for(spec, tasks, races_for_all)?;
+    let (runs, run_of) = distinct_runs(spec, tasks);
     let done = AtomicUsize::new(0);
-    let outs =
-        crate::exec::map_indexed(tasks.len(), spec.threads, BatchRunner::new, |runner, k| {
-            let out = run_task_resilient(spec, &graph, tasks[k], runner);
-            if let Some(f) = progress {
-                f(TaskEvent {
-                    completed: done.fetch_add(1, Ordering::Relaxed) + 1,
-                    total: tasks.len(),
-                    config: tasks[k].0.config,
-                });
-            }
+    let report = |k: usize| {
+        if let Some(f) = progress {
+            f(TaskEvent {
+                completed: done.fetch_add(1, Ordering::Relaxed) + 1,
+                total: tasks.len(),
+                config: tasks[k].0.config,
+            });
+        }
+    };
+    (0..tasks.len())
+        .filter(|&k| run_of[k].is_none())
+        .for_each(report);
+    let measured =
+        crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
+            let out = simulate(spec, &runs[r], runner);
+            runs[r].tasks.iter().copied().for_each(report);
             out
         })?;
-    Ok((outs, graph))
+    let rows = tasks
+        .iter()
+        .zip(&run_of)
+        .map(|(&keyed, run)| build_row(spec, &graph, keyed, run.map(|r| &measured[r])))
+        .collect();
+    Ok(Evaluated {
+        rows,
+        graph,
+        simulations: runs.len(),
+    })
 }
 
 /// The axes and rows of an evaluated cube, or of one shard's slice of it.
@@ -1417,7 +1494,7 @@ impl CampaignShard {
         // pairs — a shard whose range misses an attack builds no graph
         // for it; pairs are computed once and shared across the shard's
         // config slices.
-        let (outs, _) = evaluate_tasks(&self.spec, &tasks, false, progress)?;
+        let outs = evaluate_tasks(&self.spec, &tasks, false, progress)?.rows;
         Ok(CampaignPart {
             shard: self.shard,
             body: Cube::new(&self.spec, outs),
@@ -1733,6 +1810,11 @@ pub struct IncrementalReport {
     pub evaluated: usize,
     /// Tasks reused from the previous matrix by fingerprint.
     pub reused: usize,
+    /// Distinct machine runs behind the evaluated tasks. Tasks whose
+    /// attack and effective config agree — an aliasing defense, a
+    /// hardening that sets the same knob — share one run, and graph-only
+    /// cells need none, so this is at most `evaluated`.
+    pub simulations: usize,
     /// Strategy-sufficiency graph verdicts computed for this run. Graph
     /// verdicts are config-invariant and hoisted out of the config loop,
     /// so a full run of an `A×S×C` cube computes exactly `A×S` of these
@@ -1863,7 +1945,11 @@ impl CampaignMatrix {
         // *every* attack — races are recomputed live (cheap) and stamped
         // onto every baseline below, so a changed graph() never serves a
         // stale verdict even when the simulation itself is reused.
-        let (fresh, graph) = evaluate_tasks(spec, &stale, true, progress)?;
+        let Evaluated {
+            rows: fresh,
+            graph,
+            simulations,
+        } = evaluate_tasks(spec, &stale, true, progress)?;
         let mut fresh = fresh.into_iter();
         for (i, slot) in rows.iter_mut().enumerate() {
             let out = slot.get_or_insert_with(|| fresh.next().expect("one row per stale task"));
@@ -1877,6 +1963,7 @@ impl CampaignMatrix {
         let report = IncrementalReport {
             evaluated: stale.len(),
             reused: rows.len() - stale.len(),
+            simulations,
             graph_verdicts: graph.evaluated,
         };
         let outs = rows.into_iter().map(|out| out.expect("every task filled"));
@@ -3121,6 +3208,27 @@ mod tests {
             cell_fingerprint("Spectre v1", "NDA", "prevent_use", digest),
             baseline_fingerprint("Spectre v1", digest)
         );
+    }
+
+    #[test]
+    fn config_digests_are_pinned() {
+        // Saved matrices and verdict-store keys carry these digests, so the
+        // streamed hash must reproduce the `fnv1a(format!("{cfg:?}"))`
+        // values exactly.
+        let base = UarchConfig::default();
+        assert_eq!(config_digest(&base), 0x5ab9_f9d1_5224_ae8d);
+        let tweaked = UarchConfig {
+            rob_capacity: 16,
+            nda: true,
+            ..base
+        };
+        assert_eq!(config_digest(&tweaked), 0x57ad_8619_4c74_9eb9);
+        for cfg in [&base, &tweaked] {
+            assert_eq!(
+                config_digest(cfg),
+                fnv1a(format!("{cfg:?}").as_bytes(), FNV_OFFSET)
+            );
+        }
     }
 
     #[test]

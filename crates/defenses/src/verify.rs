@@ -6,7 +6,7 @@
 //! *run* every attack under every modeled defense and report the verdict.
 
 use crate::DefenseStack;
-use attacks::{Attack, AttackError, BatchRunner};
+use attacks::{Attack, AttackError, AttackOutcome, BatchRunner};
 use std::fmt;
 use uarch::UarchConfig;
 
@@ -22,6 +22,20 @@ pub enum Verdict {
     /// The defense is software-only (no hardware model); its effect is
     /// shown at the graph/program level instead.
     GraphOnly,
+}
+
+impl Verdict {
+    /// The verdict of a completed defended run: [`Verdict::Leaked`] when
+    /// the attack still recovered its secret, [`Verdict::Blocked`]
+    /// otherwise.
+    #[must_use]
+    pub fn of_run(outcome: &AttackOutcome) -> Verdict {
+        if outcome.leaked {
+            Verdict::Leaked
+        } else {
+            Verdict::Blocked
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
@@ -66,12 +80,7 @@ pub fn verify_stack_warm(
     let Some(cfg) = stack.apply(base) else {
         return Ok(Verdict::GraphOnly);
     };
-    let out = runner.run(attack, &cfg)?;
-    Ok(if out.leaked {
-        Verdict::Leaked
-    } else {
-        Verdict::Blocked
-    })
+    Ok(Verdict::of_run(&runner.run(attack, &cfg)?))
 }
 
 #[cfg(test)]

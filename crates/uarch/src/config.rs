@@ -8,8 +8,9 @@
 /// across contexts. Each defense strategy of the paper's Figure 8 maps to a
 /// knob here (see the builder methods).
 ///
-/// Construct via [`UarchConfig::builder`] or use `Default`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Construct via [`UarchConfig::builder`] or use `Default`. Every field
+/// is an integer or a bool, so `Eq + Hash` compare whole machines exactly.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UarchConfig {
     // ---- capacity ----
     /// Re-order buffer capacity in instructions.

@@ -409,3 +409,130 @@ mod sharding_and_incremental {
         );
     }
 }
+
+/// One simulation per distinct (attack, effective config): tasks whose
+/// defense or hardening sets the same machine knobs share a run, and the
+/// rows must be exactly what per-task evaluation would give.
+mod shared_runs {
+    use specgraph::prelude::*;
+    use std::sync::Mutex;
+    use uarch::UarchConfig;
+
+    /// Singletons covering every alias group of the catalog (fencing,
+    /// the NDA family, predictor flushing, taint tracking) plus one
+    /// graph-only defense, which never simulates.
+    fn aliasing_defenses() -> Vec<Defense> {
+        use defenses::names::*;
+        [
+            LFENCE,
+            MFENCE,
+            CONTEXT_SENSITIVE_FENCING,
+            NDA,
+            SPECSHIELD,
+            CONTEXT,
+            IBRS,
+            STIBP,
+            STT,
+            SPECSHIELD_ERP,
+            ADDRESS_MASKING_COARSE,
+        ]
+        .iter()
+        .map(|n| *defenses::find(n).expect("catalog defense"))
+        .collect()
+    }
+
+    fn aliasing_spec(threads: usize) -> CampaignSpec {
+        CampaignSpec::builder(UarchConfig::default())
+            .defenses(aliasing_defenses())
+            .axis(Knob::Hardening, Hardening::figure8())
+            .threads(threads)
+            .build()
+    }
+
+    #[test]
+    fn shared_runs_match_per_task_reference() {
+        let spec = aliasing_spec(2);
+        let matrix = CampaignMatrix::run(&spec).unwrap();
+        for b in matrix.baselines() {
+            let attack = attacks::find(b.info.name).expect("registry attack");
+            let cold = attack.run(&spec.configs[b.config].config).unwrap();
+            let what = format!("{} @ {}", b.info.name, spec.configs[b.config].name);
+            assert_eq!(b.leaked, cold.leaked, "{what} leak verdict");
+            assert_eq!(b.recovered, cold.recovered, "{what} recovery");
+            assert_eq!(b.cycles, cold.cycles, "{what} cycle count");
+        }
+        for cell in matrix.cells() {
+            let attack = attacks::find(cell.attack).expect("registry attack");
+            let stack = &cell.evaluation.stack;
+            let cold =
+                defenses::verify_stack(stack, attack, &spec.configs[cell.config].config).unwrap();
+            assert_eq!(
+                cell.evaluation.mechanism, cold,
+                "{} × {} @ {}",
+                cell.attack, cell.defense, spec.configs[cell.config].name
+            );
+        }
+        let serial = CampaignMatrix::run(&aliasing_spec(1)).unwrap();
+        assert_eq!(serial.to_json(), matrix.to_json());
+    }
+
+    #[test]
+    fn figure8_grid_simulates_each_distinct_machine_once() {
+        // 27 modeled catalog defenses write 15 distinct overlays, and the
+        // Figure-8 hardenings set four of those knobs again: per attack,
+        // 140 simulated tasks collapse to 66 distinct machine runs.
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .axis(Knob::Hardening, Hardening::figure8())
+            .build();
+        let (_, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        assert_eq!(report.evaluated, spec.total_tasks());
+        assert_eq!(report.simulations, 1_452);
+        assert_eq!(report.simulations, 66 * attacks::registry().len());
+    }
+
+    #[test]
+    fn without_aliasing_every_simulated_task_is_its_own_run() {
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks(attacks::registry().iter().copied().take(3))
+            .defenses(
+                [
+                    defenses::names::KPTI,
+                    defenses::names::LFENCE,
+                    defenses::names::SABC,
+                ]
+                .map(|n| *defenses::find(n).expect("catalog defense")),
+            )
+            .axis(Knob::RobDepth, [16usize, 64])
+            .build();
+        let graph_only = 3 * spec.configs.len();
+        let (_, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        assert_eq!(report.evaluated, spec.total_tasks());
+        assert_eq!(report.simulations, spec.total_tasks() - graph_only);
+    }
+
+    #[test]
+    fn progress_sees_every_task_once_graph_only_included() {
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks(attacks::registry().iter().copied().take(3))
+            .defenses(aliasing_defenses())
+            .axis(Knob::Hardening, [Hardening::None, Hardening::Nda])
+            .threads(2)
+            .build();
+        let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
+        let observer = |e: TaskEvent| events.lock().unwrap().push(e);
+        let (_, report) = CampaignMatrix::run_incremental(&spec, None, Some(&observer)).unwrap();
+        assert!(report.simulations < report.evaluated, "the spec aliases");
+        let seen = events.into_inner().unwrap();
+        let total = spec.total_tasks();
+        assert!(seen.iter().all(|e| e.total == total));
+        let mut completed: Vec<usize> = seen.iter().map(|e| e.completed).collect();
+        completed.sort_unstable();
+        assert_eq!(completed, (1..=total).collect::<Vec<_>>());
+        // One event per task: each config slice is reported as often as it
+        // has tasks, graph-only cells included.
+        for config in 0..spec.configs.len() {
+            let per_slice = seen.iter().filter(|e| e.config == config).count();
+            assert_eq!(per_slice, total / spec.configs.len(), "slice {config}");
+        }
+    }
+}

@@ -102,6 +102,76 @@ fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
 }
 
 #[test]
+fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
+    // NDA and SpecShield both write `nda`, so on the `hardening=nda` slice
+    // the baseline and both cells are one machine run, as are both cells
+    // on the unhardened slice: one panic quarantines every sharing row.
+    let _io = io_lock();
+    let spec_for = |first: &'static dyn Attack| {
+        CampaignSpec::builder(UarchConfig::default())
+            .attacks([
+                first,
+                attacks::find(attacks::names::RETBLEED).expect("registry attack"),
+            ])
+            .defenses(
+                [defenses::names::NDA, defenses::names::SPECSHIELD]
+                    .map(|n| *defenses::find(n).expect("catalog defense")),
+            )
+            .axis(campaign::Knob::Hardening, [Hardening::None, Hardening::Nda])
+            .threads(2)
+            .build()
+    };
+    let oracle = CampaignMatrix::run(&spec_for(meltdown())).unwrap();
+
+    let double = PanickingAttack::wrap(meltdown());
+    let mut spec = spec_for(double as &'static dyn Attack);
+    spec.resilience.retries = 1;
+    let (matrix, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+    // Per attack: the unhardened baseline, plus one `nda` machine shared
+    // by the other five rows.
+    assert_eq!(report.evaluated, 12);
+    assert_eq!(report.simulations, 4);
+    assert_eq!(matrix.quarantined(), 6);
+    let name = meltdown().info().name;
+    let reasons: Vec<&CellOutcome> = matrix
+        .baselines()
+        .iter()
+        .filter(|b| b.info.name == name)
+        .map(|b| &b.outcome)
+        .chain(
+            matrix
+                .cells()
+                .iter()
+                .filter(|c| c.attack == name)
+                .map(|c| &c.outcome),
+        )
+        .collect();
+    assert_eq!(reasons.len(), 6);
+    for outcome in &reasons {
+        assert!(
+            matches!(outcome, CellOutcome::Quarantined { reason } if reason.contains("injected fault")),
+            "{outcome:?}"
+        );
+    }
+    let nda_slice = 1;
+    let nda_baseline = matrix.baseline(name, nda_slice).expect("baseline row");
+    for defense in [defenses::names::NDA, defenses::names::SPECSHIELD] {
+        for config in 0..2 {
+            let cell = matrix.cell(name, defense, config).expect("cell row");
+            assert_eq!(cell.outcome, nda_baseline.outcome, "{defense} @ {config}");
+        }
+    }
+
+    // Healing re-runs exactly the quarantined rows, on their two runs.
+    double.disarm();
+    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
+    assert_eq!(report.evaluated, 6, "only quarantined rows re-run");
+    assert_eq!(report.simulations, 2);
+    assert_eq!(healed.quarantined(), 0);
+    assert_eq!(healed.to_json(), oracle.to_json());
+}
+
+#[test]
 fn scheduler_completes_with_quarantined_cells_and_store_skips_them() {
     let _io = io_lock();
     let double = PanickingAttack::wrap(meltdown());
