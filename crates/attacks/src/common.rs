@@ -3,6 +3,7 @@
 
 use crate::{Attack, AttackError, AttackOutcome};
 use channels::flush_reload::{FlushReload, SLOT_STRIDE};
+use uarch::mmu::PageTable;
 use uarch::{Machine, TraceEvent, UarchConfig};
 
 /// Probe array base for the Flush+Reload channel (step 1a).
@@ -46,16 +47,31 @@ pub fn probe_channel() -> FlushReload {
 /// (`send_addr = PROBE_BASE + secret * PROBE_STRIDE`).
 pub const PROBE_STRIDE: u64 = SLOT_STRIDE;
 
+/// Fails with [`AttackError::EventLogOverflow`] when the machine's event log
+/// dropped events: counts taken from a truncated log would be wrong.
+///
+/// # Errors
+///
+/// [`AttackError::EventLogOverflow`] if any event was dropped.
+pub fn check_event_log(m: &Machine) -> Result<(), AttackError> {
+    match m.events_dropped() {
+        0 => Ok(()),
+        dropped => Err(AttackError::EventLogOverflow { dropped }),
+    }
+}
+
 /// Builds the outcome from the machine's event log and the channel verdict.
 ///
 /// # Errors
 ///
-/// Propagates [`AttackError`] from the receive pass.
+/// [`AttackError::EventLogOverflow`] if the event log dropped events;
+/// otherwise propagates [`AttackError`] from the receive pass.
 pub fn finish(
     m: &mut Machine,
     secret: u64,
     start_cycle: u64,
 ) -> Result<AttackOutcome, AttackError> {
+    check_event_log(m)?;
     let reading = probe_channel().receive(m)?;
     let recovered = reading.recovered.map(|s| s as u64);
     let mut transient_forwards = 0;
@@ -109,13 +125,20 @@ pub fn machine_with_channel(cfg: &UarchConfig) -> Result<Machine, AttackError> {
 /// reusable [`Machine`], resetting (never rebuilding) between runs.
 ///
 /// [`BatchRunner::run`] is observationally identical to [`Attack::run`] —
-/// [`Machine::reset`] restores pristine post-`new` state and
-/// [`prepare_channel`] re-establishes the covert channel — but skips every
-/// per-cell heap allocation, which dominates campaign setup cost. Each
-/// campaign worker thread owns one `BatchRunner`.
+/// [`Machine::reset`] restores pristine post-`new` state and the covert
+/// channel is re-established — but skips every per-cell heap allocation,
+/// which dominates campaign setup cost. Each campaign worker thread owns
+/// one `BatchRunner`.
+///
+/// The first run prepares the channel with [`prepare_channel`] and keeps
+/// the page table it produced. Later runs restore that snapshot after the
+/// reset instead of re-mapping and re-flushing every probe page: the
+/// mappings do not depend on the configuration, and flushing lines out of
+/// a reset (empty) cache changes nothing.
 #[derive(Debug, Default)]
 pub struct BatchRunner {
     machine: Option<Machine>,
+    prepared_pages: Option<PageTable>,
 }
 
 impl BatchRunner {
@@ -142,7 +165,16 @@ impl BatchRunner {
             }
             None => self.machine.insert(Machine::new(cfg.clone())),
         };
-        prepare_channel(m)?;
+        match &self.prepared_pages {
+            Some(pages) => {
+                m.restore_page_table(pages);
+                m.clear_events();
+            }
+            None => {
+                prepare_channel(m)?;
+                self.prepared_pages = Some(m.page_table().clone());
+            }
+        }
         attack.run_in(m)
     }
 }
@@ -213,6 +245,23 @@ mod tests {
         // The next checkout reuses the warm runner instead of building one.
         let _warm = pool.checkout();
         assert_eq!(pool.idle_runners(), 0);
+    }
+
+    #[test]
+    fn event_log_overflow_fails_the_run() {
+        let cfg = UarchConfig::builder().max_events(2).build();
+        let attack = crate::registry()[0];
+        let overflowed = |r: Result<AttackOutcome, AttackError>| match r {
+            Err(AttackError::EventLogOverflow { dropped }) => dropped > 0,
+            _ => false,
+        };
+        assert!(overflowed(attack.run(&cfg)));
+        let mut runner = BatchRunner::new();
+        // The cold first run and a warm run on the restored snapshot.
+        assert!(overflowed(runner.run(attack, &cfg)));
+        assert!(overflowed(runner.run(attack, &cfg)));
+        // The same runner with a roomy log succeeds again.
+        assert!(runner.run(attack, &UarchConfig::default()).unwrap().leaked);
     }
 
     #[test]

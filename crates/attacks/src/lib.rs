@@ -139,6 +139,13 @@ pub enum AttackError {
     Isa(isa::IsaError),
     /// The attack graph failed to build.
     Tsg(tsg::TsgError),
+    /// The machine's event log filled up and dropped events, so the
+    /// outcome's event counts would come from a truncated log (raise
+    /// [`UarchConfig::max_events`]).
+    EventLogOverflow {
+        /// How many events were dropped.
+        dropped: u64,
+    },
 }
 
 impl fmt::Display for AttackError {
@@ -147,6 +154,9 @@ impl fmt::Display for AttackError {
             AttackError::Uarch(e) => write!(f, "simulator error: {e}"),
             AttackError::Isa(e) => write!(f, "program error: {e}"),
             AttackError::Tsg(e) => write!(f, "attack graph error: {e}"),
+            AttackError::EventLogOverflow { dropped } => {
+                write!(f, "event log overflow: {dropped} events dropped")
+            }
         }
     }
 }
@@ -157,6 +167,7 @@ impl Error for AttackError {
             AttackError::Uarch(e) => Some(e),
             AttackError::Isa(e) => Some(e),
             AttackError::Tsg(e) => Some(e),
+            AttackError::EventLogOverflow { .. } => None,
         }
     }
 }

@@ -72,3 +72,37 @@ proptest! {
         }
     }
 }
+
+/// Every attack under the default config, KPTI, and DAWG with a small
+/// cache geometry: a warm runner whose probe-page snapshot was already
+/// taken (by a different attack under a different config) reproduces the
+/// cold run exactly. An explicit loop, so every pair is covered.
+#[test]
+fn warm_snapshot_run_equals_cold_run_for_every_attack() {
+    let configs = [
+        UarchConfig::default(),
+        UarchConfig::builder().kpti(true).build(),
+        UarchConfig::builder()
+            .dawg(true)
+            .cache_sets(32)
+            .cache_ways(2)
+            .build(),
+    ];
+    let mut runner = BatchRunner::new();
+    let dirtier = *registry().last().expect("the registry is not empty");
+    runner
+        .run(dirtier, &config_from(0x7ff))
+        .expect("warm-up run");
+    for attack in registry() {
+        for cfg in &configs {
+            let warm = runner.run(*attack, cfg);
+            let cold = attack.run(cfg);
+            assert_eq!(
+                format!("{warm:?}"),
+                format!("{cold:?}"),
+                "warm != cold for {} under {cfg:?}",
+                attack.info().name
+            );
+        }
+    }
+}

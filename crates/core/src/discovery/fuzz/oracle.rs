@@ -278,6 +278,7 @@ impl ChannelDriver {
         match self.channel {
             ChannelDim::FlushReload => common::finish(m, secret, start_cycle),
             ChannelDim::PrimeProbe => {
+                common::check_event_log(m)?;
                 let reading = self.receiver().probe(m)?;
                 let recovered = reading.recovered.map(|s| s as u64);
                 let mut transient_forwards = 0;

@@ -8,8 +8,6 @@
 //! Foreshadow model can read stale secrets *from the L1* after a terminal
 //! fault.
 
-use std::collections::HashMap;
-
 /// Cache line size in bytes.
 pub const LINE_SIZE: u64 = 64;
 
@@ -240,13 +238,6 @@ impl Cache {
         }
     }
 
-    /// Removes every line (full cache flush).
-    pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
     /// All resident line base addresses, sorted.
     #[must_use]
     pub fn resident_lines(&self) -> Vec<u64> {
@@ -275,17 +266,6 @@ impl Cache {
     #[must_use]
     pub fn way_count(&self) -> usize {
         self.ways
-    }
-
-    /// Occupancy per set index (for Prime+Probe style reasoning).
-    #[must_use]
-    pub fn set_occupancy(&self) -> HashMap<usize, usize> {
-        self.sets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| (i, s.len()))
-            .collect()
     }
 }
 
@@ -365,11 +345,6 @@ mod tests {
         c.fill(0x00, [0; WORDS_PER_LINE]);
         c.fill(0x40, [0; WORDS_PER_LINE]);
         assert_eq!(c.resident_lines(), vec![0x00, 0x40]);
-        let occ = c.set_occupancy();
-        assert_eq!(occ.get(&0), Some(&1));
-        assert_eq!(occ.get(&1), Some(&1));
-        c.flush_all();
-        assert!(c.resident_lines().is_empty());
     }
 
     #[test]

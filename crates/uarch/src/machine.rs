@@ -75,8 +75,6 @@ struct Entry {
     /// [`MAX_SRCS`] registers). Unused slots hold a benign `Ready` value so
     /// whole-array scans are safe.
     srcs: [Src; MAX_SRCS],
-    /// Number of valid leading slots in `srcs`.
-    nsrcs: u8,
     state: EntryState,
     /// Result value (for register-writing instructions).
     result: u64,
@@ -393,6 +391,20 @@ impl Machine {
         tr
     }
 
+    /// The user-visible page table (read-only oracle access).
+    #[must_use]
+    pub fn page_table(&self) -> &PageTable {
+        &self.page_table
+    }
+
+    /// Replaces the user-visible page table with a copy of `pages`, reusing
+    /// the table's storage. Paired with [`Machine::page_table`], this lets a
+    /// warm caller snapshot the mappings it set up once and restore them
+    /// after each [`reset`](Machine::reset) instead of mapping page by page.
+    pub fn restore_page_table(&mut self, pages: &PageTable) {
+        self.page_table.clone_from(pages);
+    }
+
     /// Maps an arbitrary entry for the page containing `vaddr`.
     pub fn map_page(&mut self, vaddr: u64, entry: PageEntry) {
         self.page_table.map(vaddr / PAGE_SIZE, entry);
@@ -531,12 +543,6 @@ impl Machine {
         &self.lfb
     }
 
-    /// The store buffer (oracle access).
-    #[must_use]
-    pub fn store_buffer(&self) -> &StoreBuffer {
-        &self.store_buffer
-    }
-
     /// Clears the leaky buffers (models VERW-style buffer overwriting).
     pub fn clear_leaky_buffers(&mut self) {
         self.lfb.clear();
@@ -561,33 +567,6 @@ impl Machine {
     #[must_use]
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped
-    }
-
-    /// Debug snapshot of the in-flight pipeline state (entry per line).
-    /// Intended for tests and debugging, not a stable API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_rob(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "cycle={} fetch_pc={:?} stalled_on={:?} tx_depth={}",
-            self.cycle, self.fetch_pc, self.stalled_on, self.tx_depth
-        );
-        for (i, e) in self.rob.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  [{i}] seq={} pc={} {:?} srcs={:?} fault={:?} {}",
-                e.seq,
-                e.pc,
-                e.state,
-                &e.srcs[..e.nsrcs as usize],
-                e.fault,
-                e.inst
-            );
-        }
-        out
     }
 
     fn record(&mut self, e: TraceEvent) {
@@ -621,6 +600,16 @@ impl Machine {
     ///
     /// [`UarchError::CycleLimitExceeded`] if the configured `max_cycles` is
     /// exhausted (e.g. a program that never halts).
+    ///
+    /// A *quiescent* cycle — nothing retired, completed, broadcast, started
+    /// or fetched, `fetch_pc` unchanged, no event recorded — leaves every
+    /// piece of state as it found it, and the stages read the clock only by
+    /// comparing it with an executing entry's `done_at` and the done head's
+    /// `retire_not_before`. So every cycle up to the earliest of those is
+    /// quiescent too, and the loop jumps the clock straight to the cycle
+    /// before it (clamped to the cycle limit). Events, results, the cycle
+    /// limit error and [`Machine::cycle`] are exactly those of walking the
+    /// idle cycles one by one.
     pub fn run(&mut self, program: &Program) -> Result<RunResult, UarchError> {
         self.rob.clear();
         self.rename = [None; Reg::COUNT];
@@ -634,6 +623,7 @@ impl Machine {
 
         let mut res = RunResult::default();
         let start_cycle = self.cycle;
+        let last_cycle = start_cycle.saturating_add(self.cfg.max_cycles);
         loop {
             if self.cycle - start_cycle >= self.cfg.max_cycles {
                 return Err(UarchError::CycleLimitExceeded {
@@ -642,13 +632,14 @@ impl Machine {
             }
             self.cycle += 1;
 
+            let marks = self.progress_marks(&res);
             let stop = self.retire(&mut res);
             if stop {
                 break;
             }
-            self.complete(&mut res);
-            self.broadcast_ready();
-            self.issue(&mut res);
+            let mut busy = self.complete(&mut res);
+            busy |= self.broadcast_ready();
+            busy |= self.issue(&mut res);
             self.fetch(program);
 
             if self.rob.is_empty() && self.fetch_pc.is_none() && self.stalled_on.is_none() {
@@ -656,9 +647,48 @@ impl Machine {
                 res.halted = true;
                 break;
             }
+            if !busy && self.progress_marks(&res) == marks {
+                // Quiescent: skip the idle cycles (see above).
+                self.cycle = self
+                    .next_event_cycle()
+                    .map_or(last_cycle, |at| (at - 1).min(last_cycle));
+            }
         }
         res.cycles = self.cycle - start_cycle;
         Ok(res)
+    }
+
+    /// What retire and fetch change when they make progress: the retired
+    /// count, the events recorded so far (including those a full log
+    /// dropped; every fault and squash records one), the fetched sequence
+    /// number and the fetch pc.
+    fn progress_marks(&self, res: &RunResult) -> (u64, u64, u64, Option<usize>) {
+        (
+            res.retired,
+            self.events.len() as u64 + self.events_dropped,
+            self.next_seq,
+            self.fetch_pc,
+        )
+    }
+
+    /// The first cycle at which a quiescent pipeline can change again: the
+    /// earliest `done_at` of an executing entry, or the head's
+    /// `retire_not_before` if the head is done and waiting for it. `None`
+    /// when nothing is pending, so the pipeline stays quiescent forever.
+    fn next_event_cycle(&self) -> Option<u64> {
+        let head_retires = self
+            .rob
+            .front()
+            .filter(|e| e.done())
+            .map(|e| e.retire_not_before);
+        self.rob
+            .iter()
+            .filter_map(|e| match e.state {
+                EntryState::Executing { done_at } => Some(done_at),
+                _ => None,
+            })
+            .chain(head_retires)
+            .min()
     }
 
     /// Index of the ROB entry with the given sequence number. Sequence
@@ -923,7 +953,9 @@ impl Machine {
 
     // ---------------- completion & resolution ----------------
 
-    fn complete(&mut self, res: &mut RunResult) {
+    /// Completes every entry whose latency has elapsed. Returns whether any
+    /// did.
+    fn complete(&mut self, res: &mut RunResult) -> bool {
         let now = self.cycle;
         // Collect indices completing this cycle (oldest first) into reused
         // scratch storage — this runs every cycle and must not allocate.
@@ -938,6 +970,7 @@ impl Machine {
                 )
                 .map(|(i, _)| i),
         );
+        let any = !completing.is_empty();
         for idx in completing.drain(..) {
             // A squash triggered by an older completion may have removed
             // this entry; re-validate.
@@ -966,6 +999,7 @@ impl Machine {
             }
         }
         self.scratch_completing = completing;
+        any
     }
 
     /// All source values of the entry at `idx`, or `None` while any source
@@ -1089,14 +1123,17 @@ impl Machine {
     }
 
     /// Broadcasts completed results to consumers, honoring the NDA gate.
-    fn broadcast_ready(&mut self) {
+    /// Returns whether any entry broadcast.
+    fn broadcast_ready(&mut self) -> bool {
         let n = self.rob.len();
+        let mut any = false;
         for i in 0..n {
             if !self.rob[i].done() || self.rob[i].broadcast {
                 continue;
             }
             if self.rob[i].inst.destination().is_none() {
                 self.rob[i].broadcast = true;
+                any = true;
                 continue;
             }
             // NDA (strategy ②): results of speculatively-executed loads are
@@ -1129,12 +1166,16 @@ impl Machine {
                 }
             }
             self.rob[i].broadcast = true;
+            any = true;
         }
+        any
     }
 
     // ---------------- issue (begin execution) ----------------
 
-    fn issue(&mut self, res: &mut RunResult) {
+    /// Begins execution of up to `issue_width` ready entries, oldest first.
+    /// Returns whether any began.
+    fn issue(&mut self, res: &mut RunResult) -> bool {
         let mut started = 0usize;
         let mut idx = 0usize;
         while idx < self.rob.len() && started < self.cfg.issue_width {
@@ -1151,6 +1192,7 @@ impl Machine {
             }
             idx += 1;
         }
+        started > 0
     }
 
     /// Attempts to begin execution of the entry at `idx`. Returns whether it
@@ -1675,7 +1717,6 @@ impl Machine {
                 pc,
                 inst,
                 srcs,
-                nsrcs: nsrcs as u8,
                 state: EntryState::Waiting,
                 result: 0,
                 tainted: false,
@@ -1931,6 +1972,32 @@ mod tests {
             m.run(&p).unwrap_err(),
             UarchError::CycleLimitExceeded { limit: 100 }
         );
+        assert_eq!(m.cycle(), 100);
+
+        // A limit that falls inside a long wait (a cache miss): the error
+        // and the clock are the same whether or not idle cycles are walked.
+        let mut m = Machine::new(UarchConfig::builder().max_cycles(20).build());
+        m.map_user_page(0x7000).unwrap();
+        // Two dependent misses: the first run stops inside the first, the
+        // second run (first line now cached) inside the second.
+        let p = ProgramBuilder::new()
+            .imm(Reg::R1, 0x7000)
+            .load(Reg::R2, Reg::R1, 0)
+            .alu(AluOp::Add, Reg::R3, Reg::R2, Reg::R1)
+            .load(Reg::R4, Reg::R3, 64)
+            .halt()
+            .build()
+            .unwrap();
+        assert_eq!(
+            m.run(&p).unwrap_err(),
+            UarchError::CycleLimitExceeded { limit: 20 }
+        );
+        assert_eq!(m.cycle(), 20);
+        assert_eq!(
+            m.run(&p).unwrap_err(),
+            UarchError::CycleLimitExceeded { limit: 20 }
+        );
+        assert_eq!(m.cycle(), 40);
     }
 
     #[test]

@@ -82,9 +82,23 @@ pub enum PrivilegeLevel {
 }
 
 /// A single-level page table over 4 KiB pages.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PageTable {
     entries: FxMap<u64, PageEntry>,
+}
+
+impl Clone for PageTable {
+    fn clone(&self) -> Self {
+        PageTable {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source` into this table's storage: no allocation when both
+    /// tables have the same capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl PageTable {

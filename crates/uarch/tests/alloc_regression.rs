@@ -2,10 +2,11 @@
 //!
 //! The campaign executor runs thousands of attack simulations on one
 //! pooled machine per worker; the win only holds if the steady-state cycle
-//! loop and [`Machine::reset`] stay heap-allocation-free. This test wraps
-//! the system allocator in a counter and pins both down to **zero**
-//! allocations once the machine is warm (first-touch `HashMap` inserts in
-//! memory and predictor tables are warm-up cost, paid once per machine).
+//! loop, [`Machine::reset`] and the probe-page restore stay
+//! heap-allocation-free. This test wraps the system allocator in a counter
+//! and pins all three down to **zero** allocations once the machine is warm
+//! (first-touch `HashMap` inserts in memory and predictor tables are
+//! warm-up cost, paid once per machine).
 //!
 //! Kept to a single `#[test]` so concurrent tests in the same binary
 //! cannot perturb the counter.
@@ -99,4 +100,35 @@ fn warm_machine_run_and_reset_are_allocation_free() {
     }
     let r = m.run(&program).unwrap();
     assert!(r.halted);
+
+    // The batched-campaign cycle: reset, restore a snapshot of 256
+    // page-strided probe mappings, set up and run. Once warm, the whole
+    // cycle is allocation-free too: the restore copies into the table's
+    // existing storage.
+    m.reset(&cfg);
+    for slot in 0..256u64 {
+        m.map_user_page(0x100_0000 + slot * (4096 + 64)).unwrap();
+    }
+    let probe_pages = m.page_table().clone();
+    let cell = |m: &mut Machine| {
+        m.reset(&cfg);
+        m.restore_page_table(&probe_pages);
+        m.clear_events();
+        m.map_user_page(0x7000).unwrap();
+        for i in 0..8 {
+            m.write_u64(0x7000 + i * 8, i + 1).unwrap();
+        }
+        let r = m.run(&program).unwrap();
+        assert!(r.halted);
+    };
+    for _ in 0..3 {
+        cell(&mut m);
+    }
+    let during_cell = allocations_during(|| cell(&mut m));
+    assert_eq!(
+        during_cell, 0,
+        "warm reset + restore + run allocated {during_cell} times"
+    );
+    assert!(m.cache_contains(0x7000).unwrap());
+    assert!(m.page_table().entry(0x100_0000 / 4096).is_some());
 }

@@ -104,3 +104,57 @@ fn deterministic_replay() {
     let b = attacks::meltdown::Meltdown.run(&cfg).unwrap();
     assert_eq!(a, b);
 }
+
+/// FNV-1a over the Debug rendering of everything a run leaves behind.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+#[test]
+fn simulation_event_log_digest_is_pinned() {
+    // The exactness contract of the simulator's cycle loop: for every
+    // registry attack under the default config, every preset stack and
+    // every Figure-8 hardening, the outcome, the final cycle counter and
+    // the full event log hash to one pinned value. A change to how the
+    // loop advances time (or to any stage) that moves a single event, a
+    // cycle stamp or a verdict changes this digest.
+    let base = UarchConfig::default();
+    let mut configs = vec![base.clone()];
+    configs.extend(
+        defenses::presets::all()
+            .iter()
+            .filter_map(|(_, stack)| stack.apply(&base)),
+    );
+    configs.extend(
+        CampaignSpec::builder(base.clone())
+            .axis(Knob::Hardening, Hardening::figure8())
+            .build()
+            .configs
+            .into_iter()
+            .map(|nc| nc.config),
+    );
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut runs = 0;
+    for attack in attacks::registry() {
+        for cfg in &configs {
+            let mut m = Machine::new(cfg.clone());
+            attacks::common::prepare_channel(&mut m).unwrap();
+            let out = attack.run_in(&mut m);
+            fnv1a(&mut hash, format!("{out:?}").as_bytes());
+            fnv1a(&mut hash, &m.cycle().to_le_bytes());
+            fnv1a(&mut hash, &m.events_dropped().to_le_bytes());
+            for e in m.events() {
+                fnv1a(&mut hash, format!("{e:?}").as_bytes());
+            }
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, attacks::registry().len() * configs.len());
+    assert_eq!(
+        hash, 0x29a8_9467_547a_7353,
+        "event-log digest over {runs} runs: {hash:#018x}"
+    );
+}
