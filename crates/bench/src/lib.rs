@@ -79,7 +79,7 @@ pub fn workload_pointer_chase(len: u64) -> Program {
 /// # Errors
 ///
 /// Propagates [`UarchError`] from memory setup.
-pub fn prepare_workload_memory(m: &mut Machine, words: u64) -> Result<(), UarchError> {
+fn prepare_workload_memory(m: &mut Machine, words: u64) -> Result<(), UarchError> {
     for i in 0..words {
         let addr = 0x1000 + i * 8;
         m.map_user_page(addr)?;

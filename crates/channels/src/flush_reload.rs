@@ -137,11 +137,13 @@ mod tests {
     fn roundtrip_recovers_symbol() {
         let mut m = Machine::new(UarchConfig::default());
         let ch = FlushReload::new(0x10_0000, 32);
-        ch.prepare(&mut m).unwrap();
-        assert!(ch.resident_slots(&m).unwrap().is_empty());
-        m.touch(ch.slot_address(17)).unwrap();
-        let r = ch.receive(&mut m).unwrap();
-        assert_eq!(r.recovered, Some(17));
+        for sym in 0..ch.slots() {
+            ch.prepare(&mut m).unwrap();
+            assert!(ch.resident_slots(&m).unwrap().is_empty());
+            m.touch(ch.slot_address(sym)).unwrap();
+            let r = ch.receive(&mut m).unwrap();
+            assert_eq!(r.recovered, Some(sym));
+        }
     }
 
     #[test]

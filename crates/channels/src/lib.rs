@@ -1,15 +1,17 @@
 //! # `channels` — cache covert and side channels
 //!
-//! Implementations of the four cache-timing channel classes of §II-C of
-//! "New Models for Understanding and Reasoning about Speculative Execution
-//! Attacks" (HPCA 2021), built on the [`uarch`] simulator:
+//! The two cache-timing channel classes of §II-C of "New Models for
+//! Understanding and Reasoning about Speculative Execution Attacks"
+//! (HPCA 2021) that the attacks use, built on the [`uarch`] simulator:
 //!
 //! | class | example | module |
 //! |---|---|---|
 //! | hit + access | Flush+Reload | [`flush_reload`] |
 //! | miss + access | Prime+Probe | [`prime_probe`] |
-//! | miss + operation | Evict+Time | [`evict_time`] |
-//! | hit + operation | cache collision | [`collision`] |
+//!
+//! The other two classes of §II-C (miss + operation, e.g. Evict+Time;
+//! hit + operation, e.g. cache collision) appear only as labels of the
+//! discovery design space.
 //!
 //! The *sender* side of a speculative attack is a transient memory access
 //! performed by the victim/gadget (the "Load R to Cache" node of the
@@ -36,13 +38,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod collision;
-pub mod evict_time;
 pub mod flush_reload;
 pub mod prime_probe;
-pub mod stats;
 
 mod reading;
 
 pub use reading::Reading;
-pub use stats::ChannelQuality;

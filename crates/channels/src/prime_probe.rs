@@ -142,20 +142,57 @@ impl PrimeProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flush_reload::FlushReload;
     use uarch::UarchConfig;
 
     #[test]
     fn roundtrip_recovers_symbol() {
         let mut m = Machine::new(UarchConfig::default());
         let ch = PrimeProbe::new(0x40_0000, 8);
-        ch.prime(&mut m).unwrap();
-        // Sender (no shared memory with receiver) touches its own line that
-        // maps to monitored set 5.
-        let sender = PrimeProbe::sender_address(0x80_0000, 5);
-        m.map_user_page(sender).unwrap();
-        m.timed_read(sender).unwrap();
-        let r = ch.probe(&mut m).unwrap();
-        assert_eq!(r.recovered, Some(5));
+        for sym in 0..ch.symbols() {
+            ch.prime(&mut m).unwrap();
+            // Sender (no shared memory with receiver) touches its own line
+            // that maps to monitored set `sym`.
+            let sender = PrimeProbe::sender_address(0x80_0000, sym);
+            m.map_user_page(sender).unwrap();
+            m.timed_read(sender).unwrap();
+            let r = ch.probe(&mut m).unwrap();
+            assert_eq!(r.recovered, Some(sym));
+        }
+    }
+
+    #[test]
+    fn flush_reload_is_faster_per_symbol() {
+        // §II-C: Flush+Reload is the faster channel — one probe line per
+        // symbol against ways × sets of prime/probe traffic. Both channels
+        // carry the same message exactly, so total cycles compare per symbol.
+        let message: Vec<usize> = (0..8).map(|i| (i * 7 + 3) % 8).collect();
+
+        let mut m = Machine::new(UarchConfig::default());
+        let fr = FlushReload::new(0x10_0000, 8);
+        let start = m.cycle();
+        for &sym in &message {
+            fr.prepare(&mut m).unwrap();
+            m.touch(fr.slot_address(sym)).unwrap();
+            assert_eq!(fr.receive(&mut m).unwrap().recovered, Some(sym));
+        }
+        let fr_cycles = m.cycle() - start;
+
+        let pp = PrimeProbe::with_base_set(0x40_0000, 8, 32);
+        let start = m.cycle();
+        for &sym in &message {
+            pp.prime(&mut m).unwrap();
+            let sender = pp.sender_address_for(0x80_0000, sym);
+            m.map_user_page(sender).unwrap();
+            m.timed_read(sender).unwrap();
+            assert_eq!(pp.probe(&mut m).unwrap().recovered, Some(sym));
+        }
+        let pp_cycles = m.cycle() - start;
+
+        assert!(
+            fr_cycles < pp_cycles,
+            "F+R {fr_cycles} vs P+P {pp_cycles} cycles"
+        );
     }
 
     #[test]

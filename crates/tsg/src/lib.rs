@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod algorithms;
 pub mod analysis;
 pub mod builder;
 pub mod dot;

@@ -21,16 +21,6 @@ pub enum UarchError {
     UnknownContext(u32),
 }
 
-impl UarchError {
-    /// Whether this error is the cycle-budget watchdog firing
-    /// ([`UarchError::CycleLimitExceeded`]). Campaign engines use this to
-    /// degrade a runaway cell to a timed-out verdict instead of aborting.
-    #[must_use]
-    pub fn is_cycle_limit(&self) -> bool {
-        matches!(self, UarchError::CycleLimitExceeded { .. })
-    }
-}
-
 impl fmt::Display for UarchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

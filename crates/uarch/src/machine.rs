@@ -526,11 +526,6 @@ impl Machine {
         &self.predictors
     }
 
-    /// Mutable predictor state (for targeted mis-training in tests).
-    pub fn predictors_mut(&mut self) -> &mut Predictors {
-        &mut self.predictors
-    }
-
     /// The cache (read-only oracle access).
     #[must_use]
     pub fn cache(&self) -> &Cache {
@@ -2052,7 +2047,7 @@ mod tests {
                 .build(),
         );
         let other = m.add_context(Privilege::User, ExceptionBehavior::Halt);
-        m.predictors_mut().btb.update(3, 7);
+        m.predictors.btb.update(3, 7);
         m.switch_context(other).unwrap();
         assert!(m.predictors().btb.is_empty());
         assert!(m

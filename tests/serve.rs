@@ -87,6 +87,19 @@ fn keyed_get_is_the_raw_hit_path() {
         other => panic!("expected a cell row, got {other:?}"),
     }
     assert_eq!(store.get(key ^ 1), None, "foreign keys miss");
+
+    // Across a config axis too, every seeded (attack, stack, config) key
+    // is a keyed hit.
+    let grid = grid_spec();
+    store.ingest_matrix(&CampaignMatrix::run(&grid).unwrap());
+    for a in &grid.attacks {
+        for s in &grid.defenses {
+            for nc in &grid.configs {
+                let key = VerdictStore::cell_key(a.info().name, s, &nc.config);
+                assert!(store.get(key).is_some(), "{} / {s} missed", a.info().name);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
