@@ -44,9 +44,7 @@ use specgraph::campaign::{
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry};
 use specgraph::fault::{self, PanickingAttack};
-use specgraph::serve::{
-    AnswerSource, ChunkEvent, ChunkObserver, Scheduler, ServeError, VerdictStore,
-};
+use specgraph::serve::{AnswerSource, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS};
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -110,12 +108,11 @@ SPEC (must be identical for every shard of one campaign):
   cells.
 
   `campaign serve` runs the cube on a resumable scheduler: the cube
-  splits into --chunk T-task chunks that --workers threads claim from
-  one shared cursor, so every chunk runs exactly once. With
-  --checkpoint DIR every finished chunk is written to disk, and a
-  killed run's next invocation resumes from DIR, re-simulating zero
-  completed cells — the final matrix is bit-identical to `campaign run`
-  either way.
+  splits into --chunk T-task chunks, evaluated on --workers threads.
+  With --checkpoint DIR each chunk is written to disk as soon as its
+  last cell is done, and a killed run's next invocation resumes from
+  DIR, re-simulating zero completed cells — the final matrix is
+  bit-identical to `campaign run` either way.
 
   `campaign query` ingests saved matrices/parts/checkpoints into a
   memoized verdict store and answers one query per line from --queries
@@ -762,10 +759,11 @@ fn summarize_diff(diff: &MatrixDiff, old_path: &Path, new_path: &Path) {
     }
 }
 
-/// Stderr progress for `campaign run --progress`: one line per completed
-/// config slice when the per-slice quota is known (fresh full runs), and
-/// ~10 milestone lines otherwise (shards, incremental runs), each with an
-/// elapsed-rate ETA.
+/// Stderr progress for `campaign run --progress` and `campaign serve
+/// --progress`: one line per completed config slice when the per-slice
+/// quota is known (fresh full runs), and ~10 milestone lines otherwise
+/// (shards, incremental and scheduled runs), each with an elapsed-rate
+/// ETA.
 struct ProgressPrinter {
     start: std::time::Instant,
     configs: Vec<String>,
@@ -931,7 +929,7 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
 fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     let mut spec_args = SpecArgs::default();
     let mut workers = 0usize;
-    let mut chunk: Option<usize> = None;
+    let mut chunk = DEFAULT_CHUNK_TASKS;
     let mut checkpoint: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
@@ -940,7 +938,7 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     while let Some(flag) = flags.next() {
         match flag {
             "--workers" => workers = flags.positive(flag, "number")?,
-            "--chunk" => chunk = Some(flags.positive(flag, "task count")?),
+            "--chunk" => chunk = flags.positive(flag, "task count")?,
             "--checkpoint" => checkpoint = Some(flags.path(flag)?),
             "--out" => out = Some(flags.path(flag)?),
             "--csv" => csv = Some(flags.path(flag)?),
@@ -955,24 +953,18 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
         }
     }
     let spec = spec_args.build()?;
-    let mut scheduler = Scheduler::new(&spec);
-    if workers != 0 {
-        scheduler = scheduler.workers(workers);
-    }
-    if let Some(tasks) = chunk {
-        scheduler = scheduler.chunk_tasks(tasks);
+    // Resumed chunks are silent, so the per-slice quota is unknown:
+    // milestone lines.
+    let printer = progress.then(|| ProgressPrinter::new(&spec, None));
+    let observer = printer.as_ref().map(ProgressPrinter::observer);
+    let mut scheduler = Scheduler::new(&spec).workers(workers).chunk_tasks(chunk);
+    if let Some(f) = &observer {
+        scheduler = scheduler.progress(f);
     }
     if let Some(dir) = &checkpoint {
         scheduler = scheduler.checkpoint(dir);
     }
-    let observer = |event: ChunkEvent| {
-        eprintln!(
-            "campaign: chunk {} done ({}/{} chunk(s))",
-            event.index, event.completed, event.of
-        );
-    };
-    let (matrix, report) =
-        scheduler.run_observed(None, progress.then_some(&observer as ChunkObserver))?;
+    let (matrix, report) = scheduler.run()?;
     emit(out.as_deref(), &matrix.to_json())?;
     if let Some(path) = &csv {
         write_file(path, &matrix.to_csv())?;

@@ -32,13 +32,6 @@ impl FlushReload {
         FlushReload { base, slots }
     }
 
-    /// A channel sized for one byte of secret (256 slots) — the classic
-    /// Spectre/Meltdown configuration.
-    #[must_use]
-    pub fn for_byte(base: u64) -> Self {
-        Self::new(base, 256)
-    }
-
     /// The probe array base address.
     #[must_use]
     pub fn base(&self) -> u64 {
@@ -154,14 +147,6 @@ mod tests {
         let r = ch.receive(&mut m).unwrap();
         assert_eq!(r.recovered, None);
         assert!(r.hit_slots().is_empty());
-    }
-
-    #[test]
-    fn for_byte_has_256_slots() {
-        let ch = FlushReload::for_byte(0x20_0000);
-        assert_eq!(ch.slots(), 256);
-        assert_eq!(ch.slot_address(1) - ch.slot_address(0), SLOT_STRIDE);
-        assert_eq!(ch.base(), 0x20_0000);
     }
 
     #[test]

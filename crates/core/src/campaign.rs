@@ -665,14 +665,7 @@ impl CampaignSpec {
         let (total, spec_fingerprint) = (self.total_tasks(), self.fingerprint());
         (0..n)
             .map(|i| CampaignShard {
-                shard: ShardHeader {
-                    spec_fingerprint,
-                    index: i,
-                    of: n,
-                    start: i * total / n,
-                    end: (i + 1) * total / n,
-                    total,
-                },
+                shard: ShardHeader::chunk(spec_fingerprint, total, i, n),
                 spec: self.clone(),
             })
             .collect()
@@ -1091,25 +1084,23 @@ struct GraphVerdicts {
     evaluated: usize,
 }
 
-/// Computes the graph verdicts `tasks` need: baseline races for attacks
-/// with baseline tasks (or all attacks when `races_for_all` — the matrix
-/// path stamps races onto *reused* baselines too), and one
-/// strategy-sufficiency verdict per (attack, stack) pair with at least
-/// one cell task. One [`defenses::PatchSession`] per attack serves all of
-/// its stacks: the graph is built and indexed once, and every stack's
-/// strategy edges are applied and rolled back incrementally.
+/// Computes the graph verdicts a run needs: the baseline race of every
+/// attack flagged in `race_needed` (the matrix path stamps races onto
+/// *reused* baselines too), and one strategy-sufficiency verdict per
+/// (attack, stack) pair with at least one cell in `stale`. One
+/// [`defenses::PatchSession`] per attack serves all of its stacks: the
+/// graph is built and indexed once, and every stack's strategy edges are
+/// applied and rolled back incrementally.
 fn graph_verdicts_for(
     spec: &CampaignSpec,
-    tasks: &[KeyedTask],
-    races_for_all: bool,
+    race_needed: &[bool],
+    stale: &[KeyedTask],
 ) -> Result<GraphVerdicts, AttackError> {
     let layout = Layout::of(spec);
-    let mut race_needed = vec![races_for_all; spec.attacks.len()];
     let mut pair_needed = vec![false; layout.pairs()];
-    for &(task, _) in tasks {
-        match task.defense {
-            None => race_needed[task.attack] = true,
-            Some(d) => pair_needed[layout.pair(task.attack, d)] = true,
+    for &(task, _) in stale {
+        if let Some(d) = task.defense {
+            pair_needed[layout.pair(task.attack, d)] = true;
         }
     }
     let mut races = vec![false; spec.attacks.len()];
@@ -1142,15 +1133,18 @@ fn graph_verdicts_for(
 /// incremental reuse lookup and the row builder share it.
 type KeyedTask = (Task, u64);
 
-/// Every task of `range`, in task order, decoded and fingerprinted.
-fn keyed_tasks(spec: &CampaignSpec, range: Range<usize>) -> impl Iterator<Item = KeyedTask> + '_ {
+/// Every task of `ids`, in order, decoded and fingerprinted.
+fn keyed_tasks<'a>(
+    spec: &'a CampaignSpec,
+    ids: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = KeyedTask> + 'a {
     let layout = Layout::of(spec);
     let digests: Vec<u64> = spec
         .configs
         .iter()
         .map(|nc| config_digest(&nc.config))
         .collect();
-    range.map(move |i| {
+    ids.map(move |i| {
         let task = layout.task(i);
         let (name, digest) = (spec.attacks[task.attack].info().name, digests[task.config]);
         let fingerprint = match task.defense {
@@ -1165,6 +1159,7 @@ fn keyed_tasks(spec: &CampaignSpec, range: Range<usize>) -> impl Iterator<Item =
 }
 
 /// What one distinct machine run reported — or why it could not.
+#[derive(Debug)]
 enum Measured {
     /// The run completed.
     Ran(attacks::AttackOutcome),
@@ -1273,7 +1268,7 @@ fn build_row(
 
 /// Renders a panic payload into a quarantine reason, truncated so a
 /// pathological payload cannot bloat the matrix document.
-fn panic_reason(payload: &dyn std::any::Any) -> String {
+pub(crate) fn panic_reason(payload: &dyn std::any::Any) -> String {
     let msg = payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -1330,7 +1325,7 @@ pub struct TaskEvent {
     /// order is scheduling-dependent; the counter is monotonic.
     pub completed: usize,
     /// Tasks this run evaluates in total (stale tasks only, for an
-    /// incremental run).
+    /// incremental or resumed run).
     pub total: usize,
     /// Config-slice index (into [`CampaignSpec::configs`]) of the
     /// completed task.
@@ -1339,68 +1334,203 @@ pub struct TaskEvent {
 
 /// Live progress callback for campaign runs: invoked once per evaluated
 /// task, possibly concurrently from worker threads (hence `Sync`). Reused
-/// (fingerprint-matched) tasks are never reported — they cost nothing.
+/// (fingerprint-matched) and resumed (checkpointed) tasks are never
+/// reported — they cost nothing.
 pub type ProgressObserver<'a> = &'a (dyn Fn(TaskEvent) + Sync);
 
-/// What [`evaluate_tasks`] produced.
-struct Evaluated {
-    /// One row per task, in list order.
-    rows: Vec<TaskOut>,
-    graph: GraphVerdicts,
-    /// Distinct machine runs simulated for those rows.
-    simulations: usize,
+/// Rows an incremental run can take from its previous matrix, keyed by
+/// content fingerprint. Degraded rows (quarantined / timed-out) are
+/// deliberately absent: a re-run with the fault gone must heal them.
+#[derive(Default)]
+struct Reuse<'p> {
+    baselines: HashMap<u64, &'p BaselineCell>,
+    cells: HashMap<u64, &'p MatrixCell>,
 }
 
-/// Evaluates `tasks` (need not be contiguous, must be in task order for
-/// the error-order guarantee): the hoisted graph verdicts (see
-/// [`graph_verdicts_for`] for `races_for_all`), then one simulation per
-/// distinct `(attack, effective config)` (see [`distinct_runs`]) on
-/// [`crate::exec::map_indexed`] workers, each owning one warm
-/// [`BatchRunner`] that every run resets instead of rebuilding. A run's
-/// result fans out to every task that shares it, a degraded run degrading
-/// them all. Rows come back in list order; runs are ordered by their
-/// first task, so the first error by task order wins. Deduplication is
-/// scoped to this one call. `progress`, if given, observes every task
-/// once: graph-only cells as soon as the graph verdicts exist, the others
-/// as their run finishes.
-fn evaluate_tasks(
+impl<'p> Reuse<'p> {
+    fn new(prev: Option<&'p CampaignMatrix>) -> Self {
+        let mut reuse = Reuse::default();
+        for b in prev.iter().flat_map(|p| &p.baselines) {
+            if b.outcome.is_ok() {
+                reuse.baselines.insert(b.fingerprint, b);
+            }
+        }
+        for cell in prev.iter().flat_map(|p| &p.cells) {
+            if cell.outcome.is_ok() {
+                reuse.cells.insert(cell.fingerprint, cell);
+            }
+        }
+        reuse
+    }
+
+    /// The previous row with this task's fingerprint, moved to the task's
+    /// config slice.
+    fn row(&self, (task, fingerprint): KeyedTask) -> Option<TaskOut> {
+        let config = task.config;
+        Some(match task.defense {
+            None => TaskOut::Base(BaselineCell {
+                config,
+                ..(*self.baselines.get(&fingerprint)?).clone()
+            }),
+            Some(_) => TaskOut::Cell(MatrixCell {
+                config,
+                ..(*self.cells.get(&fingerprint)?).clone()
+            }),
+        })
+    }
+}
+
+/// Where a checkpointing run sends each finished chunk.
+type ChunkSink<'a, E> = &'a (dyn Fn(&CampaignPart) -> Result<(), E> + Sync);
+
+/// The one campaign executor: evaluates chunks `chunks` (ascending) of
+/// the cube cut into `of` ranges ([`CampaignSpec::shards`] geometry) and
+/// returns their parts in that order.
+///
+/// Rows `prev` holds (by fingerprint) are kept; every other task goes
+/// into one pass: the hoisted graph verdicts ([`graph_verdicts_for`];
+/// races are live for every baseline, reused ones too), then one
+/// simulation per distinct `(attack, effective config)`
+/// ([`distinct_runs`]) on [`crate::exec::map_indexed`] workers with one
+/// warm [`BatchRunner`] each. A run's result (or degradation) fans out to
+/// every task sharing it, in any chunk. With a `sink`, the worker that
+/// finishes a chunk's last row hands its part over at once; without one,
+/// the caller builds the parts after the runs. Runs keep their first
+/// task's order, so the first error by task order wins. `progress` sees
+/// each evaluated task once: graph-only cells up front, the others as
+/// their run finishes.
+pub(crate) fn evaluate_tasks<E>(
     spec: &CampaignSpec,
-    tasks: &[KeyedTask],
-    races_for_all: bool,
+    of: usize,
+    chunks: &[usize],
+    prev: Option<&CampaignMatrix>,
     progress: Option<ProgressObserver<'_>>,
-) -> Result<Evaluated, AttackError> {
+    sink: Option<ChunkSink<'_, E>>,
+) -> Result<(Vec<CampaignPart>, IncrementalReport), E>
+where
+    E: From<AttackError> + Send,
+{
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let graph = graph_verdicts_for(spec, tasks, races_for_all)?;
-    let (runs, run_of) = distinct_runs(spec, tasks);
+    use std::sync::{Mutex, OnceLock};
+    let (layout, reuse) = (Layout::of(spec), Reuse::new(prev));
+    let fingerprint = spec.fingerprint();
+    let headers: Vec<ShardHeader> = chunks
+        .iter()
+        .map(|&i| ShardHeader::chunk(fingerprint, layout.total(), i, of))
+        .collect();
+
+    // Per chunk, its rows in task order with `None` for a stale task; the
+    // stale tasks of chunk `c` are `stale[stale_of[c]]`.
+    let mut race_needed = vec![false; spec.attacks.len()];
+    let mut stale: Vec<KeyedTask> = Vec::new();
+    let mut chunk_of: Vec<usize> = Vec::new();
+    let mut stale_of: Vec<Range<usize>> = Vec::with_capacity(headers.len());
+    let mut known: Vec<Mutex<Vec<Option<TaskOut>>>> = Vec::with_capacity(headers.len());
+    let mut keyed = keyed_tasks(spec, headers.iter().flat_map(ShardHeader::range));
+    for (c, header) in headers.iter().enumerate() {
+        let (first, len) = (stale.len(), header.range().len());
+        let mut rows = Vec::with_capacity(len);
+        rows.extend((&mut keyed).take(len).map(|keyed| {
+            race_needed[keyed.0.attack] |= keyed.0.defense.is_none();
+            let row = reuse.row(keyed);
+            if row.is_none() {
+                stale.push(keyed);
+                chunk_of.push(c);
+            }
+            row
+        }));
+        known.push(Mutex::new(rows));
+        stale_of.push(first..stale.len());
+    }
+
+    let graph = graph_verdicts_for(spec, &race_needed, &stale)?;
+    let (runs, run_of) = distinct_runs(spec, &stale);
+    // Simulated rows each chunk still waits for; graph-only cells never do.
+    let waiting: Vec<AtomicUsize> = stale_of
+        .iter()
+        .map(|r| AtomicUsize::new(run_of[r.clone()].iter().flatten().count()))
+        .collect();
+    let measured: Vec<OnceLock<Measured>> = runs.iter().map(|_| OnceLock::new()).collect();
+    let parts: Vec<OnceLock<CampaignPart>> = headers.iter().map(|_| OnceLock::new()).collect();
+    let finish = |c: usize| -> Result<(), E> {
+        let header = headers[c];
+        let rows = std::mem::take(&mut *known[c].lock().expect("chunk rows poisoned"));
+        let mut fresh = stale_of[c].clone().map(|k| {
+            let run = run_of[k].map(|r| measured[r].get().expect("run finished"));
+            build_row(spec, &graph, stale[k], run)
+        });
+        let outs = rows
+            .into_iter()
+            .zip(header.range())
+            .map(|(row, i)| match row {
+                Some(TaskOut::Base(b)) => TaskOut::Base(BaselineCell {
+                    graph_race: graph.races[layout.task(i).attack],
+                    ..b
+                }),
+                Some(cell) => cell,
+                None => fresh.next().expect("one row per stale task"),
+            });
+        let part = CampaignPart {
+            shard: header,
+            body: Cube::new(spec, header.range(), outs),
+        };
+        if let Some(sink) = sink {
+            sink(&part)?;
+        }
+        parts[c].set(part).expect("each chunk finishes once");
+        Ok(())
+    };
+
     let done = AtomicUsize::new(0);
     let report = |k: usize| {
         if let Some(f) = progress {
             f(TaskEvent {
                 completed: done.fetch_add(1, Ordering::Relaxed) + 1,
-                total: tasks.len(),
-                config: tasks[k].0.config,
+                total: stale.len(),
+                config: stale[k].0.config,
             });
         }
     };
-    (0..tasks.len())
+    (0..stale.len())
         .filter(|&k| run_of[k].is_none())
         .for_each(report);
-    let measured =
-        crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
-            let out = simulate(spec, &runs[r], runner);
-            runs[r].tasks.iter().copied().for_each(report);
-            out
-        })?;
-    let rows = tasks
-        .iter()
-        .zip(&run_of)
-        .map(|(&keyed, run)| build_row(spec, &graph, keyed, run.map(|r| &measured[r])))
-        .collect();
-    Ok(Evaluated {
-        rows,
-        graph,
+    // Only a sink needs a part early. Rows built on a worker stay in that
+    // thread's malloc arena, which raises peak RSS for nothing otherwise.
+    let eager = sink.is_some();
+    if eager {
+        for c in (0..headers.len()).filter(|&c| waiting[c].load(Ordering::Relaxed) == 0) {
+            finish(c)?;
+        }
+    }
+    crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
+        let out: Measured = simulate(spec, &runs[r], runner)?;
+        measured[r].set(out).expect("each run is claimed once");
+        for &k in &runs[r].tasks {
+            report(k);
+            // AcqRel: the worker that takes a chunk's count to zero sees
+            // every other worker's measurement for that chunk.
+            if eager && waiting[chunk_of[k]].fetch_sub(1, Ordering::AcqRel) == 1 {
+                finish(chunk_of[k])?;
+            }
+        }
+        Ok::<(), E>(())
+    })?;
+    for (c, part) in parts.iter().enumerate() {
+        if part.get().is_none() {
+            finish(c)?;
+        }
+    }
+
+    let report = IncrementalReport {
+        evaluated: stale.len(),
+        reused: headers.iter().map(|h| h.range().len()).sum::<usize>() - stale.len(),
         simulations: runs.len(),
-    })
+        graph_verdicts: graph.evaluated,
+    };
+    let parts = parts
+        .into_iter()
+        .map(|p| p.into_inner().expect("every chunk finished"));
+    Ok((parts.collect(), report))
 }
 
 /// The axes and rows of an evaluated cube, or of one shard's slice of it.
@@ -1414,18 +1544,16 @@ struct Cube {
 }
 
 impl Cube {
-    /// The spec's axes with the rows of `outs`, in task order.
-    fn new(spec: &CampaignSpec, outs: Vec<TaskOut>) -> Self {
-        let bases = outs
-            .iter()
-            .filter(|o| matches!(o, TaskOut::Base(_)))
-            .count();
+    /// The spec's axes with the rows `outs` of task range `range`, in
+    /// task order.
+    fn new(spec: &CampaignSpec, range: Range<usize>, outs: impl Iterator<Item = TaskOut>) -> Self {
+        let (bases, cells) = Layout::of(spec).rows_in(&range);
         let mut cube = Cube {
             attacks: spec.attacks.iter().map(|at| at.info()).collect(),
             defenses: spec.defenses.clone(),
             configs: spec.configs.iter().map(|nc| nc.name.clone()).collect(),
             baselines: Vec::with_capacity(bases),
-            cells: Vec::with_capacity(outs.len() - bases),
+            cells: Vec::with_capacity(cells),
         };
         for out in outs {
             match out {
@@ -1488,17 +1616,10 @@ impl CampaignShard {
     ///
     /// The first [`AttackError`] any simulation produced (by task order).
     pub fn run(&self, progress: Option<ProgressObserver<'_>>) -> Result<CampaignPart, AttackError> {
-        let tasks: Vec<KeyedTask> =
-            keyed_tasks(&self.spec, self.shard.start..self.shard.end).collect();
-        // Graph verdicts only for this shard's attacks and (attack, stack)
-        // pairs — a shard whose range misses an attack builds no graph
-        // for it; pairs are computed once and shared across the shard's
-        // config slices.
-        let outs = evaluate_tasks(&self.spec, &tasks, false, progress)?.rows;
-        Ok(CampaignPart {
-            shard: self.shard,
-            body: Cube::new(&self.spec, outs),
-        })
+        let (index, of) = (self.shard.index, self.shard.of);
+        let (mut parts, _) =
+            evaluate_tasks::<AttackError>(&self.spec, of, &[index], None, progress, None)?;
+        Ok(parts.pop().expect("one part per chunk"))
     }
 }
 
@@ -1529,6 +1650,30 @@ struct ShardHeader {
     start: usize,
     end: usize,
     total: usize,
+}
+
+/// Task range `index` of `total` tasks cut into `of` balanced,
+/// contiguous ranges: the geometry of shards and scheduler chunks.
+pub(crate) fn chunk_range(total: usize, index: usize, of: usize) -> Range<usize> {
+    index * total / of..(index + 1) * total / of
+}
+
+impl ShardHeader {
+    fn chunk(spec_fingerprint: u64, total: usize, index: usize, of: usize) -> Self {
+        let Range { start, end } = chunk_range(total, index, of);
+        ShardHeader {
+            spec_fingerprint,
+            index,
+            of,
+            start,
+            end,
+            total,
+        }
+    }
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.end
+    }
 }
 
 impl CampaignPart {
@@ -1900,74 +2045,10 @@ impl CampaignMatrix {
         prev: Option<&CampaignMatrix>,
         progress: Option<ProgressObserver<'_>>,
     ) -> Result<(Self, IncrementalReport), AttackError> {
-        let mut prev_bases: HashMap<u64, &BaselineCell> = HashMap::new();
-        let mut prev_cells: HashMap<u64, &MatrixCell> = HashMap::new();
-        if let Some(p) = prev {
-            // Degraded rows (quarantined / timed-out) are deliberately not
-            // reusable: a re-run with the fault gone must re-evaluate and
-            // heal them.
-            for b in p.baselines.iter().filter(|b| b.outcome.is_ok()) {
-                prev_bases.insert(b.fingerprint, b);
-            }
-            for cell in p.cells.iter().filter(|cell| cell.outcome.is_ok()) {
-                prev_cells.insert(cell.fingerprint, cell);
-            }
-        }
-
-        let layout = Layout::of(spec);
-        let mut stale: Vec<KeyedTask> = Vec::new();
-        let mut rows: Vec<Option<TaskOut>> = keyed_tasks(spec, 0..layout.total())
-            .map(|(task, fingerprint)| {
-                let config = task.config;
-                let out = match task.defense {
-                    None => prev_bases.get(&fingerprint).map(|b| {
-                        TaskOut::Base(BaselineCell {
-                            config,
-                            ..(*b).clone()
-                        })
-                    }),
-                    Some(_) => prev_cells.get(&fingerprint).map(|cell| {
-                        TaskOut::Cell(MatrixCell {
-                            config,
-                            ..(*cell).clone()
-                        })
-                    }),
-                };
-                if out.is_none() {
-                    stale.push((task, fingerprint));
-                }
-                out
-            })
-            .collect();
-
-        // Graph verdicts, hoisted: strategy sufficiency only for the
-        // (attack, stack) pairs with stale cells, Theorem-1 races for
-        // *every* attack — races are recomputed live (cheap) and stamped
-        // onto every baseline below, so a changed graph() never serves a
-        // stale verdict even when the simulation itself is reused.
-        let Evaluated {
-            rows: fresh,
-            graph,
-            simulations,
-        } = evaluate_tasks(spec, &stale, true, progress)?;
-        let mut fresh = fresh.into_iter();
-        for (i, slot) in rows.iter_mut().enumerate() {
-            let out = slot.get_or_insert_with(|| fresh.next().expect("one row per stale task"));
-            if let TaskOut::Base(b) = out {
-                b.graph_race = graph.races[layout.task(i).attack];
-            }
-        }
-        // Every fresh row has moved into `rows`: free the buffer before the
-        // cube is built, keeping peak memory at two row sets.
-        drop(fresh);
-        let report = IncrementalReport {
-            evaluated: stale.len(),
-            reused: rows.len() - stale.len(),
-            simulations,
-            graph_verdicts: graph.evaluated,
-        };
-        let outs = rows.into_iter().map(|out| out.expect("every task filled"));
-        Ok((Self::assemble(Cube::new(spec, outs.collect())), report))
+        let (mut parts, report) =
+            evaluate_tasks::<AttackError>(spec, 1, &[0], prev, progress, None)?;
+        let part = parts.pop().expect("one part per chunk");
+        Ok((Self::assemble(part.body), report))
     }
 
     /// Reassembles a full matrix from every shard's [`CampaignPart`].

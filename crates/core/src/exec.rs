@@ -1,5 +1,5 @@
 //! The one parallel executor behind every fan-out in this crate: campaign
-//! task lists, scheduler chunks and fuzz classification all run through
+//! runs (scheduled ones included) and fuzz classification all go through
 //! [`map_indexed`], and nothing else here spawns threads.
 //!
 //! Workers claim indices from one shared atomic cursor, so a fast core

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::fault::{self, ArmedFault, FaultKind, FaultPlan, PanickingAttack, SweepReport};
     pub use crate::scenario::{self, Evaluation};
     pub use crate::serve::{
-        self, Answer, AnswerSource, ChunkEvent, ChunkRepair, ScheduleReport, Scheduler, ServeError,
+        self, Answer, AnswerSource, ChunkRepair, ScheduleReport, Scheduler, ServeError,
         StoredVerdict, VerdictStore,
     };
     pub use analyzer::{AnalysisConfig, Analyzer};

@@ -13,12 +13,13 @@
 //!   [`RunnerPool`] machine, with **single-flight dedup**: N concurrent
 //!   misses for one cell run exactly one simulation and all callers
 //!   observe the identical verdict.
-//! - [`Scheduler`] decomposes a [`CampaignSpec`] into fine-grained chunk
-//!   ranges that workers claim from a shared cursor, streams each completed
-//!   chunk into a store, **checkpoints** every chunk to disk as a
-//!   `campaign-checkpoint` document, and resumes a killed run without
-//!   redoing completed cells — the merged result stays bit-identical to
-//!   a single-shot [`CampaignMatrix::run`].
+//! - [`Scheduler`] cuts a [`CampaignSpec`] into fine-grained chunk
+//!   ranges, **checkpoints** every chunk to disk as a
+//!   `campaign-checkpoint` document the moment its last row exists, and
+//!   resumes a killed run without redoing completed cells. Chunks not on
+//!   disk are evaluated together on the campaign engine's one executor
+//!   (the path [`CampaignMatrix::run_incremental`] takes), so the merged
+//!   result stays bit-identical to a single-shot [`CampaignMatrix::run`].
 //!
 //! Verdicts computed on the miss path use exactly the campaign runner's
 //! recipe (graph verdict from a [`defenses::PatchSession`], machine
@@ -26,16 +27,18 @@
 //! can never disagree with an ingested one.
 
 use crate::campaign::{
-    baseline_fingerprint, cell_fingerprint, config_digest, BaselineCell, CampaignMatrix,
-    CampaignPart, CampaignSpec, MatrixCell, MergeError,
+    baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
+    panic_reason, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec, MatrixCell, MergeError,
+    ProgressObserver,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use uarch::UarchConfig;
 
@@ -50,6 +53,10 @@ pub enum ServeError {
     /// A simulation failed (miss path or scheduler chunk). Shared so
     /// every caller coalesced onto one failed flight sees the same error.
     Attack(Arc<AttackError>),
+    /// A miss-path simulation panicked. Its flight is released with this
+    /// error, so coalesced callers return instead of waiting forever, and
+    /// a later query for the key simulates afresh.
+    Panicked(String),
     /// Reading or writing a checkpoint file failed.
     Io(Arc<std::io::Error>),
     /// A checkpoint file loaded cleanly but belongs to a different
@@ -91,6 +98,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Attack(e) => write!(f, "simulation failed: {e}"),
+            ServeError::Panicked(reason) => write!(f, "simulation panicked: {reason}"),
             ServeError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
             ServeError::CheckpointMismatch {
                 index,
@@ -113,7 +121,7 @@ impl Error for ServeError {
             ServeError::Attack(e) => Some(e.as_ref()),
             ServeError::Io(e) => Some(e.as_ref()),
             ServeError::Merge(e) => Some(e.as_ref()),
-            ServeError::CheckpointMismatch { .. } => None,
+            ServeError::Panicked(_) | ServeError::CheckpointMismatch { .. } => None,
         }
     }
 }
@@ -295,16 +303,9 @@ impl VerdictStore {
         ingested
     }
 
-    /// The index key for an undefended baseline row. Key construction
-    /// hashes the config contents; hoist it out of a query loop with
-    /// [`config_digest`] + [`VerdictStore::baseline_key_for_digest`] when
-    /// hammering the hit path.
-    #[must_use]
-    pub fn baseline_key(attack: &str, cfg: &UarchConfig) -> u64 {
-        baseline_fingerprint(attack, config_digest(cfg))
-    }
-
-    /// [`VerdictStore::baseline_key`] with the config digest precomputed.
+    /// The index key for an undefended baseline row of `attack` on the
+    /// config with [`config_digest`] `digest`. Hashing the config is the
+    /// costly part of a key, so a query loop computes the digest once.
     #[must_use]
     pub fn baseline_key_for_digest(attack: &str, digest: u64) -> u64 {
         baseline_fingerprint(attack, digest)
@@ -323,8 +324,9 @@ impl VerdictStore {
     }
 
     /// The raw indexed hit path: the memoized row under `key`, if any.
-    /// This is the operation the `verdict_store` bench drives at millions
-    /// of lookups per second.
+    /// perfbench's `query` workload drives it, and the release-build test
+    /// `hit_path_sustains_a_million_lookups_per_second` holds it to at
+    /// least a million lookups per second.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<StoredVerdict> {
         let row = self.rows.read().ok()?.get(&key).copied();
@@ -368,9 +370,10 @@ impl VerdictStore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Attack`] when the simulation fails; every coalesced
-    /// caller of the failed flight receives the same (shared) error.
-    /// Failures are not memoized — a later query retries.
+    /// [`ServeError::Attack`] when the simulation fails and
+    /// [`ServeError::Panicked`] when it panics; every coalesced caller of
+    /// the failed flight receives the same (shared) error. Failures are
+    /// not memoized — a later query retries.
     pub fn query(
         &self,
         attack: &'static dyn Attack,
@@ -407,7 +410,13 @@ impl VerdictStore {
         };
         let result = if leader {
             self.simulations.fetch_add(1, Ordering::Relaxed);
-            let result = self.simulate(attack, stack, cfg);
+            // A panic must still release the flight, or its followers and
+            // every later query for this key would wait forever. The
+            // runner it held unwinds with it, never back into the pool.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.simulate(attack, stack, cfg)
+            }))
+            .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_reason(payload.as_ref()))));
             if let Ok(stored) = &result {
                 if let Ok(mut rows) = self.rows.write() {
                     rows.insert(key, *stored);
@@ -435,7 +444,8 @@ impl VerdictStore {
         result.map(|stored| self.answer(name, digest, stored, source))
     }
 
-    /// Computes one missing row with the campaign engine's exact recipe.
+    /// Computes one missing row with the campaign engine's exact recipe,
+    /// on a pooled runner that goes back to the pool on success or error.
     fn simulate(
         &self,
         attack: &'static dyn Attack,
@@ -443,28 +453,24 @@ impl VerdictStore {
         cfg: &UarchConfig,
     ) -> Result<StoredVerdict, ServeError> {
         let mut runner = self.pool.checkout();
+        let mut session = defenses::PatchSession::new(attack);
         let result = match stack {
-            None => {
-                let out = runner.run(attack, cfg)?;
-                let graph_race = defenses::PatchSession::new(attack).graph_race();
-                Ok(StoredVerdict::Baseline {
-                    leaked: out.leaked,
-                    cycles: out.cycles,
-                    graph_race,
-                })
-            }
-            Some(stack) => {
-                let mut session = defenses::PatchSession::new(attack);
-                let strategy_sufficient = session.graph_sufficient(stack)?;
-                let mechanism = defenses::verify_stack_warm(stack, attack, cfg, &mut runner)?;
-                Ok(StoredVerdict::Cell {
-                    mechanism,
-                    strategy_sufficient,
-                })
-            }
+            None => runner.run(attack, cfg).map(|out| StoredVerdict::Baseline {
+                leaked: out.leaked,
+                cycles: out.cycles,
+                graph_race: session.graph_race(),
+            }),
+            Some(stack) => session
+                .graph_sufficient(stack)
+                .and_then(|strategy_sufficient| {
+                    Ok(StoredVerdict::Cell {
+                        mechanism: defenses::verify_stack_warm(stack, attack, cfg, &mut runner)?,
+                        strategy_sufficient,
+                    })
+                }),
         };
         self.pool.checkin(runner);
-        result
+        Ok(result?)
     }
 
     fn answer(
@@ -518,24 +524,9 @@ impl VerdictStore {
 // ---------------------------------------------------------------------------
 
 /// How many tasks a scheduler chunk carries by default: fine enough that
-/// a killed run loses little and the workers finish close together,
-/// coarse enough that the per-chunk graph-verdict precompute amortizes.
+/// a killed run loses little, coarse enough that the checkpoint files
+/// stay few.
 pub const DEFAULT_CHUNK_TASKS: usize = 16;
-
-/// One completed chunk, as reported to a [`ChunkObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkEvent {
-    /// Chunk index in `0..of`.
-    pub index: usize,
-    /// Total chunks in this schedule.
-    pub of: usize,
-    /// Chunks completed so far (resumed chunks count from the start).
-    pub completed: usize,
-}
-
-/// Live progress callback: invoked once per chunk as it completes,
-/// possibly concurrently from worker threads.
-pub type ChunkObserver<'a> = &'a (dyn Fn(ChunkEvent) + Sync);
 
 /// A checkpoint file that existed on disk but could not be used for
 /// resume — zero-length, torn mid-write, or otherwise unreadable — and
@@ -559,7 +550,7 @@ pub struct ScheduleReport {
     pub chunks: usize,
     /// Chunks restored from checkpoint files without any re-simulation.
     pub resumed: usize,
-    /// Chunks simulated by this run's workers.
+    /// Chunks this run evaluated (every chunk not resumed).
     pub executed: usize,
     /// Always 0: every chunk runs exactly once. Kept so that existing
     /// readers of this report, such as the benchmark, keep compiling.
@@ -585,37 +576,49 @@ enum ChunkLoad {
 
 /// A resumable, checkpointing campaign scheduler.
 ///
-/// The cube is split into fine-grained contiguous chunks
-/// ([`CampaignSpec::shards`] with one task-thread per chunk, so chunk
-/// results are bit-identical to the corresponding slice of a single-shot
-/// run). Workers claim pending chunks from one shared cursor, so a fast
-/// worker keeps claiming while a slow one finishes its chunk. With a
-/// checkpoint directory every finished chunk is written as a
-/// `campaign-checkpoint` document, and the next run resumes: completed
-/// chunks load from disk (zero re-simulation), half-written or
-/// zero-length ones surface as typed
-/// [`Truncated`](crate::jsonio::JsonErrorKind) errors, are re-run, and
-/// are reported in [`ScheduleReport::repaired`], and chunks from a
-/// *different* campaign are a hard [`ServeError::CheckpointMismatch`].
-#[derive(Debug, Clone)]
-pub struct Scheduler {
+/// The cube is cut into fine-grained contiguous chunks (the
+/// [`CampaignSpec::shards`] geometry). With a checkpoint directory, a run
+/// first resumes: completed chunks load from disk (zero re-simulation),
+/// half-written or zero-length ones surface as typed
+/// [`Truncated`](crate::jsonio::JsonErrorKind) errors, are re-run and
+/// reported in [`ScheduleReport::repaired`], and chunks of a *different*
+/// campaign are a hard [`ServeError::CheckpointMismatch`]. The other
+/// chunks go through one pass of the campaign executor, and each is
+/// checkpointed by whichever worker finishes its last row.
+#[derive(Clone)]
+pub struct Scheduler<'a> {
+    /// The spec, with the worker count as its `threads`.
     spec: CampaignSpec,
-    workers: usize,
     chunk_tasks: usize,
     checkpoint: Option<PathBuf>,
+    progress: Option<ProgressObserver<'a>>,
 }
 
-impl Scheduler {
+impl fmt::Debug for Scheduler<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Scheduler")
+            .field("spec", &self.spec)
+            .field("chunk_tasks", &self.chunk_tasks)
+            .field("checkpoint", &self.checkpoint)
+            .field("progress", &self.progress.is_some())
+            .finish()
+    }
+}
+
+impl<'a> Scheduler<'a> {
     /// Schedules `spec` with default workers (all available
     /// parallelism), [`DEFAULT_CHUNK_TASKS`]-task chunks, and no
     /// checkpointing.
     #[must_use]
     pub fn new(spec: &CampaignSpec) -> Self {
         Scheduler {
-            spec: spec.clone(),
-            workers: 0,
+            spec: CampaignSpec {
+                threads: 0,
+                ..spec.clone()
+            },
             chunk_tasks: DEFAULT_CHUNK_TASKS,
             checkpoint: None,
+            progress: None,
         }
     }
 
@@ -623,7 +626,7 @@ impl Scheduler {
     /// parallelism.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.spec.threads = workers;
         self
     }
 
@@ -644,56 +647,46 @@ impl Scheduler {
         self
     }
 
+    /// Live progress: `observer` sees the same [`TaskEvent`] stream as
+    /// [`CampaignMatrix::run_incremental`]'s, one event per evaluated
+    /// task, possibly from worker threads. Tasks resumed from checkpoints
+    /// are silent, like reused ones.
+    ///
+    /// [`TaskEvent`]: crate::campaign::TaskEvent
+    #[must_use]
+    pub fn progress(mut self, observer: ProgressObserver<'a>) -> Self {
+        self.progress = Some(observer);
+        self
+    }
+
     /// Runs the schedule to completion and merges the chunks.
     ///
     /// # Errors
     ///
     /// [`ServeError`] on simulation failure, checkpoint I/O failure, or
-    /// a checkpoint directory belonging to a different campaign.
+    /// a checkpoint directory belonging to a different campaign. A failed
+    /// simulation reports the first error by task order; chunks finished
+    /// before it stay checkpointed for the next run.
     pub fn run(&self) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
-        self.run_observed(None, None)
-    }
-
-    /// [`Scheduler::run`] with optional streaming ingest into `store`
-    /// (resumed chunks are ingested up front, executed ones as they land)
-    /// and per-chunk progress observation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scheduler::run`]. When several chunks fail,
-    /// the error of the lowest-index one is returned.
-    pub fn run_observed(
-        &self,
-        store: Option<&VerdictStore>,
-        progress: Option<ChunkObserver<'_>>,
-    ) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
-        // Chunk results must be bit-identical to the matching slice of a
-        // single-shot run regardless of the serving worker count, so the
-        // inner task executor is pinned to one thread per chunk.
-        let mut spec = self.spec.clone();
-        spec.threads = 1;
+        let spec = &self.spec;
         let fingerprint = spec.fingerprint();
-        let chunks = self.chunk_count(&spec)?;
-        let shards = spec.shards(chunks);
+        let chunks = self.chunk_count(spec)?;
         let mut report = ScheduleReport {
             chunks,
             ..ScheduleReport::default()
         };
 
-        // Resume: adopt every completed chunk on disk before starting.
+        // Resume: adopt every completed chunk on disk; evaluate the rest.
         let total = spec.total_tasks();
-        let mut parts: Vec<Option<CampaignPart>> = Vec::with_capacity(chunks);
+        let mut parts: Vec<CampaignPart> = Vec::with_capacity(chunks);
         let mut pending: Vec<usize> = Vec::new();
         for index in 0..chunks {
-            let range = (index * total / chunks, (index + 1) * total / chunks);
+            let range = chunk_range(total, index, chunks);
             match self.load_chunk(index, chunks, range, fingerprint)? {
                 ChunkLoad::Loaded(part) => {
                     report.resumed += 1;
                     report.resumed_tasks += part.len();
-                    if let Some(store) = store {
-                        store.ingest_part(&part);
-                    }
-                    parts.push(Some(part));
+                    parts.push(part);
                     continue;
                 }
                 ChunkLoad::Damaged { path, reason } => report.repaired.push(ChunkRepair {
@@ -704,50 +697,13 @@ impl Scheduler {
                 ChunkLoad::Missing => {}
             }
             pending.push(index);
-            parts.push(None);
         }
 
-        if let Some(f) = progress {
-            let resumed = parts.iter().enumerate().filter(|(_, p)| p.is_some());
-            for (seen, (index, _)) in resumed.enumerate() {
-                f(ChunkEvent {
-                    index,
-                    of: chunks,
-                    completed: seen + 1,
-                });
-            }
-        }
-
-        let completed = AtomicUsize::new(report.resumed);
-        let executed = crate::exec::map_indexed(
-            pending.len(),
-            self.workers,
-            || (),
-            |(), k| -> Result<CampaignPart, ServeError> {
-                let index = pending[k];
-                let part = shards[index].run(None)?;
-                self.save_chunk(index, &part)?;
-                if let Some(store) = store {
-                    store.ingest_part(&part);
-                }
-                if let Some(f) = progress {
-                    f(ChunkEvent {
-                        index,
-                        of: chunks,
-                        completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                    });
-                }
-                Ok(part)
-            },
-        )?;
+        let save = |part: &CampaignPart| self.save_chunk(part);
+        let (executed, _) =
+            evaluate_tasks(spec, chunks, &pending, None, self.progress, Some(&save))?;
         report.executed = executed.len();
-        for (index, part) in pending.into_iter().zip(executed) {
-            parts[index] = Some(part);
-        }
-        let parts = parts
-            .into_iter()
-            .map(|p| p.expect("every chunk resumed or executed"))
-            .collect();
+        parts.extend(executed);
         Ok((CampaignMatrix::merge(parts)?, report))
     }
 
@@ -796,7 +752,7 @@ impl Scheduler {
         &self,
         index: usize,
         of: usize,
-        range: (usize, usize),
+        range: Range<usize>,
         fingerprint: u64,
     ) -> Result<ChunkLoad, ServeError> {
         let Some(dir) = &self.checkpoint else {
@@ -809,7 +765,7 @@ impl Scheduler {
         match CampaignPart::load_checkpoint_json(&path) {
             Ok(part) => {
                 let geometry_ok =
-                    part.index() == index && part.of() == of && (part.start(), part.end()) == range;
+                    part.index() == index && part.of() == of && (part.start()..part.end()) == range;
                 if part.spec_fingerprint() != fingerprint || !geometry_ok {
                     return Err(ServeError::CheckpointMismatch {
                         index,
@@ -826,11 +782,11 @@ impl Scheduler {
         }
     }
 
-    fn save_chunk(&self, index: usize, part: &CampaignPart) -> Result<(), ServeError> {
+    fn save_chunk(&self, part: &CampaignPart) -> Result<(), ServeError> {
         let Some(dir) = &self.checkpoint else {
             return Ok(());
         };
-        part.save_checkpoint_json(Self::chunk_path(dir, index))?;
+        part.save_checkpoint_json(Self::chunk_path(dir, part.index()))?;
         Ok(())
     }
 }

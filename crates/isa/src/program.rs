@@ -151,27 +151,6 @@ impl Program {
             .collect();
         Ok(p)
     }
-
-    /// A copy of this program with the instruction at `pc` replaced by
-    /// `inst`. Targets and labels are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`IsaError::TargetOutOfRange`] if `pc` is out of range or `inst`
-    /// carries an out-of-range target.
-    pub fn with_replaced(&self, pc: usize, inst: Instruction) -> Result<Self, IsaError> {
-        if pc >= self.insts.len() {
-            return Err(IsaError::TargetOutOfRange {
-                target: pc,
-                len: self.insts.len(),
-            });
-        }
-        let mut insts = self.insts.clone();
-        insts[pc] = inst;
-        let mut p = Program::from_instructions(insts)?;
-        p.labels = self.labels.clone();
-        Ok(p)
-    }
 }
 
 /// `inst` with its control-flow target (if any) passed through `remap`.
@@ -644,15 +623,6 @@ mod tests {
         // Appending works; past-end insertion errors.
         assert_eq!(p.with_inserted(3, Instruction::Nop).unwrap().len(), 4);
         assert!(p.with_inserted(4, Instruction::Nop).is_err());
-    }
-
-    #[test]
-    fn with_replaced_validates_target() {
-        let p = ProgramBuilder::new().nop().halt().build().unwrap();
-        let q = p.with_replaced(0, Instruction::Jump { target: 1 }).unwrap();
-        assert_eq!(q[0], Instruction::Jump { target: 1 });
-        assert!(p.with_replaced(0, Instruction::Jump { target: 9 }).is_err());
-        assert!(p.with_replaced(5, Instruction::Nop).is_err());
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl TsgBuilder {
     pub fn build(self) -> Tsg {
         self.graph
     }
-
-    /// Finishes construction, also returning the label→id map.
-    #[must_use]
-    pub fn build_with_labels(self) -> (Tsg, HashMap<String, NodeId>) {
-        (self.graph, self.by_label)
-    }
 }
 
 #[cfg(test)]
@@ -154,14 +148,5 @@ mod tests {
         let c = g.find_by_label("c").unwrap();
         assert!(g.has_path(a, c).unwrap());
         assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn build_with_labels_exposes_map() {
-        let (g, labels) = TsgBuilder::new()
-            .node("x", NodeKind::Setup)
-            .build_with_labels();
-        assert_eq!(labels.len(), 1);
-        assert_eq!(g.node(labels["x"]).unwrap().label(), "x");
     }
 }

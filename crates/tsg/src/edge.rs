@@ -48,15 +48,6 @@ pub enum EdgeKind {
     Program,
 }
 
-impl EdgeKind {
-    /// Whether this edge was inserted as a defensive (security) ordering
-    /// rather than an ordering the baseline machine already enforces.
-    #[must_use]
-    pub fn is_security(self) -> bool {
-        matches!(self, EdgeKind::Security)
-    }
-}
-
 impl fmt::Display for EdgeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -126,20 +117,6 @@ mod tests {
         };
         assert_eq!(e.to_string(), "n1 -[security]-> n2");
         assert_eq!(e.id().index(), 0);
-    }
-
-    #[test]
-    fn security_predicate() {
-        assert!(EdgeKind::Security.is_security());
-        for k in [
-            EdgeKind::Data,
-            EdgeKind::Control,
-            EdgeKind::Address,
-            EdgeKind::Fence,
-            EdgeKind::Program,
-        ] {
-            assert!(!k.is_security());
-        }
     }
 
     #[test]

@@ -354,31 +354,6 @@ impl Tsg {
         Ok(self.reachability().descendants(from).collect())
     }
 
-    /// The set of all nodes that reach `to` (excluding `to` itself).
-    ///
-    /// # Errors
-    ///
-    /// [`TsgError::UnknownNode`] if the id is not in this graph.
-    pub fn ancestors(&self, to: NodeId) -> Result<Vec<NodeId>, TsgError> {
-        self.check_node(to)?;
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![to];
-        visited[to.index()] = true;
-        let mut out = Vec::new();
-        while let Some(u) = stack.pop() {
-            for &ei in &self.pred[u.index()] {
-                let v = self.edges[ei as usize].from;
-                if !visited[v.index()] {
-                    visited[v.index()] = true;
-                    out.push(v);
-                    stack.push(v);
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
     /// One shortest directed path from `from` to `to` (inclusive), if any.
     ///
     /// # Errors
@@ -581,7 +556,6 @@ mod tests {
         assert!(!g.has_path(b, c).unwrap());
         assert!(!g.has_path(d, a).unwrap());
         assert_eq!(g.descendants(a).unwrap(), vec![b, c, d]);
-        assert_eq!(g.ancestors(d).unwrap(), vec![a, b, c]);
     }
 
     #[test]

@@ -210,6 +210,54 @@ fn distinct_cells_do_not_coalesce() {
     assert_eq!(store.simulations(), 3);
 }
 
+#[test]
+fn a_panicking_leader_releases_its_flight() {
+    // A miss whose simulation panics must not wedge its key: the leader
+    // and a follower get a typed error, a retry fails the same way instead
+    // of blocking on the dead flight, and once the fault is gone the query
+    // simulates and answers.
+    let inner = attacks::registry()[0];
+    let double = PanickingAttack::wrap(inner);
+    let stack = DefenseStack::parse("kpti").unwrap();
+    let cfg = UarchConfig::default();
+    let reference = VerdictStore::new()
+        .query(inner, Some(&stack), &cfg)
+        .unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let store = VerdictStore::new();
+        let query = || store.query(double, Some(&stack), &cfg);
+        let barrier = Barrier::new(2);
+        let armed = std::thread::scope(|scope| {
+            let follower = scope.spawn(|| {
+                barrier.wait();
+                query()
+            });
+            barrier.wait();
+            [query(), follower.join().unwrap(), query()]
+        });
+        double.disarm();
+        let _ = tx.send((armed, query(), store.len()));
+    });
+    let (armed, healed, rows) = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a query still blocked after 10 s");
+    client.join().unwrap();
+    for result in armed {
+        assert!(
+            matches!(&result, Err(ServeError::Panicked(reason)) if reason.contains("injected fault")),
+            "{result:?}"
+        );
+    }
+    let answer = healed.unwrap();
+    assert_eq!(answer.source, serve::AnswerSource::Simulated);
+    assert_eq!(
+        (answer.verdict, answer.graph),
+        (reference.verdict, reference.graph)
+    );
+    assert_eq!(rows, 1, "only the healed answer is memoized");
+}
+
 // ---------------------------------------------------------------------------
 // Checkpointing scheduler
 // ---------------------------------------------------------------------------
@@ -229,19 +277,41 @@ fn scheduled_run_is_bit_identical_to_single_shot() {
         assert_eq!(report.chunks, spec.total_tasks().div_ceil(5));
         assert_eq!(report.executed, report.chunks, "no checkpoints: all run");
         assert_eq!(report.resumed, 0);
+
+        // Each checkpoint is byte for byte the part its shard runs alone.
+        let dir = tempdir(&format!("bytes-{workers}"));
+        let (checkpointed, report) = Scheduler::new(&spec)
+            .workers(workers)
+            .chunk_tasks(5)
+            .checkpoint(&dir)
+            .run()
+            .unwrap();
+        assert_eq!(checkpointed.to_json(), single.to_json());
+        for (i, shard) in spec.shards(report.chunks).iter().enumerate() {
+            let written = fs::read_to_string(dir.join(format!("chunk-{i:05}.json"))).unwrap();
+            let part = shard.run(None).unwrap();
+            assert_eq!(
+                written,
+                part.to_checkpoint_json(),
+                "chunk {i}, {workers} worker(s)"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn scheduler_streams_chunks_into_the_store() {
+fn scheduled_matrix_ingests_into_the_store() {
     let spec = small_spec();
     let store = VerdictStore::new();
     let (matrix, _) = Scheduler::new(&spec)
         .workers(2)
         .chunk_tasks(4)
-        .run_observed(Some(&store), None)
+        .run()
         .unwrap();
-    assert_eq!(store.len(), matrix.baselines().len() + matrix.cells().len());
+    let rows = matrix.baselines().len() + matrix.cells().len();
+    assert_eq!(store.ingest_matrix(&matrix), rows);
+    assert_eq!(store.len(), rows);
     // Every cell the scheduler computed is now a hit.
     let cfg = UarchConfig::default();
     let cell = &matrix.cells()[0];
@@ -363,23 +433,36 @@ fn foreign_checkpoints_are_a_typed_mismatch() {
 }
 
 #[test]
-fn progress_observer_sees_every_chunk_once() {
+fn progress_observer_sees_every_evaluated_task_once() {
     use std::sync::Mutex;
-    let spec = small_spec();
+    let spec = grid_spec();
+    let dir = tempdir("progress");
     let seen = Mutex::new(Vec::new());
-    let (_, report) = Scheduler::new(&spec)
+    let observer = |e: TaskEvent| seen.lock().unwrap().push(e);
+    let scheduler = Scheduler::new(&spec)
         .workers(2)
         .chunk_tasks(4)
-        .run_observed(
-            None,
-            Some(&|e: ChunkEvent| {
-                seen.lock().unwrap().push(e.index);
-            }),
-        )
-        .unwrap();
-    let mut seen = seen.into_inner().unwrap();
-    seen.sort_unstable();
-    assert_eq!(seen, (0..report.chunks).collect::<Vec<_>>());
+        .checkpoint(&dir)
+        .progress(&observer);
+    let (_, report) = scheduler.run().unwrap();
+    let total = spec.total_tasks();
+    let mut events = std::mem::take(&mut *seen.lock().unwrap());
+    assert_eq!(report.executed, report.chunks);
+    assert_eq!(events.len(), total, "one event per task");
+    events.sort_by_key(|e| e.completed);
+    for (i, e) in events.iter().enumerate() {
+        assert_eq!((e.completed, e.total), (i + 1, total));
+    }
+
+    // Resumed tasks are silent: only the re-run chunk reports, with its
+    // tasks as the run's total.
+    fs::remove_file(dir.join("chunk-00001.json")).unwrap();
+    let (_, report) = scheduler.run().unwrap();
+    assert_eq!((report.resumed, report.executed), (report.chunks - 1, 1));
+    let events = seen.into_inner().unwrap();
+    assert_eq!(events.len(), 4);
+    assert!(events.iter().all(|e| e.total == 4));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,8 +471,8 @@ fn progress_observer_sees_every_chunk_once() {
 
 /// The interactive-rate contract: the keyed hit path sustains at least a
 /// million lookups per second. Measured only on optimized builds (CI runs
-/// this with `--release`); the criterion `verdict_store` bench reports
-/// the real (much higher) rate.
+/// this with `--release`); perfbench's `query` workload reports the real
+/// (much higher) rate.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "throughput floor holds for release builds")]
 fn hit_path_sustains_a_million_lookups_per_second() {
