@@ -7,7 +7,7 @@
 //! campaign merge  part0.json part1.json --out matrix.json
 //! campaign render --figure8 matrix.json --csv fig8.csv --svg fig8.svg
 //! campaign run    --axis hardening=figure8 --incremental --prev matrix.json --out matrix.json
-//! campaign serve  --axis hardening=figure8 --workers 4 --checkpoint ckpt/ --out matrix.json
+//! campaign serve  --axis hardening=figure8 --threads 4 --checkpoint ckpt/ --out matrix.json
 //! campaign query  matrix.json --queries batch.txt --simulate
 //! campaign fuzz   --seed 42 --budget 512 --corpus corpus/ --registry-out found.json
 //! campaign run    --synthesized found.json --axis hardening=figure8 --out matrix.json
@@ -38,13 +38,15 @@
 use crate::heatmap::Figure8View;
 use specgraph::attacks::{self, Attack, AttackError};
 use specgraph::campaign::{
-    CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, IncrementalReport,
-    Knob, KnobValue, MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
+    CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, Knob, KnobValue,
+    MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry};
 use specgraph::fault::{self, PanickingAttack};
-use specgraph::serve::{AnswerSource, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS};
+use specgraph::serve::{
+    AnswerSource, ScheduleReport, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS,
+};
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -63,8 +65,8 @@ USAGE:
   campaign merge  PART.json... --out FILE [--csv FILE]
   campaign render --figure8 MATRIX.json [--csv FILE] [--svg FILE]
   campaign diff   OLD.json NEW.json
-  campaign serve  [SPEC] [--workers N] [--chunk T] [--checkpoint DIR]
-                  [--out FILE] [--csv FILE] [--progress]
+  campaign serve  [SPEC] [--chunk T] [--checkpoint DIR] [--out FILE]
+                  [--csv FILE] [--progress]
   campaign query  ARTIFACT.json... [--queries FILE] [--simulate]
   campaign fuzz   [--seed N] [--budget N] [--corpus DIR] [--threads N]
                   [--checkpoint-every N] [--minimize|--no-minimize]
@@ -108,7 +110,7 @@ SPEC (must be identical for every shard of one campaign):
   cells.
 
   `campaign serve` runs the cube on a resumable scheduler: the cube
-  splits into --chunk T-task chunks, evaluated on --workers threads.
+  splits into --chunk T-task chunks, evaluated on --threads workers.
   With --checkpoint DIR each chunk is written to disk as soon as its
   last cell is done, and a killed run's next invocation resumes from
   DIR, re-simulating zero completed cells — the final matrix is
@@ -680,27 +682,20 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
         })
     } else {
         let previous = prev.as_deref().map(load_matrix).transpose()?;
-        // A fresh full run evaluates every slice completely, so the
-        // per-slice quota is known; an incremental run's stale counts are
-        // fingerprint-dependent, so fall back to milestone lines.
-        let per_slice = if previous.is_none() {
-            spec.total_tasks().checked_div(spec.configs.len())
-        } else {
-            None
-        };
-        let printer = progress.then(|| ProgressPrinter::new(&spec, per_slice));
-        let observer = printer.as_ref().map(ProgressPrinter::observer);
-        let (matrix, report) = CampaignMatrix::run_incremental(
+        // Nothing is checkpointed, so one chunk covers the cube.
+        let report = run_cube(
             &spec,
             previous.as_ref(),
-            observer.as_ref().map(|f| f as ProgressObserver),
+            spec.total_tasks().max(1),
+            None,
+            out.as_deref(),
+            csv.as_deref(),
+            progress,
         )?;
-        emit(out.as_deref(), &matrix.to_json())?;
-        if let Some(path) = &csv {
-            write_file(path, &matrix.to_csv())?;
-        }
-        describe_report(report);
-        describe_degraded(&matrix);
+        eprintln!(
+            "campaign: evaluated {} task(s), reused {} from the previous matrix",
+            report.evaluated, report.reused
+        );
         Ok(Outcome::Ran {
             evaluated: report.evaluated,
             reused: report.reused,
@@ -761,9 +756,9 @@ fn summarize_diff(diff: &MatrixDiff, old_path: &Path, new_path: &Path) {
 
 /// Stderr progress for `campaign run --progress` and `campaign serve
 /// --progress`: one line per completed config slice when the per-slice
-/// quota is known (fresh full runs), and ~10 milestone lines otherwise
-/// (shards, incremental and scheduled runs), each with an elapsed-rate
-/// ETA.
+/// quota is known (fresh runs without checkpoints), and ~10 milestone
+/// lines otherwise (shards, incremental and checkpointed runs), each with
+/// an elapsed-rate ETA.
 struct ProgressPrinter {
     start: std::time::Instant,
     configs: Vec<String>,
@@ -928,7 +923,6 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
 
 fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     let mut spec_args = SpecArgs::default();
-    let mut workers = 0usize;
     let mut chunk = DEFAULT_CHUNK_TASKS;
     let mut checkpoint: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
@@ -937,7 +931,6 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
-            "--workers" => workers = flags.positive(flag, "number")?,
             "--chunk" => chunk = flags.positive(flag, "task count")?,
             "--checkpoint" => checkpoint = Some(flags.path(flag)?),
             "--out" => out = Some(flags.path(flag)?),
@@ -953,22 +946,15 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
         }
     }
     let spec = spec_args.build()?;
-    // Resumed chunks are silent, so the per-slice quota is unknown:
-    // milestone lines.
-    let printer = progress.then(|| ProgressPrinter::new(&spec, None));
-    let observer = printer.as_ref().map(ProgressPrinter::observer);
-    let mut scheduler = Scheduler::new(&spec).workers(workers).chunk_tasks(chunk);
-    if let Some(f) = &observer {
-        scheduler = scheduler.progress(f);
-    }
-    if let Some(dir) = &checkpoint {
-        scheduler = scheduler.checkpoint(dir);
-    }
-    let (matrix, report) = scheduler.run()?;
-    emit(out.as_deref(), &matrix.to_json())?;
-    if let Some(path) = &csv {
-        write_file(path, &matrix.to_csv())?;
-    }
+    let report = run_cube(
+        &spec,
+        None,
+        chunk,
+        checkpoint.as_deref(),
+        out.as_deref(),
+        csv.as_deref(),
+        progress,
+    )?;
     for repair in &report.repaired {
         eprintln!(
             "campaign: checkpoint {} was unusable ({}) — re-ran chunk {}",
@@ -986,12 +972,53 @@ fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
         report.resumed_tasks,
         report.executed,
     );
-    describe_degraded(&matrix);
     Ok(Outcome::Served {
         chunks: report.chunks,
         resumed: report.resumed,
         executed: report.executed,
     })
+}
+
+/// The whole-cube run body of `campaign run` and `campaign serve`: one
+/// [`Scheduler`] over `spec`, reusing `prev`'s rows and checkpointing
+/// into `checkpoint` when given. Writes the matrix JSON to `out` (or
+/// stdout) and the CSV to `csv`.
+fn run_cube(
+    spec: &CampaignSpec,
+    prev: Option<&CampaignMatrix>,
+    chunk: usize,
+    checkpoint: Option<&Path>,
+    out: Option<&Path>,
+    csv: Option<&Path>,
+    progress: bool,
+) -> Result<ScheduleReport, CliError> {
+    // A fresh, checkpoint-free run evaluates every slice completely, so
+    // the per-slice quota is known. Reused and resumed tasks are silent,
+    // so otherwise fall back to milestone lines.
+    let per_slice = if prev.is_none() && checkpoint.is_none() {
+        spec.total_tasks().checked_div(spec.configs.len())
+    } else {
+        None
+    };
+    let printer = progress.then(|| ProgressPrinter::new(spec, per_slice));
+    let observer = printer.as_ref().map(ProgressPrinter::observer);
+    let mut scheduler = Scheduler::new(spec).chunk_tasks(chunk);
+    if let Some(f) = &observer {
+        scheduler = scheduler.progress(f);
+    }
+    if let Some(matrix) = prev {
+        scheduler = scheduler.prev(matrix);
+    }
+    if let Some(dir) = checkpoint {
+        scheduler = scheduler.checkpoint(dir);
+    }
+    let (matrix, report) = scheduler.run()?;
+    emit(out, &matrix.to_json())?;
+    if let Some(path) = csv {
+        write_file(path, &matrix.to_csv())?;
+    }
+    describe_degraded(&matrix);
+    Ok(report)
 }
 
 fn cmd_query(args: &[String]) -> Result<Outcome, CliError> {
@@ -1388,7 +1415,7 @@ fn fault_quarantine(retries: u32) -> Result<Outcome, CliError> {
         spec.total_tasks(),
     );
     panicking.disarm();
-    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None)?;
+    let (healed, report) = Scheduler::new(&spec).prev(&matrix).run()?;
     if healed.quarantined() != 0 {
         return Err(CliError::Fault(format!(
             "{} cell(s) still quarantined after the fault was removed",
@@ -1535,13 +1562,6 @@ fn write_stdout(content: &str) -> Result<(), CliError> {
             source,
         }),
     }
-}
-
-fn describe_report(report: IncrementalReport) {
-    eprintln!(
-        "campaign: evaluated {} task(s), reused {} from the previous matrix",
-        report.evaluated, report.reused
-    );
 }
 
 /// One stderr line when a matrix carries degraded rows, so a scripted

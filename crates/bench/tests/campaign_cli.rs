@@ -535,7 +535,7 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
     let serve_to = |path: &PathBuf| -> Outcome {
         run(&with_spec(&[
             "serve",
-            "--workers",
+            "--threads",
             "3",
             "--chunk",
             "3",
@@ -731,10 +731,10 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
 #[test]
 fn serve_and_query_usage_errors_are_actionable() {
     for (args, needle) in [
-        (vec!["serve", "--workers", "0"], "positive number"),
-        (vec!["serve", "--workers", "lots"], "positive number"),
+        (vec!["serve", "--threads", "lots"], "needs a number"),
         (vec!["serve", "--chunk", "0"], "positive task count"),
         (vec!["serve", "--nope"], "unknown flag"),
+        (vec!["serve", "--workers", "3"], "unknown flag"),
         (vec!["query", "m.json", "--nope"], "unknown flag"),
         (vec!["query", "--queries"], "needs a value"),
         (
@@ -742,7 +742,7 @@ fn serve_and_query_usage_errors_are_actionable() {
             "given twice",
         ),
         (
-            vec!["serve", "--workers", "2", "--workers", "3"],
+            vec!["serve", "--threads", "2", "--threads", "3"],
             "given twice",
         ),
         (

@@ -51,11 +51,11 @@
 //! index-addressed, deterministic cell order is also what makes the cube
 //! **shardable** ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]:
 //! merging is validated concatenation) and **incrementally re-evaluable**
-//! ([`CampaignMatrix::run_incremental`]: every cell carries a content
-//! fingerprint — attack name, defense name + strategy, config contents —
-//! and cells whose fingerprint appears in a previous matrix, e.g. one
-//! loaded with [`CampaignMatrix::load_json`], are reused instead of
-//! re-simulated).
+//! ([`Scheduler::prev`](crate::serve::Scheduler::prev): every cell
+//! carries a content fingerprint — attack name, defense name + strategy,
+//! config contents — and cells whose fingerprint appears in a previous
+//! matrix, e.g. one loaded with [`CampaignMatrix::load_json`], are reused
+//! instead of re-simulated).
 //!
 //! ## Cross-process sharding
 //!
@@ -97,12 +97,14 @@
 //! # }
 //! ```
 //!
-//! Saved matrices feed [`CampaignMatrix::run_incremental`] across the
-//! same process boundary: re-running an unchanged spec against a loaded
-//! matrix evaluates zero cells.
+//! Saved matrices feed an incremental
+//! [`Scheduler`](crate::serve::Scheduler) run across the same process
+//! boundary: re-running an unchanged spec against a loaded matrix
+//! evaluates zero cells.
 
 use crate::jsonio::{self, Json, JsonError};
 use crate::scenario::Evaluation;
+use crate::serve::ScheduleReport;
 use attacks::{Attack, AttackError, AttackInfo, BatchRunner};
 use defenses::{Defense, DefenseStack, Verdict};
 use std::collections::HashMap;
@@ -1079,7 +1081,7 @@ struct GraphVerdicts {
     pairs: Vec<Option<Option<bool>>>,
     /// How many (attack, stack) strategy verdicts were actually computed
     /// — exactly the number of needed pairs, surfaced as
-    /// [`IncrementalReport::graph_verdicts`] so tests can pin the A×S
+    /// [`ScheduleReport::graph_verdicts`] so tests can pin the A×S
     /// (not A×S×C) bound.
     evaluated: usize,
 }
@@ -1406,7 +1408,7 @@ pub(crate) fn evaluate_tasks<E>(
     prev: Option<&CampaignMatrix>,
     progress: Option<ProgressObserver<'_>>,
     sink: Option<ChunkSink<'_, E>>,
-) -> Result<(Vec<CampaignPart>, IncrementalReport), E>
+) -> Result<(Vec<CampaignPart>, ScheduleReport), E>
 where
     E: From<AttackError> + Send,
 {
@@ -1521,11 +1523,13 @@ where
         }
     }
 
-    let report = IncrementalReport {
+    let report = ScheduleReport {
+        executed: headers.len(),
         evaluated: stale.len(),
         reused: headers.iter().map(|h| h.range().len()).sum::<usize>() - stale.len(),
         simulations: runs.len(),
         graph_verdicts: graph.evaluated,
+        ..ScheduleReport::default()
     };
     let parts = parts
         .into_iter()
@@ -1948,26 +1952,6 @@ pub struct CampaignMatrix {
     defense_index: HashMap<String, usize>,
 }
 
-/// How much work an incremental run actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncrementalReport {
-    /// Tasks (baselines + cells) that were re-simulated.
-    pub evaluated: usize,
-    /// Tasks reused from the previous matrix by fingerprint.
-    pub reused: usize,
-    /// Distinct machine runs behind the evaluated tasks. Tasks whose
-    /// attack and effective config agree — an aliasing defense, a
-    /// hardening that sets the same knob — share one run, and graph-only
-    /// cells need none, so this is at most `evaluated`.
-    pub simulations: usize,
-    /// Strategy-sufficiency graph verdicts computed for this run. Graph
-    /// verdicts are config-invariant and hoisted out of the config loop,
-    /// so a full run of an `A×S×C` cube computes exactly `A×S` of these
-    /// (one per (attack, stack) pair), and an all-reused incremental run
-    /// computes zero.
-    pub graph_verdicts: usize,
-}
-
 impl CampaignMatrix {
     fn assemble(cube: Cube) -> Self {
         let layout = cube.layout();
@@ -2006,6 +1990,8 @@ impl CampaignMatrix {
     /// Tasks (one per baseline run, one per matrix cell) are claimed by
     /// worker threads from a shared cursor and reassembled by index, so
     /// the result — including cell order — is independent of scheduling.
+    /// For an incremental, checkpointed or observed run, use the
+    /// [`Scheduler`](crate::serve::Scheduler).
     ///
     /// # Errors
     ///
@@ -2016,39 +2002,9 @@ impl CampaignMatrix {
     /// Panics if a worker thread itself panics (i.e. a bug, not a
     /// simulation failure).
     pub fn run(spec: &CampaignSpec) -> Result<Self, AttackError> {
-        Ok(Self::run_incremental(spec, None, None)?.0)
-    }
-
-    /// Evaluates the cube, reusing every cell of `prev` whose content
-    /// fingerprint (attack name + defense name/strategy + config
-    /// contents) matches a cell of the new spec; only stale cells are
-    /// re-simulated. With an unchanged spec this evaluates **zero** cells;
-    /// changing one knob value re-evaluates exactly the affected config
-    /// slices. `prev` typically comes from [`CampaignMatrix::load_json`].
-    /// `progress`, if given, is a live [`ProgressObserver`] that sees
-    /// every *evaluated* task as it completes (reused tasks are silent —
-    /// they cost nothing).
-    ///
-    /// Fingerprints cover the *spec*, not the simulator implementation:
-    /// discard saved matrices when the simulator or an attack PoC changes.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AttackError`] any re-simulation produced (by task
-    /// order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panics.
-    pub fn run_incremental(
-        spec: &CampaignSpec,
-        prev: Option<&CampaignMatrix>,
-        progress: Option<ProgressObserver<'_>>,
-    ) -> Result<(Self, IncrementalReport), AttackError> {
-        let (mut parts, report) =
-            evaluate_tasks::<AttackError>(spec, 1, &[0], prev, progress, None)?;
+        let (mut parts, _) = evaluate_tasks::<AttackError>(spec, 1, &[0], None, None, None)?;
         let part = parts.pop().expect("one part per chunk");
-        Ok((Self::assemble(part.body), report))
+        Ok(Self::assemble(part.body))
     }
 
     /// Reassembles a full matrix from every shard's [`CampaignPart`].
@@ -3029,6 +2985,7 @@ pub(crate) fn push_json_list<'a>(out: &mut String, items: impl Iterator<Item = &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::Scheduler;
 
     fn small_spec(threads: usize) -> CampaignSpec {
         let mut spec = CampaignSpec::default();
@@ -3494,8 +3451,7 @@ mod tests {
         // And a v3 matrix feeds incremental reuse without re-simulation.
         let v3 = m.to_json().replacen("\"version\": 7", "\"version\": 3", 1);
         let prev = CampaignMatrix::from_json(&v3).unwrap();
-        let (_, report) =
-            CampaignMatrix::run_incremental(&small_spec(0), Some(&prev), None).unwrap();
+        let (_, report) = Scheduler::new(&small_spec(0)).prev(&prev).run().unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3570,10 +3526,10 @@ mod tests {
     #[test]
     fn incremental_rerun_of_unchanged_spec_evaluates_nothing() {
         let spec = small_spec(0);
-        let (first, initial) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        let (first, initial) = Scheduler::new(&spec).run().unwrap();
         assert_eq!(initial.evaluated, spec.total_tasks());
         assert_eq!(initial.reused, 0);
-        let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&first), None).unwrap();
+        let (again, report) = Scheduler::new(&spec).prev(&first).run().unwrap();
         assert_eq!(report.evaluated, 0);
         assert_eq!(report.reused, spec.total_tasks());
         assert_eq!(again.to_json(), first.to_json());
@@ -3588,10 +3544,9 @@ mod tests {
                 .axis(Knob::RobDepth, [16usize, rob2])
                 .build()
         };
-        let (first, _) = CampaignMatrix::run_incremental(&grid(64), None, None).unwrap();
+        let (first, _) = Scheduler::new(&grid(64)).run().unwrap();
         let changed = grid(48);
-        let (second, report) =
-            CampaignMatrix::run_incremental(&changed, Some(&first), None).unwrap();
+        let (second, report) = Scheduler::new(&changed).prev(&first).run().unwrap();
         // Only the rob=48 slice is stale: 3 baselines + 3×2 cells.
         let (a, d, _) = second.shape();
         assert_eq!(report.evaluated, a + a * d);
@@ -3607,9 +3562,9 @@ mod tests {
         let loaded = CampaignMatrix::from_json(&m.to_json()).unwrap();
         assert_eq!(loaded.to_json(), m.to_json());
         assert_eq!(loaded.to_csv(), m.to_csv());
-        // A loaded matrix feeds run_incremental exactly like a live one.
+        // A loaded matrix feeds an incremental run exactly like a live one.
         let spec = small_spec(0);
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None).unwrap();
+        let (_, report) = Scheduler::new(&spec).prev(&loaded).run().unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3709,8 +3664,7 @@ mod tests {
         assert_eq!(loaded.to_json(), m.to_json());
         assert_eq!(loaded.to_csv(), m.to_csv());
         // …and feeds incremental reuse.
-        let (_, report) =
-            CampaignMatrix::run_incremental(&stack_spec(), Some(&loaded), None).unwrap();
+        let (_, report) = Scheduler::new(&stack_spec()).prev(&loaded).run().unwrap();
         assert_eq!(report.evaluated, 0);
     }
 
@@ -3767,7 +3721,7 @@ mod tests {
         let spec = small_spec(2);
         let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| events.lock().unwrap().push(e);
-        let (m, report) = CampaignMatrix::run_incremental(&spec, None, Some(&observer)).unwrap();
+        let (m, report) = Scheduler::new(&spec).progress(&observer).run().unwrap();
         let seen = events.into_inner().unwrap();
         assert_eq!(seen.len(), spec.total_tasks());
         assert_eq!(report.evaluated, spec.total_tasks());
@@ -3781,7 +3735,11 @@ mod tests {
         // A no-op incremental rerun reports nothing: nothing is evaluated.
         let again: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| again.lock().unwrap().push(e);
-        CampaignMatrix::run_incremental(&spec, Some(&m), Some(&observer)).unwrap();
+        Scheduler::new(&spec)
+            .prev(&m)
+            .progress(&observer)
+            .run()
+            .unwrap();
         assert!(again.into_inner().unwrap().is_empty());
     }
 

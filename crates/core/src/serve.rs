@@ -17,9 +17,11 @@
 //!   ranges, **checkpoints** every chunk to disk as a
 //!   `campaign-checkpoint` document the moment its last row exists, and
 //!   resumes a killed run without redoing completed cells. Chunks not on
-//!   disk are evaluated together on the campaign engine's one executor
-//!   (the path [`CampaignMatrix::run_incremental`] takes), so the merged
-//!   result stays bit-identical to a single-shot [`CampaignMatrix::run`].
+//!   disk are evaluated together on the campaign engine's one executor,
+//!   which keeps every row a previous matrix holds ([`Scheduler::prev`]),
+//!   so the merged result stays bit-identical to a single-shot
+//!   [`CampaignMatrix::run`]. The scheduler is the one configurable
+//!   whole-cube run, and [`ScheduleReport`] is its one report.
 //!
 //! Verdicts computed on the miss path use exactly the campaign runner's
 //! recipe (graph verdict from a [`defenses::PatchSession`], machine
@@ -543,7 +545,8 @@ pub struct ChunkRepair {
     pub reason: String,
 }
 
-/// What a scheduled run did, alongside the merged matrix.
+/// What a scheduled run did, alongside the merged matrix. Every task is
+/// counted once: `resumed_tasks + reused + evaluated` is the whole cube.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScheduleReport {
     /// Chunks the cube was decomposed into.
@@ -561,6 +564,22 @@ pub struct ScheduleReport {
     /// truncated, unreadable); their chunks were re-run and their
     /// checkpoints rewritten.
     pub repaired: Vec<ChunkRepair>,
+    /// Tasks of the executed chunks that this run computed: every one the
+    /// [`Scheduler::prev`] matrix does not hold by fingerprint.
+    pub evaluated: usize,
+    /// Tasks of the executed chunks reused from the previous matrix.
+    pub reused: usize,
+    /// Distinct machine runs behind the evaluated tasks. Tasks whose
+    /// attack and effective config agree — an aliasing defense, a
+    /// hardening that sets the same knob — share one run, and graph-only
+    /// cells need none, so this is at most `evaluated`.
+    pub simulations: usize,
+    /// Strategy-sufficiency graph verdicts computed for this run. Graph
+    /// verdicts are config-invariant and hoisted out of the config loop,
+    /// so a full run of an `A×S×C` cube computes exactly `A×S` of these
+    /// (one per (attack, stack) pair), and an all-reused run computes
+    /// zero.
+    pub graph_verdicts: usize,
 }
 
 /// What [`Scheduler::load_chunk`] found on disk for one chunk.
@@ -574,7 +593,8 @@ enum ChunkLoad {
     Loaded(CampaignPart),
 }
 
-/// A resumable, checkpointing campaign scheduler.
+/// A resumable, checkpointing, incremental campaign run: the one
+/// configurable way to evaluate a whole cube.
 ///
 /// The cube is cut into fine-grained contiguous chunks (the
 /// [`CampaignSpec::shards`] geometry). With a checkpoint directory, a run
@@ -583,14 +603,16 @@ enum ChunkLoad {
 /// [`Truncated`](crate::jsonio::JsonErrorKind) errors, are re-run and
 /// reported in [`ScheduleReport::repaired`], and chunks of a *different*
 /// campaign are a hard [`ServeError::CheckpointMismatch`]. The other
-/// chunks go through one pass of the campaign executor, and each is
-/// checkpointed by whichever worker finishes its last row.
+/// chunks go through one pass of the campaign executor, which keeps every
+/// row the [`Scheduler::prev`] matrix holds, and each is checkpointed by
+/// whichever worker finishes its last row.
 #[derive(Clone)]
 pub struct Scheduler<'a> {
     /// The spec, with the worker count as its `threads`.
     spec: CampaignSpec,
     chunk_tasks: usize,
     checkpoint: Option<PathBuf>,
+    prev: Option<&'a CampaignMatrix>,
     progress: Option<ProgressObserver<'a>>,
 }
 
@@ -600,30 +622,29 @@ impl fmt::Debug for Scheduler<'_> {
             .field("spec", &self.spec)
             .field("chunk_tasks", &self.chunk_tasks)
             .field("checkpoint", &self.checkpoint)
+            .field("prev", &self.prev.is_some())
             .field("progress", &self.progress.is_some())
             .finish()
     }
 }
 
 impl<'a> Scheduler<'a> {
-    /// Schedules `spec` with default workers (all available
-    /// parallelism), [`DEFAULT_CHUNK_TASKS`]-task chunks, and no
-    /// checkpointing.
+    /// Schedules `spec` on its own `threads` workers, in
+    /// [`DEFAULT_CHUNK_TASKS`]-task chunks, with no checkpointing and no
+    /// previous matrix.
     #[must_use]
     pub fn new(spec: &CampaignSpec) -> Self {
         Scheduler {
-            spec: CampaignSpec {
-                threads: 0,
-                ..spec.clone()
-            },
+            spec: spec.clone(),
             chunk_tasks: DEFAULT_CHUNK_TASKS,
             checkpoint: None,
+            prev: None,
             progress: None,
         }
     }
 
-    /// Worker-thread count; `0` (the default) means all available
-    /// parallelism.
+    /// Worker-thread count, overriding the spec's `threads`; `0` means
+    /// all available parallelism.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.spec.threads = workers;
@@ -647,10 +668,23 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Live progress: `observer` sees the same [`TaskEvent`] stream as
-    /// [`CampaignMatrix::run_incremental`]'s, one event per evaluated
+    /// Incremental run: every task whose content fingerprint (attack
+    /// name, defense name and strategy, config contents) matches a row of
+    /// `prev` keeps that row instead of re-simulating. With an unchanged
+    /// spec this evaluates **zero** tasks; changing one knob value
+    /// re-evaluates exactly the affected config slices. `prev` typically
+    /// comes from [`CampaignMatrix::load_json`]. Fingerprints cover the
+    /// *spec*, not the simulator: discard saved matrices when the
+    /// simulator or an attack PoC changes.
+    #[must_use]
+    pub fn prev(mut self, prev: &'a CampaignMatrix) -> Self {
+        self.prev = Some(prev);
+        self
+    }
+
+    /// Live progress: `observer` sees one [`TaskEvent`] per evaluated
     /// task, possibly from worker threads. Tasks resumed from checkpoints
-    /// are silent, like reused ones.
+    /// or reused from [`Scheduler::prev`] are silent.
     ///
     /// [`TaskEvent`]: crate::campaign::TaskEvent
     #[must_use]
@@ -671,25 +705,20 @@ impl<'a> Scheduler<'a> {
         let spec = &self.spec;
         let fingerprint = spec.fingerprint();
         let chunks = self.chunk_count(spec)?;
-        let mut report = ScheduleReport {
-            chunks,
-            ..ScheduleReport::default()
-        };
 
         // Resume: adopt every completed chunk on disk; evaluate the rest.
         let total = spec.total_tasks();
         let mut parts: Vec<CampaignPart> = Vec::with_capacity(chunks);
         let mut pending: Vec<usize> = Vec::new();
+        let mut repaired: Vec<ChunkRepair> = Vec::new();
         for index in 0..chunks {
             let range = chunk_range(total, index, chunks);
             match self.load_chunk(index, chunks, range, fingerprint)? {
                 ChunkLoad::Loaded(part) => {
-                    report.resumed += 1;
-                    report.resumed_tasks += part.len();
                     parts.push(part);
                     continue;
                 }
-                ChunkLoad::Damaged { path, reason } => report.repaired.push(ChunkRepair {
+                ChunkLoad::Damaged { path, reason } => repaired.push(ChunkRepair {
                     index,
                     path,
                     reason,
@@ -698,12 +727,26 @@ impl<'a> Scheduler<'a> {
             }
             pending.push(index);
         }
+        let resumed = parts.len();
+        let resumed_tasks = parts.iter().map(CampaignPart::len).sum();
 
         let save = |part: &CampaignPart| self.save_chunk(part);
-        let (executed, _) =
-            evaluate_tasks(spec, chunks, &pending, None, self.progress, Some(&save))?;
-        report.executed = executed.len();
+        let (executed, report) = evaluate_tasks(
+            spec,
+            chunks,
+            &pending,
+            self.prev,
+            self.progress,
+            Some(&save),
+        )?;
         parts.extend(executed);
+        let report = ScheduleReport {
+            chunks,
+            resumed,
+            resumed_tasks,
+            repaired,
+            ..report
+        };
         Ok((CampaignMatrix::merge(parts)?, report))
     }
 

@@ -138,33 +138,6 @@ impl SecurityAnalysis {
         Ok(())
     }
 
-    /// Auto-declares requirements using node kinds: every
-    /// [`NodeKind::Authorization`] node guards every *protectable* node
-    /// (secret access / use / send) it races with or that is unreachable
-    /// from it, **except** nodes that already precede the authorization
-    /// (those happen legitimately first, e.g. channel setup).
-    ///
-    /// This mirrors the paper's tool flow (Fig. 9): after identifying the
-    /// node types, the missing-dependency search is mechanical.
-    pub fn require_by_kind(&mut self) {
-        let auths = self.graph.nodes_of_kind(NodeKind::is_authorization);
-        let prots = self.graph.nodes_of_kind(NodeKind::is_protectable);
-        for &a in &auths {
-            for &p in &prots {
-                if self.graph.reachability().reaches(p, a) {
-                    continue; // p legitimately precedes the authorization
-                }
-                let dep = SecurityDependency {
-                    authorization: a,
-                    protected: p,
-                };
-                if !self.requirements.contains(&dep) {
-                    self.requirements.push(dep);
-                }
-            }
-        }
-    }
-
     /// The declared requirements.
     #[must_use]
     pub fn requirements(&self) -> &[SecurityDependency] {
@@ -292,38 +265,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn require_by_kind_finds_all_protectables() {
-        let (mut sa, auth, access, send) = spectre_skeleton();
-        // Also a use-secret node between access and send.
-        let use_s = sa.graph_mut().add_node("Compute R", NodeKind::UseSecret);
-        sa.graph_mut()
-            .add_edge(access, use_s, EdgeKind::Data)
-            .unwrap();
-        sa.graph_mut()
-            .add_edge(use_s, send, EdgeKind::Address)
-            .unwrap();
-        sa.require_by_kind();
-        assert_eq!(sa.requirements().len(), 3);
-        assert!(sa
-            .requirements()
-            .iter()
-            .any(|d| d.authorization == auth && d.protected == access));
-    }
-
-    #[test]
-    fn require_by_kind_skips_preceding_setup() {
-        let mut sa = SecurityAnalysis::new();
-        let g = sa.graph_mut();
-        // A "send-like" op that happens *before* authorization is not guarded
-        // (it is legitimately earlier, like channel setup).
-        let early = g.add_node("early send", NodeKind::Send);
-        let auth = g.add_node("auth", NodeKind::Authorization);
-        g.add_edge(early, auth, EdgeKind::Program).unwrap();
-        sa.require_by_kind();
-        assert!(sa.requirements().is_empty());
     }
 
     #[test]

@@ -142,19 +142,6 @@ impl NodeKind {
     pub fn is_secret_access(self) -> bool {
         matches!(self, NodeKind::SecretAccess(_))
     }
-
-    /// Whether this node is one of the operations a defense strategy may
-    /// protect: the access itself, the use of the secret, or the send.
-    ///
-    /// These correspond to the insertion points of defense strategies ①, ②
-    /// and ③ in Figure 8 of the paper.
-    #[must_use]
-    pub fn is_protectable(self) -> bool {
-        matches!(
-            self,
-            NodeKind::SecretAccess(_) | NodeKind::UseSecret | NodeKind::Send
-        )
-    }
 }
 
 impl fmt::Display for NodeKind {
@@ -222,11 +209,6 @@ mod tests {
         assert!(NodeKind::Authorization.is_authorization());
         assert!(!NodeKind::Compute.is_authorization());
         assert!(NodeKind::SecretAccess(SecretSource::Memory).is_secret_access());
-        assert!(NodeKind::SecretAccess(SecretSource::Fpu).is_protectable());
-        assert!(NodeKind::UseSecret.is_protectable());
-        assert!(NodeKind::Send.is_protectable());
-        assert!(!NodeKind::Receive.is_protectable());
-        assert!(!NodeKind::Setup.is_protectable());
     }
 
     #[test]

@@ -160,17 +160,6 @@ impl ReachabilityIndex {
         u != v && !self.connected(u, v)
     }
 
-    /// How many vertices `from` reaches, including itself.
-    #[must_use]
-    pub fn descendant_count(&self, from: NodeId) -> usize {
-        let u = from.index();
-        assert!(u < self.nodes, "node outside index");
-        self.bits[u * self.words..(u + 1) * self.words]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates the descendants of `from` — every vertex it reaches,
     /// **excluding** itself — in ascending [`NodeId`] order.
     ///
@@ -281,24 +270,18 @@ mod tests {
     }
 
     #[test]
-    fn descendant_counts() {
-        let (g, ids) = diamond();
-        let idx = ReachabilityIndex::build(&g);
-        assert_eq!(idx.descendant_count(ids[0]), 4);
-        assert_eq!(idx.descendant_count(ids[3]), 1);
-    }
-
-    #[test]
     fn descendants_iterator_is_proper_and_ascending() {
         let (g, ids) = diamond();
         let idx = ReachabilityIndex::build(&g);
         let d: Vec<NodeId> = idx.descendants(ids[0]).collect();
         assert_eq!(d, vec![ids[1], ids[2], ids[3]]); // excludes the origin
         assert_eq!(idx.descendants(ids[3]).count(), 0); // sink: none
-                                                        // Consistent with the count (which includes the origin).
-        for &u in &ids {
-            assert_eq!(idx.descendants(u).count() + 1, idx.descendant_count(u));
-        }
+                                                        // With the origin, a reaches all 4 vertices, b and c two, d itself.
+        let counts: Vec<usize> = ids
+            .iter()
+            .map(|&u| idx.descendants(u).count() + 1)
+            .collect();
+        assert_eq!(counts, [4, 2, 2, 1]);
     }
 
     #[test]
@@ -342,8 +325,8 @@ mod tests {
         let idx = ReachabilityIndex::build(&g);
         assert!(idx.reaches(ids[0], ids[129]));
         assert!(!idx.reaches(ids[129], ids[0]));
-        assert_eq!(idx.descendant_count(ids[0]), 130);
-        assert_eq!(idx.descendant_count(ids[64]), 66);
+        assert_eq!(idx.descendants(ids[0]).count() + 1, 130);
+        assert_eq!(idx.descendants(ids[64]).count() + 1, 66);
     }
 
     #[test]
@@ -403,7 +386,7 @@ mod tests {
         idx.insert_edge(ids[64], ids[65]);
         assert_eq!(idx, ReachabilityIndex::build(&g));
         assert!(idx.reaches(ids[0], ids[129]));
-        assert_eq!(idx.descendant_count(ids[0]), 130);
+        assert_eq!(idx.descendants(ids[0]).count() + 1, 130);
     }
 
     #[test]

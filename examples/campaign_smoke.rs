@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("save/load: JSON round trip is bit-identical");
 
     // Incremental re-run against the loaded matrix: nothing to do.
-    let (again, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None)?;
+    let (again, report) = Scheduler::new(&spec).prev(&loaded).run()?;
     assert_eq!(report.evaluated, 0, "unchanged spec must reuse every cell");
     assert_eq!(report.reused, spec.total_tasks());
     assert_eq!(again.to_json(), matrix.to_json());

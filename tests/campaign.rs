@@ -236,7 +236,7 @@ mod defense_stacks {
         let v3 = a.to_json().replacen("\"version\": 7", "\"version\": 3", 1);
         let loaded = CampaignMatrix::from_json(&v3).expect("v3 loads");
         assert_eq!(loaded.to_json(), a.to_json());
-        let (_, report) = CampaignMatrix::run_incremental(&legacy, Some(&loaded), None).unwrap();
+        let (_, report) = Scheduler::new(&legacy).prev(&loaded).run().unwrap();
         assert_eq!(report.evaluated, 0);
     }
 }
@@ -312,7 +312,7 @@ mod sharding_and_incremental {
                 .collect::<Vec<_>>();
             let merged = CampaignMatrix::merge(parts).expect("shards merge");
             let (again, report) =
-                CampaignMatrix::run_incremental(&spec, Some(&merged), None).unwrap();
+                Scheduler::new(&spec).prev(&merged).run().unwrap();
             prop_assert_eq!(report.evaluated, 0);
             prop_assert_eq!(report.reused, spec.total_tasks());
             prop_assert_eq!(again.to_json(), merged.to_json());
@@ -334,7 +334,7 @@ mod sharding_and_incremental {
         let (a, d, c) = (spec.attacks.len(), spec.defenses.len(), spec.configs.len());
         assert_eq!((a, d, c), (4, 3, 4), "grid expands to 4 config slices");
 
-        let (matrix, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        let (matrix, report) = Scheduler::new(&spec).run().unwrap();
         assert_eq!(report.evaluated, spec.total_tasks());
         assert_eq!(
             report.graph_verdicts,
@@ -366,7 +366,7 @@ mod sharding_and_incremental {
 
         // An unchanged incremental rerun reuses everything and computes
         // zero strategy verdicts.
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
+        let (_, report) = Scheduler::new(&spec).prev(&matrix).run().unwrap();
         assert_eq!(report.evaluated, 0);
         assert_eq!(report.graph_verdicts, 0);
     }
@@ -383,7 +383,7 @@ mod sharding_and_incremental {
         assert_eq!(loaded.to_json(), first.to_json());
 
         // Unchanged spec against the *file-loaded* matrix: zero evaluations.
-        let (_, report) = CampaignMatrix::run_incremental(&spec, Some(&loaded), None).unwrap();
+        let (_, report) = Scheduler::new(&spec).prev(&loaded).run().unwrap();
         assert_eq!(report.evaluated, 0);
 
         // One knob value changes: exactly the new config slice is
@@ -393,8 +393,7 @@ mod sharding_and_incremental {
             .defenses(defenses::registry().iter().copied().take(2))
             .axis(Knob::CacheSets, [64usize, 16]) // 32 -> 16
             .build();
-        let (matrix, report) =
-            CampaignMatrix::run_incremental(&changed, Some(&loaded), None).unwrap();
+        let (matrix, report) = Scheduler::new(&changed).prev(&loaded).run().unwrap();
         let (a, d, _) = matrix.shape();
         assert_eq!(
             report.evaluated,
@@ -484,7 +483,7 @@ mod shared_runs {
         let spec = CampaignSpec::builder(UarchConfig::default())
             .axis(Knob::Hardening, Hardening::figure8())
             .build();
-        let (_, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        let (_, report) = Scheduler::new(&spec).run().unwrap();
         assert_eq!(report.evaluated, spec.total_tasks());
         assert_eq!(report.simulations, 1_452);
         assert_eq!(report.simulations, 66 * attacks::registry().len());
@@ -505,7 +504,7 @@ mod shared_runs {
             .axis(Knob::RobDepth, [16usize, 64])
             .build();
         let graph_only = 3 * spec.configs.len();
-        let (_, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+        let (_, report) = Scheduler::new(&spec).run().unwrap();
         assert_eq!(report.evaluated, spec.total_tasks());
         assert_eq!(report.simulations, spec.total_tasks() - graph_only);
     }
@@ -520,7 +519,7 @@ mod shared_runs {
             .build();
         let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| events.lock().unwrap().push(e);
-        let (_, report) = CampaignMatrix::run_incremental(&spec, None, Some(&observer)).unwrap();
+        let (_, report) = Scheduler::new(&spec).progress(&observer).run().unwrap();
         assert!(report.simulations < report.evaluated, "the spec aliases");
         let seen = events.into_inner().unwrap();
         let total = spec.total_tasks();

@@ -93,7 +93,7 @@ fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
     // Remove the fault and re-run incrementally: exactly the quarantined
     // rows re-simulate, and the healed matrix equals the fault-free one.
     double.disarm();
-    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
+    let (healed, report) = Scheduler::new(&spec).prev(&matrix).run().unwrap();
     assert_eq!(report.evaluated, 4, "only quarantined rows re-run");
     assert_eq!(report.reused, 4);
     assert_eq!(healed.quarantined(), 0);
@@ -126,7 +126,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
     let double = PanickingAttack::wrap(meltdown());
     let mut spec = spec_for(double as &'static dyn Attack);
     spec.resilience.retries = 1;
-    let (matrix, report) = CampaignMatrix::run_incremental(&spec, None, None).unwrap();
+    let (matrix, report) = Scheduler::new(&spec).run().unwrap();
     // Per attack: the unhardened baseline, plus one `nda` machine shared
     // by the other five rows.
     assert_eq!(report.evaluated, 12);
@@ -164,7 +164,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
 
     // Healing re-runs exactly the quarantined rows, on their two runs.
     double.disarm();
-    let (healed, report) = CampaignMatrix::run_incremental(&spec, Some(&matrix), None).unwrap();
+    let (healed, report) = Scheduler::new(&spec).prev(&matrix).run().unwrap();
     assert_eq!(report.evaluated, 6, "only quarantined rows re-run");
     assert_eq!(report.simulations, 2);
     assert_eq!(healed.quarantined(), 0);

@@ -433,6 +433,70 @@ fn foreign_checkpoints_are_a_typed_mismatch() {
 }
 
 #[test]
+fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
+    // The previous matrix differs in one axis value (rob=48 for rob=64),
+    // so only the rob=64 slice (config 1) is stale.
+    let spec = grid_spec();
+    let old = CampaignSpec::builder(UarchConfig::default())
+        .attacks(attacks::registry().iter().copied().take(3))
+        .defenses(defenses::registry().iter().copied().take(2))
+        .axis(campaign::Knob::RobDepth, [16usize, 48])
+        .build();
+    let prev = CampaignMatrix::run(&old).unwrap();
+    let single = CampaignMatrix::run(&spec).unwrap();
+    let dir = tempdir("prev-checkpoint");
+    let run = || {
+        Scheduler::new(&spec)
+            .workers(2)
+            .chunk_tasks(5)
+            .prev(&prev)
+            .checkpoint(&dir)
+            .run()
+            .unwrap()
+    };
+
+    let (matrix, report) = run();
+    assert_eq!(matrix.to_json(), single.to_json());
+    let (a, d, _) = matrix.shape();
+    let stale = a + a * d;
+    assert_eq!(report.evaluated, stale, "3 baselines + 3×2 cells");
+    assert_eq!(report.reused, spec.total_tasks() - stale);
+    assert_eq!((report.resumed, report.resumed_tasks), (0, 0));
+    assert_eq!(report.executed, report.chunks);
+    let shards = spec.shards(report.chunks);
+    for (i, shard) in shards.iter().enumerate() {
+        let written = fs::read_to_string(dir.join(format!("chunk-{i:05}.json"))).unwrap();
+        assert_eq!(
+            written,
+            shard.run(None).unwrap().to_checkpoint_json(),
+            "chunk {i}"
+        );
+    }
+
+    // Delete one chunk: the re-run evaluates only that chunk's stale
+    // tasks, reuses its other tasks from `prev`, and resumes the rest.
+    fs::remove_file(dir.join("chunk-00001.json")).unwrap();
+    let part = shards[1].run(None).unwrap();
+    let chunk_stale = part.baselines().iter().filter(|b| b.config == 1).count()
+        + part.cells().iter().filter(|c| c.config == 1).count();
+    assert!(
+        chunk_stale > 0 && chunk_stale < part.len(),
+        "chunk 1 mixes slices"
+    );
+    let (again, rerun) = run();
+    assert_eq!(again.to_json(), single.to_json());
+    assert_eq!((rerun.resumed, rerun.executed), (report.chunks - 1, 1));
+    assert_eq!(rerun.evaluated, chunk_stale);
+    assert_eq!(rerun.reused, part.len() - chunk_stale);
+    assert_eq!(rerun.resumed_tasks, spec.total_tasks() - part.len());
+    assert_eq!(
+        fs::read_to_string(dir.join("chunk-00001.json")).unwrap(),
+        part.to_checkpoint_json()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn progress_observer_sees_every_evaluated_task_once() {
     use std::sync::Mutex;
     let spec = grid_spec();
