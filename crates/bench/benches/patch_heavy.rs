@@ -1,7 +1,7 @@
 //! Criterion: the patch-heavy loops that dominate campaign runtime —
 //! graph mutation with a live reachability index vs the full-rebuild
 //! path, the per-attack patch session vs fresh graphs in the
-//! `graph_sufficient` and cover-search loops, and the end-to-end
+//! `graph_sufficient` loop, the Table-IV cover search, and the end-to-end
 //! knob-grid campaign wall clock.
 //!
 //! The "rebuild" arms reproduce the pre-incremental cost model (every
@@ -133,16 +133,16 @@ fn bench_graph_sufficient_catalog(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Table-IV cover search over the practical industry candidates — the
-/// exponential loop the session pool serves.
+/// The Table-IV cover search over the practical industry candidates: its
+/// singleton cube on the campaign executor.
 fn bench_cover_search(c: &mut Criterion) {
     let base = UarchConfig::default();
-    let industry = defenses::cover::practical_industry();
+    let industry = specgraph::cover::practical_industry();
     let mut group = c.benchmark_group("cover_search");
     group.bench_function("practical_industry", |b| {
         b.iter(|| {
             let report =
-                defenses::cover::minimal_cover(attacks::registry(), &industry, &base).unwrap();
+                specgraph::cover::minimal_cover(attacks::registry(), &industry, &base).unwrap();
             assert!(report.minimal.is_none());
             report.stacks_verified
         });

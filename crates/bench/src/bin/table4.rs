@@ -3,7 +3,7 @@
 //! exhaustive machine-checked search — *which combination of defenses
 //! closes every leak path, and what is the cheapest such combination?*
 //!
-//! Three searches over [`defenses::cover`]:
+//! Three searches over [`specgraph::cover`]:
 //!
 //! 1. the **full catalog** (a singleton suffices — at ubiquitous-fencing
 //!    or NDA-class cost);
@@ -13,13 +13,13 @@
 //! 3. the practical industry set on its own turf (the attacks it *can*
 //!    block): the provably smallest real-world bundle.
 //!
-//! Plus the preset-bundle audit ([`defenses::cover::audit_stacks`]) with
+//! Plus the preset-bundle audit ([`specgraph::cover::audit_stacks`]) with
 //! the stack-level "false sense of security" rows called out.
 //!
 //! Usage: `cargo run --release -p bench --bin table4`
 
 use specgraph::attacks::{self, Attack};
-use specgraph::defenses::cover::{self, practical_industry};
+use specgraph::cover::{self, practical_industry};
 use specgraph::defenses::{self, presets};
 use uarch::UarchConfig;
 
@@ -78,8 +78,7 @@ fn main() {
         );
     }
 
-    // Preset audit: the bundles people actually deploy. One shared graph
-    // session per attack serves every preset's false-sense checks.
+    // Preset audit: the bundles people actually deploy, as one cube.
     println!("\npreset bundles vs all {} attacks:", attacks_list.len());
     let (tokens, stacks): (Vec<_>, Vec<_>) = presets::all().into_iter().unzip();
     let audits = cover::audit_stacks(&stacks, attacks_list, &base)

@@ -1162,7 +1162,7 @@ fn keyed_tasks<'a>(
 
 /// What one distinct machine run reported — or why it could not.
 #[derive(Debug)]
-enum Measured {
+pub(crate) enum Measured {
     /// The run completed.
     Ran(attacks::AttackOutcome),
     /// The run was quarantined or timed out.
@@ -1279,24 +1279,24 @@ pub(crate) fn panic_reason(payload: &dyn std::any::Any) -> String {
     msg.chars().take(200).collect()
 }
 
-/// Simulates one distinct run on the worker's warm machine under the
-/// spec's [`Resilience`] policy: panics are caught and retried with
-/// backoff on a fresh machine (the old one may be poisoned
-/// mid-simulation), then quarantined; cycle-budget exhaustion degrades to
-/// [`CellOutcome::TimedOut`] when the watchdog is enabled. Non-timeout
-/// simulator errors keep their existing fail-the-run semantics — they
-/// indicate a broken spec, not a flaky worker.
-fn simulate(
-    spec: &CampaignSpec,
-    run: &Run,
+/// Runs `attack` on `config` on a warm machine under `policy`: panics are
+/// caught and retried with backoff on a fresh machine (the old one may be
+/// poisoned mid-simulation), then quarantined; cycle-budget exhaustion
+/// degrades to [`CellOutcome::TimedOut`] when the watchdog is enabled.
+/// Non-timeout simulator errors keep their existing fail-the-run
+/// semantics — they indicate a broken spec, not a flaky worker. This is
+/// the one warm simulation step: every campaign run and every verdict-store
+/// miss goes through it.
+pub(crate) fn simulate(
+    attack: &dyn Attack,
+    config: &UarchConfig,
+    policy: &Resilience,
     runner: &mut BatchRunner,
 ) -> Result<Measured, AttackError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let policy = &spec.resilience;
-    let attack = spec.attacks[run.attack];
     let mut attempt = 0u32;
     loop {
-        match catch_unwind(AssertUnwindSafe(|| runner.run(attack, &run.config))) {
+        match catch_unwind(AssertUnwindSafe(|| runner.run(attack, config))) {
             Ok(Ok(outcome)) => return Ok(Measured::Ran(outcome)),
             Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
                 if policy.degrade_timeouts =>
@@ -1505,9 +1505,10 @@ where
         }
     }
     crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
-        let out: Measured = simulate(spec, &runs[r], runner)?;
+        let (run, policy) = (&runs[r], &spec.resilience);
+        let out = simulate(spec.attacks[run.attack], &run.config, policy, runner)?;
         measured[r].set(out).expect("each run is claimed once");
-        for &k in &runs[r].tasks {
+        for &k in &run.tasks {
             report(k);
             // AcqRel: the worker that takes a chunk's count to zero sees
             // every other worker's measurement for that chunk.
@@ -2929,7 +2930,7 @@ impl From<JsonError> for CampaignIoError {
 
 /// Stable machine-readable token for a verdict.
 #[must_use]
-pub fn verdict_token(v: Verdict) -> &'static str {
+fn verdict_token(v: Verdict) -> &'static str {
     match v {
         Verdict::Blocked => "blocked",
         Verdict::Leaked => "leaked",
@@ -2939,7 +2940,7 @@ pub fn verdict_token(v: Verdict) -> &'static str {
 
 /// The [`Verdict`] for a [`verdict_token`] string.
 #[must_use]
-pub fn verdict_from_token(token: &str) -> Option<Verdict> {
+fn verdict_from_token(token: &str) -> Option<Verdict> {
     [Verdict::Blocked, Verdict::Leaked, Verdict::GraphOnly]
         .into_iter()
         .find(|&v| verdict_token(v) == token)

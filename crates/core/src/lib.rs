@@ -17,7 +17,8 @@
 //! This crate re-exports everything and adds the paper's §V-A **discovery**
 //! framework ([`discovery`]) — new attacks as points in the
 //! (secret source × delay mechanism × covert channel) design space — and
-//! the §V-B **insufficient defense** demonstration ([`insufficiency`]).
+//! the §V-B **insufficient defense** demonstration ([`insufficiency`]),
+//! answered in bulk by the minimal sufficient stack search ([`cover`]).
 //!
 //! ```
 //! use specgraph::prelude::*;
@@ -41,6 +42,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
+pub mod cover;
 pub mod discovery;
 mod exec;
 pub mod fault;

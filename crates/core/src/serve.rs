@@ -25,13 +25,13 @@
 //!
 //! Verdicts computed on the miss path use exactly the campaign runner's
 //! recipe (graph verdict from a [`defenses::PatchSession`], machine
-//! verdict from [`defenses::verify_stack_warm`]), so a simulated answer
-//! can never disagree with an ingested one.
+//! verdict from the executor's own warm simulation step), so a simulated
+//! answer can never disagree with an ingested one.
 
 use crate::campaign::{
     baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
-    panic_reason, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec, MatrixCell, MergeError,
-    ProgressObserver,
+    panic_reason, simulate, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec, CellOutcome,
+    MatrixCell, Measured, MergeError, ProgressObserver, Resilience,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
@@ -364,8 +364,8 @@ impl VerdictStore {
     /// A hit is a lock-free-read index probe. A miss checks out a warm
     /// [`RunnerPool`] machine and computes the row exactly as the
     /// campaign engine would — graph verdict from a
-    /// [`defenses::PatchSession`], machine verdict from
-    /// [`defenses::verify_stack_warm`] — then memoizes it. Concurrent
+    /// [`defenses::PatchSession`], machine verdict from the executor's
+    /// warm simulation step — then memoizes it. Concurrent
     /// misses for the same cell coalesce onto a single flight: one
     /// caller simulates, the rest block on its result and return the
     /// identical verdict with [`AnswerSource::Coalesced`].
@@ -414,7 +414,8 @@ impl VerdictStore {
             self.simulations.fetch_add(1, Ordering::Relaxed);
             // A panic must still release the flight, or its followers and
             // every later query for this key would wait forever. The
-            // runner it held unwinds with it, never back into the pool.
+            // simulate step quarantines machine panics itself; this net
+            // catches the rest (the graph session).
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.simulate(attack, stack, cfg)
             }))
@@ -446,33 +447,47 @@ impl VerdictStore {
         result.map(|stored| self.answer(name, digest, stored, source))
     }
 
-    /// Computes one missing row with the campaign engine's exact recipe,
-    /// on a pooled runner that goes back to the pool on success or error.
+    /// Computes one missing row with the campaign engine's exact recipe:
+    /// the graph verdict from a [`defenses::PatchSession`], the machine
+    /// verdict from the executor's warm simulation step on a pooled runner
+    /// (which goes back to the pool on success or error). A panicking run
+    /// is quarantined by that step and answers [`ServeError::Panicked`].
     fn simulate(
         &self,
         attack: &'static dyn Attack,
         stack: Option<&DefenseStack>,
         cfg: &UarchConfig,
     ) -> Result<StoredVerdict, ServeError> {
-        let mut runner = self.pool.checkout();
-        let mut session = defenses::PatchSession::new(attack);
-        let result = match stack {
-            None => runner.run(attack, cfg).map(|out| StoredVerdict::Baseline {
-                leaked: out.leaked,
-                cycles: out.cycles,
-                graph_race: session.graph_race(),
-            }),
-            Some(stack) => session
-                .graph_sufficient(stack)
-                .and_then(|strategy_sufficient| {
-                    Ok(StoredVerdict::Cell {
-                        mechanism: defenses::verify_stack_warm(stack, attack, cfg, &mut runner)?,
-                        strategy_sufficient,
-                    })
-                }),
+        let run = |config: &UarchConfig| -> Result<attacks::AttackOutcome, ServeError> {
+            let mut runner = self.pool.checkout();
+            let measured = simulate(attack, config, &Resilience::default(), &mut runner);
+            self.pool.checkin(runner);
+            match measured? {
+                Measured::Ran(outcome) => Ok(outcome),
+                Measured::Degraded(CellOutcome::Quarantined { reason }) => {
+                    Err(ServeError::Panicked(reason))
+                }
+                Measured::Degraded(other) => unreachable!("only panics degrade: {other:?}"),
+            }
         };
-        self.pool.checkin(runner);
-        Ok(result?)
+        let mut session = defenses::PatchSession::new(attack);
+        Ok(match stack {
+            None => {
+                let out = run(cfg)?;
+                StoredVerdict::Baseline {
+                    leaked: out.leaked,
+                    cycles: out.cycles,
+                    graph_race: session.graph_race(),
+                }
+            }
+            Some(stack) => StoredVerdict::Cell {
+                strategy_sufficient: session.graph_sufficient(stack)?,
+                mechanism: match stack.apply(cfg) {
+                    Some(config) => Verdict::of_run(&run(&config)?),
+                    None => Verdict::GraphOnly,
+                },
+            },
+        })
     }
 
     fn answer(

@@ -27,7 +27,6 @@
 
 mod apply;
 mod catalog;
-pub mod cover;
 mod overlay;
 mod session;
 mod stack;
@@ -38,7 +37,7 @@ pub use catalog::{find, industry_rows, names, registry, resolve, Defense, Indust
 pub use overlay::{KnobWrite, Overlay, OverlayKnob};
 pub use session::PatchSession;
 pub use stack::{presets, DefenseStack, StackError};
-pub use verify::{verify_stack, verify_stack_warm, Verdict};
+pub use verify::{verify_stack, Verdict};
 
 use std::fmt;
 

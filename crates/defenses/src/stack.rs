@@ -274,7 +274,7 @@ impl DefenseStack {
     /// The merged machine-level writes of all members, first-writer order,
     /// duplicates removed (conflicts were rejected at construction).
     #[must_use]
-    pub fn overlay_writes(&self) -> Vec<KnobWrite> {
+    fn overlay_writes(&self) -> Vec<KnobWrite> {
         let mut out: Vec<KnobWrite> = Vec::new();
         for d in &self.members {
             let Some(overlay) = d.overlay() else { continue };

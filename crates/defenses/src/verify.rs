@@ -6,7 +6,7 @@
 //! *run* every attack under every modeled defense and report the verdict.
 
 use crate::DefenseStack;
-use attacks::{Attack, AttackError, AttackOutcome, BatchRunner};
+use attacks::{Attack, AttackError, AttackOutcome};
 use std::fmt;
 use uarch::UarchConfig;
 
@@ -60,27 +60,10 @@ pub fn verify_stack(
     attack: &dyn Attack,
     base: &UarchConfig,
 ) -> Result<Verdict, AttackError> {
-    verify_stack_warm(stack, attack, base, &mut BatchRunner::new())
-}
-
-/// [`verify_stack`] on a warm machine: identical verdicts, but the
-/// simulation reuses `runner`'s pooled machine instead of building one per
-/// call. This is the campaign executor's hot path — one runner per worker
-/// thread amortizes machine construction across thousands of cells.
-///
-/// # Errors
-///
-/// Propagates [`AttackError`] if the simulation itself fails.
-pub fn verify_stack_warm(
-    stack: &DefenseStack,
-    attack: &dyn Attack,
-    base: &UarchConfig,
-    runner: &mut BatchRunner,
-) -> Result<Verdict, AttackError> {
     let Some(cfg) = stack.apply(base) else {
         return Ok(Verdict::GraphOnly);
     };
-    Ok(Verdict::of_run(&runner.run(attack, &cfg)?))
+    Ok(Verdict::of_run(&attack.run(&cfg)?))
 }
 
 #[cfg(test)]
@@ -230,29 +213,21 @@ mod tests {
 
     #[test]
     fn warm_verify_matches_cold_across_stacks_and_attacks() {
-        // One shared runner across heterogeneous (stack, attack) pairs —
-        // the campaign worker and cover-search shape — must reproduce the
-        // cold verdicts (`verify_stack` builds a fresh machine per call)
-        // for every registry attack under every preset bundle, including
-        // the GraphOnly short-circuit (which must not dirty or depend on
-        // the pooled machine).
+        // One shared runner across heterogeneous (stack, attack) pairs — the
+        // campaign worker's shape — must reproduce the cold verdicts for every
+        // registry attack under the preset bundles, KPTI, an all-software
+        // stack (GraphOnly, which never touches the machine) and NDA.
         let base = UarchConfig::default();
-        let mut stacks: Vec<DefenseStack> =
-            crate::presets::all().into_iter().map(|(_, s)| s).collect();
-        stacks.extend([
-            single("KAISER/KPTI"),
-            DefenseStack::parse("mask-coarse").unwrap(),
-            single("NDA"),
-        ]);
-        let mut runner = BatchRunner::new();
-        for stack in &stacks {
+        let extra = ["kpti", "mask-coarse", "nda"].map(|t| DefenseStack::parse(t).unwrap());
+        let stacks = crate::presets::all().into_iter().map(|(_, s)| s);
+        let mut runner = attacks::BatchRunner::new();
+        for stack in stacks.chain(extra) {
             for &attack in attacks::registry() {
-                assert_eq!(
-                    verify_stack_warm(stack, attack, &base, &mut runner).unwrap(),
-                    verify_stack(stack, attack, &base).unwrap(),
-                    "warm verdict diverged for {} under {stack}",
-                    attack.info().name
-                );
+                let warm = stack.apply(&base).map_or(Verdict::GraphOnly, |cfg| {
+                    Verdict::of_run(&runner.run(attack, &cfg).unwrap())
+                });
+                let cold = verify_stack(&stack, attack, &base).unwrap();
+                assert_eq!(warm, cold, "{} under {stack}", attack.info().name);
             }
         }
     }

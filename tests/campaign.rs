@@ -448,10 +448,22 @@ mod shared_runs {
             .build()
     }
 
-    #[test]
-    fn shared_runs_match_per_task_reference() {
-        let spec = aliasing_spec(2);
-        let matrix = CampaignMatrix::run(&spec).unwrap();
+    /// The preset bundles plus KPTI, an all-software stack and NDA: one
+    /// warm machine per worker runs heterogeneous bundles back to back,
+    /// and the graph-only cells must neither dirty nor depend on it.
+    fn bundle_spec() -> CampaignSpec {
+        let extra = ["kpti", "mask-coarse", "nda"].map(|t| DefenseStack::parse(t).unwrap());
+        let stacks = defenses::presets::all().into_iter().map(|(_, s)| s);
+        CampaignSpec::builder(UarchConfig::default())
+            .defense_stacks(stacks.chain(extra))
+            .threads(2)
+            .build()
+    }
+
+    /// Runs `spec` and checks every row against cold per-task evaluation:
+    /// a fresh machine per baseline, [`defenses::verify_stack`] per cell.
+    fn run_matching_cold_reference(spec: &CampaignSpec) -> CampaignMatrix {
+        let matrix = CampaignMatrix::run(spec).unwrap();
         for b in matrix.baselines() {
             let attack = attacks::find(b.info.name).expect("registry attack");
             let cold = attack.run(&spec.configs[b.config].config).unwrap();
@@ -463,14 +475,21 @@ mod shared_runs {
         for cell in matrix.cells() {
             let attack = attacks::find(cell.attack).expect("registry attack");
             let stack = &cell.evaluation.stack;
-            let cold =
-                defenses::verify_stack(stack, attack, &spec.configs[cell.config].config).unwrap();
+            let config = &spec.configs[cell.config];
+            let cold = defenses::verify_stack(stack, attack, &config.config).unwrap();
             assert_eq!(
                 cell.evaluation.mechanism, cold,
                 "{} × {} @ {}",
-                cell.attack, cell.defense, spec.configs[cell.config].name
+                cell.attack, cell.defense, config.name
             );
         }
+        matrix
+    }
+
+    #[test]
+    fn shared_runs_match_per_task_reference() {
+        run_matching_cold_reference(&bundle_spec());
+        let matrix = run_matching_cold_reference(&aliasing_spec(2));
         let serial = CampaignMatrix::run(&aliasing_spec(1)).unwrap();
         assert_eq!(serial.to_json(), matrix.to_json());
     }
