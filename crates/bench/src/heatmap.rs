@@ -10,8 +10,8 @@
 //! Three renderings, all deterministic functions of the matrix:
 //!
 //! * [`Figure8View::to_csv`] — one row per (defense × config) with leak
-//!   counts/rates, plus per-config mean baseline cycles and overhead on
-//!   the undefended row;
+//!   counts/rates and simulated counts, plus per-config mean baseline
+//!   cycles and overhead on the undefended row;
 //! * [`Figure8View::to_ascii`] — a terminal heatmap (glyph + percent per
 //!   cell);
 //! * [`Figure8View::to_svg`] — a standalone SVG heatmap (sequential
@@ -20,6 +20,12 @@
 //! Rows are the defense axis with an `(undefended)` row first (from the
 //! matrix's baseline runs); columns are the config slices — for a
 //! Figure-8 campaign, the knob grid of hardened machines.
+//!
+//! A cell's leak rate is over the attacks the machine actually ran:
+//! graph-only cells (a defense with no hardware model) and degraded ones
+//! (quarantined or timed out) are neither leaked nor blocked. A cell with
+//! no simulated attack has no rate, and every rendering shows it as "no
+//! data" rather than as a blocked `0%`.
 
 use specgraph::campaign::CampaignMatrix;
 use specgraph::defenses::Verdict;
@@ -32,6 +38,9 @@ pub struct HeatRow {
     pub defense: String,
     /// Per config slice: attacks that leaked under this defense.
     pub leaked: Vec<usize>,
+    /// Per config slice: attacks with a machine verdict (the leak-rate
+    /// denominator); graph-only and degraded cells are not counted.
+    pub simulated: Vec<usize>,
 }
 
 /// A Figure-8 heatmap: leak rate per defense × config slice, with
@@ -40,7 +49,7 @@ pub struct HeatRow {
 pub struct Figure8View {
     /// Config-slice names (heatmap columns), in matrix order.
     pub configs: Vec<String>,
-    /// Attacks evaluated per cell (the leak-rate denominator).
+    /// Attacks evaluated per cell, simulated or not.
     pub attacks: usize,
     /// Mean undefended cycles per config slice.
     pub mean_cycles: Vec<f64>,
@@ -50,6 +59,22 @@ pub struct Figure8View {
     pub rows: Vec<HeatRow>,
 }
 
+impl HeatRow {
+    fn new(defense: &str, configs: usize) -> Self {
+        HeatRow {
+            defense: defense.to_owned(),
+            leaked: vec![0; configs],
+            simulated: vec![0; configs],
+        }
+    }
+
+    /// Counts one simulated attack on config slice `config`.
+    fn count(&mut self, config: usize, leaked: bool) {
+        self.simulated[config] += 1;
+        self.leaked[config] += usize::from(leaked);
+    }
+}
+
 impl Figure8View {
     /// Builds the view from a matrix — a pure summarization; nothing is
     /// re-simulated.
@@ -57,10 +82,12 @@ impl Figure8View {
     pub fn from_matrix(m: &CampaignMatrix) -> Self {
         let (a, _, c) = m.shape();
         let mut cycles = vec![0u64; c];
-        let mut baseline_leaks = vec![0usize; c];
+        let mut baselines = HeatRow::new("(undefended)", c);
         for b in m.baselines() {
             cycles[b.config] += b.cycles;
-            baseline_leaks[b.config] += usize::from(b.leaked);
+            if b.outcome.is_ok() {
+                baselines.count(b.config, b.leaked);
+            }
         }
         let mean_cycles: Vec<f64> = cycles
             .iter()
@@ -82,20 +109,21 @@ impl Figure8View {
                 }
             })
             .collect();
-        let mut rows = vec![HeatRow {
-            defense: "(undefended)".to_owned(),
-            leaked: baseline_leaks,
-        }];
-        rows.extend(m.defenses.iter().map(|defense| HeatRow {
-            defense: defense.name().to_owned(),
-            leaked: vec![0usize; c],
-        }));
+        let mut rows = vec![baselines];
+        rows.extend(
+            m.defenses
+                .iter()
+                .map(|defense| HeatRow::new(defense.name(), c)),
+        );
         // One pass over the attack-major cell layout (((a·D)+d)·C + c):
-        // row 1 + (j/C) % D is the cell's defense.
+        // row 1 + (j/C) % D is the cell's defense. Degraded cells carry
+        // `GraphOnly`, so one test skips them and unmodeled defenses.
         let d = m.defenses.len();
         for (j, cell) in m.cells().iter().enumerate() {
-            rows[1 + (j / c) % d].leaked[cell.config] +=
-                usize::from(cell.evaluation.mechanism == Verdict::Leaked);
+            let mechanism = cell.evaluation.mechanism;
+            if mechanism != Verdict::GraphOnly {
+                rows[1 + (j / c) % d].count(cell.config, mechanism == Verdict::Leaked);
+            }
         }
         Figure8View {
             configs: m.configs.clone(),
@@ -106,14 +134,12 @@ impl Figure8View {
         }
     }
 
-    /// Leak rate (`0.0..=1.0`) for one row/column cell.
+    /// Leak rate (`0.0..=1.0`) over the simulated attacks of one
+    /// row/column cell; `None` when no attack there was simulated.
     #[must_use]
-    pub fn leak_rate(&self, row: &HeatRow, config: usize) -> f64 {
-        if self.attacks == 0 {
-            0.0
-        } else {
-            to_f64(row.leaked[config] as u64) / to_f64(self.attacks as u64)
-        }
+    pub fn leak_rate(&self, row: &HeatRow, config: usize) -> Option<f64> {
+        let simulated = row.simulated[config];
+        (simulated > 0).then(|| to_f64(row.leaked[config] as u64) / to_f64(simulated as u64))
     }
 
     /// The heatmap as CSV: one row per (defense, config) cell. Mean
@@ -121,8 +147,9 @@ impl Figure8View {
     /// are only filled on the `(undefended)` rows.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("defense,config,attacks,leaked,leak_rate,mean_cycles,overhead\n");
+        let mut out = String::from(
+            "defense,config,attacks,leaked,leak_rate,simulated,mean_cycles,overhead\n",
+        );
         for row in &self.rows {
             for (j, cfg) in self.configs.iter().enumerate() {
                 let (cycles, overhead) = if row.defense == "(undefended)" {
@@ -133,14 +160,18 @@ impl Figure8View {
                 } else {
                     (String::new(), String::new())
                 };
+                let rate = self
+                    .leak_rate(row, j)
+                    .map_or_else(String::new, |r| format!("{r:.3}"));
                 let _ = writeln!(
                     out,
-                    "{},{},{},{},{:.3},{},{}",
+                    "{},{},{},{},{},{},{},{}",
                     csv_field(&row.defense),
                     csv_field(cfg),
                     self.attacks,
                     row.leaked[j],
-                    self.leak_rate(row, j),
+                    rate,
+                    row.simulated[j],
                     cycles,
                     overhead,
                 );
@@ -154,7 +185,7 @@ impl Figure8View {
     #[must_use]
     pub fn to_ascii(&self) -> String {
         let mut out = String::from(
-            "Figure 8 — hardening heatmap (per cell: fraction of attacks that still leak)\n\n",
+            "Figure 8 — hardening heatmap (per cell: fraction of simulated attacks that still leak)\n\n",
         );
         for (j, cfg) in self.configs.iter().enumerate() {
             let _ = writeln!(out, "  [c{j}] {cfg}  (overhead ×{:.2})", self.overhead[j]);
@@ -174,23 +205,27 @@ impl Figure8View {
         for row in &self.rows {
             let _ = write!(out, "  {:<name_w$}", row.defense);
             for j in 0..self.configs.len() {
-                let rate = self.leak_rate(row, j);
-                let _ = write!(
-                    out,
-                    " {:>6}",
-                    format!("{}{:>4.0}%", glyph(rate), rate * 100.0)
-                );
+                let label = match self.leak_rate(row, j) {
+                    Some(rate) => format!("{}{:>4.0}%", glyph(rate), rate * 100.0),
+                    None => format!("{NO_DATA_GLYPH}  n/a"),
+                };
+                let _ = write!(out, " {label:>6}");
             }
             out.push('\n');
         }
-        out.push_str("\n  legend: · 0%   ░ ≤33%   ▒ ≤67%   ▓ <100%   █ 100%\n");
+        let _ = writeln!(
+            out,
+            "\n  legend: · 0%   ░ ≤33%   ▒ ≤67%   ▓ <100%   █ 100%   \
+             {NO_DATA_GLYPH} not simulated (graph-only or degraded)"
+        );
         out
     }
 
     /// The heatmap as a standalone SVG document: sequential single-hue
     /// cell fill (light → dark blue with rising leak rate), a direct
     /// percentage label on every cell, per-config overhead under the
-    /// column labels, and a native `<title>` tooltip per cell.
+    /// column labels, and a native `<title>` tooltip per cell. A cell
+    /// with no simulated attack is a dashed outline labelled `n/a`.
     #[must_use]
     pub fn to_svg(&self) -> String {
         const CELL_W: usize = 64;
@@ -200,10 +235,13 @@ impl Figure8View {
         let top = 96;
         let cols = self.configs.len();
         let grid_w = cols * (CELL_W + GAP);
-        // Keep room for the caption and the last rotated column label
-        // even when the grid itself is narrow.
+        // Keep room for the caption, the last rotated column label and the
+        // legend row (it ends in the no-data entry) even when the grid
+        // itself is narrow.
         let longest_config = self.configs.iter().map(String::len).max().unwrap_or(0);
-        let width = (label_w + grid_w + 24 + 6 * longest_config).max(560);
+        let width = (label_w + grid_w + 24 + 6 * longest_config)
+            .max(560)
+            .max(label_w + 360);
         let legend_h = 56;
         let height = top + self.rows.len() * (CELL_H + GAP) + legend_h;
         let mut s = String::new();
@@ -224,8 +262,8 @@ impl Figure8View {
         let _ = writeln!(
             s,
             "  <text x=\"16\" y=\"46\" font-size=\"11\" fill=\"{INK_2}\">\
-             cell = fraction of {} attack(s) that still leak; columns show \
-             run-time overhead vs the first config</text>",
+             cell = fraction of the simulated attack(s), of {}, that still leak; \
+             columns show run-time overhead vs the first config</text>",
             self.attacks
         );
         // Column headers: angled config names plus an overhead line.
@@ -257,25 +295,43 @@ impl Figure8View {
                 esc(&row.defense)
             );
             for j in 0..cols {
-                let rate = self.leak_rate(row, j);
                 let x = label_w + j * (CELL_W + GAP);
-                let (fill, dark) = sequential_fill(rate);
+                let (title, paint, label, ink) = match self.leak_rate(row, j) {
+                    Some(rate) => {
+                        let (fill, dark) = sequential_fill(rate);
+                        (
+                            format!(
+                                "{} of {} simulated attack(s) leak ({:.0}%)",
+                                row.leaked[j],
+                                row.simulated[j],
+                                rate * 100.0
+                            ),
+                            format!("fill=\"{fill}\""),
+                            format!("{:.0}%", rate * 100.0),
+                            if dark { "#ffffff" } else { INK },
+                        )
+                    }
+                    None => (
+                        format!(
+                            "none of {} attack(s) simulated (graph-only or degraded)",
+                            self.attacks
+                        ),
+                        NO_DATA_PAINT.to_owned(),
+                        "n/a".to_owned(),
+                        INK_2,
+                    ),
+                };
                 let _ = writeln!(
                     s,
-                    "  <g><title>{} / {}: {} of {} attack(s) leak ({:.0}%)</title>\n    \
+                    "  <g><title>{} / {}: {title}</title>\n    \
                      <rect x=\"{x}\" y=\"{y}\" width=\"{CELL_W}\" height=\"{CELL_H}\" \
-                     rx=\"3\" fill=\"{fill}\"/>\n    \
+                     rx=\"3\" {paint}/>\n    \
                      <text x=\"{tx}\" y=\"{ty}\" font-size=\"11\" text-anchor=\"middle\" \
-                     fill=\"{ink}\">{:.0}%</text>\n  </g>",
+                     fill=\"{ink}\">{label}</text>\n  </g>",
                     esc(&row.defense),
                     esc(&self.configs[j]),
-                    row.leaked[j],
-                    self.attacks,
-                    rate * 100.0,
-                    rate * 100.0,
                     tx = x + CELL_W / 2,
                     ty = y + CELL_H / 2 + 4,
-                    ink = if dark { "#ffffff" } else { INK },
                 );
             }
         }
@@ -306,6 +362,16 @@ impl Figure8View {
             label_w + 11 * 18,
             ly + 22
         );
+        // Its own legend entry for cells with no machine verdict.
+        let nx = label_w + 11 * 18 + 24;
+        let _ = writeln!(
+            s,
+            "  <rect x=\"{nx}\" y=\"{ly}\" width=\"18\" height=\"10\" {NO_DATA_PAINT}/>\n  \
+             <text x=\"{}\" y=\"{}\" font-size=\"9\" fill=\"{INK_2}\">\
+             n/a: not simulated</text>",
+            nx + 24,
+            ly + 9
+        );
         s.push_str("</svg>\n");
         s
     }
@@ -317,6 +383,12 @@ const SURFACE: &str = "#fcfcfb";
 const INK: &str = "#0b0b0b";
 /// Secondary ink for captions and de-emphasized labels.
 const INK_2: &str = "#52514e";
+/// A no-data cell: the bare surface inside a dashed outline, so it reads
+/// as neither the `0%` gray nor any step of the leak-rate ramp.
+const NO_DATA_PAINT: &str =
+    "fill=\"#fcfcfb\" stroke=\"#52514e\" stroke-width=\"1\" stroke-dasharray=\"3 2\"";
+/// The terminal glyph for a cell with no simulated attack.
+const NO_DATA_GLYPH: char = '?';
 
 /// Sequential single-hue ramp (blue, light → dark) for leak-rate
 /// magnitude; exact zero recedes to a neutral near-surface gray. Returns
@@ -421,7 +493,8 @@ mod tests {
         // Undefended baseline leaks everything; the NDA-hardened machine
         // (config 1) leaks nothing even undefended.
         assert_eq!(v.rows[0].leaked, vec![2, 0]);
-        assert!((v.leak_rate(&v.rows[0], 0) - 1.0).abs() < 1e-9);
+        assert_eq!(v.rows[0].simulated, vec![2, 2]);
+        assert_eq!(v.leak_rate(&v.rows[0], 0), Some(1.0));
         assert_eq!(v.overhead[0], 1.0);
         assert!(
             v.overhead[1] >= 1.0,
@@ -453,7 +526,70 @@ mod tests {
         assert_eq!(svg.matches("<title>").count(), 4);
         // ② NDA's label must be XML-escaped? No markup characters — but
         // the escaper must at least keep the document balanced.
-        assert_eq!(svg.matches("<rect").count(), 1 + 4 + 11); // bg + cells + legend
+        // bg + cells + ramp legend + no-data legend
+        assert_eq!(svg.matches("<rect").count(), 1 + 4 + 11 + 1);
+    }
+
+    #[test]
+    fn unsimulated_cells_render_as_no_data_not_blocked() {
+        // One attack; NDA is modeled (its cell is quarantined below) and
+        // coarse address masking is software-only (a graph-only row).
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks([attacks::find(attacks::names::SPECTRE_V1).unwrap()])
+            .defenses([
+                *defenses::find(defenses::names::NDA).unwrap(),
+                *defenses::find(defenses::names::ADDRESS_MASKING_COARSE).unwrap(),
+            ])
+            .build();
+        let json = CampaignMatrix::run(&spec).unwrap().to_json();
+        let nda_row = json
+            .lines()
+            .position(|l| l.contains("\"defense\": \"NDA\""))
+            .unwrap();
+        let json: String = json
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                if i != nda_row {
+                    return format!("{line}\n");
+                }
+                let (row, close) = line.rsplit_once('}').unwrap();
+                let row = row.replace(
+                    "\"mechanism\": \"blocked\"",
+                    "\"mechanism\": \"quarantined\"",
+                );
+                format!("{row}, \"quarantine_reason\": \"injected\"}}{close}\n")
+            })
+            .collect();
+        let m = CampaignMatrix::from_json(&json).unwrap();
+        assert!(!m.cells()[0].outcome.is_ok(), "the NDA cell is quarantined");
+        assert_eq!(m.cells()[1].evaluation.mechanism, Verdict::GraphOnly);
+
+        let v = Figure8View::from_matrix(&m);
+        assert_eq!(v.rows[0].simulated, vec![1]);
+        assert_eq!(v.leak_rate(&v.rows[0], 0), Some(1.0));
+        for row in &v.rows[1..] {
+            assert_eq!((row.leaked[0], row.simulated[0]), (0, 0), "{}", row.defense);
+            assert_eq!(v.leak_rate(row, 0), None, "{}", row.defense);
+        }
+        let ascii = v.to_ascii();
+        for row in ["NDA", "Address masking"] {
+            let line = ascii
+                .lines()
+                .find(|l| l.trim_start().starts_with(row))
+                .unwrap_or_else(|| panic!("no {row} row in\n{ascii}"));
+            assert!(line.ends_with("?  n/a") && !line.contains('%'), "{line}");
+        }
+        let csv = v.to_csv();
+        assert!(csv.starts_with("defense,config,attacks,leaked,leak_rate,simulated,"));
+        for line in csv.lines().skip(2) {
+            assert!(line.contains(",1,0,,0,"), "no-data row: {line}");
+        }
+        let svg = v.to_svg();
+        assert_eq!(svg.matches(">n/a</text>").count(), 2);
+        // Only the baseline cell carries a percentage label.
+        assert_eq!(svg.matches("%</text>\n  </g>").count(), 1);
+        assert!(svg.contains("n/a: not simulated"));
     }
 
     #[test]

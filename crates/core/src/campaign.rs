@@ -643,10 +643,7 @@ impl CampaignSpec {
         }
         h = fnv1a(b"\x01", h);
         for d in &self.defenses {
-            h = fnv1a(d.name().as_bytes(), h);
-            h = fnv1a(b"\0", h);
-            h = fnv1a(d.strategy_token().as_bytes(), h);
-            h = fnv1a(b"\0", h);
+            h = fnv1a(b"\0", fnv1a_stack(d, h));
         }
         h = fnv1a(b"\x01", h);
         for nc in &self.configs {
@@ -871,20 +868,25 @@ pub(crate) fn baseline_fingerprint(attack: &str, digest: u64) -> u64 {
     fnv1a(&digest.to_le_bytes(), fnv1a(b"\0", h))
 }
 
+/// How a stack enters every fingerprint: its display name, a NUL, then
+/// its [`DefenseStack::strategy_token`]. FNV is sequential over bytes, so
+/// hashing the token's pieces in place equals hashing the joined string,
+/// and no `String` is built.
+fn fnv1a_stack(stack: &DefenseStack, hash: u64) -> u64 {
+    let h = fnv1a(b"\0", fnv1a(stack.name().as_bytes(), hash));
+    stack
+        .strategy_token_pieces()
+        .fold(h, |h, piece| fnv1a(piece.as_bytes(), h))
+}
+
 /// The cell fingerprint hashes the stack's display name and joined
 /// strategy token, so a singleton stack's fingerprint equals the
 /// pre-stack (schema v3) single-defense fingerprint — saved matrices keep
 /// feeding incremental runs across the schema bump.
-pub(crate) fn cell_fingerprint(
-    attack: &str,
-    defense: &str,
-    strategy_token: &str,
-    digest: u64,
-) -> u64 {
+pub(crate) fn cell_fingerprint(attack: &str, stack: &DefenseStack, digest: u64) -> u64 {
     let h = fnv1a(b"cell\0", FNV_OFFSET);
     let h = fnv1a(attack.as_bytes(), h);
-    let h = fnv1a(defense.as_bytes(), fnv1a(b"\0", h));
-    let h = fnv1a(strategy_token.as_bytes(), fnv1a(b"\0", h));
+    let h = fnv1a_stack(stack, fnv1a(b"\0", h));
     fnv1a(&digest.to_le_bytes(), fnv1a(b"\0", h))
 }
 
@@ -1151,10 +1153,7 @@ fn keyed_tasks<'a>(
         let (name, digest) = (spec.attacks[task.attack].info().name, digests[task.config]);
         let fingerprint = match task.defense {
             None => baseline_fingerprint(name, digest),
-            Some(d) => {
-                let stack = &spec.defenses[d];
-                cell_fingerprint(name, stack.name(), &stack.strategy_token(), digest)
-            }
+            Some(d) => cell_fingerprint(name, &spec.defenses[d], digest),
         };
         (task, fingerprint)
     })
@@ -3239,12 +3238,13 @@ mod tests {
             baseline_fingerprint("Spectre v1", digest),
             baseline_fingerprint("Spectre v2", digest)
         );
+        let nda = DefenseStack::parse("nda").unwrap();
         assert_ne!(
-            cell_fingerprint("Spectre v1", "NDA", "prevent_use", digest),
-            cell_fingerprint("Spectre v1", "NDA", "prevent_use", config_digest(&other))
+            cell_fingerprint("Spectre v1", &nda, digest),
+            cell_fingerprint("Spectre v1", &nda, config_digest(&other))
         );
         assert_ne!(
-            cell_fingerprint("Spectre v1", "NDA", "prevent_use", digest),
+            cell_fingerprint("Spectre v1", &nda, digest),
             baseline_fingerprint("Spectre v1", digest)
         );
     }

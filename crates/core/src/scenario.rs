@@ -52,7 +52,7 @@ impl Evaluation {
     /// The distinct strategies the stack exercises, in member order.
     #[must_use]
     pub fn strategies(&self) -> Vec<Strategy> {
-        self.stack.strategies()
+        self.stack.strategies().collect()
     }
 
     /// The §V-B "false sense of security" pattern: the strategies would

@@ -42,7 +42,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use uarch::UarchConfig;
+use uarch::{FxMap, UarchConfig};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -203,9 +203,22 @@ struct Flight {
 /// simulation per missing cell, deduplicating concurrent misses through a
 /// single-flight table. [`VerdictStore::simulations`] counts exactly how
 /// many miss flights ran — the hook the single-flight tests pin to 1.
+///
+/// A `lookup`/`query` hit is hash-map probes and no allocation (the
+/// digest memo, the row, and for a cell the baseline row's cycles): the
+/// store memoizes each distinct config's [`config_digest`] (so the
+/// config's `Debug` rendering is hashed once per config, not once per
+/// query), and the cell key hashes the stack's strategy tokens in place.
+/// The memo holds one entry per distinct config the store was asked
+/// about, and has its own lock, so a memo insert never blocks a row probe.
 #[derive(Debug, Default)]
 pub struct VerdictStore {
     rows: RwLock<HashMap<u64, StoredVerdict>>,
+    /// [`config_digest`] per distinct config asked about. Fx rather than
+    /// SipHash: the keys are configs this process's callers build, not
+    /// input from a network peer, and SipHash over ~40 fields costs more
+    /// than the rest of a hit.
+    digests: RwLock<FxMap<UarchConfig, u64>>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     pool: RunnerPool,
     simulations: AtomicU64,
@@ -306,8 +319,11 @@ impl VerdictStore {
     }
 
     /// The index key for an undefended baseline row of `attack` on the
-    /// config with [`config_digest`] `digest`. Hashing the config is the
-    /// costly part of a key, so a query loop computes the digest once.
+    /// config with [`config_digest`] `digest`. The digest hashes the
+    /// config's `Debug` rendering, the costly part of a key: a caller
+    /// keying many rows of one config computes it once, and
+    /// [`VerdictStore::lookup`]/[`VerdictStore::query`] memoize it per
+    /// distinct config, so a hit never renders one.
     #[must_use]
     pub fn baseline_key_for_digest(attack: &str, digest: u64) -> u64 {
         baseline_fingerprint(attack, digest)
@@ -322,13 +338,38 @@ impl VerdictStore {
     /// [`VerdictStore::cell_key`] with the config digest precomputed.
     #[must_use]
     pub fn cell_key_for_digest(attack: &str, stack: &DefenseStack, digest: u64) -> u64 {
-        cell_fingerprint(attack, stack.name(), &stack.strategy_token(), digest)
+        cell_fingerprint(attack, stack, digest)
+    }
+
+    /// `config_digest(cfg)`, memoized per distinct config: a read-locked
+    /// probe on every call after the first for `cfg`.
+    fn digest(&self, cfg: &UarchConfig) -> u64 {
+        if let Some(digest) = self.digests.read().ok().and_then(|m| m.get(cfg).copied()) {
+            return digest;
+        }
+        let digest = config_digest(cfg);
+        if let Ok(mut memo) = self.digests.write() {
+            memo.insert(cfg.clone(), digest);
+        }
+        digest
+    }
+
+    /// The config's digest and the row key for `attack` under `stack` (a
+    /// baseline when `None`) on it.
+    fn key(&self, attack: &str, stack: Option<&DefenseStack>, cfg: &UarchConfig) -> (u64, u64) {
+        let digest = self.digest(cfg);
+        let key = match stack {
+            None => Self::baseline_key_for_digest(attack, digest),
+            Some(s) => Self::cell_key_for_digest(attack, s, digest),
+        };
+        (digest, key)
     }
 
     /// The raw indexed hit path: the memoized row under `key`, if any.
     /// perfbench's `query` workload drives it, and the release-build test
-    /// `hit_path_sustains_a_million_lookups_per_second` holds it to at
-    /// least a million lookups per second.
+    /// `hit_path_sustains_a_million_lookups_per_second` holds it, and
+    /// [`VerdictStore::lookup`] with its key derivation, to at least a
+    /// million lookups per second.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<StoredVerdict> {
         let row = self.rows.read().ok()?.get(&key).copied();
@@ -342,7 +383,8 @@ impl VerdictStore {
     }
 
     /// Hit-only point lookup: `None` on a miss (no simulation). `stack =
-    /// None` asks for the undefended baseline.
+    /// None` asks for the undefended baseline. The key costs a probe of
+    /// the digest memo; only a config the store has never seen is hashed.
     #[must_use]
     pub fn lookup(
         &self,
@@ -350,20 +392,17 @@ impl VerdictStore {
         stack: Option<&DefenseStack>,
         cfg: &UarchConfig,
     ) -> Option<Answer> {
-        let digest = config_digest(cfg);
-        let key = match stack {
-            None => Self::baseline_key_for_digest(attack, digest),
-            Some(s) => Self::cell_key_for_digest(attack, s, digest),
-        };
+        let (digest, key) = self.key(attack, stack, cfg);
         let stored = self.get(key)?;
         Some(self.answer(attack, digest, stored, AnswerSource::Hit))
     }
 
     /// Point query with simulate-on-miss.
     ///
-    /// A hit is a lock-free-read index probe. A miss checks out a warm
-    /// [`RunnerPool`] machine and computes the row exactly as the
-    /// campaign engine would — graph verdict from a
+    /// A hit is [`VerdictStore::lookup`]'s path: a digest-memo probe and a
+    /// read-locked index probe, with nothing formatted or allocated. A
+    /// miss checks out a warm [`RunnerPool`] machine and computes the row
+    /// exactly as the campaign engine would — graph verdict from a
     /// [`defenses::PatchSession`], machine verdict from the executor's
     /// warm simulation step — then memoizes it. Concurrent
     /// misses for the same cell coalesce onto a single flight: one
@@ -383,11 +422,7 @@ impl VerdictStore {
         cfg: &UarchConfig,
     ) -> Result<Answer, ServeError> {
         let name = attack.info().name;
-        let digest = config_digest(cfg);
-        let key = match stack {
-            None => Self::baseline_key_for_digest(name, digest),
-            Some(s) => Self::cell_key_for_digest(name, s, digest),
-        };
+        let (digest, key) = self.key(name, stack, cfg);
         if let Some(stored) = self.get(key) {
             return Ok(self.answer(name, digest, stored, AnswerSource::Hit));
         }

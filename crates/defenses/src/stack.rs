@@ -241,16 +241,13 @@ impl DefenseStack {
     }
 
     /// The *distinct* member strategies, in first-appearance order — the
-    /// edge-insertion points the stack exercises on an attack graph.
-    #[must_use]
-    pub fn strategies(&self) -> Vec<Strategy> {
-        let mut out: Vec<Strategy> = Vec::new();
-        for d in &self.members {
-            if !out.contains(&d.strategy) {
-                out.push(d.strategy);
-            }
-        }
-        out
+    /// edge-insertion points the stack exercises on an attack graph. The
+    /// only place a stack's strategies are deduplicated; it allocates
+    /// nothing (a stack has a handful of members).
+    pub fn strategies(&self) -> impl Iterator<Item = Strategy> + '_ {
+        self.members.iter().enumerate().filter_map(|(i, d)| {
+            (!self.members[..i].iter().any(|e| e.strategy == d.strategy)).then_some(d.strategy)
+        })
     }
 
     /// The distinct strategies as a stable `+`-joined token string
@@ -258,11 +255,16 @@ impl DefenseStack {
     /// is exactly the member's strategy token.
     #[must_use]
     pub fn strategy_token(&self) -> String {
+        self.strategy_token_pieces().collect()
+    }
+
+    /// [`DefenseStack::strategy_token`] as the pieces that concatenate to
+    /// it — each distinct strategy's token, with `"+"` pieces between — so
+    /// a hash can consume the token without building the `String`.
+    pub fn strategy_token_pieces(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.strategies()
-            .iter()
-            .map(|s| s.token())
-            .collect::<Vec<_>>()
-            .join("+")
+            .enumerate()
+            .flat_map(|(i, s)| [if i == 0 { "" } else { "+" }, s.token()])
     }
 
     /// Whether at least one member has an executable hardware model.
@@ -583,7 +585,7 @@ mod tests {
     fn strategies_are_distinct_in_member_order() {
         let s = DefenseStack::parse("kpti+retpoline+ibpb+rsb-stuffing").unwrap();
         assert_eq!(
-            s.strategies(),
+            s.strategies().collect::<Vec<_>>(),
             vec![Strategy::PreventAccess, Strategy::ClearPredictions]
         );
         assert_eq!(s.strategy_token(), "prevent_access+clear_predictions");

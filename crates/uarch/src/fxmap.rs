@@ -8,19 +8,24 @@
 //! the probe itself. [`FxMap`] swaps in an Fx-style hasher: one add and one
 //! multiply per word, and, being unkeyed, a fixed iteration order for a
 //! given insertion history.
+//!
+//! The hasher is exported for other crates' hot, unkeyed tables too (the
+//! verdict store memoizes config digests in an [`FxMap`] keyed by a whole
+//! [`crate::UarchConfig`]): any `Hash` key works, at one add and one
+//! multiply per field.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` with the fixed [`FxHasher`].
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// An odd 64-bit constant with well-spread bits (as used by rustc's Fx hash).
 const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
 
 /// Multiply-rotate hasher for integer keys.
 #[derive(Debug, Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -37,6 +42,13 @@ impl Hasher for FxHasher {
             word[..chunk.len()].copy_from_slice(chunk);
             self.add(u64::from_le_bytes(word));
         }
+    }
+
+    /// The same word [`FxHasher::write`] makes of one byte, without the
+    /// chunk loop: a `bool` field hashes through here, and the verdict
+    /// store's config memo hashes 17 of them per query.
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
     }
 
     fn write_u32(&mut self, n: u32) {
@@ -75,6 +87,16 @@ mod tests {
             *loads.entry(build.hash_one(k) & mask).or_default() += 1;
         }
         (loads.len(), loads.values().copied().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn byte_writes_match_the_chunked_path() {
+        for n in [0u8, 1, 0x80, 0xff] {
+            let (mut direct, mut chunked) = (FxHasher::default(), FxHasher::default());
+            direct.write_u8(n);
+            chunked.write(&[n]);
+            assert_eq!(direct.finish(), chunked.finish());
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub use config::{UarchConfig, UarchConfigBuilder};
 pub use error::UarchError;
 pub use event::{SquashCause, TraceEvent, TransientSource};
 pub use fpu::FpuState;
+pub use fxmap::{FxHasher, FxMap};
 pub use machine::{ContextId, ExceptionBehavior, Machine, Privilege};
 pub use mem::Memory;
 pub use result::{Fault, RunResult};

@@ -22,6 +22,33 @@ fn grid_spec() -> CampaignSpec {
         .build()
 }
 
+/// A cell key the way it was first defined: FNV-1a over `"cell\0"`, the
+/// attack, the stack's name and its joined strategy token (each behind a
+/// NUL), then the config digest's little-endian bytes. Saved matrices carry
+/// these keys, so the store must keep producing them bit for bit.
+fn reference_cell_key(attack: &str, stack: &DefenseStack, cfg: &UarchConfig) -> u64 {
+    let (token, digest) = (
+        stack.strategy_token(),
+        campaign::config_digest(cfg).to_le_bytes(),
+    );
+    let fields: [&[u8]; 8] = [
+        b"cell\0",
+        attack.as_bytes(),
+        b"\0",
+        stack.name().as_bytes(),
+        b"\0",
+        token.as_bytes(),
+        b"\0",
+        &digest,
+    ];
+    fields
+        .iter()
+        .flat_map(|f| f.iter())
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("specgraph-serve-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -99,6 +126,54 @@ fn keyed_get_is_the_raw_hit_path() {
                 assert!(store.get(key).is_some(), "{} / {s} missed", a.info().name);
             }
         }
+    }
+
+    // The key bytes are pinned: every preset bundle, every catalog
+    // singleton and a stack whose members repeat a strategy key exactly as
+    // the joined-token definition does, and so do the campaign's own rows.
+    let repeats = DefenseStack::parse("kpti+retpoline+ibpb+rsb-stuffing").unwrap();
+    assert_eq!(repeats.strategy_token(), "prevent_access+clear_predictions");
+    let stacks: Vec<DefenseStack> = defenses::presets::all()
+        .into_iter()
+        .map(|(_, s)| s)
+        .chain(
+            defenses::registry()
+                .iter()
+                .map(|d| DefenseStack::single(*d)),
+        )
+        .chain([repeats])
+        .collect();
+    let tweaked = UarchConfig::builder().rob_capacity(16).nda(true).build();
+    for s in &stacks {
+        for c in [&cfg, &tweaked] {
+            assert_eq!(
+                VerdictStore::cell_key(cell.attack, s, c),
+                reference_cell_key(cell.attack, s, c),
+                "{s}"
+            );
+        }
+    }
+    for c in matrix.cells() {
+        let reference = reference_cell_key(c.attack, &c.evaluation.stack, &cfg);
+        assert_eq!(c.fingerprint, reference, "{} / {}", c.attack, c.defense);
+    }
+
+    // The digest memo keys on the config's contents: a separately built
+    // equal config hits the row it seeded, a one-knob tweak misses. Each
+    // is asked twice, so the second answer comes from the memo.
+    let stack = &cell.evaluation.stack;
+    let rebuilt = UarchConfig::builder().build();
+    assert_eq!(rebuilt, cfg);
+    let one_knob = UarchConfig {
+        rob_capacity: cfg.rob_capacity + 1,
+        ..cfg.clone()
+    };
+    for _ in 0..2 {
+        let answer = store
+            .lookup(cell.attack, Some(stack), &rebuilt)
+            .expect("equal config hits");
+        assert_eq!(answer.verdict, cell.evaluation.mechanism);
+        assert!(store.lookup(cell.attack, Some(stack), &one_knob).is_none());
     }
 }
 
@@ -572,5 +647,29 @@ fn hit_path_sustains_a_million_lookups_per_second() {
     assert!(
         rate >= 1_000_000.0,
         "hit path must sustain >=1M lookups/sec, measured {rate:.0}/sec"
+    );
+
+    // The full hit path: `lookup` by (attack, stack, config), which
+    // derives the key (digest memo probe, cell key) before the probe.
+    let queries: Vec<(&str, &DefenseStack)> = spec
+        .attacks
+        .iter()
+        .flat_map(|a| spec.defenses.iter().map(move |s| (a.info().name, s)))
+        .collect();
+    let start = std::time::Instant::now();
+    let mut found = 0usize;
+    for i in 0..LOOKUPS {
+        let (attack, stack) = queries[i % queries.len()];
+        if store.lookup(attack, Some(stack), cfg).is_some() {
+            found += 1;
+        }
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(found, LOOKUPS);
+    #[allow(clippy::cast_precision_loss)] // counts << 2^52
+    let rate = LOOKUPS as f64 / elapsed.as_secs_f64();
+    assert!(
+        rate >= 1_000_000.0,
+        "lookup (key derivation included) must sustain >=1M/sec, measured {rate:.0}/sec"
     );
 }
