@@ -6,14 +6,14 @@
 //! module family turns that observation into a discovery loop:
 //!
 //! ```text
-//!  seed ─▶ generator ─▶ Scenario ─▶ analyzer::lift ─▶ TSG ──┬─▶ Theorem 1 (PatchSession)
+//!  seed ─▶ generator ─▶ Scenario ─▶ analyzer::lift ─▶ TSG ──┬─▶ Theorem 1 (graph_race)
 //!            (gen)                                          └─▶ simulation (BatchRunner)
 //!                                                                  │
 //!                    divergence? ◀─ classify (oracle) ◀─ verdicts ──┘
 //!                         │                │
 //!                  first-class finding   both leak + unseen shape
 //!                  (missed_leak /          │
-//!                   false_sense)        shrink to 1-minimal ─▶ Corpus / SynthesizedRegistry
+//!                   false_sense)        shrink to 1-minimal ─▶ dedup ─▶ Corpus / SynthesizedRegistry
 //! ```
 //!
 //! * [`gen`] — the seeded deterministic generator: free composition over
@@ -29,7 +29,8 @@
 //!
 //! The loop itself is [`fuzz`]: bit-identical across runs, `--threads`
 //! values, and save/resume splits, because candidates derive from
-//! `(seed, index)` alone and the merge is by index.
+//! `(seed, index)` alone. The classify and minimize phases fan out across
+//! the shared executor's workers; dedup and merge are by index.
 
 pub mod corpus;
 pub mod gen;
@@ -157,24 +158,37 @@ struct KnownCatalog {
 }
 
 impl KnownCatalog {
-    fn build(minimize: bool) -> Result<Self, FuzzError> {
+    /// Builds the catalog, classifying (and minimizing) the templates on
+    /// `config.threads` workers of the shared executor.
+    fn build(config: &FuzzConfig) -> Result<Self, FuzzError> {
         let mut known_shapes = HashSet::new();
         let mut rediscovery = HashMap::new();
         for attack in attacks::registry() {
             known_shapes.insert(attack.graph().graph().shape_fingerprint());
         }
-        let mut oracle = DualOracle::new();
-        for combo in Combo::all() {
-            let Some(name) = combo.known_name() else {
-                continue;
-            };
-            let template = Scenario::template(combo);
-            let v = oracle.classify(&template)?;
-            known_shapes.insert(v.raw_fingerprint);
-            rediscovery.insert(v.raw_fingerprint, name);
-            if minimize {
-                known_shapes.insert(minimize_and_fingerprint(&mut oracle, &template)?.0);
-            }
+        let templates: Vec<(&'static str, Scenario)> = Combo::all()
+            .into_iter()
+            .filter_map(|combo| Some((combo.known_name()?, Scenario::template(combo))))
+            .collect();
+        let shapes = crate::exec::map_indexed(
+            templates.len(),
+            config.threads,
+            DualOracle::new,
+            |oracle, k| {
+                let template = &templates[k].1;
+                let raw = oracle.classify(template)?.raw_fingerprint;
+                let minimized = if config.minimize {
+                    Some(minimize_and_fingerprint(oracle, template)?.0)
+                } else {
+                    None
+                };
+                Ok::<_, FuzzError>((raw, minimized))
+            },
+        )?;
+        for (&(name, _), (raw, minimized)) in templates.iter().zip(shapes) {
+            known_shapes.insert(raw);
+            rediscovery.insert(raw, name);
+            known_shapes.extend(minimized);
         }
         Ok(KnownCatalog {
             known_shapes,
@@ -202,9 +216,10 @@ fn minimize_and_fingerprint(
 /// leakers, and (when `corpus_dir` is given) persist the corpus.
 ///
 /// Deterministic by construction: candidate `i` is a pure function of
-/// `(seed, i)`, workers merge by index, and the dedup/shrink phase is
-/// sequential in index order — so runs are bit-identical across thread
-/// counts and across save/resume splits.
+/// `(seed, i)`, the classify and minimize phases fan out across workers
+/// (a minimization depends only on its scenario), and dedup and merge are
+/// by index — so runs are bit-identical across thread counts and across
+/// save/resume splits.
 ///
 /// # Errors
 ///
@@ -247,8 +262,7 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
     let end = config.budget.max(start);
     let newly_classified = end - start;
     if newly_classified > 0 {
-        let catalog = KnownCatalog::build(config.minimize)?;
-        let mut oracle = DualOracle::new();
+        let catalog = KnownCatalog::build(config)?;
         let mut seen: HashSet<u64> = corpus.raw_seen.iter().copied().collect();
         let mut found: HashSet<u64> = corpus
             .findings
@@ -269,7 +283,6 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
             classify_batch(
                 config,
                 &catalog,
-                &mut oracle,
                 &mut seen,
                 &mut found,
                 &mut corpus,
@@ -295,81 +308,96 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
     })
 }
 
-/// Classifies candidates `[start, stop)` into `corpus`, sequentially in
-/// index order (the classification itself fans out across workers). One
-/// batch of [`fuzz`]'s loop — split out so checkpointed and single-shot
-/// runs share one code path.
-#[allow(clippy::too_many_arguments)]
+/// Classifies candidates `[start, stop)` into `corpus`. One batch of
+/// [`fuzz`]'s loop — split out so checkpointed and single-shot runs share
+/// one code path — in three steps:
+///
+/// 1. a serial pre-pass in index order over the classified candidates
+///    (counts, divergences, `seen`, rediscoveries) that collects the novel
+///    leakers;
+/// 2. the minimizations, fanned out across workers of the shared executor
+///    (each depends only on its scenario, and the lowest-index error
+///    wins, as in a serial loop);
+/// 3. a serial merge in index order: dedup by minimized shape and record
+///    the findings.
 fn classify_batch(
     config: &FuzzConfig,
     catalog: &KnownCatalog,
-    oracle: &mut DualOracle,
     seen: &mut HashSet<u64>,
     found: &mut HashSet<u64>,
     corpus: &mut Corpus,
     start: u64,
     stop: u64,
 ) -> Result<(), FuzzError> {
-    {
-        let classified = classify_range(config, start, stop)?;
-        for (index, scenario, verdicts) in classified {
-            let agreement = verdicts.agreement(&scenario);
-            match agreement {
-                Agreement::AgreeLeak => corpus.agree_leak += 1,
-                Agreement::AgreeSafe => corpus.agree_safe += 1,
-                _ => corpus.divergences.push(DivergenceRecord {
-                    index,
-                    combo: scenario.combo.label(),
-                    mutations: scenario.mutations.clone(),
-                    agreement: agreement.tag().into(),
-                }),
-            }
-            let fresh = seen.insert(verdicts.raw_fingerprint);
-            if fresh {
-                corpus.raw_seen.push(verdicts.raw_fingerprint);
-            }
-            if !(verdicts.graph_leak && verdicts.sim_leak) {
-                continue;
-            }
-            if let Some(&name) = catalog.rediscovery.get(&verdicts.raw_fingerprint) {
-                if !corpus.rediscovered.iter().any(|r| r.name == name) {
-                    corpus.rediscovered.push(Rediscovery {
-                        name: name.into(),
-                        index,
-                        fingerprint: verdicts.raw_fingerprint,
-                    });
-                }
-                continue;
-            }
-            if !fresh || catalog.known_shapes.contains(&verdicts.raw_fingerprint) {
-                continue;
-            }
-            // A novel leaking shape: minimize and register.
-            let (minimized_fingerprint, min, removed) = if config.minimize {
-                minimize_and_fingerprint(oracle, &scenario)?
-            } else {
-                (verdicts.raw_fingerprint, scenario.clone(), 0)
-            };
-            if catalog.known_shapes.contains(&minimized_fingerprint)
-                || !found.insert(minimized_fingerprint)
-            {
-                continue;
-            }
-            corpus.findings.push(Finding {
+    let mut novel = Vec::new();
+    for (index, scenario, verdicts) in classify_range(config, start, stop)? {
+        let agreement = verdicts.agreement(&scenario);
+        match agreement {
+            Agreement::AgreeLeak => corpus.agree_leak += 1,
+            Agreement::AgreeSafe => corpus.agree_safe += 1,
+            _ => corpus.divergences.push(DivergenceRecord {
                 index,
                 combo: scenario.combo.label(),
                 mutations: scenario.mutations.clone(),
-                raw_fingerprint: verdicts.raw_fingerprint,
-                minimized_fingerprint,
-                program: isa::asm::disassemble(&min.program),
-                access_pc: min.access_pc as u64,
-                gadget_pc: min.gadget_pc as u64,
-                benign_pc: min.benign_pc as u64,
-                removed: removed as u64,
-            });
+                agreement: agreement.tag().into(),
+            }),
         }
-        corpus.classified = stop;
+        let fresh = seen.insert(verdicts.raw_fingerprint);
+        if fresh {
+            corpus.raw_seen.push(verdicts.raw_fingerprint);
+        }
+        if !(verdicts.graph_leak && verdicts.sim_leak) {
+            continue;
+        }
+        if let Some(&name) = catalog.rediscovery.get(&verdicts.raw_fingerprint) {
+            if !corpus.rediscovered.iter().any(|r| r.name == name) {
+                corpus.rediscovered.push(Rediscovery {
+                    name: name.into(),
+                    index,
+                    fingerprint: verdicts.raw_fingerprint,
+                });
+            }
+            continue;
+        }
+        if fresh && !catalog.known_shapes.contains(&verdicts.raw_fingerprint) {
+            novel.push((index, scenario, verdicts.raw_fingerprint));
+        }
     }
+
+    // Minimize every novel leaking shape; the merge below registers it.
+    let shrunk = if config.minimize {
+        crate::exec::map_indexed(novel.len(), config.threads, DualOracle::new, |oracle, k| {
+            minimize_and_fingerprint(oracle, &novel[k].1)
+        })?
+    } else {
+        novel
+            .iter()
+            .map(|(_, scenario, raw)| (*raw, scenario.clone(), 0))
+            .collect()
+    };
+
+    for ((index, scenario, raw_fingerprint), (minimized_fingerprint, min, removed)) in
+        novel.into_iter().zip(shrunk)
+    {
+        if catalog.known_shapes.contains(&minimized_fingerprint)
+            || !found.insert(minimized_fingerprint)
+        {
+            continue;
+        }
+        corpus.findings.push(Finding {
+            index,
+            combo: scenario.combo.label(),
+            mutations: scenario.mutations,
+            raw_fingerprint,
+            minimized_fingerprint,
+            program: isa::asm::disassemble(&min.program),
+            access_pc: min.access_pc as u64,
+            gadget_pc: min.gadget_pc as u64,
+            benign_pc: min.benign_pc as u64,
+            removed: removed as u64,
+        });
+    }
+    corpus.classified = stop;
     Ok(())
 }
 

@@ -1,6 +1,6 @@
 //! The differential oracle: every candidate is judged twice — by
-//! Theorem 1 over its lifted graph (via a warm
-//! [`defenses::PatchSession`]) and by end-to-end simulation (via a warm
+//! Theorem 1 over its lifted graph (via [`defenses::graph_race`]) and by
+//! end-to-end simulation (via a warm
 //! [`attacks::common::BatchRunner`]) — and the two verdicts are compared.
 //!
 //! Agreement in either direction is evidence the models line up;
@@ -17,7 +17,6 @@ use super::FuzzError;
 use attacks::common::{self, BatchRunner};
 use attacks::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
 use channels::prime_probe::PrimeProbe;
-use defenses::PatchSession;
 use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecurityAnalysis;
 use uarch::{ExceptionBehavior, Machine, Privilege, TraceEvent, UarchConfig};
@@ -179,16 +178,36 @@ impl DualOracle {
     pub fn classify(&mut self, scenario: &Scenario) -> Result<Verdicts, FuzzError> {
         let analysis = analyzer::lift(&scenario.program, &scenario.lift_config())?;
         let raw_fingerprint = analysis.graph().shape_fingerprint();
-        let graph_leak = PatchSession::from_analysis(analysis).graph_race();
+        let graph_leak = defenses::graph_race(&analysis);
         let outcome = self.runner.run(scenario, &self.cfg)?;
-        let sim_leak = outcome.leaked && outcome.squashes > 0;
         Ok(Verdicts {
             raw_fingerprint,
             graph_leak,
-            sim_leak,
+            sim_leak: transient_leak(&outcome),
             outcome,
         })
     }
+
+    /// Whether both oracles call `scenario` a leak: the answer
+    /// `classify(scenario).map(|v| v.graph_leak && v.sim_leak)` gives,
+    /// with any error meaning "no". Cheaper than [`DualOracle::classify`]
+    /// because it skips the fingerprint and simulates only when the graph
+    /// races — the shrinker's yes/no question.
+    #[must_use]
+    pub fn both_leak(&mut self, scenario: &Scenario) -> bool {
+        analyzer::lift(&scenario.program, &scenario.lift_config())
+            .is_ok_and(|analysis| defenses::graph_race(&analysis))
+            && self
+                .runner
+                .run(scenario, &self.cfg)
+                .is_ok_and(|outcome| transient_leak(&outcome))
+    }
+}
+
+/// The simulation verdict: the secret was recovered *transiently* (with at
+/// least one squash), not through an architectural path.
+fn transient_leak(outcome: &AttackOutcome) -> bool {
+    outcome.leaked && outcome.squashes > 0
 }
 
 impl Attack for Scenario {

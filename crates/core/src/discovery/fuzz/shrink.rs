@@ -2,9 +2,10 @@
 //! oracles until the leaking scenario is 1-minimal.
 //!
 //! A deletion is accepted only when the shrunk program still leaks under
-//! Theorem 1 **and** under simulation — a candidate that degrades into an
-//! architectural leak (no squashes) or loses the graph race is rejected,
-//! so minimized scenarios stay genuine transient attacks. The outer loop
+//! Theorem 1 **and** under simulation ([`DualOracle::both_leak`]) — a
+//! candidate that degrades into an architectural leak (no squashes), loses
+//! the graph race, or fails to lift or simulate is rejected, so minimized
+//! scenarios stay genuine transient attacks. The outer loop
 //! repeats full passes until one completes with no accepted deletion,
 //! which is exactly the 1-minimality condition: removing any single
 //! remaining instruction breaks the leak.
@@ -21,15 +22,6 @@ pub struct ShrinkStats {
     pub evaluations: usize,
 }
 
-/// Whether both oracles still call the scenario a leak. Errors (a shrink
-/// candidate can break program invariants the driver relies on) reject.
-fn still_leaks(oracle: &mut DualOracle, s: &Scenario) -> bool {
-    oracle
-        .classify(s)
-        .map(|v| v.graph_leak && v.sim_leak)
-        .unwrap_or(false)
-}
-
 /// Minimizes a both-oracle leaker to 1-minimality by repeated deletion
 /// passes. The input must leak under both oracles; the result does too.
 #[must_use]
@@ -43,7 +35,7 @@ pub fn minimize(oracle: &mut DualOracle, scenario: &Scenario) -> (Scenario, Shri
             match current.with_removed(pc) {
                 Some(candidate) => {
                     stats.evaluations += 1;
-                    if still_leaks(oracle, &candidate) {
+                    if oracle.both_leak(&candidate) {
                         current = candidate;
                         stats.removed += 1;
                         accepted_this_pass = true;
@@ -68,7 +60,7 @@ pub fn minimize(oracle: &mut DualOracle, scenario: &Scenario) -> (Scenario, Shri
 #[must_use]
 pub fn is_one_minimal(oracle: &mut DualOracle, scenario: &Scenario) -> bool {
     (0..scenario.program.len()).all(|pc| match scenario.with_removed(pc) {
-        Some(candidate) => !still_leaks(oracle, &candidate),
+        Some(candidate) => !oracle.both_leak(&candidate),
         None => true,
     })
 }
@@ -90,7 +82,7 @@ mod tests {
         let (min, stats) = minimize(&mut oracle, &padded);
         assert!(stats.removed >= 2, "{stats:?}");
         assert!(min.program.len() <= padded.program.len() - 2);
-        assert!(still_leaks(&mut oracle, &min));
+        assert!(oracle.both_leak(&min));
         assert!(is_one_minimal(&mut oracle, &min));
     }
 }

@@ -73,13 +73,7 @@ impl PatchSession {
     /// graph verdict, answered from the session's warm index.
     #[must_use]
     pub fn graph_race(&self) -> bool {
-        let g = self.analysis.graph();
-        let idx = g.reachability();
-        let auths = g.nodes_of_kind(NodeKind::is_authorization);
-        let accesses = g.nodes_of_kind(NodeKind::is_secret_access);
-        auths
-            .iter()
-            .any(|&a| accesses.iter().any(|&s| idx.races(a, s)))
+        graph_race(&self.analysis)
     }
 
     /// [`DefenseStack::graph_sufficient`] against this session's attack:
@@ -96,6 +90,20 @@ impl PatchSession {
         self.analysis.graph_mut().rollback(&self.base);
         verdict
     }
+}
+
+/// Theorem 1 on an unpatched analysis: does an authorization race with a
+/// secret access? A one-shot question needs no [`PatchSession`]: this
+/// builds the closure on first use and checkpoints nothing.
+#[must_use]
+pub fn graph_race(analysis: &SecurityAnalysis) -> bool {
+    let g = analysis.graph();
+    let idx = g.reachability();
+    let auths = g.nodes_of_kind(NodeKind::is_authorization);
+    let accesses = g.nodes_of_kind(NodeKind::is_secret_access);
+    auths
+        .iter()
+        .any(|&a| accesses.iter().any(|&s| idx.races(a, s)))
 }
 
 /// The graph-level sufficiency verdict for `stack` on an attack analysis,

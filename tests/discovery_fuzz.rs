@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use specgraph::discovery::fuzz::{
-    self, fuzz, is_one_minimal, minimize, DualOracle, FuzzConfig, FuzzError, Scenario,
+    self, fuzz, is_one_minimal, minimize, DualOracle, FuzzConfig, FuzzError, Scenario, ShrinkStats,
 };
 use std::path::PathBuf;
 
@@ -179,9 +179,32 @@ fn fuzz_loop_is_bit_identical_across_runs_and_thread_counts() {
         threads: 1,
         checkpoint_every: 0,
     };
-    let single = fuzz(&cfg, None).unwrap().corpus.to_json();
+    let corpus = fuzz(&cfg, None).unwrap().corpus;
+    // Several findings, so the parallel minimize phase runs more than one
+    // job and the thread counts below exercise its fan-out.
+    assert!(
+        corpus.findings.len() >= 2,
+        "the pinned run must shrink at least 2 findings, got {}",
+        corpus.findings.len()
+    );
+    let single = corpus.to_json();
     let again = fuzz(&cfg, None).unwrap().corpus.to_json();
     assert_eq!(single, again, "same config must reproduce bit-identically");
+    let checkpointed = fuzz(
+        &FuzzConfig {
+            checkpoint_every: 16,
+            threads: 2,
+            ..cfg.clone()
+        },
+        None,
+    )
+    .unwrap()
+    .corpus
+    .to_json();
+    assert_eq!(
+        single, checkpointed,
+        "16-candidate batches on 2 threads changed the corpus"
+    );
     for threads in [2, 3, 8] {
         let parallel = fuzz(
             &FuzzConfig {
@@ -261,6 +284,95 @@ fn mismatched_resume_parameters_are_refused() {
     .unwrap_err();
     assert!(matches!(min_err, FuzzError::Resume(_)), "{min_err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The shrinker as it was written against [`DualOracle::classify`]: the
+/// reference [`minimize`] must reproduce step for step.
+fn reference_minimize(oracle: &mut DualOracle, scenario: &Scenario) -> (Scenario, ShrinkStats) {
+    let mut still_leaks = |s: &Scenario| {
+        oracle
+            .classify(s)
+            .map(|v| v.graph_leak && v.sim_leak)
+            .unwrap_or(false)
+    };
+    let mut current = scenario.clone();
+    let mut stats = ShrinkStats::default();
+    loop {
+        let mut accepted_this_pass = false;
+        let mut pc = 0;
+        while pc < current.program.len() {
+            match current.with_removed(pc) {
+                Some(candidate) => {
+                    stats.evaluations += 1;
+                    if still_leaks(&candidate) {
+                        current = candidate;
+                        stats.removed += 1;
+                        accepted_this_pass = true;
+                    } else {
+                        pc += 1;
+                    }
+                }
+                None => pc += 1,
+            }
+        }
+        if !accepted_this_pass {
+            return (current, stats);
+        }
+    }
+}
+
+/// [`DualOracle::both_leak`] gives `classify`'s both-oracle answer (an
+/// error meaning "no") on generated scenarios and on every single-instruction
+/// deletion of each and of its minimized form, and [`minimize`] built on it
+/// shrinks exactly as the `classify`-based reference does.
+#[test]
+fn both_leak_matches_classify_on_every_single_deletion() {
+    // Separate oracles: the `both_leak` side skips the simulations the
+    // graph rules out, so its warm machine sees a different run sequence.
+    let mut fast = DualOracle::new();
+    let mut reference = DualOracle::new();
+    let (mut judged, mut leaks, mut errors, mut shrunk) = (0, 0, 0, 0);
+    for i in 0..48 {
+        let s = Scenario::generate(42, i);
+        let mut roots = vec![s.clone()];
+        if reference
+            .classify(&s)
+            .is_ok_and(|v| v.graph_leak && v.sim_leak)
+        {
+            let (min, stats) = reference_minimize(&mut reference, &s);
+            assert_eq!(
+                minimize(&mut fast, &s),
+                (min.clone(), stats),
+                "candidate {i}"
+            );
+            shrunk += 1;
+            // Deleting from a minimal program is where candidates start
+            // to fail.
+            roots.push(min);
+        }
+        let deletions = roots
+            .iter()
+            .flat_map(|r| (0..r.program.len()).filter_map(|pc| r.with_removed(pc)));
+        for c in std::iter::once(s.clone()).chain(deletions) {
+            let want = match reference.classify(&c) {
+                Ok(v) => v.graph_leak && v.sim_leak,
+                Err(_) => {
+                    errors += 1;
+                    false
+                }
+            };
+            assert_eq!(fast.both_leak(&c), want, "candidate {i}: {:?}", c.program);
+            judged += 1;
+            leaks += usize::from(want);
+        }
+    }
+    // The set covers every answer: leaks, clean runs and failures (a
+    // return-family program shrunk past its call site fails to simulate;
+    // the analyzer lifts every valid program).
+    assert!(
+        leaks > 0 && judged - leaks - errors > 0 && errors > 0 && shrunk >= 4,
+        "{judged} judged, {leaks} leaks, {errors} errors, {shrunk} shrunk"
+    );
 }
 
 proptest! {
