@@ -826,10 +826,10 @@ impl CampaignSpecBuilder {
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

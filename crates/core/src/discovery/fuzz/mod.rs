@@ -30,10 +30,14 @@
 //! The loop itself is [`fuzz`]: bit-identical across runs, `--threads`
 //! values, and save/resume splits, because candidates derive from
 //! `(seed, index)` alone. The classify and minimize phases fan out across
-//! the shared executor's workers; dedup and merge are by index.
+//! the shared executor's workers; dedup and merge are by index. Within a
+//! batch each distinct question reaches the oracles once: identical
+//! candidates share one classification, and the minimizations share one
+//! memo of shrink-step answers.
 
 pub mod corpus;
 pub mod gen;
+mod memo;
 pub mod oracle;
 mod rng;
 pub mod shrink;
@@ -49,9 +53,11 @@ pub use shrink::{is_one_minimal, minimize, ShrinkStats};
 
 use analyzer::AnalyzerError;
 use attacks::AttackError;
+use memo::LeakMemo;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 /// A fuzzing-loop failure.
 #[derive(Debug)]
@@ -158,6 +164,18 @@ struct KnownCatalog {
 }
 
 impl KnownCatalog {
+    /// The catalog for `config.minimize`, built on first use and kept for
+    /// the life of the process: it depends on nothing else.
+    fn get(config: &FuzzConfig) -> Result<&'static Self, FuzzError> {
+        static CATALOGS: [OnceLock<KnownCatalog>; 2] = [OnceLock::new(), OnceLock::new()];
+        let slot = &CATALOGS[usize::from(config.minimize)];
+        if let Some(catalog) = slot.get() {
+            return Ok(catalog);
+        }
+        let built = Self::build(config)?;
+        Ok(slot.get_or_init(|| built))
+    }
+
     /// Builds the catalog, classifying (and minimizing) the templates on
     /// `config.threads` workers of the shared executor.
     fn build(config: &FuzzConfig) -> Result<Self, FuzzError> {
@@ -217,9 +235,11 @@ fn minimize_and_fingerprint(
 ///
 /// Deterministic by construction: candidate `i` is a pure function of
 /// `(seed, i)`, the classify and minimize phases fan out across workers
-/// (a minimization depends only on its scenario), and dedup and merge are
-/// by index — so runs are bit-identical across thread counts and across
-/// save/resume splits.
+/// (a verdict or a minimization depends only on its scenario, so sharing
+/// one between identical questions changes no answer), and dedup and
+/// merge are by index — so runs are bit-identical across thread counts
+/// and across save/resume splits. The known-attack catalog is built once
+/// per process and `minimize` flag.
 ///
 /// # Errors
 ///
@@ -262,7 +282,7 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
     let end = config.budget.max(start);
     let newly_classified = end - start;
     if newly_classified > 0 {
-        let catalog = KnownCatalog::build(config)?;
+        let catalog = KnownCatalog::get(config)?;
         let mut seen: HashSet<u64> = corpus.raw_seen.iter().copied().collect();
         let mut found: HashSet<u64> = corpus
             .findings
@@ -282,7 +302,7 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
             let stop = end.min(next + step);
             classify_batch(
                 config,
-                &catalog,
+                catalog,
                 &mut seen,
                 &mut found,
                 &mut corpus,
@@ -317,7 +337,10 @@ pub fn fuzz(config: &FuzzConfig, corpus_dir: Option<&Path>) -> Result<FuzzReport
 ///    leakers;
 /// 2. the minimizations, fanned out across workers of the shared executor
 ///    (each depends only on its scenario, and the lowest-index error
-///    wins, as in a serial loop);
+///    wins, as in a serial loop); their oracles share one [`LeakMemo`],
+///    so a shrink step two minimizations reach is evaluated once, and the
+///    memo (about one digest per distinct shrink step) is dropped with
+///    the batch;
 /// 3. a serial merge in index order: dedup by minimized shape and record
 ///    the findings.
 fn classify_batch(
@@ -366,9 +389,13 @@ fn classify_batch(
 
     // Minimize every novel leaking shape; the merge below registers it.
     let shrunk = if config.minimize {
-        crate::exec::map_indexed(novel.len(), config.threads, DualOracle::new, |oracle, k| {
-            minimize_and_fingerprint(oracle, &novel[k].1)
-        })?
+        let memo = Arc::new(LeakMemo::default());
+        crate::exec::map_indexed(
+            novel.len(),
+            config.threads,
+            || DualOracle::sharing(Arc::clone(&memo)),
+            |oracle, k| minimize_and_fingerprint(oracle, &novel[k].1),
+        )?
     } else {
         novel
             .iter()
@@ -401,31 +428,130 @@ fn classify_batch(
     Ok(())
 }
 
+/// Classified candidates in index order: index, scenario, verdicts.
+type Classified = Vec<(u64, Scenario, Verdicts)>;
+
 /// Classifies candidates `[start, end)` and returns them in index order.
-/// Parallel across `config.threads` workers of the shared executor, each
-/// owning a warm [`DualOracle`].
-#[allow(clippy::type_complexity)]
-fn classify_range(
-    config: &FuzzConfig,
-    start: u64,
-    end: u64,
-) -> Result<Vec<(u64, Scenario, Verdicts)>, FuzzError> {
-    crate::exec::map_indexed(
-        (end - start) as usize,
+/// Identical candidates (same combo, program and pcs; the mutation list
+/// is not read by either oracle) are classified once and share their
+/// [`Verdicts`]. The distinct ones run in first-index order across
+/// `config.threads` workers of the shared executor, each owning a warm
+/// [`DualOracle`], so the error returned is still the lowest-index one.
+fn classify_range(config: &FuzzConfig, start: u64, end: u64) -> Result<Classified, FuzzError> {
+    let scenarios: Vec<Scenario> = (start..end)
+        .map(|i| Scenario::generate(config.seed, i))
+        .collect();
+    let (firsts, group_of) = memo::distinct_questions(&scenarios);
+    let verdicts = crate::exec::map_indexed(
+        firsts.len(),
         config.threads,
         DualOracle::new,
-        |oracle, k| {
-            let i = start + k as u64;
-            let s = Scenario::generate(config.seed, i);
-            let v = oracle.classify(&s)?;
-            Ok((i, s, v))
-        },
-    )
+        |oracle, g| oracle.classify(&scenarios[firsts[g]]),
+    )?;
+    Ok((start..)
+        .zip(scenarios)
+        .zip(group_of)
+        .map(|((i, s), g)| (i, s, verdicts[g].clone()))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Seed 42's budget-512 batch on 2 threads, where identical candidates
+    /// and shared shrink steps are common.
+    fn batch() -> &'static (FuzzConfig, Classified) {
+        static BATCH: OnceLock<(FuzzConfig, Classified)> = OnceLock::new();
+        BATCH.get_or_init(|| {
+            let config = FuzzConfig {
+                threads: 2,
+                ..FuzzConfig::default()
+            };
+            let classified = classify_range(&config, 0, config.budget).unwrap();
+            (config, classified)
+        })
+    }
+
+    #[test]
+    fn catalog_is_built_once_per_minimize_flag() {
+        let on = FuzzConfig::default();
+        let off = FuzzConfig {
+            minimize: false,
+            ..FuzzConfig::default()
+        };
+        let first = KnownCatalog::get(&on).unwrap();
+        assert!(std::ptr::eq(first, KnownCatalog::get(&on).unwrap()));
+        assert!(!std::ptr::eq(first, KnownCatalog::get(&off).unwrap()));
+    }
+
+    #[test]
+    fn deduplicated_classify_matches_per_candidate_classify() {
+        let (config, classified) = batch();
+        let mut oracle = DualOracle::new();
+        for (k, (index, scenario, verdicts)) in classified.iter().enumerate() {
+            let want = oracle.classify(scenario).unwrap();
+            assert_eq!(*index, k as u64);
+            assert_eq!(*scenario, Scenario::generate(config.seed, *index));
+            assert_eq!(
+                (
+                    verdicts.raw_fingerprint,
+                    verdicts.graph_leak,
+                    verdicts.sim_leak,
+                    &verdicts.outcome
+                ),
+                (
+                    want.raw_fingerprint,
+                    want.graph_leak,
+                    want.sim_leak,
+                    &want.outcome
+                ),
+                "candidate {index}"
+            );
+        }
+        // Deduplication has work to do: fewer than half are distinct.
+        let scenarios: Vec<Scenario> = classified.iter().map(|(_, s, _)| s.clone()).collect();
+        let distinct = memo::distinct_questions(&scenarios).0.len();
+        assert!(distinct * 2 < classified.len(), "{distinct} distinct");
+    }
+
+    #[test]
+    fn memo_sharing_minimize_matches_memo_free_minimize() {
+        let (config, classified) = batch();
+        let catalog = KnownCatalog::get(config).unwrap();
+        let mut seen = HashSet::new();
+        let novel: Vec<&Scenario> = classified
+            .iter()
+            .filter(|(_, _, v)| {
+                seen.insert(v.raw_fingerprint)
+                    && v.graph_leak
+                    && v.sim_leak
+                    && !catalog.known_shapes.contains(&v.raw_fingerprint)
+            })
+            .map(|(_, s, _)| s)
+            .collect();
+        let memo = Arc::new(LeakMemo::default());
+        let shared = crate::exec::map_indexed(
+            novel.len(),
+            2,
+            || DualOracle::sharing(Arc::clone(&memo)),
+            |oracle, k| Ok::<_, ()>(minimize(oracle, novel[k])),
+        )
+        .unwrap();
+        let mut plain = DualOracle::new();
+        let mut evaluations = 0;
+        for (s, got) in novel.iter().zip(shared) {
+            evaluations += got.1.evaluations;
+            assert_eq!(got, minimize(&mut plain, s), "{:?}", s.program);
+        }
+        // The minimizations overlap: far fewer distinct questions than asks.
+        assert!(novel.len() >= 40, "{} novel leakers", novel.len());
+        assert!(
+            memo.len() * 3 < evaluations * 2,
+            "{} of {evaluations}",
+            memo.len()
+        );
+    }
 
     #[test]
     fn small_budget_run_is_deterministic_across_threads() {

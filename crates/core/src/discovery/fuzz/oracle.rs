@@ -13,11 +13,13 @@
 //! which the test suite asserts never happens.
 
 use super::gen::{layout, ChannelDim, DelayDim, Mutation, Scenario, SourceDim};
+use super::memo::LeakMemo;
 use super::FuzzError;
 use attacks::common::{self, BatchRunner};
 use attacks::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
 use channels::prime_probe::PrimeProbe;
 use isa::{Program, ProgramBuilder, Reg};
+use std::sync::Arc;
 use tsg::SecurityAnalysis;
 use uarch::{ExceptionBehavior, Machine, Privilege, TraceEvent, UarchConfig};
 
@@ -154,11 +156,17 @@ pub fn classify_agreement(graph_leak: bool, sim_leak: bool, mutations: &[Mutatio
 }
 
 /// The dual classifier: one warm pooled machine for the simulation side,
-/// one lift-and-index per candidate for the graph side.
+/// one lift per question for the graph side. [`DualOracle::new`]
+/// evaluates every question it is asked; inside [`super::fuzz`], a
+/// batch classifies each distinct candidate once, and the oracles of its
+/// minimizations share one memo of [`DualOracle::both_leak`] answers.
 #[derive(Debug, Default)]
 pub struct DualOracle {
     runner: BatchRunner,
     cfg: UarchConfig,
+    /// Both-leak answers shared with the batch's other minimizations
+    /// (`None`: every question is evaluated).
+    memo: Option<Arc<LeakMemo>>,
 }
 
 impl DualOracle {
@@ -166,6 +174,15 @@ impl DualOracle {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An oracle whose [`DualOracle::both_leak`] answers go through
+    /// `memo`, shared with other oracles of the same batch.
+    pub(crate) fn sharing(memo: Arc<LeakMemo>) -> Self {
+        DualOracle {
+            memo: Some(memo),
+            ..Self::default()
+        }
     }
 
     /// Runs both oracles on `scenario`.
@@ -192,15 +209,22 @@ impl DualOracle {
     /// `classify(scenario).map(|v| v.graph_leak && v.sim_leak)` gives,
     /// with any error meaning "no". Cheaper than [`DualOracle::classify`]
     /// because it skips the fingerprint and simulates only when the graph
-    /// races — the shrinker's yes/no question.
+    /// races — the shrinker's yes/no question. A memo-sharing oracle
+    /// evaluates only questions its batch has not answered yet.
     #[must_use]
     pub fn both_leak(&mut self, scenario: &Scenario) -> bool {
-        analyzer::lift(&scenario.program, &scenario.lift_config())
-            .is_ok_and(|analysis| defenses::graph_race(&analysis))
-            && self
-                .runner
-                .run(scenario, &self.cfg)
-                .is_ok_and(|outcome| transient_leak(&outcome))
+        let (runner, cfg) = (&mut self.runner, &self.cfg);
+        let mut evaluate = |s: &Scenario| {
+            analyzer::lift(&s.program, &s.lift_config())
+                .is_ok_and(|analysis| defenses::graph_race(&analysis))
+                && runner
+                    .run(s, cfg)
+                    .is_ok_and(|outcome| transient_leak(&outcome))
+        };
+        match &self.memo {
+            Some(memo) => memo.answer(scenario, evaluate),
+            None => evaluate(scenario),
+        }
     }
 }
 
@@ -276,10 +300,15 @@ impl ChannelDriver {
 
     /// (Re-)establishes the receiver right before the attack run —
     /// training runs execute the send architecturally and would otherwise
-    /// pollute the measurement.
+    /// pollute the measurement. The probe pages are already mapped (the
+    /// runner prepared the channel), so Flush+Reload only re-flushes.
     fn pre_attack(&self, m: &mut Machine) -> Result<(), AttackError> {
         match self.channel {
-            ChannelDim::FlushReload => common::prepare_channel(m),
+            ChannelDim::FlushReload => {
+                common::probe_channel().rearm(m)?;
+                m.clear_events();
+                Ok(())
+            }
             ChannelDim::PrimeProbe => {
                 self.receiver().prime(m)?;
                 Ok(())

@@ -171,6 +171,32 @@ fn checked_in_seed_corpus_manifest_is_reproduced() {
 }
 
 #[test]
+fn budget_512_corpus_manifest_is_reproduced_at_one_and_two_threads() {
+    // tests/data/fuzz-seed42-budget512-corpus.json is the exact corpus
+    // `campaign fuzz --seed 42 --budget 512` writes. At this budget many
+    // candidates are identical and many shrink steps recur across
+    // minimizations, so it pins that sharing those answers changes no
+    // byte, whether one thread or two ask the questions.
+    for threads in [1, 2] {
+        let fresh = fuzz(
+            &FuzzConfig {
+                threads,
+                ..FuzzConfig::default()
+            },
+            None,
+        )
+        .unwrap()
+        .corpus
+        .to_json();
+        assert_eq!(
+            fresh,
+            include_str!("data/fuzz-seed42-budget512-corpus.json"),
+            "--threads {threads}: budget-512 corpus drifted from the checked-in manifest"
+        );
+    }
+}
+
+#[test]
 fn fuzz_loop_is_bit_identical_across_runs_and_thread_counts() {
     let cfg = FuzzConfig {
         seed: 1234,
