@@ -22,8 +22,10 @@
 
 use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig1_branch_attack;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::IndirectBranch};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::Machine;
 
@@ -96,7 +98,7 @@ impl Attack for Bhi {
             impact: "Intra-mode branch history injection",
             authorization: "Indirect branch target resolution",
             illegal_access: "Execute code not intended to be executed",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, IndirectBranch, FlushReload),
         }
     }
 

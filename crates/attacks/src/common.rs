@@ -221,8 +221,8 @@ impl RunnerPool {
     }
 
     /// How many warm runners are currently idle in the pool.
-    #[must_use]
-    pub fn idle_runners(&self) -> usize {
+    #[cfg(test)]
+    fn idle_runners(&self) -> usize {
         self.idle.lock().map(|idle| idle.len()).unwrap_or(0)
     }
 }

@@ -6,8 +6,10 @@
 
 use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig4_faulting_load;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::Cache;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::mmu::PageEntry;
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -77,7 +79,7 @@ impl Attack for Foreshadow {
                 impact: "SGX enclave memory leakage",
                 authorization: "Page permission check",
                 illegal_access: "Read enclave data in L1 cache from outside enclave",
-                class: AttackClass::Meltdown,
+                point: AttackPoint::new(Cache, DelayedException, FlushReload),
             },
             ForeshadowFlavor::Os => AttackInfo {
                 name: crate::names::FORESHADOW_OS,
@@ -85,7 +87,7 @@ impl Attack for Foreshadow {
                 impact: "OS memory leakage",
                 authorization: "Page permission check",
                 illegal_access: "Read kernel data in cache",
-                class: AttackClass::Meltdown,
+                point: AttackPoint::new(Cache, DelayedException, FlushReload),
             },
             ForeshadowFlavor::Vmm => AttackInfo {
                 name: crate::names::FORESHADOW_VMM,
@@ -93,7 +95,7 @@ impl Attack for Foreshadow {
                 impact: "VMM memory leakage",
                 authorization: "Page permission check",
                 illegal_access: "Read VMM data in cache",
-                class: AttackClass::Meltdown,
+                point: AttackPoint::new(Cache, DelayedException, FlushReload),
             },
         }
     }

@@ -5,8 +5,10 @@
 
 use crate::common::{finish, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig5_special_register;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, FReg, ProgramBuilder, Reg};
+use tsg::SecretSource::Fpu;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -22,7 +24,7 @@ impl Attack for LazyFp {
             impact: "Leak of FPU state",
             authorization: "FPU owner check",
             illegal_access: "Read stale FPU state",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(Fpu, DelayedException, FlushReload),
         }
     }
 

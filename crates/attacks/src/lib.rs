@@ -13,7 +13,11 @@
 //!    security-dependency requirements declared, so the missing edges can
 //!    be found with Theorem 1 and patched;
 //! 3. **catalog metadata** ([`Attack::info`]): CVE, impact, authorization
-//!    and illegal-access node names — the rows of Tables I and III.
+//!    and illegal-access node names — the rows of Tables I and III — and
+//!    the attack's point in §V-A's design space ([`space`]: secret source ×
+//!    authorization delay × covert channel), from which its Spectre- or
+//!    Meltdown-type class and the published variants at every point are
+//!    derived.
 //!
 //! ```
 //! use attacks::registry;
@@ -42,6 +46,7 @@ pub mod lvi;
 pub mod mds;
 pub mod meltdown;
 pub mod retbleed;
+pub mod space;
 pub mod spectre_rsb;
 pub mod spectre_v1;
 pub mod spectre_v2;
@@ -55,6 +60,7 @@ use tsg::SecurityAnalysis;
 use uarch::{Machine, UarchConfig};
 
 pub use common::{BatchRunner, RunnerPool};
+pub use space::{AttackPoint, Channel, DelayMechanism};
 
 /// Whether authorization and access live in one instruction or two — the
 /// paper's Insight 6, which decides the modeling level (Figure 9).
@@ -90,8 +96,21 @@ pub struct AttackInfo {
     pub authorization: &'static str,
     /// The illegal-access node (Table III).
     pub illegal_access: &'static str,
-    /// Inter- vs intra-instruction race.
-    pub class: AttackClass,
+    /// The attack's point in §V-A's design space.
+    pub point: AttackPoint,
+}
+
+impl AttackInfo {
+    /// Inter- vs intra-instruction race, from the authorization delay
+    /// (Insight 6).
+    #[must_use]
+    pub fn class(&self) -> AttackClass {
+        if self.point.delay.is_intra_instruction() {
+            AttackClass::Meltdown
+        } else {
+            AttackClass::Spectre
+        }
+    }
 }
 
 /// Outcome of one attack execution.

@@ -8,8 +8,10 @@ use crate::common::{
     finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED, USER_SCRATCH,
 };
 use crate::graphs::fig7_lvi;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, ProgramBuilder, Reg};
+use tsg::SecretSource::StoreBuffer;
 use tsg::SecurityAnalysis;
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -33,7 +35,7 @@ impl Attack for Lvi {
             impact: "Transient injection hijacks victim dataflow",
             authorization: "Load fault check",
             illegal_access: "Forward data from micro-architectural buffers",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(StoreBuffer, DelayedException, FlushReload),
         }
     }
 

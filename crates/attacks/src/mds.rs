@@ -5,8 +5,10 @@
 
 use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED};
 use crate::graphs::fig4_faulting_load;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::{LineFillBuffer, LoadPort, StoreBuffer};
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -65,7 +67,7 @@ impl Attack for Ridl {
             impact: "Cross-privilege in-flight data sampling",
             authorization: "Load fault check",
             illegal_access: "Forward data from fill buffer and load port",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(LoadPort, DelayedException, FlushReload),
         }
     }
 
@@ -106,7 +108,7 @@ impl Attack for ZombieLoad {
             impact: "Cross-privilege-boundary data sampling",
             authorization: "Load fault check",
             illegal_access: "Forward data from fill buffer",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(LineFillBuffer, DelayedException, FlushReload),
         }
     }
 
@@ -147,7 +149,7 @@ impl Attack for Fallout {
             impact: "Leak of recent kernel stores (MSBDS)",
             authorization: "Load fault check",
             illegal_access: "Forward data from store buffer",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(StoreBuffer, DelayedException, FlushReload),
         }
     }
 

@@ -5,8 +5,10 @@
 
 use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::{fig4_faulting_load, fig5_special_register};
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Msr, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::{Memory, SpecialRegister};
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -42,7 +44,7 @@ impl Attack for Meltdown {
             impact: "Kernel content leakage to unprivileged attacker",
             authorization: "Kernel privilege check",
             illegal_access: "Read from kernel memory",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(Memory, DelayedException, FlushReload),
         }
     }
 
@@ -96,7 +98,7 @@ impl Attack for SpectreV3a {
             impact: "System register value leakage to unprivileged attacker",
             authorization: "RDMSR instruction privilege check",
             illegal_access: "Read system register",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(SpecialRegister, DelayedException, FlushReload),
         }
     }
 

@@ -18,8 +18,10 @@
 
 use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig1_branch_attack;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ReturnAddress};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -93,7 +95,7 @@ impl Attack for Retbleed {
             impact: "Return target injection via BTB fallback",
             authorization: "Return target resolution",
             illegal_access: "Execute code not intended to be executed",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, ReturnAddress, FlushReload),
         }
     }
 

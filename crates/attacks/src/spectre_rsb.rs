@@ -5,8 +5,10 @@
 
 use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig1_branch_attack;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ReturnAddress};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -71,7 +73,7 @@ impl Attack for SpectreRsb {
             impact: "Return mis-predict, execute wrong code",
             authorization: "Return target resolution",
             illegal_access: "Execute code not intended to be executed",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, ReturnAddress, FlushReload),
         }
     }
 

@@ -7,8 +7,10 @@ use crate::common::{
     VICTIM_ARRAY,
 };
 use crate::graphs::fig1_branch_attack;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ConditionalBranch};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::mmu::PageEntry;
 use uarch::Machine;
@@ -121,7 +123,7 @@ impl Attack for SpectreV1 {
             impact: "Boundary check bypass",
             authorization: "Boundary-check branch resolution",
             illegal_access: "Read out-of-bounds memory",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, ConditionalBranch, FlushReload),
         }
     }
 
@@ -179,7 +181,7 @@ impl Attack for SpectreV1_1 {
             impact: "Speculative buffer overflow",
             authorization: "Boundary-check branch resolution",
             illegal_access: "Write out-of-bounds memory",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, ConditionalBranch, FlushReload),
         }
     }
 
@@ -236,7 +238,7 @@ impl Attack for SpectreV1_2 {
             impact: "Overwrite read-only memory",
             authorization: "Page read-only bit check",
             illegal_access: "Write read-only memory",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, ConditionalBranch, FlushReload),
         }
     }
 

@@ -5,8 +5,10 @@
 
 use crate::common::{finish, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig6_disambiguation;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::Disambiguation};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::ArchitecturalMemory;
 use tsg::SecurityAnalysis;
 use uarch::Machine;
 
@@ -63,7 +65,7 @@ impl Attack for SpectreV4 {
             impact: "Speculative store bypass, read stale data in memory",
             authorization: "Store-load address dependency resolution",
             illegal_access: "Read stale data",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(ArchitecturalMemory, Disambiguation, FlushReload),
         }
     }
 

@@ -5,8 +5,10 @@
 
 use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED};
 use crate::graphs::fig4_faulting_load;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::TransactionAbort};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::{Cache, LineFillBuffer};
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{Machine, Privilege};
 
@@ -39,7 +41,7 @@ impl Attack for Taa {
             impact: "Transactional sampling of L1/store/load buffers",
             authorization: "TSX Asynchronous Abort Completion",
             illegal_access: "Load data from L1D cache, store or load buffers",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(Cache, TransactionAbort, FlushReload),
         }
     }
 
@@ -86,7 +88,7 @@ impl Attack for CacheOut {
             impact: "Leak data via cache evictions through the fill buffer",
             authorization: "TSX Asynchronous Abort Completion",
             illegal_access: "Forward data from fill buffer",
-            class: AttackClass::Meltdown,
+            point: AttackPoint::new(LineFillBuffer, TransactionAbort, FlushReload),
         }
     }
 

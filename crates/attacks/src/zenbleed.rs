@@ -20,8 +20,10 @@ use crate::common::{
     finish, probe_channel, BOUND_CELL, BOUND_PTR, PROBE_BASE, PROBE_STRIDE, SECRET,
 };
 use crate::graphs::fig1_branch_attack;
-use crate::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ConditionalBranch};
+use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, FReg, Program, ProgramBuilder, Reg};
+use tsg::SecretSource::Fpu;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
 
@@ -73,7 +75,7 @@ impl Attack for ZenBleed {
             impact: "Leak of stale vector-register state",
             authorization: "Branch resolution: vzeroupper rollback",
             illegal_access: "Read stale FP/SIMD register",
-            class: AttackClass::Spectre,
+            point: AttackPoint::new(Fpu, ConditionalBranch, FlushReload),
         }
     }
 

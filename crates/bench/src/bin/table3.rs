@@ -26,7 +26,7 @@ fn main() {
     );
     println!("{}", "-".repeat(135));
     for row in matrix.baselines() {
-        let class = match row.info.class {
+        let class = match row.info.class() {
             AttackClass::Spectre => "inter-inst",
             AttackClass::Meltdown => "intra-inst",
         };

@@ -1747,7 +1747,7 @@ impl CampaignPart {
     /// "campaign-checkpoint"`, same row format): the unit the
     /// [`serve`](crate::serve) scheduler writes after each completed chunk
     /// so a killed run resumes without redoing the range. Round-trips
-    /// through [`CampaignPart::from_checkpoint_json`]; the two kinds do
+    /// through `CampaignPart::from_checkpoint_json`; the two kinds do
     /// not interchange, so a checkpoint directory can never be merged as
     /// if it were a complete part set by accident.
     #[must_use]
@@ -1830,7 +1830,7 @@ impl CampaignPart {
     ///
     /// [`CampaignIoError`] on malformed JSON, a wrong version or kind,
     /// unknown names/tokens, or an inconsistent header.
-    pub fn from_checkpoint_json(text: &str) -> Result<Self, CampaignIoError> {
+    fn from_checkpoint_json(text: &str) -> Result<Self, CampaignIoError> {
         Self::from_json_kind(text, "campaign-checkpoint")
     }
 

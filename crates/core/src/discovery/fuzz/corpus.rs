@@ -86,7 +86,7 @@ impl From<jsonio::JsonError> for CorpusError {
 pub struct DivergenceRecord {
     /// Candidate index under the corpus seed.
     pub index: u64,
-    /// The candidate's design-space point ([`Combo::label`]).
+    /// The candidate's design-space point ([`AttackPoint::label`](attacks::AttackPoint::label)).
     pub combo: String,
     /// The candidate's mutation tags.
     pub mutations: Vec<Mutation>,
@@ -112,7 +112,7 @@ pub struct Rediscovery {
 pub struct Finding {
     /// Candidate index that produced it.
     pub index: u64,
-    /// Design-space point ([`Combo::label`]).
+    /// Design-space point ([`AttackPoint::label`](attacks::AttackPoint::label)).
     pub combo: String,
     /// Mutation tags of the originating candidate.
     pub mutations: Vec<Mutation>,
@@ -137,20 +137,32 @@ impl Finding {
     ///
     /// # Errors
     ///
-    /// [`CorpusError::Schema`] if the stored program or combo label does
-    /// not parse — a hand-edited or corrupt corpus.
+    /// [`CorpusError::Schema`] if the stored program does not parse or is
+    /// empty, the combo label names no executable point, or a pc lies past
+    /// the program's end — a hand-edited or corrupt corpus. A pc equal to
+    /// the length is allowed: a minimized program's trailing `out:` label
+    /// points there.
     pub fn scenario(&self) -> Result<Scenario, CorpusError> {
         let combo = Combo::from_label(&self.combo)
             .ok_or_else(|| CorpusError::Schema(format!("bad combo label {:?}", self.combo)))?;
         let program = asm::assemble(&self.program)
             .map_err(|e| CorpusError::Schema(format!("bad finding program: {e}")))?;
+        if program.is_empty() {
+            return Err(CorpusError::Schema("empty finding program".into()));
+        }
+        let pc = |pc: u64| {
+            usize::try_from(pc)
+                .ok()
+                .filter(|&pc| pc <= program.len())
+                .ok_or_else(|| CorpusError::Schema(format!("finding pc {pc} is out of range")))
+        };
         Ok(Scenario {
             combo,
             mutations: self.mutations.clone(),
+            access_pc: pc(self.access_pc)?,
+            gadget_pc: pc(self.gadget_pc)?,
+            benign_pc: pc(self.benign_pc)?,
             program,
-            access_pc: self.access_pc as usize,
-            gadget_pc: self.gadget_pc as usize,
-            benign_pc: self.benign_pc as usize,
         })
     }
 
@@ -533,15 +545,10 @@ fn mutations_of(obj: &Json) -> Result<Vec<Mutation>, CorpusError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::gen::{ChannelDim, DelayDim, SourceDim};
     use super::*;
 
     fn sample_corpus() -> Corpus {
-        let combo = Combo {
-            source: SourceDim::KernelMemory,
-            delay: DelayDim::ConditionalBranch,
-            channel: ChannelDim::FlushReload,
-        };
+        let combo = Combo::from_label("kernel-memory/conditional-branch/flush-reload").unwrap();
         let s = Scenario::template(combo);
         let mut c = Corpus::new(42, true);
         c.classified = 100;
@@ -589,6 +596,25 @@ mod tests {
         let s = c.findings[0].scenario().unwrap();
         assert_eq!(s.program.label("out"), Some(s.program.len() - 1));
         assert_eq!(s.access_pc, c.findings[0].access_pc as usize);
+    }
+
+    #[test]
+    fn finding_scenarios_reject_bad_points_programs_and_pcs() {
+        let good = &sample_corpus().findings[0];
+        let len = good.scenario().unwrap().program.len() as u64;
+        let rejects = |edit: fn(&mut Finding, u64)| {
+            let mut f = good.clone();
+            edit(&mut f, len);
+            matches!(f.scenario(), Err(CorpusError::Schema(_)))
+        };
+        assert!(rejects(
+            |f, _| f.combo = "architectural-memory/delayed-exception/flush-reload".into()
+        ));
+        assert!(rejects(|f, _| f.program.clear()));
+        assert!(rejects(|f, len| f.gadget_pc = len + 1));
+        assert!(rejects(|f, _| f.access_pc = u64::MAX));
+        // A pc equal to the length is the trailing `out:` label's.
+        assert!(!rejects(|f, len| f.benign_pc = len));
     }
 
     #[test]

@@ -6,205 +6,70 @@
 //! store the secret comes from, which hardware mechanism delays the
 //! authorization, and which covert channel carries the stolen value out —
 //! plus a list of [`Mutation`]s spliced in between the secret access and
-//! the send. Five combos reproduce catalog attacks (Spectre v1/v2/RSB,
+//! the send. Five combos are points of registry attacks (Spectre v1/v2/RSB,
 //! Meltdown, Spectre v3a); the rest of the space is where novel variants
 //! and oracle divergences live.
 
 use super::rng::{candidate_rng, FuzzRng};
+use crate::discovery::design_space;
 use analyzer::AnalysisConfig;
+use attacks::{AttackPoint, Channel, DelayMechanism};
 use isa::{AluOp, Cond, FenceKind, Instruction, Msr, Operand, Program, ProgramBuilder, Reg};
+use std::ops::Deref;
+use std::sync::OnceLock;
+use tsg::SecretSource;
 
-/// Where the secret lives before the access steals it (dimension 1).
+/// One point of the executable design space: an [`AttackPoint`] the
+/// generator has a program shape for and the driver a harness for.
+/// Derefs to its point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SourceDim {
-    /// In-bounds-reachable memory of the victim's own address space.
-    ArchitecturalMemory,
-    /// A kernel page: the access itself needs a (delayed) privilege check.
-    KernelMemory,
-    /// A privileged machine register read with `rdmsr`.
-    SpecialRegister,
-}
-
-/// Which hardware mechanism delays the authorization (dimension 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DelayDim {
-    /// A mis-trained conditional branch over a flushed bound chain.
-    ConditionalBranch,
-    /// A mis-trained indirect branch (BTB) over a flushed target chain.
-    IndirectBranch,
-    /// A polluted return stack buffer under a slow `ret`.
-    ReturnAddress,
-    /// The access's own deferred exception (Meltdown-style); only valid
-    /// for privileged sources.
-    DelayedException,
-}
-
-/// Which covert channel carries the secret out (dimension 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelDim {
-    /// Flush+Reload over a 256-slot probe array.
-    FlushReload,
-    /// Prime+Probe over 8 monitored cache sets (small secrets).
-    PrimeProbe,
-}
-
-/// One point of the composed design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Combo {
-    /// Dimension 1: the secret's source.
-    pub source: SourceDim,
-    /// Dimension 2: the authorization delay.
-    pub delay: DelayDim,
-    /// Dimension 3: the covert channel.
-    pub channel: ChannelDim,
-}
+pub struct Combo(AttackPoint);
 
 impl Combo {
-    /// Every *executable* combo, in a fixed enumeration order: a delayed
-    /// exception needs a privileged source, everything else composes
-    /// freely — 22 points.
+    /// `point` as a combo if it is executable: the secret is architectural
+    /// memory, kernel memory or a special register; the delay a
+    /// conditional, indirect or return branch, or a delayed exception,
+    /// which presupposes a privileged access; the channel Flush+Reload or
+    /// Prime+Probe.
     #[must_use]
-    pub fn all() -> Vec<Combo> {
-        let sources = [
-            SourceDim::ArchitecturalMemory,
-            SourceDim::KernelMemory,
-            SourceDim::SpecialRegister,
-        ];
-        let delays = [
-            DelayDim::ConditionalBranch,
-            DelayDim::IndirectBranch,
-            DelayDim::ReturnAddress,
-            DelayDim::DelayedException,
-        ];
-        let channels = [ChannelDim::FlushReload, ChannelDim::PrimeProbe];
-        let mut out = Vec::new();
-        for source in sources {
-            for delay in delays {
-                for channel in channels {
-                    let c = Combo {
-                        source,
-                        delay,
-                        channel,
-                    };
-                    if c.is_executable() {
-                        out.push(c);
-                    }
-                }
-            }
-        }
-        out
+    pub fn new(point: AttackPoint) -> Option<Combo> {
+        use DelayMechanism as D;
+        use SecretSource as S;
+        let source = matches!(
+            point.source,
+            S::ArchitecturalMemory | S::Memory | S::SpecialRegister
+        );
+        let delay = match point.delay {
+            D::ConditionalBranch | D::IndirectBranch | D::ReturnAddress => true,
+            D::DelayedException => point.source != S::ArchitecturalMemory,
+            _ => false,
+        };
+        let channel = matches!(point.channel, Channel::FlushReload | Channel::PrimeProbe);
+        (source && delay && channel).then_some(Combo(point))
     }
 
-    /// Whether the combo can be driven on the simulator: a delayed
-    /// exception presupposes a privileged access.
+    /// Every executable combo in design-space order — 22 points, built
+    /// once.
     #[must_use]
-    pub fn is_executable(&self) -> bool {
-        self.delay != DelayDim::DelayedException || self.source != SourceDim::ArchitecturalMemory
+    pub fn all() -> &'static [Combo] {
+        static ALL: OnceLock<Vec<Combo>> = OnceLock::new();
+        ALL.get_or_init(|| design_space().into_iter().filter_map(Combo::new).collect())
     }
 
-    /// The catalog attack this combo reproduces, if any: the five §V-A
-    /// "occupied" points of the executable subspace.
-    #[must_use]
-    pub fn known_name(&self) -> Option<&'static str> {
-        if self.channel != ChannelDim::FlushReload {
-            return None;
-        }
-        match (self.source, self.delay) {
-            (SourceDim::ArchitecturalMemory, DelayDim::ConditionalBranch) => {
-                Some(attacks::names::SPECTRE_V1)
-            }
-            (SourceDim::ArchitecturalMemory, DelayDim::IndirectBranch) => {
-                Some(attacks::names::SPECTRE_V2)
-            }
-            (SourceDim::ArchitecturalMemory, DelayDim::ReturnAddress) => {
-                Some(attacks::names::SPECTRE_RSB)
-            }
-            (SourceDim::KernelMemory, DelayDim::DelayedException) => Some(attacks::names::MELTDOWN),
-            (SourceDim::SpecialRegister, DelayDim::DelayedException) => {
-                Some(attacks::names::SPECTRE_V3A)
-            }
-            _ => None,
-        }
-    }
-
-    /// A stable `source/delay/channel` label for reports and the corpus.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            source_tag(self.source),
-            delay_tag(self.delay),
-            channel_tag(self.channel)
-        )
-    }
-
-    /// Parses a [`Combo::label`] back.
+    /// Parses an [`AttackPoint::label`] back; `None` for a point that is
+    /// not executable.
     #[must_use]
     pub fn from_label(label: &str) -> Option<Combo> {
-        let mut it = label.split('/');
-        let source = source_from_tag(it.next()?)?;
-        let delay = delay_from_tag(it.next()?)?;
-        let channel = channel_from_tag(it.next()?)?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some(Combo {
-            source,
-            delay,
-            channel,
-        })
+        AttackPoint::from_label(label).and_then(Combo::new)
     }
 }
 
-pub(crate) fn source_tag(s: SourceDim) -> &'static str {
-    match s {
-        SourceDim::ArchitecturalMemory => "architectural-memory",
-        SourceDim::KernelMemory => "kernel-memory",
-        SourceDim::SpecialRegister => "special-register",
+impl Deref for Combo {
+    type Target = AttackPoint;
+
+    fn deref(&self) -> &AttackPoint {
+        &self.0
     }
-}
-
-pub(crate) fn delay_tag(d: DelayDim) -> &'static str {
-    match d {
-        DelayDim::ConditionalBranch => "conditional-branch",
-        DelayDim::IndirectBranch => "indirect-branch",
-        DelayDim::ReturnAddress => "return-address",
-        DelayDim::DelayedException => "delayed-exception",
-    }
-}
-
-pub(crate) fn channel_tag(c: ChannelDim) -> &'static str {
-    match c {
-        ChannelDim::FlushReload => "flush-reload",
-        ChannelDim::PrimeProbe => "prime-probe",
-    }
-}
-
-fn source_from_tag(t: &str) -> Option<SourceDim> {
-    Some(match t {
-        "architectural-memory" => SourceDim::ArchitecturalMemory,
-        "kernel-memory" => SourceDim::KernelMemory,
-        "special-register" => SourceDim::SpecialRegister,
-        _ => return None,
-    })
-}
-
-fn delay_from_tag(t: &str) -> Option<DelayDim> {
-    Some(match t {
-        "conditional-branch" => DelayDim::ConditionalBranch,
-        "indirect-branch" => DelayDim::IndirectBranch,
-        "return-address" => DelayDim::ReturnAddress,
-        "delayed-exception" => DelayDim::DelayedException,
-        _ => return None,
-    })
-}
-
-fn channel_from_tag(t: &str) -> Option<ChannelDim> {
-    Some(match t {
-        "flush-reload" => ChannelDim::FlushReload,
-        "prime-probe" => ChannelDim::PrimeProbe,
-        _ => return None,
-    })
 }
 
 /// A splice applied to the composed gadget between access and send. The
@@ -349,15 +214,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Never for executable combos; the program shapes are fixed and the
-    /// splice points always valid.
+    /// Never: the program shapes are fixed and the splice points always
+    /// valid.
     #[must_use]
     pub fn compose(combo: Combo, mutations: Vec<Mutation>) -> Scenario {
-        assert!(
-            combo.is_executable(),
-            "unexecutable combo {}",
-            combo.label()
-        );
         let implicit = mutations.contains(&Mutation::ImplicitFlow);
         let (program, access_pc, gadget_pc, benign_pc) = build_program(combo, implicit);
         let mut s = Scenario {
@@ -377,9 +237,10 @@ impl Scenario {
     /// The value the driver plants as the secret.
     #[must_use]
     pub fn secret_value(&self) -> u64 {
-        match self.combo.channel {
-            ChannelDim::FlushReload => layout::FR_SECRET,
-            ChannelDim::PrimeProbe => layout::PP_SECRET,
+        if self.combo.channel == Channel::PrimeProbe {
+            layout::PP_SECRET
+        } else {
+            layout::FR_SECRET
         }
     }
 
@@ -389,7 +250,7 @@ impl Scenario {
     #[must_use]
     pub fn lift_config(&self) -> AnalysisConfig {
         AnalysisConfig {
-            user_mode: self.combo.source != SourceDim::ArchitecturalMemory,
+            user_mode: self.combo.source != SecretSource::ArchitecturalMemory,
             protected_accesses: Vec::new(),
         }
     }
@@ -472,7 +333,7 @@ fn draw_mutations(rng: &mut FuzzRng, combo: Combo) -> Vec<Mutation> {
     // Secret-dependent control flow needs the conditional-branch driver's
     // registers and a slot-addressable channel.
     let implicit_ok =
-        combo.delay == DelayDim::ConditionalBranch && combo.channel == ChannelDim::FlushReload;
+        combo.delay == DelayMechanism::ConditionalBranch && combo.channel == Channel::FlushReload;
     let implicit = implicit_ok && rng.chance(1, 4);
     let menu = [
         Mutation::NopPad,
@@ -504,13 +365,13 @@ fn build_program(combo: Combo, implicit_flow: bool) -> (Program, usize, usize, u
     let mut benign_pc = 0;
     // Delay prologue.
     match combo.delay {
-        DelayDim::ConditionalBranch => {
+        DelayMechanism::ConditionalBranch => {
             b = b
                 .load(Reg::R4, Reg::R2, 0)
                 .load(Reg::R4, Reg::R4, 0)
                 .branch_if(Cond::Ge, Reg::R0, Reg::R4, "out");
         }
-        DelayDim::IndirectBranch => {
+        DelayMechanism::IndirectBranch => {
             b = b
                 .load(Reg::R4, Reg::R9, 0)
                 .load(Reg::R1, Reg::R4, 0)
@@ -518,22 +379,24 @@ fn build_program(combo: Combo, implicit_flow: bool) -> (Program, usize, usize, u
             benign_pc = b.here();
             b = b.halt();
         }
-        DelayDim::ReturnAddress => {
+        DelayMechanism::ReturnAddress => {
             b = b.load(Reg::R4, Reg::R2, 0).ret().halt();
         }
-        DelayDim::DelayedException => {}
+        // A delayed exception: the access faults by itself.
+        _ => {}
     }
     let gadget_pc = b.here();
     // Source access, leaving the secret in r6.
-    let indexed = combo.source == SourceDim::ArchitecturalMemory
-        && combo.delay == DelayDim::ConditionalBranch;
+    let indexed = combo.source == SecretSource::ArchitecturalMemory
+        && combo.delay == DelayMechanism::ConditionalBranch;
     b = match combo.source {
-        SourceDim::ArchitecturalMemory if indexed => b
+        SecretSource::ArchitecturalMemory if indexed => b
             .alu_imm(AluOp::Shl, Reg::R5, Reg::R0, 3)
             .alu(AluOp::Add, Reg::R5, Reg::R5, Reg::R1)
             .load(Reg::R6, Reg::R5, 0),
-        SourceDim::ArchitecturalMemory | SourceDim::KernelMemory => b.load(Reg::R6, Reg::R5, 0),
-        SourceDim::SpecialRegister => b.rdmsr(Reg::R6, Msr(layout::TARGET_MSR)),
+        SecretSource::SpecialRegister => b.rdmsr(Reg::R6, Msr(layout::TARGET_MSR)),
+        // Architectural or kernel memory.
+        _ => b.load(Reg::R6, Reg::R5, 0),
     };
     let access_pc = b.here() - 1;
     // Channel epilogue.
@@ -543,18 +406,16 @@ fn build_program(combo: Combo, implicit_flow: bool) -> (Program, usize, usize, u
             .load(Reg::R8, Reg::R13, 0);
     } else {
         b = b.branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out");
-        b = match combo.channel {
-            ChannelDim::FlushReload => {
-                b.alu_imm(AluOp::Mul, Reg::R7, Reg::R6, layout::PROBE_STRIDE)
-            }
-            ChannelDim::PrimeProbe => b
-                .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, uarch::cache::LINE_SIZE)
+        b = if combo.channel == Channel::PrimeProbe {
+            b.alu_imm(AluOp::Mul, Reg::R7, Reg::R6, uarch::cache::LINE_SIZE)
                 .alu_imm(
                     AluOp::Add,
                     Reg::R7,
                     Reg::R7,
                     layout::PP_BASE_SET as u64 * uarch::cache::LINE_SIZE,
-                ),
+                )
+        } else {
+            b.alu_imm(AluOp::Mul, Reg::R7, Reg::R6, layout::PROBE_STRIDE)
         };
         b = b
             .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
@@ -577,11 +438,14 @@ mod tests {
     fn design_space_has_22_executable_points_and_5_known() {
         let all = Combo::all();
         assert_eq!(all.len(), 22);
-        let known: Vec<_> = all.iter().filter_map(Combo::known_name).collect();
-        assert_eq!(known.len(), 5);
-        for c in &all {
+        let known = all.iter().filter(|c| c.known_variants().next().is_some());
+        assert_eq!(known.count(), 5);
+        for c in all {
             assert_eq!(Combo::from_label(&c.label()), Some(*c));
         }
+        let fault = "architectural-memory/delayed-exception/flush-reload";
+        assert!(AttackPoint::from_label(fault).is_some());
+        assert_eq!(Combo::from_label(fault), None);
     }
 
     #[test]
@@ -601,11 +465,7 @@ mod tests {
 
     #[test]
     fn templates_mirror_the_catalog_gadgets() {
-        let v1 = Scenario::template(Combo {
-            source: SourceDim::ArchitecturalMemory,
-            delay: DelayDim::ConditionalBranch,
-            channel: ChannelDim::FlushReload,
-        });
+        let v1 = Scenario::template(Combo::all()[0]);
         assert_eq!(
             v1.program.to_string(),
             attacks::spectre_v1::SpectreV1::program()
@@ -617,11 +477,7 @@ mod tests {
 
     #[test]
     fn mutations_splice_after_the_access() {
-        let combo = Combo {
-            source: SourceDim::KernelMemory,
-            delay: DelayDim::DelayedException,
-            channel: ChannelDim::FlushReload,
-        };
+        let combo = Combo::from_label("kernel-memory/delayed-exception/flush-reload").unwrap();
         let base = Scenario::template(combo);
         let padded = Scenario::compose(combo, vec![Mutation::NopPad]);
         assert_eq!(padded.program.len(), base.program.len() + 1);
@@ -640,11 +496,7 @@ mod tests {
 
     #[test]
     fn with_removed_shifts_the_bookkeeping() {
-        let combo = Combo {
-            source: SourceDim::KernelMemory,
-            delay: DelayDim::IndirectBranch,
-            channel: ChannelDim::FlushReload,
-        };
+        let combo = Combo::from_label("kernel-memory/indirect-branch/flush-reload").unwrap();
         let s = Scenario::template(combo);
         assert_eq!((s.gadget_pc, s.benign_pc, s.access_pc), (4, 3, 4));
         let t = s.with_removed(0).unwrap();

@@ -134,16 +134,12 @@ impl LeakMemo {
 
 #[cfg(test)]
 mod tests {
-    use super::super::gen::{ChannelDim, Combo, DelayDim, Mutation, SourceDim};
+    use super::super::gen::{Combo, Mutation};
     use super::*;
 
     #[test]
     fn questions_ignore_mutations_and_see_every_pc() {
-        let combo = Combo {
-            source: SourceDim::KernelMemory,
-            delay: DelayDim::IndirectBranch,
-            channel: ChannelDim::FlushReload,
-        };
+        let combo = Combo::from_label("kernel-memory/indirect-branch/flush-reload").unwrap();
         let a = Scenario::template(combo);
         let relabelled = Scenario {
             mutations: vec![Mutation::Launder],

@@ -46,7 +46,7 @@ pub use corpus::{
     Corpus, CorpusError, DivergenceRecord, Finding, Rediscovery, SynthesizedRegistry, CORPUS_FILE,
     FUZZ_SCHEMA_VERSION,
 };
-pub use gen::{ChannelDim, Combo, DelayDim, Mutation, Scenario, SourceDim};
+pub use gen::{Combo, Mutation, Scenario};
 pub use oracle::{Agreement, DualOracle, FalseSenseCause, MissedLeakCause, Verdicts};
 pub use rng::{candidate_rng, FuzzRng};
 pub use shrink::{is_one_minimal, minimize, ShrinkStats};
@@ -154,7 +154,8 @@ pub struct FuzzReport {
 
 /// The catalog the fuzzer measures novelty against: the hand-built
 /// registry rows' graph shapes plus the lifted (and, when minimizing,
-/// minimized) shapes of the five known-combo templates.
+/// minimized) shapes of the templates at the five executable points a
+/// registry attack occupies.
 #[derive(Debug)]
 struct KnownCatalog {
     /// Fingerprints that disqualify a shape from being "novel".
@@ -185,8 +186,8 @@ impl KnownCatalog {
             known_shapes.insert(attack.graph().graph().shape_fingerprint());
         }
         let templates: Vec<(&'static str, Scenario)> = Combo::all()
-            .into_iter()
-            .filter_map(|combo| Some((combo.known_name()?, Scenario::template(combo))))
+            .iter()
+            .filter_map(|&combo| Some((combo.known_variants().next()?, Scenario::template(combo))))
             .collect();
         let shapes = crate::exec::map_indexed(
             templates.len(),

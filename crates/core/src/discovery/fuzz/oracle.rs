@@ -12,15 +12,15 @@
 //! [`MissedLeakCause::Unexplained`]/[`FalseSenseCause::Unexplained`] —
 //! which the test suite asserts never happens.
 
-use super::gen::{layout, ChannelDim, DelayDim, Mutation, Scenario, SourceDim};
+use super::gen::{layout, Mutation, Scenario};
 use super::memo::LeakMemo;
 use super::FuzzError;
 use attacks::common::{self, BatchRunner};
-use attacks::{Attack, AttackClass, AttackError, AttackInfo, AttackOutcome};
+use attacks::{Attack, AttackError, AttackInfo, AttackOutcome, Channel, DelayMechanism};
 use channels::prime_probe::PrimeProbe;
 use isa::{Program, ProgramBuilder, Reg};
 use std::sync::Arc;
-use tsg::SecurityAnalysis;
+use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege, TraceEvent, UarchConfig};
 
 /// Why the graph predicts a leak the simulation does not reproduce.
@@ -240,22 +240,9 @@ impl Attack for Scenario {
             name: "Synthesized scenario",
             cve: None,
             impact: "Fuzzer-composed transient leak candidate",
-            authorization: match self.combo.delay {
-                DelayDim::ConditionalBranch => "Conditional branch resolution",
-                DelayDim::IndirectBranch => "Indirect branch target resolution",
-                DelayDim::ReturnAddress => "Return target resolution",
-                DelayDim::DelayedException => "Access permission check",
-            },
-            illegal_access: match self.combo.source {
-                SourceDim::ArchitecturalMemory => "Read out-of-reach architectural memory",
-                SourceDim::KernelMemory => "Read from kernel memory",
-                SourceDim::SpecialRegister => "Read system register",
-            },
-            class: if self.combo.source == SourceDim::ArchitecturalMemory {
-                AttackClass::Spectre
-            } else {
-                AttackClass::Meltdown
-            },
+            authorization: self.combo.delay.authorization_label(),
+            illegal_access: self.combo.access_label(),
+            point: *self.combo,
         }
     }
 
@@ -270,19 +257,23 @@ impl Attack for Scenario {
 
 /// The covert-channel half of the driver, dispatching on dimension 3.
 struct ChannelDriver {
-    channel: ChannelDim,
+    /// Prime+Probe; Flush+Reload otherwise.
+    prime_probe: bool,
 }
 
 impl ChannelDriver {
-    fn new(channel: ChannelDim) -> Self {
-        ChannelDriver { channel }
+    fn new(channel: Channel) -> Self {
+        ChannelDriver {
+            prime_probe: channel == Channel::PrimeProbe,
+        }
     }
 
     /// The base address the gadget's `r3` must hold.
     fn base(&self) -> u64 {
-        match self.channel {
-            ChannelDim::FlushReload => layout::PROBE_BASE,
-            ChannelDim::PrimeProbe => layout::SENDER_BASE,
+        if self.prime_probe {
+            layout::SENDER_BASE
+        } else {
+            layout::PROBE_BASE
         }
     }
 
@@ -292,7 +283,7 @@ impl ChannelDriver {
 
     /// Maps whatever sender-side memory the channel needs.
     fn map(&self, m: &mut Machine) -> Result<(), AttackError> {
-        if self.channel == ChannelDim::PrimeProbe {
+        if self.prime_probe {
             m.map_user_page(layout::SENDER_BASE)?;
         }
         Ok(())
@@ -303,17 +294,13 @@ impl ChannelDriver {
     /// pollute the measurement. The probe pages are already mapped (the
     /// runner prepared the channel), so Flush+Reload only re-flushes.
     fn pre_attack(&self, m: &mut Machine) -> Result<(), AttackError> {
-        match self.channel {
-            ChannelDim::FlushReload => {
-                common::probe_channel().rearm(m)?;
-                m.clear_events();
-                Ok(())
-            }
-            ChannelDim::PrimeProbe => {
-                self.receiver().prime(m)?;
-                Ok(())
-            }
+        if self.prime_probe {
+            self.receiver().prime(m)?;
+        } else {
+            common::probe_channel().rearm(m)?;
+            m.clear_events();
         }
+        Ok(())
     }
 
     /// Receives and builds the outcome.
@@ -323,34 +310,32 @@ impl ChannelDriver {
         secret: u64,
         start_cycle: u64,
     ) -> Result<AttackOutcome, AttackError> {
-        match self.channel {
-            ChannelDim::FlushReload => common::finish(m, secret, start_cycle),
-            ChannelDim::PrimeProbe => {
-                common::check_event_log(m)?;
-                let reading = self.receiver().probe(m)?;
-                let recovered = reading.recovered.map(|s| s as u64);
-                let mut transient_forwards = 0;
-                let mut squashes = 0;
-                let mut defense_blocks = 0;
-                for e in m.events() {
-                    match e {
-                        TraceEvent::TransientForward { .. } => transient_forwards += 1,
-                        TraceEvent::Squash { .. } => squashes += 1,
-                        TraceEvent::DefenseBlocked { .. } => defense_blocks += 1,
-                        _ => {}
-                    }
-                }
-                Ok(AttackOutcome {
-                    secret,
-                    recovered,
-                    leaked: recovered == Some(secret),
-                    transient_forwards,
-                    squashes,
-                    defense_blocks,
-                    cycles: m.cycle() - start_cycle,
-                })
+        if !self.prime_probe {
+            return common::finish(m, secret, start_cycle);
+        }
+        common::check_event_log(m)?;
+        let reading = self.receiver().probe(m)?;
+        let recovered = reading.recovered.map(|s| s as u64);
+        let mut transient_forwards = 0;
+        let mut squashes = 0;
+        let mut defense_blocks = 0;
+        for e in m.events() {
+            match e {
+                TraceEvent::TransientForward { .. } => transient_forwards += 1,
+                TraceEvent::Squash { .. } => squashes += 1,
+                TraceEvent::DefenseBlocked { .. } => defense_blocks += 1,
+                _ => {}
             }
         }
+        Ok(AttackOutcome {
+            secret,
+            recovered,
+            leaked: recovered == Some(secret),
+            transient_forwards,
+            squashes,
+            defense_blocks,
+            cycles: m.cycle() - start_cycle,
+        })
     }
 }
 
@@ -369,7 +354,7 @@ struct SourcePlan {
 fn plant_source(s: &Scenario, m: &mut Machine) -> Result<SourcePlan, AttackError> {
     let secret = s.secret_value();
     match s.combo.source {
-        SourceDim::ArchitecturalMemory if s.combo.delay == DelayDim::ConditionalBranch => {
+        SecretSource::ArchitecturalMemory if s.combo.delay == DelayMechanism::ConditionalBranch => {
             // The indexed (bounds-check bypass) shape: secret out of
             // bounds, in-bounds words non-zero for training.
             m.map_user_page(layout::VICTIM_ARRAY)?;
@@ -383,7 +368,7 @@ fn plant_source(s: &Scenario, m: &mut Machine) -> Result<SourcePlan, AttackError
                 privileged: false,
             })
         }
-        SourceDim::ArchitecturalMemory => {
+        SecretSource::ArchitecturalMemory => {
             // Direct load of a victim-private cell.
             m.map_user_page(layout::VICTIM_SECRET)?;
             m.write_u64(layout::VICTIM_SECRET, secret)?;
@@ -393,7 +378,7 @@ fn plant_source(s: &Scenario, m: &mut Machine) -> Result<SourcePlan, AttackError
                 privileged: false,
             })
         }
-        SourceDim::KernelMemory => {
+        SecretSource::Memory => {
             m.map_kernel_page(layout::KERNEL_SECRET)?;
             m.write_u64(layout::KERNEL_SECRET, secret)?;
             // Legal training cell, non-zero so the send guard is trained.
@@ -404,7 +389,8 @@ fn plant_source(s: &Scenario, m: &mut Machine) -> Result<SourcePlan, AttackError
                 privileged: true,
             })
         }
-        SourceDim::SpecialRegister => {
+        // A special register: the only other executable source.
+        _ => {
             m.set_msr(layout::TARGET_MSR, secret);
             Ok(SourcePlan {
                 train_r5: 0,
@@ -438,7 +424,7 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
     chan.map(m)?;
     let out_pc = s.program.label("out").unwrap_or(s.program.len() - 1);
     match s.combo.delay {
-        DelayDim::ConditionalBranch => {
+        DelayMechanism::ConditionalBranch => {
             m.map_user_page(layout::BOUND_PTR)?;
             m.write_u64(layout::BOUND_PTR, layout::BOUND_CELL)?;
             m.write_u64(layout::BOUND_CELL, layout::BOUND)?;
@@ -462,7 +448,7 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.run(&s.program)?;
             chan.finish(m, secret, start)
         }
-        DelayDim::IndirectBranch => {
+        DelayMechanism::IndirectBranch => {
             m.map_user_page(layout::TARGET_PTR)?;
             m.map_user_page(layout::TARGET_CELL)?;
             m.write_u64(layout::TARGET_PTR, layout::TARGET_CELL)?;
@@ -489,7 +475,7 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.run(&s.program)?;
             chan.finish(m, secret, start)
         }
-        DelayDim::ReturnAddress => {
+        DelayMechanism::ReturnAddress => {
             if s.gadget_pc == 0 {
                 // A shrink candidate deleted the whole prologue: there is
                 // no call site to pollute the RSB from.
@@ -514,7 +500,7 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             // stale RSB entry.
             m.switch_context(victim_ctx)?;
             m.flush_line(layout::DELAY_CELL)?;
-            if s.combo.source == SourceDim::ArchitecturalMemory {
+            if s.combo.source == SecretSource::ArchitecturalMemory {
                 m.touch(layout::VICTIM_SECRET)?;
             }
             m.clear_events();
@@ -525,7 +511,8 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.switch_context(attacker_ctx)?;
             chan.finish(m, secret, start)
         }
-        DelayDim::DelayedException => {
+        // A delayed exception: the only other executable delay.
+        _ => {
             let plan = plant_source(s, m)?;
             m.set_privilege(Privilege::User);
             m.set_exception_behavior(ExceptionBehavior::Handler(out_pc));
@@ -555,18 +542,10 @@ mod tests {
     use super::super::gen::Combo;
     use super::*;
 
-    fn combo(source: SourceDim, delay: DelayDim, channel: ChannelDim) -> Combo {
-        Combo {
-            source,
-            delay,
-            channel,
-        }
-    }
-
     #[test]
     fn every_identity_combo_agrees_on_leak() {
         let mut oracle = DualOracle::new();
-        for c in Combo::all() {
+        for &c in Combo::all() {
             let s = Scenario::template(c);
             let v = oracle.classify(&s).unwrap();
             assert_eq!(
@@ -584,11 +563,7 @@ mod tests {
     #[test]
     fn known_combos_reproduce_catalog_outcomes() {
         let mut oracle = DualOracle::new();
-        let c = combo(
-            SourceDim::ArchitecturalMemory,
-            DelayDim::ConditionalBranch,
-            ChannelDim::FlushReload,
-        );
+        let c = Combo::from_label("architectural-memory/conditional-branch/flush-reload").unwrap();
         let v = oracle.classify(&Scenario::template(c)).unwrap();
         assert!(v.sim_leak && v.graph_leak);
         assert_eq!(v.outcome.recovered, Some(layout::FR_SECRET));
@@ -597,11 +572,8 @@ mod tests {
     #[test]
     fn divergence_mutations_classify_as_designed() {
         let mut oracle = DualOracle::new();
-        let base = combo(
-            SourceDim::ArchitecturalMemory,
-            DelayDim::ConditionalBranch,
-            ChannelDim::FlushReload,
-        );
+        let base =
+            Combo::from_label("architectural-memory/conditional-branch/flush-reload").unwrap();
         for (mutations, want) in [
             (
                 vec![Mutation::DeadValue],
@@ -625,11 +597,7 @@ mod tests {
     #[test]
     fn leak_preserving_mutations_keep_agreement() {
         let mut oracle = DualOracle::new();
-        let base = combo(
-            SourceDim::KernelMemory,
-            DelayDim::DelayedException,
-            ChannelDim::FlushReload,
-        );
+        let base = Combo::from_label("kernel-memory/delayed-exception/flush-reload").unwrap();
         for mutations in [vec![Mutation::NopPad], vec![Mutation::ExtendTransform]] {
             let s = Scenario::compose(base, mutations.clone());
             let v = oracle.classify(&s).unwrap();

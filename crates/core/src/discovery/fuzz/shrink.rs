@@ -67,16 +67,12 @@ pub fn is_one_minimal(oracle: &mut DualOracle, scenario: &Scenario) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::gen::{ChannelDim, Combo, DelayDim, Mutation, Scenario, SourceDim};
+    use super::super::gen::{Combo, Mutation, Scenario};
     use super::*;
 
     #[test]
     fn minimizing_a_padded_leaker_strips_the_padding() {
-        let combo = Combo {
-            source: SourceDim::KernelMemory,
-            delay: DelayDim::DelayedException,
-            channel: ChannelDim::FlushReload,
-        };
+        let combo = Combo::from_label("kernel-memory/delayed-exception/flush-reload").unwrap();
         let padded = Scenario::compose(combo, vec![Mutation::NopPad, Mutation::NopPad]);
         let mut oracle = DualOracle::new();
         let (min, stats) = minimize(&mut oracle, &padded);

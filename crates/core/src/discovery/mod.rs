@@ -3,284 +3,24 @@
 //! The paper's takeaway: *"any new combination of these three dimensions of
 //! an attack gives a new attack"* — (1) where the secret comes from,
 //! (2) which hardware feature delays the authorization, and (3) which
-//! covert channel carries the secret out. This module enumerates the design
-//! space, generates the attack graph for any point in it, and identifies
-//! which points correspond to the published variants (everything else is a
-//! candidate *new* attack).
+//! covert channel carries the secret out. The dimensions and the point type
+//! live in [`attacks::space`], where every registry attack carries its
+//! point; this module enumerates the design space and splits it into the
+//! points the registry occupies and the candidate *new* attacks.
 
 pub mod fuzz;
 
-use std::fmt;
-use tsg::{EdgeKind, NodeKind, SecretSource, SecurityAnalysis};
-
-/// Dimension 1: the source of the secret.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum SecretSourceDim {
-    /// Architectural memory reached out of bounds / stale (Spectre).
-    ArchitecturalMemory,
-    /// Privileged memory (Meltdown).
-    KernelMemory,
-    /// The L1 data cache under a terminal fault (Foreshadow).
-    L1Cache,
-    /// The line fill buffer (RIDL/ZombieLoad/CacheOut).
-    LineFillBuffer,
-    /// The store buffer (Fallout/LVI).
-    StoreBuffer,
-    /// A load port (RIDL).
-    LoadPort,
-    /// A privileged special register (Spectre v3a).
-    SpecialRegister,
-    /// Stale FPU state (Lazy FP).
-    FpuState,
-}
-
-impl SecretSourceDim {
-    /// All source values.
-    #[must_use]
-    pub fn all() -> [SecretSourceDim; 8] {
-        [
-            SecretSourceDim::ArchitecturalMemory,
-            SecretSourceDim::KernelMemory,
-            SecretSourceDim::L1Cache,
-            SecretSourceDim::LineFillBuffer,
-            SecretSourceDim::StoreBuffer,
-            SecretSourceDim::LoadPort,
-            SecretSourceDim::SpecialRegister,
-            SecretSourceDim::FpuState,
-        ]
-    }
-
-    fn to_tsg(self) -> SecretSource {
-        match self {
-            SecretSourceDim::ArchitecturalMemory => SecretSource::ArchitecturalMemory,
-            SecretSourceDim::KernelMemory => SecretSource::Memory,
-            SecretSourceDim::L1Cache => SecretSource::Cache,
-            SecretSourceDim::LineFillBuffer => SecretSource::LineFillBuffer,
-            SecretSourceDim::StoreBuffer => SecretSource::StoreBuffer,
-            SecretSourceDim::LoadPort => SecretSource::LoadPort,
-            SecretSourceDim::SpecialRegister => SecretSource::SpecialRegister,
-            SecretSourceDim::FpuState => SecretSource::Fpu,
-        }
-    }
-}
-
-impl fmt::Display for SecretSourceDim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SecretSourceDim::ArchitecturalMemory => "architectural memory",
-            SecretSourceDim::KernelMemory => "kernel memory",
-            SecretSourceDim::L1Cache => "L1 cache",
-            SecretSourceDim::LineFillBuffer => "line fill buffer",
-            SecretSourceDim::StoreBuffer => "store buffer",
-            SecretSourceDim::LoadPort => "load port",
-            SecretSourceDim::SpecialRegister => "special register",
-            SecretSourceDim::FpuState => "FPU state",
-        })
-    }
-}
-
-/// Dimension 2: the hardware feature whose delay opens the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum DelayMechanism {
-    /// Conditional branch resolution (PHT prediction).
-    ConditionalBranch,
-    /// Indirect branch target computation (BTB prediction).
-    IndirectBranch,
-    /// Return target resolution (RSB prediction).
-    ReturnAddress,
-    /// Store-load address disambiguation.
-    Disambiguation,
-    /// A delayed exception (privilege/present/reserved check).
-    DelayedException,
-    /// Transactional-abort completion (TSX).
-    TransactionAbort,
-}
-
-impl DelayMechanism {
-    /// All delay mechanisms.
-    #[must_use]
-    pub fn all() -> [DelayMechanism; 6] {
-        [
-            DelayMechanism::ConditionalBranch,
-            DelayMechanism::IndirectBranch,
-            DelayMechanism::ReturnAddress,
-            DelayMechanism::Disambiguation,
-            DelayMechanism::DelayedException,
-            DelayMechanism::TransactionAbort,
-        ]
-    }
-
-    /// Whether the authorization lives inside the accessing instruction
-    /// (Meltdown-type) or in a prior instruction (Spectre-type).
-    #[must_use]
-    pub fn is_intra_instruction(self) -> bool {
-        matches!(
-            self,
-            DelayMechanism::DelayedException | DelayMechanism::TransactionAbort
-        )
-    }
-
-    fn authorization_label(self) -> &'static str {
-        match self {
-            DelayMechanism::ConditionalBranch => "Branch resolution",
-            DelayMechanism::IndirectBranch => "Indirect target resolution",
-            DelayMechanism::ReturnAddress => "Return target resolution",
-            DelayMechanism::Disambiguation => "Memory address disambiguation",
-            DelayMechanism::DelayedException => "Permission check",
-            DelayMechanism::TransactionAbort => "Transaction abort completion",
-        }
-    }
-}
-
-impl fmt::Display for DelayMechanism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.authorization_label())
-    }
-}
-
-/// Dimension 3: the covert channel carrying the secret out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Channel {
-    /// Flush+Reload (hit + access).
-    FlushReload,
-    /// Prime+Probe (miss + access).
-    PrimeProbe,
-    /// Evict+Time (miss + operation).
-    EvictTime,
-    /// Cache collision (hit + operation).
-    Collision,
-}
-
-impl Channel {
-    /// All channels.
-    #[must_use]
-    pub fn all() -> [Channel; 4] {
-        [
-            Channel::FlushReload,
-            Channel::PrimeProbe,
-            Channel::EvictTime,
-            Channel::Collision,
-        ]
-    }
-}
-
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Channel::FlushReload => "Flush+Reload",
-            Channel::PrimeProbe => "Prime+Probe",
-            Channel::EvictTime => "Evict+Time",
-            Channel::Collision => "cache collision",
-        })
-    }
-}
-
-/// One point in the attack design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AttackPoint {
-    /// Where the secret comes from.
-    pub source: SecretSourceDim,
-    /// What delays the authorization.
-    pub delay: DelayMechanism,
-    /// How the secret leaves.
-    pub channel: Channel,
-}
-
-impl AttackPoint {
-    /// The published variant occupying this point, if any — everything else
-    /// is a candidate *new* attack (with its default Flush+Reload channel;
-    /// channel substitutions of known variants are also "new" in the
-    /// paper's sense but carry the base name).
-    #[must_use]
-    pub fn known_variant(&self) -> Option<&'static str> {
-        use Channel::FlushReload as FR;
-        use DelayMechanism as D;
-        use SecretSourceDim as S;
-        if self.channel != FR {
-            return None;
-        }
-        match (self.source, self.delay) {
-            (S::ArchitecturalMemory, D::ConditionalBranch) => Some("Spectre v1/v1.1/v1.2"),
-            (S::ArchitecturalMemory, D::IndirectBranch) => Some("Spectre v2"),
-            (S::ArchitecturalMemory, D::ReturnAddress) => Some("Spectre-RSB"),
-            (S::ArchitecturalMemory, D::Disambiguation) => Some("Spectre v4"),
-            (S::KernelMemory, D::DelayedException) => Some("Meltdown"),
-            (S::L1Cache, D::DelayedException) => Some("Foreshadow / Foreshadow-NG"),
-            (S::LineFillBuffer, D::DelayedException) => Some("RIDL / ZombieLoad / LVI"),
-            (S::StoreBuffer, D::DelayedException) => Some("Fallout / LVI"),
-            (S::LoadPort, D::DelayedException) => Some("RIDL"),
-            (S::SpecialRegister, D::DelayedException) => Some("Spectre v3a"),
-            (S::FpuState, D::DelayedException) => Some("Lazy FP"),
-            (S::L1Cache, D::TransactionAbort) => Some("TAA"),
-            (S::LineFillBuffer, D::TransactionAbort) => Some("CacheOut"),
-            _ => None,
-        }
-    }
-
-    /// Generates the attack graph for this point: the generic
-    /// setup→authorization/access race→use→send→receive shape, with the
-    /// access node typed by the source dimension and the authorization node
-    /// named after the delay mechanism.
-    #[must_use]
-    pub fn graph(&self) -> SecurityAnalysis {
-        let mut sa = SecurityAnalysis::new();
-        let g = sa.graph_mut();
-        let setup = g.add_node(
-            format!("Establish {} channel", self.channel),
-            NodeKind::Setup,
-        );
-        let trigger = g.add_node(
-            format!("Speculation trigger ({})", self.delay),
-            NodeKind::Compute,
-        );
-        let auth = g.add_node(self.delay.authorization_label(), NodeKind::Authorization);
-        let access = g.add_node(
-            format!("Read secret from {}", self.source),
-            NodeKind::SecretAccess(self.source.to_tsg()),
-        );
-        let use_n = g.add_node("Transform secret", NodeKind::UseSecret);
-        let send = g.add_node(format!("Send via {}", self.channel), NodeKind::Send);
-        let squash = g.add_node("Squash or commit", NodeKind::Resolution);
-        let recv = g.add_node(format!("Receive via {}", self.channel), NodeKind::Receive);
-        for (u, v, k) in [
-            (setup, trigger, EdgeKind::Program),
-            (trigger, auth, EdgeKind::Data),
-            (trigger, access, EdgeKind::Data),
-            (access, use_n, EdgeKind::Data),
-            (use_n, send, EdgeKind::Address),
-            (auth, squash, EdgeKind::Data),
-            (squash, recv, EdgeKind::Program),
-        ] {
-            g.add_edge(u, v, k).expect("template is acyclic");
-        }
-        sa.require(auth, access).expect("nodes exist");
-        sa.require(auth, use_n).expect("nodes exist");
-        sa.require(auth, send).expect("nodes exist");
-        sa
-    }
-}
-
-impl fmt::Display for AttackPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} / {} / {}", self.source, self.delay, self.channel)
-    }
-}
+use attacks::space::{CHANNELS, DELAYS, SOURCES};
+pub use attacks::{AttackPoint, Channel, DelayMechanism};
 
 /// Enumerates the full design space (8 × 6 × 4 = 192 points).
 #[must_use]
 pub fn design_space() -> Vec<AttackPoint> {
     let mut v = Vec::new();
-    for source in SecretSourceDim::all() {
-        for delay in DelayMechanism::all() {
-            for channel in Channel::all() {
-                v.push(AttackPoint {
-                    source,
-                    delay,
-                    channel,
-                });
+    for source in SOURCES {
+        for delay in DELAYS {
+            for channel in CHANNELS {
+                v.push(AttackPoint::new(source, delay, channel));
             }
         }
     }
@@ -292,7 +32,7 @@ pub fn design_space() -> Vec<AttackPoint> {
 pub fn novel_points() -> Vec<AttackPoint> {
     design_space()
         .into_iter()
-        .filter(|p| p.known_variant().is_none())
+        .filter(|p| p.known_variants().next().is_none())
         .collect()
 }
 
@@ -309,10 +49,10 @@ mod tests {
     fn known_variants_are_marked() {
         let known: Vec<AttackPoint> = design_space()
             .into_iter()
-            .filter(|p| p.known_variant().is_some())
+            .filter(|p| p.known_variants().next().is_some())
             .collect();
-        assert_eq!(known.len(), 13, "13 occupied Flush+Reload points");
-        assert!(novel_points().len() == 192 - 13);
+        assert_eq!(known.len(), 14, "14 occupied Flush+Reload points");
+        assert!(novel_points().len() == 192 - 14);
     }
 
     #[test]
@@ -342,14 +82,17 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let p = AttackPoint {
-            source: SecretSourceDim::FpuState,
-            delay: DelayMechanism::DelayedException,
-            channel: Channel::PrimeProbe,
-        };
+        let p = AttackPoint::new(
+            tsg::SecretSource::Fpu,
+            DelayMechanism::DelayedException,
+            Channel::PrimeProbe,
+        );
         let s = p.to_string();
         assert!(s.contains("FPU"));
         assert!(s.contains("Prime+Probe"));
-        assert!(p.known_variant().is_none(), "channel substitution = new");
+        assert!(
+            p.known_variants().next().is_none(),
+            "channel substitution = new"
+        );
     }
 }

@@ -15,7 +15,7 @@
 //!    [`FaultPlan`] it counts writes and injects exactly one fault at the
 //!    planned index, then behaves as if the process had died: every later
 //!    write fails.
-//! 2. [`crash_sweep`] — the harness: run a workload once fault-free to learn
+//! 2. `crash_sweep` — the harness: run a workload once fault-free to learn
 //!    its write count `W` and oracle output, then re-run it `W` times, each
 //!    time crashing at a different write index `k`, resuming, and asserting
 //!    the recovered output is bit-identical to the oracle. Two workloads
@@ -245,7 +245,7 @@ pub fn arm(plan: FaultPlan) -> ArmedFault {
 }
 
 /// Arm in observation-only mode: writes are counted (see
-/// [`ArmedFault::writes`]) but never fail. Used by [`crash_sweep`] to learn a
+/// [`ArmedFault::writes`]) but never fail. Used by `crash_sweep` to learn a
 /// workload's write count before sweeping it.
 #[must_use]
 pub fn observe() -> ArmedFault {
@@ -301,10 +301,10 @@ impl fmt::Display for CrashedProcess {
 impl Error for CrashedProcess {}
 
 /// Whether an I/O error was injected by this module (as opposed to a real
-/// filesystem failure). Lets harness code distinguish "the planned fault
-/// fired" from "something actually broke".
-#[must_use]
-pub fn is_injected(err: &io::Error) -> bool {
+/// filesystem failure): "the planned fault fired", not "something actually
+/// broke".
+#[cfg(test)]
+fn is_injected(err: &io::Error) -> bool {
     err.get_ref()
         .is_some_and(|inner| inner.is::<InjectedFault>() || inner.is::<CrashedProcess>())
 }
@@ -363,7 +363,7 @@ fn next_action() -> WriteAction {
 /// # Errors
 ///
 /// Real filesystem errors from creating, writing or renaming the temporary
-/// file, or an injected error ([`is_injected`]) when an armed plan fires.
+/// file, or an injected error (`is_injected`) when an armed plan fires.
 pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
     let path = path.as_ref();
     match next_action() {
@@ -405,7 +405,7 @@ fn plain_atomic(path: &Path, contents: &str) -> io::Result<()> {
 // Crash sweep
 // ---------------------------------------------------------------------------
 
-/// Result of a full [`crash_sweep`]: how many write points were swept and
+/// Result of a full `crash_sweep`: how many write points were swept and
 /// how many injected faults actually fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepReport {
@@ -439,7 +439,7 @@ pub struct SweepReport {
 /// A message naming the failing write index and fault kind when any sweep
 /// case diverges from the oracle (or when oracle/resume runs themselves
 /// fail).
-pub fn crash_sweep<E: fmt::Display>(
+fn crash_sweep<E: fmt::Display>(
     seed: u64,
     mut fresh: impl FnMut() -> Result<(), E>,
     mut attempt: impl FnMut() -> Result<Vec<u8>, E>,
@@ -510,7 +510,7 @@ fn intact_chunks(ckpt: &Path) -> usize {
         .count()
 }
 
-/// [`crash_sweep`] over a checkpointed [`Scheduler`] run of `spec` (one
+/// `crash_sweep` over a checkpointed [`Scheduler`] run of `spec` (one
 /// worker, 2-task chunks, checkpoints in `dir/ckpt`, final matrix written
 /// to `dir/matrix.json`). `dir` is a scratch workspace the sweep wipes.
 ///
@@ -520,7 +520,7 @@ fn intact_chunks(ckpt: &Path) -> usize {
 ///
 /// # Errors
 ///
-/// The [`crash_sweep`] message of the first failing write index.
+/// The `crash_sweep` message of the first failing write index.
 pub fn sweep_scheduler(spec: &CampaignSpec, dir: &Path, seed: u64) -> Result<SweepReport, String> {
     let ckpt = dir.join("ckpt");
     let out = dir.join("matrix.json");
@@ -562,7 +562,7 @@ pub fn sweep_scheduler(spec: &CampaignSpec, dir: &Path, seed: u64) -> Result<Swe
     )
 }
 
-/// [`crash_sweep`] over a fuzz run of `cfg` whose corpus lives in `dir`, a
+/// `crash_sweep` over a fuzz run of `cfg` whose corpus lives in `dir`, a
 /// scratch workspace the sweep wipes.
 ///
 /// Every resume must re-classify exactly the candidates the surviving
@@ -571,7 +571,7 @@ pub fn sweep_scheduler(spec: &CampaignSpec, dir: &Path, seed: u64) -> Result<Swe
 ///
 /// # Errors
 ///
-/// The [`crash_sweep`] message of the first failing write index.
+/// The `crash_sweep` message of the first failing write index.
 pub fn sweep_fuzz(cfg: &FuzzConfig, dir: &Path, seed: u64) -> Result<SweepReport, String> {
     let run = || {
         let report = fuzz::fuzz(cfg, Some(dir)).map_err(|e| e.to_string())?;
@@ -648,8 +648,7 @@ impl PanickingAttack {
     }
 
     /// Whether the next simulation will panic.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
+    fn is_armed(&self) -> bool {
         self.armed.load(Ordering::SeqCst)
     }
 }

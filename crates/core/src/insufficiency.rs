@@ -147,7 +147,11 @@ impl Attack for MeltdownL1Hit {
             impact: "Bypasses memory-path-only Meltdown defenses (§V-B)",
             authorization: "Kernel privilege check",
             illegal_access: "Read from cache",
-            class: attacks::AttackClass::Meltdown,
+            point: attacks::AttackPoint::new(
+                SecretSource::Cache,
+                attacks::DelayMechanism::DelayedException,
+                attacks::Channel::FlushReload,
+            ),
         }
     }
 

@@ -70,7 +70,7 @@ pub mod prelude {
         self, Agreement, Combo, Corpus, DualOracle, FuzzConfig, FuzzError, FuzzReport, Scenario,
         SynthesizedRegistry,
     };
-    pub use crate::discovery::{self, AttackPoint, Channel, DelayMechanism, SecretSourceDim};
+    pub use crate::discovery::{self, AttackPoint, Channel, DelayMechanism};
     pub use crate::fault::{self, ArmedFault, FaultKind, FaultPlan, PanickingAttack, SweepReport};
     pub use crate::scenario::{self, Evaluation};
     pub use crate::serve::{

@@ -57,7 +57,10 @@ impl From<TsgError> for PatchError {
 ///   mis-training setup's influence — represented by the `Security` edge
 ///   from the flush node to the mistrain node's successors).
 ///
-/// Returns the number of security edges inserted.
+/// Returns the number of security edges inserted. An edge whose target
+/// already reaches the authorization (an authorization that reads the
+/// accessed value) would close a cycle, so it is skipped: the dependency
+/// stays violated and [`SecurityAnalysis::vulnerabilities`] reports it.
 ///
 /// # Errors
 ///
@@ -103,8 +106,11 @@ pub fn patch_strategy(sa: &mut SecurityAnalysis, strategy: Strategy) -> Result<u
     let mut inserted = 0;
     for &a in &auths {
         for &t in &targets {
-            sa.graph_mut().add_edge(a, t, EdgeKind::Security)?;
-            inserted += 1;
+            match sa.graph_mut().add_edge(a, t, EdgeKind::Security) {
+                Ok(_) => inserted += 1,
+                Err(TsgError::WouldCycle { .. }) => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
     Ok(inserted)
@@ -114,6 +120,7 @@ pub fn patch_strategy(sa: &mut SecurityAnalysis, strategy: Strategy) -> Result<u
 mod tests {
     use super::*;
     use attacks::Attack;
+    use tsg::SecretSource;
 
     /// Whether the declared (access/use/send) requirement of the given node
     /// kind still races after patching.
@@ -167,6 +174,28 @@ mod tests {
         // The flush precedes the authorization.
         let auth = sa.graph().nodes_of_kind(NodeKind::is_authorization)[0];
         assert!(sa.graph().has_path(flush, auth).unwrap());
+    }
+
+    #[test]
+    fn an_edge_that_would_close_a_cycle_is_skipped_and_the_race_stays() {
+        // An authorization that reads the accessed value: access → auth.
+        let mut sa = SecurityAnalysis::new();
+        let g = sa.graph_mut();
+        let access = g.add_node("access", NodeKind::SecretAccess(SecretSource::Memory));
+        let auth = g.add_node("auth", NodeKind::Authorization);
+        g.add_edge(access, auth, EdgeKind::Data).unwrap();
+        sa.require(auth, access).unwrap();
+        let mut patched = sa.clone();
+        assert_eq!(patch_strategy(&mut patched, Strategy::PreventAccess), Ok(0));
+        assert!(!patched.is_secure().unwrap());
+        // A ① defense's graph verdict (`DefenseStack::graph_sufficient`).
+        let defense = crate::registry()
+            .iter()
+            .find(|d| d.strategy == Strategy::PreventAccess)
+            .unwrap();
+        let stack = crate::DefenseStack::single(*defense);
+        let verdict = crate::session::graph_verdict(&mut sa, &stack);
+        assert_eq!(verdict.unwrap(), Some(false));
     }
 
     #[test]

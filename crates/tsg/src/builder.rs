@@ -82,7 +82,7 @@ impl TsgBuilder {
     ///
     /// [`TsgError::UnknownNode`] (with a placeholder id) if the label is not
     /// declared. The placeholder refers to the would-be next node index.
-    pub fn id_of(&self, label: &str) -> Result<NodeId, TsgError> {
+    fn id_of(&self, label: &str) -> Result<NodeId, TsgError> {
         self.by_label
             .get(label)
             .copied()

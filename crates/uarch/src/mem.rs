@@ -57,8 +57,8 @@ impl Memory {
     }
 
     /// Number of non-zero words stored.
-    #[must_use]
-    pub fn populated_words(&self) -> usize {
+    #[cfg(test)]
+    fn populated_words(&self) -> usize {
         self.lines
             .values()
             .map(|l| l.iter().filter(|&&w| w != 0).count())

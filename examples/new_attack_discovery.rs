@@ -19,8 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("published variants and their coordinates:");
     for p in &space {
-        if let Some(name) = p.known_variant() {
-            println!("  {:55} -> {}", p.to_string(), name);
+        let names: Vec<&str> = p.known_variants().collect();
+        if !names.is_empty() {
+            println!("  {:55} -> {}", p.to_string(), names.join(", "));
         }
     }
 
@@ -47,15 +48,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("strategy ① secures candidate 0: {}", novel[0]);
 
     // A DOT rendering of one novel point, ready for `dot -Tpdf`:
-    let p = discovery::AttackPoint {
-        source: discovery::SecretSourceDim::FpuState,
-        delay: discovery::DelayMechanism::TransactionAbort,
-        channel: discovery::Channel::PrimeProbe,
-    };
+    let p = discovery::AttackPoint::new(
+        SecretSource::Fpu,
+        discovery::DelayMechanism::TransactionAbort,
+        discovery::Channel::PrimeProbe,
+    );
     println!(
         "\nattack graph for '{}' (novel: {}):\n{}",
         p,
-        p.known_variant().is_none(),
+        p.known_variants().next().is_none(),
         p.graph().graph().to_dot("novel attack candidate")
     );
     Ok(())

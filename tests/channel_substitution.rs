@@ -93,13 +93,13 @@ fn spectre_v1_leaks_through_prime_probe() {
 
 #[test]
 fn prime_probe_variant_is_a_novel_point_in_the_design_space() {
-    let p = discovery::AttackPoint {
-        source: discovery::SecretSourceDim::ArchitecturalMemory,
-        delay: discovery::DelayMechanism::ConditionalBranch,
-        channel: discovery::Channel::PrimeProbe,
-    };
+    let p = discovery::AttackPoint::new(
+        SecretSource::ArchitecturalMemory,
+        discovery::DelayMechanism::ConditionalBranch,
+        discovery::Channel::PrimeProbe,
+    );
     // Not in the published Flush+Reload catalog…
-    assert!(p.known_variant().is_none());
+    assert_eq!(p.known_variants().next(), None);
     // …but its attack graph races all the same.
     assert_eq!(p.graph().vulnerabilities().unwrap().len(), 3);
 }

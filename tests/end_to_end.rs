@@ -51,7 +51,7 @@ fn spectre_type_attacks_mispredict_meltdown_type_fault() {
     // Insight 6: the two families differ in where the authorization lives.
     for attack in attacks::registry() {
         let info = attack.info();
-        match info.class {
+        match info.class() {
             AttackClass::Spectre => {
                 // Spectre-type authorizations are resolutions of predicted
                 // control/data flow.

@@ -64,12 +64,38 @@ fn strategies_2_and_3_leave_the_access_race_but_close_the_leak_path() {
 }
 
 #[test]
+fn every_registry_attack_sits_at_a_known_point_its_graph_reads() {
+    // §V-A: the point's source is the one the graph's secret access reads.
+    for attack in attacks::registry() {
+        let (info, sa) = (attack.info(), attack.graph());
+        let kinds: Vec<NodeKind> = sa.graph().nodes().map(|n| n.kind()).collect();
+        assert!(
+            kinds.contains(&NodeKind::SecretAccess(info.point.source)),
+            "{}",
+            info.name
+        );
+        assert!(kinds.contains(&NodeKind::Authorization), "{}", info.name);
+        assert!(info.point.known_variants().any(|name| name == info.name));
+    }
+}
+
+#[test]
+fn the_fuzzers_known_points_are_the_five_executable_registry_points() {
+    let names: Vec<&str> = fuzz::Combo::all()
+        .iter()
+        .filter_map(|c| c.known_variants().next())
+        .collect();
+    let want = "Spectre v1, Spectre v2, Spectre-RSB, Meltdown, Spectre v3a";
+    assert_eq!(names.join(", "), want);
+}
+
+#[test]
 fn meltdown_type_graphs_decompose_one_instruction() {
     // Insight 6: Meltdown-type graphs contain the intra-instruction pair —
     // both the check and the read hang off the same load/register-access
     // instruction node.
     for attack in attacks::registry() {
-        if attack.info().class != AttackClass::Meltdown {
+        if attack.info().class() != AttackClass::Meltdown {
             continue;
         }
         let sa = attack.graph();

@@ -120,11 +120,11 @@ fn insight6_modeling_level_split() {
     use analyzer::{AnalysisConfig, Analyzer, GadgetClass};
     let spectre_count = attacks::registry()
         .iter()
-        .filter(|a| a.info().class == AttackClass::Spectre)
+        .filter(|a| a.info().class() == AttackClass::Spectre)
         .count();
     let meltdown_count = attacks::registry()
         .iter()
-        .filter(|a| a.info().class == AttackClass::Meltdown)
+        .filter(|a| a.info().class() == AttackClass::Meltdown)
         .count();
     // v1, v1.1, v1.2, v2, v4, RSB, Retbleed, BHI, Zenbleed, Inception
     assert_eq!(spectre_count, 10);
