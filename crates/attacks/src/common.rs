@@ -3,8 +3,9 @@
 
 use crate::{Attack, AttackError, AttackOutcome};
 use channels::flush_reload::{FlushReload, SLOT_STRIDE};
+use channels::Reading;
 use uarch::mmu::PageTable;
-use uarch::{Machine, TraceEvent, UarchConfig};
+use uarch::{Machine, TraceEvent, UarchConfig, UarchError};
 
 /// Probe array base for the Flush+Reload channel (step 1a).
 pub const PROBE_BASE: u64 = 0x100_0000;
@@ -60,7 +61,8 @@ pub fn check_event_log(m: &Machine) -> Result<(), AttackError> {
     }
 }
 
-/// Builds the outcome from the machine's event log and the channel verdict.
+/// Builds the outcome from the machine's event log and the Flush+Reload
+/// channel verdict.
 ///
 /// # Errors
 ///
@@ -71,8 +73,25 @@ pub fn finish(
     secret: u64,
     start_cycle: u64,
 ) -> Result<AttackOutcome, AttackError> {
+    finish_with(m, secret, start_cycle, |m| probe_channel().receive(m))
+}
+
+/// [`finish`] for any covert channel: checks the event log, takes the
+/// channel [`Reading`] from `receive`, and builds the outcome from the
+/// reading and the log's event counts.
+///
+/// # Errors
+///
+/// [`AttackError::EventLogOverflow`] if the event log dropped events;
+/// otherwise propagates [`AttackError`] from `receive`.
+pub fn finish_with(
+    m: &mut Machine,
+    secret: u64,
+    start_cycle: u64,
+    receive: impl FnOnce(&mut Machine) -> Result<Reading, UarchError>,
+) -> Result<AttackOutcome, AttackError> {
     check_event_log(m)?;
-    let reading = probe_channel().receive(m)?;
+    let reading = receive(m)?;
     let recovered = reading.recovered.map(|s| s as u64);
     let mut transient_forwards = 0;
     let mut squashes = 0;

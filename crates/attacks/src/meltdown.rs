@@ -15,26 +15,34 @@ use uarch::{ExceptionBehavior, Machine, Privilege};
 /// The MSR number whose content Spectre v3a steals.
 const TARGET_MSR: Msr = Msr(0x10);
 
-/// The Meltdown gadget of Listing 2: faulting kernel read, then transform
-/// and send. `r5` = kernel secret address, `r3` = probe base. The zero
-/// guard keeps the post-fault handler path from polluting the channel.
-fn meltdown_program() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
-        .load(Reg::R6, Reg::R5, 0) // authorize-and-access in one instruction
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE) // use
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0) // send
-        .label("done")?
-        .halt()
-        .build()?)
-}
-
 /// Meltdown: an unprivileged load of kernel memory transiently forwards
 /// the data before the page-privilege check (the delayed authorization)
 /// squashes it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Meltdown;
+
+impl Meltdown {
+    /// The Meltdown gadget of Listing 2: faulting kernel read, then
+    /// transform and send. `r5` = kernel secret address, `r3` = probe
+    /// base. The zero guard keeps the post-fault handler path from
+    /// polluting the channel.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::Isa`] if assembly fails (it cannot for this fixed
+    /// gadget).
+    pub fn program() -> Result<Program, AttackError> {
+        Ok(ProgramBuilder::new()
+            .load(Reg::R6, Reg::R5, 0) // authorize-and-access in one instruction
+            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
+            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE) // use
+            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
+            .load(Reg::R8, Reg::R7, 0) // send
+            .label("done")?
+            .halt()
+            .build()?)
+    }
+}
 
 impl Attack for Meltdown {
     fn info(&self) -> AttackInfo {
@@ -72,7 +80,7 @@ impl Attack for Meltdown {
             m.write_u64(KERNEL_SECRET, SECRET)?;
         }
         m.set_privilege(Privilege::User);
-        let program = meltdown_program()?;
+        let program = Meltdown::program()?;
         m.set_exception_behavior(ExceptionBehavior::Handler(
             program.label("done").expect("label exists"),
         ));
@@ -241,7 +249,7 @@ mod tests {
         let mut m = machine_with_channel(&UarchConfig::default()).unwrap();
         m.map_kernel_page(KERNEL_SECRET).unwrap();
         m.write_u64(KERNEL_SECRET, SECRET).unwrap();
-        let p = meltdown_program().unwrap();
+        let p = Meltdown::program().unwrap();
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
         let r = m.run(&p).unwrap();

@@ -93,9 +93,10 @@ SPEC (must be identical for every shard of one campaign):
                                delay-on-miss|invisispec|cleanup-spec|
                                flush-predictors|figure8|all
   --threads N        worker threads (default: all cores)
-  --retries N        retry a cell whose simulation panics N times (with
-                     backoff) before quarantining it as a typed degraded
-                     row instead of aborting the campaign (default: 0)
+  --retries N        retry a cell whose simulation panics N times (each on
+                     a fresh machine) before quarantining it as a typed
+                     degraded row instead of aborting the campaign
+                     (default: 0)
   --max-cell-cycles N  per-cell cycle budget: a simulation exceeding it
                      degrades to a typed timed-out row (graph verdicts
                      kept) instead of failing the run

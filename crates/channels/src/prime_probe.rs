@@ -67,22 +67,6 @@ impl PrimeProbe {
         self.prime_base + ((k as u64) * sets + (self.base_set + symbol) as u64) * LINE_SIZE
     }
 
-    /// The *sender's* address for symbol `i` given any sender-side buffer
-    /// base (page aligned): an address that maps to the same set the
-    /// receiver monitors for `i` (with this channel's set offset).
-    #[must_use]
-    pub fn sender_address_for(&self, sender_base: u64, i: usize) -> u64 {
-        assert_eq!(sender_base % 4096, 0, "sender buffer must be page aligned");
-        sender_base + ((self.base_set + i) as u64) * LINE_SIZE
-    }
-
-    /// [`PrimeProbe::sender_address_for`] with no set offset.
-    #[must_use]
-    pub fn sender_address(sender_base: u64, i: usize) -> u64 {
-        assert_eq!(sender_base % 4096, 0, "sender buffer must be page aligned");
-        sender_base + (i as u64) * LINE_SIZE
-    }
-
     /// Primes: fills every monitored set with the receiver's own lines.
     ///
     /// # Errors
@@ -145,6 +129,17 @@ mod tests {
     use crate::flush_reload::FlushReload;
     use uarch::UarchConfig;
 
+    impl PrimeProbe {
+        /// The *sender's* address for symbol `i` given any sender-side
+        /// buffer base (page aligned): an address that maps to the same
+        /// set the receiver monitors for `i` (with this channel's set
+        /// offset).
+        fn sender_address(&self, sender_base: u64, i: usize) -> u64 {
+            assert_eq!(sender_base % 4096, 0, "sender buffer must be page aligned");
+            sender_base + ((self.base_set + i) as u64) * LINE_SIZE
+        }
+    }
+
     #[test]
     fn roundtrip_recovers_symbol() {
         let mut m = Machine::new(UarchConfig::default());
@@ -153,7 +148,7 @@ mod tests {
             ch.prime(&mut m).unwrap();
             // Sender (no shared memory with receiver) touches its own line
             // that maps to monitored set `sym`.
-            let sender = PrimeProbe::sender_address(0x80_0000, sym);
+            let sender = ch.sender_address(0x80_0000, sym);
             m.map_user_page(sender).unwrap();
             m.timed_read(sender).unwrap();
             let r = ch.probe(&mut m).unwrap();
@@ -182,7 +177,7 @@ mod tests {
         let start = m.cycle();
         for &sym in &message {
             pp.prime(&mut m).unwrap();
-            let sender = pp.sender_address_for(0x80_0000, sym);
+            let sender = pp.sender_address(0x80_0000, sym);
             m.map_user_page(sender).unwrap();
             m.timed_read(sender).unwrap();
             assert_eq!(pp.probe(&mut m).unwrap().recovered, Some(sym));
@@ -212,8 +207,9 @@ mod tests {
 
     #[test]
     fn sender_addresses_stride_by_line() {
+        let ch = PrimeProbe::new(0x40_0000, 4);
         assert_eq!(
-            PrimeProbe::sender_address(0x1000, 1) - PrimeProbe::sender_address(0x1000, 0),
+            ch.sender_address(0x1000, 1) - ch.sender_address(0x1000, 0),
             LINE_SIZE
         );
     }
@@ -223,7 +219,7 @@ mod tests {
         let mut m = Machine::new(UarchConfig::default());
         let ch = PrimeProbe::with_base_set(0x40_0000, 4, 16);
         ch.prime(&mut m).unwrap();
-        let sender = ch.sender_address_for(0x80_0000, 2); // set 18
+        let sender = ch.sender_address(0x80_0000, 2); // set 18
         m.map_user_page(sender).unwrap();
         m.timed_read(sender).unwrap();
         let r = ch.probe(&mut m).unwrap();

@@ -113,7 +113,6 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
-use std::thread;
 use uarch::UarchConfig;
 
 /// Schema version stamped on every matrix, part, and checkpoint document
@@ -519,8 +518,8 @@ pub struct CampaignSpec {
     pub configs: Vec<NamedConfig>,
     /// Worker threads; `0` means "all available parallelism".
     pub threads: usize,
-    /// Worker-failure policy: panic retries, backoff, and timeout
-    /// degradation. Like [`threads`](Self::threads), excluded from
+    /// Worker-failure policy: panic retries and timeout degradation.
+    /// Like [`threads`](Self::threads), excluded from
     /// [`fingerprint`](Self::fingerprint) — it changes how failures are
     /// handled, never what a successful cell evaluates to.
     pub resilience: Resilience,
@@ -529,28 +528,16 @@ pub struct CampaignSpec {
 /// How the campaign engine handles failing workers — the LHCb-on-HPC
 /// posture: workers are *expected* to fail; the campaign completes anyway
 /// with typed, degraded rows rather than aborting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Resilience {
     /// How many times a panicking cell is retried (on a fresh machine)
     /// before it is quarantined as [`CellOutcome::Quarantined`]. `0`
     /// quarantines on the first panic.
     pub retries: u32,
-    /// Sleep between panic retries, scaled linearly by attempt number.
-    pub backoff: std::time::Duration,
     /// When set, a cell that exhausts its [`UarchConfig::max_cycles`]
     /// budget degrades to [`CellOutcome::TimedOut`] instead of failing the
     /// run — the runaway-cell watchdog.
     pub degrade_timeouts: bool,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Resilience {
-            retries: 0,
-            backoff: std::time::Duration::from_millis(10),
-            degrade_timeouts: false,
-        }
-    }
 }
 
 /// How a cell's simulation concluded. `Ok` rows carry machine truth;
@@ -1279,7 +1266,7 @@ pub(crate) fn panic_reason(payload: &dyn std::any::Any) -> String {
 }
 
 /// Runs `attack` on `config` on a warm machine under `policy`: panics are
-/// caught and retried with backoff on a fresh machine (the old one may be
+/// caught and retried at once on a fresh machine (the old one may be
 /// poisoned mid-simulation), then quarantined; cycle-budget exhaustion
 /// degrades to [`CellOutcome::TimedOut`] when the watchdog is enabled.
 /// Non-timeout simulator errors keep their existing fail-the-run
@@ -1311,9 +1298,6 @@ pub(crate) fn simulate(
                     }));
                 }
                 attempt += 1;
-                if !policy.backoff.is_zero() {
-                    thread::sleep(policy.backoff * attempt);
-                }
             }
         }
     }

@@ -21,7 +21,7 @@ use channels::prime_probe::PrimeProbe;
 use isa::{Program, ProgramBuilder, Reg};
 use std::sync::Arc;
 use tsg::{SecretSource, SecurityAnalysis};
-use uarch::{ExceptionBehavior, Machine, Privilege, TraceEvent, UarchConfig};
+use uarch::{ExceptionBehavior, Machine, Privilege, UarchConfig};
 
 /// Why the graph predicts a leak the simulation does not reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -310,32 +310,11 @@ impl ChannelDriver {
         secret: u64,
         start_cycle: u64,
     ) -> Result<AttackOutcome, AttackError> {
-        if !self.prime_probe {
-            return common::finish(m, secret, start_cycle);
+        if self.prime_probe {
+            common::finish_with(m, secret, start_cycle, |m| self.receiver().probe(m))
+        } else {
+            common::finish(m, secret, start_cycle)
         }
-        common::check_event_log(m)?;
-        let reading = self.receiver().probe(m)?;
-        let recovered = reading.recovered.map(|s| s as u64);
-        let mut transient_forwards = 0;
-        let mut squashes = 0;
-        let mut defense_blocks = 0;
-        for e in m.events() {
-            match e {
-                TraceEvent::TransientForward { .. } => transient_forwards += 1,
-                TraceEvent::Squash { .. } => squashes += 1,
-                TraceEvent::DefenseBlocked { .. } => defense_blocks += 1,
-                _ => {}
-            }
-        }
-        Ok(AttackOutcome {
-            secret,
-            recovered,
-            leaked: recovered == Some(secret),
-            transient_forwards,
-            squashes,
-            defense_blocks,
-            cycles: m.cycle() - start_cycle,
-        })
     }
 }
 

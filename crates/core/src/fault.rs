@@ -93,43 +93,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Crash immediately after write `k` completes.
-    #[must_use]
-    pub fn crash_after(k: usize) -> Self {
-        FaultPlan {
-            kind: FaultKind::CrashAfterWrite,
-            at: k,
-        }
-    }
-
-    /// Tear write `k`: only a prefix reaches the destination.
-    #[must_use]
-    pub fn torn(k: usize) -> Self {
-        FaultPlan {
-            kind: FaultKind::TornWrite,
-            at: k,
-        }
-    }
-
-    /// Fail write `k` with an out-of-space error, leaving no trace on disk.
-    #[must_use]
-    pub fn enospc(k: usize) -> Self {
-        FaultPlan {
-            kind: FaultKind::Enospc,
-            at: k,
-        }
-    }
-
-    /// Write the temporary file for write `k` but never rename it over the
-    /// destination.
-    #[must_use]
-    pub fn failed_rename(k: usize) -> Self {
-        FaultPlan {
-            kind: FaultKind::FailedRename,
-            at: k,
-        }
-    }
-
     /// A seeded plan for write `k`: the fault kind is chosen by hashing
     /// `(seed, k)`, so a sweep over `k = 0..writes` with a fixed seed
     /// exercises a deterministic, replayable mix of all four kinds.
@@ -677,6 +640,12 @@ impl Attack for PanickingAttack {
 mod tests {
     use super::*;
 
+    /// A single-kind plan for the per-kind tests; the sweeps use
+    /// [`FaultPlan::seeded`].
+    fn plan(kind: FaultKind, at: usize) -> FaultPlan {
+        FaultPlan { kind, at }
+    }
+
     fn dir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("specgraph-fault-{}", std::process::id()));
         fs::create_dir_all(&d).unwrap();
@@ -715,7 +684,7 @@ mod tests {
         // Torn write: destination holds a strict prefix.
         let torn = d.join("torn.json");
         {
-            let _g = arm(FaultPlan::torn(0));
+            let _g = arm(plan(FaultKind::TornWrite, 0));
             let err = write_atomic(&torn, payload).unwrap_err();
             assert!(is_injected(&err), "{err}");
         }
@@ -725,7 +694,7 @@ mod tests {
         // ENOSPC: destination untouched.
         let gone = d.join("enospc.json");
         {
-            let _g = arm(FaultPlan::enospc(0));
+            let _g = arm(plan(FaultKind::Enospc, 0));
             assert!(write_atomic(&gone, payload).is_err());
         }
         assert!(!gone.exists());
@@ -733,7 +702,7 @@ mod tests {
         // Failed rename: tmp present, destination absent.
         let lost = d.join("lost.json");
         {
-            let _g = arm(FaultPlan::failed_rename(0));
+            let _g = arm(plan(FaultKind::FailedRename, 0));
             assert!(write_atomic(&lost, payload).is_err());
         }
         assert!(!lost.exists());
@@ -743,7 +712,7 @@ mod tests {
         let last = d.join("last.json");
         let after = d.join("after.json");
         {
-            let g = arm(FaultPlan::crash_after(0));
+            let g = arm(plan(FaultKind::CrashAfterWrite, 0));
             write_atomic(&last, payload).unwrap();
             let err = write_atomic(&after, payload).unwrap_err();
             assert!(is_injected(&err));
@@ -775,7 +744,7 @@ mod tests {
     fn armed_scope_spans_executor_workers_but_not_other_threads() {
         let d = dir().join("scope");
         fs::create_dir_all(&d).unwrap();
-        let g = arm(FaultPlan::enospc(4));
+        let g = arm(plan(FaultKind::Enospc, 4));
         // A thread the arming thread did not start through the executor
         // writes outside the plan: not counted, not faulted.
         let outsider = d.join("outsider.json");

@@ -12,6 +12,7 @@
 //! here.
 
 use attacks::common::{finish, machine_with_channel, KERNEL_SECRET, PROBE_BASE, SECRET};
+use attacks::meltdown::Meltdown;
 use attacks::{Attack, AttackError, AttackOutcome};
 use isa::Reg;
 use tsg::{EdgeKind, NodeKind, SecretSource, SecurityAnalysis};
@@ -51,21 +52,7 @@ fn run_meltdown_with_residency_in(
         m.touch(KERNEL_SECRET)?;
     }
     m.set_privilege(Privilege::User);
-    // Reuse the canonical Meltdown gadget via its public program shape.
-    let program = {
-        use isa::{AluOp, Cond, ProgramBuilder};
-        ProgramBuilder::new()
-            .load(Reg::R6, Reg::R5, 0)
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, attacks::common::PROBE_STRIDE)
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0)
-            .label("done")
-            .map_err(AttackError::Isa)?
-            .halt()
-            .build()
-            .map_err(AttackError::Isa)?
-    };
+    let program = Meltdown::program()?;
     m.set_exception_behavior(ExceptionBehavior::Handler(
         program.label("done").expect("label exists"),
     ));

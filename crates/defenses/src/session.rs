@@ -47,14 +47,7 @@ impl PatchSession {
     /// checkpoints — the one-time cost every later candidate amortizes.
     #[must_use]
     pub fn new(attack: &dyn Attack) -> Self {
-        Self::from_analysis(attack.graph())
-    }
-
-    /// Wraps an already-built analysis — e.g. one lifted from a generated
-    /// program by `analyzer::lift` — forcing its closure and
-    /// checkpointing exactly like [`PatchSession::new`].
-    #[must_use]
-    pub fn from_analysis(analysis: SecurityAnalysis) -> Self {
+        let analysis = attack.graph();
         // Force the closure *before* checkpointing so every rollback
         // restores a warm index.
         let _ = analysis.graph().reachability();

@@ -94,15 +94,6 @@ impl SecurityAnalysis {
         Self::default()
     }
 
-    /// Wraps an existing graph (with no requirements yet).
-    #[must_use]
-    pub fn from_graph(graph: Tsg) -> Self {
-        SecurityAnalysis {
-            graph,
-            requirements: Vec::new(),
-        }
-    }
-
     /// The underlying attack graph.
     #[must_use]
     pub fn graph(&self) -> &Tsg {

@@ -18,7 +18,9 @@ use std::sync::OnceLock;
 /// neither can reach the other.
 ///
 /// The graph rejects edge insertions that would create a cycle, so it is a
-/// DAG by construction.
+/// DAG by construction. It is also grow-only: nodes and edges are only ever
+/// appended, and [`Tsg::rollback`] to a [`Tsg::checkpoint`] is the one way
+/// to take them away again.
 ///
 /// ```
 /// use tsg::{Tsg, NodeKind, EdgeKind};
@@ -42,11 +44,11 @@ pub struct Tsg {
     succ: Vec<Vec<u32>>,
     /// Incoming adjacency: `pred[v]` lists edge indices entering `v`.
     pred: Vec<Vec<u32>>,
-    /// Lazily built transitive closure. Two-tier maintenance: an edge
-    /// insertion into an already-built index updates it in place
-    /// ([`ReachabilityIndex::insert_edge`]); node additions and
-    /// [`Tsg::strip_edges`] clear it and the next query pays a full
-    /// rebuild.
+    /// Lazily built transitive closure, maintained on exactly three paths:
+    /// an edge insertion into an already-built index updates it in place
+    /// ([`ReachabilityIndex::insert_edge`]); a node addition drops it and
+    /// the next query pays a full build; [`Tsg::rollback`] restores the
+    /// checkpoint's snapshot.
     reach: OnceLock<ReachabilityIndex>,
 }
 
@@ -188,28 +190,26 @@ impl Tsg {
     /// becomes the cached index again — so a patch/rollback cycle never
     /// pays a closure rebuild.
     ///
-    /// Only growth is undoable: the graph must not have been through
-    /// [`Tsg::strip_edges`] since the checkpoint (edge ids are renumbered
-    /// there, so the checkpoint no longer describes a prefix).
+    /// The graph is grow-only, so a checkpoint always describes a prefix
+    /// of its nodes and edges.
     ///
     /// # Panics
     ///
     /// Panics if the checkpoint is newer than the graph (more nodes or
-    /// edges than currently present); debug builds additionally catch a
-    /// checkpoint invalidated by `strip_edges`.
+    /// edges than currently present).
     pub fn rollback(&mut self, cp: &TsgCheckpoint) {
         assert!(
             cp.nodes <= self.nodes.len() && cp.edges <= self.edges.len(),
             "checkpoint is newer than the graph"
         );
-        // Edges are append-only between checkpoint and rollback, so each
-        // endpoint's adjacency entries for removed edges form a suffix.
+        // Edges are append-only, so each endpoint's adjacency entries for
+        // the removed edges form a suffix.
         for k in (cp.edges..self.edges.len()).rev() {
             let e = self.edges[k];
             let out = self.succ[e.from.index()].pop();
-            debug_assert_eq!(out, Some(e.id.0), "graph stripped since checkpoint");
+            debug_assert_eq!(out, Some(e.id.0), "adjacency is not append-only");
             let inc = self.pred[e.to.index()].pop();
-            debug_assert_eq!(inc, Some(e.id.0), "graph stripped since checkpoint");
+            debug_assert_eq!(inc, Some(e.id.0), "adjacency is not append-only");
         }
         self.edges.truncate(cp.edges);
         self.nodes.truncate(cp.nodes);
@@ -303,17 +303,17 @@ impl Tsg {
     }
 
     /// The graph's transitive closure, built on first use and then kept
-    /// current by a two-tier cache: [`Tsg::add_edge`] folds the new edge
-    /// into the index in place ([`ReachabilityIndex::insert_edge`]), while
-    /// [`Tsg::add_node`] and [`Tsg::strip_edges`] clear it so the next
-    /// query pays a full rebuild.
+    /// current: [`Tsg::add_edge`] folds the new edge into the index in
+    /// place ([`ReachabilityIndex::insert_edge`]), [`Tsg::add_node`] clears
+    /// it so the next query pays a full build, and [`Tsg::rollback`]
+    /// restores the checkpoint's snapshot.
     ///
     /// All query APIs ([`Tsg::has_path`], [`Tsg::has_race`],
-    /// [`Tsg::races_among`], [`Tsg::all_races`], the security-dependency
-    /// analysis) share this one index; matrix-style workloads that ask many
-    /// verdicts of the same graph therefore pay one closure build total —
-    /// and patch-heavy workloads that *mutate* between verdicts no longer
-    /// pay one rebuild per patch.
+    /// [`Tsg::all_races`], the security-dependency analysis) share this
+    /// one index; matrix-style workloads that ask many verdicts of the
+    /// same graph therefore pay one closure build total — and patch-heavy
+    /// workloads that *mutate* between verdicts no longer pay one rebuild
+    /// per patch.
     #[must_use]
     pub fn reachability(&self) -> &ReachabilityIndex {
         self.reach.get_or_init(|| ReachabilityIndex::build(self))
@@ -459,42 +459,6 @@ impl Tsg {
             .map(move |&ei| self.edges[ei as usize].to.index())
     }
 
-    /// Removes every edge of the given kind, returning how many were removed.
-    ///
-    /// Useful for ablation: e.g. strip all [`EdgeKind::Security`] edges to
-    /// recover the undefended baseline graph.
-    pub fn strip_edges(&mut self, kind: EdgeKind) -> usize {
-        let keep: Vec<Edge> = self
-            .edges
-            .iter()
-            .filter(|e| e.kind != kind)
-            .copied()
-            .collect();
-        let removed = self.edges.len() - keep.len();
-        if removed == 0 {
-            return 0;
-        }
-        self.rebuild(keep);
-        removed
-    }
-
-    fn rebuild(&mut self, kept: Vec<Edge>) {
-        self.reach.take();
-        self.edges.clear();
-        for s in &mut self.succ {
-            s.clear();
-        }
-        for p in &mut self.pred {
-            p.clear();
-        }
-        for (i, mut e) in kept.into_iter().enumerate() {
-            e.id = EdgeId(i as u32);
-            self.succ[e.from.index()].push(e.id.0);
-            self.pred[e.to.index()].push(e.id.0);
-            self.edges.push(e);
-        }
-    }
-
     pub(crate) fn check_node(&self, id: NodeId) -> Result<(), TsgError> {
         if id.index() < self.nodes.len() {
             Ok(())
@@ -618,21 +582,6 @@ mod tests {
             .collect();
         for e in g.edges() {
             assert!(pos[e.from().index()] < pos[e.to().index()]);
-        }
-    }
-
-    #[test]
-    fn strip_security_edges() {
-        let (mut g, a, b, _, d) = diamond();
-        g.add_edge(b, d, EdgeKind::Security).unwrap();
-        g.add_edge(a, d, EdgeKind::Security).unwrap();
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(g.strip_edges(EdgeKind::Security), 2);
-        assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.strip_edges(EdgeKind::Security), 0);
-        // Edge ids were compacted.
-        for (i, e) in g.edges().enumerate() {
-            assert_eq!(e.id().index(), i);
         }
     }
 

@@ -50,7 +50,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod builder;
 pub mod dot;
 mod edge;
 mod error;
@@ -61,9 +60,7 @@ mod node;
 pub mod ordering;
 pub mod race;
 pub mod reach;
-pub mod text;
 
-pub use builder::TsgBuilder;
 pub use edge::{Edge, EdgeId, EdgeKind};
 pub use error::TsgError;
 pub use fingerprint::shape_fingerprint;

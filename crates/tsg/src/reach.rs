@@ -11,8 +11,9 @@
 //! cached on the [`Tsg`].
 //!
 //! Mutation is two-tier. A full [`ReachabilityIndex::build`] is the oracle
-//! and the fallback after structural changes the incremental path does not
-//! cover (node additions, [`Tsg::strip_edges`](crate::Tsg::strip_edges)).
+//! and the fallback after the one structural change the incremental path
+//! does not cover: a node addition. (The graph is grow-only; rolling back
+//! to a checkpoint restores that checkpoint's snapshot of the index.)
 //! An *edge* insertion into an already-indexed graph — the patch-heavy
 //! campaign case: security-dependency edges applied and rolled back per
 //! candidate defense stack — updates the closure in place instead

@@ -1201,7 +1201,7 @@ impl Machine {
         let any_tainted = vals.iter().any(|&(_, t)| t);
         let now = self.cycle;
 
-        // STT (strategy ②, relaxed): *transmitters* with tainted operands
+        // STT (strategy ③, prevent send): *transmitters* with tainted operands
         // wait until they are non-speculative. Arithmetic on tainted data is
         // allowed — that is STT's performance advantage over NDA.
         let is_transmitter = matches!(

@@ -124,32 +124,6 @@ fn meltdown_type_graphs_decompose_one_instruction() {
 }
 
 #[test]
-fn text_serialization_roundtrips_every_catalog_graph() {
-    // The tool-interchange format preserves every figure's structure,
-    // kinds, and declared requirements.
-    for attack in attacks::registry() {
-        let sa = attack.graph();
-        let text = tsg::text::to_text(&sa);
-        let sa2 = tsg::text::from_text(&text).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e}
-{text}",
-                attack.info().name
-            )
-        });
-        assert_eq!(sa2.graph().node_count(), sa.graph().node_count());
-        assert_eq!(sa2.graph().edge_count(), sa.graph().edge_count());
-        assert_eq!(sa2.requirements(), sa.requirements());
-        assert_eq!(
-            sa2.vulnerabilities().unwrap().len(),
-            sa.vulnerabilities().unwrap().len(),
-            "{}: verdict must survive the round trip",
-            attack.info().name
-        );
-    }
-}
-
-#[test]
 fn dot_export_of_all_figures_is_renderable() {
     for attack in attacks::registry() {
         let dot = attack.graph().into_graph().to_dot(attack.info().name);
