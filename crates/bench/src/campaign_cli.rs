@@ -5,31 +5,31 @@
 //! campaign run    --axis hardening=figure8 --shard 0/2 --out part0.json
 //! campaign run    --axis hardening=figure8 --shard 1/2 --out part1.json
 //! campaign merge  part0.json part1.json --out matrix.json
-//! campaign render --figure8 matrix.json --csv fig8.csv --svg fig8.svg
-//! campaign run    --axis hardening=figure8 --incremental --prev matrix.json --out matrix.json
-//! campaign serve  --axis hardening=figure8 --threads 4 --checkpoint ckpt/ --out matrix.json
+//! campaign render matrix.json --csv fig8.csv --svg fig8.svg
+//! campaign run    --axis hardening=figure8 --prev matrix.json --out matrix.json
+//! campaign run    --axis hardening=figure8 --threads 4 --checkpoint ckpt/ --out matrix.json
 //! campaign query  matrix.json --queries batch.txt --simulate
-//! campaign fuzz   --seed 42 --budget 512 --corpus corpus/ --registry-out found.json
-//! campaign run    --synthesized found.json --axis hardening=figure8 --out matrix.json
+//! campaign fuzz   --seed 42 --budget 512 --corpus corpus/
+//! campaign run    --synthesized corpus/fuzz-corpus.json --axis hardening=figure8 --out matrix.json
 //! ```
 //!
-//! Every subcommand is a thin wrapper over `specgraph::campaign` (and,
-//! for `serve`/`query`, `specgraph::serve`): `run` evaluates a whole cube
-//! (or one `--shard i/n` slice, written as a [`CampaignPart`] file),
-//! `merge` validates and concatenates part files into a matrix
-//! (spec-fingerprint, shard-index and coverage mismatches are hard
-//! errors), and `render --figure8` regenerates the Figure-8 hardening
-//! heatmaps from a *saved* matrix with zero re-simulation. `serve` runs
-//! the cube on the resumable checkpointing scheduler — kill it mid-run
-//! and the next invocation resumes from the `--checkpoint` directory
-//! without re-simulating a single completed cell. `query` answers point
-//! lookups (`ATTACK | STACK | KNOBS` lines) from saved artifacts through
-//! the memoized [`VerdictStore`], optionally simulating misses. `fuzz`
-//! runs the §V-A discovery loop (`specgraph::discovery::fuzz`): a seeded
-//! generator over the design-space dimensions, the differential
-//! Theorem-1-vs-simulation oracle, and the shrinking minimizer; novel
-//! leaking shapes land in a [`SynthesizedRegistry`] file that
-//! `--synthesized` feeds back into any campaign as extra attack rows.
+//! Every subcommand is a thin wrapper over `specgraph::campaign` and
+//! `specgraph::serve`: `run` evaluates a whole cube on the [`Scheduler`]
+//! (or one `--shard i/n` slice, written as a [`CampaignPart`] file); with
+//! `--checkpoint` a killed run resumes from the checkpoint directory
+//! without re-simulating a single completed cell, and with `--prev` only
+//! the cells a saved matrix lacks are evaluated. `merge` validates and
+//! concatenates part files into a matrix (spec-fingerprint, shard-index
+//! and coverage mismatches are hard errors), and `render` regenerates the
+//! Figure-8 hardening heatmaps from a *saved* matrix with zero
+//! re-simulation. `query` answers point lookups (`ATTACK | STACK | KNOBS`
+//! lines) from saved artifacts through the memoized [`VerdictStore`],
+//! optionally simulating misses. `fuzz` runs the §V-A discovery loop
+//! (`specgraph::discovery::fuzz`): a seeded generator over the
+//! design-space dimensions, the differential Theorem-1-vs-simulation
+//! oracle, and the shrinking minimizer; novel leaking shapes land in the
+//! fuzz [`Corpus`] file, which `--synthesized` feeds back into any
+//! campaign as extra attack rows.
 //!
 //! Argument parsing is hand-rolled (the workspace builds offline, no
 //! `clap`), and lives here — in the library — so the integration tests
@@ -42,7 +42,7 @@ use specgraph::campaign::{
     MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
-use specgraph::discovery::fuzz::{self, CorpusError, FuzzConfig, FuzzError, SynthesizedRegistry};
+use specgraph::discovery::fuzz::{self, Corpus, CorpusError, FuzzConfig, FuzzError};
 use specgraph::fault::{self, PanickingAttack};
 use specgraph::serve::{
     AnswerSource, ScheduleReport, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS,
@@ -56,21 +56,19 @@ use uarch::UarchConfig;
 
 /// The usage text `campaign --help` (and every usage error) prints.
 pub const USAGE: &str = "\
-campaign — run, shard, merge, render, diff, serve, query, fuzz and
+campaign — run, shard, merge, render, diff, query, fuzz and
            fault-test attack×defense-stack×config campaigns
 
 USAGE:
-  campaign run    [SPEC] [--shard I/N] [--out FILE] [--csv FILE] [--progress]
-                  [--incremental --prev MATRIX.json]
+  campaign run    [SPEC] [--out FILE] [--csv FILE] [--progress]
+                  [--prev MATRIX.json] [--checkpoint DIR] [--chunk T]
+  campaign run    [SPEC] --shard I/N [--out FILE] [--progress]
   campaign merge  PART.json... --out FILE [--csv FILE]
-  campaign render --figure8 MATRIX.json [--csv FILE] [--svg FILE]
+  campaign render MATRIX.json [--csv FILE] [--svg FILE]
   campaign diff   OLD.json NEW.json
-  campaign serve  [SPEC] [--chunk T] [--checkpoint DIR] [--out FILE]
-                  [--csv FILE] [--progress]
   campaign query  ARTIFACT.json... [--queries FILE] [--simulate]
   campaign fuzz   [--seed N] [--budget N] [--corpus DIR] [--threads N]
-                  [--checkpoint-every N] [--minimize|--no-minimize]
-                  [--registry-out FILE]
+                  [--checkpoint-every N]
   campaign fault  sweep|sweep-fuzz|quarantine --dir DIR [--seed N]
                   [--retries N]
 
@@ -82,8 +80,8 @@ SPEC (must be identical for every shard of one campaign):
                      token or full name: kpti+retpoline+ibpb. Preset
                      bundles: linux-default, microcode-only, academic-stt,
                      academic-invisible.
-  --synthesized F    add the attacks of a fuzz-grown registry file
-                     (written by `campaign fuzz --registry-out`) to the
+  --synthesized F    add the findings of a fuzz corpus file (written by
+                     `campaign fuzz` as DIR/fuzz-corpus.json) to the
                      attack axis, after the named/registry rows
   --axis KNOB=V,V..  add a config axis (repeatable; axes multiply):
                      numeric: rob fetch issue sets ways lfb stbuf rsb
@@ -104,18 +102,17 @@ SPEC (must be identical for every shard of one campaign):
 
   `campaign run --shard I/N` writes shard I of N as a part file; run all
   N shards (any machines, any order), then `campaign merge` the parts —
-  the result is bit-identical to a single-process run. With
-  `--incremental --prev`, only cells whose fingerprint is absent from
-  the previous matrix are re-simulated. `campaign diff` compares two
-  saved matrices: verdict flips, baseline cycle deltas, added/removed
-  cells.
+  the result is bit-identical to a single-process run. With --prev,
+  only cells whose fingerprint is absent from the previous matrix are
+  re-simulated. `campaign diff` compares two saved matrices: verdict
+  flips, baseline cycle deltas, added/removed cells.
 
-  `campaign serve` runs the cube on a resumable scheduler: the cube
-  splits into --chunk T-task chunks, evaluated on --threads workers.
-  With --checkpoint DIR each chunk is written to disk as soon as its
-  last cell is done, and a killed run's next invocation resumes from
-  DIR, re-simulating zero completed cells — the final matrix is
-  bit-identical to `campaign run` either way.
+  A whole-cube `campaign run` splits the cube into --chunk T-task chunks
+  (default: one chunk, or 16 tasks with --checkpoint), evaluated on
+  --threads workers. With --checkpoint DIR each chunk is written to disk
+  as soon as its last cell is done, and a killed run's next invocation
+  resumes from DIR, re-simulating zero completed cells — the matrix is
+  bit-identical for every chunk size, thread count and resume.
 
   `campaign query` ingests saved matrices/parts/checkpoints into a
   memoized verdict store and answers one query per line from --queries
@@ -135,12 +132,13 @@ SPEC (must be identical for every shard of one campaign):
   deduplicated by graph fingerprint, shrunk to 1-minimal — are saved.
   The loop is deterministic for a given --seed (independent of
   --threads); with --corpus DIR the corpus persists and a re-run with a
-  larger --budget resumes where the last one stopped. --registry-out
-  writes the findings as a registry file for `run --synthesized`.
+  larger --budget resumes where the last one stopped. Without --corpus
+  the corpus document is printed to stdout. `run --synthesized` reads
+  the corpus file's findings as attack rows.
 
   `campaign fault` self-tests the pipeline's failure model inside --dir
   (a scratch workspace it wipes). `sweep` runs a seeded crash sweep over
-  a small checkpointed serve grid: every write index k in the run's
+  a small checkpointed grid: every write index k in the run's
   write sequence gets one pass with an injected fault (crash, torn
   write, ENOSPC, failed rename — chosen by --seed) at write #k, and the
   resumed output must be bit-identical to a fault-free run with zero
@@ -154,13 +152,8 @@ SPEC (must be identical for every shard of one campaign):
 /// tests assert on it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// `run` over the full cube (fresh or incremental).
-    Ran {
-        /// Tasks actually simulated.
-        evaluated: usize,
-        /// Tasks reused from `--prev` by fingerprint.
-        reused: usize,
-    },
+    /// `run` over the full cube (fresh, incremental or checkpointed).
+    Ran(ScheduleReport),
     /// `run --shard i/n`: one part evaluated.
     RanShard {
         /// Shard position.
@@ -198,15 +191,6 @@ pub enum Outcome {
         removed: usize,
         /// Whether the matrices are identical.
         identical: bool,
-    },
-    /// `serve`: the cube ran on the resumable checkpointing scheduler.
-    Served {
-        /// Chunks the cube was decomposed into.
-        chunks: usize,
-        /// Chunks restored from checkpoint files (zero re-simulation).
-        resumed: usize,
-        /// Chunks simulated by this invocation's workers.
-        executed: usize,
     },
     /// `query`: a batch of point queries was answered.
     Queried {
@@ -264,7 +248,7 @@ pub enum CliError {
     Serve(ServeError),
     /// The fuzzing loop failed (oracle, corpus I/O, or resume mismatch).
     Fuzz(FuzzError),
-    /// A synthesized-registry file could not be read or re-assembled.
+    /// A `--synthesized` fuzz corpus could not be read or re-assembled.
     Registry {
         /// The file involved.
         path: PathBuf,
@@ -362,13 +346,12 @@ pub fn main_with(args: &[String]) -> Result<Outcome, CliError> {
         Some("merge") => cmd_merge(&args[1..]),
         Some("render") => cmd_render(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("fault") => cmd_fault(&args[1..]),
         Some(other) => Err(CliError::Usage(format!(
             "unknown subcommand '{other}' (expected run, merge, render, diff, \
-             serve, query, fuzz or fault)"
+             query, fuzz or fault)"
         ))),
     }
 }
@@ -455,19 +438,14 @@ impl SpecArgs {
                 })?);
             }
             if let Some(path) = &self.synthesized {
-                let text = std::fs::read_to_string(path).map_err(|source| CliError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
-                let registry =
-                    SynthesizedRegistry::from_json(&text).map_err(|source| CliError::Registry {
+                let synthesized = std::fs::read_to_string(path)
+                    .map_err(CorpusError::Io)
+                    .and_then(|text| Corpus::from_json(&text)?.attacks())
+                    .map_err(|source| CliError::Registry {
                         path: path.clone(),
                         source,
                     })?;
-                list.extend(registry.attacks().map_err(|source| CliError::Registry {
-                    path: path.clone(),
-                    source,
-                })?);
+                list.extend(synthesized);
             }
             builder = builder.attacks(list);
         }
@@ -620,18 +598,20 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
     let mut shard: Option<(usize, usize)> = None;
     let mut out: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
-    let mut incremental = false;
     let mut progress = false;
     let mut prev: Option<PathBuf> = None;
+    let mut checkpoint: Option<PathBuf> = None;
+    let mut chunk: Option<usize> = None;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
             "--shard" => shard = Some(parse_shard(flags.value(flag)?)?),
             "--out" => out = Some(flags.path(flag)?),
             "--csv" => csv = Some(flags.path(flag)?),
-            "--incremental" => incremental = true,
             "--progress" => progress = true,
             "--prev" => prev = Some(flags.path(flag)?),
+            "--checkpoint" => checkpoint = Some(flags.path(flag)?),
+            "--chunk" => chunk = Some(flags.positive(flag, "task count")?),
             other => {
                 if !spec_args.take(other, &mut flags)? {
                     return Err(CliError::Usage(format!(
@@ -641,17 +621,11 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
             }
         }
     }
-    if incremental != prev.is_some() {
-        return Err(CliError::Usage(
-            "--incremental and --prev MATRIX.json go together".to_owned(),
-        ));
-    }
-    let spec = spec_args.build()?;
     if let Some((index, of)) = shard {
-        if incremental {
+        if prev.is_some() || checkpoint.is_some() || chunk.is_some() {
             return Err(CliError::Usage(
-                "--shard and --incremental do not combine; merge the parts, \
-                 then re-run incrementally against the merged matrix"
+                "--shard does not combine with --prev, --checkpoint or --chunk; \
+                 merge the parts, then re-run against the merged matrix"
                     .to_owned(),
             ));
         }
@@ -660,6 +634,7 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
                 "--csv applies to full matrices; merge the parts first".to_owned(),
             ));
         }
+        let spec = spec_args.build()?;
         // Within one shard the per-slice quota is range-dependent: report
         // milestone progress only.
         let printer = progress.then(|| ProgressPrinter::new(&spec, None));
@@ -676,32 +651,66 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
             spec.total_tasks(),
             part.spec_fingerprint(),
         );
-        Ok(Outcome::RanShard {
+        return Ok(Outcome::RanShard {
             index,
             of,
             tasks: part.len(),
-        })
-    } else {
-        let previous = prev.as_deref().map(load_matrix).transpose()?;
-        // Nothing is checkpointed, so one chunk covers the cube.
-        let report = run_cube(
-            &spec,
-            previous.as_ref(),
-            spec.total_tasks().max(1),
-            None,
-            out.as_deref(),
-            csv.as_deref(),
-            progress,
-        )?;
-        eprintln!(
-            "campaign: evaluated {} task(s), reused {} from the previous matrix",
-            report.evaluated, report.reused
-        );
-        Ok(Outcome::Ran {
-            evaluated: report.evaluated,
-            reused: report.reused,
-        })
+        });
     }
+    let spec = spec_args.build()?;
+    let previous = prev.as_deref().map(load_matrix).transpose()?;
+    // Unless chunks are checkpointed, one chunk covers the cube.
+    let chunk = chunk.unwrap_or(if checkpoint.is_some() {
+        DEFAULT_CHUNK_TASKS
+    } else {
+        spec.total_tasks().max(1)
+    });
+    // A fresh, checkpoint-free run evaluates every slice completely, so
+    // the per-slice quota is known. Reused and resumed tasks are silent,
+    // so otherwise fall back to milestone lines.
+    let per_slice = if previous.is_none() && checkpoint.is_none() {
+        spec.total_tasks().checked_div(spec.configs.len())
+    } else {
+        None
+    };
+    let printer = progress.then(|| ProgressPrinter::new(&spec, per_slice));
+    let observer = printer.as_ref().map(ProgressPrinter::observer);
+    let mut scheduler = Scheduler::new(&spec).chunk_tasks(chunk);
+    if let Some(f) = &observer {
+        scheduler = scheduler.progress(f);
+    }
+    if let Some(matrix) = &previous {
+        scheduler = scheduler.prev(matrix);
+    }
+    if let Some(dir) = &checkpoint {
+        scheduler = scheduler.checkpoint(dir);
+    }
+    let (matrix, report) = scheduler.run()?;
+    emit(out.as_deref(), &matrix.to_json())?;
+    if let Some(path) = &csv {
+        write_file(path, &matrix.to_csv())?;
+    }
+    describe_degraded(&matrix);
+    for repair in &report.repaired {
+        eprintln!(
+            "campaign: checkpoint {} was unusable ({}) — re-ran chunk {}",
+            repair.path.display(),
+            repair.reason,
+            repair.index,
+        );
+    }
+    if checkpoint.is_some() {
+        eprintln!(
+            "campaign: {} chunk(s) — resumed {} chunk(s) ({} task(s), 0 \
+             re-simulated), executed {}",
+            report.chunks, report.resumed, report.resumed_tasks, report.executed,
+        );
+    }
+    eprintln!(
+        "campaign: evaluated {} task(s), reused {} from the previous matrix",
+        report.evaluated, report.reused
+    );
+    Ok(Outcome::Ran(report))
 }
 
 fn cmd_diff(args: &[String]) -> Result<Outcome, CliError> {
@@ -755,9 +764,9 @@ fn summarize_diff(diff: &MatrixDiff, old_path: &Path, new_path: &Path) {
     }
 }
 
-/// Stderr progress for `campaign run --progress` and `campaign serve
-/// --progress`: one line per completed config slice when the per-slice
-/// quota is known (fresh runs without checkpoints), and ~10 milestone
+/// Stderr progress for `campaign run --progress`: one line per completed
+/// config slice when the per-slice quota is known (fresh runs without
+/// checkpoints), and ~10 milestone
 /// lines otherwise (shards, incremental and checkpointed runs), each with
 /// an elapsed-rate ETA.
 struct ProgressPrinter {
@@ -870,14 +879,12 @@ fn cmd_merge(args: &[String]) -> Result<Outcome, CliError> {
 }
 
 fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
-    let mut figure8 = false;
     let mut matrix_path: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
     let mut svg: Option<PathBuf> = None;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg {
-            "--figure8" => figure8 = true,
             "--csv" => csv = Some(flags.path(arg)?),
             "--svg" => svg = Some(flags.path(arg)?),
             flag if flag.starts_with("--") => {
@@ -892,11 +899,6 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
                 )))
             }
         }
-    }
-    if !figure8 {
-        return Err(CliError::Usage(
-            "campaign render needs a mode; only --figure8 exists today".to_owned(),
-        ));
     }
     let path = matrix_path.ok_or_else(|| {
         CliError::Usage("campaign render needs a MATRIX.json to render".to_owned())
@@ -920,106 +922,6 @@ fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
         rows: view.rows.len(),
         configs: view.configs.len(),
     })
-}
-
-fn cmd_serve(args: &[String]) -> Result<Outcome, CliError> {
-    let mut spec_args = SpecArgs::default();
-    let mut chunk = DEFAULT_CHUNK_TASKS;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut csv: Option<PathBuf> = None;
-    let mut progress = false;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--chunk" => chunk = flags.positive(flag, "task count")?,
-            "--checkpoint" => checkpoint = Some(flags.path(flag)?),
-            "--out" => out = Some(flags.path(flag)?),
-            "--csv" => csv = Some(flags.path(flag)?),
-            "--progress" => progress = true,
-            other => {
-                if !spec_args.take(other, &mut flags)? {
-                    return Err(CliError::Usage(format!(
-                        "unknown flag '{other}' for 'campaign serve'"
-                    )));
-                }
-            }
-        }
-    }
-    let spec = spec_args.build()?;
-    let report = run_cube(
-        &spec,
-        None,
-        chunk,
-        checkpoint.as_deref(),
-        out.as_deref(),
-        csv.as_deref(),
-        progress,
-    )?;
-    for repair in &report.repaired {
-        eprintln!(
-            "campaign: checkpoint {} was unusable ({}) — re-ran chunk {}",
-            repair.path.display(),
-            repair.reason,
-            repair.index,
-        );
-    }
-    eprintln!(
-        "campaign: served {} task(s) in {} chunk(s) — resumed {} chunk(s) \
-         ({} task(s), 0 re-simulated), executed {}",
-        spec.total_tasks(),
-        report.chunks,
-        report.resumed,
-        report.resumed_tasks,
-        report.executed,
-    );
-    Ok(Outcome::Served {
-        chunks: report.chunks,
-        resumed: report.resumed,
-        executed: report.executed,
-    })
-}
-
-/// The whole-cube run body of `campaign run` and `campaign serve`: one
-/// [`Scheduler`] over `spec`, reusing `prev`'s rows and checkpointing
-/// into `checkpoint` when given. Writes the matrix JSON to `out` (or
-/// stdout) and the CSV to `csv`.
-fn run_cube(
-    spec: &CampaignSpec,
-    prev: Option<&CampaignMatrix>,
-    chunk: usize,
-    checkpoint: Option<&Path>,
-    out: Option<&Path>,
-    csv: Option<&Path>,
-    progress: bool,
-) -> Result<ScheduleReport, CliError> {
-    // A fresh, checkpoint-free run evaluates every slice completely, so
-    // the per-slice quota is known. Reused and resumed tasks are silent,
-    // so otherwise fall back to milestone lines.
-    let per_slice = if prev.is_none() && checkpoint.is_none() {
-        spec.total_tasks().checked_div(spec.configs.len())
-    } else {
-        None
-    };
-    let printer = progress.then(|| ProgressPrinter::new(spec, per_slice));
-    let observer = printer.as_ref().map(ProgressPrinter::observer);
-    let mut scheduler = Scheduler::new(spec).chunk_tasks(chunk);
-    if let Some(f) = &observer {
-        scheduler = scheduler.progress(f);
-    }
-    if let Some(matrix) = prev {
-        scheduler = scheduler.prev(matrix);
-    }
-    if let Some(dir) = checkpoint {
-        scheduler = scheduler.checkpoint(dir);
-    }
-    let (matrix, report) = scheduler.run()?;
-    emit(out, &matrix.to_json())?;
-    if let Some(path) = csv {
-        write_file(path, &matrix.to_csv())?;
-    }
-    describe_degraded(&matrix);
-    Ok(report)
 }
 
 fn cmd_query(args: &[String]) -> Result<Outcome, CliError> {
@@ -1205,7 +1107,6 @@ fn ingest_artifact(store: &VerdictStore, path: &Path) -> Result<usize, CliError>
 fn cmd_fuzz(args: &[String]) -> Result<Outcome, CliError> {
     let mut cfg = FuzzConfig::default();
     let mut corpus_dir: Option<PathBuf> = None;
-    let mut registry_out: Option<PathBuf> = None;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
@@ -1213,12 +1114,7 @@ fn cmd_fuzz(args: &[String]) -> Result<Outcome, CliError> {
             "--budget" => cfg.budget = flags.positive(flag, "count")?,
             "--threads" => cfg.threads = flags.positive(flag, "number")?,
             "--checkpoint-every" => cfg.checkpoint_every = flags.positive(flag, "count")?,
-            "--minimize" | "--no-minimize" => {
-                flags.once("--minimize/--no-minimize")?;
-                cfg.minimize = flag == "--minimize";
-            }
             "--corpus" => corpus_dir = Some(flags.path(flag)?),
-            "--registry-out" => registry_out = Some(flags.path(flag)?),
             other => {
                 return Err(CliError::Usage(format!(
                     "unknown flag '{other}' for 'campaign fuzz'"
@@ -1270,9 +1166,6 @@ fn cmd_fuzz(args: &[String]) -> Result<Outcome, CliError> {
         corpus.rediscovered.len(),
         corpus.findings.len(),
     );
-    if let Some(path) = &registry_out {
-        write_file(path, &corpus.registry().to_json())?;
-    }
     // Without a corpus directory nothing persists on its own — emit the
     // corpus to stdout so the run is still inspectable/pipeable.
     if corpus_dir.is_none() {
@@ -1340,7 +1233,7 @@ fn cmd_fault(args: &[String]) -> Result<Outcome, CliError> {
     }
 }
 
-/// The small serve grid every scheduler crash-sweep runs: 2 attacks ×
+/// The small grid every scheduler crash-sweep runs: 2 attacks ×
 /// 1 defense × 2 ROB depths = 8 tasks, chunked 2 per checkpoint file.
 fn sweep_spec() -> CampaignSpec {
     CampaignSpec::builder(UarchConfig::default())
@@ -1470,18 +1363,12 @@ impl<'a> Flags<'a> {
         Some(arg)
     }
 
-    /// Records `flag`, rejecting a second occurrence.
-    fn once(&mut self, flag: &'a str) -> Result<(), CliError> {
+    /// The value of a flag that may be given only once.
+    fn value(&mut self, flag: &'a str) -> Result<&'a str, CliError> {
         if self.seen.contains(&flag) {
             return Err(CliError::Usage(format!("flag '{flag}' given twice")));
         }
         self.seen.push(flag);
-        Ok(())
-    }
-
-    /// The value of a flag that may be given only once.
-    fn value(&mut self, flag: &'a str) -> Result<&'a str, CliError> {
-        self.once(flag)?;
         self.repeated_value(flag)
     }
 
@@ -1533,7 +1420,7 @@ fn load_matrix(path: &Path) -> Result<CampaignMatrix, CliError> {
 }
 
 /// Writes through the fault-injectable atomic layer (tmp + rename), so
-/// every CLI artifact — CSV, SVG, registry — is crash-consistent and
+/// every CLI artifact — matrix, part, CSV, SVG — is crash-consistent and
 /// covered by `campaign fault` sweeps.
 fn write_file(path: &Path, content: &str) -> Result<(), CliError> {
     fault::write_atomic(path, content).map_err(|source| CliError::Io {

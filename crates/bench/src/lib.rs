@@ -16,10 +16,10 @@
 //! * `cargo run -p bench --bin overhead` — the security/performance
 //!   trade-off across the four defense strategies (Insight 5),
 //! * `cargo run -p bench --bin campaign` — the campaign pipeline CLI:
-//!   run a campaign (whole, one `--shard i/n` slice, or `--incremental`
-//!   against a saved matrix), merge part files, and re-render the
-//!   Figure-8 hardening heatmaps from a saved matrix ([`campaign_cli`],
-//!   [`heatmap`]),
+//!   run a campaign (whole, one `--shard i/n` slice, checkpointed, or
+//!   incrementally against a saved `--prev` matrix), merge part files,
+//!   and re-render the Figure-8 hardening heatmaps from a saved matrix
+//!   ([`campaign_cli`], [`heatmap`]),
 //! * `cargo bench -p bench` — Criterion micro-benchmarks (race detection
 //!   scaling, simulator throughput, channel performance, attack costs).
 

@@ -9,6 +9,7 @@ use bench::campaign_cli::{main_with, CliError, Outcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specgraph::campaign::{CampaignIoError, CampaignMatrix, CampaignSpec, Knob, MergeError};
+use specgraph::serve::ScheduleReport;
 use specgraph::{attacks, defenses};
 use std::fs;
 use std::path::PathBuf;
@@ -122,12 +123,9 @@ fn incremental_rerun_across_the_cli_boundary_is_free() {
     let matrix = dir.join("matrix.json");
     let outcome = run(&with_spec(&["run", "--out", matrix.to_str().unwrap()])).expect("full run");
     let total = oracle_spec().total_tasks();
-    assert_eq!(
-        outcome,
-        Outcome::Ran {
-            evaluated: total,
-            reused: 0
-        }
+    assert!(
+        matches!(outcome, Outcome::Ran(ref r) if r.evaluated == total && r.reused == 0),
+        "{outcome:?}"
     );
     let first = fs::read_to_string(&matrix).unwrap();
 
@@ -136,19 +134,15 @@ fn incremental_rerun_across_the_cli_boundary_is_free() {
     let again = dir.join("again.json");
     let outcome = run(&with_spec(&[
         "run",
-        "--incremental",
         "--prev",
         matrix.to_str().unwrap(),
         "--out",
         again.to_str().unwrap(),
     ]))
     .expect("incremental run");
-    assert_eq!(
-        outcome,
-        Outcome::Ran {
-            evaluated: 0,
-            reused: total
-        }
+    assert!(
+        matches!(outcome, Outcome::Ran(ref r) if r.evaluated == 0 && r.reused == total),
+        "{outcome:?}"
     );
     assert_eq!(fs::read_to_string(&again).unwrap(), first);
     fs::remove_dir_all(&dir).ok();
@@ -162,7 +156,6 @@ fn render_regenerates_heatmaps_from_disk() {
     let (csv, svg) = (dir.join("fig8.csv"), dir.join("fig8.svg"));
     let outcome = run(&[
         "render",
-        "--figure8",
         matrix.to_str().unwrap(),
         "--csv",
         csv.to_str().unwrap(),
@@ -268,7 +261,7 @@ fn merge_rejects_gaps_foreign_parts_and_non_parts() {
     }
 
     // …and rendering a part instead of a matrix is equally typed.
-    match run(&["render", "--figure8", p0.to_str().unwrap()]) {
+    match run(&["render", p0.to_str().unwrap()]) {
         Err(CliError::Artifact {
             source: CampaignIoError::Kind { expected, .. },
             ..
@@ -306,7 +299,7 @@ fn usage_errors_are_actionable() {
         (vec!["run", "--axis", "ways=0"], "axis 'ways'"),
         (vec!["run", "--axis", "lfb=0"], "axis 'lfb'"),
         (vec!["run", "--axis", "stbuf=16,0"], "axis 'stbuf'"),
-        (vec!["serve", "--axis", "rsb=0"], "axis 'rsb'"),
+        (vec!["run", "--axis", "rsb=0"], "axis 'rsb'"),
         (
             vec!["run", "--axis", "pred=quantum"],
             "unknown predictor flavor",
@@ -315,7 +308,13 @@ fn usage_errors_are_actionable() {
             vec!["run", "--axis", "hardening=magic"],
             "unknown hardening",
         ),
-        (vec!["run", "--incremental"], "--prev"),
+        // Retired subcommands and one-value flags are gone.
+        (vec!["serve"], "unknown subcommand"),
+        (vec!["run", "--incremental"], "unknown flag"),
+        (vec!["render", "--figure8", "m.json"], "unknown flag"),
+        (vec!["fuzz", "--registry-out", "r.json"], "unknown flag"),
+        (vec!["fuzz", "--minimize"], "unknown flag"),
+        (vec!["fuzz", "--no-minimize"], "unknown flag"),
         (
             // Repeated flags never silently override each other.
             vec!["run", "--attacks", "Meltdown", "--attacks", "RIDL"],
@@ -334,7 +333,7 @@ fn usage_errors_are_actionable() {
             "given twice",
         ),
         (
-            vec!["render", "--figure8", "m.json", "--svg", "a", "--svg", "b"],
+            vec!["render", "m.json", "--svg", "a", "--svg", "b"],
             "given twice",
         ),
         (vec!["merge", "p.json", "--out"], "needs a value"),
@@ -345,10 +344,18 @@ fn usage_errors_are_actionable() {
         (vec!["fault", "sweep", "--dir"], "needs a value"),
         (vec!["fuzz", "--seed", "1", "--seed", "2"], "given twice"),
         (
-            vec!["run", "--shard", "0/2", "--incremental", "--prev", "x.json"],
+            vec!["run", "--shard", "0/2", "--prev", "x.json"],
             "merge the parts",
         ),
-        (vec!["render", "matrix.json"], "--figure8"),
+        (
+            vec!["run", "--shard", "0/2", "--checkpoint", "d"],
+            "merge the parts",
+        ),
+        (
+            vec!["run", "--shard", "0/2", "--chunk", "3"],
+            "merge the parts",
+        ),
+        (vec!["render"], "MATRIX.json"),
         (vec!["merge"], "at least one"),
         (vec!["explode"], "unknown subcommand"),
     ] {
@@ -450,7 +457,6 @@ fn stacked_defense_pipeline_shards_merges_and_renders() {
     let fig_csv = dir.join("fig8.csv");
     let outcome = run(&[
         "render",
-        "--figure8",
         matrix.to_str().unwrap(),
         "--csv",
         fig_csv.to_str().unwrap(),
@@ -528,13 +534,14 @@ fn diff_compares_saved_matrices() {
 
 #[test]
 fn serve_is_bit_identical_and_resumes_from_checkpoints() {
+    // `run --checkpoint` drives the serving layer's resumable scheduler.
     let expected = CampaignMatrix::run(&oracle_spec()).unwrap().to_json();
     let dir = tempdir("serve");
     let ckpt = dir.join("ckpt");
     let served = dir.join("served.json");
-    let serve_to = |path: &PathBuf| -> Outcome {
-        run(&with_spec(&[
-            "serve",
+    let run_to = |path: &PathBuf| -> ScheduleReport {
+        let outcome = run(&with_spec(&[
+            "run",
             "--threads",
             "3",
             "--chunk",
@@ -544,50 +551,38 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
             "--out",
             path.to_str().unwrap(),
         ]))
-        .expect("serve")
+        .expect("checkpointed run");
+        let Outcome::Ran(report) = outcome else {
+            panic!("unexpected outcome {outcome:?}");
+        };
+        report
     };
     // Fresh scheduled run: nothing to resume, output bit-identical to the
     // in-process single-shot oracle.
-    let outcome = serve_to(&served);
-    let Outcome::Served {
-        chunks,
-        resumed: 0,
-        executed,
-    } = outcome
-    else {
-        panic!("unexpected outcome {outcome:?}");
-    };
-    assert_eq!(executed, chunks);
+    let report = run_to(&served);
+    let chunks = report.chunks;
+    assert_eq!(report.resumed, 0, "{report:?}");
+    assert_eq!(report.executed, chunks);
     assert!(chunks >= 4, "the cube must split into several chunks");
     assert_eq!(fs::read_to_string(&served).unwrap(), expected);
 
     // Simulate a mid-run kill: drop one chunk file, leaving the rest.
     fs::remove_file(ckpt.join("chunk-00001.json")).expect("checkpoint file exists");
     let resumed_out = dir.join("resumed.json");
-    let outcome = serve_to(&resumed_out);
-    assert!(
-        matches!(
-            outcome,
-            Outcome::Served {
-                chunks: c,
-                resumed: r,
-                executed: 1,
-            } if c == chunks && r == chunks - 1
-        ),
-        "unexpected outcome {outcome:?}"
+    let report = run_to(&resumed_out);
+    assert_eq!(
+        (report.chunks, report.resumed, report.executed),
+        (chunks, chunks - 1, 1),
+        "{report:?}"
     );
     assert_eq!(fs::read_to_string(&resumed_out).unwrap(), expected);
 
     // Everything checkpointed now: a third run re-simulates nothing.
     let third = dir.join("third.json");
-    let outcome = serve_to(&third);
+    let report = run_to(&third);
     assert_eq!(
-        outcome,
-        Outcome::Served {
-            chunks,
-            resumed: chunks,
-            executed: 0,
-        }
+        (report.chunks, report.resumed, report.executed),
+        (chunks, chunks, 0)
     );
     assert_eq!(fs::read_to_string(&third).unwrap(), expected);
     fs::remove_dir_all(&dir).ok();
@@ -731,10 +726,10 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
 #[test]
 fn serve_and_query_usage_errors_are_actionable() {
     for (args, needle) in [
-        (vec!["serve", "--threads", "lots"], "needs a number"),
-        (vec!["serve", "--chunk", "0"], "positive task count"),
-        (vec!["serve", "--nope"], "unknown flag"),
-        (vec!["serve", "--workers", "3"], "unknown flag"),
+        (vec!["run", "--threads", "lots"], "needs a number"),
+        (vec!["run", "--chunk", "0"], "positive task count"),
+        (vec!["run", "--nope"], "unknown flag"),
+        (vec!["run", "--workers", "3"], "unknown flag"),
         (vec!["query", "m.json", "--nope"], "unknown flag"),
         (vec!["query", "--queries"], "needs a value"),
         (
@@ -742,11 +737,11 @@ fn serve_and_query_usage_errors_are_actionable() {
             "given twice",
         ),
         (
-            vec!["serve", "--threads", "2", "--threads", "3"],
+            vec!["run", "--threads", "2", "--threads", "3"],
             "given twice",
         ),
         (
-            vec!["serve", "--axis", "rob=16", "--axis", "rob=32"],
+            vec!["run", "--axis", "rob=16", "--axis", "rob=32"],
             "given twice",
         ),
     ] {
@@ -782,7 +777,7 @@ fn progress_flag_is_accepted_on_every_run_mode() {
         loud.to_str().unwrap(),
     ]))
     .expect("progress run");
-    assert!(matches!(outcome, Outcome::Ran { .. }));
+    assert!(matches!(outcome, Outcome::Ran(_)));
     assert_eq!(
         fs::read_to_string(&quiet).unwrap(),
         fs::read_to_string(&loud).unwrap()
@@ -803,10 +798,9 @@ fn progress_flag_is_accepted_on_every_run_mode() {
 
 #[test]
 fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
-    use specgraph::discovery::fuzz::CORPUS_FILE;
+    use specgraph::discovery::fuzz::{CorpusError, CORPUS_FILE};
     let dir = tempdir("fuzz");
     let (c1, c2) = (dir.join("c1"), dir.join("c2"));
-    let registry = dir.join("registry.json");
     let flags = |corpus: &PathBuf| {
         vec![
             "fuzz".to_owned(),
@@ -818,12 +812,7 @@ fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
             corpus.to_str().unwrap().to_owned(),
         ]
     };
-    let mut first = flags(&c1);
-    first.extend([
-        "--registry-out".to_owned(),
-        registry.to_str().unwrap().to_owned(),
-    ]);
-    let outcome = main_with(&first).expect("fuzz run");
+    let outcome = main_with(&flags(&c1)).expect("fuzz run");
     let Outcome::Fuzzed {
         classified,
         newly_classified,
@@ -864,15 +853,16 @@ fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
     );
     assert_eq!(before, fs::read(c1.join(CORPUS_FILE)).unwrap());
 
-    // The grown registry feeds straight back into a campaign run as extra
-    // attack rows.
+    // The corpus's findings feed straight back into a campaign run as
+    // extra attack rows.
     let matrix_path = dir.join("matrix.json");
+    let corpus = c1.join(CORPUS_FILE);
     run(&[
         "run",
         "--attacks",
         "Spectre v1",
         "--synthesized",
-        registry.to_str().unwrap(),
+        corpus.to_str().unwrap(),
         "--defenses",
         "none",
         "--out",
@@ -884,6 +874,14 @@ fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
         matrix.contains("synth-"),
         "synthesized rows missing from the campaign"
     );
+    // A matrix is not a corpus: a typed error, not a panic.
+    match run(&["run", "--synthesized", matrix_path.to_str().unwrap()]) {
+        Err(CliError::Registry {
+            source: CorpusError::Schema(_),
+            ..
+        }) => {}
+        other => panic!("expected a corpus schema error, got {other:?}"),
+    }
 
     // Usage errors are actionable.
     let err = run(&["fuzz", "--seed", "not-a-number"]).unwrap_err();

@@ -1,5 +1,5 @@
-//! The resumable on-disk corpus (schema v6) and the synthesized attack
-//! registry it exports.
+//! The resumable on-disk corpus (schema v6), whose findings a campaign
+//! reads back as synthesized attacks.
 //!
 //! A [`Corpus`] records everything a fuzzing run has established — how
 //! many candidates are classified, every divergence with its explanation,
@@ -26,9 +26,8 @@ use std::path::{Path, PathBuf};
 use tsg::SecurityAnalysis;
 use uarch::Machine;
 
-/// Corpus / synthesized-registry schema version. Bumped past the
-/// campaign writers' v5 because the fuzzing artifacts introduce new
-/// document kinds.
+/// Corpus schema version. Bumped past the campaign writers' v5 because
+/// the fuzz corpus is a new document kind.
 pub const FUZZ_SCHEMA_VERSION: u64 = 6;
 
 /// Corpus file name inside a `--corpus` directory.
@@ -263,7 +262,26 @@ impl Corpus {
         out.push_str("],\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            write_finding(&mut out, f);
+            let _ = write!(
+                out,
+                "    {{\"index\": {}, \"combo\": {}, \"mutations\": [",
+                f.index,
+                json_str(&f.combo)
+            );
+            push_json_list(&mut out, f.mutations.iter().map(|m| m.tag()));
+            let _ = write!(
+                out,
+                "], \"raw_fingerprint\": {}, \"minimized_fingerprint\": {}, \
+                 \"program\": {}, \"access_pc\": {}, \"gadget_pc\": {}, \
+                 \"benign_pc\": {}, \"removed\": {}}}",
+                f.raw_fingerprint,
+                f.minimized_fingerprint,
+                json_str(&f.program),
+                f.access_pc,
+                f.gadget_pc,
+                f.benign_pc,
+                f.removed
+            );
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -308,10 +326,20 @@ impl Corpus {
                 })?,
             );
         }
-        corpus.findings = req_arr(&doc, "findings")?
-            .iter()
-            .map(read_finding)
-            .collect::<Result<_, _>>()?;
+        for f in req_arr(&doc, "findings")? {
+            corpus.findings.push(Finding {
+                index: req_u64(f, "index")?,
+                combo: req_str(f, "combo")?,
+                mutations: mutations_of(f)?,
+                raw_fingerprint: req_u64(f, "raw_fingerprint")?,
+                minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
+                program: req_str(f, "program")?,
+                access_pc: req_u64(f, "access_pc")?,
+                gadget_pc: req_u64(f, "gadget_pc")?,
+                benign_pc: req_u64(f, "benign_pc")?,
+                removed: req_u64(f, "removed")?,
+            });
+        }
         Ok(corpus)
     }
 
@@ -344,59 +372,6 @@ impl Corpus {
             return Ok(None);
         }
         Ok(Some(Self::from_json(&fs::read_to_string(path)?)?))
-    }
-
-    /// Exports the findings as a versioned [`SynthesizedRegistry`].
-    #[must_use]
-    pub fn registry(&self) -> SynthesizedRegistry {
-        SynthesizedRegistry {
-            findings: self.findings.clone(),
-        }
-    }
-}
-
-/// The fuzzer-grown attack catalog: novel minimized leakers packaged as
-/// first-class [`Attack`]s, pluggable into a campaign's attack axis next
-/// to the hand-built registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SynthesizedRegistry {
-    /// The findings, in discovery order.
-    pub findings: Vec<Finding>,
-}
-
-impl SynthesizedRegistry {
-    /// Serializes to the v6 `synthesized-registry` document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\n  \"version\": {FUZZ_SCHEMA_VERSION},\n  \
-             \"kind\": \"synthesized-registry\",\n  \"findings\": ["
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            write_finding(&mut out, f);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses a v6 `synthesized-registry` document.
-    ///
-    /// # Errors
-    ///
-    /// [`CorpusError`] on JSON problems or schema violations.
-    pub fn from_json(text: &str) -> Result<Self, CorpusError> {
-        let doc = jsonio::parse(text)?;
-        expect_header(&doc, "synthesized-registry")?;
-        Ok(SynthesizedRegistry {
-            findings: req_arr(&doc, "findings")?
-                .iter()
-                .map(read_finding)
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     /// Materializes the findings as `'static` [`Attack`]s for a campaign
@@ -444,48 +419,6 @@ impl Attack for NamedScenario {
     fn run_in(&self, m: &mut Machine) -> Result<AttackOutcome, attacks::AttackError> {
         self.scenario.run_in(m)
     }
-}
-
-/// Writes one [`Finding`] as a one-line JSON object — the element codec
-/// shared by the corpus and the synthesized registry.
-fn write_finding(out: &mut String, f: &Finding) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        "    {{\"index\": {}, \"combo\": {}, \"mutations\": [",
-        f.index,
-        json_str(&f.combo)
-    );
-    push_json_list(out, f.mutations.iter().map(|m| m.tag()));
-    let _ = write!(
-        out,
-        "], \"raw_fingerprint\": {}, \"minimized_fingerprint\": {}, \
-         \"program\": {}, \"access_pc\": {}, \"gadget_pc\": {}, \
-         \"benign_pc\": {}, \"removed\": {}}}",
-        f.raw_fingerprint,
-        f.minimized_fingerprint,
-        json_str(&f.program),
-        f.access_pc,
-        f.gadget_pc,
-        f.benign_pc,
-        f.removed
-    );
-}
-
-/// Reads one [`Finding`] written by [`write_finding`].
-fn read_finding(f: &Json) -> Result<Finding, CorpusError> {
-    Ok(Finding {
-        index: req_u64(f, "index")?,
-        combo: req_str(f, "combo")?,
-        mutations: mutations_of(f)?,
-        raw_fingerprint: req_u64(f, "raw_fingerprint")?,
-        minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
-        program: req_str(f, "program")?,
-        access_pc: req_u64(f, "access_pc")?,
-        gadget_pc: req_u64(f, "gadget_pc")?,
-        benign_pc: req_u64(f, "benign_pc")?,
-        removed: req_u64(f, "removed")?,
-    })
 }
 
 fn expect_header(doc: &Json, kind: &str) -> Result<(), CorpusError> {
@@ -618,13 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trips_and_materializes_attacks() {
-        let reg = sample_corpus().registry();
-        let parsed = SynthesizedRegistry::from_json(&reg.to_json()).unwrap();
-        assert_eq!(parsed, reg);
-        let attacks = parsed.attacks().unwrap();
+    fn corpus_findings_materialize_as_attacks() {
+        let c = sample_corpus();
+        let attacks = c.attacks().unwrap();
         assert_eq!(attacks.len(), 1);
-        assert_eq!(attacks[0].info().name, reg.findings[0].name());
+        assert_eq!(attacks[0].info().name, c.findings[0].name());
         // The lifted graph is non-trivial.
         assert!(attacks[0].graph().graph().node_count() > 0);
     }
@@ -650,10 +581,6 @@ mod tests {
         let wrong_kind = good.replacen("fuzz-corpus", "campaign-matrix", 1);
         assert!(matches!(
             Corpus::from_json(&wrong_kind),
-            Err(CorpusError::Schema(_))
-        ));
-        assert!(matches!(
-            SynthesizedRegistry::from_json(&good),
             Err(CorpusError::Schema(_))
         ));
     }

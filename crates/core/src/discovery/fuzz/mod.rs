@@ -13,7 +13,7 @@
 //!                         │                │
 //!                  first-class finding   both leak + unseen shape
 //!                  (missed_leak /          │
-//!                   false_sense)        shrink to 1-minimal ─▶ dedup ─▶ Corpus / SynthesizedRegistry
+//!                   false_sense)        shrink to 1-minimal ─▶ dedup ─▶ Corpus
 //! ```
 //!
 //! * [`gen`] — the seeded deterministic generator: free composition over
@@ -23,9 +23,8 @@
 //!   graph vs. end-to-end simulation, divergences explained or flagged.
 //! * [`shrink`] — the minimizer: deletion passes replayed against both
 //!   oracles until 1-minimal.
-//! * [`corpus`] — the resumable on-disk corpus (schema v6) and the
-//!   [`SynthesizedRegistry`] that plugs findings into a campaign's attack
-//!   axis.
+//! * [`corpus`] — the resumable on-disk corpus (schema v6), whose
+//!   [`Corpus::attacks`] plug findings into a campaign's attack axis.
 //!
 //! The loop itself is [`fuzz`]: bit-identical across runs, `--threads`
 //! values, and save/resume splits, because candidates derive from
@@ -43,8 +42,7 @@ mod rng;
 pub mod shrink;
 
 pub use corpus::{
-    Corpus, CorpusError, DivergenceRecord, Finding, Rediscovery, SynthesizedRegistry, CORPUS_FILE,
-    FUZZ_SCHEMA_VERSION,
+    Corpus, CorpusError, DivergenceRecord, Finding, Rediscovery, CORPUS_FILE, FUZZ_SCHEMA_VERSION,
 };
 pub use gen::{Combo, Mutation, Scenario};
 pub use oracle::{Agreement, DualOracle, FalseSenseCause, MissedLeakCause, Verdicts};

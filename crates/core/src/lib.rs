@@ -68,7 +68,6 @@ pub mod prelude {
     };
     pub use crate::discovery::fuzz::{
         self, Agreement, Combo, Corpus, DualOracle, FuzzConfig, FuzzError, FuzzReport, Scenario,
-        SynthesizedRegistry,
     };
     pub use crate::discovery::{self, AttackPoint, Channel, DelayMechanism};
     pub use crate::fault::{self, ArmedFault, FaultKind, FaultPlan, PanickingAttack, SweepReport};

@@ -27,26 +27,12 @@ struct Line {
     domain: u32,
 }
 
-/// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of lookups that hit.
-    pub hits: u64,
-    /// Number of lookups that missed.
-    pub misses: u64,
-    /// Number of fills.
-    pub fills: u64,
-    /// Number of flushes that found the line resident.
-    pub flushes: u64,
-}
-
 /// A set-associative L1 data cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: Vec<Vec<Line>>,
     ways: usize,
     tick: u64,
-    stats: CacheStats,
     /// DAWG-style partitioning: when enabled, hits require the accessing
     /// domain to own the line, so one domain can neither observe nor evict
     /// another domain's cache state through timing.
@@ -68,7 +54,6 @@ impl Cache {
             sets: vec![Vec::new(); sets],
             ways,
             tick: 0,
-            stats: CacheStats::default(),
             partitioned: false,
             active_domain: 0,
         }
@@ -94,7 +79,6 @@ impl Cache {
         self.sets.resize_with(sets, Vec::new);
         self.ways = ways;
         self.tick = 0;
-        self.stats = CacheStats::default();
         self.partitioned = false;
         self.active_domain = 0;
     }
@@ -128,7 +112,7 @@ impl Cache {
     }
 
     /// Looks up the word at `paddr`. On a hit returns the data and updates
-    /// LRU; on a miss returns `None`. Statistics are updated.
+    /// LRU; on a miss returns `None`.
     pub fn lookup(&mut self, paddr: u64) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
@@ -136,17 +120,11 @@ impl Cache {
         let set = self.set_index(paddr);
         let word = ((paddr - base) / 8) as usize;
         let (partitioned, dom) = (self.partitioned, self.active_domain);
-        if let Some(line) = self.sets[set]
+        let line = self.sets[set]
             .iter_mut()
-            .find(|l| l.base == base && (!partitioned || l.domain == dom))
-        {
-            line.lru = tick;
-            self.stats.hits += 1;
-            Some(line.data[word])
-        } else {
-            self.stats.misses += 1;
-            None
-        }
+            .find(|l| l.base == base && (!partitioned || l.domain == dom))?;
+        line.lru = tick;
+        Some(line.data[word])
     }
 
     /// Inserts (fills) the line containing `paddr` with `data` words.
@@ -158,7 +136,6 @@ impl Cache {
     ) -> Option<(u64, [u64; WORDS_PER_LINE])> {
         self.tick += 1;
         let tick = self.tick;
-        self.stats.fills += 1;
         let base = Self::line_base(paddr);
         let set = self.set_index(paddr);
         let (partitioned, dom) = (self.partitioned, self.active_domain);
@@ -227,15 +204,10 @@ impl Cache {
         let (partitioned, dom) = (self.partitioned, self.active_domain);
         let lines = &mut self.sets[set];
         // Under partitioning a domain may only flush its own lines.
-        if let Some(i) = lines
+        let i = lines
             .iter()
-            .position(|l| l.base == base && (!partitioned || l.domain == dom))
-        {
-            self.stats.flushes += 1;
-            Some(lines.swap_remove(i).data)
-        } else {
-            None
-        }
+            .position(|l| l.base == base && (!partitioned || l.domain == dom))?;
+        Some(lines.swap_remove(i).data)
     }
 
     /// All resident line base addresses, sorted.
@@ -248,12 +220,6 @@ impl Cache {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    /// The accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Number of sets.
@@ -280,10 +246,6 @@ mod tests {
         c.fill(0x100, [7; WORDS_PER_LINE]);
         assert_eq!(c.lookup(0x100), Some(7));
         assert_eq!(c.lookup(0x108), Some(7)); // same line, next word
-        let s = c.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.fills, 1);
     }
 
     #[test]
@@ -317,7 +279,6 @@ mod tests {
         assert_eq!(c.flush(0x210).map(|d| d[0]), Some(9)); // any addr in line
         assert!(!c.contains(0x200));
         assert_eq!(c.flush(0x200), None); // already gone
-        assert_eq!(c.stats().flushes, 1);
     }
 
     #[test]
