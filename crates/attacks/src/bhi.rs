@@ -20,11 +20,11 @@
 //! The graph is the same Figure-1 shape as Spectre v2: the authorization
 //! is the indirect branch's target resolution.
 
-use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, probe_channel, send_epilogue, PROBE_BASE, SECRET};
 use crate::graphs::fig1_branch_attack;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::IndirectBranch};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::Machine;
@@ -52,20 +52,14 @@ const ATTACKER_DUMMY: u64 = 0x62_0000;
 /// 4: gadget: load r6,[r5] …send…  ; history-aliased target
 /// ```
 fn binary() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
+    let b = ProgramBuilder::new()
         .load(Reg::R4, Reg::R9, 0)
         .load(Reg::R1, Reg::R4, 0)
         .jump_indirect(Reg::R1)
         .halt() // 3: legitimate target
         // 4: the gadget
-        .load(Reg::R6, Reg::R5, 0)
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0)
-        .label("out")?
-        .halt()
-        .build()?)
+        .load(Reg::R6, Reg::R5, 0);
+    send_epilogue(b, "out")
 }
 
 /// The gadget's instruction index in [`binary`].
@@ -137,15 +131,12 @@ impl Attack for Bhi {
         m.flush_line(TARGET_PTR)?;
         m.flush_line(TARGET_CELL)?;
         m.touch(VICTIM_SECRET)?; // the victim's own working data
-        m.clear_events();
         m.set_reg(Reg::R9, TARGET_PTR);
         m.set_reg(Reg::R5, VICTIM_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        let start = m.cycle();
-        m.run(&binary)?;
 
         // --- The attacker reloads and times (step 5); no switch needed.
-        finish(m, SECRET, start)
+        measure(m, &binary, SECRET, None)
     }
 }
 

@@ -1,11 +1,13 @@
-//! Shared plumbing for the attack PoCs: memory layout, the covert-channel
-//! receiver harness, and event accounting.
+//! Shared plumbing for the attack PoCs: memory layout, the Flush+Reload
+//! send gadget, and the measured step ([`measure`]) that runs the victim,
+//! receives over the covert channel and builds the outcome.
 
 use crate::{Attack, AttackError, AttackOutcome};
 use channels::flush_reload::{FlushReload, SLOT_STRIDE};
 use channels::Reading;
+use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
 use uarch::mmu::PageTable;
-use uarch::{Machine, TraceEvent, UarchConfig, UarchError};
+use uarch::{ContextId, Machine, TraceEvent, UarchConfig, UarchError};
 
 /// Probe array base for the Flush+Reload channel (step 1a).
 pub const PROBE_BASE: u64 = 0x100_0000;
@@ -48,48 +50,79 @@ pub fn probe_channel() -> FlushReload {
 /// (`send_addr = PROBE_BASE + secret * PROBE_STRIDE`).
 pub const PROBE_STRIDE: u64 = SLOT_STRIDE;
 
-/// Fails with [`AttackError::EventLogOverflow`] when the machine's event log
-/// dropped events: counts taken from a truncated log would be wrong.
+/// The Flush+Reload send gadget (§II-C steps 3–4): turns the value in `r6`
+/// into a fill of its probe slot (`r3` holds [`PROBE_BASE`]), then halts
+/// at `exit`. The `beq r6, zero` guard keeps architectural re-executions
+/// (which see 0) from polluting the channel.
 ///
 /// # Errors
 ///
-/// [`AttackError::EventLogOverflow`] if any event was dropped.
-pub fn check_event_log(m: &Machine) -> Result<(), AttackError> {
+/// [`AttackError::Isa`] if `exit` is already a label of `b` or a branch
+/// of `b` targets a label that does not exist.
+pub(crate) fn send_epilogue(b: ProgramBuilder, exit: &str) -> Result<Program, AttackError> {
+    Ok(b.branch_if(Cond::Eq, Reg::R6, Reg::ZERO, exit)
+        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE) // use secret
+        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
+        .load(Reg::R8, Reg::R7, 0) // send: Load R to cache
+        .label(exit)?
+        .halt()
+        .build()?)
+}
+
+/// Fails with [`AttackError::EventLogOverflow`] when the machine's event log
+/// dropped events: counts taken from a truncated log would be wrong.
+fn check_event_log(m: &Machine) -> Result<(), AttackError> {
     match m.events_dropped() {
         0 => Ok(()),
         dropped => Err(AttackError::EventLogOverflow { dropped }),
     }
 }
 
-/// Builds the outcome from the machine's event log and the Flush+Reload
-/// channel verdict.
+/// The measured part of every attack run: clears the event log, marks the
+/// start cycle, runs `victim` (the delayed authorization, the transient
+/// access, the use and the send), switches to `receiver` if one is given,
+/// and does the Flush+Reload receive (step 5). The outcome's event counts
+/// are the victim run's; its `cycles` span the run and the receive.
+///
+/// Everything before the call — set-up, training, re-arming the channel —
+/// is outside the measurement. The receive logs no events, so afterwards
+/// [`Machine::events`] still holds exactly the victim run's events.
 ///
 /// # Errors
 ///
 /// [`AttackError::EventLogOverflow`] if the event log dropped events;
-/// otherwise propagates [`AttackError`] from the receive pass.
-pub fn finish(
+/// otherwise propagates [`AttackError`] from the run, the context switch
+/// or the receive pass.
+pub fn measure(
     m: &mut Machine,
+    victim: &Program,
     secret: u64,
-    start_cycle: u64,
+    receiver: Option<ContextId>,
 ) -> Result<AttackOutcome, AttackError> {
-    finish_with(m, secret, start_cycle, |m| probe_channel().receive(m))
+    measure_with(m, victim, secret, receiver, |m| probe_channel().receive(m))
 }
 
-/// [`finish`] for any covert channel: checks the event log, takes the
-/// channel [`Reading`] from `receive`, and builds the outcome from the
-/// reading and the log's event counts.
+/// [`measure`] for any covert channel: the channel [`Reading`] comes from
+/// `receive`, which runs after the victim run and the switch to
+/// `receiver`.
 ///
 /// # Errors
 ///
-/// [`AttackError::EventLogOverflow`] if the event log dropped events;
-/// otherwise propagates [`AttackError`] from `receive`.
-pub fn finish_with(
+/// As [`measure`], with `receive`'s errors in place of the Flush+Reload
+/// receive's.
+pub fn measure_with(
     m: &mut Machine,
+    victim: &Program,
     secret: u64,
-    start_cycle: u64,
+    receiver: Option<ContextId>,
     receive: impl FnOnce(&mut Machine) -> Result<Reading, UarchError>,
 ) -> Result<AttackOutcome, AttackError> {
+    m.clear_events();
+    let start = m.cycle();
+    m.run(victim)?;
+    if let Some(ctx) = receiver {
+        m.switch_context(ctx)?;
+    }
     check_event_log(m)?;
     let reading = receive(m)?;
     let recovered = reading.recovered.map(|s| s as u64);
@@ -111,7 +144,7 @@ pub fn finish_with(
         transient_forwards,
         squashes,
         defense_blocks,
-        cycles: m.cycle() - start_cycle,
+        cycles: m.cycle() - start,
     })
 }
 
@@ -249,6 +282,7 @@ impl RunnerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uarch::{ExceptionBehavior, Privilege};
 
     #[test]
     fn runner_pool_checkout_checkin_keeps_machines_warm() {
@@ -283,27 +317,51 @@ mod tests {
         assert!(runner.run(attack, &UarchConfig::default()).unwrap().leaked);
     }
 
+    /// A victim whose send gadget fills the probe slot of `SECRET`.
+    fn sending_victim() -> Program {
+        send_epilogue(ProgramBuilder::new().imm(Reg::R6, SECRET), "out").unwrap()
+    }
+
     #[test]
     fn channel_setup_is_clean() {
         let mut m = machine_with_channel(&UarchConfig::default()).unwrap();
-        let ch = probe_channel();
-        assert!(ch.resident_slots(&m).unwrap().is_empty());
+        assert!(probe_channel().resident_slots(&m).unwrap().is_empty());
         assert!(m.events().is_empty());
-        // A send then finish() recovers it.
-        m.touch(ch.slot_address(SECRET as usize)).unwrap();
-        let start = m.cycle();
-        let out = finish(&mut m, SECRET, start).unwrap();
+        // A victim that sends the secret: measure() recovers it.
+        m.set_reg(Reg::R3, PROBE_BASE);
+        let out = measure(&mut m, &sending_victim(), SECRET, None).unwrap();
         assert!(out.leaked);
         assert_eq!(out.recovered, Some(SECRET));
         assert!(out.cycles > 0);
     }
 
     #[test]
-    fn finish_reports_miss_when_nothing_sent() {
+    fn measure_reports_miss_when_nothing_sent() {
         let mut m = machine_with_channel(&UarchConfig::default()).unwrap();
-        let start = m.cycle();
-        let out = finish(&mut m, SECRET, start).unwrap();
+        let halt = ProgramBuilder::new().halt().build().unwrap();
+        let out = measure(&mut m, &halt, SECRET, None).unwrap();
         assert!(!out.leaked);
+        assert_eq!(out.recovered, None);
+    }
+
+    #[test]
+    fn measure_receives_in_the_receivers_cache_domain() {
+        // Under DAWG partitioning the victim's fill is visible only in its
+        // own domain: receiving there recovers the secret, receiving after
+        // the switch back to the attacker's domain does not.
+        let cfg = UarchConfig::builder().dawg(true).build();
+        let run = |receive_in_victim_domain: bool| {
+            let mut m = machine_with_channel(&cfg).unwrap();
+            let attacker = m.current_context();
+            let victim = m.add_context(Privilege::User, ExceptionBehavior::Halt);
+            m.switch_context(victim).unwrap();
+            m.set_reg(Reg::R3, PROBE_BASE);
+            let receiver = (!receive_in_victim_domain).then_some(attacker);
+            measure(&mut m, &sending_victim(), SECRET, receiver).unwrap()
+        };
+        assert!(run(true).leaked);
+        let out = run(false);
+        assert!(!out.leaked, "{out}");
         assert_eq!(out.recovered, None);
     }
 }

@@ -4,11 +4,11 @@
 //! using the stale frame bits of the PTE (Figure 4, branch ①→"Read from
 //! Cache").
 
-use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, send_epilogue, KERNEL_SECRET, PROBE_BASE, SECRET};
 use crate::graphs::fig4_faulting_load;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecretSource::Cache;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::mmu::PageEntry;
@@ -58,15 +58,8 @@ impl Foreshadow {
     }
 
     fn program() -> Result<Program, AttackError> {
-        Ok(ProgramBuilder::new()
-            .load(Reg::R6, Reg::R5, 0) // terminal-faulting load
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0)
-            .label("done")?
-            .halt()
-            .build()?)
+        let b = ProgramBuilder::new().load(Reg::R6, Reg::R5, 0); // terminal-faulting load
+        send_epilogue(b, "done")
     }
 }
 
@@ -133,10 +126,7 @@ impl Attack for Foreshadow {
         ));
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&program)?;
-        finish(m, SECRET, start)
+        measure(m, &program, SECRET, None)
     }
 }
 
@@ -191,10 +181,7 @@ mod tests {
         m.set_exception_behavior(ExceptionBehavior::Handler(program.label("done").unwrap()));
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&program).unwrap();
-        let out = finish(&mut m, SECRET, start).unwrap();
+        let out = measure(&mut m, &program, SECRET, None).unwrap();
         assert!(!out.leaked, "terminal fault must not read memory: {out}");
         // No Cache-source transient forward occurred.
         assert!(!m.events().iter().any(|e| matches!(

@@ -16,7 +16,7 @@
 //! authorization — same race as the other return-predictor variants; the
 //! campaign's predictor-flavor knob decides the verdict.
 
-use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, probe_channel, send_epilogue, PROBE_BASE, SECRET};
 use crate::graphs::fig1_branch_attack;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ReturnAddress};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
@@ -94,19 +94,13 @@ fn victim_warmup() -> Result<Program, AttackError> {
 /// 3: gadget: load r6,[r5] …send…
 /// ```
 fn victim_binary() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
+    let b = ProgramBuilder::new()
         .load(Reg::R4, Reg::R2, 0)
         .ret()
         .halt()
         // 3: the gadget
-        .load(Reg::R6, Reg::R5, 0)
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0)
-        .label("out")?
-        .halt()
-        .build()?)
+        .load(Reg::R6, Reg::R5, 0);
+    send_epilogue(b, "out")
 }
 
 /// Inception: recursive RSB overflow with attacker-chosen return targets.
@@ -154,16 +148,12 @@ impl Attack for Inception {
         m.run(&victim_warmup()?)?;
         m.flush_line(DELAY_CELL)?;
         m.touch(VICTIM_SECRET)?; // the victim's own working data
-        m.clear_events();
         m.set_reg(Reg::R2, DELAY_CELL);
         m.set_reg(Reg::R5, VICTIM_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        let start = m.cycle();
-        m.run(&victim_binary()?)?;
 
         // --- Back to the attacker, who reloads and times (step 5).
-        m.switch_context(attacker)?;
-        finish(m, SECRET, start)
+        measure(m, &victim_binary()?, SECRET, Some(attacker))
     }
 }
 

@@ -3,11 +3,11 @@
 //! ("FPU owner check"), but transiently reads the *previous* context's
 //! physical FP registers.
 
-use crate::common::{finish, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, send_epilogue, PROBE_BASE, SECRET};
 use crate::graphs::fig5_special_register;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, FReg, ProgramBuilder, Reg};
+use isa::{FReg, ProgramBuilder, Reg};
 use tsg::SecretSource::Fpu;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -41,22 +41,10 @@ impl Attack for LazyFp {
         let attacker = m.add_context(Privilege::User, ExceptionBehavior::Halt);
         m.switch_context(attacker)?;
 
-        let program = ProgramBuilder::new()
-            .fpmov(Reg::R6, FReg::new(0)) // FPU owner check races with read
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0)
-            .label("done")
-            .map_err(AttackError::Isa)?
-            .halt()
-            .build()
-            .map_err(AttackError::Isa)?;
+        // FPU owner check races with the read.
+        let program = send_epilogue(ProgramBuilder::new().fpmov(Reg::R6, FReg::new(0)), "done")?;
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&program)?;
-        finish(m, SECRET, start)
+        measure(m, &program, SECRET, None)
     }
 }
 

@@ -7,7 +7,10 @@
 //!    ([`Attack::run`]): the attack program is written in the [`isa`],
 //!    mis-trains/faults its way into a transient window, exfiltrates a
 //!    planted secret through a Flush+Reload channel, and reports whether
-//!    the secret was recovered;
+//!    the secret was recovered. Set-up and training differ per variant;
+//!    the measured part — the victim run, the switch back to the
+//!    receiver and the step-5 receive — is one shared step,
+//!    [`common::measure`];
 //! 2. an **attack graph** ([`Attack::graph`]): the paper's TSG model of the
 //!    same attack (Figures 1 and 3–7), with the authorization → access
 //!    security-dependency requirements declared, so the missing edges can
@@ -282,6 +285,11 @@ pub trait Attack: fmt::Debug + Send + Sync {
     /// the batched entry point: campaign workers reset one warm machine per
     /// task instead of rebuilding it.
     ///
+    /// Every implementation is set-up and mis-training followed by one
+    /// call of [`common::measure`], the measured step: it runs the victim
+    /// program, switches to the receiver's context if the attack crosses
+    /// one, and receives over the covert channel.
+    ///
     /// # Errors
     ///
     /// [`AttackError`] if the simulator rejects the run (cycle limit, bad
@@ -298,8 +306,7 @@ pub trait Attack: fmt::Debug + Send + Sync {
     ///
     /// Same conditions as [`Attack::run_in`].
     fn run(&self, cfg: &UarchConfig) -> Result<AttackOutcome, AttackError> {
-        let mut m = Machine::new(cfg.clone());
-        common::prepare_channel(&mut m)?;
+        let mut m = common::machine_with_channel(cfg)?;
         self.run_in(&mut m)
     }
 }

@@ -5,7 +5,7 @@
 //! attacker's channel.
 
 use crate::common::{
-    finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED, USER_SCRATCH,
+    measure, send_epilogue, KERNEL_SECRET, PROBE_BASE, SECRET, UNMAPPED, USER_SCRATCH,
 };
 use crate::graphs::fig7_lvi;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
@@ -72,29 +72,20 @@ impl Attack for Lvi {
         // loaded index; the victim then indexes its own table and touches a
         // probe line — becoming a confused-deputy sender.
         m.set_privilege(Privilege::Kernel);
-        let victim = ProgramBuilder::new()
+        let b = ProgramBuilder::new()
             .load(Reg::R6, Reg::R5, 0) // faulting load: consumes injected M
             .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
             .alu_imm(AluOp::Shl, Reg::R6, Reg::R6, 3)
             .alu(AluOp::Add, Reg::R6, Reg::R6, Reg::R4) // &table[M]
-            .load(Reg::R6, Reg::R6, 0) // Load S: the victim's secret
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0) // send
-            .label("done")?
-            .halt()
-            .build()?;
+            .load(Reg::R6, Reg::R6, 0); // Load S: the victim's secret
+        let victim = send_epilogue(b, "done")?;
         m.set_exception_behavior(ExceptionBehavior::Handler(
             victim.label("done").expect("label exists"),
         ));
         m.set_reg(Reg::R5, UNMAPPED + PLANT_OFFSET); // the faulting address
         m.set_reg(Reg::R4, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&victim)?;
-        finish(m, SECRET, start)
+        measure(m, &victim, SECRET, None)
     }
 }
 

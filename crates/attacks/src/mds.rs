@@ -3,11 +3,11 @@
 //! buffer). A *hard-faulting* load aggressively forwards stale data from a
 //! leaky buffer instead of memory (Figure 4, branches ②③④).
 
-use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED};
+use crate::common::{measure, send_epilogue, KERNEL_SECRET, PROBE_BASE, SECRET, UNMAPPED};
 use crate::graphs::fig4_faulting_load;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecretSource::{LineFillBuffer, LoadPort, StoreBuffer};
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -16,18 +16,14 @@ use uarch::{ExceptionBehavior, Machine, Privilege};
 /// then transform & send. The faulting load's "value" is whatever stale
 /// data the vulnerable machine forwards from its buffers.
 fn sampling_program() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
-        .load(Reg::R6, Reg::R5, 0) // hard fault: samples a leaky buffer
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0)
-        .label("done")?
-        .halt()
-        .build()?)
+    let b = ProgramBuilder::new().load(Reg::R6, Reg::R5, 0); // hard fault: samples a leaky buffer
+    send_epilogue(b, "done")
 }
 
-fn run_sampler(m: &mut Machine, fault_vaddr: u64) -> Result<(), AttackError> {
+/// Stages the attacker's sampling run — unprivileged, faulting at
+/// `fault_vaddr`, its handler at the gadget's exit — and returns the
+/// sampling program for the caller to measure.
+fn stage_sampler(m: &mut Machine, fault_vaddr: u64) -> Result<Program, AttackError> {
     m.set_privilege(Privilege::User);
     let program = sampling_program()?;
     m.set_exception_behavior(ExceptionBehavior::Handler(
@@ -35,8 +31,7 @@ fn run_sampler(m: &mut Machine, fault_vaddr: u64) -> Result<(), AttackError> {
     ));
     m.set_reg(Reg::R5, fault_vaddr);
     m.set_reg(Reg::R3, PROBE_BASE);
-    m.run(&program)?;
-    Ok(())
+    Ok(program)
 }
 
 /// Runs a victim load of the kernel secret so the secret transits the
@@ -87,10 +82,8 @@ impl Attack for Ridl {
         m.touch(KERNEL_SECRET)?;
         m.clear_leaky_buffers(); // LFB/SB now empty; ports refilled below
         victim_loads_secret(m)?;
-        m.clear_events();
-        let start = m.cycle();
-        run_sampler(m, UNMAPPED)?;
-        finish(m, SECRET, start)
+        let sampler = stage_sampler(m, UNMAPPED)?;
+        measure(m, &sampler, SECRET, None)
     }
 }
 
@@ -124,12 +117,10 @@ impl Attack for ZombieLoad {
         m.clear_leaky_buffers();
         // Victim load *misses*, pulling the secret line through the LFB.
         victim_loads_secret(m)?;
-        m.clear_events();
-        let start = m.cycle();
         // Attacker faults at an address whose line offset matches the
         // secret's (offset 0 here); page offsets differ from any store.
-        run_sampler(m, UNMAPPED)?;
-        finish(m, SECRET, start)
+        let sampler = stage_sampler(m, UNMAPPED)?;
+        measure(m, &sampler, SECRET, None)
     }
 }
 
@@ -173,13 +164,11 @@ impl Attack for Fallout {
         m.set_reg(Reg::R0, KERNEL_SECRET + FALLOUT_OFFSET);
         m.set_reg(Reg::R1, SECRET);
         m.run(&victim)?;
-        m.clear_events();
-        let start = m.cycle();
         // Attacker faults at an unmapped user address with the *same page
         // offset* — the store buffer's partial address match forwards the
         // victim's value.
-        run_sampler(m, UNMAPPED + FALLOUT_OFFSET)?;
-        finish(m, SECRET, start)
+        let sampler = stage_sampler(m, UNMAPPED + FALLOUT_OFFSET)?;
+        measure(m, &sampler, SECRET, None)
     }
 }
 
@@ -206,14 +195,12 @@ mod tests {
         m.touch(KERNEL_SECRET).unwrap();
         m.clear_leaky_buffers();
         victim_loads_secret(&mut m).unwrap();
-        m.clear_events();
-        let start = m.cycle();
-        run_sampler(&mut m, UNMAPPED).unwrap();
+        let sampler = stage_sampler(&mut m, UNMAPPED).unwrap();
+        let out = measure(&mut m, &sampler, SECRET, None).unwrap();
         assert!(
             forwarded_from(m.events(), TransientSource::LoadPort),
             "RIDL must sample the load port"
         );
-        let out = finish(&mut m, SECRET, start).unwrap();
         assert!(out.leaked, "{out}");
     }
 
@@ -222,14 +209,12 @@ mod tests {
         let mut m = machine_with_channel(&UarchConfig::default()).unwrap();
         m.clear_leaky_buffers();
         victim_loads_secret(&mut m).unwrap();
-        m.clear_events();
-        let start = m.cycle();
-        run_sampler(&mut m, UNMAPPED).unwrap();
+        let sampler = stage_sampler(&mut m, UNMAPPED).unwrap();
+        let out = measure(&mut m, &sampler, SECRET, None).unwrap();
         assert!(
             forwarded_from(m.events(), TransientSource::LineFillBuffer),
             "ZombieLoad must sample the LFB"
         );
-        let out = finish(&mut m, SECRET, start).unwrap();
         assert!(out.leaked, "{out}");
     }
 
@@ -256,10 +241,8 @@ mod tests {
         m.clear_leaky_buffers();
         victim_loads_secret(&mut m).unwrap();
         m.clear_leaky_buffers(); // the mitigation
-        m.clear_events();
-        let start = m.cycle();
-        run_sampler(&mut m, UNMAPPED).unwrap();
-        let out = finish(&mut m, SECRET, start).unwrap();
+        let sampler = stage_sampler(&mut m, UNMAPPED).unwrap();
+        let out = measure(&mut m, &sampler, SECRET, None).unwrap();
         assert!(!out.leaked, "{out}");
     }
 

@@ -3,11 +3,11 @@
 //! (privilege check) and the access are micro-ops of the *same*
 //! instruction.
 
-use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, send_epilogue, KERNEL_SECRET, PROBE_BASE, SECRET};
 use crate::graphs::{fig4_faulting_load, fig5_special_register};
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::DelayedException};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Msr, Program, ProgramBuilder, Reg};
+use isa::{Msr, Program, ProgramBuilder, Reg};
 use tsg::SecretSource::{Memory, SpecialRegister};
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -32,15 +32,8 @@ impl Meltdown {
     /// [`AttackError::Isa`] if assembly fails (it cannot for this fixed
     /// gadget).
     pub fn program() -> Result<Program, AttackError> {
-        Ok(ProgramBuilder::new()
-            .load(Reg::R6, Reg::R5, 0) // authorize-and-access in one instruction
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE) // use
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0) // send
-            .label("done")?
-            .halt()
-            .build()?)
+        // Authorize-and-access in one instruction, then use and send.
+        send_epilogue(ProgramBuilder::new().load(Reg::R6, Reg::R5, 0), "done")
     }
 }
 
@@ -86,10 +79,7 @@ impl Attack for Meltdown {
         ));
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&program)?;
-        finish(m, SECRET, start)
+        measure(m, &program, SECRET, None)
     }
 }
 
@@ -121,27 +111,13 @@ impl Attack for SpectreV3a {
     fn run_in(&self, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
         m.set_msr(TARGET_MSR.0, SECRET);
         m.set_privilege(Privilege::User);
-        let program = Ok::<_, AttackError>(
-            ProgramBuilder::new()
-                .rdmsr(Reg::R6, TARGET_MSR) // authorize-and-access
-                .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "done")
-                .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-                .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-                .load(Reg::R8, Reg::R7, 0)
-                .label("done")
-                .map_err(AttackError::Isa)?
-                .halt()
-                .build()
-                .map_err(AttackError::Isa)?,
-        )?;
+        // Authorize-and-access in one instruction, then use and send.
+        let program = send_epilogue(ProgramBuilder::new().rdmsr(Reg::R6, TARGET_MSR), "done")?;
         m.set_exception_behavior(ExceptionBehavior::Handler(
             program.label("done").expect("label exists"),
         ));
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&program)?;
-        finish(m, SECRET, start)
+        measure(m, &program, SECRET, None)
     }
 }
 

@@ -16,11 +16,11 @@
 //! reaches the BTB fallback, mirroring why the real-world fix was
 //! retpoline-on-ret/IBPB rather than stuffing.
 
-use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, probe_channel, send_epilogue, PROBE_BASE, SECRET};
 use crate::graphs::fig1_branch_attack;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ReturnAddress};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -42,19 +42,13 @@ const DELAY_CELL: u64 = 0x5D_0000;
 /// 3: gadget: load r6,[r5] …send…
 /// ```
 fn victim_binary() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
+    let b = ProgramBuilder::new()
         .load(Reg::R4, Reg::R2, 0)
         .ret()
         .halt()
         // 3: the gadget
-        .load(Reg::R6, Reg::R5, 0)
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0)
-        .label("out")?
-        .halt()
-        .build()?)
+        .load(Reg::R6, Reg::R5, 0);
+    send_epilogue(b, "out")
 }
 
 /// The victim `ret`'s instruction index — the BTB slot the attacker trains.
@@ -126,16 +120,12 @@ impl Attack for Retbleed {
         m.switch_context(victim_ctx)?;
         m.flush_line(DELAY_CELL)?;
         m.touch(VICTIM_SECRET)?; // the victim's own working data
-        m.clear_events();
         m.set_reg(Reg::R2, DELAY_CELL);
         m.set_reg(Reg::R5, VICTIM_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        let start = m.cycle();
-        m.run(&victim_binary()?)?;
 
         // --- Back to the attacker, who reloads and times (step 5).
-        m.switch_context(attacker)?;
-        finish(m, SECRET, start)
+        measure(m, &victim_binary()?, SECRET, Some(attacker))
     }
 }
 

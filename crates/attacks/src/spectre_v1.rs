@@ -3,7 +3,7 @@
 //! Figure 1 and Listing 1 of the paper.
 
 use crate::common::{
-    finish, probe_channel, BOUND_CELL, BOUND_PTR, PROBE_BASE, PROBE_STRIDE, SECRET, USER_SCRATCH,
+    measure, probe_channel, send_epilogue, BOUND_CELL, BOUND_PTR, PROBE_BASE, SECRET, USER_SCRATCH,
     VICTIM_ARRAY,
 };
 use crate::graphs::fig1_branch_attack;
@@ -37,19 +37,6 @@ fn victim_prologue() -> ProgramBuilder {
         .branch_if(Cond::Ge, Reg::R0, Reg::R4, "out") // authorization
 }
 
-/// The send gadget: transform the value in `r6` into a probe-line fill.
-/// The `beq r6, zero` guard keeps architectural re-executions (which see 0)
-/// from polluting the channel.
-fn send_epilogue(b: ProgramBuilder) -> Result<Program, AttackError> {
-    Ok(b.branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE) // use secret
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0) // send: Load R to cache
-        .label("out")?
-        .halt()
-        .build()?)
-}
-
 fn setup_victim_memory(m: &mut Machine) -> Result<(), AttackError> {
     m.map_user_page(VICTIM_ARRAY)?;
     m.map_user_page(BOUND_PTR)?;
@@ -78,18 +65,17 @@ fn train_branch(m: &mut Machine, program: &Program) -> Result<(), AttackError> {
     Ok(())
 }
 
-fn attack_run(m: &mut Machine, program: &Program) -> Result<(), AttackError> {
-    // Step 2 onward: flush the bound chain (delay the authorization), pass
-    // the out-of-bounds index, run.
+/// Stages the attack run (step 2 onward): flushes the bound chain to delay
+/// the authorization, re-arms the channel and passes the out-of-bounds
+/// index. The caller then measures the victim program.
+fn attack_run(m: &mut Machine) -> Result<(), AttackError> {
     m.flush_line(BOUND_PTR)?;
     m.flush_line(BOUND_CELL)?;
     probe_channel().rearm(m)?;
-    m.clear_events();
     m.set_reg(Reg::R0, OOB_INDEX);
     m.set_reg(Reg::R1, VICTIM_ARRAY);
     m.set_reg(Reg::R2, BOUND_PTR);
     m.set_reg(Reg::R3, PROBE_BASE);
-    m.run(program)?;
     Ok(())
 }
 
@@ -111,7 +97,7 @@ impl SpectreV1 {
             .alu_imm(AluOp::Shl, Reg::R5, Reg::R0, 3) // x * 8
             .alu(AluOp::Add, Reg::R5, Reg::R5, Reg::R1)
             .load(Reg::R6, Reg::R5, 0); // Load S: out-of-bounds read
-        send_epilogue(b)
+        send_epilogue(b, "out")
     }
 }
 
@@ -139,9 +125,8 @@ impl Attack for SpectreV1 {
         setup_victim_memory(m)?;
         let program = Self::program()?;
         train_branch(m, &program)?;
-        let start = m.cycle();
-        attack_run(m, &program)?;
-        finish(m, SECRET, start)
+        attack_run(m)?;
+        measure(m, &program, SECRET, None)
     }
 }
 
@@ -169,7 +154,7 @@ impl SpectreV1_1 {
             .imm(Reg::R9, INJECTED)
             .store(Reg::R9, Reg::R5, 0) // transient OOB write
             .load(Reg::R6, Reg::R5, 0); // forwarded back: dataflow hijacked
-        send_epilogue(b)
+        send_epilogue(b, "out")
     }
 }
 
@@ -197,9 +182,8 @@ impl Attack for SpectreV1_1 {
         setup_victim_memory(m)?;
         let program = Self::program()?;
         train_branch(m, &program)?;
-        let start = m.cycle();
-        attack_run(m, &program)?;
-        let mut out = finish(m, INJECTED, start)?;
+        attack_run(m)?;
+        let mut out = measure(m, &program, INJECTED, None)?;
         // Success = the *injected* value crossed the channel; the planted
         // OOB word must meanwhile be architecturally unmodified.
         let intact = m.read_u64(VICTIM_ARRAY + OOB_INDEX * 8)? == SECRET;
@@ -226,7 +210,7 @@ impl SpectreV1_2 {
             .imm(Reg::R9, INJECTED)
             .store(Reg::R9, Reg::R10, 0) // transient write to read-only page
             .load(Reg::R6, Reg::R10, 0); // forwarded: protection bypassed
-        send_epilogue(b)
+        send_epilogue(b, "out")
     }
 }
 
@@ -268,9 +252,8 @@ impl Attack for SpectreV1_2 {
         m.set_reg(Reg::R10, BOUND_PTR + 64);
         train_branch(m, &program)?;
         m.set_reg(Reg::R10, ro_page);
-        let start = m.cycle();
-        attack_run(m, &program)?;
-        let mut out = finish(m, INJECTED, start)?;
+        attack_run(m)?;
+        let mut out = measure(m, &program, INJECTED, None)?;
         // The read-only word must be architecturally untouched.
         let intact = m.read_u64(ro_page)? == 0;
         out.leaked = out.leaked && intact;
@@ -299,7 +282,8 @@ mod tests {
         setup_victim_memory(&mut m).unwrap();
         let p = SpectreV1::program().unwrap();
         train_branch(&mut m, &p).unwrap();
-        attack_run(&mut m, &p).unwrap();
+        attack_run(&mut m).unwrap();
+        measure(&mut m, &p, SECRET, None).unwrap();
         // The out-of-bounds value never reached an architectural register:
         // the attack run's branch was *taken* architecturally, skipping the
         // gadget, so r6 still holds the last training run's in-bounds value.
@@ -394,7 +378,8 @@ mod tests {
         setup_victim_memory(&mut m).unwrap();
         let p = SpectreV1::program().unwrap();
         train_branch(&mut m, &p).unwrap();
-        attack_run(&mut m, &p).unwrap();
+        attack_run(&mut m).unwrap();
+        measure(&mut m, &p, SECRET, None).unwrap();
         assert!(m
             .events()
             .iter()

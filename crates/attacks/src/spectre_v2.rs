@@ -2,11 +2,11 @@
 //! branch): the attacker mis-trains the shared BTB so the victim's indirect
 //! jump transiently executes an attacker-chosen gadget.
 
-use crate::common::{finish, probe_channel, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, probe_channel, send_epilogue, PROBE_BASE, SECRET};
 use crate::graphs::fig1_branch_attack;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::IndirectBranch};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
+use isa::{Program, ProgramBuilder, Reg};
 use tsg::SecretSource::ArchitecturalMemory;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -34,20 +34,14 @@ const ATTACKER_DUMMY: u64 = 0x52_0000;
 /// 4: gadget: load r6,[r5] …send…  ; attacker-chosen target
 /// ```
 fn victim_binary() -> Result<Program, AttackError> {
-    Ok(ProgramBuilder::new()
+    let b = ProgramBuilder::new()
         .load(Reg::R4, Reg::R9, 0)
         .load(Reg::R1, Reg::R4, 0)
         .jump_indirect(Reg::R1)
         .halt() // 3: legitimate target
         // 4: the gadget
-        .load(Reg::R6, Reg::R5, 0)
-        .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-        .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-        .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-        .load(Reg::R8, Reg::R7, 0)
-        .label("out")?
-        .halt()
-        .build()?)
+        .load(Reg::R6, Reg::R5, 0);
+    send_epilogue(b, "out")
 }
 
 /// The gadget's instruction index in [`victim_binary`].
@@ -124,16 +118,12 @@ impl Attack for SpectreV2 {
         m.flush_line(TARGET_CELL)?;
         // The victim touched its secret recently (it is its working data).
         m.touch(VICTIM_SECRET)?;
-        m.clear_events();
         m.set_reg(Reg::R9, TARGET_PTR);
         m.set_reg(Reg::R5, VICTIM_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        let start = m.cycle();
-        m.run(&binary)?;
 
         // --- Back to the attacker, who reloads and times (step 5).
-        m.switch_context(attacker)?;
-        finish(m, SECRET, start)
+        measure(m, &binary, SECRET, Some(attacker))
     }
 }
 

@@ -3,7 +3,7 @@
 //! address is still unresolved, transiently reading *stale* data the store
 //! should have overwritten.
 
-use crate::common::{finish, PROBE_BASE, PROBE_STRIDE, SECRET};
+use crate::common::{measure, PROBE_BASE, PROBE_STRIDE, SECRET};
 use crate::graphs::fig6_disambiguation;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::Disambiguation};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
@@ -81,11 +81,7 @@ impl Attack for SpectreV4 {
         m.set_reg(Reg::R11, NEW_VALUE);
         m.set_reg(Reg::R12, NEW_VALUE);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&p)?;
-        let out = finish(m, SECRET, start)?;
-        Ok(out)
+        measure(m, &p, SECRET, None)
     }
 }
 
@@ -157,10 +153,7 @@ mod tests {
         m.set_reg(Reg::R11, NEW_VALUE);
         m.set_reg(Reg::R12, NEW_VALUE);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&p).unwrap();
-        let out = finish(&mut m, SECRET, start).unwrap();
+        let out = measure(&mut m, &p, SECRET, None).unwrap();
         assert!(!out.leaked, "SSBB must forbid the bypass: {out}");
     }
 

@@ -3,7 +3,7 @@
 //! role of the delayed authorization, and the in-flight transient window
 //! samples the L1 (TAA) or the line fill buffer (CacheOut).
 
-use crate::common::{finish, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED};
+use crate::common::{measure, KERNEL_SECRET, PROBE_BASE, PROBE_STRIDE, SECRET, UNMAPPED};
 use crate::graphs::fig4_faulting_load;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::TransactionAbort};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
@@ -68,10 +68,7 @@ impl Attack for Taa {
         let p = tx_program()?;
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&p)?;
-        finish(m, SECRET, start)
+        measure(m, &p, SECRET, None)
     }
 }
 
@@ -119,10 +116,7 @@ impl Attack for CacheOut {
         let p = tx_program()?;
         m.set_reg(Reg::R5, UNMAPPED);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        m.run(&p)?;
-        finish(m, SECRET, start)
+        measure(m, &p, SECRET, None)
     }
 }
 
@@ -130,7 +124,7 @@ impl Attack for CacheOut {
 mod tests {
     use super::*;
     use crate::common::machine_with_channel;
-    use uarch::UarchConfig;
+    use uarch::{TraceEvent, UarchConfig};
 
     #[test]
     fn taa_leaks_and_suppresses_the_fault() {
@@ -142,13 +136,20 @@ mod tests {
         let p = tx_program().unwrap();
         m.set_reg(Reg::R5, KERNEL_SECRET);
         m.set_reg(Reg::R3, PROBE_BASE);
-        m.clear_events();
-        let start = m.cycle();
-        let r = m.run(&p).unwrap();
-        assert_eq!(r.tx_aborts, 1, "the fault must abort the transaction");
-        assert!(r.faults.is_empty(), "the fault is suppressed, not raised");
-        let out = finish(&mut m, SECRET, start).unwrap();
+        let out = measure(&mut m, &p, SECRET, None).unwrap();
         assert!(out.leaked, "{out}");
+        let aborts = m
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::TxAborted { .. }))
+            .count();
+        assert_eq!(aborts, 1, "the fault must abort the transaction");
+        assert!(
+            !m.events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::FaultRaised { .. })),
+            "the fault is suppressed, not raised"
+        );
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! eager #NM-handler switch.
 
 use crate::common::{
-    finish, probe_channel, BOUND_CELL, BOUND_PTR, PROBE_BASE, PROBE_STRIDE, SECRET,
+    measure, probe_channel, send_epilogue, BOUND_CELL, BOUND_PTR, PROBE_BASE, SECRET,
 };
 use crate::graphs::fig1_branch_attack;
 use crate::space::{AttackPoint, Channel::FlushReload, DelayMechanism::ConditionalBranch};
 use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
-use isa::{AluOp, Cond, FReg, Program, ProgramBuilder, Reg};
+use isa::{Cond, FReg, Program, ProgramBuilder, Reg};
 use tsg::SecretSource::Fpu;
 use tsg::{SecretSource, SecurityAnalysis};
 use uarch::{ExceptionBehavior, Machine, Privilege};
@@ -50,20 +50,12 @@ impl ZenBleed {
     /// [`AttackError::Isa`] if assembly fails (it cannot for this fixed
     /// program).
     pub fn program() -> Result<Program, AttackError> {
-        ProgramBuilder::new()
+        let b = ProgramBuilder::new()
             .load(Reg::R4, Reg::R2, 0) // flag_ptr -> &flag (miss)
             .load(Reg::R4, Reg::R4, 0) // &flag -> flag     (miss)
             .branch_if(Cond::Ge, Reg::R0, Reg::R4, "out") // rollback point
-            .fpmov(Reg::R6, FReg::new(0)) // read stale physical FP state
-            .branch_if(Cond::Eq, Reg::R6, Reg::ZERO, "out")
-            .alu_imm(AluOp::Mul, Reg::R7, Reg::R6, PROBE_STRIDE)
-            .alu(AluOp::Add, Reg::R7, Reg::R7, Reg::R3)
-            .load(Reg::R8, Reg::R7, 0) // send: Load R to cache
-            .label("out")
-            .map_err(AttackError::Isa)?
-            .halt()
-            .build()
-            .map_err(AttackError::Isa)
+            .fpmov(Reg::R6, FReg::new(0)); // read stale physical FP state
+        send_epilogue(b, "out")
     }
 }
 
@@ -117,13 +109,10 @@ impl Attack for ZenBleed {
         m.flush_line(BOUND_PTR)?;
         m.flush_line(BOUND_CELL)?;
         probe_channel().rearm(m)?;
-        m.clear_events();
         m.set_reg(Reg::R0, TRIGGER);
         m.set_reg(Reg::R2, BOUND_PTR);
         m.set_reg(Reg::R3, PROBE_BASE);
-        let start = m.cycle();
-        m.run(&program)?;
-        finish(m, SECRET, start)
+        measure(m, &program, SECRET, None)
     }
 }
 

@@ -43,7 +43,7 @@ use specgraph::campaign::{
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, Corpus, CorpusError, FuzzConfig, FuzzError};
-use specgraph::fault::{self, PanickingAttack};
+use specgraph::fault;
 use specgraph::serve::{
     AnswerSource, ScheduleReport, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS,
 };
@@ -56,8 +56,8 @@ use uarch::UarchConfig;
 
 /// The usage text `campaign --help` (and every usage error) prints.
 pub const USAGE: &str = "\
-campaign — run, shard, merge, render, diff, query, fuzz and
-           fault-test attack×defense-stack×config campaigns
+campaign — run, shard, merge, render, diff, query and fuzz
+           attack×defense-stack×config campaigns
 
 USAGE:
   campaign run    [SPEC] [--out FILE] [--csv FILE] [--progress]
@@ -69,8 +69,6 @@ USAGE:
   campaign query  ARTIFACT.json... [--queries FILE] [--simulate]
   campaign fuzz   [--seed N] [--budget N] [--corpus DIR] [--threads N]
                   [--checkpoint-every N]
-  campaign fault  sweep|sweep-fuzz|quarantine --dir DIR [--seed N]
-                  [--retries N]
 
 SPEC (must be identical for every shard of one campaign):
   --attacks NAMES    comma-separated attack names (default: full registry)
@@ -135,17 +133,6 @@ SPEC (must be identical for every shard of one campaign):
   larger --budget resumes where the last one stopped. Without --corpus
   the corpus document is printed to stdout. `run --synthesized` reads
   the corpus file's findings as attack rows.
-
-  `campaign fault` self-tests the pipeline's failure model inside --dir
-  (a scratch workspace it wipes). `sweep` runs a seeded crash sweep over
-  a small checkpointed grid: every write index k in the run's
-  write sequence gets one pass with an injected fault (crash, torn
-  write, ENOSPC, failed rename — chosen by --seed) at write #k, and the
-  resumed output must be bit-identical to a fault-free run with zero
-  completed cells re-simulated. `sweep-fuzz` proves the same for the
-  fuzz corpus checkpoint cadence. `quarantine` injects a panicking cell
-  and shows --retries exhausting into a typed quarantined row, then the
-  incremental re-run healing it.
 ";
 
 /// What a successfully executed subcommand did (the binary prints this;
@@ -217,13 +204,6 @@ pub enum Outcome {
         /// Novel 1-minimal leaking shapes in the corpus.
         findings: usize,
     },
-    /// `fault`: a fault-injection self-test ran to completion.
-    FaultTested {
-        /// Which mode ran: `sweep`, `sweep-fuzz` or `quarantine`.
-        mode: &'static str,
-        /// Sweep cases proven (write points) or cells quarantined.
-        cases: usize,
-    },
     /// `--help` was requested; usage was printed.
     Help,
 }
@@ -262,8 +242,6 @@ pub enum CliError {
         /// What went wrong.
         source: std::io::Error,
     },
-    /// A `campaign fault` self-test found the pipeline not crash-safe.
-    Fault(String),
 }
 
 impl fmt::Display for CliError {
@@ -283,7 +261,6 @@ impl fmt::Display for CliError {
             CliError::Io { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
-            CliError::Fault(msg) => write!(f, "fault self-test failed: {msg}"),
         }
     }
 }
@@ -298,7 +275,7 @@ impl Error for CliError {
             CliError::Fuzz(e) => Some(e),
             CliError::Registry { source, .. } => Some(source),
             CliError::Io { source, .. } => Some(source),
-            CliError::Usage(_) | CliError::Fault(_) => None,
+            CliError::Usage(_) => None,
         }
     }
 }
@@ -348,10 +325,9 @@ pub fn main_with(args: &[String]) -> Result<Outcome, CliError> {
         Some("diff") => cmd_diff(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("fault") => cmd_fault(&args[1..]),
         Some(other) => Err(CliError::Usage(format!(
             "unknown subcommand '{other}' (expected run, merge, render, diff, \
-             query, fuzz or fault)"
+             query or fuzz)"
         ))),
     }
 }
@@ -1181,160 +1157,6 @@ fn cmd_fuzz(args: &[String]) -> Result<Outcome, CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// Fault self-tests
-// ---------------------------------------------------------------------------
-
-fn cmd_fault(args: &[String]) -> Result<Outcome, CliError> {
-    let mut mode: Option<String> = None;
-    let mut seed: u64 = 0xFA17;
-    let mut dir: Option<PathBuf> = None;
-    let mut retries: u32 = 2;
-    let mut flags = Flags::new(args);
-    while let Some(arg) = flags.next() {
-        match arg {
-            "--seed" => seed = flags.number(arg)?,
-            "--dir" => dir = Some(flags.path(arg)?),
-            "--retries" => retries = flags.number(arg)?,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!(
-                    "unknown flag '{flag}' for 'campaign fault'"
-                )));
-            }
-            positional => {
-                if mode.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "campaign fault takes one mode, got '{positional}' too"
-                    )));
-                }
-                mode = Some(positional.to_owned());
-            }
-        }
-    }
-    let mode = mode.ok_or_else(|| {
-        CliError::Usage("campaign fault needs a mode: sweep, sweep-fuzz or quarantine".to_owned())
-    })?;
-    match mode.as_str() {
-        "quarantine" => return fault_quarantine(retries),
-        "sweep" | "sweep-fuzz" => {}
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown fault mode '{other}' (expected sweep, sweep-fuzz or quarantine)"
-            )))
-        }
-    }
-    let dir = dir.ok_or_else(|| {
-        CliError::Usage(
-            "campaign fault sweeps need --dir DIR (a scratch workspace they wipe)".to_owned(),
-        )
-    })?;
-    match mode.as_str() {
-        "sweep" => fault_sweep_scheduler(seed, &dir),
-        _ => fault_sweep_fuzz(seed, &dir),
-    }
-}
-
-/// The small grid every scheduler crash-sweep runs: 2 attacks ×
-/// 1 defense × 2 ROB depths = 8 tasks, chunked 2 per checkpoint file.
-fn sweep_spec() -> CampaignSpec {
-    CampaignSpec::builder(UarchConfig::default())
-        .attacks([
-            attacks::find(attacks::names::MELTDOWN).expect("Meltdown is in the registry"),
-            attacks::find(attacks::names::RETBLEED).expect("Retbleed is in the registry"),
-        ])
-        .defenses([*defenses::find("NDA").expect("NDA is in the catalog")])
-        .axis(Knob::RobDepth, [16usize, 64])
-        .threads(1)
-        .build()
-}
-
-fn fault_sweep_scheduler(seed: u64, dir: &Path) -> Result<Outcome, CliError> {
-    let report = fault::sweep_scheduler(&sweep_spec(), dir, seed).map_err(CliError::Fault)?;
-    eprintln!(
-        "campaign: fault sweep (scheduler) passed — {} write point(s), {} \
-         fault(s) fired, every resume bit-identical with 0 completed cell(s) \
-         re-simulated",
-        report.writes, report.fired,
-    );
-    Ok(Outcome::FaultTested {
-        mode: "sweep",
-        cases: report.writes,
-    })
-}
-
-fn fault_sweep_fuzz(seed: u64, dir: &Path) -> Result<Outcome, CliError> {
-    let cfg = FuzzConfig {
-        seed,
-        budget: 48,
-        checkpoint_every: 16,
-        threads: 1,
-        ..FuzzConfig::default()
-    };
-    let report = fault::sweep_fuzz(&cfg, dir, seed).map_err(CliError::Fault)?;
-    eprintln!(
-        "campaign: fault sweep (fuzz corpus) passed — {} write point(s), {} \
-         fault(s) fired, every resume bit-identical with 0 completed \
-         candidate(s) re-classified",
-        report.writes, report.fired,
-    );
-    Ok(Outcome::FaultTested {
-        mode: "sweep-fuzz",
-        cases: report.writes,
-    })
-}
-
-fn fault_quarantine(retries: u32) -> Result<Outcome, CliError> {
-    let panicking = PanickingAttack::wrap(
-        attacks::find(attacks::names::MELTDOWN).expect("Meltdown is in the registry"),
-    );
-    let mut spec = CampaignSpec::builder(UarchConfig::default())
-        .attacks([
-            panicking as &'static dyn Attack,
-            attacks::find(attacks::names::RETBLEED).expect("Retbleed is in the registry"),
-        ])
-        .defenses([*defenses::find("NDA").expect("NDA is in the catalog")])
-        .axis(Knob::RobDepth, [16usize, 64])
-        .threads(1)
-        .build();
-    spec.resilience.retries = retries;
-    let matrix = CampaignMatrix::run(&spec)?;
-    let quarantined = matrix.quarantined();
-    if quarantined == 0 {
-        return Err(CliError::Fault(
-            "injected panicking cell produced no quarantined rows".to_owned(),
-        ));
-    }
-    eprintln!(
-        "campaign: quarantined {quarantined} cell(s) after {retries} \
-         retry(ies) each — the campaign still completed all {} task(s)",
-        spec.total_tasks(),
-    );
-    panicking.disarm();
-    let (healed, report) = Scheduler::new(&spec).prev(&matrix).run()?;
-    if healed.quarantined() != 0 {
-        return Err(CliError::Fault(format!(
-            "{} cell(s) still quarantined after the fault was removed",
-            healed.quarantined(),
-        )));
-    }
-    if report.evaluated != quarantined {
-        return Err(CliError::Fault(format!(
-            "healing run re-evaluated {} task(s), expected exactly the \
-             {quarantined} quarantined one(s)",
-            report.evaluated,
-        )));
-    }
-    eprintln!(
-        "campaign: re-run with the fault removed healed all {quarantined} \
-         quarantined cell(s) incrementally ({} task(s) reused)",
-        report.reused,
-    );
-    Ok(Outcome::FaultTested {
-        mode: "quarantine",
-        cases: quarantined,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Small helpers
 // ---------------------------------------------------------------------------
 
@@ -1420,8 +1242,7 @@ fn load_matrix(path: &Path) -> Result<CampaignMatrix, CliError> {
 }
 
 /// Writes through the fault-injectable atomic layer (tmp + rename), so
-/// every CLI artifact — matrix, part, CSV, SVG — is crash-consistent and
-/// covered by `campaign fault` sweeps.
+/// every CLI artifact — matrix, part, CSV, SVG — is crash-consistent.
 fn write_file(path: &Path, content: &str) -> Result<(), CliError> {
     fault::write_atomic(path, content).map_err(|source| CliError::Io {
         path: path.to_path_buf(),

@@ -310,6 +310,7 @@ fn usage_errors_are_actionable() {
         ),
         // Retired subcommands and one-value flags are gone.
         (vec!["serve"], "unknown subcommand"),
+        (vec!["fault", "sweep"], "unknown subcommand"),
         (vec!["run", "--incremental"], "unknown flag"),
         (vec!["render", "--figure8", "m.json"], "unknown flag"),
         (vec!["fuzz", "--registry-out", "r.json"], "unknown flag"),
@@ -337,11 +338,6 @@ fn usage_errors_are_actionable() {
             "given twice",
         ),
         (vec!["merge", "p.json", "--out"], "needs a value"),
-        (
-            vec!["fault", "sweep", "--seed", "1", "--seed", "2"],
-            "given twice",
-        ),
-        (vec!["fault", "sweep", "--dir"], "needs a value"),
         (vec!["fuzz", "--seed", "1", "--seed", "2"], "given twice"),
         (
             vec!["run", "--shard", "0/2", "--prev", "x.json"],
@@ -894,34 +890,6 @@ fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
     let err = main_with(&mismatch).unwrap_err();
     assert!(matches!(err, CliError::Fuzz(_)), "{err:?}");
     fs::remove_dir_all(&dir).ok();
-}
-
-// ---------------------------------------------------------------------------
-// Fault self-tests
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fault_quarantine_mode_degrades_and_heals() {
-    let outcome = run(&["fault", "quarantine", "--retries", "1"]).expect("quarantine self-test");
-    assert_eq!(
-        outcome,
-        Outcome::FaultTested {
-            mode: "quarantine",
-            cases: 4
-        }
-    );
-}
-
-#[test]
-fn fault_usage_errors_are_actionable() {
-    let err = run(&["fault"]).unwrap_err();
-    assert!(err.to_string().contains("mode"), "{err}");
-    let err = run(&["fault", "meltdown-everything"]).unwrap_err();
-    assert!(err.to_string().contains("sweep"), "{err}");
-    let err = run(&["fault", "sweep"]).unwrap_err();
-    assert!(err.to_string().contains("--dir"), "{err}");
-    let err = run(&["fault", "sweep", "--frobnicate"]).unwrap_err();
-    assert!(err.to_string().contains("campaign fault"), "{err}");
 }
 
 #[test]

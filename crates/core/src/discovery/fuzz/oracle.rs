@@ -21,7 +21,7 @@ use channels::prime_probe::PrimeProbe;
 use isa::{Program, ProgramBuilder, Reg};
 use std::sync::Arc;
 use tsg::{SecretSource, SecurityAnalysis};
-use uarch::{ExceptionBehavior, Machine, Privilege, UarchConfig};
+use uarch::{ContextId, ExceptionBehavior, Machine, Privilege, UarchConfig};
 
 /// Why the graph predicts a leak the simulation does not reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,7 +134,7 @@ impl Verdicts {
 /// each oracle wins (a dead value silences the simulation even when a
 /// launder is also present).
 #[must_use]
-pub fn classify_agreement(graph_leak: bool, sim_leak: bool, mutations: &[Mutation]) -> Agreement {
+fn classify_agreement(graph_leak: bool, sim_leak: bool, mutations: &[Mutation]) -> Agreement {
     match (graph_leak, sim_leak) {
         (true, true) => Agreement::AgreeLeak,
         (false, false) => Agreement::AgreeSafe,
@@ -298,22 +298,23 @@ impl ChannelDriver {
             self.receiver().prime(m)?;
         } else {
             common::probe_channel().rearm(m)?;
-            m.clear_events();
         }
         Ok(())
     }
 
-    /// Receives and builds the outcome.
-    fn finish(
+    /// The driver's one measured step: runs the victim `program`,
+    /// switches to `receiver` if given, and receives over this channel.
+    fn measure(
         &self,
         m: &mut Machine,
+        program: &Program,
         secret: u64,
-        start_cycle: u64,
+        receiver: Option<ContextId>,
     ) -> Result<AttackOutcome, AttackError> {
         if self.prime_probe {
-            common::finish_with(m, secret, start_cycle, |m| self.receiver().probe(m))
+            common::measure_with(m, program, secret, receiver, |m| self.receiver().probe(m))
         } else {
-            common::finish(m, secret, start_cycle)
+            common::measure(m, program, secret, receiver)
         }
     }
 }
@@ -421,11 +422,8 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.flush_line(layout::BOUND_PTR)?;
             m.flush_line(layout::BOUND_CELL)?;
             chan.pre_attack(m)?;
-            m.clear_events();
             set_victim_regs(m, chan.base(), layout::OOB_INDEX, plan.attack_r5, secret);
-            let start = m.cycle();
-            m.run(&s.program)?;
-            chan.finish(m, secret, start)
+            chan.measure(m, &s.program, secret, None)
         }
         DelayMechanism::IndirectBranch => {
             m.map_user_page(layout::TARGET_PTR)?;
@@ -448,11 +446,8 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.flush_line(layout::TARGET_PTR)?;
             m.flush_line(layout::TARGET_CELL)?;
             chan.pre_attack(m)?;
-            m.clear_events();
             set_victim_regs(m, chan.base(), 0, plan.attack_r5, secret);
-            let start = m.cycle();
-            m.run(&s.program)?;
-            chan.finish(m, secret, start)
+            chan.measure(m, &s.program, secret, None)
         }
         DelayMechanism::ReturnAddress => {
             if s.gadget_pc == 0 {
@@ -482,13 +477,9 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             if s.combo.source == SecretSource::ArchitecturalMemory {
                 m.touch(layout::VICTIM_SECRET)?;
             }
-            m.clear_events();
             set_victim_regs(m, chan.base(), 0, plan.attack_r5, secret);
             m.set_reg(Reg::R2, layout::DELAY_CELL);
-            let start = m.cycle();
-            m.run(&s.program)?;
-            m.switch_context(attacker_ctx)?;
-            chan.finish(m, secret, start)
+            chan.measure(m, &s.program, secret, Some(attacker_ctx))
         }
         // A delayed exception: the only other executable delay.
         _ => {
@@ -496,11 +487,8 @@ fn drive(s: &Scenario, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
             m.set_privilege(Privilege::User);
             m.set_exception_behavior(ExceptionBehavior::Handler(out_pc));
             chan.pre_attack(m)?;
-            m.clear_events();
             set_victim_regs(m, chan.base(), 0, plan.attack_r5, secret);
-            let start = m.cycle();
-            m.run(&s.program)?;
-            chan.finish(m, secret, start)
+            chan.measure(m, &s.program, secret, None)
         }
     }
 }

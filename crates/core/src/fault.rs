@@ -20,8 +20,8 @@
 //!    time crashing at a different write index `k`, resuming, and asserting
 //!    the recovered output is bit-identical to the oracle. Two workloads
 //!    are built in: [`sweep_scheduler`] (a checkpointed scheduler run) and
-//!    [`sweep_fuzz`] (the fuzz-corpus checkpoint cadence), shared by
-//!    `campaign fault sweep`/`sweep-fuzz` and the integration tests.
+//!    [`sweep_fuzz`] (the fuzz-corpus checkpoint cadence), which the
+//!    integration tests in `tests/fault.rs` run.
 //! 3. [`PanickingAttack`] — a registry-wrapping test double whose simulation
 //!    panics while armed, for driving the campaign quarantine path
 //!    ([`crate::campaign::CellOutcome::Quarantined`]) end to end.

@@ -11,7 +11,7 @@
 //! Both the graph-level argument and the executable demonstration live
 //! here.
 
-use attacks::common::{finish, machine_with_channel, KERNEL_SECRET, PROBE_BASE, SECRET};
+use attacks::common::{machine_with_channel, measure, KERNEL_SECRET, PROBE_BASE, SECRET};
 use attacks::meltdown::Meltdown;
 use attacks::{Attack, AttackError, AttackOutcome};
 use isa::Reg;
@@ -58,10 +58,7 @@ fn run_meltdown_with_residency_in(
     ));
     m.set_reg(Reg::R5, KERNEL_SECRET);
     m.set_reg(Reg::R3, PROBE_BASE);
-    m.clear_events();
-    let start = m.cycle();
-    m.run(&program)?;
-    finish(m, SECRET, start)
+    measure(m, &program, SECRET, None)
 }
 
 /// Runs the full four-configuration §V-B experiment.

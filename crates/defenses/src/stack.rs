@@ -309,33 +309,6 @@ impl DefenseStack {
         Some(cfg)
     }
 
-    /// A stable 64-bit digest of the stack's identity: member names and
-    /// strategies plus the merged overlay writes.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for d in &self.members {
-            eat(d.name.as_bytes());
-            eat(&[0]);
-            eat(d.strategy.token().as_bytes());
-            eat(&[0]);
-        }
-        eat(&[1]);
-        for w in self.overlay_writes() {
-            eat(w.knob.token().as_bytes());
-            eat(&[b'=', u8::from(w.value), 0]);
-        }
-        h
-    }
-
     /// Applies every distinct member strategy to the attack's graph and
     /// asks Theorem 1 whether the stack closes the leak path — the
     /// *proved* (graph-level) claim about the bundle.
@@ -591,19 +564,6 @@ mod tests {
         assert_eq!(s.strategy_token(), "prevent_access+clear_predictions");
         let single = DefenseStack::single(defense(names::NDA));
         assert_eq!(single.strategy_token(), "prevent_use");
-    }
-
-    #[test]
-    fn fingerprints_distinguish_membership_and_order() {
-        let a = DefenseStack::parse("kpti+retpoline").unwrap();
-        let b = DefenseStack::parse("retpoline+kpti").unwrap();
-        let c = DefenseStack::parse("kpti").unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_eq!(
-            a.fingerprint(),
-            DefenseStack::parse("kpti+retpoline").unwrap().fingerprint()
-        );
     }
 
     #[test]

@@ -54,10 +54,18 @@ fn meltdown() -> &'static dyn Attack {
 fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
     let _io = io_lock();
     let oracle = CampaignMatrix::run(&spec_with(meltdown())).unwrap();
+    for retries in [1, 2] {
+        quarantine_and_heal(&oracle, retries);
+    }
+}
 
+/// One quarantine round trip: a panicking Meltdown exhausts `retries`,
+/// the degraded matrix round-trips, and an incremental re-run with the
+/// fault removed heals it back to `oracle`.
+fn quarantine_and_heal(oracle: &CampaignMatrix, retries: u32) {
     let double = PanickingAttack::wrap(meltdown());
     let mut spec = spec_with(double as &'static dyn Attack);
-    spec.resilience.retries = 1;
+    spec.resilience.retries = retries;
     let matrix = CampaignMatrix::run(&spec).expect("campaign completes despite the panicking cell");
 
     // Every Meltdown row (baseline + NDA cell, two configs each) is a
@@ -83,7 +91,7 @@ fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
     }
 
     // The degraded schema round-trips: save, load, same degraded counts.
-    let dir = tempdir("quarantine");
+    let dir = tempdir(&format!("quarantine-{retries}"));
     let path = dir.join("matrix.json");
     matrix.save_json(&path).unwrap();
     let loaded = CampaignMatrix::load_json(&path).unwrap();
@@ -244,33 +252,40 @@ fn fault_free_matrices_still_load_as_schema_v5() {
 #[test]
 fn scheduler_run_is_crash_consistent_at_every_write_prefix() {
     let _io = io_lock();
-    let dir = tempdir("sweep-serve");
-    // Every resume reuses each intact checkpoint and covers every chunk.
-    let report =
-        fault::sweep_scheduler(&spec_with(meltdown()), &dir, 0xC0FFEE).expect("sweep passes");
-    // 4 chunk checkpoints + 1 final matrix.
-    assert_eq!(report.writes, 5);
-    assert_eq!(report.fired, 5);
-    let _ = fs::remove_dir_all(&dir);
+    // The plan seed picks the fault kind injected at each write.
+    for seed in [0xC0FFEE, 42] {
+        let dir = tempdir(&format!("sweep-serve-{seed}"));
+        // Every resume reuses each intact checkpoint and covers every chunk.
+        let report =
+            fault::sweep_scheduler(&spec_with(meltdown()), &dir, seed).expect("sweep passes");
+        // 4 chunk checkpoints + 1 final matrix.
+        assert_eq!(report.writes, 5, "seed {seed}");
+        assert_eq!(report.fired, 5, "seed {seed}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn fuzz_corpus_run_is_crash_consistent_at_every_checkpoint_cadence() {
     let _io = io_lock();
-    let cfg = FuzzConfig {
-        seed: 11,
-        budget: 24,
-        checkpoint_every: 8,
-        threads: 1,
-        ..FuzzConfig::default()
-    };
-    let dir = tempdir("sweep-fuzz");
-    // Every resume re-classifies exactly the candidates the surviving
-    // corpus does not cover.
-    let report = fault::sweep_fuzz(&cfg, &dir, 0xFA17).expect("sweep passes");
-    // Checkpoints after candidates 8 and 16, plus the final save at 24.
-    assert_eq!(report.writes, 3);
-    let _ = fs::remove_dir_all(&dir);
+    // (fuzz seed, budget, cadence, plan seed): checkpoints after
+    // candidates 8 and 16 of 24, or 16 and 32 of 48, plus the final save.
+    for (seed, budget, checkpoint_every, plan_seed) in [(11, 24, 8, 0xFA17), (42, 48, 16, 42)] {
+        let cfg = FuzzConfig {
+            seed,
+            budget,
+            checkpoint_every,
+            threads: 1,
+            ..FuzzConfig::default()
+        };
+        let dir = tempdir(&format!("sweep-fuzz-{seed}"));
+        // Every resume re-classifies exactly the candidates the surviving
+        // corpus does not cover.
+        let report = fault::sweep_fuzz(&cfg, &dir, plan_seed).expect("sweep passes");
+        assert_eq!(report.writes, 3, "seed {seed}");
+        assert_eq!(report.fired, 3, "seed {seed}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------

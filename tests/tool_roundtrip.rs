@@ -4,7 +4,8 @@
 
 use analyzer::{AnalysisConfig, Analyzer, GadgetClass};
 use attacks::common::{
-    machine_with_channel, probe_channel, BOUND_CELL, BOUND_PTR, PROBE_BASE, SECRET, VICTIM_ARRAY,
+    machine_with_channel, measure, probe_channel, BOUND_CELL, BOUND_PTR, PROBE_BASE, SECRET,
+    VICTIM_ARRAY,
 };
 use specgraph::prelude::*;
 
@@ -36,9 +37,7 @@ fn leaks(program: &isa::Program) -> bool {
     m.set_reg(Reg::R1, VICTIM_ARRAY);
     m.set_reg(Reg::R2, BOUND_PTR);
     m.set_reg(Reg::R3, PROBE_BASE);
-    m.run(program).unwrap();
-    let reading = probe_channel().receive(&mut m).unwrap();
-    reading.recovered == Some(SECRET as usize)
+    measure(&mut m, program, SECRET, None).unwrap().leaked
 }
 
 #[test]
