@@ -2,9 +2,9 @@
 //! artifact pipeline**.
 //!
 //! ```text
-//! campaign run    --axis hardening=figure8 --shard 0/2 --out part0.json
-//! campaign run    --axis hardening=figure8 --shard 1/2 --out part1.json
-//! campaign merge  part0.json part1.json --out matrix.json
+//! campaign run    --axis hardening=figure8 --shard 0/2 --checkpoint ckpt/
+//! campaign run    --axis hardening=figure8 --shard 1/2 --checkpoint ckpt/
+//! campaign run    --axis hardening=figure8 --checkpoint ckpt/ --out matrix.json
 //! campaign render matrix.json --csv fig8.csv --svg fig8.svg
 //! campaign run    --axis hardening=figure8 --prev matrix.json --out matrix.json
 //! campaign run    --axis hardening=figure8 --threads 4 --checkpoint ckpt/ --out matrix.json
@@ -14,13 +14,14 @@
 //! ```
 //!
 //! Every subcommand is a thin wrapper over `specgraph::campaign` and
-//! `specgraph::serve`: `run` evaluates a whole cube on the [`Scheduler`]
-//! (or one `--shard i/n` slice, written as a [`CampaignPart`] file); with
-//! `--checkpoint` a killed run resumes from the checkpoint directory
+//! `specgraph::serve`: `run` evaluates a whole cube on the [`Scheduler`];
+//! with `--checkpoint` a killed run resumes from the checkpoint directory
 //! without re-simulating a single completed cell, and with `--prev` only
-//! the cells a saved matrix lacks are evaluated. `merge` validates and
-//! concatenates part files into a matrix (spec-fingerprint, shard-index
-//! and coverage mismatches are hard errors), and `render` regenerates the
+//! the cells a saved matrix lacks are evaluated. `run --shard i/n
+//! --checkpoint DIR` evaluates one slice and writes it into `DIR` as
+//! chunk `i` of `n`, so a later `run --checkpoint DIR` over all the shards
+//! resumes every chunk and assembles the matrix (a chunk of another spec
+//! or shard count is a hard error). `render` regenerates the
 //! Figure-8 hardening heatmaps from a *saved* matrix with zero
 //! re-simulation. `query` answers point lookups (`ATTACK | STACK | KNOBS`
 //! lines) from saved artifacts through the memoized [`VerdictStore`],
@@ -39,13 +40,13 @@ use crate::heatmap::Figure8View;
 use specgraph::attacks::{self, Attack, AttackError};
 use specgraph::campaign::{
     CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, Knob, KnobValue,
-    MatrixDiff, MergeError, PredictorFlavor, ProgressObserver, TaskEvent,
+    MatrixDiff, PredictorFlavor, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, Corpus, CorpusError, FuzzConfig, FuzzError};
 use specgraph::fault;
 use specgraph::serve::{
-    AnswerSource, ScheduleReport, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS,
+    self, AnswerSource, ScheduleReport, Scheduler, ServeError, VerdictStore, DEFAULT_CHUNK_TASKS,
 };
 use std::error::Error;
 use std::fmt;
@@ -56,14 +57,13 @@ use uarch::UarchConfig;
 
 /// The usage text `campaign --help` (and every usage error) prints.
 pub const USAGE: &str = "\
-campaign — run, shard, merge, render, diff, query and fuzz
+campaign — run, shard, render, diff, query and fuzz
            attack×defense-stack×config campaigns
 
 USAGE:
   campaign run    [SPEC] [--out FILE] [--csv FILE] [--progress]
                   [--prev MATRIX.json] [--checkpoint DIR] [--chunk T]
-  campaign run    [SPEC] --shard I/N [--out FILE] [--progress]
-  campaign merge  PART.json... --out FILE [--csv FILE]
+  campaign run    [SPEC] --shard I/N --checkpoint DIR [--progress]
   campaign render MATRIX.json [--csv FILE] [--svg FILE]
   campaign diff   OLD.json NEW.json
   campaign query  ARTIFACT.json... [--queries FILE] [--simulate]
@@ -98,12 +98,16 @@ SPEC (must be identical for every shard of one campaign):
                      kept) instead of failing the run
   --progress         print per-slice completed/total + ETA lines to stderr
 
-  `campaign run --shard I/N` writes shard I of N as a part file; run all
-  N shards (any machines, any order), then `campaign merge` the parts —
-  the result is bit-identical to a single-process run. With --prev,
-  only cells whose fingerprint is absent from the previous matrix are
-  re-simulated. `campaign diff` compares two saved matrices: verdict
-  flips, baseline cycle deltas, added/removed cells.
+  `campaign run --shard I/N --checkpoint DIR` writes shard I of N into
+  DIR as checkpoint chunk I of N; run all N shards (any machines, any
+  order, one shared DIR), then `campaign run --checkpoint DIR` resumes
+  every chunk and writes the matrix, bit-identical to a single-process
+  run ('executed 0'; a missing or damaged shard is re-run). A DIR
+  holding a chunk of another spec or another N is refused before
+  anything is simulated. With --prev, only cells whose fingerprint is
+  absent from the previous matrix are re-simulated. `campaign diff`
+  compares two saved matrices: verdict flips, baseline cycle deltas,
+  added/removed cells.
 
   A whole-cube `campaign run` splits the cube into --chunk T-task chunks
   (default: one chunk, or 16 tasks with --checkpoint), evaluated on
@@ -112,7 +116,7 @@ SPEC (must be identical for every shard of one campaign):
   resumes from DIR, re-simulating zero completed cells — the matrix is
   bit-identical for every chunk size, thread count and resume.
 
-  `campaign query` ingests saved matrices/parts/checkpoints into a
+  `campaign query` ingests saved matrices and checkpoints into a
   memoized verdict store and answers one query per line from --queries
   FILE (or stdin):  ATTACK | STACK | KNOB=V KNOB=V…
   where STACK is a stack expression, preset, or 'none' (undefended
@@ -141,20 +145,14 @@ SPEC (must be identical for every shard of one campaign):
 pub enum Outcome {
     /// `run` over the full cube (fresh, incremental or checkpointed).
     Ran(ScheduleReport),
-    /// `run --shard i/n`: one part evaluated.
+    /// `run --shard i/n --checkpoint DIR`: one chunk evaluated and
+    /// written.
     RanShard {
         /// Shard position.
         index: usize,
         /// Shard count.
         of: usize,
         /// Tasks this shard evaluated.
-        tasks: usize,
-    },
-    /// `merge`: parts combined into a matrix.
-    Merged {
-        /// Number of part files merged.
-        parts: usize,
-        /// Total tasks in the merged matrix.
         tasks: usize,
     },
     /// `render`: heatmaps regenerated from a saved matrix.
@@ -222,8 +220,6 @@ pub enum CliError {
         /// What went wrong.
         source: CampaignIoError,
     },
-    /// Part files do not assemble into one campaign.
-    Merge(MergeError),
     /// The serving layer failed (scheduler or verdict store).
     Serve(ServeError),
     /// The fuzzing loop failed (oracle, corpus I/O, or resume mismatch).
@@ -252,7 +248,6 @@ impl fmt::Display for CliError {
             CliError::Artifact { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
-            CliError::Merge(e) => write!(f, "cannot merge parts: {e}"),
             CliError::Serve(e) => write!(f, "serving failed: {e}"),
             CliError::Fuzz(e) => write!(f, "fuzzing failed: {e}"),
             CliError::Registry { path, source } => {
@@ -270,7 +265,6 @@ impl Error for CliError {
         match self {
             CliError::Attack(e) => Some(e),
             CliError::Artifact { source, .. } => Some(source),
-            CliError::Merge(e) => Some(e),
             CliError::Serve(e) => Some(e),
             CliError::Fuzz(e) => Some(e),
             CliError::Registry { source, .. } => Some(source),
@@ -283,12 +277,6 @@ impl Error for CliError {
 impl From<AttackError> for CliError {
     fn from(e: AttackError) -> Self {
         CliError::Attack(e)
-    }
-}
-
-impl From<MergeError> for CliError {
-    fn from(e: MergeError) -> Self {
-        CliError::Merge(e)
     }
 }
 
@@ -310,7 +298,7 @@ impl From<FuzzError> for CliError {
 /// # Errors
 ///
 /// [`CliError`] — usage problems, simulation failures, artifact I/O, or
-/// merge validation.
+/// a checkpoint directory of another campaign.
 pub fn main_with(args: &[String]) -> Result<Outcome, CliError> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
@@ -320,14 +308,13 @@ pub fn main_with(args: &[String]) -> Result<Outcome, CliError> {
             Ok(Outcome::Help)
         }
         Some("run") => cmd_run(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
         Some("render") => cmd_render(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some(other) => Err(CliError::Usage(format!(
-            "unknown subcommand '{other}' (expected run, merge, render, diff, \
-             query or fuzz)"
+            "unknown subcommand '{other}' (expected run, render, diff, query \
+             or fuzz)"
         ))),
     }
 }
@@ -337,8 +324,8 @@ pub fn main_with(args: &[String]) -> Result<Outcome, CliError> {
 // ---------------------------------------------------------------------------
 
 /// The spec-defining flags, collected before expansion so every shard
-/// process can rebuild the identical [`CampaignSpec`] (enforced at merge
-/// time by the spec fingerprint).
+/// process can rebuild the identical [`CampaignSpec`] (enforced through
+/// the spec fingerprint every checkpoint chunk carries).
 #[derive(Debug, Default)]
 struct SpecArgs {
     attacks: Option<Vec<String>>,
@@ -598,19 +585,23 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
         }
     }
     if let Some((index, of)) = shard {
-        if prev.is_some() || checkpoint.is_some() || chunk.is_some() {
+        let Some(dir) = checkpoint else {
             return Err(CliError::Usage(
-                "--shard does not combine with --prev, --checkpoint or --chunk; \
-                 merge the parts, then re-run against the merged matrix"
+                "--shard needs --checkpoint DIR: shard I of N is written there \
+                 as checkpoint chunk I of N"
+                    .to_owned(),
+            ));
+        };
+        if out.is_some() || csv.is_some() || prev.is_some() || chunk.is_some() {
+            return Err(CliError::Usage(
+                "--shard does not combine with --out, --csv, --prev or --chunk; \
+                 run every shard, then `campaign run --checkpoint DIR` to \
+                 assemble the matrix"
                     .to_owned(),
             ));
         }
-        if csv.is_some() {
-            return Err(CliError::Usage(
-                "--csv applies to full matrices; merge the parts first".to_owned(),
-            ));
-        }
         let spec = spec_args.build()?;
+        refuse_foreign_chunks(&dir, &spec, of)?;
         // Within one shard the per-slice quota is range-dependent: report
         // milestone progress only.
         let printer = progress.then(|| ProgressPrinter::new(&spec, None));
@@ -619,12 +610,14 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
             .shards(of)
             .swap_remove(index)
             .run(observer.as_ref().map(|f| f as ProgressObserver))?;
-        emit(out.as_deref(), &part.to_json())?;
+        let path = serve::chunk_path(&dir, index);
+        write_file(&path, &part.to_checkpoint_json())?;
         eprintln!(
-            "campaign: shard {index}/{of} evaluated {} of {} task(s) \
+            "campaign: shard {index}/{of} evaluated {} of {} task(s) into {} \
              (spec fingerprint {:#018x})",
             part.len(),
             spec.total_tasks(),
+            path.display(),
             part.spec_fingerprint(),
         );
         return Ok(Outcome::RanShard {
@@ -809,49 +802,6 @@ impl ProgressPrinter {
             ),
         })
     }
-}
-
-fn cmd_merge(args: &[String]) -> Result<Outcome, CliError> {
-    let mut part_paths: Vec<PathBuf> = Vec::new();
-    let mut out: Option<PathBuf> = None;
-    let mut csv: Option<PathBuf> = None;
-    let mut flags = Flags::new(args);
-    while let Some(arg) = flags.next() {
-        match arg {
-            "--out" => out = Some(flags.path(arg)?),
-            "--csv" => csv = Some(flags.path(arg)?),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!(
-                    "unknown flag '{flag}' for 'campaign merge'"
-                )))
-            }
-            path => part_paths.push(PathBuf::from(path)),
-        }
-    }
-    if part_paths.is_empty() {
-        return Err(CliError::Usage(
-            "campaign merge needs at least one PART.json".to_owned(),
-        ));
-    }
-    let parts = part_paths
-        .iter()
-        .map(|p| {
-            CampaignPart::load_json(p).map_err(|source| CliError::Artifact {
-                path: p.clone(),
-                source,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let n = parts.len();
-    let matrix = CampaignMatrix::merge(parts)?;
-    let (a, d, c) = matrix.shape();
-    emit(out.as_deref(), &matrix.to_json())?;
-    if let Some(path) = &csv {
-        write_file(path, &matrix.to_csv())?;
-    }
-    let tasks = matrix.baselines().len() + matrix.cells().len();
-    eprintln!("campaign: merged {n} part(s) into a {a}×{d}×{c} matrix ({tasks} task(s))");
-    Ok(Outcome::Merged { parts: n, tasks })
 }
 
 fn cmd_render(args: &[String]) -> Result<Outcome, CliError> {
@@ -1060,8 +1010,8 @@ fn config_from_tokens(tokens: &str) -> Result<UarchConfig, String> {
     Ok(config.config.clone())
 }
 
-/// Loads one `campaign query` artifact — a saved matrix, part, or
-/// scheduler checkpoint, distinguished by its `kind` — into the store.
+/// Loads one `campaign query` artifact — a saved matrix or a checkpoint
+/// chunk, distinguished by its `kind` — into the store.
 fn ingest_artifact(store: &VerdictStore, path: &Path) -> Result<usize, CliError> {
     let artifact = |source| CliError::Artifact {
         path: path.to_path_buf(),
@@ -1069,13 +1019,9 @@ fn ingest_artifact(store: &VerdictStore, path: &Path) -> Result<usize, CliError>
     };
     match CampaignMatrix::load_json(path) {
         Ok(matrix) => Ok(store.ingest_matrix(&matrix)),
-        Err(CampaignIoError::Kind { .. }) => match CampaignPart::load_json(path) {
-            Ok(part) => Ok(store.ingest_part(&part)),
-            Err(CampaignIoError::Kind { .. }) => CampaignPart::load_checkpoint_json(path)
-                .map(|part| store.ingest_part(&part))
-                .map_err(artifact),
-            Err(e) => Err(artifact(e)),
-        },
+        Err(CampaignIoError::Kind { .. }) => CampaignPart::load_checkpoint_json(path)
+            .map(|part| store.ingest_part(&part))
+            .map_err(artifact),
         Err(e) => Err(artifact(e)),
     }
 }
@@ -1234,6 +1180,33 @@ fn parse_shard(v: &str) -> Result<(usize, usize), CliError> {
     Ok((i, n))
 }
 
+/// Refuses a `--shard` checkpoint directory that already holds a loadable
+/// chunk of another spec or another shard count, before anything is
+/// simulated: `run --checkpoint DIR` could never assemble the two. A
+/// damaged chunk is no obstacle (assembly re-runs it). The directory is
+/// created if absent.
+fn refuse_foreign_chunks(dir: &Path, spec: &CampaignSpec, of: usize) -> Result<(), CliError> {
+    let io = |source| CliError::Io {
+        path: dir.to_path_buf(),
+        source,
+    };
+    std::fs::create_dir_all(dir).map_err(io)?;
+    let expected = spec.fingerprint();
+    for path in serve::chunk_files(dir).map_err(io)? {
+        let Ok(part) = CampaignPart::load_checkpoint_json(&path) else {
+            continue;
+        };
+        if part.spec_fingerprint() != expected || part.of() != of {
+            return Err(CliError::Serve(ServeError::CheckpointMismatch {
+                index: part.index(),
+                expected,
+                found: part.spec_fingerprint(),
+            }));
+        }
+    }
+    Ok(())
+}
+
 fn load_matrix(path: &Path) -> Result<CampaignMatrix, CliError> {
     CampaignMatrix::load_json(path).map_err(|source| CliError::Artifact {
         path: path.to_path_buf(),
@@ -1242,7 +1215,7 @@ fn load_matrix(path: &Path) -> Result<CampaignMatrix, CliError> {
 }
 
 /// Writes through the fault-injectable atomic layer (tmp + rename), so
-/// every CLI artifact — matrix, part, CSV, SVG — is crash-consistent.
+/// every CLI artifact — matrix, shard chunk, CSV, SVG — is crash-consistent.
 fn write_file(path: &Path, content: &str) -> Result<(), CliError> {
     fault::write_atomic(path, content).map_err(|source| CliError::Io {
         path: path.to_path_buf(),

@@ -4,8 +4,8 @@
 //! attacks still leak, and what does the mechanism cost?* A
 //! [`Figure8View`] answers it from a [`CampaignMatrix`] alone — typically
 //! one loaded with `CampaignMatrix::load_json` — so regenerating the
-//! heatmap after a campaign (or a `campaign merge`) re-simulates **zero**
-//! cells.
+//! heatmap after a campaign (or after assembling its shards) re-simulates
+//! **zero** cells.
 //!
 //! Three renderings, all deterministic functions of the matrix:
 //!

@@ -1,18 +1,19 @@
 //! Cross-process campaign acceptance: drive the `campaign` CLI code path
 //! (the same [`bench::campaign_cli::main_with`] entry the binary calls)
-//! to write shard part files to a temp dir, merge them, and assert the
-//! merged CSV/JSON is **bit-identical** to a single-shot `spec.run()` —
-//! for n ∈ {1, 2, 5} and a seeded-random n — plus the incremental no-op
-//! and the merge/render failure modes.
+//! to write shards into a checkpoint directory, assemble them with `run
+//! --checkpoint`, and assert the matrix CSV/JSON is **bit-identical** to
+//! a single-shot `spec.run()` — for n ∈ {1, 2, 3, 7}, a seeded-random n
+//! and an n above the task count — plus the incremental no-op and the
+//! shard/render failure modes.
 
 use bench::campaign_cli::{main_with, CliError, Outcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specgraph::campaign::{CampaignIoError, CampaignMatrix, CampaignSpec, Knob, MergeError};
-use specgraph::serve::ScheduleReport;
+use specgraph::campaign::{CampaignIoError, CampaignMatrix, CampaignSpec, Knob};
+use specgraph::serve::{self, ScheduleReport, ServeError};
 use specgraph::{attacks, defenses};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use uarch::UarchConfig;
 
 /// The spec flags under test: 3 attacks × 2 defenses × 2 ROB depths.
@@ -61,48 +62,58 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Runs every shard `i/n` of `spec` (the CLI flags after the subcommand)
+/// into checkpoint directory `dir`.
+fn run_shards(spec: &[&str], n: usize, dir: &Path) {
+    for i in 0..n {
+        let shard = format!("{i}/{n}");
+        let mut args = vec!["run", "--shard", &shard, "--checkpoint"];
+        args.push(dir.to_str().unwrap());
+        args.extend_from_slice(spec);
+        let outcome = run(&args).expect("shard runs");
+        assert!(
+            matches!(outcome, Outcome::RanShard { index, of, .. } if index == i && of == n),
+            "unexpected outcome {outcome:?}"
+        );
+    }
+}
+
 #[test]
 fn sharded_cli_pipeline_is_bit_identical_to_single_shot() {
     let spec = oracle_spec();
     let whole = CampaignMatrix::run(&spec).unwrap();
     let (expected_json, expected_csv) = (whole.to_json(), whole.to_csv());
+    let total = spec.total_tasks();
     let mut rng = StdRng::seed_from_u64(u64::from(std::process::id()));
-    let random_n = usize::try_from(rng.gen_range(6..20)).unwrap();
+    let random_n = usize::try_from(rng.gen_range(4..20)).unwrap();
     let dir = tempdir("shards");
-    for n in [1usize, 2, 5, random_n] {
-        let mut part_args: Vec<String> = vec!["merge".to_owned()];
-        for i in 0..n {
-            let part = dir.join(format!("part-{i}-of-{n}.json"));
-            let shard = format!("{i}/{n}");
-            let outcome = run(&with_spec(&[
-                "run",
-                "--shard",
-                &shard,
-                "--out",
-                part.to_str().unwrap(),
-            ]))
-            .expect("shard runs");
-            assert!(
-                matches!(outcome, Outcome::RanShard { index, of, .. } if index == i && of == n),
-                "unexpected outcome {outcome:?}"
-            );
-            part_args.push(part.to_str().unwrap().to_owned());
+    let (matrix, csv) = (dir.join("matrix.json"), dir.join("matrix.csv"));
+    let assemble = |ckpt: &Path| -> ScheduleReport {
+        let flags = [
+            "run",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--out",
+            matrix.to_str().unwrap(),
+            "--csv",
+            csv.to_str().unwrap(),
+        ];
+        match run(&with_spec(&flags)).expect("shards assemble") {
+            Outcome::Ran(report) => report,
+            other => panic!("unexpected outcome {other:?}"),
         }
-        let (matrix, csv) = (dir.join("matrix.json"), dir.join("matrix.csv"));
-        part_args.extend([
-            "--out".to_owned(),
-            matrix.to_str().unwrap().to_owned(),
-            "--csv".to_owned(),
-            csv.to_str().unwrap().to_owned(),
-        ]);
-        let outcome = main_with(&part_args).expect("parts merge");
+    };
+    // `total + 3` shards leave some chunks empty.
+    for n in [1usize, 2, 3, 7, random_n, total + 3] {
+        let ckpt = dir.join(format!("ckpt-{n}"));
+        run_shards(SPEC_FLAGS, n, &ckpt);
+        let report = assemble(&ckpt);
         assert_eq!(
-            outcome,
-            Outcome::Merged {
-                parts: n,
-                tasks: spec.total_tasks()
-            }
+            (report.chunks, report.resumed, report.executed),
+            (n, n, 0),
+            "{report:?}"
         );
+        assert_eq!(report.resumed_tasks, total);
         assert_eq!(
             fs::read_to_string(&matrix).unwrap(),
             expected_json,
@@ -114,6 +125,20 @@ fn sharded_cli_pipeline_is_bit_identical_to_single_shot() {
             "CSV differs from single-shot for n={n}"
         );
     }
+    // A missing empty chunk (with more shards than tasks, chunk 0 is
+    // empty) is re-run and written again by the assembling run.
+    let n = total + 3;
+    let ckpt = dir.join(format!("ckpt-{n}"));
+    let empty = serve::chunk_path(&ckpt, 0);
+    let bytes = fs::read(&empty).unwrap();
+    fs::remove_file(&empty).unwrap();
+    let report = assemble(&ckpt);
+    assert_eq!(
+        (report.resumed, report.executed, report.evaluated),
+        (n - 1, 1, 0)
+    );
+    assert_eq!(fs::read_to_string(&matrix).unwrap(), expected_json);
+    assert_eq!(fs::read(&empty).unwrap(), bytes);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -179,89 +204,60 @@ fn render_regenerates_heatmaps_from_disk() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Every file in `dir` with its bytes, sorted by name.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let bytes = fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
-fn merge_rejects_gaps_foreign_parts_and_non_parts() {
-    let dir = tempdir("badmerge");
-    let p0 = dir.join("p0.json");
-    let p1 = dir.join("p1.json");
-    run(&with_spec(&[
-        "run",
-        "--shard",
-        "0/2",
-        "--out",
-        p0.to_str().unwrap(),
-    ]))
-    .unwrap();
-    run(&with_spec(&[
-        "run",
-        "--shard",
-        "1/2",
-        "--out",
-        p1.to_str().unwrap(),
-    ]))
-    .unwrap();
-
-    // A missing shard is a hard error naming the count mismatch.
-    let out = dir.join("m.json");
-    match run(&[
-        "merge",
-        p0.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]) {
-        Err(CliError::Merge(MergeError::WrongCount {
-            expected: 2,
-            got: 1,
-        })) => {}
-        other => panic!("expected WrongCount, got {other:?}"),
+fn shard_into_a_foreign_checkpoint_dir_is_refused_before_simulating() {
+    let dir = tempdir("foreign");
+    let ckpt = dir.join("ckpt");
+    run_shards(SPEC_FLAGS, 2, &ckpt);
+    let before = snapshot(&ckpt);
+    let mismatch = |args: &[&str]| match run(args) {
+        Err(CliError::Serve(ServeError::CheckpointMismatch { .. })) => {}
+        other => panic!("expected CheckpointMismatch for {args:?}, got {other:?}"),
+    };
+    // Another spec (one knob value changed), same shard geometry: even a
+    // shard index whose chunk is not on disk yet is refused.
+    let foreign: Vec<&str> = with_spec(&[])
+        .into_iter()
+        .map(|f| if f == "rob=16,64" { "rob=16,48" } else { f })
+        .collect();
+    for shard in ["0/2", "1/2"] {
+        let mut args = vec!["run", "--shard", shard, "--checkpoint"];
+        args.push(ckpt.to_str().unwrap());
+        mismatch(&[args, foreign.clone()].concat());
     }
-
-    // A shard of a *different* spec (one knob value changed) is refused
-    // by spec fingerprint even though shard geometry matches.
-    let foreign = dir.join("foreign.json");
-    run(&[
-        "run",
-        "--attacks",
-        "Spectre v1,Spectre v2,Meltdown",
-        "--defenses",
-        "LFENCE,NDA",
-        "--axis",
-        "rob=16,48",
-        "--shard",
-        "1/2",
-        "--out",
-        foreign.to_str().unwrap(),
-    ])
-    .unwrap();
-    match run(&[
-        "merge",
-        p0.to_str().unwrap(),
-        foreign.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]) {
-        Err(CliError::Merge(MergeError::SpecMismatch { index: 1, .. })) => {}
-        other => panic!("expected SpecMismatch, got {other:?}"),
+    // The same spec cut into another number of shards.
+    for shard in ["0/3", "2/3"] {
+        mismatch(&with_spec(&[
+            "run",
+            "--shard",
+            shard,
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ]));
     }
+    assert_eq!(
+        snapshot(&ckpt),
+        before,
+        "a refused shard touched the directory"
+    );
 
-    // Handing a matrix where a part belongs is a typed kind error.
-    let matrix = dir.join("matrix.json");
-    run(&with_spec(&["run", "--out", matrix.to_str().unwrap()])).unwrap();
-    match run(&[
-        "merge",
-        matrix.to_str().unwrap(),
-        "--out",
-        out.to_str().unwrap(),
-    ]) {
-        Err(CliError::Artifact {
-            source: CampaignIoError::Kind { expected, .. },
-            ..
-        }) => assert_eq!(expected, "campaign-part"),
-        other => panic!("expected a Kind error, got {other:?}"),
-    }
-
-    // …and rendering a part instead of a matrix is equally typed.
-    match run(&["render", p0.to_str().unwrap()]) {
+    // A checkpoint chunk is not a matrix: rendering one is a typed error.
+    let chunk = serve::chunk_path(&ckpt, 0);
+    match run(&["render", chunk.to_str().unwrap()]) {
         Err(CliError::Artifact {
             source: CampaignIoError::Kind { expected, .. },
             ..
@@ -310,6 +306,7 @@ fn usage_errors_are_actionable() {
         ),
         // Retired subcommands and one-value flags are gone.
         (vec!["serve"], "unknown subcommand"),
+        (vec!["merge", "p0.json", "p1.json"], "unknown subcommand"),
         (vec!["fault", "sweep"], "unknown subcommand"),
         (vec!["run", "--incremental"], "unknown flag"),
         (vec!["render", "--figure8", "m.json"], "unknown flag"),
@@ -330,29 +327,16 @@ fn usage_errors_are_actionable() {
             "given twice",
         ),
         (
-            vec!["merge", "p.json", "--out", "a.json", "--out", "b.json"],
-            "given twice",
-        ),
-        (
             vec!["render", "m.json", "--svg", "a", "--svg", "b"],
             "given twice",
         ),
-        (vec!["merge", "p.json", "--out"], "needs a value"),
         (vec!["fuzz", "--seed", "1", "--seed", "2"], "given twice"),
+        (vec!["run", "--shard", "0/2"], "needs --checkpoint"),
         (
-            vec!["run", "--shard", "0/2", "--prev", "x.json"],
-            "merge the parts",
-        ),
-        (
-            vec!["run", "--shard", "0/2", "--checkpoint", "d"],
-            "merge the parts",
-        ),
-        (
-            vec!["run", "--shard", "0/2", "--chunk", "3"],
-            "merge the parts",
+            vec!["run", "--shard", "0/2", "--out", "p.json"],
+            "needs --checkpoint",
         ),
         (vec!["render"], "MATRIX.json"),
-        (vec!["merge"], "at least one"),
         (vec!["explode"], "unknown subcommand"),
     ] {
         match run(&args) {
@@ -363,6 +347,13 @@ fn usage_errors_are_actionable() {
                 );
             }
             other => panic!("expected a usage error for {args:?}, got {other:?}"),
+        }
+    }
+    // A shard writes only its chunk: every whole-matrix flag is refused.
+    for flag in ["--out", "--csv", "--prev", "--chunk"] {
+        match run(&["run", "--shard", "0/2", "--checkpoint", "d", flag, "3"]) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("assemble"), "{flag}: {msg}"),
+            other => panic!("expected a usage error for --shard {flag}, got {other:?}"),
         }
     }
     // Conflicting predictor/hardening axes are caught before the builder
@@ -382,7 +373,8 @@ fn usage_errors_are_actionable() {
 #[test]
 fn stacked_defense_pipeline_shards_merges_and_renders() {
     // `--defenses` takes stack expressions (token grammar) and preset
-    // names; the cross-process pipeline stays bit-identical to the
+    // names; the cross-process pipeline (shards into one checkpoint
+    // directory, assembled by a run over it) stays bit-identical to the
     // in-process stack oracle.
     let stack_flags: &[&str] = &[
         "--attacks",
@@ -412,37 +404,19 @@ fn stacked_defense_pipeline_shards_merges_and_renders() {
             .map(|s| (*s).to_owned())
             .collect()
     };
-    let (p0, p1) = (dir.join("s0.json"), dir.join("s1.json"));
-    main_with(&with_stack_spec(&[
-        "run",
-        "--shard",
-        "0/2",
-        "--out",
-        p0.to_str().unwrap(),
-    ]))
-    .expect("stack shard 0");
-    main_with(&with_stack_spec(&[
-        "run",
-        "--shard",
-        "1/2",
-        "--out",
-        p1.to_str().unwrap(),
-    ]))
-    .expect("stack shard 1");
+    let ckpt = dir.join("ckpt");
+    run_shards(stack_flags, 2, &ckpt);
     let (matrix, csv) = (dir.join("m.json"), dir.join("m.csv"));
-    main_with(
-        &[
-            "merge",
-            p0.to_str().unwrap(),
-            p1.to_str().unwrap(),
-            "--out",
-            matrix.to_str().unwrap(),
-            "--csv",
-            csv.to_str().unwrap(),
-        ]
-        .map(str::to_owned),
-    )
-    .expect("stack parts merge");
+    main_with(&with_stack_spec(&[
+        "run",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+        "--out",
+        matrix.to_str().unwrap(),
+        "--csv",
+        csv.to_str().unwrap(),
+    ]))
+    .expect("stack shards assemble");
     assert_eq!(fs::read_to_string(&matrix).unwrap(), expected.to_json());
     let csv = fs::read_to_string(&csv).unwrap();
     assert_eq!(csv, expected.to_csv());
@@ -563,7 +537,7 @@ fn serve_is_bit_identical_and_resumes_from_checkpoints() {
     assert_eq!(fs::read_to_string(&served).unwrap(), expected);
 
     // Simulate a mid-run kill: drop one chunk file, leaving the rest.
-    fs::remove_file(ckpt.join("chunk-00001.json")).expect("checkpoint file exists");
+    fs::remove_file(serve::chunk_path(&ckpt, 1)).expect("checkpoint file exists");
     let resumed_out = dir.join("resumed.json");
     let report = run_to(&resumed_out);
     assert_eq!(
@@ -641,16 +615,18 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
         }
     );
 
-    // Part files ingest too: a half-cube artifact still answers its rows.
-    let part = dir.join("part.json");
+    // Checkpoint chunks ingest too: a half-cube shard still answers its
+    // rows.
+    let ckpt = dir.join("ckpt");
     run(&with_spec(&[
         "run",
         "--shard",
         "0/2",
-        "--out",
-        part.to_str().unwrap(),
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
     ]))
     .expect("shard");
+    let part = serve::chunk_path(&ckpt, 0);
     let one = dir.join("one.txt");
     fs::write(&one, "Meltdown | NDA | rob=16\n").unwrap();
     match run(&[
@@ -659,7 +635,7 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
         "--queries",
         one.to_str().unwrap(),
     ])
-    .expect("query part")
+    .expect("query chunk")
     {
         Outcome::Queried { answered, .. } => assert!(answered <= 1),
         other => panic!("expected Queried, got {other:?}"),
@@ -779,14 +755,13 @@ fn progress_flag_is_accepted_on_every_run_mode() {
         fs::read_to_string(&loud).unwrap()
     );
     // Shard mode takes it too.
-    let part = dir.join("p.json");
     run(&with_spec(&[
         "run",
         "--progress",
         "--shard",
         "0/2",
-        "--out",
-        part.to_str().unwrap(),
+        "--checkpoint",
+        dir.join("ckpt").to_str().unwrap(),
     ]))
     .expect("progress shard");
     fs::remove_dir_all(&dir).ok();

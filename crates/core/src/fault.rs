@@ -45,7 +45,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::campaign::{CampaignMatrix, CampaignPart, CampaignSpec};
 use crate::discovery::fuzz::{self, Corpus, FuzzConfig};
-use crate::serve::Scheduler;
+use crate::serve::{chunk_files, Scheduler};
 use attacks::{Attack, AttackError, AttackInfo, AttackOutcome};
 use tsg::SecurityAnalysis;
 use uarch::Machine;
@@ -458,19 +458,12 @@ fn wipe(dir: &Path) -> io::Result<()> {
 /// Counts the checkpoint files in `ckpt` that still load as valid chunks —
 /// a resume must reuse at least these.
 fn intact_chunks(ckpt: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(ckpt) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.starts_with("chunk-")
-                && name.ends_with(".json")
-                && CampaignPart::load_checkpoint_json(e.path()).is_ok()
-        })
-        .count()
+    chunk_files(ckpt).map_or(0, |paths| {
+        paths
+            .iter()
+            .filter(|p| CampaignPart::load_checkpoint_json(p).is_ok())
+            .count()
+    })
 }
 
 /// `crash_sweep` over a checkpointed [`Scheduler`] run of `spec` (one

@@ -3,14 +3,15 @@
 //! The workspace builds fully offline (no `serde`), so the subset of JSON
 //! that the campaign writers emit
 //! ([`CampaignMatrix::to_json`](crate::campaign::CampaignMatrix::to_json),
-//! [`CampaignPart::to_json`](crate::campaign::CampaignPart::to_json)) —
+//! [`CampaignPart::to_checkpoint_json`](crate::campaign::CampaignPart::to_checkpoint_json)) —
 //! objects, arrays, strings, unsigned integers, booleans, `null` — is
 //! parsed by hand here. This is a *reader for our own writers*: signed
 //! numbers, floats and surrogate-pair escapes are rejected rather than
 //! supported.
 //!
-//! Robustness guarantees, because matrix/part files cross process and
-//! machine boundaries and may arrive truncated or hand-edited:
+//! Robustness guarantees, because matrix and checkpoint files cross
+//! process and machine boundaries and may arrive truncated or
+//! hand-edited:
 //!
 //! * every malformed input returns a typed [`JsonError`] carrying the byte
 //!   offset of the problem — parsing never panics;

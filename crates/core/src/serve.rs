@@ -1,18 +1,17 @@
-//! Campaign-as-a-service: the serving layer over the shard/part/merge
-//! pipeline.
+//! Campaign-as-a-service: the serving layer over the campaign engine.
 //!
 //! The campaign engine answers *batch* questions — run a whole
 //! attack × stack × config cube, save the matrix. This module answers
 //! *interactive* ones:
 //!
-//! - [`VerdictStore`] ingests saved [`CampaignMatrix`]/[`CampaignPart`]
-//!   artifacts into a memoized index keyed by the same content
-//!   fingerprints the incremental runner uses, and answers point queries
-//!   ("is config X safe under stack Y against attack Z?") at memory
-//!   speed on hits. A miss falls back to **simulate-on-miss** on a warm
-//!   [`RunnerPool`] machine, with **single-flight dedup**: N concurrent
-//!   misses for one cell run exactly one simulation and all callers
-//!   observe the identical verdict.
+//! - [`VerdictStore`] ingests saved matrices and checkpoint chunks into a
+//!   memoized index keyed by the same content fingerprints the
+//!   incremental runner uses, and answers point queries ("is config X
+//!   safe under stack Y against attack Z?") at memory speed on hits. A
+//!   miss falls back to **simulate-on-miss** on a warm [`RunnerPool`]
+//!   machine, with **single-flight dedup**: N concurrent misses for one
+//!   cell run exactly one simulation and all callers observe the
+//!   identical verdict.
 //! - [`Scheduler`] cuts a [`CampaignSpec`] into fine-grained chunk
 //!   ranges, **checkpoints** every chunk to disk as a
 //!   `campaign-checkpoint` document the moment its last row exists, and
@@ -20,8 +19,12 @@
 //!   disk are evaluated together on the campaign engine's one executor,
 //!   which keeps every row a previous matrix holds ([`Scheduler::prev`]),
 //!   so the merged result stays bit-identical to a single-shot
-//!   [`CampaignMatrix::run`]. The scheduler is the one configurable
-//!   whole-cube run, and [`ScheduleReport`] is its one report.
+//!   [`CampaignMatrix::run`]. A chunk is also the unit of cross-process
+//!   sharding: shard `I` of `N` ([`CampaignSpec::shards`]) written to
+//!   [`chunk_path`]`(DIR, I)` is chunk `I` of a run over `DIR`, so a run
+//!   over a directory of shards assembles them with zero re-simulation.
+//!   The scheduler is the one configurable whole-cube run, and
+//!   [`ScheduleReport`] is its one report.
 //!
 //! Verdicts computed on the miss path use exactly the campaign runner's
 //! recipe (graph verdict from a [`defenses::PatchSession`], machine
@@ -63,8 +66,9 @@ pub enum ServeError {
     Io(Arc<std::io::Error>),
     /// A checkpoint file loaded cleanly but belongs to a different
     /// campaign: its spec fingerprint or shard geometry does not match
-    /// the spec being scheduled. Resuming it would corrupt the matrix,
-    /// so it is a hard error rather than a silent re-run.
+    /// the spec being scheduled (`found == expected` when only the
+    /// geometry differs). Resuming it would corrupt the matrix, so it is
+    /// a hard error rather than a silent re-run.
     CheckpointMismatch {
         /// Chunk index of the offending file.
         index: usize,
@@ -102,6 +106,16 @@ impl fmt::Display for ServeError {
             ServeError::Attack(e) => write!(f, "simulation failed: {e}"),
             ServeError::Panicked(reason) => write!(f, "simulation panicked: {reason}"),
             ServeError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
+            ServeError::CheckpointMismatch {
+                index,
+                expected,
+                found,
+            } if found == expected => write!(
+                f,
+                "checkpoint chunk {index} cuts this campaign into another \
+                 number of chunks; point --checkpoint at an empty or \
+                 matching directory"
+            ),
             ServeError::CheckpointMismatch {
                 index,
                 expected,
@@ -195,10 +209,11 @@ struct Flight {
 
 /// An indexed, memoized verdict store with simulate-on-miss.
 ///
-/// Ingest saved matrices or parts ([`VerdictStore::ingest_matrix`] /
-/// [`VerdictStore::ingest_part`]); answer point lookups from the index at
-/// millions of queries per second ([`VerdictStore::lookup`], or
-/// [`VerdictStore::get`] with a precomputed [`VerdictStore::cell_key`]);
+/// Ingest saved matrices or checkpoint chunks
+/// ([`VerdictStore::ingest_matrix`] / [`VerdictStore::ingest_part`]);
+/// answer point lookups from the index at millions of queries per second
+/// ([`VerdictStore::lookup`], or [`VerdictStore::get`] with a precomputed
+/// [`VerdictStore::cell_key`]);
 /// and let [`VerdictStore::query`] fall back to one warm-machine
 /// simulation per missing cell, deduplicating concurrent misses through a
 /// single-flight table. [`VerdictStore::simulations`] counts exactly how
@@ -279,8 +294,8 @@ impl VerdictStore {
         self.ingest_rows(matrix.baselines(), matrix.cells())
     }
 
-    /// Ingests every row of a shard part (or checkpoint chunk); returns
-    /// the number of rows added or replaced.
+    /// Ingests every row of a checkpoint chunk (or an in-memory shard
+    /// part); returns the number of rows added or replaced.
     pub fn ingest_part(&self, part: &CampaignPart) -> usize {
         self.ingest_rows(part.baselines(), part.cells())
     }
@@ -709,8 +724,8 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Checkpoint directory: every completed chunk is persisted here as
-    /// `chunk-NNNNN.json`, and a later run over the same spec resumes
+    /// Checkpoint directory: every completed chunk is persisted here at
+    /// its [`chunk_path`], and a later run over the same spec resumes
     /// from whatever completed. The directory is created if absent.
     #[must_use]
     pub fn checkpoint(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -810,17 +825,7 @@ impl<'a> Scheduler<'a> {
             return Ok(fresh);
         };
         std::fs::create_dir_all(dir)?;
-        let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("chunk-") && n.ends_with(".json"))
-            })
-            .collect();
-        names.sort();
-        for path in names {
+        for path in chunk_files(dir)? {
             // A truncated file (worker killed mid-write) is unusable for
             // geometry; keep probing for any chunk that finished.
             if let Ok(part) = CampaignPart::load_checkpoint_json(&path) {
@@ -828,10 +833,6 @@ impl<'a> Scheduler<'a> {
             }
         }
         Ok(fresh)
-    }
-
-    fn chunk_path(dir: &Path, index: usize) -> PathBuf {
-        dir.join(format!("chunk-{index:05}.json"))
     }
 
     /// Loads chunk `index` from the checkpoint directory, if present and
@@ -851,7 +852,7 @@ impl<'a> Scheduler<'a> {
         let Some(dir) = &self.checkpoint else {
             return Ok(ChunkLoad::Missing);
         };
-        let path = Self::chunk_path(dir, index);
+        let path = chunk_path(dir, index);
         if !path.exists() {
             return Ok(ChunkLoad::Missing);
         }
@@ -879,7 +880,35 @@ impl<'a> Scheduler<'a> {
         let Some(dir) = &self.checkpoint else {
             return Ok(());
         };
-        part.save_checkpoint_json(Self::chunk_path(dir, part.index()))?;
+        part.save_checkpoint_json(chunk_path(dir, part.index()))?;
         Ok(())
     }
+}
+
+/// The checkpoint file of chunk `index` in `dir`: `chunk-NNNNN.json`. A
+/// scheduler run writes and resumes its chunks here, and `campaign run
+/// --shard I/N --checkpoint DIR` writes shard `I` here as chunk `I` of `N`.
+#[must_use]
+pub fn chunk_path(dir: &Path, index: usize) -> PathBuf {
+    dir.join(format!("chunk-{index:05}.json"))
+}
+
+/// Every `chunk-*.json` file in `dir`, sorted by name (so by chunk index).
+/// Whether each one loads is for the caller to find out.
+///
+/// # Errors
+///
+/// Any I/O error from reading the directory.
+pub fn chunk_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("chunk-") && n.ends_with(".json"))
+        })
+        .collect();
+    paths.sort();
+    Ok(paths)
 }

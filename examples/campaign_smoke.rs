@@ -1,7 +1,7 @@
 //! CI smoke for the campaign pipeline: run a tiny two-axis knob grid,
 //! save the matrix as JSON, load it back, and re-run incrementally —
 //! asserting the load round-trips bit-for-bit and the incremental pass
-//! evaluates zero cells. Also exercises the shard/merge path.
+//! evaluates zero cells. Also assembles shards from checkpoint chunks.
 //!
 //! Run with: `cargo run --release --example campaign_smoke`
 
@@ -37,30 +37,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("matrix: {a} attacks × {d} defenses × {c} configs");
     assert_eq!((a, d, c), (3, 2, 4));
 
-    // Sharded execution merges to the identical matrix — with every part
-    // round-tripped through its JSON file, exactly as the `campaign` CLI
-    // ships shards between processes.
-    let parts = spec
-        .shards(3)
-        .iter()
-        .enumerate()
-        .map(
-            |(i, shard)| -> Result<CampaignPart, Box<dyn std::error::Error>> {
-                let path = std::env::temp_dir().join(format!(
-                    "campaign-smoke-part{i}-{}.json",
-                    std::process::id()
-                ));
-                shard.run(None)?.save_json(&path)?;
-                let part = CampaignPart::load_json(&path)?;
-                std::fs::remove_file(&path).ok();
-                assert_eq!(part.spec_fingerprint(), spec.fingerprint());
-                Ok(part)
-            },
-        )
-        .collect::<Result<Vec<_>, _>>()?;
-    let merged = CampaignMatrix::merge(parts)?;
+    // Sharded execution assembles to the identical matrix: every shard is
+    // written into one checkpoint directory as its chunk, exactly as `campaign
+    // run --shard I/N --checkpoint DIR` ships shards between processes, and
+    // a resumed scheduler run over the directory simulates nothing.
+    let dir = std::env::temp_dir().join(format!("campaign-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    for shard in spec.shards(3) {
+        let part = shard.run(None)?;
+        part.save_checkpoint_json(serve::chunk_path(&dir, shard.index()))?;
+    }
+    let (merged, report) = Scheduler::new(&spec).checkpoint(&dir).run()?;
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!((report.resumed, report.executed), (3, 0));
     assert_eq!(merged.to_json(), matrix.to_json());
-    println!("shard/merge: 3 part files merged bit-identically");
+    println!("shards: 3 checkpoint chunks assembled bit-identically, 0 executed");
 
     // JSON round trip through a file.
     let path = std::env::temp_dir().join(format!("campaign-smoke-{}.json", std::process::id()));

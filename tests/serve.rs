@@ -363,7 +363,7 @@ fn scheduled_run_is_bit_identical_to_single_shot() {
             .unwrap();
         assert_eq!(checkpointed.to_json(), single.to_json());
         for (i, shard) in spec.shards(report.chunks).iter().enumerate() {
-            let written = fs::read_to_string(dir.join(format!("chunk-{i:05}.json"))).unwrap();
+            let written = fs::read_to_string(serve::chunk_path(&dir, i)).unwrap();
             let part = shard.run(None).unwrap();
             assert_eq!(
                 written,
@@ -416,9 +416,9 @@ fn killed_run_resumes_from_checkpoints_without_resimulating() {
 
     // Simulate a kill: delete one finished chunk and truncate another
     // mid-write (the half-written file a SIGKILL leaves behind).
-    let victim = dir.join("chunk-00001.json");
+    let victim = serve::chunk_path(&dir, 1);
     fs::remove_file(&victim).unwrap();
-    let half = dir.join("chunk-00002.json");
+    let half = serve::chunk_path(&dir, 2);
     let text = fs::read_to_string(&half).unwrap();
     fs::write(&half, &text[..text.len() / 2]).unwrap();
 
@@ -540,7 +540,7 @@ fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
     assert_eq!(report.executed, report.chunks);
     let shards = spec.shards(report.chunks);
     for (i, shard) in shards.iter().enumerate() {
-        let written = fs::read_to_string(dir.join(format!("chunk-{i:05}.json"))).unwrap();
+        let written = fs::read_to_string(serve::chunk_path(&dir, i)).unwrap();
         assert_eq!(
             written,
             shard.run(None).unwrap().to_checkpoint_json(),
@@ -550,7 +550,7 @@ fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
 
     // Delete one chunk: the re-run evaluates only that chunk's stale
     // tasks, reuses its other tasks from `prev`, and resumes the rest.
-    fs::remove_file(dir.join("chunk-00001.json")).unwrap();
+    fs::remove_file(serve::chunk_path(&dir, 1)).unwrap();
     let part = shards[1].run(None).unwrap();
     let chunk_stale = part.baselines().iter().filter(|b| b.config == 1).count()
         + part.cells().iter().filter(|c| c.config == 1).count();
@@ -565,7 +565,7 @@ fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
     assert_eq!(rerun.reused, part.len() - chunk_stale);
     assert_eq!(rerun.resumed_tasks, spec.total_tasks() - part.len());
     assert_eq!(
-        fs::read_to_string(dir.join("chunk-00001.json")).unwrap(),
+        fs::read_to_string(serve::chunk_path(&dir, 1)).unwrap(),
         part.to_checkpoint_json()
     );
     let _ = fs::remove_dir_all(&dir);
@@ -595,7 +595,7 @@ fn progress_observer_sees_every_evaluated_task_once() {
 
     // Resumed tasks are silent: only the re-run chunk reports, with its
     // tasks as the run's total.
-    fs::remove_file(dir.join("chunk-00001.json")).unwrap();
+    fs::remove_file(serve::chunk_path(&dir, 1)).unwrap();
     let (_, report) = scheduler.run().unwrap();
     assert_eq!((report.resumed, report.executed), (report.chunks - 1, 1));
     let events = seen.into_inner().unwrap();
