@@ -81,12 +81,15 @@ fn check_event_log(m: &Machine) -> Result<(), AttackError> {
 /// The measured part of every attack run: clears the event log, marks the
 /// start cycle, runs `victim` (the delayed authorization, the transient
 /// access, the use and the send), switches to `receiver` if one is given,
-/// and does the Flush+Reload receive (step 5). The outcome's event counts
-/// are the victim run's; its `cycles` span the run and the receive.
+/// and does the Flush+Reload receive (step 5): reload, time and flush each
+/// probe slot. The outcome's event counts are the victim run's; its
+/// `cycles` span the run and the receive's reloads (the flushes cost
+/// none).
 ///
 /// Everything before the call — set-up, training, re-arming the channel —
 /// is outside the measurement. The receive logs no events, so afterwards
-/// [`Machine::events`] still holds exactly the victim run's events.
+/// [`Machine::events`] still holds exactly the victim run's events, and it
+/// leaves no probe slot resident.
 ///
 /// # Errors
 ///

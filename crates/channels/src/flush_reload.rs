@@ -3,8 +3,14 @@
 //!
 //! The receiver flushes a shared probe array (one page per symbol to defeat
 //! prefetching, as in the paper's Listing 1), waits for the sender to touch
-//! the slot indexed by the secret, then reloads every slot and times it:
-//! one fast (hit) slot reveals the secret.
+//! the slot indexed by the secret, then reloads every slot, times it and
+//! flushes it again: one fast (hit) slot reveals the secret.
+//!
+//! The flush after each timed reload is the textbook loop. Without it every
+//! missed slot would stay filled, and on a small cache a slot read early
+//! could evict the secret's slot from its set before that slot is read.
+//! With it, the receive leaves the channel re-armed: no probe line is
+//! resident afterwards.
 
 use crate::reading::Reading;
 use uarch::{Machine, UarchError};
@@ -90,17 +96,21 @@ impl FlushReload {
         Ok(())
     }
 
-    /// Step 5 (receive): reloads every slot with timed reads and classifies.
+    /// Step 5 (receive): reloads every slot, times it and flushes it
+    /// ([`Machine::reload_and_flush`]), then classifies the latencies. The
+    /// channel is re-armed afterwards.
     ///
     /// # Errors
     ///
-    /// Propagates [`UarchError`] from the timed reads.
+    /// [`UarchError::Unmapped`] if a slot's page was never mapped (the
+    /// channel was not prepared on `m`); `m` is then unchanged.
     pub fn receive(&self, m: &mut Machine) -> Result<Reading, UarchError> {
         let threshold = Self::threshold(m);
         let mut latencies = Vec::with_capacity(self.slots);
-        for i in 0..self.slots {
-            latencies.push(m.timed_read(self.slot_address(i))?);
-        }
+        m.reload_and_flush(
+            (0..self.slots).map(|i| self.slot_address(i)),
+            &mut latencies,
+        )?;
         Ok(Reading::classify(latencies, threshold))
     }
 
@@ -176,6 +186,18 @@ mod tests {
         assert!(ch.resident_slots(&m).unwrap().is_empty());
         let r = ch.receive(&mut m).unwrap();
         assert_eq!(r.recovered, None);
+    }
+
+    #[test]
+    fn receive_rearms_its_own_channel() {
+        let mut m = Machine::new(UarchConfig::default());
+        let ch = FlushReload::new(0x10_0000, 8);
+        ch.prepare(&mut m).unwrap();
+        m.touch(ch.slot_address(5)).unwrap();
+        assert_eq!(ch.receive(&mut m).unwrap().recovered, Some(5));
+        assert!(ch.resident_slots(&m).unwrap().is_empty());
+        // So a second receive sees no signal.
+        assert_eq!(ch.receive(&mut m).unwrap().recovered, None);
     }
 
     #[test]

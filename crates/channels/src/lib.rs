@@ -17,7 +17,8 @@
 //! performed by the victim/gadget (the "Load R to Cache" node of the
 //! paper's attack graphs); the *receiver* side is implemented here as timed
 //! architectural reads ([`uarch::Machine::timed_read`], the simulator's
-//! `rdtsc; load; rdtsc` primitive).
+//! `rdtsc; load; rdtsc` primitive; Flush+Reload's sweep of timed reads,
+//! each followed by a flush, is [`uarch::Machine::reload_and_flush`]).
 //!
 //! ```
 //! use channels::flush_reload::FlushReload;
@@ -28,7 +29,7 @@
 //! let ch = FlushReload::new(0x10_0000, 16);
 //! ch.prepare(&mut m)?;               // flush all probe lines
 //! m.touch(ch.slot_address(9))?;      // the covert "send": touch slot 9
-//! let reading = ch.receive(&mut m)?; // reload & time
+//! let reading = ch.receive(&mut m)?; // reload, time & flush
 //! assert_eq!(reading.recovered, Some(9));
 //! # Ok(())
 //! # }

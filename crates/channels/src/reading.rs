@@ -20,13 +20,15 @@ impl Reading {
     /// symbol.
     #[must_use]
     pub fn classify(latencies: Vec<u64>, threshold: u64) -> Self {
-        let hits: Vec<usize> = latencies
+        let mut hits = latencies
             .iter()
             .enumerate()
             .filter(|&(_, &l)| l < threshold)
-            .map(|(i, _)| i)
-            .collect();
-        let recovered = if hits.len() == 1 { Some(hits[0]) } else { None };
+            .map(|(i, _)| i);
+        let recovered = match (hits.next(), hits.next()) {
+            (Some(slot), None) => Some(slot),
+            _ => None,
+        };
         Reading {
             latencies,
             threshold,

@@ -158,23 +158,7 @@ impl Cache {
             lines.push(new_line);
             None
         } else {
-            // Under partitioning, the eviction victim is chosen within the
-            // accessing domain's own ways where possible — the DAWG
-            // property that one domain cannot evict another's lines.
-            let victim_idx = lines
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !partitioned || l.domain == dom)
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .or_else(|| {
-                    lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.lru)
-                        .map(|(i, _)| i)
-                })
-                .expect("non-empty set");
+            let victim_idx = lru_victim(lines, partitioned, dom);
             let victim = std::mem::replace(&mut lines[victim_idx], new_line);
             Some((victim.base, victim.data))
         }
@@ -210,6 +194,33 @@ impl Cache {
         Some(lines.swap_remove(i).data)
     }
 
+    /// One reload-and-flush probe of the line containing `paddr`: exactly
+    /// the effect of [`lookup`](Cache::lookup), then [`fill`](Cache::fill)
+    /// on a miss, then [`flush`](Cache::flush), without reading or writing
+    /// line data. Returns whether the reload hit.
+    ///
+    /// A hit removes the line. A miss leaves no line behind, but its fill
+    /// still evicted the set's replacement victim when the set was full.
+    pub fn reload_flush(&mut self, paddr: u64) -> bool {
+        let base = Self::line_base(paddr);
+        let set = self.set_index(paddr);
+        let (partitioned, dom) = (self.partitioned, self.active_domain);
+        let lines = &mut self.sets[set];
+        if let Some(i) = lines
+            .iter()
+            .position(|l| l.base == base && (!partitioned || l.domain == dom))
+        {
+            self.tick += 1;
+            lines.swap_remove(i);
+            return true;
+        }
+        self.tick += 2;
+        if lines.len() >= self.ways {
+            lines.swap_remove(lru_victim(lines, partitioned, dom));
+        }
+        false
+    }
+
     /// All resident line base addresses, sorted.
     #[must_use]
     pub fn resident_lines(&self) -> Vec<u64> {
@@ -233,6 +244,21 @@ impl Cache {
     pub fn way_count(&self) -> usize {
         self.ways
     }
+}
+
+/// The replacement victim of a full set: its least recently used line.
+/// Under partitioning the victim is chosen within the accessing domain's
+/// own ways where possible — the DAWG property that one domain cannot
+/// evict another's lines.
+fn lru_victim(lines: &[Line], partitioned: bool, dom: u32) -> usize {
+    lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| !partitioned || l.domain == dom)
+        .min_by_key(|(_, l)| l.lru)
+        .or_else(|| lines.iter().enumerate().min_by_key(|(_, l)| l.lru))
+        .map(|(i, _)| i)
+        .expect("non-empty set")
 }
 
 #[cfg(test)]

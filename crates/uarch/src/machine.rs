@@ -168,6 +168,9 @@ pub struct Machine {
     scratch_completing: Vec<usize>,
     /// Reused scratch for the tx-fallback scan at the start of each run.
     scratch_tx_stack: Vec<usize>,
+    /// Reused scratch for [`Machine::reload_and_flush`]: each slot's
+    /// physical address and whether its reload hit. Empty between sweeps.
+    scratch_probes: Vec<(u64, bool)>,
 }
 
 impl Machine {
@@ -205,6 +208,7 @@ impl Machine {
             tx_fallback: SmallMap::new(),
             scratch_completing: Vec::new(),
             scratch_tx_stack: Vec::new(),
+            scratch_probes: Vec::new(),
             memory: Memory::new(),
             page_table: PageTable::new(),
             kernel_table: PageTable::new(),
@@ -495,6 +499,71 @@ impl Machine {
         self.load_ports.record(self.memory.read_u64(paddr));
         self.cycle += latency;
         Ok(latency)
+    }
+
+    /// The Flush+Reload receive sweep: for each address of `vaddrs` in
+    /// order, a timed read followed by a flush of its line. `latencies` is
+    /// cleared and then holds each read's latency in cycles, which are
+    /// added to [`Machine::cycle`] as [`timed_read`](Machine::timed_read)
+    /// adds them; the flushes cost nothing.
+    ///
+    /// The final state is exactly that of a `timed_read` + `flush_line`
+    /// loop over the same addresses, reached without filling a line
+    /// ([`Cache::reload_flush`]): a missed slot leaves no line behind, so
+    /// nothing reads its line during the sweep. The line fill buffer and
+    /// the load ports are FIFOs that nothing samples until the sweep
+    /// returns, so only their surviving entries are written: the lines of
+    /// the last `lfb_entries` misses and the words of the last
+    /// `load_port_entries` reads.
+    ///
+    /// # Errors
+    ///
+    /// [`UarchError::Unmapped`] if no PTE exists for some address. Every
+    /// address is translated before any state changes, so on error the
+    /// machine is unchanged (and `latencies` is empty).
+    pub fn reload_and_flush(
+        &mut self,
+        vaddrs: impl IntoIterator<Item = u64>,
+        latencies: &mut Vec<u64>,
+    ) -> Result<(), UarchError> {
+        latencies.clear();
+        let mut probes = std::mem::take(&mut self.scratch_probes);
+        for vaddr in vaddrs {
+            match self.setup_paddr(vaddr) {
+                Ok(paddr) => probes.push((paddr, false)),
+                Err(e) => {
+                    probes.clear();
+                    self.scratch_probes = probes;
+                    return Err(e);
+                }
+            }
+        }
+        let (hit, miss) = (self.cfg.cache_hit_latency, self.cfg.cache_miss_latency);
+        latencies.extend(probes.iter_mut().map(|(paddr, was_hit)| {
+            *was_hit = self.cache.reload_flush(*paddr);
+            if *was_hit {
+                hit
+            } else {
+                miss
+            }
+        }));
+        self.cycle += latencies.iter().sum::<u64>();
+        // The buffers hold `cfg`'s capacities (set by `new` and `reset`).
+        let misses = probes.iter().filter(|&&(_, was_hit)| !was_hit).count();
+        for &(paddr, _) in probes
+            .iter()
+            .filter(|&&(_, was_hit)| !was_hit)
+            .skip(misses.saturating_sub(self.cfg.lfb_entries))
+        {
+            let base = paddr & !(LINE_SIZE - 1);
+            self.lfb.record(base, self.memory.read_line(base));
+        }
+        for &(paddr, _) in &probes[probes.len().saturating_sub(self.cfg.load_port_entries)..] {
+            self.load_ports.record(self.memory.read_u64(paddr));
+        }
+        probes.clear();
+        self.scratch_probes = probes;
+        Ok(())
     }
 
     /// Reads an MSR (host path).

@@ -2,11 +2,11 @@
 //!
 //! The campaign executor runs thousands of attack simulations on one
 //! pooled machine per worker; the win only holds if the steady-state cycle
-//! loop, [`Machine::reset`] and the probe-page restore stay
-//! heap-allocation-free. This test wraps the system allocator in a counter
-//! and pins all three down to **zero** allocations once the machine is warm
-//! (first-touch `HashMap` inserts in memory and predictor tables are
-//! warm-up cost, paid once per machine).
+//! loop, [`Machine::reset`], the probe-page restore and the Flush+Reload
+//! receive sweep stay heap-allocation-free. This test wraps the system
+//! allocator in a counter and pins all four down to **zero** allocations
+//! once the machine is warm (first-touch `HashMap` inserts in memory and
+//! predictor tables are warm-up cost, paid once per machine).
 //!
 //! Kept to a single `#[test]` so concurrent tests in the same binary
 //! cannot perturb the counter.
@@ -131,4 +131,26 @@ fn warm_machine_run_and_reset_are_allocation_free() {
     );
     assert!(m.cache_contains(0x7000).unwrap());
     assert!(m.page_table().entry(0x100_0000 / 4096).is_some());
+
+    // The Flush+Reload receive sweep over those 256 probe slots, into a
+    // reused latencies buffer: once warm, also allocation-free.
+    let slot = |s: u64| 0x100_0000 + s * (4096 + 64);
+    let mut latencies = Vec::new();
+    for _ in 0..2 {
+        m.reload_and_flush((0..256).map(slot), &mut latencies)
+            .unwrap();
+    }
+    m.touch(slot(3)).unwrap();
+    let during_sweep = allocations_during(|| {
+        m.reload_and_flush((0..256).map(slot), &mut latencies)
+            .unwrap();
+    });
+    assert_eq!(
+        during_sweep, 0,
+        "warm reload-and-flush sweep allocated {during_sweep} times"
+    );
+    let hits: Vec<usize> = (0..256)
+        .filter(|&s| latencies[s] == cfg.cache_hit_latency)
+        .collect();
+    assert_eq!(hits, vec![3]);
 }

@@ -129,6 +129,32 @@ fn known_verdicts_surface_through_matrix_lookups() {
     }
 }
 
+/// A receive sweep that left each missed slot filled evicted its own
+/// signal on small caches: only 48 of these 198 baselines leaked. The
+/// Flush+Reload receive flushes each slot after timing it, so every
+/// undefended attack leaks down to 8 sets × 2 ways.
+#[test]
+fn undefended_registry_leaks_on_small_caches() {
+    use specgraph::campaign::Knob;
+    let spec = CampaignSpec::builder(UarchConfig::default())
+        .defenses([])
+        .axis(Knob::CacheSets, [64usize, 16, 8])
+        .axis(Knob::CacheWays, [8usize, 4, 2])
+        .build();
+    let matrix = CampaignMatrix::run(&spec).unwrap();
+    assert_eq!(matrix.baselines().len(), attacks::registry().len() * 9);
+    let blocked: Vec<String> = matrix
+        .baselines()
+        .iter()
+        .filter(|b| !b.leaked)
+        .map(|b| format!("{} @ {}", b.info.name, matrix.configs[b.config]))
+        .collect();
+    assert!(
+        blocked.is_empty(),
+        "undefended runs read blocked: {blocked:?}"
+    );
+}
+
 #[test]
 fn filter_extracts_strategy_slices() {
     let matrix = CampaignMatrix::run(&CampaignSpec::default()).unwrap();
