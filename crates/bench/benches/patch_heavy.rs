@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use defenses::{DefenseStack, PatchSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specgraph::campaign::{CampaignMatrix, CampaignSpec, Knob, PredictorFlavor};
+use specgraph::campaign::{CampaignMatrix, CampaignSpec, Hardening, Knob};
 use std::hint::black_box;
 use tsg::{EdgeKind, NodeId, NodeKind, RacePair, ReachabilityIndex, Tsg};
 use uarch::UarchConfig;
@@ -159,8 +159,8 @@ fn bench_campaign_grid(c: &mut Criterion) {
         .defenses(defenses::registry().iter().copied().take(6))
         .axis(Knob::RobDepth, [16usize, 48])
         .axis(
-            Knob::Predictor,
-            [PredictorFlavor::Shared, PredictorFlavor::FlushOnSwitch],
+            Knob::Hardening,
+            [Hardening::None, Hardening::FlushPredictors],
         )
         .threads(1)
         .build();

@@ -40,7 +40,7 @@ use crate::heatmap::Figure8View;
 use specgraph::attacks::{self, Attack, AttackError};
 use specgraph::campaign::{
     CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, Knob, KnobValue,
-    MatrixDiff, PredictorFlavor, ProgressObserver, TaskEvent,
+    MatrixDiff, ProgressObserver, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, Corpus, CorpusError, FuzzConfig, FuzzError};
@@ -83,16 +83,12 @@ SPEC (must be identical for every shard of one campaign):
                      attack axis, after the named/registry rows
   --axis KNOB=V,V..  add a config axis (repeatable; axes multiply):
                      numeric: rob fetch issue sets ways lfb stbuf rsb
-                              hitlat misslat permlat
-                     pred=shared|flush|no-indirect|stuffed-rsb|all
+                              (sizes, 1..=65536)
+                              hitlat misslat permlat (latencies, from 0)
                      hardening=baseline|no-spec-loads|eager-permcheck|nda|stt|
                                delay-on-miss|invisispec|cleanup-spec|
                                flush-predictors|figure8|all
   --threads N        worker threads (default: all cores)
-  --retries N        retry a cell whose simulation panics N times (each on
-                     a fresh machine) before quarantining it as a typed
-                     degraded row instead of aborting the campaign
-                     (default: 0)
   --max-cell-cycles N  per-cell cycle budget: a simulation exceeding it
                      degrades to a typed timed-out row (graph verdicts
                      kept) instead of failing the run
@@ -333,7 +329,6 @@ struct SpecArgs {
     defenses: Option<Vec<String>>,
     axes: Vec<(Knob, Vec<KnobValue>)>,
     threads: usize,
-    retries: Option<u32>,
     max_cell_cycles: Option<u64>,
 }
 
@@ -365,7 +360,6 @@ impl SpecArgs {
                 self.axes.push((knob, values));
             }
             "--threads" => self.threads = flags.number(flag)?,
-            "--retries" => self.retries = Some(flags.number(flag)?),
             "--max-cell-cycles" => {
                 self.max_cell_cycles = Some(flags.positive(flag, "cycle count")?);
             }
@@ -419,29 +413,13 @@ impl SpecArgs {
             }
             builder = builder.defense_stacks(list);
         }
-        let pins_predictor = self.axes.iter().any(|(k, _)| *k == Knob::Predictor);
-        let flush_hardening = self
-            .axes
-            .iter()
-            .any(|(_, vs)| vs.contains(&KnobValue::Hardening(Hardening::FlushPredictors)));
-        if pins_predictor && flush_hardening {
-            return Err(CliError::Usage(
-                "--axis pred=… pins the predictor flags and cannot combine with \
-                 an 'flush-predictors' hardening value (pred=flush covers that \
-                 slice)"
-                    .to_owned(),
-            ));
-        }
         for (knob, values) in self.axes {
             builder = builder.axis(knob, values);
         }
         let mut spec = builder.threads(self.threads).build();
-        if let Some(retries) = self.retries {
-            spec.resilience.retries = retries;
-        }
         // An explicit budget means the user wants runaway cells degraded,
         // not the whole campaign failed.
-        spec.resilience.degrade_timeouts = self.max_cell_cycles.is_some();
+        spec.degrade_timeouts = self.max_cell_cycles.is_some();
         Ok(spec)
     }
 }
@@ -477,6 +455,10 @@ fn resolve_stack(expr: &str) -> Result<DefenseStack, CliError> {
     })
 }
 
+/// The largest structure size (`rob`, `sets`, `lfb`, …) an axis or a
+/// query line accepts: the machine allocates every structure up front.
+const MAX_STRUCTURE_SIZE: u64 = 65_536;
+
 fn parse_axis(arg: &str) -> Result<(Knob, Vec<KnobValue>), CliError> {
     let (token, list) = arg
         .split_once('=')
@@ -485,22 +467,6 @@ fn parse_axis(arg: &str) -> Result<(Knob, Vec<KnobValue>), CliError> {
         CliError::Usage(format!("unknown axis knob '{token}' (see campaign --help)"))
     })?;
     let values = match knob {
-        Knob::Predictor if list == "all" => {
-            PredictorFlavor::all().map(KnobValue::Predictor).to_vec()
-        }
-        Knob::Predictor => split_list(list)
-            .iter()
-            .map(|v| {
-                PredictorFlavor::from_token(v)
-                    .map(KnobValue::Predictor)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "unknown predictor flavor '{v}' (shared, flush, \
-                             no-indirect, stuffed-rsb, all)"
-                        ))
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
         Knob::Hardening => match list {
             "figure8" => Hardening::figure8().map(KnobValue::Hardening).to_vec(),
             "all" => Hardening::all().map(KnobValue::Hardening).to_vec(),
@@ -525,14 +491,17 @@ fn parse_axis(arg: &str) -> Result<(Knob, Vec<KnobValue>), CliError> {
                     CliError::Usage(format!("axis '{token}' needs numbers, got '{v}'"))
                 })?;
                 // Latencies may be 0; a structure of size 0 (ROB, widths,
-                // cache geometry, buffers, RSB) cannot simulate at all.
+                // cache geometry, buffers, RSB) cannot simulate at all, and
+                // one above the ceiling would be allocated before a single
+                // cycle runs.
                 let latency = matches!(
                     knob,
                     Knob::CacheHitLatency | Knob::CacheMissLatency | Knob::PermissionCheckLatency
                 );
-                if n == 0 && !latency {
+                if !latency && !(1..=MAX_STRUCTURE_SIZE).contains(&n) {
                     return Err(CliError::Usage(format!(
-                        "axis '{token}' is a structure size and must be at least 1, got 0"
+                        "axis '{token}' is a structure size and must be in \
+                         1..={MAX_STRUCTURE_SIZE}, got {n}"
                     )));
                 }
                 Ok(KnobValue::Num(n))

@@ -296,15 +296,19 @@ fn usage_errors_are_actionable() {
         (vec!["run", "--axis", "lfb=0"], "axis 'lfb'"),
         (vec!["run", "--axis", "stbuf=16,0"], "axis 'stbuf'"),
         (vec!["run", "--axis", "rsb=0"], "axis 'rsb'"),
-        (
-            vec!["run", "--axis", "pred=quantum"],
-            "unknown predictor flavor",
-        ),
+        // Every structure is allocated up front, so a size above the
+        // ceiling is refused before any machine is built.
+        (vec!["run", "--axis", "sets=65537"], "1..=65536"),
         (
             vec!["run", "--axis", "hardening=magic"],
             "unknown hardening",
         ),
-        // Retired subcommands and one-value flags are gone.
+        // Retired subcommands, knobs and flags are gone.
+        (
+            vec!["run", "--axis", "pred=shared"],
+            "unknown axis knob 'pred'",
+        ),
+        (vec!["run", "--retries", "1"], "unknown flag '--retries'"),
         (vec!["serve"], "unknown subcommand"),
         (vec!["merge", "p0.json", "p1.json"], "unknown subcommand"),
         (vec!["fault", "sweep"], "unknown subcommand"),
@@ -355,18 +359,6 @@ fn usage_errors_are_actionable() {
             Err(CliError::Usage(msg)) => assert!(msg.contains("assemble"), "{flag}: {msg}"),
             other => panic!("expected a usage error for --shard {flag}, got {other:?}"),
         }
-    }
-    // Conflicting predictor/hardening axes are caught before the builder
-    // could panic.
-    match run(&[
-        "run",
-        "--axis",
-        "pred=shared",
-        "--axis",
-        "hardening=flush-predictors",
-    ]) {
-        Err(CliError::Usage(msg)) => assert!(msg.contains("pred=flush")),
-        other => panic!("expected a usage error, got {other:?}"),
     }
 }
 
@@ -672,6 +664,22 @@ fn query_serves_hits_reports_misses_and_simulates_on_request() {
         }
         other => panic!("expected a usage error, got {other:?}"),
     }
+    // So is a structure size above the ceiling: it would be allocated
+    // before the first simulated cycle.
+    fs::write(&bad, "Meltdown | NDA | sets=4294967296\n").unwrap();
+    match run(&[
+        "query",
+        matrix.to_str().unwrap(),
+        "--queries",
+        bad.to_str().unwrap(),
+        "--simulate",
+    ]) {
+        Err(CliError::Usage(msg)) => {
+            assert!(msg.contains("query line 1"), "{msg}");
+            assert!(msg.contains("axis 'sets'"), "{msg}");
+        }
+        other => panic!("expected a usage error, got {other:?}"),
+    }
     // Latencies may be 0: a zero hit latency simulates normally.
     let zero_latency = dir.join("zero-latency.txt");
     fs::write(&zero_latency, "Meltdown | NDA | hitlat=0\n").unwrap();
@@ -869,8 +877,6 @@ fn fuzz_cli_discovers_deterministically_resumes_and_feeds_campaigns() {
 
 #[test]
 fn resilience_flags_parse_and_reject_garbage() {
-    let err = run(&with_spec(&["run", "--retries", "many"])).unwrap_err();
-    assert!(err.to_string().contains("--retries"), "{err}");
     let err = run(&with_spec(&["run", "--max-cell-cycles", "0"])).unwrap_err();
     assert!(err.to_string().contains("--max-cell-cycles"), "{err}");
 }

@@ -22,7 +22,7 @@
 //! cartesian grid, with auto-generated config names:
 //!
 //! ```
-//! use specgraph::campaign::{CampaignMatrix, CampaignSpec, Knob, PredictorFlavor};
+//! use specgraph::campaign::{CampaignMatrix, CampaignSpec, Hardening, Knob};
 //! use uarch::UarchConfig;
 //!
 //! # fn main() -> Result<(), attacks::AttackError> {
@@ -30,14 +30,11 @@
 //!     .attacks(attacks::registry().iter().copied().take(2))
 //!     .defenses(defenses::registry().iter().copied().take(2))
 //!     .axis(Knob::RobDepth, [16usize, 64])
-//!     .axis(
-//!         Knob::Predictor,
-//!         [PredictorFlavor::Shared, PredictorFlavor::FlushOnSwitch],
-//!     )
+//!     .axis(Knob::Hardening, [Hardening::None, Hardening::FlushPredictors])
 //!     .build();
 //! let matrix = CampaignMatrix::run(&spec)?;
 //! assert_eq!(matrix.shape(), (2, 2, 4)); // 2×2 knob grid = 4 config slices
-//! assert_eq!(matrix.configs[0], "rob=16 pred=shared");
+//! assert_eq!(matrix.configs[0], "rob=16 baseline");
 //! # Ok(())
 //! # }
 //! ```
@@ -105,7 +102,7 @@
 //! boundary: re-running an unchanged spec against a loaded matrix
 //! evaluates zero cells.
 
-use crate::jsonio::{self, Json, JsonError};
+use crate::jsonio::{self, json_str, push_json_list, Json, JsonError};
 use crate::scenario::Evaluation;
 use crate::serve::ScheduleReport;
 use attacks::{Attack, AttackError, AttackInfo, BatchRunner};
@@ -181,15 +178,13 @@ pub enum Knob {
     CacheMissLatency,
     /// Privilege/permission check latency (`permission_check_latency`).
     PermissionCheckLatency,
-    /// Predictor flavor (shared / flushed / retpoline-style / stuffed RSB).
-    Predictor,
     /// A Figure-8 global hardening mechanism (the axis behind the old
     /// 5-slice strategy sweep, now one knob among many).
     Hardening,
 }
 
 impl Knob {
-    const ALL: [Knob; 13] = [
+    const ALL: [Knob; 12] = [
         Knob::RobDepth,
         Knob::FetchWidth,
         Knob::IssueWidth,
@@ -201,7 +196,6 @@ impl Knob {
         Knob::CacheHitLatency,
         Knob::CacheMissLatency,
         Knob::PermissionCheckLatency,
-        Knob::Predictor,
         Knob::Hardening,
     ];
 
@@ -221,7 +215,6 @@ impl Knob {
             Knob::CacheHitLatency => "hitlat",
             Knob::CacheMissLatency => "misslat",
             Knob::PermissionCheckLatency => "permlat",
-            Knob::Predictor => "pred",
             Knob::Hardening => "hardening",
         }
     }
@@ -237,7 +230,7 @@ impl Knob {
     /// # Panics
     ///
     /// Panics when the value kind does not fit the knob (e.g. a numeric
-    /// value for [`Knob::Predictor`]) — a spec-construction bug, caught at
+    /// value for [`Knob::Hardening`]) — a spec-construction bug, caught at
     /// [`CampaignSpecBuilder::build`] time.
     fn apply(self, cfg: &mut UarchConfig, value: KnobValue) {
         match (self, value) {
@@ -256,7 +249,6 @@ impl Knob {
             (Knob::PermissionCheckLatency, KnobValue::Num(n)) => {
                 cfg.permission_check_latency = n;
             }
-            (Knob::Predictor, KnobValue::Predictor(p)) => p.apply(cfg),
             (Knob::Hardening, KnobValue::Hardening(h)) => h.apply(cfg),
             (knob, value) => panic!("knob {knob:?} cannot take value {value:?}"),
         }
@@ -267,7 +259,6 @@ impl Knob {
     fn label(self, value: KnobValue) -> String {
         match value {
             KnobValue::Num(n) => format!("{}={n}", self.token()),
-            KnobValue::Predictor(p) => format!("{}={}", self.token(), p.token()),
             // Hardening labels stand alone so single-axis Figure-8 sweeps
             // keep the paper's slice names ("baseline", "② NDA", …).
             KnobValue::Hardening(h) => h.label().to_owned(),
@@ -285,8 +276,6 @@ fn to_usize(n: u64) -> usize {
 pub enum KnobValue {
     /// A numeric knob setting (sizes, widths, latencies).
     Num(u64),
-    /// A predictor flavor (for [`Knob::Predictor`]).
-    Predictor(PredictorFlavor),
     /// A hardening mechanism (for [`Knob::Hardening`]).
     Hardening(Hardening),
 }
@@ -297,79 +286,9 @@ impl From<usize> for KnobValue {
     }
 }
 
-impl From<PredictorFlavor> for KnobValue {
-    fn from(p: PredictorFlavor) -> Self {
-        KnobValue::Predictor(p)
-    }
-}
-
 impl From<Hardening> for KnobValue {
     fn from(h: Hardening) -> Self {
         KnobValue::Hardening(h)
-    }
-}
-
-/// How the front-end predictors behave across contexts — the axis the
-/// branch-history attacks (Spectre v2, Spectre-RSB, Retbleed) are
-/// sensitive to.
-///
-/// A [`Knob::Predictor`] axis *pins* the slice's predictor behavior: it
-/// assigns all three predictor flags
-/// (`flush_predictors_on_switch`/`no_indirect_prediction`/`rsb_stuffing`),
-/// overriding whatever the base configuration set, so every slice is
-/// exactly the flavor its name claims. Because
-/// [`Hardening::FlushPredictors`] sets one of those same flags, the
-/// builder rejects combining the two axes rather than letting one
-/// silently cancel the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum PredictorFlavor {
-    /// Untagged predictors shared across contexts (vulnerable baseline).
-    Shared,
-    /// All predictor state flushed on context switch (IBPB-style, ④).
-    FlushOnSwitch,
-    /// No indirect-branch prediction at all (retpoline effect).
-    NoIndirect,
-    /// RSB refilled with benign entries on switches (RSB stuffing).
-    StuffedRsb,
-}
-
-impl PredictorFlavor {
-    /// All flavors, baseline first.
-    #[must_use]
-    pub fn all() -> [PredictorFlavor; 4] {
-        [
-            PredictorFlavor::Shared,
-            PredictorFlavor::FlushOnSwitch,
-            PredictorFlavor::NoIndirect,
-            PredictorFlavor::StuffedRsb,
-        ]
-    }
-
-    /// Pins the predictor flags to exactly this flavor (see the type-level
-    /// docs: the axis overrides the base, it does not compose with it).
-    fn apply(self, cfg: &mut UarchConfig) {
-        cfg.flush_predictors_on_switch = self == PredictorFlavor::FlushOnSwitch;
-        cfg.no_indirect_prediction = self == PredictorFlavor::NoIndirect;
-        cfg.rsb_stuffing = self == PredictorFlavor::StuffedRsb;
-    }
-
-    /// Stable machine-readable token.
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            PredictorFlavor::Shared => "shared",
-            PredictorFlavor::FlushOnSwitch => "flush",
-            PredictorFlavor::NoIndirect => "no-indirect",
-            PredictorFlavor::StuffedRsb => "stuffed-rsb",
-        }
-    }
-
-    /// The flavor for a [`PredictorFlavor::token`] string (how the
-    /// `campaign` CLI parses `--axis pred=…` values).
-    #[must_use]
-    pub fn from_token(token: &str) -> Option<PredictorFlavor> {
-        Self::all().into_iter().find(|f| f.token() == token)
     }
 }
 
@@ -493,7 +412,7 @@ impl Hardening {
 /// hand-construction remains possible for irregular slices.
 #[derive(Debug, Clone)]
 pub struct NamedConfig {
-    /// Display name, e.g. `"baseline"` or `"rob=16 pred=shared"`.
+    /// Display name, e.g. `"baseline"` or `"rob=16 sets=32"`.
     pub name: String,
     /// The simulator configuration evaluated under that name.
     pub config: UarchConfig,
@@ -523,25 +442,13 @@ pub struct CampaignSpec {
     pub configs: Vec<NamedConfig>,
     /// Worker threads; `0` means "all available parallelism".
     pub threads: usize,
-    /// Worker-failure policy: panic retries and timeout degradation.
-    /// Like [`threads`](Self::threads), excluded from
-    /// [`fingerprint`](Self::fingerprint) — it changes how failures are
-    /// handled, never what a successful cell evaluates to.
-    pub resilience: Resilience,
-}
-
-/// How the campaign engine handles failing workers — the LHCb-on-HPC
-/// posture: workers are *expected* to fail; the campaign completes anyway
-/// with typed, degraded rows rather than aborting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Resilience {
-    /// How many times a panicking cell is retried (on a fresh machine)
-    /// before it is quarantined as [`CellOutcome::Quarantined`]. `0`
-    /// quarantines on the first panic.
-    pub retries: u32,
     /// When set, a cell that exhausts its [`UarchConfig::max_cycles`]
     /// budget degrades to [`CellOutcome::TimedOut`] instead of failing the
-    /// run — the runaway-cell watchdog.
+    /// run — the runaway-cell watchdog. A panicking cell is always
+    /// quarantined as [`CellOutcome::Quarantined`]. Like
+    /// [`threads`](Self::threads), excluded from
+    /// [`fingerprint`](Self::fingerprint) — it changes how failures are
+    /// handled, never what a successful cell evaluates to.
     pub degrade_timeouts: bool,
 }
 
@@ -562,7 +469,7 @@ pub enum CellOutcome {
         /// The [`UarchConfig::max_cycles`] budget that was exhausted.
         limit: u64,
     },
-    /// The cell panicked through every retry and was quarantined.
+    /// The cell's simulation panicked and was quarantined.
     Quarantined {
         /// The (truncated) panic payload.
         reason: String,
@@ -619,8 +526,9 @@ impl CampaignSpec {
     /// A stable 64-bit digest of the spec's *contents*: attack names,
     /// defense names + strategies, and config names + full config
     /// contents ([`config_digest`]), all in axis order. The worker-thread
-    /// count and the [`Resilience`] policy are deliberately excluded —
-    /// they change scheduling and failure handling, never results.
+    /// count and [`degrade_timeouts`](Self::degrade_timeouts) are
+    /// deliberately excluded — they change scheduling and failure
+    /// handling, never results.
     ///
     /// Every [`CampaignPart`] records its producing spec's fingerprint,
     /// and [`CampaignMatrix::merge`] refuses to combine parts whose
@@ -732,12 +640,8 @@ impl CampaignSpecBuilder {
     /// # Panics
     ///
     /// Panics if `values` is empty or contains a duplicate (the duplicate
-    /// slices would share one name and fingerprint), `knob` was already
-    /// declared, or the
-    /// grid would combine a [`Knob::Predictor`] axis with a
-    /// [`Hardening::FlushPredictors`] value — the predictor axis pins the
-    /// very flag that hardening sets, so such a slice would not be the
-    /// machine its name claims.
+    /// slices would share one name and fingerprint), or `knob` was already
+    /// declared.
     #[must_use]
     pub fn axis<V: Into<KnobValue>>(
         mut self,
@@ -758,17 +662,6 @@ impl CampaignSpecBuilder {
             "axis {knob:?} declared twice"
         );
         self.axes.push((knob, values));
-        let has_predictor = self.axes.iter().any(|(k, _)| *k == Knob::Predictor);
-        let has_flush_hardening = self
-            .axes
-            .iter()
-            .any(|(_, vs)| vs.contains(&KnobValue::Hardening(Hardening::FlushPredictors)));
-        assert!(
-            !(has_predictor && has_flush_hardening),
-            "Knob::Predictor pins the predictor flags and would silently \
-             override Hardening::FlushPredictors; drop one of the two axes \
-             (PredictorFlavor::FlushOnSwitch covers the ④ slice)"
-        );
         self
     }
 
@@ -778,7 +671,7 @@ impl CampaignSpecBuilder {
     /// # Panics
     ///
     /// Panics if an axis value does not fit its knob (e.g. a numeric
-    /// value on [`Knob::Predictor`]).
+    /// value on [`Knob::Hardening`]).
     #[must_use]
     pub fn build(self) -> CampaignSpec {
         let configs = if self.axes.is_empty() {
@@ -811,7 +704,7 @@ impl CampaignSpecBuilder {
             defenses: self.defenses,
             configs,
             threads: self.threads,
-            resilience: Resilience::default(),
+            degrade_timeouts: false,
         }
     }
 }
@@ -1272,10 +1165,10 @@ pub(crate) fn panic_reason(payload: &dyn std::any::Any) -> String {
     msg.chars().take(200).collect()
 }
 
-/// Runs `attack` on `config` on a warm machine under `policy`: panics are
-/// caught and retried at once on a fresh machine (the old one may be
-/// poisoned mid-simulation), then quarantined; cycle-budget exhaustion
-/// degrades to [`CellOutcome::TimedOut`] when the watchdog is enabled.
+/// Runs `attack` on `config` on a warm machine: a panic is caught and
+/// quarantined, and the warm runner is replaced by a fresh one (the old
+/// one may be poisoned mid-simulation); cycle-budget exhaustion degrades
+/// to [`CellOutcome::TimedOut`] when `degrade_timeouts` is set.
 /// Non-timeout simulator errors keep their existing fail-the-run
 /// semantics — they indicate a broken spec, not a flaky worker. This is
 /// the one warm simulation step: every campaign run and every verdict-store
@@ -1283,29 +1176,23 @@ pub(crate) fn panic_reason(payload: &dyn std::any::Any) -> String {
 pub(crate) fn simulate(
     attack: &dyn Attack,
     config: &UarchConfig,
-    policy: &Resilience,
+    degrade_timeouts: bool,
     runner: &mut BatchRunner,
 ) -> Result<Measured, AttackError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let mut attempt = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| runner.run(attack, config))) {
-            Ok(Ok(outcome)) => return Ok(Measured::Ran(outcome)),
-            Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
-                if policy.degrade_timeouts =>
-            {
-                return Ok(Measured::Degraded(CellOutcome::TimedOut { limit }));
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                *runner = BatchRunner::new();
-                if attempt >= policy.retries {
-                    return Ok(Measured::Degraded(CellOutcome::Quarantined {
-                        reason: panic_reason(payload.as_ref()),
-                    }));
-                }
-                attempt += 1;
-            }
+    match catch_unwind(AssertUnwindSafe(|| runner.run(attack, config))) {
+        Ok(Ok(outcome)) => Ok(Measured::Ran(outcome)),
+        Ok(Err(AttackError::Uarch(uarch::UarchError::CycleLimitExceeded { limit })))
+            if degrade_timeouts =>
+        {
+            Ok(Measured::Degraded(CellOutcome::TimedOut { limit }))
+        }
+        Ok(Err(e)) => Err(e),
+        Err(payload) => {
+            *runner = BatchRunner::new();
+            Ok(Measured::Degraded(CellOutcome::Quarantined {
+                reason: panic_reason(payload.as_ref()),
+            }))
         }
     }
 }
@@ -1495,8 +1382,13 @@ where
         }
     }
     crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
-        let (run, policy) = (&runs[r], &spec.resilience);
-        let out = simulate(spec.attacks[run.attack], &run.config, policy, runner)?;
+        let run = &runs[r];
+        let out = simulate(
+            spec.attacks[run.attack],
+            &run.config,
+            spec.degrade_timeouts,
+            runner,
+        )?;
         measured[r].set(out).expect("each run is claimed once");
         for &k in &run.tasks {
             report(k);
@@ -2136,8 +2028,7 @@ impl CampaignMatrix {
         crate::fault::write_atomic(path, &self.to_json())
     }
 
-    /// How many rows (baselines + cells) were quarantined after exhausting
-    /// panic retries.
+    /// How many rows (baselines + cells) were quarantined after a panic.
     #[must_use]
     pub fn quarantined(&self) -> usize {
         self.count_outcomes(|o| matches!(o, CellOutcome::Quarantined { .. }))
@@ -2908,35 +2799,6 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", ch as u32);
-            }
-            ch => out.push(ch),
-        }
-    }
-    out.push('"');
-    out
-}
-
-pub(crate) fn push_json_list<'a>(out: &mut String, items: impl Iterator<Item = &'a str>) {
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_str(item));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2956,8 +2818,8 @@ mod tests {
             .defenses(defenses::registry().iter().copied().take(2))
             .axis(Knob::RobDepth, [16usize, 64])
             .axis(
-                Knob::Predictor,
-                [PredictorFlavor::Shared, PredictorFlavor::FlushOnSwitch],
+                Knob::Hardening,
+                [Hardening::None, Hardening::FlushPredictors],
             )
             .threads(threads)
             .build()
@@ -3094,10 +2956,10 @@ mod tests {
         assert_eq!(
             names,
             [
-                "rob=16 pred=shared",
-                "rob=16 pred=flush",
-                "rob=64 pred=shared",
-                "rob=64 pred=flush",
+                "rob=16 baseline",
+                "rob=16 ④ flush predictors",
+                "rob=64 baseline",
+                "rob=64 ④ flush predictors",
             ]
         );
         assert_eq!(spec.configs[0].config.rob_capacity, 16);
@@ -3151,35 +3013,8 @@ mod tests {
     #[should_panic(expected = "cannot take value")]
     fn mismatched_knob_value_panics() {
         let _ = CampaignSpec::builder(UarchConfig::default())
-            .axis(Knob::Predictor, [KnobValue::Num(3)])
+            .axis(Knob::Hardening, [KnobValue::Num(3)])
             .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "pins the predictor flags")]
-    fn predictor_axis_rejects_flush_hardening_axis() {
-        // A "④ flush predictors pred=shared" slice would be a lie: the
-        // predictor axis pins the very flag the hardening sets.
-        let _ = CampaignSpec::builder(UarchConfig::default())
-            .axis(Knob::Hardening, Hardening::figure8())
-            .axis(Knob::Predictor, [PredictorFlavor::Shared]);
-    }
-
-    #[test]
-    fn predictor_axis_pins_the_flavor_over_the_base() {
-        // The axis overrides base predictor flags, so every slice is the
-        // machine its name claims regardless of the base configuration.
-        let hardened_base = UarchConfig::builder()
-            .flush_predictors_on_switch(true)
-            .rsb_stuffing(true)
-            .build();
-        let spec = CampaignSpec::builder(hardened_base)
-            .axis(Knob::Predictor, [PredictorFlavor::Shared])
-            .build();
-        let cfg = &spec.configs[0].config;
-        assert!(!cfg.flush_predictors_on_switch);
-        assert!(!cfg.no_indirect_prediction);
-        assert!(!cfg.rsb_stuffing);
     }
 
     #[test]
@@ -3522,8 +3357,8 @@ mod tests {
         // A reordered/renamed configs list must not silently remap rows.
         let grid = CampaignMatrix::run(&tiny_grid(0)).unwrap();
         let doc = grid.to_json().replacen(
-            "\"rob=16 pred=shared\", \"rob=16 pred=flush\"",
-            "\"rob=16 pred=flush\", \"rob=16 pred=shared\"",
+            "\"rob=16 baseline\", \"rob=16 ④ flush predictors\"",
+            "\"rob=16 ④ flush predictors\", \"rob=16 baseline\"",
             1,
         );
         assert!(matches!(
@@ -3554,8 +3389,6 @@ mod tests {
         assert!(json.contains("\"version\": 7"));
         assert!(json.contains("\"kind\": \"campaign-matrix\""));
         assert_eq!(json.matches("{\"attack\"").count(), 12 + 4);
-        // Escaping: a quote in a config name must not break the document.
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("plain"), "plain");
     }

@@ -15,8 +15,7 @@
 //! back by [`crate::jsonio`].
 
 use super::gen::{Combo, Mutation, Scenario};
-use crate::campaign::{json_str, push_json_list};
-use crate::jsonio::{self, Json};
+use crate::jsonio::{self, json_str, push_json_list, Json};
 use attacks::{Attack, AttackInfo, AttackOutcome};
 use isa::asm;
 use std::fmt;
@@ -26,8 +25,9 @@ use std::path::{Path, PathBuf};
 use tsg::SecurityAnalysis;
 use uarch::Machine;
 
-/// Corpus schema version. Bumped past the campaign writers' v5 because
-/// the fuzz corpus is a new document kind.
+/// Corpus schema version. The fuzz corpus is its own document kind, so
+/// this counter moves independently of the campaign writers'
+/// [`SCHEMA_VERSION`](crate::campaign::SCHEMA_VERSION).
 pub const FUZZ_SCHEMA_VERSION: u64 = 6;
 
 /// Corpus file name inside a `--corpus` directory.

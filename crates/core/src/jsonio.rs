@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON reader for campaign persistence.
+//! A minimal, dependency-free JSON reader for campaign persistence, and
+//! the string escaping every campaign and corpus writer shares.
 //!
 //! The workspace builds fully offline (no `serde`), so the subset of JSON
 //! that the campaign writers emit
@@ -41,6 +42,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth [`parse`] accepts before reporting an error.
 ///
@@ -405,9 +407,48 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonErr
     }
 }
 
+/// `s` as a JSON string literal, quoted and escaped.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            ch if (ch as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", ch as u32);
+            }
+            ch => out.push(ch),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Appends `items` to `out` as comma-separated [`json_str`] literals.
+pub(crate) fn push_json_list<'a>(out: &mut String, items: impl Iterator<Item = &'a str>) {
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&json_str(item));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_str_escapes_what_the_reader_unescapes() {
+        // A quote in a config name must not break the document.
+        let escaped = json_str("a\"b\\c\n");
+        assert_eq!(escaped, "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(parse(&escaped).unwrap().as_str(), Some("a\"b\\c\n"));
+    }
 
     #[test]
     fn parses_the_writer_subset() {

@@ -63,8 +63,7 @@ pub use uarch;
 pub mod prelude {
     pub use crate::campaign::{
         self, CampaignIoError, CampaignMatrix, CampaignPart, CampaignShard, CampaignSpec,
-        CellOutcome, Hardening, Knob, KnobValue, MatrixDiff, MergeError, NamedConfig,
-        PredictorFlavor, Resilience, TaskEvent,
+        CellOutcome, Hardening, Knob, KnobValue, MatrixDiff, MergeError, NamedConfig, TaskEvent,
     };
     pub use crate::discovery::fuzz::{
         self, Agreement, Combo, Corpus, DualOracle, FuzzConfig, FuzzError, FuzzReport, Scenario,

@@ -34,7 +34,7 @@
 use crate::campaign::{
     baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
     panic_reason, simulate, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec, CellOutcome,
-    MatrixCell, Measured, MergeError, ProgressObserver, Resilience,
+    MatrixCell, Measured, MergeError, ProgressObserver,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
@@ -510,7 +510,7 @@ impl VerdictStore {
     ) -> Result<StoredVerdict, ServeError> {
         let run = |config: &UarchConfig| -> Result<attacks::AttackOutcome, ServeError> {
             let mut runner = self.pool.checkout();
-            let measured = simulate(attack, config, &Resilience::default(), &mut runner);
+            let measured = simulate(attack, config, false, &mut runner);
             self.pool.checkin(runner);
             match measured? {
                 Measured::Ran(outcome) => Ok(outcome),

@@ -9,7 +9,8 @@ use specgraph::prelude::*;
 use uarch::UarchConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A 2-axis grid: 2 ROB depths × 2 predictor flavors = 4 config slices.
+    // A 2-axis grid: 2 ROB depths × {unhardened, ④ flush predictors} = 4
+    // config slices.
     let spec = CampaignSpec::builder(UarchConfig::default())
         .attacks([
             attacks::find(attacks::names::SPECTRE_V1).expect("registered"),
@@ -23,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .axis(Knob::RobDepth, [32usize, 64])
         .axis(
-            Knob::Predictor,
-            [PredictorFlavor::Shared, PredictorFlavor::FlushOnSwitch],
+            Knob::Hardening,
+            [Hardening::None, Hardening::FlushPredictors],
         )
         .build();
     println!("grid: {} configs", spec.configs.len());

@@ -69,25 +69,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // A multi-axis knob grid on top of the same registries: the
-    // branch-history rows (Spectre v2 / Retbleed) swept over predictor
-    // flavors — the slice where the two variants diverge (RSB stuffing
-    // stops neither a poisoned BTB nor Retbleed's underflow fallback;
-    // flushing stops both).
-    let grid = CampaignSpec::builder(UarchConfig::default())
+    // The branch-history rows (Spectre v2 / Retbleed) against Figure 8's
+    // strategy-④ defenses, which clear or bypass the shared predictors:
+    // the slice where the two variants diverge from their undefended
+    // baseline. IBPB and retpoline stop both; RSB stuffing stops neither a
+    // poisoned BTB nor Retbleed's underflow fallback.
+    let clear = CampaignSpec::builder(UarchConfig::default())
         .attacks([
             attacks::find(attacks::names::SPECTRE_V2).expect("registered"),
             attacks::find(attacks::names::RETBLEED).expect("registered"),
         ])
-        .defenses(Vec::new())
-        .axis(Knob::Predictor, PredictorFlavor::all())
+        .defense_stacks(
+            ["ibpb", "retpoline", "rsb-stuffing"].map(|t| DefenseStack::parse(t).expect("token")),
+        )
         .build();
-    let grid_matrix = CampaignMatrix::run(&grid)?;
-    println!("\npredictor-flavor grid (undefended leak verdicts):");
-    for row in grid_matrix.baselines() {
+    let clear_matrix = CampaignMatrix::run(&clear)?;
+    println!(
+        "
+clear-predictions slice (④):"
+    );
+    for row in clear_matrix.baselines() {
+        let verdict = if row.leaked { "leaked" } else { "blocked" };
+        println!("  {:<12} {:<14} {verdict}", row.info.name, "undefended");
+    }
+    for cell in clear_matrix.cells() {
         println!(
-            "  {:<12} {:<18} leaked = {}",
-            row.info.name, grid_matrix.configs[row.config], row.leaked
+            "  {:<12} {:<14} {}",
+            cell.attack,
+            cell.defense,
+            cell.mechanism_token()
         );
     }
     Ok(())

@@ -54,18 +54,12 @@ fn meltdown() -> &'static dyn Attack {
 fn injected_panic_quarantines_instead_of_aborting_and_heals_incrementally() {
     let _io = io_lock();
     let oracle = CampaignMatrix::run(&spec_with(meltdown())).unwrap();
-    for retries in [1, 2] {
-        quarantine_and_heal(&oracle, retries);
-    }
-}
 
-/// One quarantine round trip: a panicking Meltdown exhausts `retries`,
-/// the degraded matrix round-trips, and an incremental re-run with the
-/// fault removed heals it back to `oracle`.
-fn quarantine_and_heal(oracle: &CampaignMatrix, retries: u32) {
+    // A panicking Meltdown is quarantined, the degraded matrix
+    // round-trips, and an incremental re-run with the fault removed heals
+    // it back to `oracle`.
     let double = PanickingAttack::wrap(meltdown());
-    let mut spec = spec_with(double as &'static dyn Attack);
-    spec.resilience.retries = retries;
+    let spec = spec_with(double as &'static dyn Attack);
     let matrix = CampaignMatrix::run(&spec).expect("campaign completes despite the panicking cell");
 
     // Every Meltdown row (baseline + NDA cell, two configs each) is a
@@ -91,7 +85,7 @@ fn quarantine_and_heal(oracle: &CampaignMatrix, retries: u32) {
     }
 
     // The degraded schema round-trips: save, load, same degraded counts.
-    let dir = tempdir(&format!("quarantine-{retries}"));
+    let dir = tempdir("quarantine");
     let path = dir.join("matrix.json");
     matrix.save_json(&path).unwrap();
     let loaded = CampaignMatrix::load_json(&path).unwrap();
@@ -132,8 +126,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
     let oracle = CampaignMatrix::run(&spec_for(meltdown())).unwrap();
 
     let double = PanickingAttack::wrap(meltdown());
-    let mut spec = spec_for(double as &'static dyn Attack);
-    spec.resilience.retries = 1;
+    let spec = spec_for(double as &'static dyn Attack);
     let (matrix, report) = Scheduler::new(&spec).run().unwrap();
     // Per attack: the unhardened baseline, plus one `nda` machine shared
     // by the other five rows.
@@ -183,8 +176,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
 fn scheduler_completes_with_quarantined_cells_and_store_skips_them() {
     let _io = io_lock();
     let double = PanickingAttack::wrap(meltdown());
-    let mut spec = spec_with(double as &'static dyn Attack);
-    spec.resilience.retries = 0;
+    let spec = spec_with(double as &'static dyn Attack);
 
     let (matrix, report) = Scheduler::new(&spec)
         .workers(2)
@@ -221,7 +213,7 @@ fn exhausted_cycle_budget_degrades_to_timed_out_rows() {
 
     // ...with it, every row becomes a typed timed-out row that keeps its
     // graph verdicts and round-trips through the schema.
-    spec.resilience.degrade_timeouts = true;
+    spec.degrade_timeouts = true;
     let matrix = CampaignMatrix::run(&spec).unwrap();
     assert_eq!(matrix.timed_out(), 2);
     assert_eq!(matrix.quarantined(), 0);

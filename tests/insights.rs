@@ -152,3 +152,34 @@ fn insight6_modeling_level_split() {
         "the faulting load split into check + read"
     );
 }
+
+/// Insight 6 on the machine: a Meltdown-type attack races the permission
+/// check *inside* one instruction, so a check that completes at once
+/// (`permlat=0`) closes its window, while a Spectre-type attack races a
+/// different, older instruction and still leaks. At the default latency
+/// every registry attack leaks.
+#[test]
+fn insight6_instant_permission_check_stops_exactly_the_meltdown_class() {
+    let spec = CampaignSpec::builder(UarchConfig::default())
+        .defenses([])
+        .axis(Knob::PermissionCheckLatency, [0usize, 30])
+        .build();
+    let matrix = CampaignMatrix::run(&spec).expect("undefended registry runs");
+    assert_eq!(matrix.attacks.len(), 22);
+    for attack in &matrix.attacks {
+        let at = |config| {
+            matrix
+                .baseline(attack.name, config)
+                .expect("baseline row")
+                .leaked
+        };
+        assert!(at(1), "{} leaks at permlat=30", attack.name);
+        assert_eq!(
+            at(0),
+            attack.class() == AttackClass::Spectre,
+            "{} ({}) at permlat=0",
+            attack.name,
+            attack.class()
+        );
+    }
+}
