@@ -3273,6 +3273,23 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_reads_the_same_in_any_member_order() {
+        let part = tiny_grid(0).shards(3)[1].run(None).unwrap();
+        let doc = part.to_checkpoint_json();
+        // Each top-level member opens its own line, two spaces in; rows
+        // sit deeper and open with `{`.
+        let body = doc.strip_prefix("{\n  \"").unwrap();
+        let body = body.strip_suffix("\n}\n").unwrap();
+        let mut members: Vec<&str> = body.split(",\n  \"").collect();
+        assert_eq!(members.len(), 9, "version … cells");
+        members.reverse();
+        let reversed = format!("{{\n  \"{}\n}}\n", members.join(",\n  \""));
+        assert!(reversed.starts_with("{\n  \"cells\": ["));
+        let loaded = CampaignPart::from_checkpoint_json(&reversed).unwrap();
+        assert_eq!(loaded.to_checkpoint_json(), doc);
+    }
+
+    #[test]
     fn version_and_syntax_errors_are_typed() {
         assert!(matches!(
             CampaignMatrix::from_json("{}"),

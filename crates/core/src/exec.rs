@@ -1,7 +1,7 @@
 //! The one parallel executor behind every fan-out in this crate: campaign
-//! runs (scheduled ones included), fuzz classification and fuzz
-//! minimization all go through [`map_indexed`], and nothing else here
-//! spawns threads.
+//! runs (scheduled ones included), the scheduler's checkpoint load, fuzz
+//! classification and fuzz minimization all go through [`map_indexed`],
+//! and nothing else here spawns threads.
 //!
 //! Workers claim indices from one shared atomic cursor, so a fast core
 //! keeps claiming while a slow one finishes its task, and results are

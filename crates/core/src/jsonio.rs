@@ -25,6 +25,10 @@
 //!   `[[[[…` document errors out instead of overflowing the stack;
 //! * numbers that do not fit `u64` are an error, not a wrap-around.
 //!
+//! An object keeps its members in document order, duplicates included,
+//! and [`Json::get`] answers with the *last* member of a key, so a
+//! repeated key reads as its final value.
+//!
 //! ```
 //! use specgraph::jsonio::{parse, Json};
 //!
@@ -39,7 +43,6 @@
 //! # Ok::<(), specgraph::jsonio::JsonError>(())
 //! ```
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -63,16 +66,19 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object (keys sorted for deterministic lookups).
-    Obj(BTreeMap<String, Json>),
+    /// An object: its members in document order, a repeated key kept as
+    /// often as it appears. [`Json::get`] reads the last one, so equality
+    /// of two objects depends on member order.
+    Obj(Vec<(String, Json)>),
 }
 
 impl Json {
-    /// The value at `key`, if `self` is an object that has one.
+    /// The value at `key`, if `self` is an object that has one; the last
+    /// one, if the key repeats.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(m) => m.get(key),
+            Json::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -381,11 +387,11 @@ fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonErro
 
 fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
+    let mut members = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(map));
+        return Ok(Json::Obj(members));
     }
     loop {
         skip_ws(b, pos);
@@ -393,13 +399,13 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonErr
         skip_ws(b, pos);
         expect(b, pos, b':')?;
         let value = parse_value(b, pos, depth + 1)?;
-        map.insert(key, value);
+        members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(map));
+                return Ok(Json::Obj(members));
             }
             Some(_) => return Err(JsonError::new(*pos, "expected ',' or '}'")),
             None => return Err(JsonError::truncated(*pos, "expected ',' or '}'")),
@@ -465,9 +471,38 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_key_reads_as_its_last_value() {
+        let v = parse(r#"{"a": 1, "b": 3, "a": 2}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(2));
+        assert_eq!(v.get("b").and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            parse(r#"{"a": 1, "a": 2}"#).unwrap().get("a"),
+            Some(&Json::Num(2))
+        );
+    }
+
+    #[test]
+    fn get_finds_a_member_wherever_it_sits() {
+        let v = parse(r#"{"z": 0, "m": {"k": 1}, "a": [true]}"#).unwrap();
+        let Json::Obj(members) = &v else {
+            panic!("an object parses to Obj");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "m", "a"], "members stay in document order");
+        assert_eq!(v.get("z").and_then(Json::as_u64), Some(0));
+        assert_eq!(v.get("m").and_then(|m| m.get("k")), Some(&Json::Num(1)));
+        assert_eq!(
+            v.get("a").and_then(Json::as_arr),
+            Some(&[Json::Bool(true)][..])
+        );
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Json::Num(1).get("z"), None);
+    }
+
+    #[test]
     fn empty_containers_and_unicode_escapes() {
         assert_eq!(parse("[]").unwrap(), Json::Arr(vec![]));
-        assert_eq!(parse("{}").unwrap(), Json::Obj(BTreeMap::new()));
+        assert_eq!(parse("{}").unwrap(), Json::Obj(Vec::new()));
         assert_eq!(parse(r#""\u0007""#).unwrap(), Json::Str("\u{7}".to_owned()));
         assert_eq!(parse("  42  ").unwrap(), Json::Num(42));
     }

@@ -33,12 +33,13 @@
 
 use crate::campaign::{
     baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
-    panic_reason, simulate, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec, CellOutcome,
-    MatrixCell, Measured, MergeError, ProgressObserver,
+    panic_reason, simulate, BaselineCell, CampaignIoError, CampaignMatrix, CampaignPart,
+    CampaignSpec, CellOutcome, MatrixCell, Measured, MergeError, ProgressObserver,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -647,7 +648,11 @@ pub struct ScheduleReport {
     pub graph_verdicts: usize,
 }
 
-/// What [`Scheduler::load_chunk`] found on disk for one chunk.
+/// Every `chunk-*.json` file of a checkpoint directory, by name, with
+/// what parsing it gave.
+type Checkpoints = BTreeMap<PathBuf, Result<CampaignPart, CampaignIoError>>;
+
+/// What [`adopt_chunk`] made of one chunk's checkpoint file.
 enum ChunkLoad {
     /// No checkpoint file; the chunk simply runs.
     Missing,
@@ -663,7 +668,8 @@ enum ChunkLoad {
 ///
 /// The cube is cut into fine-grained contiguous chunks (the
 /// [`CampaignSpec::shards`] geometry). With a checkpoint directory, a run
-/// first resumes: completed chunks load from disk (zero re-simulation),
+/// first resumes: it lists the directory once and parses every chunk file
+/// once, on its workers; completed chunks are adopted (zero re-simulation),
 /// half-written or zero-length ones surface as typed
 /// [`Truncated`](crate::jsonio::JsonErrorKind) errors, are re-run and
 /// reported in [`ScheduleReport::repaired`], and chunks of a *different*
@@ -763,22 +769,32 @@ impl<'a> Scheduler<'a> {
     /// # Errors
     ///
     /// [`ServeError`] on simulation failure, checkpoint I/O failure, or
-    /// a checkpoint directory belonging to a different campaign. A failed
-    /// simulation reports the first error by task order; chunks finished
-    /// before it stay checkpointed for the next run.
+    /// a checkpoint directory belonging to a different campaign (the
+    /// lowest such chunk is named). A failed simulation reports the first
+    /// error by task order; chunks finished before it stay checkpointed
+    /// for the next run.
     pub fn run(&self) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
         let spec = &self.spec;
         let fingerprint = spec.fingerprint();
-        let chunks = self.chunk_count(spec)?;
+        let total = spec.total_tasks();
+        let mut on_disk = self.read_checkpoints()?;
+        // The lowest-named loadable chunk fixes the geometry, so a changed
+        // chunk-size flag cannot silently re-tile a half-finished run. A
+        // truncated file (worker killed mid-write) is unusable for it.
+        let chunks = match on_disk.values().find_map(|r| r.as_ref().ok()) {
+            Some(part) => part.of().max(1),
+            None => total.max(1).div_ceil(self.chunk_tasks),
+        };
 
         // Resume: adopt every completed chunk on disk; evaluate the rest.
-        let total = spec.total_tasks();
+        let dir = self.checkpoint.as_deref();
         let mut parts: Vec<CampaignPart> = Vec::with_capacity(chunks);
         let mut pending: Vec<usize> = Vec::new();
         let mut repaired: Vec<ChunkRepair> = Vec::new();
         for index in 0..chunks {
             let range = chunk_range(total, index, chunks);
-            match self.load_chunk(index, chunks, range, fingerprint)? {
+            let file = dir.and_then(|dir| on_disk.remove_entry(&chunk_path(dir, index)));
+            match adopt_chunk(index, chunks, range, fingerprint, file)? {
                 ChunkLoad::Loaded(part) => {
                     parts.push(part);
                     continue;
@@ -815,65 +831,22 @@ impl<'a> Scheduler<'a> {
         Ok((CampaignMatrix::merge(parts)?, report))
     }
 
-    /// The chunk count for this run: adopted from an existing checkpoint
-    /// directory when one holds a loadable chunk (so a changed chunk-size
-    /// flag cannot silently re-tile a half-finished run), derived from
-    /// [`Scheduler::chunk_tasks`] otherwise.
-    fn chunk_count(&self, spec: &CampaignSpec) -> Result<usize, ServeError> {
-        let fresh = spec.total_tasks().max(1).div_ceil(self.chunk_tasks);
+    /// Lists the checkpoint directory (created if absent) once and parses
+    /// each chunk file in it once, on the run's workers. No directory, or
+    /// an empty one, starts no worker.
+    fn read_checkpoints(&self) -> Result<Checkpoints, ServeError> {
         let Some(dir) = &self.checkpoint else {
-            return Ok(fresh);
+            return Ok(Checkpoints::new());
         };
         std::fs::create_dir_all(dir)?;
-        for path in chunk_files(dir)? {
-            // A truncated file (worker killed mid-write) is unusable for
-            // geometry; keep probing for any chunk that finished.
-            if let Ok(part) = CampaignPart::load_checkpoint_json(&path) {
-                return Ok(part.of().max(1));
-            }
-        }
-        Ok(fresh)
-    }
-
-    /// Loads chunk `index` from the checkpoint directory, if present and
-    /// usable. A damaged file (zero-length, truncated mid-write, or
-    /// otherwise unreadable) is "not done" — the chunk re-runs — but the
-    /// file and the reason are surfaced ([`ChunkLoad::Damaged`] →
-    /// [`ScheduleReport::repaired`]) instead of being silently swallowed.
-    /// A cleanly-loading chunk from a different spec — or with foreign
-    /// shard geometry — is a hard mismatch.
-    fn load_chunk(
-        &self,
-        index: usize,
-        of: usize,
-        range: Range<usize>,
-        fingerprint: u64,
-    ) -> Result<ChunkLoad, ServeError> {
-        let Some(dir) = &self.checkpoint else {
-            return Ok(ChunkLoad::Missing);
-        };
-        let path = chunk_path(dir, index);
-        if !path.exists() {
-            return Ok(ChunkLoad::Missing);
-        }
-        match CampaignPart::load_checkpoint_json(&path) {
-            Ok(part) => {
-                let geometry_ok =
-                    part.index() == index && part.of() == of && (part.start()..part.end()) == range;
-                if part.spec_fingerprint() != fingerprint || !geometry_ok {
-                    return Err(ServeError::CheckpointMismatch {
-                        index,
-                        expected: fingerprint,
-                        found: part.spec_fingerprint(),
-                    });
-                }
-                Ok(ChunkLoad::Loaded(part))
-            }
-            Err(e) => Ok(ChunkLoad::Damaged {
-                path,
-                reason: e.to_string(),
-            }),
-        }
+        let paths = chunk_files(dir)?;
+        let Ok(parsed) = crate::exec::map_indexed(
+            paths.len(),
+            self.spec.threads,
+            || (),
+            |(), i| Ok::<_, Infallible>(CampaignPart::load_checkpoint_json(&paths[i])),
+        );
+        Ok(paths.into_iter().zip(parsed).collect())
     }
 
     fn save_chunk(&self, part: &CampaignPart) -> Result<(), ServeError> {
@@ -882,6 +855,44 @@ impl<'a> Scheduler<'a> {
         };
         part.save_checkpoint_json(chunk_path(dir, part.index()))?;
         Ok(())
+    }
+}
+
+/// Judges chunk `index`'s checkpoint `file`, as
+/// [`Scheduler::read_checkpoints`] parsed it. A damaged file (zero-length,
+/// truncated mid-write, or otherwise unreadable) is "not done" — the chunk
+/// re-runs — but the file and the reason are surfaced
+/// ([`ChunkLoad::Damaged`] → [`ScheduleReport::repaired`]) instead of being
+/// silently swallowed. A cleanly-loading chunk from a different spec — or
+/// with foreign shard geometry — is a hard mismatch.
+fn adopt_chunk(
+    index: usize,
+    of: usize,
+    range: Range<usize>,
+    fingerprint: u64,
+    file: Option<(PathBuf, Result<CampaignPart, CampaignIoError>)>,
+) -> Result<ChunkLoad, ServeError> {
+    match file {
+        None => Ok(ChunkLoad::Missing),
+        Some((_, Ok(part))) => {
+            let geometry_ok =
+                part.index() == index && part.of() == of && (part.start()..part.end()) == range;
+            if part.spec_fingerprint() != fingerprint || !geometry_ok {
+                return Err(ServeError::CheckpointMismatch {
+                    index,
+                    expected: fingerprint,
+                    found: part.spec_fingerprint(),
+                });
+            }
+            Ok(ChunkLoad::Loaded(part))
+        }
+        // A listed name that resolves to nothing (a dangling link, a file
+        // removed since the listing) holds no checkpoint.
+        Some((path, Err(_))) if !path.exists() => Ok(ChunkLoad::Missing),
+        Some((path, Err(e))) => Ok(ChunkLoad::Damaged {
+            path,
+            reason: e.to_string(),
+        }),
     }
 }
 

@@ -463,6 +463,78 @@ fn killed_run_resumes_from_checkpoints_without_resimulating() {
 }
 
 #[test]
+fn the_worker_count_cannot_change_what_resume_reports() {
+    // The checkpoints are parsed on the workers; what a resume adopts,
+    // repairs and reports must not depend on how many there are.
+    let spec = grid_spec();
+    let src = tempdir("workers-src");
+    let (single, report) = Scheduler::new(&spec)
+        .chunk_tasks(2)
+        .checkpoint(&src)
+        .run()
+        .unwrap();
+    let chunks = report.chunks;
+    assert!(chunks > 7, "room for foreign chunks at 3 and 7");
+    for index in [1, 4] {
+        fs::remove_file(serve::chunk_path(&src, index)).unwrap();
+    }
+    for index in [2, 5] {
+        let path = serve::chunk_path(&src, index);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, &text[..text.len() / 2]).unwrap();
+    }
+    fs::write(serve::chunk_path(&src, 6), "").unwrap();
+
+    let foreign = small_spec().shards(chunks);
+    let mut outcomes = Vec::new();
+    for workers in 1..=3 {
+        let dir = tempdir(&format!("workers-{workers}"));
+        for entry in fs::read_dir(&src).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        let resume = || {
+            Scheduler::new(&spec)
+                .workers(workers)
+                .checkpoint(&dir)
+                .run()
+        };
+        let (matrix, report) = resume().unwrap();
+        assert_eq!(matrix.to_json(), single.to_json(), "{workers} workers");
+        let repaired: Vec<(usize, PathBuf, String)> = report
+            .repaired
+            .iter()
+            .map(|r| {
+                let name = r.path.strip_prefix(&dir).unwrap().to_path_buf();
+                (r.index, name, r.reason.clone())
+            })
+            .collect();
+        let files: Vec<String> = (0..chunks)
+            .map(|i| fs::read_to_string(serve::chunk_path(&dir, i)).unwrap())
+            .collect();
+        outcomes.push((report.resumed, report.executed, repaired, files));
+
+        for index in [3, 7] {
+            let part = foreign[index].run(None).unwrap();
+            part.save_checkpoint_json(serve::chunk_path(&dir, index))
+                .unwrap();
+        }
+        let err = resume().unwrap_err();
+        assert!(
+            matches!(err, ServeError::CheckpointMismatch { index: 3, .. }),
+            "{workers} workers: expected a mismatch at chunk 3, got {err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let (resumed, executed, repaired, _) = &outcomes[0];
+    assert_eq!((*resumed, *executed), (chunks - 5, 5));
+    let indices: Vec<usize> = repaired.iter().map(|r| r.0).collect();
+    assert_eq!(indices, [2, 5, 6], "repairs in index order");
+    assert!(outcomes.iter().all(|o| *o == outcomes[0]));
+    let _ = fs::remove_dir_all(&src);
+}
+
+#[test]
 fn resume_adopts_chunk_geometry_from_the_checkpoint_directory() {
     // A changed chunk-size flag must not re-tile a half-finished run:
     // the on-disk chunk count wins.
