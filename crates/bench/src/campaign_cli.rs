@@ -40,7 +40,7 @@ use crate::heatmap::Figure8View;
 use specgraph::attacks::{self, Attack, AttackError};
 use specgraph::campaign::{
     CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, Hardening, Knob, KnobValue,
-    MatrixDiff, ProgressObserver, TaskEvent,
+    MatrixDiff, TaskEvent,
 };
 use specgraph::defenses::{self, presets, DefenseStack};
 use specgraph::discovery::fuzz::{self, Corpus, CorpusError, FuzzConfig, FuzzError};
@@ -553,47 +553,20 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
             }
         }
     }
-    if let Some((index, of)) = shard {
-        let Some(dir) = checkpoint else {
-            return Err(CliError::Usage(
-                "--shard needs --checkpoint DIR: shard I of N is written there \
-                 as checkpoint chunk I of N"
-                    .to_owned(),
-            ));
-        };
-        if out.is_some() || csv.is_some() || prev.is_some() || chunk.is_some() {
-            return Err(CliError::Usage(
-                "--shard does not combine with --out, --csv, --prev or --chunk; \
-                 run every shard, then `campaign run --checkpoint DIR` to \
-                 assemble the matrix"
-                    .to_owned(),
-            ));
-        }
-        let spec = spec_args.build()?;
-        refuse_foreign_chunks(&dir, &spec, of)?;
-        // Within one shard the per-slice quota is range-dependent: report
-        // milestone progress only.
-        let printer = progress.then(|| ProgressPrinter::new(&spec, None));
-        let observer = printer.as_ref().map(ProgressPrinter::observer);
-        let part = spec
-            .shards(of)
-            .swap_remove(index)
-            .run(observer.as_ref().map(|f| f as ProgressObserver))?;
-        let path = serve::chunk_path(&dir, index);
-        write_file(&path, &part.to_checkpoint_json())?;
-        eprintln!(
-            "campaign: shard {index}/{of} evaluated {} of {} task(s) into {} \
-             (spec fingerprint {:#018x})",
-            part.len(),
-            spec.total_tasks(),
-            path.display(),
-            part.spec_fingerprint(),
-        );
-        return Ok(Outcome::RanShard {
-            index,
-            of,
-            tasks: part.len(),
-        });
+    if shard.is_some() && checkpoint.is_none() {
+        return Err(CliError::Usage(
+            "--shard needs --checkpoint DIR: shard I of N is written there \
+             as checkpoint chunk I of N"
+                .to_owned(),
+        ));
+    }
+    if shard.is_some() && (out.is_some() || csv.is_some() || prev.is_some() || chunk.is_some()) {
+        return Err(CliError::Usage(
+            "--shard does not combine with --out, --csv, --prev or --chunk; \
+             run every shard, then `campaign run --checkpoint DIR` to \
+             assemble the matrix"
+                .to_owned(),
+        ));
     }
     let spec = spec_args.build()?;
     let previous = prev.as_deref().map(load_matrix).transpose()?;
@@ -605,7 +578,8 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
     });
     // A fresh, checkpoint-free run evaluates every slice completely, so
     // the per-slice quota is known. Reused and resumed tasks are silent,
-    // so otherwise fall back to milestone lines.
+    // and a shard's quota depends on its range, so otherwise fall back to
+    // milestone lines.
     let per_slice = if previous.is_none() && checkpoint.is_none() {
         spec.total_tasks().checked_div(spec.configs.len())
     } else {
@@ -622,6 +596,22 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
     }
     if let Some(dir) = &checkpoint {
         scheduler = scheduler.checkpoint(dir);
+    }
+    if let (Some((index, of)), Some(dir)) = (shard, &checkpoint) {
+        let part = scheduler.run_chunk(index, of)?;
+        eprintln!(
+            "campaign: shard {index}/{of} evaluated {} of {} task(s) into {} \
+             (spec fingerprint {:#018x})",
+            part.len(),
+            spec.total_tasks(),
+            serve::chunk_path(dir, index).display(),
+            part.spec_fingerprint(),
+        );
+        return Ok(Outcome::RanShard {
+            index,
+            of,
+            tasks: part.len(),
+        });
     }
     let (matrix, report) = scheduler.run()?;
     emit(out.as_deref(), &matrix.to_json())?;
@@ -1147,33 +1137,6 @@ fn parse_shard(v: &str) -> Result<(usize, usize), CliError> {
         return Err(bad());
     }
     Ok((i, n))
-}
-
-/// Refuses a `--shard` checkpoint directory that already holds a loadable
-/// chunk of another spec or another shard count, before anything is
-/// simulated: `run --checkpoint DIR` could never assemble the two. A
-/// damaged chunk is no obstacle (assembly re-runs it). The directory is
-/// created if absent.
-fn refuse_foreign_chunks(dir: &Path, spec: &CampaignSpec, of: usize) -> Result<(), CliError> {
-    let io = |source| CliError::Io {
-        path: dir.to_path_buf(),
-        source,
-    };
-    std::fs::create_dir_all(dir).map_err(io)?;
-    let expected = spec.fingerprint();
-    for path in serve::chunk_files(dir).map_err(io)? {
-        let Ok(part) = CampaignPart::load_checkpoint_json(&path) else {
-            continue;
-        };
-        if part.spec_fingerprint() != expected || part.of() != of {
-            return Err(CliError::Serve(ServeError::CheckpointMismatch {
-                index: part.index(),
-                expected,
-                found: part.spec_fingerprint(),
-            }));
-        }
-    }
-    Ok(())
 }
 
 fn load_matrix(path: &Path) -> Result<CampaignMatrix, CliError> {

@@ -46,8 +46,9 @@
 //! and rows are reassembled by cell index, so the output is
 //! byte-identical regardless of thread count or scheduling. That
 //! index-addressed, deterministic cell order is also what makes the cube
-//! **shardable** ([`CampaignSpec::shards`] / [`CampaignMatrix::merge`]:
-//! merging is validated concatenation) and **incrementally re-evaluable**
+//! **shardable** ([`Scheduler::run_chunk`](crate::serve::Scheduler::run_chunk)
+//! / [`CampaignMatrix::merge`]: merging is validated concatenation) and
+//! **incrementally re-evaluable**
 //! ([`Scheduler::prev`](crate::serve::Scheduler::prev): every cell
 //! carries a content fingerprint — attack name, defense name + strategy,
 //! config contents — and cells whose fingerprint appears in a previous
@@ -56,23 +57,24 @@
 //!
 //! ## Cross-process sharding
 //!
-//! A shard is a [`Scheduler`](crate::serve::Scheduler) chunk: shard `i`
-//! of `n` covers exactly the task range of chunk `i` of a cube cut into
-//! `n` chunks, and its [`CampaignPart`] is written as the same checkpoint
-//! document (schema version [`SCHEMA_VERSION`], with a shard header
-//! carrying the spec fingerprint and the shard's slot in the task range).
-//! So `n` independent processes — or machines — can each run one shard
-//! into one checkpoint directory, and a final scheduler run over that
-//! directory resumes every chunk and assembles the matrix bit-identically
-//! to a single-shot run, simulating nothing. A directory holding chunks
-//! of a *different* spec (different attack lists, knob values, or base
-//! configurations) is a typed
+//! A shard is a [`Scheduler`](crate::serve::Scheduler) chunk:
+//! [`Scheduler::run_chunk`](crate::serve::Scheduler::run_chunk)`(i, n)`
+//! evaluates exactly the task range of chunk `i` of a cube cut into `n`
+//! chunks, and with a checkpoint directory writes its [`CampaignPart`] there
+//! as the same checkpoint document a whole run writes (schema version
+//! [`SCHEMA_VERSION`], with a shard header carrying the spec fingerprint
+//! and the chunk's slot in the task range). So `n` independent processes —
+//! or machines — can each run one chunk into one directory, and a final
+//! scheduler run over that directory resumes every chunk and assembles the
+//! matrix bit-identically to a single-shot run, simulating nothing. A
+//! directory holding chunks of a *different* spec (different attack lists,
+//! knob values, or base configurations) or chunk count is a typed
 //! [`CheckpointMismatch`](crate::serve::ServeError::CheckpointMismatch),
 //! never a silent merge:
 //!
 //! ```
 //! use specgraph::campaign::{CampaignMatrix, CampaignSpec};
-//! use specgraph::serve::{chunk_path, Scheduler};
+//! use specgraph::serve::Scheduler;
 //! use uarch::UarchConfig;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,12 +83,10 @@
 //!     .defenses(defenses::registry().iter().copied().take(1))
 //!     .build();
 //! let dir = std::env::temp_dir().join(format!("campaign-doc-{}", std::process::id()));
-//! std::fs::create_dir_all(&dir)?;
 //!
 //! // Each of these runs could happen in its own process:
-//! for shard in spec.shards(2) {
-//!     let part = shard.run(None)?;
-//!     part.save_checkpoint_json(chunk_path(&dir, shard.index()))?;
+//! for i in 0..2 {
+//!     Scheduler::new(&spec).checkpoint(&dir).run_chunk(i, 2)?;
 //! }
 //! // A run over the directory resumes both chunks and simulates nothing.
 //! let (merged, report) = Scheduler::new(&spec).checkpoint(&dir).run()?;
@@ -530,10 +530,12 @@ impl CampaignSpec {
     /// deliberately excluded — they change scheduling and failure
     /// handling, never results.
     ///
-    /// Every [`CampaignPart`] records its producing spec's fingerprint,
-    /// and [`CampaignMatrix::merge`] refuses to combine parts whose
-    /// fingerprints differ: shards are only meaningful relative to one
-    /// exact task order, and that order is a function of these contents.
+    /// Every [`CampaignPart`] records its producing spec's fingerprint.
+    /// [`CampaignMatrix::merge`] refuses to combine parts whose
+    /// fingerprints differ, and the [`Scheduler`](crate::serve::Scheduler)
+    /// refuses a checkpoint chunk of another fingerprint: chunks are only
+    /// meaningful relative to one exact task order, and that order is a
+    /// function of these contents.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = fnv1a(b"campaign-spec\0", FNV_OFFSET);
@@ -553,25 +555,10 @@ impl CampaignSpec {
         }
         h
     }
-
-    /// Splits the cube into `n` independently runnable shards covering
-    /// contiguous, balanced ranges of the deterministic task order: shard
-    /// `i` is chunk `i` of a [`Scheduler`](crate::serve::Scheduler) run
-    /// cut into `n` chunks. `CampaignMatrix::merge` over all the parts
-    /// reproduces [`CampaignMatrix::run`] bit for bit. `n = 0` is treated
-    /// as 1.
-    #[must_use]
-    pub fn shards(&self, n: usize) -> Vec<CampaignShard> {
-        let n = n.max(1);
-        let (total, spec_fingerprint) = (self.total_tasks(), self.fingerprint());
-        (0..n)
-            .map(|i| CampaignShard {
-                shard: ShardHeader::chunk(spec_fingerprint, total, i, n),
-                spec: self.clone(),
-            })
-            .collect()
-    }
 }
+
+/// Attack names a document reader resolves before the registry.
+pub(crate) type AttackNames = HashMap<&'static str, AttackInfo>;
 
 /// Builder for [`CampaignSpec`]: registries by default, restrictable
 /// attack/defense axes, and a cartesian configuration grid over typed
@@ -1456,71 +1443,17 @@ impl Cube {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shards
-// ---------------------------------------------------------------------------
-
-/// One independently runnable slice of a campaign cube — a contiguous
-/// range of the deterministic task order. Produced by
-/// [`CampaignSpec::shards`].
-#[derive(Debug, Clone)]
-pub struct CampaignShard {
-    shard: ShardHeader,
-    spec: CampaignSpec,
-}
-
-impl CampaignShard {
-    /// This shard's position in `0..of`.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.shard.index
-    }
-
-    /// How many shards the cube was split into.
-    #[must_use]
-    pub fn of(&self) -> usize {
-        self.shard.of
-    }
-
-    /// Number of tasks this shard evaluates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shard.end - self.shard.start
-    }
-
-    /// Whether the shard has no tasks (more shards than tasks).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shard.start == self.shard.end
-    }
-
-    /// Evaluates this shard's task range (in parallel, like
-    /// [`CampaignMatrix::run`]) and returns the partial result for
-    /// [`CampaignMatrix::merge`]. `progress`, if given, is a live
-    /// [`ProgressObserver`] reporting each completed task.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AttackError`] any simulation produced (by task order).
-    pub fn run(&self, progress: Option<ProgressObserver<'_>>) -> Result<CampaignPart, AttackError> {
-        let (index, of) = (self.shard.index, self.shard.of);
-        let (mut parts, _) =
-            evaluate_tasks::<AttackError>(&self.spec, of, &[index], None, progress, None)?;
-        Ok(parts.pop().expect("one part per chunk"))
-    }
-}
-
-/// The evaluated output of one [`CampaignShard`] or scheduler chunk: a
-/// shard header (spec fingerprint plus the shard's slot in the task
-/// range), the axis metadata, and the cells of its task range, in task
-/// order.
+/// The evaluated output of one scheduler chunk: a shard header (spec
+/// fingerprint plus the chunk's slot in the task range), the axis
+/// metadata, and the cells of its task range, in task order.
 ///
 /// A part is the unit of **cross-process** shard transport: it is
 /// written as a checkpoint document
 /// ([`CampaignPart::save_checkpoint_json`], schema version
 /// [`SCHEMA_VERSION`] with `"kind": "campaign-checkpoint"`) to its
-/// [`chunk_path`](crate::serve::chunk_path), so each shard can run in its
-/// own process — or on its own machine — and a final
+/// [`chunk_path`](crate::serve::chunk_path), so each chunk can run in its
+/// own process ([`Scheduler::run_chunk`](crate::serve::Scheduler::run_chunk))
+/// — or on its own machine — and a final
 /// [`Scheduler`](crate::serve::Scheduler) run over the directory resumes
 /// every part and merges them bit-identically to a single-shot run.
 #[derive(Debug, Clone)]
@@ -1543,7 +1476,8 @@ struct ShardHeader {
 }
 
 /// Task range `index` of `total` tasks cut into `of` balanced,
-/// contiguous ranges: the geometry of shards and scheduler chunks.
+/// contiguous ranges: the geometry of scheduler chunks, and so of
+/// `campaign run --shard I/N`.
 pub(crate) fn chunk_range(total: usize, index: usize, of: usize) -> Range<usize> {
     index * total / of..(index + 1) * total / of
 }
@@ -1664,7 +1598,16 @@ impl CampaignPart {
     /// scheduler treats as "chunk not done"), a wrong version/kind, or
     /// names that no longer resolve in the registries.
     pub fn load_checkpoint_json(path: impl AsRef<Path>) -> Result<Self, CampaignIoError> {
-        Self::from_checkpoint_json(&std::fs::read_to_string(path)?)
+        Self::load_checkpoint_with(path, &AttackNames::new())
+    }
+
+    /// [`CampaignPart::load_checkpoint_json`], resolving attack names
+    /// through `names` before the registry.
+    pub(crate) fn load_checkpoint_with(
+        path: impl AsRef<Path>,
+        names: &AttackNames,
+    ) -> Result<Self, CampaignIoError> {
+        Self::from_checkpoint_json(&std::fs::read_to_string(path)?, names)
     }
 
     /// Parses a checkpoint from its [`CampaignPart::to_checkpoint_json`]
@@ -1679,8 +1622,8 @@ impl CampaignPart {
     /// [`CampaignIoError`] on malformed JSON, a wrong version or kind
     /// (a matrix, or an older build's `campaign-part` document), unknown
     /// names/tokens, or an inconsistent header.
-    fn from_checkpoint_json(text: &str) -> Result<Self, CampaignIoError> {
-        let (shard, body) = read_document(text, "campaign-checkpoint")?;
+    fn from_checkpoint_json(text: &str, names: &AttackNames) -> Result<Self, CampaignIoError> {
+        let (shard, body) = read_document(text, "campaign-checkpoint", names)?;
         Ok(CampaignPart {
             shard: shard.expect("checkpoint documents carry a shard header"),
             body,
@@ -2070,7 +2013,9 @@ impl CampaignMatrix {
     /// names/tokens, or a cell count that does not match the declared
     /// axes.
     pub fn from_json(text: &str) -> Result<Self, CampaignIoError> {
-        Ok(Self::assemble(read_document(text, "campaign-matrix")?.1))
+        Ok(Self::assemble(
+            read_document(text, "campaign-matrix", &AttackNames::new())?.1,
+        ))
     }
 }
 
@@ -2359,10 +2304,12 @@ fn match_rows<'a, T>(
 /// version-3 single-defense documents load as singleton stacks. A shard
 /// header must be consistent in itself and with the axes, and every row
 /// must name exactly the attack, stack, strategy and config its task
-/// position implies.
+/// position implies. An attack name resolves through `names` first, then
+/// the registry.
 fn read_document(
     text: &str,
     kind: &'static str,
+    names: &AttackNames,
 ) -> Result<(Option<ShardHeader>, Cube), CampaignIoError> {
     let doc = jsonio::parse(text)?;
     match doc.get("version").and_then(Json::as_u64) {
@@ -2381,7 +2328,7 @@ fn read_document(
     let shard = (kind != "campaign-matrix")
         .then(|| read_shard_header(&doc))
         .transpose()?;
-    let names = |key: &str| -> Result<Vec<&str>, CampaignIoError> {
+    let axis = |key: &str| -> Result<Vec<&str>, CampaignIoError> {
         field(&doc, key, Json::as_arr)?
             .iter()
             .map(|v| {
@@ -2391,22 +2338,24 @@ fn read_document(
             .collect()
     };
     let mut cube = Cube {
-        attacks: names("attacks")?
+        attacks: axis("attacks")?
             .into_iter()
             .map(|name| {
-                attacks::find(name)
-                    .map(|a| a.info())
+                names
+                    .get(name)
+                    .copied()
+                    .or_else(|| attacks::find(name).map(|a| a.info()))
                     .ok_or_else(|| CampaignIoError::UnknownAttack(name.to_owned()))
             })
             .collect::<Result<_, _>>()?,
-        defenses: names("defenses")?
+        defenses: axis("defenses")?
             .into_iter()
             .map(|name| {
                 DefenseStack::parse(name)
                     .map_err(|_| CampaignIoError::UnknownDefense(name.to_owned()))
             })
             .collect::<Result<_, _>>()?,
-        configs: names("configs")?.into_iter().map(str::to_owned).collect(),
+        configs: axis("configs")?.into_iter().map(str::to_owned).collect(),
         baselines: Vec::new(),
         cells: Vec::new(),
     };
@@ -2825,6 +2774,16 @@ mod tests {
             .build()
     }
 
+    /// Chunk `index` of `spec` cut into `of` chunks, run on its own.
+    fn chunk(spec: &CampaignSpec, index: usize, of: usize) -> CampaignPart {
+        Scheduler::new(spec).run_chunk(index, of).unwrap()
+    }
+
+    /// Every chunk of `spec` cut into `of` chunks.
+    fn chunks(spec: &CampaignSpec, of: usize) -> Vec<CampaignPart> {
+        (0..of).map(|i| chunk(spec, i, of)).collect()
+    }
+
     #[test]
     fn shape_and_order_are_attack_major() {
         let m = CampaignMatrix::run(&small_spec(2)).unwrap();
@@ -3065,13 +3024,11 @@ mod tests {
         let spec = small_spec(2);
         let whole = CampaignMatrix::run(&spec).unwrap();
         for n in [1, 2, 5, 16, 100] {
-            let shards = spec.shards(n);
-            assert_eq!(shards.len(), n.max(1));
+            let parts = chunks(&spec, n);
             assert_eq!(
-                shards.iter().map(CampaignShard::len).sum::<usize>(),
+                parts.iter().map(CampaignPart::len).sum::<usize>(),
                 spec.total_tasks()
             );
-            let parts: Vec<CampaignPart> = shards.iter().map(|s| s.run(None).unwrap()).collect();
             let merged = CampaignMatrix::merge(parts).unwrap();
             assert_eq!(merged.to_csv(), whole.to_csv());
             assert_eq!(merged.to_json(), whole.to_json());
@@ -3081,11 +3038,7 @@ mod tests {
     #[test]
     fn merge_rejects_bad_part_sets() {
         let spec = small_spec(1);
-        let parts: Vec<CampaignPart> = spec
-            .shards(3)
-            .iter()
-            .map(|s| s.run(None).unwrap())
-            .collect();
+        let parts = chunks(&spec, 3);
         assert!(matches!(
             CampaignMatrix::merge(Vec::new()),
             Err(MergeError::Empty)
@@ -3106,7 +3059,7 @@ mod tests {
         // A shard of a different spec cannot sneak in: the fingerprint
         // check catches it before any axis comparison.
         let mut mixed = parts.clone();
-        let mut foreign = tiny_grid(1).shards(3)[1].run(None).unwrap();
+        let mut foreign = chunk(&tiny_grid(1), 1, 3);
         foreign.shard.index = 1;
         mixed[1] = foreign;
         assert!(matches!(
@@ -3120,7 +3073,7 @@ mod tests {
             nc.config.rob_capacity = 7;
         }
         let mut sneaky = parts.clone();
-        let mut foreign = sneaky_spec.shards(3)[1].run(None).unwrap();
+        let mut foreign = chunk(&sneaky_spec, 1, 3);
         foreign.shard.index = 1;
         sneaky[1] = foreign;
         assert!(matches!(
@@ -3148,13 +3101,14 @@ mod tests {
     fn part_json_round_trips_and_merges_bit_identically() {
         let spec = small_spec(2);
         let whole = CampaignMatrix::run(&spec).unwrap();
-        let parts: Vec<CampaignPart> = spec
-            .shards(3)
-            .iter()
-            .map(|s| {
-                let part = s.run(None).unwrap();
-                let reloaded =
-                    CampaignPart::from_checkpoint_json(&part.to_checkpoint_json()).unwrap();
+        let parts: Vec<CampaignPart> = chunks(&spec, 3)
+            .into_iter()
+            .map(|part| {
+                let reloaded = CampaignPart::from_checkpoint_json(
+                    &part.to_checkpoint_json(),
+                    &AttackNames::new(),
+                )
+                .unwrap();
                 assert_eq!(reloaded.to_checkpoint_json(), part.to_checkpoint_json());
                 assert_eq!(reloaded.spec_fingerprint(), spec.fingerprint());
                 assert_eq!(reloaded.len(), part.len());
@@ -3169,12 +3123,12 @@ mod tests {
     #[test]
     fn part_reader_rejects_inconsistent_headers() {
         let spec = small_spec(1);
-        let part = spec.shards(2)[0].run(None).unwrap();
+        let part = chunk(&spec, 0, 2);
         let doc = part.to_checkpoint_json();
         // Tampered shard slot: index out of the declared count.
         let bad = doc.replacen("\"index\": 0, \"of\": 2", "\"index\": 5, \"of\": 2", 1);
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&bad),
+            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()),
             Err(CampaignIoError::Shape(_))
         ));
         // Tampered total: header disagrees with the axes.
@@ -3184,13 +3138,13 @@ mod tests {
             1,
         );
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&bad),
+            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()),
             Err(CampaignIoError::Shape(_))
         ));
         // A matrix document is not a checkpoint, and vice versa.
         let matrix = CampaignMatrix::run(&spec).unwrap();
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&matrix.to_json()),
+            CampaignPart::from_checkpoint_json(&matrix.to_json(), &AttackNames::new()),
             Err(CampaignIoError::Kind {
                 expected: "campaign-checkpoint",
                 ..
@@ -3254,16 +3208,16 @@ mod tests {
 
     #[test]
     fn checkpoint_documents_round_trip_but_do_not_interchange() {
-        let part = small_spec(0).shards(3)[1].run(None).unwrap();
+        let part = chunk(&small_spec(0), 1, 3);
         let doc = part.to_checkpoint_json();
         assert!(doc.contains("\"kind\": \"campaign-checkpoint\""));
-        let loaded = CampaignPart::from_checkpoint_json(&doc).unwrap();
+        let loaded = CampaignPart::from_checkpoint_json(&doc, &AttackNames::new()).unwrap();
         assert_eq!(loaded.to_checkpoint_json(), doc);
         assert_eq!((loaded.start(), loaded.end()), (part.start(), part.end()));
         // A part file of an older build is a typed kind error, not an
         // alias of a checkpoint.
         let old_part = doc.replacen("\"campaign-checkpoint\"", "\"campaign-part\"", 1);
-        match CampaignPart::from_checkpoint_json(&old_part) {
+        match CampaignPart::from_checkpoint_json(&old_part, &AttackNames::new()) {
             Err(CampaignIoError::Kind {
                 expected: "campaign-checkpoint",
                 found,
@@ -3274,7 +3228,7 @@ mod tests {
 
     #[test]
     fn a_checkpoint_reads_the_same_in_any_member_order() {
-        let part = tiny_grid(0).shards(3)[1].run(None).unwrap();
+        let part = chunk(&tiny_grid(0), 1, 3);
         let doc = part.to_checkpoint_json();
         // Each top-level member opens its own line, two spaces in; rows
         // sit deeper and open with `{`.
@@ -3285,7 +3239,7 @@ mod tests {
         members.reverse();
         let reversed = format!("{{\n  \"{}\n}}\n", members.join(",\n  \""));
         assert!(reversed.starts_with("{\n  \"cells\": ["));
-        let loaded = CampaignPart::from_checkpoint_json(&reversed).unwrap();
+        let loaded = CampaignPart::from_checkpoint_json(&reversed, &AttackNames::new()).unwrap();
         assert_eq!(loaded.to_checkpoint_json(), doc);
     }
 

@@ -297,47 +297,47 @@ impl Corpus {
         let doc = jsonio::parse(text)?;
         expect_header(&doc, "fuzz-corpus")?;
         let mut corpus = Corpus {
-            seed: req_u64(&doc, "seed")?,
-            minimize: req_bool(&doc, "minimize")?,
-            classified: req_u64(&doc, "classified")?,
-            agree_leak: req_u64(&doc, "agree_leak")?,
-            agree_safe: req_u64(&doc, "agree_safe")?,
+            seed: req(&doc, "seed", Json::as_u64)?,
+            minimize: req(&doc, "minimize", Json::as_bool)?,
+            classified: req(&doc, "classified", Json::as_u64)?,
+            agree_leak: req(&doc, "agree_leak", Json::as_u64)?,
+            agree_safe: req(&doc, "agree_safe", Json::as_u64)?,
             ..Corpus::default()
         };
-        for d in req_arr(&doc, "divergences")? {
+        for d in req(&doc, "divergences", Json::as_arr)? {
             corpus.divergences.push(DivergenceRecord {
-                index: req_u64(d, "index")?,
-                combo: req_str(d, "combo")?,
+                index: req(d, "index", Json::as_u64)?,
+                combo: req(d, "combo", Json::as_str)?.into(),
                 mutations: mutations_of(d)?,
-                agreement: req_str(d, "agreement")?,
+                agreement: req(d, "agreement", Json::as_str)?.into(),
             });
         }
-        for r in req_arr(&doc, "rediscovered")? {
+        for r in req(&doc, "rediscovered", Json::as_arr)? {
             corpus.rediscovered.push(Rediscovery {
-                name: req_str(r, "name")?,
-                index: req_u64(r, "index")?,
-                fingerprint: req_u64(r, "fingerprint")?,
+                name: req(r, "name", Json::as_str)?.into(),
+                index: req(r, "index", Json::as_u64)?,
+                fingerprint: req(r, "fingerprint", Json::as_u64)?,
             });
         }
-        for fp in req_arr(&doc, "raw_seen")? {
+        for fp in req(&doc, "raw_seen", Json::as_arr)? {
             corpus.raw_seen.push(
                 fp.as_u64().ok_or_else(|| {
                     CorpusError::Schema("raw_seen entries must be numbers".into())
                 })?,
             );
         }
-        for f in req_arr(&doc, "findings")? {
+        for f in req(&doc, "findings", Json::as_arr)? {
             corpus.findings.push(Finding {
-                index: req_u64(f, "index")?,
-                combo: req_str(f, "combo")?,
+                index: req(f, "index", Json::as_u64)?,
+                combo: req(f, "combo", Json::as_str)?.into(),
                 mutations: mutations_of(f)?,
-                raw_fingerprint: req_u64(f, "raw_fingerprint")?,
-                minimized_fingerprint: req_u64(f, "minimized_fingerprint")?,
-                program: req_str(f, "program")?,
-                access_pc: req_u64(f, "access_pc")?,
-                gadget_pc: req_u64(f, "gadget_pc")?,
-                benign_pc: req_u64(f, "benign_pc")?,
-                removed: req_u64(f, "removed")?,
+                raw_fingerprint: req(f, "raw_fingerprint", Json::as_u64)?,
+                minimized_fingerprint: req(f, "minimized_fingerprint", Json::as_u64)?,
+                program: req(f, "program", Json::as_str)?.into(),
+                access_pc: req(f, "access_pc", Json::as_u64)?,
+                gadget_pc: req(f, "gadget_pc", Json::as_u64)?,
+                benign_pc: req(f, "benign_pc", Json::as_u64)?,
+                removed: req(f, "removed", Json::as_u64)?,
             });
         }
         Ok(corpus)
@@ -440,33 +440,19 @@ fn expect_header(doc: &Json, kind: &str) -> Result<(), CorpusError> {
     }
 }
 
-fn req_u64(obj: &Json, key: &str) -> Result<u64, CorpusError> {
+/// A required field of `obj`, read by `get` (`Json::as_u64`, …).
+fn req<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, CorpusError> {
     obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CorpusError::Schema(format!("missing number {key:?}")))
-}
-
-fn req_bool(obj: &Json, key: &str) -> Result<bool, CorpusError> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| CorpusError::Schema(format!("missing bool {key:?}")))
-}
-
-fn req_str(obj: &Json, key: &str) -> Result<String, CorpusError> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| CorpusError::Schema(format!("missing string {key:?}")))
-}
-
-fn req_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], CorpusError> {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| CorpusError::Schema(format!("missing array {key:?}")))
+        .and_then(get)
+        .ok_or_else(|| CorpusError::Schema(format!("missing or mistyped field {key:?}")))
 }
 
 fn mutations_of(obj: &Json) -> Result<Vec<Mutation>, CorpusError> {
-    req_arr(obj, "mutations")?
+    req(obj, "mutations", Json::as_arr)?
         .iter()
         .map(|m| {
             m.as_str()

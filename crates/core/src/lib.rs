@@ -62,8 +62,8 @@ pub use uarch;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::campaign::{
-        self, CampaignIoError, CampaignMatrix, CampaignPart, CampaignShard, CampaignSpec,
-        CellOutcome, Hardening, Knob, KnobValue, MatrixDiff, MergeError, NamedConfig, TaskEvent,
+        self, CampaignIoError, CampaignMatrix, CampaignPart, CampaignSpec, CellOutcome, Hardening,
+        Knob, KnobValue, MatrixDiff, MergeError, NamedConfig, TaskEvent,
     };
     pub use crate::discovery::fuzz::{
         self, Agreement, Combo, Corpus, DualOracle, FuzzConfig, FuzzError, FuzzReport, Scenario,

@@ -20,9 +20,9 @@
 //!   which keeps every row a previous matrix holds ([`Scheduler::prev`]),
 //!   so the merged result stays bit-identical to a single-shot
 //!   [`CampaignMatrix::run`]. A chunk is also the unit of cross-process
-//!   sharding: shard `I` of `N` ([`CampaignSpec::shards`]) written to
-//!   [`chunk_path`]`(DIR, I)` is chunk `I` of a run over `DIR`, so a run
-//!   over a directory of shards assembles them with zero re-simulation.
+//!   sharding: [`Scheduler::run_chunk`]`(I, N)` evaluates chunk `I` of `N`
+//!   alone and writes it to [`chunk_path`]`(DIR, I)`, so a run over a
+//!   directory of such chunks assembles them with zero re-simulation.
 //!   The scheduler is the one configurable whole-cube run, and
 //!   [`ScheduleReport`] is its one report.
 //!
@@ -33,8 +33,8 @@
 
 use crate::campaign::{
     baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
-    panic_reason, simulate, BaselineCell, CampaignIoError, CampaignMatrix, CampaignPart,
-    CampaignSpec, CellOutcome, MatrixCell, Measured, MergeError, ProgressObserver,
+    panic_reason, simulate, AttackNames, BaselineCell, CampaignIoError, CampaignMatrix,
+    CampaignPart, CampaignSpec, CellOutcome, MatrixCell, Measured, MergeError, ProgressObserver,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
@@ -42,7 +42,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -666,8 +665,9 @@ enum ChunkLoad {
 /// A resumable, checkpointing, incremental campaign run: the one
 /// configurable way to evaluate a whole cube.
 ///
-/// The cube is cut into fine-grained contiguous chunks (the
-/// [`CampaignSpec::shards`] geometry). With a checkpoint directory, a run
+/// The cube is cut into fine-grained, contiguous, balanced chunks, and
+/// [`Scheduler::run_chunk`] evaluates one of them alone (a shard of a
+/// cross-process run). With a checkpoint directory, a run
 /// first resumes: it lists the directory once and parses every chunk file
 /// once, on its workers; completed chunks are adopted (zero re-simulation),
 /// half-written or zero-length ones surface as typed
@@ -775,8 +775,7 @@ impl<'a> Scheduler<'a> {
     /// for the next run.
     pub fn run(&self) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
         let spec = &self.spec;
-        let fingerprint = spec.fingerprint();
-        let total = spec.total_tasks();
+        let (fingerprint, total) = (spec.fingerprint(), spec.total_tasks());
         let mut on_disk = self.read_checkpoints()?;
         // The lowest-named loadable chunk fixes the geometry, so a changed
         // chunk-size flag cannot silently re-tile a half-finished run. A
@@ -792,9 +791,8 @@ impl<'a> Scheduler<'a> {
         let mut pending: Vec<usize> = Vec::new();
         let mut repaired: Vec<ChunkRepair> = Vec::new();
         for index in 0..chunks {
-            let range = chunk_range(total, index, chunks);
             let file = dir.and_then(|dir| on_disk.remove_entry(&chunk_path(dir, index)));
-            match adopt_chunk(index, chunks, range, fingerprint, file)? {
+            match adopt_chunk(index, chunks, total, fingerprint, file)? {
                 ChunkLoad::Loaded(part) => {
                     parts.push(part);
                     continue;
@@ -831,20 +829,63 @@ impl<'a> Scheduler<'a> {
         Ok((CampaignMatrix::merge(parts)?, report))
     }
 
+    /// Evaluates chunk `index` of the cube cut into `of` chunks on its
+    /// own: one shard of a cross-process run, keeping the rows the
+    /// [`Scheduler::prev`] matrix holds and reporting each evaluated task
+    /// to [`Scheduler::progress`]. With a checkpoint directory, it first
+    /// refuses a directory that holds a loadable chunk of another spec or
+    /// chunk count, before anything is simulated, and then writes the chunk
+    /// at its [`chunk_path`], where a [`Scheduler::run`] over the directory
+    /// resumes it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError`] on simulation failure, checkpoint I/O failure, or a
+    /// directory holding a chunk of another campaign (the lowest such
+    /// chunk is named).
+    ///
+    /// # Panics
+    ///
+    /// If `index >= of`.
+    pub fn run_chunk(&self, index: usize, of: usize) -> Result<CampaignPart, ServeError> {
+        assert!(index < of, "chunk {index} of {of} does not exist");
+        let (fingerprint, total) = (self.spec.fingerprint(), self.spec.total_tasks());
+        for part in self.read_checkpoints()?.into_values().flatten() {
+            check_chunk(&part, part.index(), of, total, fingerprint)?;
+        }
+        let save = |part: &CampaignPart| self.save_chunk(part);
+        let (mut parts, _) = evaluate_tasks(
+            &self.spec,
+            of,
+            &[index],
+            self.prev,
+            self.progress,
+            Some(&save),
+        )?;
+        Ok(parts.pop().expect("one part per chunk"))
+    }
+
     /// Lists the checkpoint directory (created if absent) once and parses
-    /// each chunk file in it once, on the run's workers. No directory, or
-    /// an empty one, starts no worker.
+    /// each chunk file in it once, on the run's workers, resolving attack
+    /// names through the spec's attack axis before the registry. No
+    /// directory, or an empty one, starts no worker.
     fn read_checkpoints(&self) -> Result<Checkpoints, ServeError> {
         let Some(dir) = &self.checkpoint else {
             return Ok(Checkpoints::new());
         };
         std::fs::create_dir_all(dir)?;
         let paths = chunk_files(dir)?;
+        let names: AttackNames = self
+            .spec
+            .attacks
+            .iter()
+            .map(|a| (a.info().name, a.info()))
+            .collect();
         let Ok(parsed) = crate::exec::map_indexed(
             paths.len(),
             self.spec.threads,
             || (),
-            |(), i| Ok::<_, Infallible>(CampaignPart::load_checkpoint_json(&paths[i])),
+            |(), i| Ok::<_, Infallible>(CampaignPart::load_checkpoint_with(&paths[i], &names)),
         );
         Ok(paths.into_iter().zip(parsed).collect())
     }
@@ -863,27 +904,19 @@ impl<'a> Scheduler<'a> {
 /// truncated mid-write, or otherwise unreadable) is "not done" — the chunk
 /// re-runs — but the file and the reason are surfaced
 /// ([`ChunkLoad::Damaged`] → [`ScheduleReport::repaired`]) instead of being
-/// silently swallowed. A cleanly-loading chunk from a different spec — or
-/// with foreign shard geometry — is a hard mismatch.
+/// silently swallowed. A cleanly-loading chunk that fails [`check_chunk`]
+/// is a hard mismatch.
 fn adopt_chunk(
     index: usize,
     of: usize,
-    range: Range<usize>,
+    total: usize,
     fingerprint: u64,
     file: Option<(PathBuf, Result<CampaignPart, CampaignIoError>)>,
 ) -> Result<ChunkLoad, ServeError> {
     match file {
         None => Ok(ChunkLoad::Missing),
         Some((_, Ok(part))) => {
-            let geometry_ok =
-                part.index() == index && part.of() == of && (part.start()..part.end()) == range;
-            if part.spec_fingerprint() != fingerprint || !geometry_ok {
-                return Err(ServeError::CheckpointMismatch {
-                    index,
-                    expected: fingerprint,
-                    found: part.spec_fingerprint(),
-                });
-            }
+            check_chunk(&part, index, of, total, fingerprint)?;
             Ok(ChunkLoad::Loaded(part))
         }
         // A listed name that resolves to nothing (a dangling link, a file
@@ -896,9 +929,33 @@ fn adopt_chunk(
     }
 }
 
+/// Refuses a loaded checkpoint `part` unless it is chunk `index` of `of` of
+/// the spec with `fingerprint` and `total` tasks: the one rule that keeps a
+/// chunk of another campaign (another spec or chunk geometry) out of a run.
+fn check_chunk(
+    part: &CampaignPart,
+    index: usize,
+    of: usize,
+    total: usize,
+    fingerprint: u64,
+) -> Result<(), ServeError> {
+    let own = part.spec_fingerprint() == fingerprint
+        && part.index() == index
+        && part.of() == of
+        && (part.start()..part.end()) == chunk_range(total, index, of);
+    if own {
+        return Ok(());
+    }
+    Err(ServeError::CheckpointMismatch {
+        index,
+        expected: fingerprint,
+        found: part.spec_fingerprint(),
+    })
+}
+
 /// The checkpoint file of chunk `index` in `dir`: `chunk-NNNNN.json`. A
-/// scheduler run writes and resumes its chunks here, and `campaign run
-/// --shard I/N --checkpoint DIR` writes shard `I` here as chunk `I` of `N`.
+/// scheduler run writes and resumes its chunks here, and
+/// [`Scheduler::run_chunk`] writes its one chunk here.
 #[must_use]
 pub fn chunk_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("chunk-{index:05}.json"))
@@ -906,11 +963,7 @@ pub fn chunk_path(dir: &Path, index: usize) -> PathBuf {
 
 /// Every `chunk-*.json` file in `dir`, sorted by name (so by chunk index).
 /// Whether each one loads is for the caller to find out.
-///
-/// # Errors
-///
-/// Any I/O error from reading the directory.
-pub fn chunk_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn chunk_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(Result::ok)
         .map(|e| e.path())

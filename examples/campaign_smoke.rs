@@ -39,14 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!((a, d, c), (3, 2, 4));
 
     // Sharded execution assembles to the identical matrix: every shard is
-    // written into one checkpoint directory as its chunk, exactly as `campaign
+    // one chunk, written into one checkpoint directory exactly as `campaign
     // run --shard I/N --checkpoint DIR` ships shards between processes, and
     // a resumed scheduler run over the directory simulates nothing.
     let dir = std::env::temp_dir().join(format!("campaign-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    for shard in spec.shards(3) {
-        let part = shard.run(None)?;
-        part.save_checkpoint_json(serve::chunk_path(&dir, shard.index()))?;
+    for i in 0..3 {
+        Scheduler::new(&spec).checkpoint(&dir).run_chunk(i, 3)?;
     }
     let (merged, report) = Scheduler::new(&spec).checkpoint(&dir).run()?;
     std::fs::remove_dir_all(&dir).ok();

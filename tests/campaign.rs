@@ -269,9 +269,16 @@ mod defense_stacks {
 
 mod sharding_and_incremental {
     use proptest::prelude::*;
-    use specgraph::campaign::{CampaignShard, Knob};
+    use specgraph::campaign::Knob;
     use specgraph::prelude::*;
     use uarch::UarchConfig;
+
+    /// Every chunk of `spec` cut into `n`, each run on its own as a shard.
+    fn shards(spec: &CampaignSpec, n: usize) -> Vec<CampaignPart> {
+        (0..n)
+            .map(|i| Scheduler::new(spec).run_chunk(i, n).expect("shard runs"))
+            .collect()
+    }
 
     /// A 3×2×2 subcube: big enough that every shard split is non-trivial,
     /// small enough for repeated property cases.
@@ -292,12 +299,7 @@ mod sharding_and_incremental {
             .build();
         let whole = CampaignMatrix::run(&spec).unwrap();
         for n in [2usize, 3, 7] {
-            let parts = spec
-                .shards(n)
-                .iter()
-                .map(|s| s.run(None).expect("shard runs"))
-                .collect::<Vec<_>>();
-            let merged = CampaignMatrix::merge(parts).expect("shards merge");
+            let merged = CampaignMatrix::merge(shards(&spec, n)).expect("shards merge");
             assert_eq!(merged.to_csv(), whole.to_csv(), "CSV differs for n={n}");
             assert_eq!(merged.to_json(), whole.to_json(), "JSON differs for n={n}");
         }
@@ -312,16 +314,11 @@ mod sharding_and_incremental {
         fn merge_of_any_shard_split_equals_single_shot(n in 1usize..40) {
             let spec = grid_spec();
             let whole = CampaignMatrix::run(&spec).unwrap();
-            let shards = spec.shards(n);
-            prop_assert_eq!(shards.len(), n);
+            let parts = shards(&spec, n);
             prop_assert_eq!(
-                shards.iter().map(CampaignShard::len).sum::<usize>(),
+                parts.iter().map(CampaignPart::len).sum::<usize>(),
                 spec.total_tasks()
             );
-            let parts = shards
-                .iter()
-                .map(|s| s.run(None).expect("shard runs"))
-                .collect::<Vec<_>>();
             let merged = CampaignMatrix::merge(parts).expect("shards merge");
             prop_assert_eq!(merged.to_json(), whole.to_json());
         }
@@ -331,12 +328,7 @@ mod sharding_and_incremental {
         #[test]
         fn incremental_rerun_against_saved_matrix_is_free(n in 1usize..8) {
             let spec = grid_spec();
-            let parts = spec
-                .shards(n)
-                .iter()
-                .map(|s| s.run(None).expect("shard runs"))
-                .collect::<Vec<_>>();
-            let merged = CampaignMatrix::merge(parts).expect("shards merge");
+            let merged = CampaignMatrix::merge(shards(&spec, n)).expect("shards merge");
             let (again, report) =
                 Scheduler::new(&spec).prev(&merged).run().unwrap();
             prop_assert_eq!(report.evaluated, 0);

@@ -362,9 +362,9 @@ fn scheduled_run_is_bit_identical_to_single_shot() {
             .run()
             .unwrap();
         assert_eq!(checkpointed.to_json(), single.to_json());
-        for (i, shard) in spec.shards(report.chunks).iter().enumerate() {
+        for i in 0..report.chunks {
             let written = fs::read_to_string(serve::chunk_path(&dir, i)).unwrap();
-            let part = shard.run(None).unwrap();
+            let part = Scheduler::new(&spec).run_chunk(i, report.chunks).unwrap();
             assert_eq!(
                 written,
                 part.to_checkpoint_json(),
@@ -485,7 +485,7 @@ fn the_worker_count_cannot_change_what_resume_reports() {
     }
     fs::write(serve::chunk_path(&src, 6), "").unwrap();
 
-    let foreign = small_spec().shards(chunks);
+    let foreign = Scheduler::new(&small_spec());
     let mut outcomes = Vec::new();
     for workers in 1..=3 {
         let dir = tempdir(&format!("workers-{workers}"));
@@ -515,7 +515,7 @@ fn the_worker_count_cannot_change_what_resume_reports() {
         outcomes.push((report.resumed, report.executed, repaired, files));
 
         for index in [3, 7] {
-            let part = foreign[index].run(None).unwrap();
+            let part = foreign.run_chunk(index, chunks).unwrap();
             part.save_checkpoint_json(serve::chunk_path(&dir, index))
                 .unwrap();
         }
@@ -580,6 +580,46 @@ fn foreign_checkpoints_are_a_typed_mismatch() {
 }
 
 #[test]
+fn synthesized_chunks_resume_without_resimulating() {
+    // A checkpoint names a fuzz finding that is on the spec's attack axis
+    // but not in the registry: resume must still adopt it.
+    let corpus = Corpus::from_json(include_str!("data/fuzz-seed-corpus.json")).unwrap();
+    let spectre_v1 = attacks::find(attacks::names::SPECTRE_V1).unwrap();
+    let spec = CampaignSpec::builder(UarchConfig::default())
+        .attacks(std::iter::once(spectre_v1).chain(corpus.attacks().unwrap()))
+        .defenses(defenses::registry().iter().copied().take(2))
+        .build();
+    let dir = tempdir("synthesized");
+    let run = || {
+        Scheduler::new(&spec)
+            .chunk_tasks(4)
+            .checkpoint(&dir)
+            .run()
+            .unwrap()
+    };
+    let (first, report) = run();
+    assert!(report.chunks > 1 && report.executed == report.chunks);
+    let (again, report) = run();
+    assert_eq!((report.executed, report.resumed), (0, report.chunks));
+    assert!(report.repaired.is_empty(), "{:?}", report.repaired);
+    assert_eq!(again.to_json(), first.to_json());
+
+    // The same spec shipped as two shards assembles with nothing re-run.
+    let shards = tempdir("synthesized-shards");
+    for i in 0..2 {
+        Scheduler::new(&spec)
+            .checkpoint(&shards)
+            .run_chunk(i, 2)
+            .unwrap();
+    }
+    let (assembled, report) = Scheduler::new(&spec).checkpoint(&shards).run().unwrap();
+    assert_eq!((report.executed, report.resumed), (0, 2));
+    assert_eq!(assembled.to_json(), first.to_json());
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&shards);
+}
+
+#[test]
 fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
     // The previous matrix differs in one axis value (rob=48 for rob=64),
     // so only the rob=64 slice (config 1) is stale.
@@ -610,20 +650,16 @@ fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
     assert_eq!(report.reused, spec.total_tasks() - stale);
     assert_eq!((report.resumed, report.resumed_tasks), (0, 0));
     assert_eq!(report.executed, report.chunks);
-    let shards = spec.shards(report.chunks);
-    for (i, shard) in shards.iter().enumerate() {
+    let shard = |i| Scheduler::new(&spec).run_chunk(i, report.chunks).unwrap();
+    for i in 0..report.chunks {
         let written = fs::read_to_string(serve::chunk_path(&dir, i)).unwrap();
-        assert_eq!(
-            written,
-            shard.run(None).unwrap().to_checkpoint_json(),
-            "chunk {i}"
-        );
+        assert_eq!(written, shard(i).to_checkpoint_json(), "chunk {i}");
     }
 
     // Delete one chunk: the re-run evaluates only that chunk's stale
     // tasks, reuses its other tasks from `prev`, and resumes the rest.
     fs::remove_file(serve::chunk_path(&dir, 1)).unwrap();
-    let part = shards[1].run(None).unwrap();
+    let part = shard(1);
     let chunk_stale = part.baselines().iter().filter(|b| b.config == 1).count()
         + part.cells().iter().filter(|c| c.config == 1).count();
     assert!(
