@@ -83,17 +83,16 @@ impl FlushReload {
     }
 
     /// Re-arms a [`prepare`](FlushReload::prepare)d channel between runs:
-    /// flushes every slot and leaves the mappings as they are.
+    /// flushes every slot ([`Machine::flush_lines`]) and leaves the
+    /// mappings as they are.
     ///
     /// # Errors
     ///
-    /// [`UarchError::Unmapped`] if a slot's page was never mapped (the
-    /// channel was not prepared on `m`).
+    /// [`UarchError::Unmapped`] for the first slot whose page was never
+    /// mapped (the channel was not prepared on `m`); the cache is then
+    /// unchanged.
     pub fn rearm(&self, m: &mut Machine) -> Result<(), UarchError> {
-        for i in 0..self.slots {
-            m.flush_line(self.slot_address(i))?;
-        }
-        Ok(())
+        m.flush_lines((0..self.slots).map(|i| self.slot_address(i)))
     }
 
     /// Step 5 (receive): reloads every slot, times it and flushes it
@@ -198,6 +197,24 @@ mod tests {
         assert!(ch.resident_slots(&m).unwrap().is_empty());
         // So a second receive sees no signal.
         assert_eq!(ch.receive(&mut m).unwrap().recovered, None);
+    }
+
+    #[test]
+    fn rearm_of_a_partly_mapped_array_fails_before_it_flushes() {
+        let mut m = Machine::new(UarchConfig::default());
+        let ch = FlushReload::new(0x10_0000, 8);
+        let mapped = [0, 1, 2, 4, 6];
+        for i in mapped {
+            m.map_user_page(ch.slot_address(i)).unwrap();
+            m.touch(ch.slot_address(i)).unwrap();
+        }
+        assert!(matches!(
+            ch.rearm(&mut m),
+            Err(UarchError::Unmapped { vaddr }) if vaddr == ch.slot_address(3)
+        ));
+        for i in mapped {
+            assert!(m.cache_contains(ch.slot_address(i)).unwrap(), "slot {i}");
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@
 //! boundary: re-running an unchanged spec against a loaded matrix
 //! evaluates zero cells.
 
-use crate::jsonio::{self, json_str, push_json_list, Json, JsonError};
+use crate::jsonio::{self, push_escaped, push_json_list, push_json_str, Json, JsonError};
 use crate::scenario::Evaluation;
 use crate::serve::ScheduleReport;
 use attacks::{Attack, AttackError, AttackInfo, BatchRunner};
@@ -113,7 +113,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
-use uarch::UarchConfig;
+use uarch::{FxMap, UarchConfig};
 
 /// Schema version stamped on every matrix and checkpoint document this
 /// module writes (`"version"` plus a `"kind"` discriminator:
@@ -1066,20 +1066,37 @@ fn effective_config(spec: &CampaignSpec, task: Task) -> Option<UarchConfig> {
 /// merged only when every knob agrees. Runs are ordered by their first
 /// task. The second list maps each task to its run (`None` for a
 /// graph-only cell).
+///
+/// An effective config depends only on (stack or baseline, slice), so
+/// each such pair is resolved once, on its first task, and each distinct
+/// config gets an id; runs are then keyed by `(attack, id)`.
 fn distinct_runs(spec: &CampaignSpec, tasks: &[KeyedTask]) -> (Vec<Run>, Vec<Option<usize>>) {
-    let mut index: HashMap<(usize, UarchConfig), usize> = HashMap::new();
+    let slices = spec.configs.len();
+    // Per (stack or baseline, slice): unresolved, or the config id (`None`
+    // for a graph-only pair).
+    let mut resolved: Vec<Option<Option<usize>>> = vec![None; (spec.defenses.len() + 1) * slices];
+    let mut ids: FxMap<UarchConfig, usize> = FxMap::default();
+    let mut configs: Vec<UarchConfig> = Vec::new();
+    let mut index: FxMap<(usize, usize), usize> = FxMap::default();
     let mut runs: Vec<Run> = Vec::new();
     let run_of = tasks
         .iter()
         .enumerate()
         .map(|(k, &(task, _))| {
-            let config = effective_config(spec, task)?;
+            let pair = task.defense.map_or(0, |d| d + 1) * slices + task.config;
+            let id = *resolved[pair].get_or_insert_with(|| {
+                let config = effective_config(spec, task)?;
+                Some(*ids.entry(config).or_insert_with_key(|config| {
+                    configs.push(config.clone());
+                    configs.len() - 1
+                }))
+            });
             let r = *index
-                .entry((task.attack, config))
-                .or_insert_with_key(|(attack, config)| {
+                .entry((task.attack, id?))
+                .or_insert_with_key(|&(attack, id)| {
                     runs.push(Run {
-                        attack: *attack,
-                        config: config.clone(),
+                        attack,
+                        config: configs[id].clone(),
                         tasks: Vec::new(),
                     });
                     runs.len() - 1
@@ -1458,7 +1475,7 @@ impl Cube {
 /// every part and merges them bit-identically to a single-shot run.
 #[derive(Debug, Clone)]
 pub struct CampaignPart {
-    shard: ShardHeader,
+    pub(crate) shard: ShardHeader,
     body: Cube,
 }
 
@@ -1466,10 +1483,10 @@ pub struct CampaignPart {
 /// and the part's slot in the task range. Written ahead of the axes in
 /// part and checkpoint documents.
 #[derive(Debug, Clone, Copy)]
-struct ShardHeader {
-    spec_fingerprint: u64,
-    index: usize,
-    of: usize,
+pub(crate) struct ShardHeader {
+    pub(crate) spec_fingerprint: u64,
+    pub(crate) index: usize,
+    pub(crate) of: usize,
     start: usize,
     end: usize,
     total: usize,
@@ -1495,7 +1512,7 @@ impl ShardHeader {
         }
     }
 
-    fn range(&self) -> Range<usize> {
+    pub(crate) fn range(&self) -> Range<usize> {
         self.start..self.end
     }
 }
@@ -1598,7 +1615,7 @@ impl CampaignPart {
     /// scheduler treats as "chunk not done"), a wrong version/kind, or
     /// names that no longer resolve in the registries.
     pub fn load_checkpoint_json(path: impl AsRef<Path>) -> Result<Self, CampaignIoError> {
-        Self::load_checkpoint_with(path, &AttackNames::new())
+        Self::load_checkpoint_with(path, &AttackNames::new()).map_err(|e| e.error)
     }
 
     /// [`CampaignPart::load_checkpoint_json`], resolving attack names
@@ -1606,8 +1623,9 @@ impl CampaignPart {
     pub(crate) fn load_checkpoint_with(
         path: impl AsRef<Path>,
         names: &AttackNames,
-    ) -> Result<Self, CampaignIoError> {
-        Self::from_checkpoint_json(&std::fs::read_to_string(path)?, names)
+    ) -> Result<Self, CheckpointError> {
+        let text = std::fs::read_to_string(path).map_err(CampaignIoError::Io)?;
+        Self::from_checkpoint_json(&text, names)
     }
 
     /// Parses a checkpoint from its [`CampaignPart::to_checkpoint_json`]
@@ -1621,13 +1639,35 @@ impl CampaignPart {
     ///
     /// [`CampaignIoError`] on malformed JSON, a wrong version or kind
     /// (a matrix, or an older build's `campaign-part` document), unknown
-    /// names/tokens, or an inconsistent header.
-    fn from_checkpoint_json(text: &str, names: &AttackNames) -> Result<Self, CampaignIoError> {
-        let (shard, body) = read_document(text, "campaign-checkpoint", names)?;
-        Ok(CampaignPart {
-            shard: shard.expect("checkpoint documents carry a shard header"),
-            body,
-        })
+    /// names/tokens, or an inconsistent header; with the header when it
+    /// was read.
+    fn from_checkpoint_json(text: &str, names: &AttackNames) -> Result<Self, CheckpointError> {
+        let (doc, shard) = read_head(text, "campaign-checkpoint")?;
+        let shard = shard.expect("checkpoint documents carry a shard header");
+        let body = read_body(&doc, Some(shard), names).map_err(|error| CheckpointError {
+            header: Some(shard),
+            error,
+        })?;
+        Ok(CampaignPart { shard, body })
+    }
+}
+
+/// A checkpoint that did not load: why, and its shard header when the
+/// document was read that far. The header comes before the names, so a
+/// chunk of another campaign whose attacks this build cannot resolve (a
+/// synthesized finding of another corpus) still says whose it is.
+#[derive(Debug)]
+pub(crate) struct CheckpointError {
+    pub(crate) header: Option<ShardHeader>,
+    pub(crate) error: CampaignIoError,
+}
+
+impl From<CampaignIoError> for CheckpointError {
+    fn from(error: CampaignIoError) -> Self {
+        CheckpointError {
+            header: None,
+            error,
+        }
     }
 }
 
@@ -2013,9 +2053,8 @@ impl CampaignMatrix {
     /// names/tokens, or a cell count that does not match the declared
     /// axes.
     pub fn from_json(text: &str) -> Result<Self, CampaignIoError> {
-        Ok(Self::assemble(
-            read_document(text, "campaign-matrix", &AttackNames::new())?.1,
-        ))
+        let (doc, _) = read_head(text, "campaign-matrix")?;
+        Ok(Self::assemble(read_body(&doc, None, &AttackNames::new())?))
     }
 }
 
@@ -2298,19 +2337,14 @@ fn match_rows<'a, T>(
     (added, removed)
 }
 
-/// Reads a campaign document of `kind`: the one reader behind
-/// [`CampaignMatrix::from_json`] and [`CampaignPart::load_checkpoint_json`]. Defense
-/// entries are stack expressions (`"NDA"`, `"KAISER/KPTI+Retpoline"`), so
-/// version-3 single-defense documents load as singleton stacks. A shard
-/// header must be consistent in itself and with the axes, and every row
-/// must name exactly the attack, stack, strategy and config its task
-/// position implies. An attack name resolves through `names` first, then
-/// the registry.
-fn read_document(
+/// Reads the head of a campaign document of `kind`: the version, the
+/// kind and, unless it is a matrix, the shard header. With
+/// [`read_body`], the one reader behind [`CampaignMatrix::from_json`] and
+/// [`CampaignPart::load_checkpoint_json`].
+fn read_head(
     text: &str,
     kind: &'static str,
-    names: &AttackNames,
-) -> Result<(Option<ShardHeader>, Cube), CampaignIoError> {
+) -> Result<(Json, Option<ShardHeader>), CampaignIoError> {
     let doc = jsonio::parse(text)?;
     match doc.get("version").and_then(Json::as_u64) {
         Some(
@@ -2328,8 +2362,23 @@ fn read_document(
     let shard = (kind != "campaign-matrix")
         .then(|| read_shard_header(&doc))
         .transpose()?;
+    Ok((doc, shard))
+}
+
+/// Reads the axes and rows of a document whose head [`read_head`] read.
+/// Defense entries are stack expressions (`"NDA"`,
+/// `"KAISER/KPTI+Retpoline"`), so version-3 single-defense documents load
+/// as singleton stacks. A shard header must be consistent with the axes,
+/// and every row must name exactly the attack, stack, strategy and config
+/// its task position implies. An attack name resolves through `names`
+/// first, then the registry.
+fn read_body(
+    doc: &Json,
+    shard: Option<ShardHeader>,
+    names: &AttackNames,
+) -> Result<Cube, CampaignIoError> {
     let axis = |key: &str| -> Result<Vec<&str>, CampaignIoError> {
-        field(&doc, key, Json::as_arr)?
+        field(doc, key, Json::as_arr)?
             .iter()
             .map(|v| {
                 v.as_str()
@@ -2371,8 +2420,8 @@ fn read_document(
             )))
         }
     };
-    read_rows(&doc, &mut cube, range)?;
-    Ok((shard, cube))
+    read_rows(doc, &mut cube, range)?;
+    Ok(cube)
 }
 
 /// Reads and checks the `spec_fingerprint` and `shard` headers of a part
@@ -2539,18 +2588,24 @@ fn write_document(
     push_json_list(&mut out, defenses.iter().map(DefenseStack::name));
     out.push_str("],\n  \"baselines\": [");
     for (i, b) in baselines.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n    {\"attack\": ");
+        push_json_str(&mut out, b.info.name);
+        out.push_str(", \"config\": ");
+        push_json_str(&mut out, &configs[b.config]);
+        let _ = write!(out, ", \"leaked\": {}, \"recovered\": ", b.leaked);
+        match b.recovered {
+            Some(v) => {
+                let _ = write!(out, "{v}");
+            }
+            None => out.push_str("null"),
+        }
         let _ = write!(
             out,
-            "{}\n    {{\"attack\": {}, \"config\": {}, \"leaked\": {}, \"recovered\": {}, \"cycles\": {}, \"graph_race\": {}, \"fingerprint\": \"{:#018x}\"",
-            if i > 0 { "," } else { "" },
-            json_str(b.info.name),
-            json_str(&configs[b.config]),
-            b.leaked,
-            b.recovered
-                .map_or_else(|| "null".to_owned(), |v| v.to_string()),
-            b.cycles,
-            b.graph_race,
-            b.fingerprint,
+            ", \"cycles\": {}, \"graph_race\": {}, \"fingerprint\": \"{:#018x}\"",
+            b.cycles, b.graph_race, b.fingerprint,
         );
         if let Some(token) = b.outcome.token() {
             let _ = write!(out, ", \"outcome\": \"{token}\"");
@@ -2560,17 +2615,30 @@ fn write_document(
     out.push_str("\n  ],\n  \"cells\": [");
     for (i, cell) in cells.iter().enumerate() {
         let e = &cell.evaluation;
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n    {\"attack\": ");
+        push_json_str(&mut out, cell.attack);
+        out.push_str(", \"defense\": ");
+        push_json_str(&mut out, &cell.defense);
+        out.push_str(", \"config\": ");
+        push_json_str(&mut out, &configs[cell.config]);
+        out.push_str(", \"strategy\": \"");
+        for piece in e.stack.strategy_token_pieces() {
+            push_escaped(&mut out, piece);
+        }
+        out.push_str("\", \"strategy_sufficient\": ");
+        out.push_str(match e.strategy_sufficient {
+            Some(true) => "true",
+            Some(false) => "false",
+            None => "null",
+        });
+        out.push_str(", \"mechanism\": ");
+        push_json_str(&mut out, cell.mechanism_token());
         let _ = write!(
             out,
-            "{}\n    {{\"attack\": {}, \"defense\": {}, \"config\": {}, \"strategy\": {}, \"strategy_sufficient\": {}, \"mechanism\": {}, \"false_sense\": {}, \"fingerprint\": \"{:#018x}\"",
-            if i > 0 { "," } else { "" },
-            json_str(cell.attack),
-            json_str(&cell.defense),
-            json_str(&configs[cell.config]),
-            json_str(&e.stack.strategy_token()),
-            e.strategy_sufficient
-                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
-            json_str(cell.mechanism_token()),
+            ", \"false_sense\": {}, \"fingerprint\": \"{:#018x}\"",
             cell.false_sense_of_security(),
             cell.fingerprint,
         );
@@ -2582,13 +2650,16 @@ fn write_document(
 
 /// Closes a row: a degraded outcome's budget/reason field, then `}`.
 fn close_row(out: &mut String, outcome: &CellOutcome) {
-    let _ = match outcome {
-        CellOutcome::Ok => Ok(()),
-        CellOutcome::TimedOut { limit } => write!(out, ", \"budget\": {limit}"),
-        CellOutcome::Quarantined { reason } => {
-            write!(out, ", \"quarantine_reason\": {}", json_str(reason))
+    match outcome {
+        CellOutcome::Ok => {}
+        CellOutcome::TimedOut { limit } => {
+            let _ = write!(out, ", \"budget\": {limit}");
         }
-    };
+        CellOutcome::Quarantined { reason } => {
+            out.push_str(", \"quarantine_reason\": ");
+            push_json_str(out, reason);
+        }
+    }
     out.push('}');
 }
 
@@ -3128,7 +3199,7 @@ mod tests {
         // Tampered shard slot: index out of the declared count.
         let bad = doc.replacen("\"index\": 0, \"of\": 2", "\"index\": 5, \"of\": 2", 1);
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()),
+            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()).map_err(|e| e.error),
             Err(CampaignIoError::Shape(_))
         ));
         // Tampered total: header disagrees with the axes.
@@ -3138,13 +3209,14 @@ mod tests {
             1,
         );
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()),
+            CampaignPart::from_checkpoint_json(&bad, &AttackNames::new()).map_err(|e| e.error),
             Err(CampaignIoError::Shape(_))
         ));
         // A matrix document is not a checkpoint, and vice versa.
         let matrix = CampaignMatrix::run(&spec).unwrap();
         assert!(matches!(
-            CampaignPart::from_checkpoint_json(&matrix.to_json(), &AttackNames::new()),
+            CampaignPart::from_checkpoint_json(&matrix.to_json(), &AttackNames::new())
+                .map_err(|e| e.error),
             Err(CampaignIoError::Kind {
                 expected: "campaign-checkpoint",
                 ..
@@ -3217,7 +3289,9 @@ mod tests {
         // A part file of an older build is a typed kind error, not an
         // alias of a checkpoint.
         let old_part = doc.replacen("\"campaign-checkpoint\"", "\"campaign-part\"", 1);
-        match CampaignPart::from_checkpoint_json(&old_part, &AttackNames::new()) {
+        match CampaignPart::from_checkpoint_json(&old_part, &AttackNames::new())
+            .map_err(|e| e.error)
+        {
             Err(CampaignIoError::Kind {
                 expected: "campaign-checkpoint",
                 found,
@@ -3336,6 +3410,19 @@ mod tests {
             CampaignMatrix::from_json(&doc),
             Err(CampaignIoError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn names_that_need_escaping_round_trip_byte_for_byte() {
+        // Stack names are catalog names (a `Defense` is only made in the
+        // catalog), so a config name carries the characters to escape;
+        // stack names and strategy tokens go through the same escaper.
+        let odd = "q\"b\\s\nn\u{1}c\t\u{7f}é";
+        let mut spec = small_spec(0);
+        spec.configs[0].name = format!("cfg {odd}");
+        let json = CampaignMatrix::run(&spec).unwrap().to_json();
+        assert!(json.contains("\"cfg q\\\"b\\\\s\\nn\\u0001c\\t\u{7f}é\""));
+        assert_eq!(CampaignMatrix::from_json(&json).unwrap().to_json(), json);
     }
 
     #[test]

@@ -416,22 +416,41 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonErr
 /// `s` as a JSON string literal, quoted and escaped.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", ch as u32);
-            }
-            ch => out.push(ch),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a JSON string literal, quoted and escaped.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends `s` to `out` escaped for the inside of a JSON string literal:
+/// runs that need no escape are copied whole.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
 }
 
 /// Appends `items` to `out` as comma-separated [`json_str`] literals.
@@ -440,7 +459,7 @@ pub(crate) fn push_json_list<'a>(out: &mut String, items: impl Iterator<Item = &
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&json_str(item));
+        push_json_str(out, item);
     }
 }
 
@@ -454,6 +473,38 @@ mod tests {
         let escaped = json_str("a\"b\\c\n");
         assert_eq!(escaped, "\"a\\\"b\\\\c\\n\"");
         assert_eq!(parse(&escaped).unwrap().as_str(), Some("a\"b\\c\n"));
+    }
+
+    #[test]
+    fn the_escaper_escapes_exactly_the_control_characters_quote_and_backslash() {
+        let reference = |s: &str| -> String {
+            let mut out = String::from('"');
+            for ch in s.chars() {
+                match ch {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    ch if (ch as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", ch as u32)),
+                    ch => out.push(ch),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let every_ascii: String = (0..0x80u8).map(char::from).collect();
+        for s in [
+            every_ascii.as_str(),
+            "",
+            "plain",
+            "é\u{1}ü\"",
+            "\\\n\u{1f}日本",
+        ] {
+            let escaped = json_str(s);
+            assert_eq!(escaped, reference(s), "{s:?}");
+            assert_eq!(parse(&escaped).unwrap().as_str(), Some(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@
 
 use crate::campaign::{
     baseline_fingerprint, cell_fingerprint, chunk_range, config_digest, evaluate_tasks,
-    panic_reason, simulate, AttackNames, BaselineCell, CampaignIoError, CampaignMatrix,
-    CampaignPart, CampaignSpec, CellOutcome, MatrixCell, Measured, MergeError, ProgressObserver,
+    panic_reason, simulate, AttackNames, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec,
+    CellOutcome, CheckpointError, MatrixCell, Measured, MergeError, ProgressObserver, ShardHeader,
 };
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
@@ -649,7 +649,7 @@ pub struct ScheduleReport {
 
 /// Every `chunk-*.json` file of a checkpoint directory, by name, with
 /// what parsing it gave.
-type Checkpoints = BTreeMap<PathBuf, Result<CampaignPart, CampaignIoError>>;
+type Checkpoints = BTreeMap<PathBuf, Result<CampaignPart, CheckpointError>>;
 
 /// What [`adopt_chunk`] made of one chunk's checkpoint file.
 enum ChunkLoad {
@@ -850,8 +850,10 @@ impl<'a> Scheduler<'a> {
     pub fn run_chunk(&self, index: usize, of: usize) -> Result<CampaignPart, ServeError> {
         assert!(index < of, "chunk {index} of {of} does not exist");
         let (fingerprint, total) = (self.spec.fingerprint(), self.spec.total_tasks());
-        for part in self.read_checkpoints()?.into_values().flatten() {
-            check_chunk(&part, part.index(), of, total, fingerprint)?;
+        for file in self.read_checkpoints()?.values() {
+            if let Some(header) = judged_header(file, fingerprint) {
+                check_chunk(header, header.index, of, total, fingerprint)?;
+            }
         }
         let save = |part: &CampaignPart| self.save_chunk(part);
         let (mut parts, _) = evaluate_tasks(
@@ -904,52 +906,71 @@ impl<'a> Scheduler<'a> {
 /// truncated mid-write, or otherwise unreadable) is "not done" — the chunk
 /// re-runs — but the file and the reason are surfaced
 /// ([`ChunkLoad::Damaged`] → [`ScheduleReport::repaired`]) instead of being
-/// silently swallowed. A cleanly-loading chunk that fails [`check_chunk`]
-/// is a hard mismatch.
+/// silently swallowed. A chunk whose [`judged_header`] fails
+/// [`check_chunk`] is a hard mismatch.
 fn adopt_chunk(
     index: usize,
     of: usize,
     total: usize,
     fingerprint: u64,
-    file: Option<(PathBuf, Result<CampaignPart, CampaignIoError>)>,
+    file: Option<(PathBuf, Result<CampaignPart, CheckpointError>)>,
 ) -> Result<ChunkLoad, ServeError> {
+    let Some((path, file)) = file else {
+        return Ok(ChunkLoad::Missing);
+    };
+    if let Some(header) = judged_header(&file, fingerprint) {
+        check_chunk(header, index, of, total, fingerprint)?;
+    }
     match file {
-        None => Ok(ChunkLoad::Missing),
-        Some((_, Ok(part))) => {
-            check_chunk(&part, index, of, total, fingerprint)?;
-            Ok(ChunkLoad::Loaded(part))
-        }
+        Ok(part) => Ok(ChunkLoad::Loaded(part)),
         // A listed name that resolves to nothing (a dangling link, a file
         // removed since the listing) holds no checkpoint.
-        Some((path, Err(_))) if !path.exists() => Ok(ChunkLoad::Missing),
-        Some((path, Err(e))) => Ok(ChunkLoad::Damaged {
+        Err(_) if !path.exists() => Ok(ChunkLoad::Missing),
+        Err(e) => Ok(ChunkLoad::Damaged {
             path,
-            reason: e.to_string(),
+            reason: e.error.to_string(),
         }),
     }
 }
 
-/// Refuses a loaded checkpoint `part` unless it is chunk `index` of `of` of
+/// The shard header a checkpoint `file` is judged by: a loaded chunk's,
+/// and that of a chunk that did not load but whose header names another
+/// spec — its unresolved names are that campaign's, so it is foreign, not
+/// damaged. A chunk of this spec that did not load has none.
+fn judged_header(
+    file: &Result<CampaignPart, CheckpointError>,
+    fingerprint: u64,
+) -> Option<&ShardHeader> {
+    match file {
+        Ok(part) => Some(&part.shard),
+        Err(e) => e
+            .header
+            .as_ref()
+            .filter(|h| h.spec_fingerprint != fingerprint),
+    }
+}
+
+/// Refuses a chunk's shard `header` unless it is chunk `index` of `of` of
 /// the spec with `fingerprint` and `total` tasks: the one rule that keeps a
 /// chunk of another campaign (another spec or chunk geometry) out of a run.
 fn check_chunk(
-    part: &CampaignPart,
+    header: &ShardHeader,
     index: usize,
     of: usize,
     total: usize,
     fingerprint: u64,
 ) -> Result<(), ServeError> {
-    let own = part.spec_fingerprint() == fingerprint
-        && part.index() == index
-        && part.of() == of
-        && (part.start()..part.end()) == chunk_range(total, index, of);
+    let own = header.spec_fingerprint == fingerprint
+        && header.index == index
+        && header.of == of
+        && header.range() == chunk_range(total, index, of);
     if own {
         return Ok(());
     }
     Err(ServeError::CheckpointMismatch {
         index,
         expected: fingerprint,
-        found: part.spec_fingerprint(),
+        found: header.spec_fingerprint,
     })
 }
 

@@ -92,8 +92,16 @@ impl Cache {
         !self.partitioned || line_domain == self.active_domain
     }
 
+    /// The set of `paddr`'s line: `line % sets`, as a mask when the set
+    /// count is a power of two (every default geometry), so the probe
+    /// sweeps' per-slot lookups skip a division.
     fn set_index(&self, paddr: u64) -> usize {
-        ((paddr / LINE_SIZE) % self.sets.len() as u64) as usize
+        let (line, sets) = (paddr / LINE_SIZE, self.sets.len() as u64);
+        if sets.is_power_of_two() {
+            (line & (sets - 1)) as usize
+        } else {
+            (line % sets) as usize
+        }
     }
 
     fn line_base(paddr: u64) -> u64 {
@@ -345,6 +353,23 @@ mod tests {
         c.fill(0x80, [0; WORDS_PER_LINE]);
         assert!(!c.contains(0x00));
         assert!(c.contains(0x80));
+    }
+
+    #[test]
+    fn set_index_is_the_line_modulo_the_set_count() {
+        let mut c = Cache::new(1, 1);
+        for sets in 1..=130 {
+            c.reset(sets, 1);
+            for paddr in (0..3 * 131 * LINE_SIZE).step_by(24) {
+                assert_eq!(
+                    c.set_index(paddr) as u64,
+                    (paddr / LINE_SIZE) % sets as u64,
+                    "sets {sets}, paddr {paddr:#x}"
+                );
+            }
+            let far = u64::MAX - 7;
+            assert_eq!(c.set_index(far) as u64, (far / LINE_SIZE) % sets as u64);
+        }
     }
 
     #[test]

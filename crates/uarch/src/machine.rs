@@ -168,8 +168,9 @@ pub struct Machine {
     scratch_completing: Vec<usize>,
     /// Reused scratch for the tx-fallback scan at the start of each run.
     scratch_tx_stack: Vec<usize>,
-    /// Reused scratch for [`Machine::reload_and_flush`]: each slot's
-    /// physical address and whether its reload hit. Empty between sweeps.
+    /// Reused scratch for [`Machine::reload_and_flush`] and
+    /// [`Machine::flush_lines`]: each slot's physical address and whether
+    /// its reload hit. Empty between sweeps.
     scratch_probes: Vec<(u64, bool)>,
 }
 
@@ -438,9 +439,39 @@ impl Machine {
         Ok(self.memory.read_u64(paddr))
     }
 
+    /// The frame behind `vaddr` for the host path: the user-visible PTE,
+    /// else the kernel-only one. This is the paddr a kernel-privilege
+    /// [`translate`](Machine::translate) yields whatever the PTE's
+    /// permission bits, without building its fault verdict.
     fn setup_paddr(&self, vaddr: u64) -> Result<u64, UarchError> {
-        let tr = self.translate(vaddr, false, Privilege::Kernel);
-        tr.paddr.ok_or(UarchError::Unmapped { vaddr })
+        let vpn = vaddr / PAGE_SIZE;
+        let entry = self
+            .page_table
+            .entry(vpn)
+            .or_else(|| self.kernel_table.entry(vpn))
+            .ok_or(UarchError::Unmapped { vaddr })?;
+        Ok(entry.frame * PAGE_SIZE + vaddr % PAGE_SIZE)
+    }
+
+    /// [`setup_paddr`](Machine::setup_paddr) of every address of
+    /// `vaddrs`, each paired with `false`, in the reused scratch list (the
+    /// caller clears it and puts it back). On error nothing has changed.
+    fn setup_paddrs(
+        &mut self,
+        vaddrs: impl IntoIterator<Item = u64>,
+    ) -> Result<Vec<(u64, bool)>, UarchError> {
+        let mut probes = std::mem::take(&mut self.scratch_probes);
+        for vaddr in vaddrs {
+            match self.setup_paddr(vaddr) {
+                Ok(paddr) => probes.push((paddr, false)),
+                Err(e) => {
+                    probes.clear();
+                    self.scratch_probes = probes;
+                    return Err(e);
+                }
+            }
+        }
+        Ok(probes)
     }
 
     /// Brings the line containing `vaddr` into the cache (host path; models
@@ -465,6 +496,24 @@ impl Machine {
     pub fn flush_line(&mut self, vaddr: u64) -> Result<(), UarchError> {
         let paddr = self.setup_paddr(vaddr)?;
         self.cache.flush(paddr);
+        Ok(())
+    }
+
+    /// Flushes the line of every address of `vaddrs` from the cache: a
+    /// [`flush_line`](Machine::flush_line) loop that translates every
+    /// address before it flushes any.
+    ///
+    /// # Errors
+    ///
+    /// [`UarchError::Unmapped`] for the first address without a PTE; the
+    /// cache is then unchanged.
+    pub fn flush_lines(&mut self, vaddrs: impl IntoIterator<Item = u64>) -> Result<(), UarchError> {
+        let mut probes = self.setup_paddrs(vaddrs)?;
+        for &(paddr, _) in &probes {
+            self.cache.flush(paddr);
+        }
+        probes.clear();
+        self.scratch_probes = probes;
         Ok(())
     }
 
@@ -527,17 +576,7 @@ impl Machine {
         latencies: &mut Vec<u64>,
     ) -> Result<(), UarchError> {
         latencies.clear();
-        let mut probes = std::mem::take(&mut self.scratch_probes);
-        for vaddr in vaddrs {
-            match self.setup_paddr(vaddr) {
-                Ok(paddr) => probes.push((paddr, false)),
-                Err(e) => {
-                    probes.clear();
-                    self.scratch_probes = probes;
-                    return Err(e);
-                }
-            }
-        }
+        let mut probes = self.setup_paddrs(vaddrs)?;
         let (hit, miss) = (self.cfg.cache_hit_latency, self.cfg.cache_miss_latency);
         latencies.extend(probes.iter_mut().map(|(paddr, was_hit)| {
             *was_hit = self.cache.reload_flush(*paddr);

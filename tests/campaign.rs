@@ -527,6 +527,53 @@ mod shared_runs {
     }
 
     #[test]
+    fn simulations_are_the_distinct_attack_and_effective_config_pairs() {
+        // lfence and mfence write the same overlay; lfence+mask-coarse
+        // adds a graph-only member to it; nda on the base slice is the
+        // `nda` hardening slice's baseline; mask-coarse alone is
+        // graph-only.
+        let stacks = [
+            "lfence",
+            "mfence",
+            "lfence+mask-coarse",
+            "nda",
+            "mask-coarse",
+        ]
+        .map(|t| DefenseStack::parse(t).unwrap());
+        let spec = CampaignSpec::builder(UarchConfig::default())
+            .attacks(attacks::registry().iter().copied().take(4))
+            .defense_stacks(stacks)
+            .axis(Knob::Hardening, [Hardening::None, Hardening::Nda])
+            .threads(2)
+            .build();
+        let mut distinct = std::collections::HashSet::new();
+        let mut simulated_tasks = 0;
+        for attack in &spec.attacks {
+            for slice in &spec.configs {
+                let base = &slice.config;
+                let applied = spec.defenses.iter().filter_map(|s| s.apply(base));
+                for config in std::iter::once(base.clone()).chain(applied) {
+                    simulated_tasks += 1;
+                    distinct.insert((attack.info().name, config));
+                }
+            }
+        }
+        let (matrix, report) = Scheduler::new(&spec).run().unwrap();
+        assert_eq!(report.evaluated, spec.total_tasks());
+        assert_eq!(report.simulations, distinct.len());
+        assert!(distinct.len() < simulated_tasks, "the spec aliases");
+        let graph_only: Vec<_> = matrix
+            .cells()
+            .iter()
+            .filter(|c| c.defense == defenses::names::ADDRESS_MASKING_COARSE)
+            .collect();
+        assert_eq!(graph_only.len(), 4 * 2);
+        assert!(graph_only
+            .iter()
+            .all(|c| c.evaluation.mechanism == Verdict::GraphOnly));
+    }
+
+    #[test]
     fn without_aliasing_every_simulated_task_is_its_own_run() {
         let spec = CampaignSpec::builder(UarchConfig::default())
             .attacks(attacks::registry().iter().copied().take(3))

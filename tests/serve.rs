@@ -620,6 +620,55 @@ fn synthesized_chunks_resume_without_resimulating() {
 }
 
 #[test]
+fn a_chunk_naming_findings_of_another_corpus_is_foreign_not_damaged() {
+    // Spectre v1 plus one corpus's findings, undefended: the spec of
+    // `campaign run --attacks 'Spectre v1' --synthesized CORPUS --defenses none`.
+    let spec_of = |corpus: &str| {
+        let corpus = Corpus::from_json(corpus).unwrap();
+        let spectre_v1 = attacks::find(attacks::names::SPECTRE_V1).unwrap();
+        CampaignSpec::builder(UarchConfig::default())
+            .attacks(std::iter::once(spectre_v1).chain(corpus.attacks().unwrap()))
+            .defenses([])
+            .build()
+    };
+    let budget512 = spec_of(include_str!("data/fuzz-seed42-budget512-corpus.json"));
+    let budget64 = spec_of(include_str!("data/fuzz-seed-corpus.json"));
+    let dir = tempdir("other-corpus");
+    Scheduler::new(&budget512)
+        .checkpoint(&dir)
+        .run_chunk(0, 2)
+        .unwrap();
+    let chunk = serve::chunk_path(&dir, 0);
+    let bytes = fs::read(&chunk).unwrap();
+    // The chunk names a finding the budget-64 spec cannot resolve.
+    assert!(matches!(
+        CampaignPart::load_checkpoint_json(&chunk),
+        Err(CampaignIoError::UnknownAttack(_))
+    ));
+
+    let mismatch = |err: ServeError| {
+        matches!(
+            err,
+            ServeError::CheckpointMismatch { index: 0, expected, found }
+                if expected == budget64.fingerprint() && found == budget512.fingerprint()
+        )
+    };
+    let err = Scheduler::new(&budget64)
+        .checkpoint(&dir)
+        .run_chunk(1, 2)
+        .unwrap_err();
+    assert!(mismatch(err), "the second shard must be refused");
+    assert!(!serve::chunk_path(&dir, 1).exists());
+    let err = Scheduler::new(&budget64)
+        .checkpoint(&dir)
+        .run()
+        .unwrap_err();
+    assert!(mismatch(err), "the assembling run must be refused");
+    assert_eq!(fs::read(&chunk).unwrap(), bytes);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn incremental_checkpointed_run_reuses_prev_and_writes_shard_bytes() {
     // The previous matrix differs in one axis value (rob=48 for rob=64),
     // so only the rob=64 slice (config 1) is stale.
