@@ -7,7 +7,7 @@ use channels::flush_reload::{FlushReload, SLOT_STRIDE};
 use channels::Reading;
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
 use uarch::mmu::PageTable;
-use uarch::{ContextId, Machine, TraceEvent, UarchConfig, UarchError};
+use uarch::{ContextId, Machine, Switches, TraceEvent, UarchConfig, UarchError};
 
 /// Probe array base for the Flush+Reload channel (step 1a).
 pub const PROBE_BASE: u64 = 0x100_0000;
@@ -231,6 +231,18 @@ impl BatchRunner {
             }
         }
         attack.run_in(m)
+    }
+
+    /// The switches the last [`BatchRunner::run`] read
+    /// ([`Machine::consulted`]); every switch before the first run. A
+    /// deterministic attack gives the same outcome on any configuration
+    /// that agrees with the last one on these and on every non-switch
+    /// field.
+    #[must_use]
+    pub fn consulted(&self) -> Switches {
+        self.machine
+            .as_ref()
+            .map_or(Switches::ALL, Machine::consulted)
     }
 }
 

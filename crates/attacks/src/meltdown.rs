@@ -10,7 +10,7 @@ use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{Msr, Program, ProgramBuilder, Reg};
 use tsg::SecretSource::{Memory, SpecialRegister};
 use tsg::{SecretSource, SecurityAnalysis};
-use uarch::{ExceptionBehavior, Machine, Privilege};
+use uarch::{ExceptionBehavior, Machine, Privilege, Switch};
 
 /// The MSR number whose content Spectre v3a steals.
 const TARGET_MSR: Msr = Msr(0x10);
@@ -64,7 +64,7 @@ impl Attack for Meltdown {
         // through a temporary kernel mapping trick: the host accessor needs
         // a PTE, so plant before unmapping is not possible; instead plant
         // via a scratch identity mapping of the same frame.
-        if m.config().kpti {
+        if m.switch(Switch::Kpti) {
             // Map temporarily, write, then restore the KPTI state (unmap).
             m.map_user_page(KERNEL_SECRET)?;
             m.write_u64(KERNEL_SECRET, SECRET)?;

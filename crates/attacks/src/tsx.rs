@@ -10,7 +10,7 @@ use crate::{Attack, AttackError, AttackInfo, AttackOutcome};
 use isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
 use tsg::SecretSource::{Cache, LineFillBuffer};
 use tsg::{SecretSource, SecurityAnalysis};
-use uarch::{Machine, Privilege};
+use uarch::{Machine, Privilege, Switch};
 
 /// The transactional sampling gadget: fault inside the transaction, use and
 /// send before the asynchronous abort completes.
@@ -55,7 +55,7 @@ impl Attack for Taa {
 
     fn run_in(&self, m: &mut Machine) -> Result<AttackOutcome, AttackError> {
         m.map_kernel_page(KERNEL_SECRET)?;
-        if m.config().kpti {
+        if m.switch(Switch::Kpti) {
             m.map_user_page(KERNEL_SECRET)?;
             m.write_u64(KERNEL_SECRET, SECRET)?;
             m.touch(KERNEL_SECRET)?;

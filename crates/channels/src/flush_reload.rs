@@ -64,7 +64,8 @@ impl FlushReload {
     /// The hit/miss decision threshold for `m`'s latency configuration.
     #[must_use]
     pub fn threshold(m: &Machine) -> u64 {
-        (m.config().cache_hit_latency + m.config().cache_miss_latency) / 2
+        let (hit, miss) = m.cache_latencies();
+        (hit + miss) / 2
     }
 
     /// Step 1(a) of the paper's attack flow: maps the probe pages and

@@ -92,8 +92,7 @@ impl PrimeProbe {
     /// Propagates [`UarchError`] from the timed reads.
     pub fn probe(&self, m: &mut Machine) -> Result<Reading, UarchError> {
         let ways = m.cache().way_count() as u64;
-        let hit = m.config().cache_hit_latency;
-        let miss = m.config().cache_miss_latency;
+        let (hit, miss) = m.cache_latencies();
         // A set is "victim-disturbed" when at least one of its primed ways
         // misses: total latency ≥ (ways-1)*hit + miss.
         let threshold = ways * hit + (miss - hit) / 2;

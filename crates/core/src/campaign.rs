@@ -113,7 +113,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
-use uarch::{FxMap, UarchConfig};
+use uarch::{FxMap, Switches, UarchConfig};
 
 /// Schema version stamped on every matrix and checkpoint document this
 /// module writes (`"version"` plus a `"kind"` discriminator:
@@ -1034,7 +1034,7 @@ fn keyed_tasks<'a>(
 }
 
 /// What one distinct machine run reported — or why it could not.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum Measured {
     /// The run completed.
     Ran(attacks::AttackOutcome),
@@ -1062,7 +1062,7 @@ fn effective_config(spec: &CampaignSpec, task: Task) -> Option<UarchConfig> {
 }
 
 /// Groups `tasks` into their distinct simulations, keyed by the exact
-/// `(attack, effective config)` — never a digest, so two machines are
+/// `(attack, effective config)` — never a digest, so two tasks are
 /// merged only when every knob agrees. Runs are ordered by their first
 /// task. The second list maps each task to its run (`None` for a
 /// graph-only cell).
@@ -1070,6 +1070,11 @@ fn effective_config(spec: &CampaignSpec, task: Task) -> Option<UarchConfig> {
 /// An effective config depends only on (stack or baseline, slice), so
 /// each such pair is resolved once, on its first task, and each distinct
 /// config gets an id; runs are then keyed by `(attack, id)`.
+///
+/// These runs are what [`ScheduleReport::simulations`] counts. Fewer
+/// machines actually run: [`evaluate_tasks`] lets a run take the outcome
+/// of an earlier run of the same attack whose config differs only in
+/// switches that run never read ([`SharedRun`]).
 fn distinct_runs(spec: &CampaignSpec, tasks: &[KeyedTask]) -> (Vec<Run>, Vec<Option<usize>>) {
     let slices = spec.configs.len();
     // Per (stack or baseline, slice): unresolved, or the config id (`None`
@@ -1106,6 +1111,45 @@ fn distinct_runs(spec: &CampaignSpec, tasks: &[KeyedTask]) -> (Vec<Run>, Vec<Opt
         })
         .collect();
     (runs, run_of)
+}
+
+/// The runs of `runs`, grouped by attack: each group holds its runs in
+/// order, and the groups come in the order of their first runs.
+fn attack_groups(spec: &CampaignSpec, runs: &[Run]) -> Vec<Vec<usize>> {
+    let mut group_of: Vec<Option<usize>> = vec![None; spec.attacks.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (r, run) in runs.iter().enumerate() {
+        let g = *group_of[run.attack].get_or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(r);
+    }
+    groups
+}
+
+/// A completed machine run of one attack, with what its outcome depends
+/// on: the config's non-switch fields, the switches that were on, and the
+/// switches the run read ([`uarch::Machine::switch`]).
+///
+/// The simulator is deterministic and reads every switch through
+/// `Machine::switch`, so a config that agrees on the non-switch fields
+/// and on every consulted switch takes the same branch at every read: it
+/// gives the same outcome, cycle for cycle. Only completed runs are
+/// kept; a timeout or a quarantine is always simulated again.
+struct SharedRun {
+    plain: UarchConfig,
+    on: Switches,
+    consulted: Switches,
+    outcome: attacks::AttackOutcome,
+}
+
+impl SharedRun {
+    /// Whether this run's outcome is the outcome on the config with
+    /// non-switch fields `plain` and switches `on`.
+    fn covers(&self, plain: &UarchConfig, on: Switches) -> bool {
+        self.on.symmetric_difference(on).is_disjoint(self.consulted) && self.plain == *plain
+    }
 }
 
 /// Builds a task's row from what its run measured (`None` for a
@@ -1272,16 +1316,23 @@ type ChunkSink<'a, E> = &'a (dyn Fn(&CampaignPart) -> Result<(), E> + Sync);
 ///
 /// Rows `prev` holds (by fingerprint) are kept; every other task goes
 /// into one pass: the hoisted graph verdicts ([`graph_verdicts_for`];
-/// races are live for every baseline, reused ones too), then one
-/// simulation per distinct `(attack, effective config)`
-/// ([`distinct_runs`]) on [`crate::exec::map_indexed`] workers with one
-/// warm [`BatchRunner`] each. A run's result (or degradation) fans out to
-/// every task sharing it, in any chunk. With a `sink`, the worker that
-/// finishes a chunk's last row hands its part over at once; without one,
-/// the caller builds the parts after the runs. Runs keep their first
-/// task's order, so the first error by task order wins. `progress` sees
-/// each evaluated task once: graph-only cells up front, the others as
-/// their run finishes.
+/// races are live for every baseline, reused ones too), then one run per
+/// distinct `(attack, effective config)` ([`distinct_runs`]). The runs of
+/// one attack form a group, and [`crate::exec::map_indexed`] workers,
+/// each with one warm [`BatchRunner`], take whole groups. A group goes
+/// through its runs in first-task order, and a run takes the outcome of
+/// an earlier run of the group whose config differs from its own only in
+/// switches that run never read ([`SharedRun`]); otherwise it simulates.
+/// So the runs shared, and [`ScheduleReport::machine_runs`], do not
+/// depend on the thread count. Debug builds simulate every shared run
+/// again and assert the same outcome.
+///
+/// A run's result (or degradation) fans out to every task sharing it, in
+/// any chunk. With a `sink`, the worker that finishes a chunk's last row
+/// hands its part over at once; without one, the caller builds the parts
+/// after the runs. The first error in group order wins, and within a
+/// group the first by task order. `progress` sees each evaluated task
+/// once: graph-only cells up front, the others as their run finishes.
 pub(crate) fn evaluate_tasks<E>(
     spec: &CampaignSpec,
     of: usize,
@@ -1385,25 +1436,53 @@ where
             finish(c)?;
         }
     }
-    crate::exec::map_indexed(runs.len(), spec.threads, BatchRunner::new, |runner, r| {
-        let run = &runs[r];
-        let out = simulate(
-            spec.attacks[run.attack],
-            &run.config,
-            spec.degrade_timeouts,
-            runner,
-        )?;
-        measured[r].set(out).expect("each run is claimed once");
-        for &k in &run.tasks {
-            report(k);
-            // AcqRel: the worker that takes a chunk's count to zero sees
-            // every other worker's measurement for that chunk.
-            if eager && waiting[chunk_of[k]].fetch_sub(1, Ordering::AcqRel) == 1 {
-                finish(chunk_of[k])?;
+    let groups = attack_groups(spec, &runs);
+    let group_machine_runs =
+        crate::exec::map_indexed(groups.len(), spec.threads, BatchRunner::new, |runner, g| {
+            let (mut shared, mut simulated) = (Vec::<SharedRun>::new(), 0);
+            for &r in &groups[g] {
+                let run = &runs[r];
+                let attack = spec.attacks[run.attack];
+                let (plain, on) = (run.config.without_switches(), run.config.switches());
+                let out = match shared.iter().find(|s| s.covers(&plain, on)) {
+                    Some(s) => {
+                        let out = Measured::Ran(s.outcome.clone());
+                        debug_assert_eq!(
+                            simulate(attack, &run.config, spec.degrade_timeouts, runner)?,
+                            out,
+                            "{} shared a run it differs from on {:?}",
+                            attack.info().name,
+                            run.config
+                        );
+                        out
+                    }
+                    None => {
+                        simulated += 1;
+                        let out = simulate(attack, &run.config, spec.degrade_timeouts, runner)?;
+                        if let Measured::Ran(outcome) = &out {
+                            shared.push(SharedRun {
+                                plain,
+                                on,
+                                consulted: runner.consulted(),
+                                outcome: outcome.clone(),
+                            });
+                        }
+                        out
+                    }
+                };
+                measured[r].set(out).expect("each run is claimed once");
+                for &k in &run.tasks {
+                    report(k);
+                    // AcqRel: the worker that takes a chunk's count to
+                    // zero sees every other worker's measurement for that
+                    // chunk.
+                    if eager && waiting[chunk_of[k]].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        finish(chunk_of[k])?;
+                    }
+                }
             }
-        }
-        Ok::<(), E>(())
-    })?;
+            Ok::<usize, E>(simulated)
+        })?;
     for (c, part) in parts.iter().enumerate() {
         if part.get().is_none() {
             finish(c)?;
@@ -1415,6 +1494,7 @@ where
         evaluated: stale.len(),
         reused: headers.iter().map(|h| h.range().len()).sum::<usize>() - stale.len(),
         simulations: runs.len(),
+        machine_runs: group_machine_runs.into_iter().sum(),
         graph_verdicts: graph.evaluated,
         ..ScheduleReport::default()
     };

@@ -20,138 +20,10 @@
 use std::fmt;
 use uarch::UarchConfig;
 
-/// A boolean [`UarchConfig`] knob a defense overlay may write.
-///
-/// The variants cover every field the Table-II/§V-B catalog touches: the
-/// Figure-8 defense knobs plus the vulnerability knobs the in-silicon fix
-/// and eager-FPU switching turn *off*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum OverlayKnob {
-    /// Strategy ①: loads wait for all older control flow
-    /// (`no_speculative_loads`).
-    NoSpeculativeLoads,
-    /// Strategy ① intra-instruction: permission checks complete before
-    /// forwarding (`eager_permission_check`).
-    EagerPermissionCheck,
-    /// Strategy ②: no speculative forwarding (`nda`).
-    Nda,
-    /// Strategy ② relaxed: speculative taint tracking (`stt`).
-    Stt,
-    /// Strategy ③: delay speculative misses (`delay_on_miss`).
-    DelayOnMiss,
-    /// Strategy ③: shadow-structure fills (`invisible_spec`).
-    InvisibleSpec,
-    /// Strategy ③: undo cache changes on squash (`cleanup_spec`).
-    CleanupSpec,
-    /// Strategy ③ cross-domain: cache way partitioning (`dawg`).
-    Dawg,
-    /// Strategy ④: flush predictor state on context switches
-    /// (`flush_predictors_on_switch`).
-    FlushPredictorsOnSwitch,
-    /// No BTB prediction for indirect branches (`no_indirect_prediction`,
-    /// the retpoline effect).
-    NoIndirectPrediction,
-    /// Refill the RSB on context switches (`rsb_stuffing`).
-    RsbStuffing,
-    /// Unmap kernel pages in user mode (`kpti`).
-    Kpti,
-    /// Loads never bypass unresolved stores (`ssb_disable`).
-    SsbDisable,
-    /// Lazy FPU state switching (`lazy_fpu`; eager switching writes
-    /// `false`).
-    LazyFpu,
-    /// Faulting loads transiently forward data (`transient_forwarding`;
-    /// the in-silicon fix writes `false`).
-    TransientForwarding,
-    /// Stale-buffer forwarding on faults (`mds_forwarding`).
-    MdsForwarding,
-    /// L1 probing on terminal page-table faults (`l1tf_forwarding`).
-    L1tfForwarding,
-}
-
-impl OverlayKnob {
-    /// Writes `value` to this knob's field of `cfg`.
-    pub fn write(self, cfg: &mut UarchConfig, value: bool) {
-        *self.field_mut(cfg) = value;
-    }
-
-    /// Reads this knob's current value from `cfg`.
-    #[must_use]
-    pub fn read(self, cfg: &UarchConfig) -> bool {
-        match self {
-            OverlayKnob::NoSpeculativeLoads => cfg.no_speculative_loads,
-            OverlayKnob::EagerPermissionCheck => cfg.eager_permission_check,
-            OverlayKnob::Nda => cfg.nda,
-            OverlayKnob::Stt => cfg.stt,
-            OverlayKnob::DelayOnMiss => cfg.delay_on_miss,
-            OverlayKnob::InvisibleSpec => cfg.invisible_spec,
-            OverlayKnob::CleanupSpec => cfg.cleanup_spec,
-            OverlayKnob::Dawg => cfg.dawg,
-            OverlayKnob::FlushPredictorsOnSwitch => cfg.flush_predictors_on_switch,
-            OverlayKnob::NoIndirectPrediction => cfg.no_indirect_prediction,
-            OverlayKnob::RsbStuffing => cfg.rsb_stuffing,
-            OverlayKnob::Kpti => cfg.kpti,
-            OverlayKnob::SsbDisable => cfg.ssb_disable,
-            OverlayKnob::LazyFpu => cfg.lazy_fpu,
-            OverlayKnob::TransientForwarding => cfg.transient_forwarding,
-            OverlayKnob::MdsForwarding => cfg.mds_forwarding,
-            OverlayKnob::L1tfForwarding => cfg.l1tf_forwarding,
-        }
-    }
-
-    fn field_mut(self, cfg: &mut UarchConfig) -> &mut bool {
-        match self {
-            OverlayKnob::NoSpeculativeLoads => &mut cfg.no_speculative_loads,
-            OverlayKnob::EagerPermissionCheck => &mut cfg.eager_permission_check,
-            OverlayKnob::Nda => &mut cfg.nda,
-            OverlayKnob::Stt => &mut cfg.stt,
-            OverlayKnob::DelayOnMiss => &mut cfg.delay_on_miss,
-            OverlayKnob::InvisibleSpec => &mut cfg.invisible_spec,
-            OverlayKnob::CleanupSpec => &mut cfg.cleanup_spec,
-            OverlayKnob::Dawg => &mut cfg.dawg,
-            OverlayKnob::FlushPredictorsOnSwitch => &mut cfg.flush_predictors_on_switch,
-            OverlayKnob::NoIndirectPrediction => &mut cfg.no_indirect_prediction,
-            OverlayKnob::RsbStuffing => &mut cfg.rsb_stuffing,
-            OverlayKnob::Kpti => &mut cfg.kpti,
-            OverlayKnob::SsbDisable => &mut cfg.ssb_disable,
-            OverlayKnob::LazyFpu => &mut cfg.lazy_fpu,
-            OverlayKnob::TransientForwarding => &mut cfg.transient_forwarding,
-            OverlayKnob::MdsForwarding => &mut cfg.mds_forwarding,
-            OverlayKnob::L1tfForwarding => &mut cfg.l1tf_forwarding,
-        }
-    }
-
-    /// Stable machine-readable token (the `UarchConfig` field name).
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            OverlayKnob::NoSpeculativeLoads => "no_speculative_loads",
-            OverlayKnob::EagerPermissionCheck => "eager_permission_check",
-            OverlayKnob::Nda => "nda",
-            OverlayKnob::Stt => "stt",
-            OverlayKnob::DelayOnMiss => "delay_on_miss",
-            OverlayKnob::InvisibleSpec => "invisible_spec",
-            OverlayKnob::CleanupSpec => "cleanup_spec",
-            OverlayKnob::Dawg => "dawg",
-            OverlayKnob::FlushPredictorsOnSwitch => "flush_predictors_on_switch",
-            OverlayKnob::NoIndirectPrediction => "no_indirect_prediction",
-            OverlayKnob::RsbStuffing => "rsb_stuffing",
-            OverlayKnob::Kpti => "kpti",
-            OverlayKnob::SsbDisable => "ssb_disable",
-            OverlayKnob::LazyFpu => "lazy_fpu",
-            OverlayKnob::TransientForwarding => "transient_forwarding",
-            OverlayKnob::MdsForwarding => "mds_forwarding",
-            OverlayKnob::L1tfForwarding => "l1tf_forwarding",
-        }
-    }
-}
-
-impl fmt::Display for OverlayKnob {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
+/// A boolean [`UarchConfig`] knob a defense overlay may write: the
+/// simulator's own [`uarch::Switch`] list, so the catalog and the machine
+/// name the same knobs with the same tokens.
+pub use uarch::Switch as OverlayKnob;
 
 /// One recorded knob write: `knob = value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,25 +138,7 @@ mod tests {
     #[test]
     fn read_round_trips_every_knob() {
         let mut cfg = UarchConfig::default();
-        for knob in [
-            OverlayKnob::NoSpeculativeLoads,
-            OverlayKnob::EagerPermissionCheck,
-            OverlayKnob::Nda,
-            OverlayKnob::Stt,
-            OverlayKnob::DelayOnMiss,
-            OverlayKnob::InvisibleSpec,
-            OverlayKnob::CleanupSpec,
-            OverlayKnob::Dawg,
-            OverlayKnob::FlushPredictorsOnSwitch,
-            OverlayKnob::NoIndirectPrediction,
-            OverlayKnob::RsbStuffing,
-            OverlayKnob::Kpti,
-            OverlayKnob::SsbDisable,
-            OverlayKnob::LazyFpu,
-            OverlayKnob::TransientForwarding,
-            OverlayKnob::MdsForwarding,
-            OverlayKnob::L1tfForwarding,
-        ] {
+        for &knob in OverlayKnob::ALL {
             let before = knob.read(&cfg);
             knob.write(&mut cfg, !before);
             assert_eq!(knob.read(&cfg), !before, "{knob}");

@@ -207,6 +207,167 @@ impl UarchConfig {
             ..UarchConfig::default()
         }
     }
+
+    /// The switches that are on in this configuration.
+    #[must_use]
+    pub fn switches(&self) -> Switches {
+        Switch::ALL
+            .iter()
+            .filter(|s| s.read(self))
+            .fold(Switches::NONE, |set, &s| set.with(s))
+    }
+
+    /// This configuration with every switch off: two configurations that
+    /// differ only in switches give the same `without_switches`.
+    #[must_use]
+    pub fn without_switches(&self) -> UarchConfig {
+        let mut plain = self.clone();
+        for s in Switch::ALL {
+            s.write(&mut plain, false);
+        }
+        plain
+    }
+}
+
+/// Declares [`Switch`] from one list of `Variant => field` pairs, so the
+/// variants, their tokens and their field accesses cannot drift apart.
+macro_rules! switches {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident,)*) => {
+        /// One boolean vulnerability or defense switch of [`UarchConfig`].
+        ///
+        /// The [`Machine`](crate::Machine) reads every switch through
+        /// [`Machine::switch`](crate::Machine::switch), which records it in
+        /// the run's consulted set
+        /// ([`Machine::consulted`](crate::Machine::consulted)).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[non_exhaustive]
+        pub enum Switch {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Switch {
+            /// Every switch, in declaration order.
+            pub const ALL: &'static [Switch] = &[$(Switch::$variant,)*];
+
+            /// Stable machine-readable token (the `UarchConfig` field name).
+            #[must_use]
+            pub fn token(self) -> &'static str {
+                match self {
+                    $(Switch::$variant => stringify!($field),)*
+                }
+            }
+
+            /// Reads this switch's value from `cfg`.
+            #[must_use]
+            pub fn read(self, cfg: &UarchConfig) -> bool {
+                match self {
+                    $(Switch::$variant => cfg.$field,)*
+                }
+            }
+
+            /// Writes `value` to this switch's field of `cfg`.
+            pub fn write(self, cfg: &mut UarchConfig, value: bool) {
+                match self {
+                    $(Switch::$variant => cfg.$field = value,)*
+                }
+            }
+        }
+    };
+}
+
+switches! {
+    /// Strategy ①: loads wait for all older control flow
+    /// (`no_speculative_loads`).
+    NoSpeculativeLoads => no_speculative_loads,
+    /// Strategy ① intra-instruction: permission checks complete before
+    /// forwarding (`eager_permission_check`).
+    EagerPermissionCheck => eager_permission_check,
+    /// Strategy ②: no speculative forwarding (`nda`).
+    Nda => nda,
+    /// Strategy ② relaxed: speculative taint tracking (`stt`).
+    Stt => stt,
+    /// Strategy ③: delay speculative misses (`delay_on_miss`).
+    DelayOnMiss => delay_on_miss,
+    /// Strategy ③: shadow-structure fills (`invisible_spec`).
+    InvisibleSpec => invisible_spec,
+    /// Strategy ③: undo cache changes on squash (`cleanup_spec`).
+    CleanupSpec => cleanup_spec,
+    /// Strategy ③ cross-domain: cache way partitioning (`dawg`).
+    Dawg => dawg,
+    /// Strategy ④: flush predictor state on context switches
+    /// (`flush_predictors_on_switch`).
+    FlushPredictorsOnSwitch => flush_predictors_on_switch,
+    /// No BTB prediction for indirect branches (`no_indirect_prediction`,
+    /// the retpoline effect).
+    NoIndirectPrediction => no_indirect_prediction,
+    /// Refill the RSB on context switches (`rsb_stuffing`).
+    RsbStuffing => rsb_stuffing,
+    /// Unmap kernel pages in user mode (`kpti`).
+    Kpti => kpti,
+    /// Loads never bypass unresolved stores (`ssb_disable`).
+    SsbDisable => ssb_disable,
+    /// Lazy FPU state switching (`lazy_fpu`; eager switching writes
+    /// `false`).
+    LazyFpu => lazy_fpu,
+    /// Faulting loads transiently forward data (`transient_forwarding`;
+    /// the in-silicon fix writes `false`).
+    TransientForwarding => transient_forwarding,
+    /// Stale-buffer forwarding on faults (`mds_forwarding`).
+    MdsForwarding => mds_forwarding,
+    /// L1 probing on terminal page-table faults (`l1tf_forwarding`).
+    L1tfForwarding => l1tf_forwarding,
+    /// The §V-B insufficient fix: only the memory datapath of
+    /// privilege-faulting loads waits (`meltdown_fix_memory_path_only`).
+    MeltdownFixMemoryPathOnly => meltdown_fix_memory_path_only,
+}
+
+impl Switch {
+    /// This switch's bit in a [`Switches`] set.
+    fn bit(self) -> u32 {
+        1 << self as u32
+    }
+}
+
+impl std::fmt::Display for Switch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.token())
+    }
+}
+
+/// A set of [`Switch`]es, one bit each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Switches(u32);
+
+impl Switches {
+    /// The empty set.
+    pub const NONE: Switches = Switches(0);
+
+    /// Every switch.
+    pub const ALL: Switches = Switches((1 << Switch::ALL.len()) - 1);
+
+    /// This set with `s` added.
+    #[must_use]
+    pub fn with(self, s: Switch) -> Switches {
+        Switches(self.0 | s.bit())
+    }
+
+    /// Whether `s` is in the set.
+    #[must_use]
+    pub fn contains(self, s: Switch) -> bool {
+        self.0 & s.bit() != 0
+    }
+
+    /// The switches in exactly one of the two sets.
+    #[must_use]
+    pub fn symmetric_difference(self, other: Switches) -> Switches {
+        Switches(self.0 ^ other.0)
+    }
+
+    /// Whether the two sets share no switch.
+    #[must_use]
+    pub fn is_disjoint(self, other: Switches) -> bool {
+        self.0 & other.0 == 0
+    }
 }
 
 /// Builder for [`UarchConfig`]; starts from the vulnerable default baseline.
@@ -443,5 +604,50 @@ mod tests {
         assert!(c.ssb_disable);
         assert!(c.rsb_stuffing);
         assert!(c.stt, "silicon fixes alone do not stop Spectre v1");
+    }
+
+    #[test]
+    fn switches_cover_every_bool_field_once() {
+        // The Debug rendering lists every field; the bool ones are the
+        // switches, in declaration order.
+        let rendered = format!("{:?}", UarchConfig::default());
+        let bools: Vec<&str> = rendered
+            .trim_start_matches("UarchConfig { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .filter(|f| f.ends_with(": true") || f.ends_with(": false"))
+            .map(|f| f.split(':').next().unwrap())
+            .collect();
+        let tokens: Vec<&str> = Switch::ALL.iter().map(|s| s.token()).collect();
+        let mut sorted = (bools.clone(), tokens.clone());
+        sorted.0.sort_unstable();
+        sorted.1.sort_unstable();
+        assert_eq!(sorted.0, sorted.1);
+        let every = Switch::ALL
+            .iter()
+            .fold(Switches::NONE, |set, &s| set.with(s));
+        assert_eq!(every, Switches::ALL);
+    }
+
+    #[test]
+    fn switch_sets_split_a_config() {
+        let cfg = UarchConfig::hardened();
+        let on = cfg.switches();
+        for &s in Switch::ALL {
+            assert_eq!(on.contains(s), s.read(&cfg), "{s}");
+        }
+        let plain = cfg.without_switches();
+        assert_eq!(plain.switches(), Switches::NONE);
+        assert_eq!(plain, UarchConfig::default().without_switches());
+        let mut back = plain.clone();
+        for &s in Switch::ALL.iter().filter(|s| on.contains(**s)) {
+            s.write(&mut back, true);
+        }
+        assert_eq!(back, cfg);
+        let nda = Switches::NONE.with(Switch::Nda);
+        assert!(on.symmetric_difference(on).is_disjoint(Switches::ALL));
+        assert!(!on
+            .symmetric_difference(on.with(Switch::Nda))
+            .is_disjoint(nda));
     }
 }

@@ -69,7 +69,7 @@ pub mod predictor;
 mod result;
 mod smallmap;
 
-pub use config::{UarchConfig, UarchConfigBuilder};
+pub use config::{Switch, Switches, UarchConfig, UarchConfigBuilder};
 pub use error::UarchError;
 pub use event::{SquashCause, TraceEvent, TransientSource};
 pub use fpu::FpuState;

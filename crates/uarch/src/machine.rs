@@ -9,7 +9,7 @@
 
 use crate::buffers::{LineFillBuffer, LoadPorts, StoreBuffer};
 use crate::cache::{Cache, LINE_SIZE, WORDS_PER_LINE};
-use crate::config::UarchConfig;
+use crate::config::{Switch, Switches, UarchConfig};
 use crate::error::UarchError;
 use crate::event::{SquashCause, TraceEvent, TransientSource};
 use crate::fpu::FpuState;
@@ -19,6 +19,7 @@ use crate::predictor::Predictors;
 use crate::result::{Fault, RunResult};
 use crate::smallmap::SmallMap;
 use isa::{Cond, FenceKind, Instruction, Operand, Program, Reg};
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Privilege level of a context (re-exported from the MMU).
@@ -131,6 +132,9 @@ impl Entry {
 #[derive(Debug)]
 pub struct Machine {
     cfg: UarchConfig,
+    /// The switches read since the last [`new`](Machine::new) or
+    /// [`reset`](Machine::reset) (see [`Machine::switch`]).
+    consulted: Cell<Switches>,
     memory: Memory,
     page_table: PageTable,
     /// Kernel-visible mappings. Under KPTI, kernel pages live *only* here:
@@ -187,6 +191,7 @@ impl Machine {
         let mut cache = Cache::new(cfg.cache_sets, cfg.cache_ways);
         cache.set_partitioned(cfg.dawg);
         Machine {
+            consulted: Cell::new(Switches::NONE.with(Switch::Dawg)),
             cache,
             lfb: LineFillBuffer::new(cfg.lfb_entries),
             store_buffer: StoreBuffer::new(cfg.store_buffer_entries),
@@ -231,6 +236,7 @@ impl Machine {
         self.kernel_table.clear();
         self.cache.reset(cfg.cache_sets, cfg.cache_ways);
         self.cache.set_partitioned(cfg.dawg);
+        self.consulted.set(Switches::NONE.with(Switch::Dawg));
         self.lfb.reset(cfg.lfb_entries);
         self.store_buffer.reset(cfg.store_buffer_entries);
         self.load_ports.reset(cfg.load_port_entries);
@@ -264,10 +270,46 @@ impl Machine {
     // Host-level setup and inspection API
     // ------------------------------------------------------------------
 
-    /// The configuration in force.
+    /// The configuration in force. The caller may read any switch of it,
+    /// so this marks every switch consulted (see [`Machine::switch`]);
+    /// readers of one switch or of the cache latencies use
+    /// [`Machine::switch`] or [`Machine::cache_latencies`] instead.
     #[must_use]
     pub fn config(&self) -> &UarchConfig {
+        self.consulted.set(Switches::ALL);
         &self.cfg
+    }
+
+    /// Reads switch `s` of the configuration in force and adds it to the
+    /// consulted set.
+    ///
+    /// Every switch read of the simulation goes through here, so a run
+    /// from [`new`](Machine::new) or [`reset`](Machine::reset) onwards is
+    /// a deterministic function of the non-switch fields and of the
+    /// switches in [`Machine::consulted`]: a configuration that agrees
+    /// with this one on those takes the same branch at every read, and so
+    /// gives the same events, cycles and machine state. The simulator
+    /// reads a switch only after the cheaper condition that makes it
+    /// matter (`speculative && switch(..)`), which keeps the set small.
+    pub fn switch(&self, s: Switch) -> bool {
+        self.consulted.set(self.consulted.get().with(s));
+        s.read(&self.cfg)
+    }
+
+    /// The switches read since the last [`new`](Machine::new) or
+    /// [`reset`](Machine::reset). [`Switch::Dawg`] is always in it: the
+    /// cache takes its partitioning at reset.
+    #[must_use]
+    pub fn consulted(&self) -> Switches {
+        self.consulted.get()
+    }
+
+    /// The configured L1 hit and miss latencies, in cycles: what a covert
+    /// channel's receiver needs to tell a hit from a miss. Reads no
+    /// switch.
+    #[must_use]
+    pub fn cache_latencies(&self) -> (u64, u64) {
+        (self.cfg.cache_hit_latency, self.cfg.cache_miss_latency)
     }
 
     /// The global cycle counter (monotonic across runs).
@@ -300,14 +342,15 @@ impl Machine {
         }
         self.current = id;
         self.cache.set_active_domain(id.0);
-        if self.cfg.flush_predictors_on_switch {
+        if self.switch(Switch::FlushPredictorsOnSwitch) {
             self.predictors.flush();
             self.record(TraceEvent::PredictorsFlushed { cycle: self.cycle });
         }
-        if self.cfg.rsb_stuffing {
+        if self.switch(Switch::RsbStuffing) {
             self.predictors.rsb.stuff(0);
         }
-        if !self.cfg.lazy_fpu {
+        // Switching to the owner changes nothing, lazy or not.
+        if !self.fpu.owned_by(id) && !self.switch(Switch::LazyFpu) {
             self.fpu.switch_to(id);
         }
         Ok(())
@@ -376,7 +419,7 @@ impl Machine {
     pub fn map_kernel_page(&mut self, vaddr: u64) -> Result<(), UarchError> {
         let vpn = vaddr / PAGE_SIZE;
         self.kernel_table.map(vpn, PageEntry::kernel_rw(vpn));
-        if self.cfg.kpti {
+        if self.switch(Switch::Kpti) {
             // KPTI: no PTE in the user-visible table at all.
             self.page_table.unmap(vpn);
         } else {
@@ -1025,14 +1068,15 @@ impl Machine {
     }
 
     fn undo_speculative_fill(&mut self, filled_line: Option<(u64, EvictedLine)>) {
-        if !self.cfg.cleanup_spec {
+        let Some((line, victim)) = filled_line else {
+            return;
+        };
+        if !self.switch(Switch::CleanupSpec) {
             return;
         }
-        if let Some((line, victim)) = filled_line {
-            self.cache.flush(line);
-            if let Some((vbase, vdata)) = victim {
-                self.cache.fill(vbase, vdata);
-            }
+        self.cache.flush(line);
+        if let Some((vbase, vdata)) = victim {
+            self.cache.fill(vbase, vdata);
         }
     }
 
@@ -1241,9 +1285,9 @@ impl Machine {
             }
             // NDA (strategy ②): results of speculatively-executed loads are
             // withheld from consumers until the load is non-speculative.
-            if self.cfg.nda
-                && self.rob[i].spec_load
+            if self.rob[i].spec_load
                 && (self.rob[i].fault.is_some() || self.is_speculative(i))
+                && self.switch(Switch::Nda)
             {
                 if !self.rob[i].blocked_reported {
                     self.rob[i].blocked_reported = true;
@@ -1316,7 +1360,7 @@ impl Machine {
             inst,
             Instruction::Load { .. } | Instruction::Store { .. } | Instruction::JumpIndirect { .. }
         );
-        if self.cfg.stt && is_transmitter && any_tainted && self.is_speculative(idx) {
+        if is_transmitter && any_tainted && self.is_speculative(idx) && self.switch(Switch::Stt) {
             self.report_blocked(idx, "stt");
             return false;
         }
@@ -1472,7 +1516,8 @@ impl Machine {
         // the register read (access); on the vulnerable baseline the value
         // is transiently forwarded.
         self.rob[idx].fault = Some(Fault::MsrPrivilege { msr });
-        let forward = self.cfg.transient_forwarding && !self.cfg.eager_permission_check;
+        let forward =
+            self.switch(Switch::TransientForwarding) && !self.switch(Switch::EagerPermissionCheck);
         let (v, lat) = if forward {
             (value, lat)
         } else {
@@ -1503,8 +1548,9 @@ impl Machine {
         // Lazy FP: the FPU-owner check (authorization) races with the
         // physical register read (access).
         self.rob[idx].fault = Some(Fault::FpUnavailable);
-        let forward =
-            self.cfg.lazy_fpu && self.cfg.transient_forwarding && !self.cfg.eager_permission_check;
+        let forward = self.switch(Switch::LazyFpu)
+            && self.switch(Switch::TransientForwarding)
+            && !self.switch(Switch::EagerPermissionCheck);
         let v = if forward {
             self.fpu.read_physical(fidx)
         } else {
@@ -1535,7 +1581,7 @@ impl Machine {
         let tainted_addr = base.1;
 
         // Strategy ① (inter-instruction): no load issues while speculative.
-        if self.cfg.no_speculative_loads && speculative {
+        if speculative && self.switch(Switch::NoSpeculativeLoads) {
             self.report_blocked(idx, "no-speculative-loads");
             return false;
         }
@@ -1548,7 +1594,7 @@ impl Machine {
             self.rob[idx].fault = Some(fault);
             self.rob[idx].paddr = tr.paddr;
             let base_lat = self.cfg.translation_latency + self.cfg.cache_hit_latency;
-            if self.cfg.eager_permission_check {
+            if self.switch(Switch::EagerPermissionCheck) {
                 // Strategy ① (intra-instruction): authorization completes
                 // before any data moves — nothing is forwarded.
                 let lat = base_lat + self.cfg.permission_check_latency;
@@ -1613,7 +1659,7 @@ impl Machine {
         }
         if unresolved_older_store {
             // Memory disambiguation: may the load bypass?
-            let barrier = self.cfg.ssb_disable || self.ssbb_pending(idx);
+            let barrier = self.ssbb_pending(idx) || self.switch(Switch::SsbDisable);
             if barrier || !self.predictors.disambiguation.may_bypass(pc) {
                 if barrier {
                     self.report_blocked(idx, "ssb-disable");
@@ -1629,7 +1675,7 @@ impl Machine {
 
         // ---- Cache / memory access ----
         let hit = self.cache.contains(paddr);
-        if !hit && self.cfg.delay_on_miss && speculative {
+        if !hit && speculative && self.switch(Switch::DelayOnMiss) {
             // Strategy ③ (Conditional Speculation / DoM): speculative
             // misses wait; speculative hits proceed (no state change).
             self.report_blocked(idx, "delay-on-miss");
@@ -1644,7 +1690,7 @@ impl Machine {
         } else {
             value = self.memory.read_u64(paddr);
             lat = self.cfg.translation_latency + self.cfg.cache_miss_latency;
-            if self.cfg.invisible_spec && speculative {
+            if speculative && self.switch(Switch::InvisibleSpec) {
                 // Strategy ③ (InvisiSpec/SafeSpec): data returns but the
                 // fill is deferred to commit.
                 self.rob[idx].deferred_fill = Some(paddr);
@@ -1660,7 +1706,7 @@ impl Machine {
                         cycle: self.cycle,
                         line,
                     });
-                    if self.cfg.cleanup_spec && !was_present {
+                    if !was_present && self.switch(Switch::CleanupSpec) {
                         self.rob[idx].filled_line = Some((line, evicted));
                     }
                 }
@@ -1692,8 +1738,8 @@ impl Machine {
         match fault {
             Fault::PageNotPresent { .. } | Fault::ReservedBitSet { .. } => {
                 // Terminal fault: the stale frame bits address the L1.
-                if let (true, Some(p)) = (self.cfg.l1tf_forwarding, paddr) {
-                    if self.cache.contains(p) {
+                if let Some(p) = paddr {
+                    if self.cache.contains(p) && self.switch(Switch::L1tfForwarding) {
                         let v = self.cache.lookup(p).expect("contains");
                         return (v, Some(TransientSource::Cache));
                     }
@@ -1701,26 +1747,23 @@ impl Machine {
                 self.mds_sample(vaddr)
             }
             Fault::PrivilegeViolation { .. } | Fault::WriteToReadOnly { .. } => {
-                if self.cfg.transient_forwarding {
-                    if let Some(p) = paddr {
-                        // Meltdown: the data path completes from cache or
-                        // memory while the privilege check is still pending.
-                        if self.cache.contains(p) {
-                            let v = self.cache.lookup(p).expect("contains");
-                            return (v, Some(TransientSource::Cache));
-                        }
-                        // §V-B insufficiency example: a defense that added
-                        // the security dependency only on the memory
-                        // datapath blocks this branch — but not the cache
-                        // branch above.
-                        if !self.cfg.meltdown_fix_memory_path_only {
-                            let v = self.memory.read_u64(p);
-                            // The transient access itself fills the cache.
-                            self.fill_line(p);
-                            return (v, Some(TransientSource::Memory));
-                        }
-                        return (0, None);
+                if let Some(p) = paddr.filter(|_| self.switch(Switch::TransientForwarding)) {
+                    // Meltdown: the data path completes from cache or
+                    // memory while the privilege check is still pending.
+                    if self.cache.contains(p) {
+                        let v = self.cache.lookup(p).expect("contains");
+                        return (v, Some(TransientSource::Cache));
                     }
+                    // §V-B insufficiency example: a defense that added the
+                    // security dependency only on the memory datapath
+                    // blocks this branch — but not the cache branch above.
+                    if !self.switch(Switch::MeltdownFixMemoryPathOnly) {
+                        let v = self.memory.read_u64(p);
+                        // The transient access itself fills the cache.
+                        self.fill_line(p);
+                        return (v, Some(TransientSource::Memory));
+                    }
+                    return (0, None);
                 }
                 self.mds_sample(vaddr)
             }
@@ -1729,19 +1772,20 @@ impl Machine {
     }
 
     fn mds_sample(&self, vaddr: u64) -> (u64, Option<TransientSource>) {
-        if !self.cfg.mds_forwarding {
+        let (v, source) = if let Some(v) = self.store_buffer.sample_by_offset(vaddr % PAGE_SIZE) {
+            (v, TransientSource::StoreBuffer)
+        } else if let Some(v) = self.lfb.sample(vaddr % LINE_SIZE) {
+            (v, TransientSource::LineFillBuffer)
+        } else if let Some(v) = self.load_ports.sample() {
+            (v, TransientSource::LoadPort)
+        } else {
+            // Nothing to forward, whatever the switch says.
+            return (0, None);
+        };
+        if !self.switch(Switch::MdsForwarding) {
             return (0, None);
         }
-        if let Some(v) = self.store_buffer.sample_by_offset(vaddr % PAGE_SIZE) {
-            return (v, Some(TransientSource::StoreBuffer));
-        }
-        if let Some(v) = self.lfb.sample(vaddr % LINE_SIZE) {
-            return (v, Some(TransientSource::LineFillBuffer));
-        }
-        if let Some(v) = self.load_ports.sample() {
-            return (v, Some(TransientSource::LoadPort));
-        }
-        (0, None)
+        (v, Some(source))
     }
 
     // ---------------- fetch ----------------
@@ -1852,11 +1896,11 @@ impl Machine {
                     self.fetch_pc = Some(target);
                 }
                 Instruction::JumpIndirect { .. } => {
-                    let predicted = if self.cfg.no_indirect_prediction {
-                        None
-                    } else {
-                        self.predictors.btb.predict(pc)
-                    };
+                    let predicted = self
+                        .predictors
+                        .btb
+                        .predict(pc)
+                        .filter(|_| !self.switch(Switch::NoIndirectPrediction));
                     entry.predicted_next = predicted;
                     match predicted {
                         Some(t) => self.fetch_pc = Some(t),
@@ -1879,11 +1923,10 @@ impl Machine {
                     // returns too. Retpoline-style `no_indirect_prediction`
                     // also disables this fallback.
                     let predicted = self.predictors.rsb.pop().or_else(|| {
-                        if self.cfg.no_indirect_prediction {
-                            None
-                        } else {
-                            self.predictors.btb.predict(pc)
-                        }
+                        self.predictors
+                            .btb
+                            .predict(pc)
+                            .filter(|_| !self.switch(Switch::NoIndirectPrediction))
                     });
                     entry.predicted_next = predicted;
                     match predicted {
@@ -2365,6 +2408,45 @@ mod tests {
         assert_eq!(warm.events().len(), 0);
         let again = run_attack_shape(&mut warm);
         assert_eq!(again, baseline);
+    }
+
+    #[test]
+    fn consulted_switches_are_what_the_run_read() {
+        let dawg = Switches::NONE.with(Switch::Dawg);
+        let mut m = machine();
+        assert_eq!(m.consulted(), dawg, "the cache takes dawg at reset");
+        // A kernel mapping reads kpti; a faulting user load reads the
+        // forwarding switches; an unspeculative load reads no defense.
+        m.map_kernel_page(0x2000).unwrap();
+        m.set_privilege(Privilege::User);
+        let p = ProgramBuilder::new()
+            .imm(Reg::R0, 0x2000)
+            .load(Reg::R1, Reg::R0, 0)
+            .halt()
+            .build()
+            .unwrap();
+        m.run(&p).unwrap();
+        let read = m.consulted();
+        for s in [
+            Switch::Kpti,
+            Switch::EagerPermissionCheck,
+            Switch::TransientForwarding,
+        ] {
+            assert!(read.contains(s), "{s}");
+        }
+        for s in [
+            Switch::NoSpeculativeLoads,
+            Switch::Stt,
+            Switch::NoIndirectPrediction,
+        ] {
+            assert!(!read.contains(s), "{s}");
+        }
+        let _ = m.cache_latencies();
+        assert_eq!(m.consulted(), read, "latencies are no switch");
+        let _ = m.config();
+        assert_eq!(m.consulted(), Switches::ALL, "config() may read any");
+        m.reset(&UarchConfig::default());
+        assert_eq!(m.consulted(), dawg);
     }
 
     #[test]

@@ -478,8 +478,19 @@ mod shared_runs {
             .build()
     }
 
+    /// The full registry × catalog × Figure-8 cube.
+    fn figure8_cube_spec() -> CampaignSpec {
+        CampaignSpec::builder(UarchConfig::default())
+            .axis(Knob::Hardening, Hardening::figure8())
+            .threads(2)
+            .build()
+    }
+
     /// Runs `spec` and checks every row against cold per-task evaluation:
-    /// a fresh machine per baseline, [`defenses::verify_stack`] per cell.
+    /// a fresh machine per baseline, [`defenses::verify_stack`]'s run per
+    /// cell. A matrix cell publishes no cycle count, but when its machine
+    /// config is a baseline's (the two tasks share a run), the baseline's
+    /// published cycles must be the cell's cold cycles too.
     fn run_matching_cold_reference(spec: &CampaignSpec) -> CampaignMatrix {
         let matrix = CampaignMatrix::run(spec).unwrap();
         for b in matrix.baselines() {
@@ -490,22 +501,35 @@ mod shared_runs {
             assert_eq!(b.recovered, cold.recovered, "{what} recovery");
             assert_eq!(b.cycles, cold.cycles, "{what} cycle count");
         }
+        let mut shared_cycles = 0;
         for cell in matrix.cells() {
             let attack = attacks::find(cell.attack).expect("registry attack");
             let stack = &cell.evaluation.stack;
             let config = &spec.configs[cell.config];
-            let cold = defenses::verify_stack(stack, attack, &config.config).unwrap();
-            assert_eq!(
-                cell.evaluation.mechanism, cold,
-                "{} × {} @ {}",
-                cell.attack, cell.defense, config.name
-            );
+            let what = format!("{} × {} @ {}", cell.attack, cell.defense, config.name);
+            let Some(effective) = stack.apply(&config.config) else {
+                assert_eq!(cell.evaluation.mechanism, Verdict::GraphOnly, "{what}");
+                continue;
+            };
+            let cold = attack.run(&effective).unwrap();
+            assert_eq!(cell.evaluation.mechanism, Verdict::of_run(&cold), "{what}");
+            let sharing = spec.configs.iter().position(|c| c.config == effective);
+            if let Some(slice) = sharing {
+                let b = matrix.baseline(cell.attack, slice).expect("baseline row");
+                assert_eq!(b.cycles, cold.cycles, "{what} cycle count");
+                shared_cycles += 1;
+            }
         }
+        assert!(
+            spec.configs.len() == 1 || shared_cycles > 0,
+            "no cell shares a baseline's machine"
+        );
         matrix
     }
 
     #[test]
     fn shared_runs_match_per_task_reference() {
+        run_matching_cold_reference(&figure8_cube_spec());
         run_matching_cold_reference(&bundle_spec());
         let matrix = run_matching_cold_reference(&aliasing_spec(2));
         let serial = CampaignMatrix::run(&aliasing_spec(1)).unwrap();
@@ -516,14 +540,23 @@ mod shared_runs {
     fn figure8_grid_simulates_each_distinct_machine_once() {
         // 27 modeled catalog defenses write 15 distinct overlays, and the
         // Figure-8 hardenings set four of those knobs again: per attack,
-        // 140 simulated tasks collapse to 66 distinct machine runs.
-        let spec = CampaignSpec::builder(UarchConfig::default())
-            .axis(Knob::Hardening, Hardening::figure8())
-            .build();
-        let (_, report) = Scheduler::new(&spec).run().unwrap();
-        assert_eq!(report.evaluated, spec.total_tasks());
-        assert_eq!(report.simulations, 1_452);
-        assert_eq!(report.simulations, 66 * attacks::registry().len());
+        // 140 simulated tasks collapse to 66 distinct machine configs.
+        // Most of those differ only in switches the attack never reads,
+        // so far fewer machines run, as many at one thread as at two.
+        let spec = |threads| {
+            CampaignSpec::builder(UarchConfig::default())
+                .axis(Knob::Hardening, Hardening::figure8())
+                .threads(threads)
+                .build()
+        };
+        for threads in [1, 2] {
+            let spec = spec(threads);
+            let (_, report) = Scheduler::new(&spec).run().unwrap();
+            assert_eq!(report.evaluated, spec.total_tasks());
+            assert_eq!(report.simulations, 1_452);
+            assert_eq!(report.simulations, 66 * attacks::registry().len());
+            assert_eq!(report.machine_runs, 398, "threads {threads}");
+        }
     }
 
     #[test]

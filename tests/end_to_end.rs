@@ -113,14 +113,12 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-#[test]
-fn simulation_event_log_digest_is_pinned() {
-    // The exactness contract of the simulator's cycle loop: for every
-    // registry attack under the default config, every preset stack and
-    // every Figure-8 hardening, the outcome, the final cycle counter and
-    // the full event log hash to one pinned value. A change to how the
-    // loop advances time (or to any stage) that moves a single event, a
-    // cycle stamp or a verdict changes this digest.
+/// The FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The default config, every preset stack deployed on it, and the
+/// Figure-8 hardening slices, in that order.
+fn preset_and_figure8_configs() -> Vec<UarchConfig> {
     let base = UarchConfig::default();
     let mut configs = vec![base.clone()];
     configs.extend(
@@ -136,19 +134,39 @@ fn simulation_event_log_digest_is_pinned() {
             .into_iter()
             .map(|nc| nc.config),
     );
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    configs
+}
+
+/// Runs `attack` on a fresh machine under `cfg`, folds the outcome, the
+/// final cycle counter and the full event log into `hash`, and returns
+/// the switches the run consulted.
+fn hash_run(hash: &mut u64, attack: &dyn Attack, cfg: &UarchConfig) -> uarch::Switches {
+    let mut m = Machine::new(cfg.clone());
+    attacks::common::prepare_channel(&mut m).unwrap();
+    let out = attack.run_in(&mut m);
+    fnv1a(hash, format!("{out:?}").as_bytes());
+    fnv1a(hash, &m.cycle().to_le_bytes());
+    fnv1a(hash, &m.events_dropped().to_le_bytes());
+    for e in m.events() {
+        fnv1a(hash, format!("{e:?}").as_bytes());
+    }
+    m.consulted()
+}
+
+#[test]
+fn simulation_event_log_digest_is_pinned() {
+    // The exactness contract of the simulator's cycle loop: for every
+    // registry attack under the default config, every preset stack and
+    // every Figure-8 hardening, the outcome, the final cycle counter and
+    // the full event log hash to one pinned value. A change to how the
+    // loop advances time (or to any stage) that moves a single event, a
+    // cycle stamp or a verdict changes this digest.
+    let configs = preset_and_figure8_configs();
+    let mut hash = FNV_OFFSET;
     let mut runs = 0;
     for attack in attacks::registry() {
         for cfg in &configs {
-            let mut m = Machine::new(cfg.clone());
-            attacks::common::prepare_channel(&mut m).unwrap();
-            let out = attack.run_in(&mut m);
-            fnv1a(&mut hash, format!("{out:?}").as_bytes());
-            fnv1a(&mut hash, &m.cycle().to_le_bytes());
-            fnv1a(&mut hash, &m.events_dropped().to_le_bytes());
-            for e in m.events() {
-                fnv1a(&mut hash, format!("{e:?}").as_bytes());
-            }
+            hash_run(&mut hash, *attack, cfg);
             runs += 1;
         }
     }
@@ -157,4 +175,38 @@ fn simulation_event_log_digest_is_pinned() {
         hash, 0x29a8_9467_547a_7353,
         "event-log digest over {runs} runs: {hash:#018x}"
     );
+}
+
+#[test]
+fn switches_a_run_never_read_cannot_change_it() {
+    // The campaign executor's sharing rule: a run depends only on the
+    // non-switch fields and on the switches it consulted. Flipping any
+    // other switch must leave the outcome, the final cycle counter and
+    // the event log exactly as they were.
+    let mut flips = 0;
+    for attack in attacks::registry() {
+        for cfg in preset_and_figure8_configs() {
+            let mut digest = FNV_OFFSET;
+            let consulted = hash_run(&mut digest, *attack, &cfg);
+            for &s in uarch::Switch::ALL {
+                if consulted.contains(s) {
+                    continue;
+                }
+                let mut flipped = cfg.clone();
+                s.write(&mut flipped, !s.read(&cfg));
+                let mut again = FNV_OFFSET;
+                hash_run(&mut again, *attack, &flipped);
+                assert_eq!(
+                    again,
+                    digest,
+                    "{} changed when unconsulted {s} flipped on {cfg:?}",
+                    attack.info().name
+                );
+                flips += 1;
+            }
+        }
+    }
+    // Most switches go unread by most attacks.
+    let runs = attacks::registry().len() * preset_and_figure8_configs().len();
+    assert!(flips > runs * uarch::Switch::ALL.len() / 2, "{flips} flips");
 }
