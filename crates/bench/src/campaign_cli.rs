@@ -635,8 +635,8 @@ fn cmd_run(args: &[String]) -> Result<Outcome, CliError> {
         );
     }
     eprintln!(
-        "campaign: evaluated {} task(s), reused {} from the previous matrix",
-        report.evaluated, report.reused
+        "campaign: evaluated {} task(s) on {} machine run(s), reused {} from the previous matrix",
+        report.evaluated, report.machine_runs, report.reused
     );
     Ok(Outcome::Ran(report))
 }

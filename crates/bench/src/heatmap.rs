@@ -27,7 +27,7 @@
 //! no simulated attack has no rate, and every rendering shows it as "no
 //! data" rather than as a blocked `0%`.
 
-use specgraph::campaign::CampaignMatrix;
+use specgraph::campaign::{csv_field, CampaignMatrix};
 use specgraph::defenses::Verdict;
 use std::fmt::Write as _;
 
@@ -437,14 +437,6 @@ fn glyph(rate: f64) -> char {
         '▓'
     } else {
         '█'
-    }
-}
-
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
     }
 }
 

@@ -39,11 +39,12 @@
 //! # }
 //! ```
 //!
-//! Tasks that run the same attack on the same effective machine — a
-//! baseline on a hardened slice and the cells whose defenses set the same
-//! knob, or two aliasing defenses such as NDA and SpecShield — share one
-//! simulation. Worker threads claim those runs from one shared cursor,
-//! and rows are reassembled by cell index, so the output is
+//! Tasks that run the same attack on machines that differ only in
+//! switches the run never read — a baseline on a hardened slice and the
+//! cells whose defenses set the same knob, two aliasing defenses such as
+//! NDA and SpecShield, or a defense whose switch the attack never reaches
+//! — share one simulation. Worker threads take the tasks one attack at a
+//! time, and rows are reassembled by cell index, so the output is
 //! byte-identical regardless of thread count or scheduling. That
 //! index-addressed, deterministic cell order is also what makes the cube
 //! **shardable** ([`Scheduler::run_chunk`](crate::serve::Scheduler::run_chunk)
@@ -113,7 +114,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
-use uarch::{FxMap, Switches, UarchConfig};
+use uarch::{Switches, UarchConfig};
 
 /// Schema version stamped on every matrix and checkpoint document this
 /// module writes (`"version"` plus a `"kind"` discriminator:
@@ -1033,8 +1034,8 @@ fn keyed_tasks<'a>(
     })
 }
 
-/// What one distinct machine run reported — or why it could not.
-#[derive(Debug, PartialEq)]
+/// What one machine run reported — or why it could not.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Measured {
     /// The run completed.
     Ran(attacks::AttackOutcome),
@@ -1042,106 +1043,78 @@ pub(crate) enum Measured {
     Degraded(CellOutcome),
 }
 
-/// One distinct simulation of a task list: an attack on an effective
-/// machine config, and the tasks (list positions) whose rows it fills.
-struct Run {
-    attack: usize,
+/// The machine a task simulates on: its config, and that config split
+/// into its non-switch fields and the switches it turns on.
+struct TaskMachine {
     config: UarchConfig,
-    tasks: Vec<usize>,
+    plain: UarchConfig,
+    on: Switches,
 }
 
-/// The machine config a task simulates on: its slice's config for a
-/// baseline, the stack deployed over it for a cell, and `None` for a
-/// graph-only cell, which never simulates.
-fn effective_config(spec: &CampaignSpec, task: Task) -> Option<UarchConfig> {
-    let base = &spec.configs[task.config].config;
-    match task.defense {
-        None => Some(base.clone()),
-        Some(d) => spec.defenses[d].apply(base),
-    }
-}
-
-/// Groups `tasks` into their distinct simulations, keyed by the exact
-/// `(attack, effective config)` — never a digest, so two tasks are
-/// merged only when every knob agrees. Runs are ordered by their first
-/// task. The second list maps each task to its run (`None` for a
-/// graph-only cell).
+/// The machines `tasks` simulate on, and the tasks that simulate grouped
+/// by attack.
 ///
-/// An effective config depends only on (stack or baseline, slice), so
-/// each such pair is resolved once, on its first task, and each distinct
-/// config gets an id; runs are then keyed by `(attack, id)`.
-///
-/// These runs are what [`ScheduleReport::simulations`] counts. Fewer
-/// machines actually run: [`evaluate_tasks`] lets a run take the outcome
-/// of an earlier run of the same attack whose config differs only in
-/// switches that run never read ([`SharedRun`]).
-fn distinct_runs(spec: &CampaignSpec, tasks: &[KeyedTask]) -> (Vec<Run>, Vec<Option<usize>>) {
+/// A machine depends only on (stack or baseline, slice), so each such
+/// pair is resolved once, on its first task. The second list maps each
+/// task to its machine in the first: `None` for a graph-only cell, which
+/// never simulates. Each group holds its simulating tasks in order, and the
+/// groups come in the order of their first tasks.
+fn task_machines(
+    spec: &CampaignSpec,
+    tasks: &[KeyedTask],
+) -> (Vec<TaskMachine>, Vec<Option<usize>>, Vec<Vec<usize>>) {
     let slices = spec.configs.len();
-    // Per (stack or baseline, slice): unresolved, or the config id (`None`
-    // for a graph-only pair).
     let mut resolved: Vec<Option<Option<usize>>> = vec![None; (spec.defenses.len() + 1) * slices];
-    let mut ids: FxMap<UarchConfig, usize> = FxMap::default();
-    let mut configs: Vec<UarchConfig> = Vec::new();
-    let mut index: FxMap<(usize, usize), usize> = FxMap::default();
-    let mut runs: Vec<Run> = Vec::new();
-    let run_of = tasks
+    let mut machines: Vec<TaskMachine> = Vec::new();
+    let mut group_of: Vec<Option<usize>> = vec![None; spec.attacks.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let machine_of = tasks
         .iter()
         .enumerate()
         .map(|(k, &(task, _))| {
             let pair = task.defense.map_or(0, |d| d + 1) * slices + task.config;
-            let id = *resolved[pair].get_or_insert_with(|| {
-                let config = effective_config(spec, task)?;
-                Some(*ids.entry(config).or_insert_with_key(|config| {
-                    configs.push(config.clone());
-                    configs.len() - 1
-                }))
-            });
-            let r = *index
-                .entry((task.attack, id?))
-                .or_insert_with_key(|&(attack, id)| {
-                    runs.push(Run {
-                        attack,
-                        config: configs[id].clone(),
-                        tasks: Vec::new(),
-                    });
-                    runs.len() - 1
+            let m = *resolved[pair].get_or_insert_with(|| {
+                let base = &spec.configs[task.config].config;
+                let config = match task.defense {
+                    None => base.clone(),
+                    Some(d) => spec.defenses[d].apply(base)?,
+                };
+                machines.push(TaskMachine {
+                    plain: config.without_switches(),
+                    on: config.switches(),
+                    config,
                 });
-            runs[r].tasks.push(k);
-            Some(r)
+                Some(machines.len() - 1)
+            });
+            if m.is_some() {
+                let g = *group_of[task.attack].get_or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(k);
+            }
+            m
         })
         .collect();
-    (runs, run_of)
+    (machines, machine_of, groups)
 }
 
-/// The runs of `runs`, grouped by attack: each group holds its runs in
-/// order, and the groups come in the order of their first runs.
-fn attack_groups(spec: &CampaignSpec, runs: &[Run]) -> Vec<Vec<usize>> {
-    let mut group_of: Vec<Option<usize>> = vec![None; spec.attacks.len()];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (r, run) in runs.iter().enumerate() {
-        let g = *group_of[run.attack].get_or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(r);
-    }
-    groups
-}
-
-/// A completed machine run of one attack, with what its outcome depends
-/// on: the config's non-switch fields, the switches that were on, and the
+/// A machine run of one attack, with what its result depends on: the
+/// config's non-switch fields, the switches that were on, and the
 /// switches the run read ([`uarch::Machine::switch`]).
 ///
 /// The simulator is deterministic and reads every switch through
 /// `Machine::switch`, so a config that agrees on the non-switch fields
 /// and on every consulted switch takes the same branch at every read: it
-/// gives the same outcome, cycle for cycle. Only completed runs are
-/// kept; a timeout or a quarantine is always simulated again.
+/// gives the same result, cycle for cycle. That holds for a timeout too,
+/// up to its limit. A panicking run leaves a fresh [`BatchRunner`], which
+/// reports every switch consulted, so only an identical config shares a
+/// quarantine.
 struct SharedRun {
     plain: UarchConfig,
     on: Switches,
     consulted: Switches,
-    outcome: attacks::AttackOutcome,
+    measured: Measured,
 }
 
 impl SharedRun {
@@ -1311,28 +1284,27 @@ impl<'p> Reuse<'p> {
 type ChunkSink<'a, E> = &'a (dyn Fn(&CampaignPart) -> Result<(), E> + Sync);
 
 /// The one campaign executor: evaluates chunks `chunks` (ascending) of
-/// the cube cut into `of` ranges ([`CampaignSpec::shards`] geometry) and
-/// returns their parts in that order.
+/// the cube cut into `of` ranges ([`chunk_range`] geometry) and returns
+/// their parts in that order.
 ///
 /// Rows `prev` holds (by fingerprint) are kept; every other task goes
 /// into one pass: the hoisted graph verdicts ([`graph_verdicts_for`];
-/// races are live for every baseline, reused ones too), then one run per
-/// distinct `(attack, effective config)` ([`distinct_runs`]). The runs of
-/// one attack form a group, and [`crate::exec::map_indexed`] workers,
-/// each with one warm [`BatchRunner`], take whole groups. A group goes
-/// through its runs in first-task order, and a run takes the outcome of
-/// an earlier run of the group whose config differs from its own only in
-/// switches that run never read ([`SharedRun`]); otherwise it simulates.
-/// So the runs shared, and [`ScheduleReport::machine_runs`], do not
-/// depend on the thread count. Debug builds simulate every shared run
-/// again and assert the same outcome.
+/// races are live for every baseline, reused ones too), then the machine
+/// runs. The simulating tasks of one attack form a group
+/// ([`task_machines`]), and [`crate::exec::map_indexed`] workers, each
+/// with one warm [`BatchRunner`], take whole groups. A group goes through
+/// its tasks in order, and a task takes the result of the first earlier
+/// run of the group whose config differs from its own only in switches
+/// that run never read ([`SharedRun`]); otherwise it simulates. So the
+/// runs shared, and [`ScheduleReport::machine_runs`], do not depend on
+/// the thread count. Debug builds simulate a shared task again when its
+/// switches differ from the run's, and assert the same result.
 ///
-/// A run's result (or degradation) fans out to every task sharing it, in
-/// any chunk. With a `sink`, the worker that finishes a chunk's last row
-/// hands its part over at once; without one, the caller builds the parts
-/// after the runs. The first error in group order wins, and within a
-/// group the first by task order. `progress` sees each evaluated task
-/// once: graph-only cells up front, the others as their run finishes.
+/// With a `sink`, the worker that finishes a chunk's last row hands its
+/// part over at once; without one, the caller builds the parts after the
+/// runs. The first error in group order wins, and within a group the
+/// first by task order. `progress` sees each evaluated task once:
+/// graph-only cells up front, the others as their run finishes.
 pub(crate) fn evaluate_tasks<E>(
     spec: &CampaignSpec,
     of: usize,
@@ -1378,21 +1350,20 @@ where
     }
 
     let graph = graph_verdicts_for(spec, &race_needed, &stale)?;
-    let (runs, run_of) = distinct_runs(spec, &stale);
+    let (machines, machine_of, groups) = task_machines(spec, &stale);
     // Simulated rows each chunk still waits for; graph-only cells never do.
     let waiting: Vec<AtomicUsize> = stale_of
         .iter()
-        .map(|r| AtomicUsize::new(run_of[r.clone()].iter().flatten().count()))
+        .map(|r| AtomicUsize::new(machine_of[r.clone()].iter().flatten().count()))
         .collect();
-    let measured: Vec<OnceLock<Measured>> = runs.iter().map(|_| OnceLock::new()).collect();
+    let measured: Vec<OnceLock<Measured>> = stale.iter().map(|_| OnceLock::new()).collect();
     let parts: Vec<OnceLock<CampaignPart>> = headers.iter().map(|_| OnceLock::new()).collect();
     let finish = |c: usize| -> Result<(), E> {
         let header = headers[c];
         let rows = std::mem::take(&mut *known[c].lock().expect("chunk rows poisoned"));
-        let mut fresh = stale_of[c].clone().map(|k| {
-            let run = run_of[k].map(|r| measured[r].get().expect("run finished"));
-            build_row(spec, &graph, stale[k], run)
-        });
+        let mut fresh = stale_of[c]
+            .clone()
+            .map(|k| build_row(spec, &graph, stale[k], measured[k].get()));
         let outs = rows
             .into_iter()
             .zip(header.range())
@@ -1426,7 +1397,7 @@ where
         }
     };
     (0..stale.len())
-        .filter(|&k| run_of[k].is_none())
+        .filter(|&k| machine_of[k].is_none())
         .for_each(report);
     // Only a sink needs a part early. Rows built on a worker stay in that
     // thread's malloc arena, which raises peak RSS for nothing otherwise.
@@ -1436,52 +1407,44 @@ where
             finish(c)?;
         }
     }
-    let groups = attack_groups(spec, &runs);
-    let group_machine_runs =
+    let machine_runs =
         crate::exec::map_indexed(groups.len(), spec.threads, BatchRunner::new, |runner, g| {
-            let (mut shared, mut simulated) = (Vec::<SharedRun>::new(), 0);
-            for &r in &groups[g] {
-                let run = &runs[r];
-                let attack = spec.attacks[run.attack];
-                let (plain, on) = (run.config.without_switches(), run.config.switches());
-                let out = match shared.iter().find(|s| s.covers(&plain, on)) {
+            let mut shared: Vec<SharedRun> = Vec::new();
+            for &k in &groups[g] {
+                let attack = spec.attacks[stale[k].0.attack];
+                let m = &machines[machine_of[k].expect("grouped tasks simulate")];
+                let out = match shared.iter().find(|s| s.covers(&m.plain, m.on)) {
                     Some(s) => {
-                        let out = Measured::Ran(s.outcome.clone());
-                        debug_assert_eq!(
-                            simulate(attack, &run.config, spec.degrade_timeouts, runner)?,
-                            out,
+                        debug_assert!(
+                            s.on == m.on
+                                || simulate(attack, &m.config, spec.degrade_timeouts, runner)?
+                                    == s.measured,
                             "{} shared a run it differs from on {:?}",
                             attack.info().name,
-                            run.config
+                            m.config
                         );
-                        out
+                        s.measured.clone()
                     }
                     None => {
-                        simulated += 1;
-                        let out = simulate(attack, &run.config, spec.degrade_timeouts, runner)?;
-                        if let Measured::Ran(outcome) = &out {
-                            shared.push(SharedRun {
-                                plain,
-                                on,
-                                consulted: runner.consulted(),
-                                outcome: outcome.clone(),
-                            });
-                        }
+                        let out = simulate(attack, &m.config, spec.degrade_timeouts, runner)?;
+                        shared.push(SharedRun {
+                            plain: m.plain.clone(),
+                            on: m.on,
+                            consulted: runner.consulted(),
+                            measured: out.clone(),
+                        });
                         out
                     }
                 };
-                measured[r].set(out).expect("each run is claimed once");
-                for &k in &run.tasks {
-                    report(k);
-                    // AcqRel: the worker that takes a chunk's count to
-                    // zero sees every other worker's measurement for that
-                    // chunk.
-                    if eager && waiting[chunk_of[k]].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        finish(chunk_of[k])?;
-                    }
+                measured[k].set(out).expect("each task is claimed once");
+                report(k);
+                // AcqRel: the worker that takes a chunk's count to zero
+                // sees every other worker's measurement for that chunk.
+                if eager && waiting[chunk_of[k]].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    finish(chunk_of[k])?;
                 }
             }
-            Ok::<usize, E>(simulated)
+            Ok::<usize, E>(shared.len())
         })?;
     for (c, part) in parts.iter().enumerate() {
         if part.get().is_none() {
@@ -1493,8 +1456,7 @@ where
         executed: headers.len(),
         evaluated: stale.len(),
         reused: headers.iter().map(|h| h.range().len()).sum::<usize>() - stale.len(),
-        simulations: runs.len(),
-        machine_runs: group_machine_runs.into_iter().sum(),
+        machine_runs: machine_runs.into_iter().sum(),
         graph_verdicts: graph.evaluated,
         ..ScheduleReport::default()
     };
@@ -1895,15 +1857,16 @@ impl CampaignMatrix {
 
     /// Evaluates the full cube described by `spec`.
     ///
-    /// Tasks (one per baseline run, one per matrix cell) are claimed by
-    /// worker threads from a shared cursor and reassembled by index, so
-    /// the result — including cell order — is independent of scheduling.
-    /// For an incremental, checkpointed or observed run, use the
-    /// [`Scheduler`](crate::serve::Scheduler).
+    /// Worker threads take the tasks (one per baseline run, one per
+    /// matrix cell) one attack at a time, and rows are reassembled by
+    /// index, so the result — including cell order — is independent of
+    /// scheduling. For an incremental, checkpointed or observed run, use
+    /// the [`Scheduler`](crate::serve::Scheduler).
     ///
     /// # Errors
     ///
-    /// The first [`AttackError`] any simulation produced (by task order).
+    /// The first [`AttackError`] of the first failing attack (attacks in
+    /// first-task order, each attack's tasks in task order).
     ///
     /// # Panics
     ///
@@ -2891,7 +2854,10 @@ fn verdict_from_token(token: &str) -> Option<Verdict> {
         .find(|&v| verdict_token(v) == token)
 }
 
-fn csv_field(s: &str) -> String {
+/// `s` as one CSV field: quoted, with its quotes doubled, when it holds a
+/// comma, a quote or a newline; as is otherwise.
+#[must_use]
+pub fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

@@ -634,15 +634,11 @@ pub struct ScheduleReport {
     pub evaluated: usize,
     /// Tasks of the executed chunks reused from the previous matrix.
     pub reused: usize,
-    /// Distinct `(attack, effective config)` pairs behind the evaluated
-    /// tasks. Tasks whose attack and effective config agree — an aliasing
-    /// defense, a hardening that sets the same knob — share one run, and
-    /// graph-only cells need none, so this is at most `evaluated`.
-    pub simulations: usize,
-    /// Machine runs actually simulated for those pairs: a pair whose
+    /// Machine runs simulated for the evaluated tasks. A task whose
     /// config differs from an earlier run of the same attack only in
-    /// switches that run never read takes that run's outcome, so this is
-    /// at most `simulations`. It does not depend on the thread count.
+    /// switches that run never read takes that run's result, and
+    /// graph-only cells need none, so this is at most `evaluated`. It
+    /// does not depend on the thread count.
     pub machine_runs: usize,
     /// Strategy-sufficiency graph verdicts computed for this run. Graph
     /// verdicts are config-invariant and hoisted out of the config loop,
@@ -777,7 +773,7 @@ impl<'a> Scheduler<'a> {
     /// a checkpoint directory belonging to a different campaign (the
     /// lowest such chunk is named). A failed simulation reports the first
     /// error of the first failing attack (attacks in first-task order,
-    /// each attack's runs by task order); chunks finished before it stay
+    /// each attack's tasks in task order); chunks finished before it stay
     /// checkpointed for the next run.
     pub fn run(&self) -> Result<(CampaignMatrix, ScheduleReport), ServeError> {
         let spec = &self.spec;

@@ -2,9 +2,10 @@
 //! defenses, each mapped to one of the four strategies, with its
 //! machine-level effect recorded as a typed [`Overlay`].
 
-use crate::overlay::{KnobWrite, Overlay, OverlayKnob};
+use crate::overlay::{KnobWrite, Overlay};
 use crate::Strategy;
 use std::fmt;
+use uarch::Switch;
 
 /// Where a defense was proposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,7 +144,7 @@ pub mod names {
 macro_rules! overlay {
     ($($knob:ident => $value:expr),+ $(,)?) => {
         Some(Overlay(&[$(KnobWrite {
-            knob: OverlayKnob::$knob,
+            knob: Switch::$knob,
             value: $value,
         }),+]))
     };

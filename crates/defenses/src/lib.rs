@@ -34,7 +34,7 @@ mod verify;
 
 pub use apply::{patch_strategy, PatchError};
 pub use catalog::{find, industry_rows, names, registry, resolve, Defense, IndustryRow, Origin};
-pub use overlay::{KnobWrite, Overlay, OverlayKnob};
+pub use overlay::{KnobWrite, Overlay};
 pub use session::{graph_race, PatchSession};
 pub use stack::{presets, DefenseStack, StackError};
 pub use verify::{verify_stack, Verdict};

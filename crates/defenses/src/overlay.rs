@@ -18,18 +18,13 @@
 //!   instead of a silent last-writer-wins.
 
 use std::fmt;
-use uarch::UarchConfig;
-
-/// A boolean [`UarchConfig`] knob a defense overlay may write: the
-/// simulator's own [`uarch::Switch`] list, so the catalog and the machine
-/// name the same knobs with the same tokens.
-pub use uarch::Switch as OverlayKnob;
+use uarch::{Switch, UarchConfig};
 
 /// One recorded knob write: `knob = value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KnobWrite {
     /// The configuration knob written.
-    pub knob: OverlayKnob,
+    pub knob: Switch,
     /// The value written.
     pub value: bool,
 }
@@ -110,17 +105,17 @@ mod tests {
     use super::*;
 
     const KPTI: Overlay = Overlay(&[KnobWrite {
-        knob: OverlayKnob::Kpti,
+        knob: Switch::Kpti,
         value: true,
     }]);
 
     const SILICON: Overlay = Overlay(&[
         KnobWrite {
-            knob: OverlayKnob::TransientForwarding,
+            knob: Switch::TransientForwarding,
             value: false,
         },
         KnobWrite {
-            knob: OverlayKnob::MdsForwarding,
+            knob: Switch::MdsForwarding,
             value: false,
         },
     ]);
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn read_round_trips_every_knob() {
         let mut cfg = UarchConfig::default();
-        for &knob in OverlayKnob::ALL {
+        for &knob in Switch::ALL {
             let before = knob.read(&cfg);
             knob.write(&mut cfg, !before);
             assert_eq!(knob.read(&cfg), !before, "{knob}");
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn fingerprints_distinguish_knob_and_value() {
         const KPTI_OFF: Overlay = Overlay(&[KnobWrite {
-            knob: OverlayKnob::Kpti,
+            knob: Switch::Kpti,
             value: false,
         }]);
         assert_ne!(KPTI.fingerprint(), KPTI_OFF.fingerprint());

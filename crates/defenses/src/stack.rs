@@ -30,12 +30,12 @@
 //! assert_eq!(linux.members().len(), 4);
 //! ```
 
-use crate::overlay::{KnobWrite, OverlayKnob};
+use crate::overlay::KnobWrite;
 use crate::{Defense, Strategy};
 use attacks::{Attack, AttackError};
 use std::error::Error;
 use std::fmt;
-use uarch::UarchConfig;
+use uarch::{Switch, UarchConfig};
 
 /// Why a stack could not be built (or parsed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub enum StackError {
     /// deploying them together would silently make one of them a lie.
     ConflictingKnob {
         /// The contested configuration knob.
-        knob: OverlayKnob,
+        knob: Switch,
         /// The member that wrote the knob first, and its value.
         first: &'static str,
         /// The member that tried to write the opposite value.
@@ -150,7 +150,7 @@ impl DefenseStack {
         if members.is_empty() {
             return Err(StackError::Empty);
         }
-        let mut written: Vec<(OverlayKnob, bool, &'static str)> = Vec::new();
+        let mut written: Vec<(Switch, bool, &'static str)> = Vec::new();
         for (i, d) in members.iter().enumerate() {
             if members[..i].iter().any(|prev| prev.name == d.name) {
                 return Err(StackError::Duplicate(d.name.to_owned()));
@@ -428,7 +428,7 @@ mod tests {
             strategy: Strategy::PreventAccess,
             mechanism: "test-only conflicting overlay",
             overlay: Some(Overlay(&[KnobWrite {
-                knob: OverlayKnob::LazyFpu,
+                knob: Switch::LazyFpu,
                 value: true,
             }])),
         }
@@ -496,7 +496,7 @@ mod tests {
                 second,
                 value,
             } => {
-                assert_eq!(knob, OverlayKnob::LazyFpu);
+                assert_eq!(knob, Switch::LazyFpu);
                 assert_eq!(first, names::EAGER_FPU_SWITCH);
                 assert_eq!(second, "Lazy FPU (test)");
                 assert!(!value);

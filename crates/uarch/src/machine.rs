@@ -270,16 +270,6 @@ impl Machine {
     // Host-level setup and inspection API
     // ------------------------------------------------------------------
 
-    /// The configuration in force. The caller may read any switch of it,
-    /// so this marks every switch consulted (see [`Machine::switch`]);
-    /// readers of one switch or of the cache latencies use
-    /// [`Machine::switch`] or [`Machine::cache_latencies`] instead.
-    #[must_use]
-    pub fn config(&self) -> &UarchConfig {
-        self.consulted.set(Switches::ALL);
-        &self.cfg
-    }
-
     /// Reads switch `s` of the configuration in force and adds it to the
     /// consulted set.
     ///
@@ -2186,8 +2176,7 @@ mod tests {
         m.map_user_page(0x3000).unwrap();
         let miss = m.timed_read(0x3000).unwrap();
         let hit = m.timed_read(0x3000).unwrap();
-        assert_eq!(miss, m.config().cache_miss_latency);
-        assert_eq!(hit, m.config().cache_hit_latency);
+        assert_eq!((hit, miss), m.cache_latencies());
     }
 
     #[test]
@@ -2443,8 +2432,6 @@ mod tests {
         }
         let _ = m.cache_latencies();
         assert_eq!(m.consulted(), read, "latencies are no switch");
-        let _ = m.config();
-        assert_eq!(m.consulted(), Switches::ALL, "config() may read any");
         m.reset(&UarchConfig::default());
         assert_eq!(m.consulted(), dawg);
     }
@@ -2459,7 +2446,6 @@ mod tests {
         assert_eq!(m.cache().set_count(), 4);
         assert_eq!(m.cache().way_count(), 2);
         assert!(m.cache().resident_lines().is_empty());
-        assert_eq!(m.config(), &cfg);
         // The old mapping is gone.
         assert!(m.read_u64(0x1000).is_err());
     }

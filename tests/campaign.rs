@@ -538,11 +538,10 @@ mod shared_runs {
 
     #[test]
     fn figure8_grid_simulates_each_distinct_machine_once() {
-        // 27 modeled catalog defenses write 15 distinct overlays, and the
-        // Figure-8 hardenings set four of those knobs again: per attack,
-        // 140 simulated tasks collapse to 66 distinct machine configs.
-        // Most of those differ only in switches the attack never reads,
-        // so far fewer machines run, as many at one thread as at two.
+        // Per attack, 140 simulated tasks run on 66 distinct machine
+        // configs, and most of those differ only in switches the attack
+        // never reads: far fewer machines run, as many at one thread as
+        // at two.
         let spec = |threads| {
             CampaignSpec::builder(UarchConfig::default())
                 .axis(Knob::Hardening, Hardening::figure8())
@@ -553,48 +552,36 @@ mod shared_runs {
             let spec = spec(threads);
             let (_, report) = Scheduler::new(&spec).run().unwrap();
             assert_eq!(report.evaluated, spec.total_tasks());
-            assert_eq!(report.simulations, 1_452);
-            assert_eq!(report.simulations, 66 * attacks::registry().len());
             assert_eq!(report.machine_runs, 398, "threads {threads}");
         }
     }
 
     #[test]
-    fn simulations_are_the_distinct_attack_and_effective_config_pairs() {
+    fn aliasing_and_graph_only_stacks_add_no_machine_run() {
         // lfence and mfence write the same overlay; lfence+mask-coarse
-        // adds a graph-only member to it; nda on the base slice is the
-        // `nda` hardening slice's baseline; mask-coarse alone is
-        // graph-only.
-        let stacks = [
+        // adds a graph-only member to it; mask-coarse alone is
+        // graph-only. So the wide spec runs no machine the narrow one
+        // does not.
+        let spec = |stacks: &[&str]| {
+            CampaignSpec::builder(UarchConfig::default())
+                .attacks(attacks::registry().iter().copied().take(4))
+                .defense_stacks(stacks.iter().map(|t| DefenseStack::parse(t).unwrap()))
+                .axis(Knob::Hardening, [Hardening::None, Hardening::Nda])
+                .threads(2)
+                .build()
+        };
+        let narrow = spec(&["lfence", "nda"]);
+        let wide = spec(&[
             "lfence",
             "mfence",
             "lfence+mask-coarse",
             "nda",
             "mask-coarse",
-        ]
-        .map(|t| DefenseStack::parse(t).unwrap());
-        let spec = CampaignSpec::builder(UarchConfig::default())
-            .attacks(attacks::registry().iter().copied().take(4))
-            .defense_stacks(stacks)
-            .axis(Knob::Hardening, [Hardening::None, Hardening::Nda])
-            .threads(2)
-            .build();
-        let mut distinct = std::collections::HashSet::new();
-        let mut simulated_tasks = 0;
-        for attack in &spec.attacks {
-            for slice in &spec.configs {
-                let base = &slice.config;
-                let applied = spec.defenses.iter().filter_map(|s| s.apply(base));
-                for config in std::iter::once(base.clone()).chain(applied) {
-                    simulated_tasks += 1;
-                    distinct.insert((attack.info().name, config));
-                }
-            }
-        }
-        let (matrix, report) = Scheduler::new(&spec).run().unwrap();
-        assert_eq!(report.evaluated, spec.total_tasks());
-        assert_eq!(report.simulations, distinct.len());
-        assert!(distinct.len() < simulated_tasks, "the spec aliases");
+        ]);
+        let (_, narrow_report) = Scheduler::new(&narrow).run().unwrap();
+        let (matrix, report) = Scheduler::new(&wide).run().unwrap();
+        assert_eq!(report.evaluated, wide.total_tasks());
+        assert_eq!(report.machine_runs, narrow_report.machine_runs);
         let graph_only: Vec<_> = matrix
             .cells()
             .iter()
@@ -607,23 +594,15 @@ mod shared_runs {
     }
 
     #[test]
-    fn without_aliasing_every_simulated_task_is_its_own_run() {
+    fn a_non_switch_difference_is_never_shared() {
+        // The ROB depth is no switch: every baseline runs its own machine.
         let spec = CampaignSpec::builder(UarchConfig::default())
-            .attacks(attacks::registry().iter().copied().take(3))
-            .defenses(
-                [
-                    defenses::names::KPTI,
-                    defenses::names::LFENCE,
-                    defenses::names::SABC,
-                ]
-                .map(|n| *defenses::find(n).expect("catalog defense")),
-            )
+            .defense_stacks([])
             .axis(Knob::RobDepth, [16usize, 64])
             .build();
-        let graph_only = 3 * spec.configs.len();
         let (_, report) = Scheduler::new(&spec).run().unwrap();
-        assert_eq!(report.evaluated, spec.total_tasks());
-        assert_eq!(report.simulations, spec.total_tasks() - graph_only);
+        assert_eq!(report.evaluated, 2 * attacks::registry().len());
+        assert_eq!(report.machine_runs, report.evaluated);
     }
 
     #[test]
@@ -637,7 +616,7 @@ mod shared_runs {
         let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
         let observer = |e: TaskEvent| events.lock().unwrap().push(e);
         let (_, report) = Scheduler::new(&spec).progress(&observer).run().unwrap();
-        assert!(report.simulations < report.evaluated, "the spec aliases");
+        assert!(report.machine_runs < report.evaluated, "the spec aliases");
         let seen = events.into_inner().unwrap();
         let total = spec.total_tasks();
         assert!(seen.iter().all(|e| e.total == total));

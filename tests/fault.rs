@@ -131,7 +131,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
     // Per attack: the unhardened baseline, plus one `nda` machine shared
     // by the other five rows.
     assert_eq!(report.evaluated, 12);
-    assert_eq!(report.simulations, 4);
+    assert_eq!(report.machine_runs, 4);
     assert_eq!(matrix.quarantined(), 6);
     let name = meltdown().info().name;
     let reasons: Vec<&CellOutcome> = matrix
@@ -167,7 +167,7 @@ fn a_quarantined_shared_run_degrades_every_row_that_shares_it() {
     double.disarm();
     let (healed, report) = Scheduler::new(&spec).prev(&matrix).run().unwrap();
     assert_eq!(report.evaluated, 6, "only quarantined rows re-run");
-    assert_eq!(report.simulations, 2);
+    assert_eq!(report.machine_runs, 2);
     assert_eq!(healed.quarantined(), 0);
     assert_eq!(healed.to_json(), oracle.to_json());
 }
@@ -223,6 +223,13 @@ fn exhausted_cycle_budget_degrades_to_timed_out_rows() {
     let reloaded = CampaignMatrix::from_json(&matrix.to_json()).unwrap();
     assert_eq!(reloaded.timed_out(), 2);
     assert_eq!(reloaded.to_json(), matrix.to_json());
+
+    // A timeout is deterministic up to its limit: the NDA cell differs
+    // from the baseline only in `nda`, which three cycles of Meltdown
+    // never read, so both rows share one machine run.
+    let (scheduled, report) = Scheduler::new(&spec).run().unwrap();
+    assert_eq!(report.machine_runs, 1);
+    assert_eq!(scheduled.to_json(), matrix.to_json());
 }
 
 #[test]
