@@ -901,8 +901,8 @@ pub struct MatrixCell {
     pub defense: String,
     /// Index into [`CampaignMatrix::configs`] (slice).
     pub config: usize,
-    /// The two-level verdict for the cell (carries the full
-    /// [`DefenseStack`]).
+    /// The cell's two verdicts. Its [`DefenseStack`] is the one the
+    /// cube's defense axis holds at this cell's position.
     pub evaluation: Evaluation,
     /// Content fingerprint (attack + stack name/strategies + config
     /// contents) keying incremental reuse.
@@ -1157,19 +1157,15 @@ fn build_row(
             outcome,
         });
     };
-    let stack = &spec.defenses[defense];
-    let evaluation = Evaluation {
-        attack: spec.attacks[attack].info().name,
-        stack: stack.clone(),
-        strategy_sufficient: graph.pairs[Layout::of(spec).pair(attack, defense)]
-            .expect("pair verdict precomputed"),
-        mechanism: run.map_or(Verdict::GraphOnly, Verdict::of_run),
-    };
     TaskOut::Cell(MatrixCell {
-        attack: evaluation.attack,
-        defense: stack.name().to_owned(),
+        attack: spec.attacks[attack].info().name,
+        defense: spec.defenses[defense].name().to_owned(),
         config,
-        evaluation,
+        evaluation: Evaluation {
+            strategy_sufficient: graph.pairs[Layout::of(spec).pair(attack, defense)]
+                .expect("pair verdict precomputed"),
+            mechanism: run.map_or(Verdict::GraphOnly, Verdict::of_run),
+        },
         fingerprint,
         outcome,
     })
@@ -2017,16 +2013,19 @@ impl CampaignMatrix {
         let mut out = String::from(
             "attack,defense,config,strategy,strategy_sufficient,mechanism,false_sense\n",
         );
-        for cell in &self.cells {
-            let e = &cell.evaluation;
+        let layout = self.layout();
+        for (i, cell) in self.cells.iter().enumerate() {
+            let task = layout.task(layout.baselines() + i);
+            let stack = &self.defenses[task.defense.expect("cells follow the baselines")];
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
                 csv_field(cell.attack),
                 csv_field(&cell.defense),
                 csv_field(&self.configs[cell.config]),
-                e.stack.strategy_token(),
-                e.strategy_sufficient
+                stack.strategy_token(),
+                cell.evaluation
+                    .strategy_sufficient
                     .map_or("n/a", |b| if b { "yes" } else { "no" }),
                 cell.mechanism_token(),
                 cell.false_sense_of_security(),
@@ -2572,8 +2571,6 @@ fn read_rows(doc: &Json, cube: &mut Cube, range: Range<usize>) -> Result<(), Cam
             defense: stack.name().to_owned(),
             config,
             evaluation: Evaluation {
-                attack: info.name,
-                stack: stack.clone(),
                 strategy_sufficient: field_opt(row, "strategy_sufficient", Json::as_bool)?,
                 mechanism,
             },
@@ -2602,7 +2599,10 @@ fn degraded_outcome(row: &Json, token: &str) -> Result<Option<CellOutcome>, Camp
 /// Writes a campaign document: the version and `kind` headers, the shard
 /// header (checkpoints only), then axes and rows. Matrices and
 /// checkpoints both go through here, so their row format cannot
-/// drift apart. Fault-free rows are byte-identical to the version-5
+/// drift apart. A cell's strategy token comes from its stack on the
+/// defense axis, at the cell's task position: a matrix's cells start
+/// right after the baselines, a chunk's at its range start or there,
+/// whichever is later. Fault-free rows are byte-identical to the version-5
 /// format; a degraded row carries its outcome token (baselines in an
 /// `"outcome"` field, cells in the mechanism column) plus its
 /// budget/reason field.
@@ -2656,8 +2656,11 @@ fn write_document(
         close_row(&mut out, &b.outcome);
     }
     out.push_str("\n  ],\n  \"cells\": [");
+    let layout = Layout::new(attacks.len(), defenses.len(), configs.len());
+    let first = shard.map_or(0, |h| h.start).max(layout.baselines());
     for (i, cell) in cells.iter().enumerate() {
-        let e = &cell.evaluation;
+        let task = layout.task(first + i);
+        let stack = &defenses[task.defense.expect("cells follow the baselines")];
         if i > 0 {
             out.push(',');
         }
@@ -2668,11 +2671,11 @@ fn write_document(
         out.push_str(", \"config\": ");
         push_json_str(&mut out, &configs[cell.config]);
         out.push_str(", \"strategy\": \"");
-        for piece in e.stack.strategy_token_pieces() {
+        for piece in stack.strategy_token_pieces() {
             push_escaped(&mut out, piece);
         }
         out.push_str("\", \"strategy_sufficient\": ");
-        out.push_str(match e.strategy_sufficient {
+        out.push_str(match cell.evaluation.strategy_sufficient {
             Some(true) => "true",
             Some(false) => "false",
             None => "null",
@@ -3527,7 +3530,8 @@ mod tests {
         // O(1) lookup by stack name.
         let v2 = m.cell(attacks::names::SPECTRE_V2, linux, 0).unwrap();
         assert_eq!(v2.evaluation.mechanism, Verdict::Blocked);
-        assert_eq!(v2.evaluation.stack.members().len(), 4);
+        assert_eq!(m.defenses[0].name(), v2.defense);
+        assert_eq!(m.defenses[0].members().len(), 4);
         // The bundle is the §V-B false sense vs Spectre v1.
         let v1 = m.cell(attacks::names::SPECTRE_V1, linux, 0).unwrap();
         assert!(v1.false_sense_of_security());

@@ -178,9 +178,10 @@ pub fn audit_stacks(
     let matrix = run_cube(attacks_list, stacks.iter().cloned(), base)?;
     Ok(stacks
         .iter()
+        .cloned()
         .enumerate()
         .map(|(d, stack)| StackAudit {
-            stack: stack.clone(),
+            stack,
             blocked: attacks_where(&matrix, d, |c| c.evaluation.mechanism == Verdict::Blocked),
             leaked: attacks_where(&matrix, d, |c| c.evaluation.mechanism == Verdict::Leaked),
             false_sense: attacks_where(&matrix, d, MatrixCell::false_sense_of_security),

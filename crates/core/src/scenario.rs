@@ -1,21 +1,26 @@
-//! High-level scenario API: evaluate attack × defense-stack combinations
+//! High-level scenario API: evaluate one attack × defense-stack pair
 //! with both the graph-level and machine-level verdicts side by side — the
 //! paper's methodology ("show *why* a defense works") as a library call.
 //!
 //! The unit of evaluation is a [`DefenseStack`] — an ordered bundle of
 //! catalog defenses. A single defense is just a singleton stack
-//! ([`DefenseStack::single`]), and a singleton evaluation is
-//! byte-identical to the historical single-defense output; a real bundle
+//! ([`DefenseStack::single`]); a real bundle
 //! (`"KAISER/KPTI+Retpoline+IBPB"`) is patched into the graph with *all*
 //! its member strategies and deployed onto the machine as one folded,
 //! conflict-checked configuration.
+//!
+//! [`evaluate_stack`] is the cold per-pair reference: a fresh graph and a
+//! fresh machine for every call. The campaign engine computes the same
+//! [`Evaluation`] for every cell of a cube with shared graph verdicts and
+//! warm machines, and its acceptance tests check it against this path.
 
 use attacks::{Attack, AttackError};
-use defenses::{DefenseStack, Strategy, Verdict};
-use std::fmt;
+use defenses::{DefenseStack, Verdict};
 use uarch::UarchConfig;
 
-/// The two verdicts for one (attack, defense stack) pair.
+/// The two verdicts for one (attack, defense stack) pair. Which pair they
+/// belong to is the caller's to keep: a campaign cell names its attack and
+/// stack, and the stack itself lives once, on the cube's defense axis.
 ///
 /// `strategy_sufficient` answers the *graph-level* question: "if this
 /// stack's strategy edges were enforced on this attack's graph, would the
@@ -25,13 +30,8 @@ use uarch::UarchConfig;
 /// suffice but the mechanisms leak, the stack is a **false sense of
 /// security** for this attack (the paper's §V-B warning): the bundle
 /// inserts its ordering somewhere other than this attack's missing edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evaluation {
-    /// Attack name.
-    pub attack: &'static str,
-    /// The evaluated defense stack (a singleton for classic single-defense
-    /// cells).
-    pub stack: DefenseStack,
     /// Graph verdict: would the stack's strategies, enforced on this
     /// graph, close the leak path? `None` when no member strategy has an
     /// insertion point in this graph.
@@ -42,19 +42,6 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// The stack's canonical display name (`"NDA"`,
-    /// `"KAISER/KPTI+Retpoline"`): the `defense` column of every table.
-    #[must_use]
-    pub fn defense(&self) -> &str {
-        self.stack.name()
-    }
-
-    /// The distinct strategies the stack exercises, in member order.
-    #[must_use]
-    pub fn strategies(&self) -> Vec<Strategy> {
-        self.stack.strategies().collect()
-    }
-
     /// The §V-B "false sense of security" pattern: the strategies would
     /// work here, but this bundle does not implement them *for this
     /// attack* (e.g. KPTI is strategy ① for kernel pages — useless against
@@ -66,26 +53,8 @@ impl Evaluation {
     }
 }
 
-impl fmt::Display for Evaluation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} vs {}: strategy-sufficient={} mechanism={}{}",
-            self.defense(),
-            self.attack,
-            self.strategy_sufficient
-                .map_or_else(|| "n/a".to_owned(), |b| b.to_string()),
-            self.mechanism,
-            if self.false_sense_of_security() {
-                "  <-- false sense of security"
-            } else {
-                ""
-            }
-        )
-    }
-}
-
-/// Evaluates one (attack, defense stack) pair at both levels.
+/// Evaluates one (attack, defense stack) pair at both levels: the cold
+/// per-pair reference the campaign engine's cells are checked against.
 ///
 /// The *graph* level inserts every distinct member strategy's edges into
 /// the attack's graph and asks Theorem 1 whether the leak path closes
@@ -106,19 +75,23 @@ pub fn evaluate_stack(
     stack: &DefenseStack,
     base: &UarchConfig,
 ) -> Result<Evaluation, AttackError> {
-    let strategy_sufficient = stack.graph_sufficient(attack)?;
-    let mechanism = defenses::verify_stack(stack, attack, base)?;
     Ok(Evaluation {
-        attack: attack.info().name,
-        stack: stack.clone(),
-        strategy_sufficient,
-        mechanism,
+        strategy_sufficient: stack.graph_sufficient(attack)?,
+        mechanism: defenses::verify_stack(stack, attack, base)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use defenses::Strategy;
+
+    /// An evaluation is its two verdicts and nothing that owns memory: a
+    /// stack copied into it again would stop it being `Copy`.
+    const _: fn() = || {
+        fn copy<T: Copy>() {}
+        copy::<Evaluation>();
+    };
 
     /// The singleton stack of one registry defense.
     fn single(name: &str) -> DefenseStack {
@@ -127,18 +100,18 @@ mod tests {
 
     #[test]
     fn nda_vs_spectre_v1_agrees_at_both_levels() {
+        let nda = single("NDA");
         let e = evaluate_stack(
             &attacks::spectre_v1::SpectreV1,
-            &single("NDA"),
+            &nda,
             &UarchConfig::default(),
         )
         .unwrap();
         assert_eq!(e.strategy_sufficient, Some(true));
         assert_eq!(e.mechanism, Verdict::Blocked);
         assert!(!e.false_sense_of_security());
-        assert!(e.to_string().contains("NDA"));
-        assert_eq!(e.defense(), "NDA");
-        assert_eq!(e.strategies(), vec![Strategy::PreventUse]);
+        assert_eq!(nda.name(), "NDA");
+        assert_eq!(nda.strategies().collect::<Vec<_>>(), [Strategy::PreventUse]);
     }
 
     #[test]
@@ -164,7 +137,6 @@ mod tests {
         )
         .unwrap();
         assert!(e.false_sense_of_security());
-        assert!(e.to_string().contains("false sense"));
     }
 
     #[test]
@@ -174,9 +146,10 @@ mod tests {
         let base = UarchConfig::default();
         let attack = &attacks::spectre_v2::SpectreV2;
         for d in defenses::registry().iter().take(6) {
-            let e = evaluate_stack(attack, &DefenseStack::single(*d), &base).unwrap();
-            assert_eq!(e.defense(), d.name);
-            assert_eq!(e.strategies(), vec![d.strategy]);
+            let stack = DefenseStack::single(*d);
+            let e = evaluate_stack(attack, &stack, &base).unwrap();
+            assert_eq!(stack.name(), d.name);
+            assert_eq!(stack.strategies().collect::<Vec<_>>(), [d.strategy]);
             let direct = d.overlay().map(|overlay| {
                 let mut cfg = base.clone();
                 overlay.apply(&mut cfg);
@@ -199,14 +172,13 @@ mod tests {
         // retpoline member closes Spectre v2's edge.
         let v2 = evaluate_stack(&attacks::spectre_v2::SpectreV2, &linux, &base).unwrap();
         assert_eq!(v2.mechanism, Verdict::Blocked);
-        assert_eq!(v2.defense(), "KAISER/KPTI+Retpoline+IBPB+RSB stuffing");
+        assert_eq!(linux.name(), "KAISER/KPTI+Retpoline+IBPB+RSB stuffing");
         assert!(!v2.false_sense_of_security());
         // Stack-level false sense: the bundle's ① member would close
         // Spectre v1's graph, but none of the mechanisms does.
         let v1 = evaluate_stack(&attacks::spectre_v1::SpectreV1, &linux, &base).unwrap();
         assert_eq!(v1.mechanism, Verdict::Leaked);
         assert!(v1.false_sense_of_security());
-        assert!(v1.to_string().contains("false sense"));
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::campaign::{
     panic_reason, simulate, AttackNames, BaselineCell, CampaignMatrix, CampaignPart, CampaignSpec,
     CellOutcome, CheckpointError, MatrixCell, Measured, MergeError, ProgressObserver, ShardHeader,
 };
+use crate::scenario::Evaluation;
 use attacks::{Attack, AttackError, RunnerPool};
 use defenses::{DefenseStack, Verdict};
 use std::collections::{BTreeMap, HashMap};
@@ -44,7 +45,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use uarch::{FxMap, UarchConfig};
 
 // ---------------------------------------------------------------------------
@@ -147,7 +148,8 @@ impl Error for ServeError {
 // ---------------------------------------------------------------------------
 
 /// One memoized row: either an undefended baseline run or a defended
-/// matrix cell, exactly as the campaign engine computes them.
+/// matrix cell's two verdicts, exactly as the campaign engine computes
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoredVerdict {
     /// An undefended baseline run of one attack on one config.
@@ -160,14 +162,9 @@ pub enum StoredVerdict {
         /// with a secret access?
         graph_race: bool,
     },
-    /// One attack × defense-stack × config evaluation.
-    Cell {
-        /// Machine verdict from running the attack under the stack.
-        mechanism: Verdict,
-        /// Graph verdict: would the stack's strategies close the leak
-        /// path? `None` when no member strategy has an insertion point.
-        strategy_sufficient: Option<bool>,
-    },
+    /// One attack × defense-stack × config evaluation: the same two
+    /// verdicts a [`MatrixCell`] carries.
+    Cell(Evaluation),
 }
 
 /// Where a query answer came from.
@@ -200,12 +197,10 @@ pub struct Answer {
     pub source: AnswerSource,
 }
 
-/// The result slot one miss-path flight publishes to its followers.
-#[derive(Default)]
-struct Flight {
-    done: Mutex<Option<Result<StoredVerdict, ServeError>>>,
-    cv: Condvar,
-}
+/// The result slot one miss-path flight publishes to its followers: the
+/// caller whose initializer runs is the leader, the rest block in
+/// `get_or_init` until it returns.
+type Flight = OnceLock<Result<StoredVerdict, ServeError>>;
 
 /// An indexed, memoized verdict store with simulate-on-miss.
 ///
@@ -239,12 +234,6 @@ pub struct VerdictStore {
     simulations: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl fmt::Debug for Flight {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Flight").finish_non_exhaustive()
-    }
 }
 
 impl VerdictStore {
@@ -321,13 +310,7 @@ impl VerdictStore {
             ingested += 1;
         }
         for c in cells.iter().filter(|c| c.outcome.is_ok()) {
-            rows.insert(
-                c.fingerprint,
-                StoredVerdict::Cell {
-                    mechanism: c.evaluation.mechanism,
-                    strategy_sufficient: c.evaluation.strategy_sufficient,
-                },
-            );
+            rows.insert(c.fingerprint, StoredVerdict::Cell(c.evaluation));
             ingested += 1;
         }
         ingested
@@ -442,53 +425,49 @@ impl VerdictStore {
             return Ok(self.answer(name, digest, stored, AnswerSource::Hit));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Single-flight: the first thread to register the key becomes the
-        // leader and simulates; everyone else waits on its flight. The
-        // index is re-probed under the flight-table lock so a result
-        // published between our probe and here cannot be missed.
-        let (flight, leader) = {
+        // Single-flight: every caller for the key shares one flight; the
+        // one whose initializer runs is the leader and simulates, the rest
+        // wait on it. The index is re-probed under the flight-table lock
+        // so a result published between our probe and here cannot be
+        // missed.
+        let flight = {
             let mut inflight = self.inflight.lock().expect("flight table poisoned");
             if let Some(stored) = self.rows.read().ok().and_then(|r| r.get(&key).copied()) {
                 return Ok(self.answer(name, digest, stored, AnswerSource::Hit));
             }
-            match inflight.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight::default());
-                    inflight.insert(key, Arc::clone(&f));
-                    (f, true)
-                }
-            }
+            Arc::clone(inflight.entry(key).or_default())
         };
-        let result = if leader {
-            self.simulations.fetch_add(1, Ordering::Relaxed);
-            // A panic must still release the flight, or its followers and
-            // every later query for this key would wait forever. The
-            // simulate step quarantines machine panics itself; this net
-            // catches the rest (the graph session).
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.simulate(attack, stack, cfg)
-            }))
-            .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_reason(payload.as_ref()))));
-            if let Ok(stored) = &result {
-                if let Ok(mut rows) = self.rows.write() {
-                    rows.insert(key, *stored);
+        let mut leader = false;
+        let result = flight
+            .get_or_init(|| {
+                leader = true;
+                self.simulations.fetch_add(1, Ordering::Relaxed);
+                // A panic must still set the flight, or its followers and
+                // every later query for this key would wait forever. The
+                // simulate step quarantines machine panics itself; this
+                // net catches the rest (the graph session).
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.simulate(attack, stack, cfg)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(ServeError::Panicked(panic_reason(payload.as_ref())))
+                });
+                if let Ok(stored) = &result {
+                    if let Ok(mut rows) = self.rows.write() {
+                        rows.insert(key, *stored);
+                    }
                 }
-            }
-            *flight.done.lock().expect("flight poisoned") = Some(result.clone());
-            flight.cv.notify_all();
+                result
+            })
+            .clone();
+        if leader {
+            // Retire the flight: a failure is not memoized, so the next
+            // query for the key starts a new one.
             self.inflight
                 .lock()
                 .expect("flight table poisoned")
                 .remove(&key);
-            result
-        } else {
-            let mut done = flight.done.lock().expect("flight poisoned");
-            while done.is_none() {
-                done = flight.cv.wait(done).expect("flight poisoned");
-            }
-            done.clone().expect("checked is_some")
-        };
+        }
         let source = if leader {
             AnswerSource::Simulated
         } else {
@@ -530,13 +509,13 @@ impl VerdictStore {
                     graph_race: session.graph_race(),
                 }
             }
-            Some(stack) => StoredVerdict::Cell {
+            Some(stack) => StoredVerdict::Cell(Evaluation {
                 strategy_sufficient: session.graph_sufficient(stack)?,
                 mechanism: match stack.apply(cfg) {
                     Some(config) => Verdict::of_run(&run(&config)?),
                     None => Verdict::GraphOnly,
                 },
-            },
+            }),
         })
     }
 
@@ -562,10 +541,10 @@ impl VerdictStore {
                 cycles: Some(cycles),
                 source,
             },
-            StoredVerdict::Cell {
+            StoredVerdict::Cell(Evaluation {
                 mechanism,
                 strategy_sufficient,
-            } => {
+            }) => {
                 let base = Self::baseline_key_for_digest(attack, digest);
                 let cycles = self
                     .rows

@@ -32,6 +32,8 @@ fn one_campaign_call_reproduces_the_per_pair_evaluation_path() {
             let stack = DefenseStack::single(*defense);
             let expected = scenario::evaluate_stack(*attack, &stack, &base).unwrap();
             let cell = cells.next().expect("campaign covers the full matrix");
+            assert_eq!(cell.attack, attack.info().name);
+            assert_eq!(cell.defense, stack.name());
             assert_eq!(
                 cell.evaluation,
                 expected,
@@ -61,20 +63,16 @@ fn one_campaign_call_reproduces_the_per_pair_evaluation_path() {
 fn evaluate_all_is_a_thin_campaign_consumer_with_the_seed_shape() {
     // The flattened matrix is the seed's `(evaluations, false_sense)`
     // shape: one evaluation per pair, attack-major like its nested loop.
-    let evals: Vec<&Evaluation> = default_matrix()
-        .cells()
-        .iter()
-        .map(|cell| &cell.evaluation)
-        .collect();
+    let cells = default_matrix().cells();
     assert_eq!(
-        evals.len(),
+        cells.len(),
         attacks::registry().len() * defenses::registry().len()
     );
-    assert_eq!(evals[0].attack, attacks::names::SPECTRE_V1);
-    assert_eq!(evals[0].defense(), defenses::names::LFENCE);
-    assert_eq!(evals[1].attack, attacks::names::SPECTRE_V1);
+    assert_eq!(cells[0].attack, attacks::names::SPECTRE_V1);
+    assert_eq!(cells[0].defense, defenses::names::LFENCE);
+    assert_eq!(cells[1].attack, attacks::names::SPECTRE_V1);
     assert_eq!(
-        evals[defenses::registry().len()].defense(),
+        cells[defenses::registry().len()].defense,
         defenses::names::LFENCE
     );
 }
@@ -158,7 +156,10 @@ fn undefended_registry_leaks_on_small_caches() {
 #[test]
 fn filter_extracts_strategy_slices() {
     let matrix = CampaignMatrix::run(&CampaignSpec::default()).unwrap();
-    let send_cells = matrix.filter(|cell| cell.evaluation.strategies() == [Strategy::PreventSend]);
+    let send_cells = matrix.filter(|cell| {
+        let stack = matrix.defenses.iter().find(|s| s.name() == cell.defense);
+        stack.is_some_and(|s| s.strategies().eq([Strategy::PreventSend]))
+    });
     let send_defenses = defenses::registry()
         .iter()
         .filter(|d| d.strategy == Strategy::PreventSend)
@@ -504,7 +505,11 @@ mod shared_runs {
         let mut shared_cycles = 0;
         for cell in matrix.cells() {
             let attack = attacks::find(cell.attack).expect("registry attack");
-            let stack = &cell.evaluation.stack;
+            let stack = matrix
+                .defenses
+                .iter()
+                .find(|s| s.name() == cell.defense)
+                .expect("a cell's stack is on the defense axis");
             let config = &spec.configs[cell.config];
             let what = format!("{} × {} @ {}", cell.attack, cell.defense, config.name);
             let Some(effective) = stack.apply(&config.config) else {

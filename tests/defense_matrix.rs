@@ -142,10 +142,12 @@ fn full_matrix_has_no_simulator_failures() {
     for b in matrix.baselines() {
         assert_eq!(b.outcome, CellOutcome::Ok, "{} baseline", b.info.name);
     }
-    for cell in matrix.cells() {
+    // One config slice: the cells walk the defense axis once per attack.
+    for (cell, stack) in matrix.cells().iter().zip(matrix.defenses.iter().cycle()) {
         let what = format!("{} vs {}", cell.defense, cell.attack);
         assert_eq!(cell.outcome, CellOutcome::Ok, "{what}");
-        if cell.evaluation.stack.is_modeled() {
+        assert_eq!(cell.defense, stack.name(), "{what}");
+        if stack.is_modeled() {
             assert_ne!(cell.evaluation.mechanism, Verdict::GraphOnly, "{what}");
         }
     }

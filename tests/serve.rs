@@ -49,6 +49,15 @@ fn reference_cell_key(attack: &str, stack: &DefenseStack, cfg: &UarchConfig) -> 
         })
 }
 
+/// A cell's defense stack, looked up by name on the matrix's axis.
+fn stack_of<'m>(matrix: &'m CampaignMatrix, cell: &campaign::MatrixCell) -> &'m DefenseStack {
+    matrix
+        .defenses
+        .iter()
+        .find(|s| s.name() == cell.defense)
+        .expect("a cell's stack is on the defense axis")
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("specgraph-serve-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -74,7 +83,7 @@ fn ingested_rows_answer_hits_without_simulation() {
     // verdict the matrix recorded and the baseline's cycles attached.
     for cell in matrix.cells() {
         let answer = store
-            .lookup(cell.attack, Some(&cell.evaluation.stack), &cfg)
+            .lookup(cell.attack, Some(stack_of(&matrix, cell)), &cfg)
             .expect("ingested cell is a hit");
         assert_eq!(answer.verdict, cell.evaluation.mechanism);
         assert_eq!(answer.graph, cell.evaluation.strategy_sufficient);
@@ -106,13 +115,8 @@ fn keyed_get_is_the_raw_hit_path() {
     store.ingest_matrix(&matrix);
     let cfg = UarchConfig::default();
     let cell = &matrix.cells()[0];
-    let key = VerdictStore::cell_key(cell.attack, &cell.evaluation.stack, &cfg);
-    match store.get(key) {
-        Some(StoredVerdict::Cell { mechanism, .. }) => {
-            assert_eq!(mechanism, cell.evaluation.mechanism);
-        }
-        other => panic!("expected a cell row, got {other:?}"),
-    }
+    let key = VerdictStore::cell_key(cell.attack, stack_of(&matrix, cell), &cfg);
+    assert_eq!(store.get(key), Some(StoredVerdict::Cell(cell.evaluation)));
     assert_eq!(store.get(key ^ 1), None, "foreign keys miss");
 
     // Across a config axis too, every seeded (attack, stack, config) key
@@ -154,14 +158,14 @@ fn keyed_get_is_the_raw_hit_path() {
         }
     }
     for c in matrix.cells() {
-        let reference = reference_cell_key(c.attack, &c.evaluation.stack, &cfg);
+        let reference = reference_cell_key(c.attack, stack_of(&matrix, c), &cfg);
         assert_eq!(c.fingerprint, reference, "{} / {}", c.attack, c.defense);
     }
 
     // The digest memo keys on the config's contents: a separately built
     // equal config hits the row it seeded, a one-knob tweak misses. Each
     // is asked twice, so the second answer comes from the memo.
-    let stack = &cell.evaluation.stack;
+    let stack = stack_of(&matrix, cell);
     let rebuilt = UarchConfig::builder().build();
     assert_eq!(rebuilt, cfg);
     let one_knob = UarchConfig {
@@ -196,7 +200,7 @@ fn miss_simulates_and_matches_the_campaign_engine() {
             .find(|a| a.info().name == cell.attack)
             .unwrap();
         let answer = store
-            .query(attack, Some(&cell.evaluation.stack), &cfg)
+            .query(attack, Some(stack_of(&matrix, cell)), &cfg)
             .unwrap();
         assert_eq!(answer.verdict, cell.evaluation.mechanism);
         assert_eq!(answer.graph, cell.evaluation.strategy_sufficient);
@@ -211,7 +215,7 @@ fn miss_simulates_and_matches_the_campaign_engine() {
             .find(|a| a.info().name == cell.attack)
             .unwrap();
         let answer = store
-            .query(attack, Some(&cell.evaluation.stack), &cfg)
+            .query(attack, Some(stack_of(&matrix, cell)), &cfg)
             .unwrap();
         assert_eq!(answer.source, serve::AnswerSource::Hit);
     }
@@ -391,7 +395,7 @@ fn scheduled_matrix_ingests_into_the_store() {
     let cfg = UarchConfig::default();
     let cell = &matrix.cells()[0];
     let answer = store
-        .lookup(cell.attack, Some(&cell.evaluation.stack), &cfg)
+        .lookup(cell.attack, Some(stack_of(&matrix, cell)), &cfg)
         .unwrap();
     assert_eq!(answer.verdict, cell.evaluation.mechanism);
     assert_eq!(store.simulations(), 0);
