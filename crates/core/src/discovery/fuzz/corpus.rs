@@ -15,6 +15,7 @@
 //! back by [`crate::jsonio`].
 
 use super::gen::{Combo, Mutation, Scenario};
+use super::oracle::Agreement;
 use crate::jsonio::{self, json_str, push_json_list, Json};
 use attacks::{Attack, AttackInfo, AttackOutcome};
 use isa::asm;
@@ -208,12 +209,13 @@ impl Corpus {
         }
     }
 
-    /// Unexplained divergences — the suite asserts this is empty.
+    /// Unexplained divergences — the suite asserts this is empty. A record
+    /// whose tag is no [`Agreement`] explains nothing, so it counts too.
     #[must_use]
     pub fn unexplained(&self) -> Vec<&DivergenceRecord> {
         self.divergences
             .iter()
-            .filter(|d| d.agreement.ends_with("/unexplained"))
+            .filter(|d| Agreement::from_tag(&d.agreement).is_none_or(|a| a.is_unexplained()))
             .collect()
     }
 
@@ -307,9 +309,9 @@ impl Corpus {
         for d in req(&doc, "divergences", Json::as_arr)? {
             corpus.divergences.push(DivergenceRecord {
                 index: req(d, "index", Json::as_u64)?,
-                combo: req(d, "combo", Json::as_str)?.into(),
+                combo: tagged(d, "combo", Combo::from_label)?,
                 mutations: mutations_of(d)?,
-                agreement: req(d, "agreement", Json::as_str)?.into(),
+                agreement: tagged(d, "agreement", Agreement::from_tag)?,
             });
         }
         for r in req(&doc, "rediscovered", Json::as_arr)? {
@@ -451,6 +453,18 @@ fn req<'a, T>(
         .ok_or_else(|| CorpusError::Schema(format!("missing or mistyped field {key:?}")))
 }
 
+/// The string field `key`, which must parse with `parse`.
+fn tagged<T>(
+    obj: &Json,
+    key: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<String, CorpusError> {
+    let tag = req(obj, key, Json::as_str)?;
+    parse(tag)
+        .map(|_| tag.into())
+        .ok_or_else(|| CorpusError::Schema(format!("bad {key} tag {tag:?}")))
+}
+
 fn mutations_of(obj: &Json) -> Result<Vec<Mutation>, CorpusError> {
     req(obj, "mutations", Json::as_arr)?
         .iter()
@@ -582,5 +596,27 @@ mod tests {
             agreement: "false-sense/unexplained".into(),
         });
         assert_eq!(c.unexplained().len(), 1);
+        c.divergences[1].agreement = "agree-lek".into();
+        assert_eq!(c.unexplained().len(), 1);
+    }
+
+    #[test]
+    fn bad_agreement_and_combo_tags_are_schema_errors() {
+        let good = sample_corpus().to_json();
+        for (from, to) in [
+            ("\"missed-leak/dead-value\"", "\"agree-lek\""),
+            ("\"missed-leak/dead-value\"", "\"missed-leak\""),
+            (
+                "\"combo\": \"kernel-memory/conditional-branch/flush-reload\"",
+                "\"combo\": \"kernel-memory/conditional-branch\"",
+            ),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good);
+            assert!(
+                matches!(Corpus::from_json(&bad), Err(CorpusError::Schema(_))),
+                "{to} loaded"
+            );
+        }
     }
 }

@@ -38,7 +38,7 @@ pub mod corpus;
 pub mod gen;
 mod memo;
 pub mod oracle;
-mod rng;
+pub(crate) mod rng;
 pub mod shrink;
 
 pub use corpus::{

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::campaign::{CampaignMatrix, CampaignPart, CampaignSpec};
+use crate::discovery::fuzz::rng::mix;
 use crate::discovery::fuzz::{self, Corpus, FuzzConfig};
 use crate::serve::{chunk_files, Scheduler};
 use attacks::{Attack, AttackError, AttackInfo, AttackOutcome};
@@ -98,7 +99,10 @@ impl FaultPlan {
     /// exercises a deterministic, replayable mix of all four kinds.
     #[must_use]
     pub fn seeded(seed: u64, k: usize) -> Self {
-        let kind = match splitmix(seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 4 {
+        // One SplitMix64 step from the state `seed ^ k·γ`: enough mixing to
+        // spread `(seed, k)` over the four kinds.
+        let gamma = 0x9e37_79b9_7f4a_7c15;
+        let kind = match mix((seed ^ (k as u64).wrapping_mul(gamma)).wrapping_add(gamma)) % 4 {
             0 => FaultKind::CrashAfterWrite,
             1 => FaultKind::TornWrite,
             2 => FaultKind::Enospc,
@@ -118,15 +122,6 @@ impl FaultPlan {
     pub fn at(&self) -> usize {
         self.at
     }
-}
-
-/// One round of splitmix64 — enough mixing to spread `(seed, k)` over the
-/// four fault kinds without any external RNG dependency.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -667,6 +662,26 @@ mod tests {
         ] {
             assert!(a.contains(&kind), "seed 7 never produces {kind}");
         }
+    }
+
+    #[test]
+    fn seeded_plan_kinds_are_pinned() {
+        // `campaign fault sweep --seed N` replays these plans, so the
+        // (seed, k) -> kind map is part of the sweep's reproducibility.
+        use FaultKind::{CrashAfterWrite as C, Enospc as E, FailedRename as R, TornWrite as T};
+        let kinds = |seed| (0..6).map(move |k| FaultPlan::seeded(seed, k).kind());
+        let got: Vec<Vec<FaultKind>> = [0, 1, 7, 42, u64::MAX]
+            .into_iter()
+            .map(|seed| kinds(seed).collect())
+            .collect();
+        let want = [
+            [R, C, R, C, R, E],
+            [T, T, E, E, T, R],
+            [R, T, T, E, E, C],
+            [T, R, R, C, E, T],
+            [C, R, C, R, C, T],
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,15 +1,90 @@
 //! Leaky micro-architectural buffers: line fill buffer, store buffer and
-//! load ports.
+//! load ports, each one [`Fifo`] of recent entries.
 //!
 //! These are the *sources of secrets* for the MDS attack family in the
 //! paper's Figure 4: a faulting load on a vulnerable machine aggressively
 //! forwards stale data from one of these structures instead of the correct
 //! memory value — RIDL (load port / line fill buffer), ZombieLoad (line fill
 //! buffer), Fallout (store buffer), and LVI (attacker-planted values in any
-//! of them).
+//! of them). The return stack buffer
+//! ([`ReturnStackBuffer`](crate::predictor::ReturnStackBuffer)) is the same
+//! `Fifo`, read from its newest end.
 
 use crate::cache::WORDS_PER_LINE;
 use std::collections::VecDeque;
+
+/// A bounded queue of recent entries: a push into a full `Fifo` drops the
+/// oldest entry, and the reads look at the newest end.
+#[derive(Debug, Clone)]
+pub struct Fifo<T> {
+    entries: VecDeque<T>,
+    capacity: usize,
+}
+
+impl<T> Fifo<T> {
+    /// Creates an empty `Fifo` holding at most `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        let mut fifo = Fifo {
+            entries: VecDeque::new(),
+            capacity,
+        };
+        fifo.reset(capacity);
+        fifo
+    }
+
+    /// Empties the `Fifo` and adopts a (possibly different) capacity,
+    /// keeping the heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn reset(&mut self, capacity: usize) {
+        assert!(capacity > 0, "buffer capacity must be non-zero");
+        self.entries.clear();
+        self.capacity = capacity;
+    }
+
+    /// The most entries the `Fifo` holds.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Appends `entry`, first dropping the oldest entry if the `Fifo` is
+    /// full.
+    pub fn push(&mut self, entry: T) {
+        if self.entries.len() == self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(entry);
+    }
+
+    /// Removes and returns the newest entry.
+    pub fn pop(&mut self) -> Option<T> {
+        self.entries.pop_back()
+    }
+
+    /// Empties the `Fifo` (e.g. VERW-style buffer overwriting).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The newest entry.
+    #[must_use]
+    pub fn newest(&self) -> Option<&T> {
+        self.entries.back()
+    }
+
+    /// The entries, newest first.
+    pub fn newest_first(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().rev()
+    }
+}
 
 /// One line-fill-buffer entry: a line in flight (or recently completed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,267 +95,94 @@ pub struct LfbEntry {
     pub data: [u64; WORDS_PER_LINE],
 }
 
-/// The line fill buffer: a FIFO of recently-filled lines whose stale
-/// contents remain visible to faulting loads (ZombieLoad/RIDL).
-#[derive(Debug, Clone)]
-pub struct LineFillBuffer {
-    entries: VecDeque<LfbEntry>,
-    capacity: usize,
-}
+/// The line fill buffer: recently-filled lines whose stale contents remain
+/// visible to faulting loads (ZombieLoad/RIDL).
+pub type LineFillBuffer = Fifo<LfbEntry>;
 
 impl LineFillBuffer {
-    /// Creates an LFB with the given number of entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LFB capacity must be non-zero");
-        LineFillBuffer {
-            entries: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Empties the buffer and adopts a (possibly different) capacity,
-    /// keeping the heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: usize) {
-        assert!(capacity > 0, "LFB capacity must be non-zero");
-        self.entries.clear();
-        self.capacity = capacity;
-    }
-
-    /// Records a fill passing through the buffer.
-    pub fn record(&mut self, base: u64, data: [u64; WORDS_PER_LINE]) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(LfbEntry { base, data });
-    }
-
     /// The *stale* word a faulting load at line offset `offset` would
     /// sample: the most recent entry's word at that offset.
     #[must_use]
     pub fn sample(&self, offset: u64) -> Option<u64> {
         let word = ((offset % 64) / 8) as usize;
-        self.entries.back().map(|e| e.data[word])
-    }
-
-    /// All entries, oldest first.
-    #[must_use]
-    pub fn entries(&self) -> Vec<LfbEntry> {
-        self.entries.iter().copied().collect()
-    }
-
-    /// Clears the buffer (e.g. VERW-style overwrite mitigation).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Current number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.newest().map(|e| e.data[word])
     }
 }
 
-/// One store-buffer entry.
+/// One store-buffer entry: a retired store not yet drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Full physical address of the store.
     pub paddr: u64,
     /// Stored value.
     pub value: u64,
-    /// Whether the store has retired (drained stores eventually disappear).
-    pub retired: bool,
 }
 
-/// The store buffer: completed-but-not-drained stores.
-///
-/// Used for (a) legitimate store-to-load forwarding, (b) Spectre v4 stale
-/// reads when forwarding is *not* detected, and (c) Fallout, where a
-/// faulting load samples a store-buffer value that merely matches in the
-/// low address bits.
-#[derive(Debug, Clone)]
-pub struct StoreBuffer {
-    entries: VecDeque<StoreEntry>,
-    capacity: usize,
-}
+/// The store buffer: retired stores, which a faulting load samples by a
+/// match in the low address bits (Fallout).
+pub type StoreBuffer = Fifo<StoreEntry>;
 
 impl StoreBuffer {
-    /// Creates a store buffer with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "store buffer capacity must be non-zero");
-        StoreBuffer {
-            entries: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Empties the buffer and adopts a (possibly different) capacity,
-    /// keeping the heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: usize) {
-        assert!(capacity > 0, "store buffer capacity must be non-zero");
-        self.entries.clear();
-        self.capacity = capacity;
-    }
-
-    /// Appends a retired store (oldest evicted on overflow).
-    pub fn record(&mut self, paddr: u64, value: u64) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(StoreEntry {
-            paddr,
-            value,
-            retired: true,
-        });
-    }
-
-    /// Latest value for an *exact* address match (store-to-load forwarding).
-    #[must_use]
-    pub fn forward(&self, paddr: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.paddr & !7 == paddr & !7)
-            .map(|e| e.value)
-    }
-
     /// The value a *faulting* load would transiently sample (Fallout):
     /// the newest entry whose **page offset** matches the load's page
     /// offset — the partial-address match of real store buffers.
     #[must_use]
     pub fn sample_by_offset(&self, page_offset: u64) -> Option<u64> {
         let off = (page_offset % 4096) & !7;
-        self.entries
-            .iter()
-            .rev()
+        self.newest_first()
             .find(|e| (e.paddr % 4096) & !7 == off)
             .map(|e| e.value)
     }
-
-    /// Clears the buffer.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Current number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
-/// Load-port residue: values recently moved through the load ports, which a
-/// faulting load may sample (RIDL).
-#[derive(Debug, Clone)]
-pub struct LoadPorts {
-    values: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl LoadPorts {
-    /// Creates load-port state with the given number of tracked values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "load port capacity must be non-zero");
-        LoadPorts {
-            values: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Empties the residue and adopts a (possibly different) capacity,
-    /// keeping the heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: usize) {
-        assert!(capacity > 0, "load port capacity must be non-zero");
-        self.values.clear();
-        self.capacity = capacity;
-    }
-
-    /// Records a value passing through a load port.
-    pub fn record(&mut self, value: u64) {
-        if self.values.len() == self.capacity {
-            self.values.pop_front();
-        }
-        self.values.push_back(value);
-    }
-
-    /// The stale value a faulting load would sample (most recent).
-    #[must_use]
-    pub fn sample(&self) -> Option<u64> {
-        self.values.back().copied()
-    }
-
-    /// Clears the residue.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-
-    /// Current number of tracked values.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether there is no residue.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
+/// Load-port residue: values recently moved through the load ports, of
+/// which a faulting load samples the newest (RIDL).
+pub type LoadPorts = Fifo<u64>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn fifo_drops_oldest_and_pops_newest() {
+        let mut f = Fifo::new(2);
+        assert_eq!(f.pop(), None);
+        f.push(1);
+        f.push(2);
+        f.push(3); // drops 1
+        assert_eq!(f.newest(), Some(&3));
+        assert_eq!(f.newest_first().copied().collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(f.pop(), Some(3));
+        assert_eq!(f.pop(), Some(2));
+        assert_eq!(f.pop(), None);
+    }
+
+    #[test]
+    fn fifo_reset_adopts_capacity() {
+        let mut f = Fifo::new(1);
+        f.push(1);
+        f.reset(2);
+        assert_eq!((f.capacity(), f.newest()), (2, None));
+        f.push(2);
+        f.push(3);
+        assert_eq!(f.newest_first().copied().collect::<Vec<_>>(), [3, 2]);
+        f.clear();
+        assert_eq!(f.newest(), None);
+    }
+
+    #[test]
     fn lfb_records_and_samples_most_recent() {
         let mut l = LineFillBuffer::new(2);
         assert_eq!(l.sample(0), None);
-        l.record(0x000, [1; WORDS_PER_LINE]);
-        l.record(0x040, [2; WORDS_PER_LINE]);
+        l.push(LfbEntry {
+            base: 0x000,
+            data: [1; WORDS_PER_LINE],
+        });
+        l.push(LfbEntry {
+            base: 0x040,
+            data: [2; WORDS_PER_LINE],
+        });
         assert_eq!(l.sample(8), Some(2));
-        l.record(0x080, [3; WORDS_PER_LINE]); // evicts oldest
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.entries()[0].base, 0x040);
-        l.clear();
-        assert!(l.is_empty());
     }
 
     #[test]
@@ -288,30 +190,22 @@ mod tests {
         let mut l = LineFillBuffer::new(1);
         let mut data = [0u64; WORDS_PER_LINE];
         data[3] = 0xdead;
-        l.record(0x100, data);
+        l.push(LfbEntry { base: 0x100, data });
         assert_eq!(l.sample(24), Some(0xdead));
         assert_eq!(l.sample(0), Some(0));
         // Offsets wrap at line size.
         assert_eq!(l.sample(64 + 24), Some(0xdead));
     }
 
-    #[test]
-    fn store_buffer_exact_forwarding() {
-        let mut s = StoreBuffer::new(4);
-        s.record(0x1000, 11);
-        s.record(0x1008, 22);
-        s.record(0x1000, 33); // newer store to same addr
-        assert_eq!(s.forward(0x1000), Some(33));
-        assert_eq!(s.forward(0x1004), Some(33)); // same word
-        assert_eq!(s.forward(0x1008), Some(22));
-        assert_eq!(s.forward(0x2000), None);
+    fn store(paddr: u64, value: u64) -> StoreEntry {
+        StoreEntry { paddr, value }
     }
 
     #[test]
     fn store_buffer_fallout_offset_match() {
         let mut s = StoreBuffer::new(4);
         // Victim stores a secret at kernel address 0xffff_1238.
-        s.record(0xffff_1238, 0x5ec2e7);
+        s.push(store(0xffff_1238, 0x5ec2e7));
         // Attacker's faulting load at user address with same page offset
         // 0x238 samples it.
         assert_eq!(s.sample_by_offset(0x238), Some(0x5ec2e7));
@@ -321,25 +215,21 @@ mod tests {
     #[test]
     fn store_buffer_capacity() {
         let mut s = StoreBuffer::new(2);
-        s.record(0, 1);
-        s.record(8, 2);
-        s.record(16, 3);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.forward(0), None); // oldest evicted
-        s.clear();
-        assert!(s.is_empty());
+        s.push(store(0, 1));
+        s.push(store(8, 2));
+        s.push(store(0x1008, 3));
+        assert_eq!(s.sample_by_offset(0), None); // oldest evicted
+        assert_eq!(s.sample_by_offset(8), Some(3)); // newest match wins
     }
 
     #[test]
     fn load_ports_sample_latest() {
         let mut p = LoadPorts::new(2);
-        assert_eq!(p.sample(), None);
-        p.record(5);
-        p.record(6);
-        p.record(7);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.sample(), Some(7));
-        p.clear();
-        assert!(p.is_empty());
+        assert_eq!(p.newest(), None);
+        p.push(5);
+        p.push(6);
+        p.push(7);
+        assert_eq!(p.newest(), Some(&7));
+        assert_eq!(p.newest_first().count(), 2);
     }
 }

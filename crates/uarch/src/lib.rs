@@ -20,7 +20,9 @@
 //!   the data access of the same instruction — the Meltdown-type
 //!   intra-instruction race ([`mmu`], [`Machine`]),
 //! * leaky micro-architectural buffers — line-fill buffer, store buffer,
-//!   load ports — for the MDS attack family ([`buffers`]),
+//!   load ports — for the MDS attack family, each one bounded
+//!   [`buffers::Fifo`] that drops its oldest entry when full; the return
+//!   stack buffer is the same `Fifo` ([`buffers`]),
 //! * TSX-style transactions whose aborts suppress exceptions (TAA),
 //! * every defense strategy of the paper's Figure 8 as a configuration knob
 //!   ([`UarchConfig`]): serialize access (①), block speculative data use

@@ -7,7 +7,7 @@
 //! across squashes — that persistence *is* the covert channel the paper
 //! models.
 
-use crate::buffers::{LineFillBuffer, LoadPorts, StoreBuffer};
+use crate::buffers::{LfbEntry, LineFillBuffer, LoadPorts, StoreBuffer, StoreEntry};
 use crate::cache::{Cache, LINE_SIZE, WORDS_PER_LINE};
 use crate::config::{Switch, Switches, UarchConfig};
 use crate::error::UarchError;
@@ -578,7 +578,7 @@ impl Machine {
             self.fill_line(paddr);
             self.cfg.cache_miss_latency
         };
-        self.load_ports.record(self.memory.read_u64(paddr));
+        self.load_ports.push(self.memory.read_u64(paddr));
         self.cycle += latency;
         Ok(latency)
     }
@@ -593,10 +593,10 @@ impl Machine {
     /// loop over the same addresses, reached without filling a line
     /// ([`Cache::reload_flush`]): a missed slot leaves no line behind, so
     /// nothing reads its line during the sweep. The line fill buffer and
-    /// the load ports are FIFOs that nothing samples until the sweep
-    /// returns, so only their surviving entries are written: the lines of
-    /// the last `lfb_entries` misses and the words of the last
-    /// `load_port_entries` reads.
+    /// the load ports are [`Fifo`](crate::buffers::Fifo)s that nothing
+    /// samples until the sweep returns, so only the entries that survive
+    /// are pushed: the lines of the last misses and the words of the last
+    /// reads, as many as each `Fifo`'s capacity.
     ///
     /// # Errors
     ///
@@ -620,18 +620,18 @@ impl Machine {
             }
         }));
         self.cycle += latencies.iter().sum::<u64>();
-        // The buffers hold `cfg`'s capacities (set by `new` and `reset`).
         let misses = probes.iter().filter(|&&(_, was_hit)| !was_hit).count();
         for &(paddr, _) in probes
             .iter()
             .filter(|&&(_, was_hit)| !was_hit)
-            .skip(misses.saturating_sub(self.cfg.lfb_entries))
+            .skip(misses.saturating_sub(self.lfb.capacity()))
         {
             let base = paddr & !(LINE_SIZE - 1);
-            self.lfb.record(base, self.memory.read_line(base));
+            let data = self.memory.read_line(base);
+            self.lfb.push(LfbEntry { base, data });
         }
-        for &(paddr, _) in &probes[probes.len().saturating_sub(self.cfg.load_port_entries)..] {
-            self.load_ports.record(self.memory.read_u64(paddr));
+        for &(paddr, _) in &probes[probes.len().saturating_sub(self.load_ports.capacity())..] {
+            self.load_ports.push(self.memory.read_u64(paddr));
         }
         probes.clear();
         self.scratch_probes = probes;
@@ -673,12 +673,6 @@ impl Machine {
         &self.cache
     }
 
-    /// The line fill buffer (oracle access).
-    #[must_use]
-    pub fn lfb(&self) -> &LineFillBuffer {
-        &self.lfb
-    }
-
     /// Clears the leaky buffers (models VERW-style buffer overwriting).
     pub fn clear_leaky_buffers(&mut self) {
         self.lfb.clear();
@@ -716,7 +710,7 @@ impl Machine {
     fn fill_line(&mut self, paddr: u64) -> u64 {
         let base = paddr & !(LINE_SIZE - 1);
         let data = self.memory.read_line(base);
-        self.lfb.record(base, data);
+        self.lfb.push(LfbEntry { base, data });
         self.cache.fill(base, data);
         base
     }
@@ -909,7 +903,10 @@ impl Machine {
                     let paddr = entry.paddr.expect("store completed");
                     self.memory.write_u64(paddr, entry.store_value);
                     self.cache.write_through(paddr, entry.store_value);
-                    self.store_buffer.record(paddr, entry.store_value);
+                    self.store_buffer.push(StoreEntry {
+                        paddr,
+                        value: entry.store_value,
+                    });
                 }
                 Instruction::Call { .. } => {
                     self.arch_stack.push(entry.pc + 1);
@@ -1689,7 +1686,7 @@ impl Machine {
                 let line = paddr & !(LINE_SIZE - 1);
                 let was_present = self.cache.contains(line);
                 let data = self.memory.read_line(line);
-                self.lfb.record(line, data);
+                self.lfb.push(LfbEntry { base: line, data });
                 let evicted = self.cache.fill(line, data);
                 if speculative {
                     self.record(TraceEvent::SpeculativeFill {
@@ -1702,7 +1699,7 @@ impl Machine {
                 }
             }
         }
-        self.load_ports.record(value);
+        self.load_ports.push(value);
         if speculative {
             self.record(TraceEvent::SpeculativeExecute {
                 cycle: self.cycle,
@@ -1766,7 +1763,7 @@ impl Machine {
             (v, TransientSource::StoreBuffer)
         } else if let Some(v) = self.lfb.sample(vaddr % LINE_SIZE) {
             (v, TransientSource::LineFillBuffer)
-        } else if let Some(v) = self.load_ports.sample() {
+        } else if let Some(&v) = self.load_ports.newest() {
             (v, TransientSource::LoadPort)
         } else {
             // Nothing to forward, whatever the switch says.

@@ -10,6 +10,7 @@
 //! * [`DisambiguationPredictor`] — store-load alias predictor; the
 //!   optimistic "no alias" default is the Spectre v4 authorization bypass.
 
+use crate::buffers::Fifo;
 use crate::fxmap::FxMap;
 
 /// Saturating 2-bit counter states.
@@ -129,78 +130,21 @@ impl BranchTargetBuffer {
     }
 }
 
-/// Return stack buffer of bounded depth.
+/// Return stack buffer of bounded depth: a [`Fifo`] of return addresses.
 ///
-/// Pushes beyond capacity discard the *oldest* entry; pops from an empty RSB
-/// return `None` (underfill — the Spectre-RSB trigger).
-#[derive(Debug, Clone)]
-pub struct ReturnStackBuffer {
-    stack: Vec<usize>,
-    depth: usize,
-}
+/// A `call` pushes, discarding the *oldest* entry when full; a `ret` pops the
+/// newest, and a pop from an empty RSB returns `None` (underfill — the
+/// Spectre-RSB trigger).
+pub type ReturnStackBuffer = Fifo<usize>;
 
 impl ReturnStackBuffer {
-    /// Creates an RSB with the given depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        assert!(depth > 0, "RSB depth must be non-zero");
-        ReturnStackBuffer {
-            stack: Vec::new(),
-            depth,
-        }
-    }
-
-    /// Pushes a return address (on `call`).
-    pub fn push(&mut self, addr: usize) {
-        if self.stack.len() == self.depth {
-            self.stack.remove(0);
-        }
-        self.stack.push(addr);
-    }
-
-    /// Pops the predicted return address (on `ret`).
-    pub fn pop(&mut self) -> Option<usize> {
-        self.stack.pop()
-    }
-
-    /// Current fill level.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Whether the RSB has no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
-
-    /// Clears all entries.
-    pub fn clear(&mut self) {
-        self.stack.clear();
-    }
-
     /// Refills the RSB with `depth` copies of a benign address
     /// (RSB *stuffing*, the Spectre-RSB industry defense).
     pub fn stuff(&mut self, benign: usize) {
-        self.stack.clear();
-        self.stack.resize(self.depth, benign);
-    }
-
-    /// Empties the RSB and adopts a (possibly different) depth, keeping the
-    /// heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn reset(&mut self, depth: usize) {
-        assert!(depth > 0, "RSB depth must be non-zero");
-        self.stack.clear();
-        self.depth = depth;
+        self.clear();
+        for _ in 0..self.capacity() {
+            self.push(benign);
+        }
     }
 }
 
@@ -334,7 +278,6 @@ mod tests {
         r.push(10);
         r.push(20);
         r.push(30); // evicts oldest (10)
-        assert_eq!(r.len(), 2);
         assert_eq!(r.pop(), Some(30));
         assert_eq!(r.pop(), Some(20));
         assert_eq!(r.pop(), None);
@@ -345,8 +288,10 @@ mod tests {
         let mut r = ReturnStackBuffer::new(4);
         r.push(99);
         r.stuff(0);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.pop(), Some(0));
+        for _ in 0..4 {
+            assert_eq!(r.pop(), Some(0));
+        }
+        assert_eq!(r.pop(), None);
     }
 
     #[test]
@@ -376,7 +321,7 @@ mod tests {
         p.flush();
         assert!(p.pht.is_empty());
         assert!(p.btb.is_empty());
-        assert!(p.rsb.is_empty());
+        assert_eq!(p.rsb.pop(), None);
         assert!(p.disambiguation.may_bypass(4));
     }
 }

@@ -197,6 +197,20 @@ fn budget_512_corpus_manifest_is_reproduced_at_one_and_two_threads() {
 }
 
 #[test]
+fn pinned_corpora_load_and_reserialize_byte_identically() {
+    // The corpus reader checks every divergence's agreement and combo
+    // tags; both checked-in corpora pass it and come back unchanged.
+    for pinned in [
+        include_str!("data/fuzz-seed-corpus.json"),
+        include_str!("data/fuzz-seed42-budget512-corpus.json"),
+    ] {
+        let corpus = fuzz::Corpus::from_json(pinned).unwrap();
+        assert!(corpus.unexplained().is_empty());
+        assert_eq!(corpus.to_json(), pinned);
+    }
+}
+
+#[test]
 fn fuzz_loop_is_bit_identical_across_runs_and_thread_counts() {
     let cfg = FuzzConfig {
         seed: 1234,

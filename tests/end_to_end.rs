@@ -178,6 +178,45 @@ fn simulation_event_log_digest_is_pinned() {
 }
 
 #[test]
+fn small_buffer_event_log_digest_is_pinned() {
+    // The pinned digest above runs only the default buffer capacities
+    // (LFB 8, store buffer 16, load ports 4, RSB 16). Here every registry
+    // attack runs with each of those four capacities cut to 1 and to 2,
+    // one at a time and all together, so each bounded buffer evicts on
+    // nearly every push and its eviction order shows in the event log.
+    type Field = fn(&mut UarchConfig) -> &mut usize;
+    let fields: [Field; 4] = [
+        |c| &mut c.lfb_entries,
+        |c| &mut c.store_buffer_entries,
+        |c| &mut c.load_port_entries,
+        |c| &mut c.rsb_depth,
+    ];
+    let mut configs = Vec::new();
+    for capacity in [1, 2] {
+        let mut all = UarchConfig::default();
+        for field in fields {
+            let mut one = UarchConfig::default();
+            *field(&mut one) = capacity;
+            configs.push(one);
+            *field(&mut all) = capacity;
+        }
+        configs.push(all);
+    }
+    let mut hash = FNV_OFFSET;
+    for attack in attacks::registry() {
+        for cfg in &configs {
+            hash_run(&mut hash, *attack, cfg);
+        }
+    }
+    assert_eq!(
+        hash,
+        0x74d5_5077_dff7_953b,
+        "small-buffer event-log digest over {} runs: {hash:#018x}",
+        attacks::registry().len() * configs.len()
+    );
+}
+
+#[test]
 fn switches_a_run_never_read_cannot_change_it() {
     // The campaign executor's sharing rule: a run depends only on the
     // non-switch fields and on the switches it consulted. Flipping any
